@@ -7,8 +7,8 @@ Modules:
     transform  truncated view transformation with contribution budgets
     shrink     the timer and above-noisy-threshold sync protocols, flush,
                and the closed-form utility bounds
-    leakage    transcripts, reference DP mechanisms, empirical privacy loss,
-               transcript audit
+    transcript what each server observes: sizes, timestamps and shares
+    leakage    reference DP mechanisms, empirical privacy loss, transcript audit
     harness    experiment driver, baselines, synthetic workloads, metrics
     cli        command-line front end
 """

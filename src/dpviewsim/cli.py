@@ -60,17 +60,11 @@ def main(argv: list[str] | None = None) -> int:
             records = [rec for res in results for rec in res.metrics]
         else:
             records = run_experiment(config).metrics
-    except (ParseError, CapacityExceeded, FileNotFoundError) as exc:
+    except (ParseError, CapacityExceeded, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    if args.out:
-        emit_metrics(records, args.out)
-    else:
-        for rec in records:
-            from dataclasses import asdict
-            import json
-            print(json.dumps(asdict(rec), separators=(",", ":")))
+    emit_metrics(records, args.out or sys.stdout)
     return EXIT_OK
 
 

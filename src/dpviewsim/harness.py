@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import enum
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Iterable, TextIO
 
 import numpy as np
 
-from .leakage import LogicalStream, StreamRecord, Transcript, TranscriptKind
+from .leakage import LogicalStream, StreamRecord
 from .obliv import SecureCache, SecureTuple, SeqCounter
 from .randomness import ServerRandomness
 from .sharing import RING_SIZE
 from .shrink import (AntConfig, FlushReport, MaterializedView, SyncReport,
                      TimerConfig, flush_step, sdp_ant_init, sdp_ant_step,
                      sdp_timer_step)
+from .transcript import Transcript, TranscriptKind
 from .transform import (ChargePolicy, OperatorKind, TransformState,
                         TruncationConfig, expected_output_size, transform_init,
                         transform_step)
@@ -86,6 +87,11 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     for name in _POSITIVE:
         if getattr(config, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(config, name)}")
+    for name in ("epsilon", "theta"):
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(config, name)}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.omega > config.b:
         raise ConfigError(f"omega ({config.omega}) must not exceed b ({config.b})")
     if config.protocol in (Protocol.DP_TIMER, Protocol.DP_ANT):
@@ -123,6 +129,8 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 _ENUM_FIELDS = {"protocol": Protocol, "operator": OperatorKind,
                 "profile": Profile, "charge_policy": ChargePolicy}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 def coerce_config(values: dict[str, str]) -> ExperimentConfig:
@@ -146,14 +154,14 @@ def coerce_config(values: dict[str, str]) -> ExperimentConfig:
             if key in ("stream_a", "stream_b"):
                 kwargs[key] = raw or None
             elif isinstance(current, bool):
-                kwargs[key] = raw.lower() in ("1", "true", "yes", "on")
+                kwargs[key] = _BOOLS[raw.lower()]
             elif isinstance(current, int):
                 kwargs[key] = int(raw)
             elif isinstance(current, float):
                 kwargs[key] = float(raw)
             else:
                 kwargs[key] = raw
-        except ValueError:
+        except (KeyError, ValueError):
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
     return validate_config(ExperimentConfig(**kwargs))
 
@@ -171,12 +179,17 @@ class MetricsRecord:
     transcript_events: int
 
 
-def emit_metrics(records: Iterable[MetricsRecord], path: str) -> None:
-    """One JSON object per line, snake_case fields, byte-deterministic."""
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(asdict(rec), sort_keys=False, separators=(",", ":")))
-            fh.write("\n")
+def emit_metrics(records: Iterable[MetricsRecord], out: str | TextIO) -> None:
+    """One JSON object per line, snake_case fields, byte-deterministic.
+
+    `out` is a file path or an open text stream.
+    """
+    if isinstance(out, str):
+        with open(out, "w") as fh:
+            emit_metrics(records, fh)
+        return
+    for rec in records:
+        out.write(json.dumps(asdict(rec), separators=(",", ":")) + "\n")
 
 
 def read_metrics(path: str) -> list[MetricsRecord]:
@@ -389,7 +402,6 @@ class ExperimentResult:
     sync_reports: list[SyncReport] = field(default_factory=list)
     flush_reports: list[FlushReport] = field(default_factory=list)
     produced_rows: list[SecureTuple] = field(default_factory=list)
-    shrink_cost_per_step: list[int] = field(default_factory=list)
     final_view: MaterializedView | None = None
     final_cache: SecureCache | None = None
 
@@ -413,126 +425,94 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     rand = ServerRandomness(config.seed)
     transcript = Transcript()
 
-    batches_a = client_batches(stream_a, config.c_r, config.horizon, seqs)
-    batches_b = (client_batches(stream_b, config.c_r, config.horizon, seqs)
-                 if stream_b is not None else None)
-    n_owners = 1 if batches_b is None else 2
+    owners = [s for s in (stream_a, stream_b) if s is not None]
+    batches = [client_batches(s, config.c_r, config.horizon, seqs) for s in owners]
 
     trunc = TruncationConfig(config.omega, config.b, config.charge_policy)
+    filtering = config.operator is OperatorKind.FILTER
     state = TransformState(config=trunc, operator=config.operator, seqs=seqs,
                            predicate=(lambda tup: bool(tup.attrs and tup.attrs[0]))
-                           if config.operator is OperatorKind.FILTER else None)
+                           if filtering else None)
     counter = transform_init(rand)
     cache = SecureCache()
     view = MaterializedView()
-    width = 0
-    if config.operator is OperatorKind.FILTER:
-        width = len(stream_a.arrivals[0].attrs) if stream_a.arrivals else 1
-    else:
-        wa = len(stream_a.arrivals[0].attrs) if stream_a.arrivals else 1
-        wb = len(stream_b.arrivals[0].attrs) if stream_b and stream_b.arrivals else 1
-        width = wa + wb
+    width = sum(len(s.arrivals[0].attrs) if s.arrivals else 1
+                for s in (owners[:1] if filtering else owners))
 
-    timer_cfg = TimerConfig(config.T, config.epsilon, config.b, config.f, config.s) \
-        if config.protocol is Protocol.DP_TIMER else None
-    ant_cfg = AntConfig(config.theta, config.epsilon, config.b, config.f, config.s) \
-        if config.protocol is Protocol.DP_ANT else None
-    threshold = sdp_ant_init(ant_cfg, rand) if ant_cfg else None
+    timer = config.protocol is Protocol.DP_TIMER
+    dp = timer or config.protocol is Protocol.DP_ANT
+    if timer:
+        sync_cfg = TimerConfig(config.T, config.epsilon, config.b, config.f, config.s)
+    elif dp:
+        sync_cfg = AntConfig(config.theta, config.epsilon, config.b, config.f, config.s)
+        threshold = sdp_ant_init(sync_cfg, rand)
+    # NM never transforms; OTM stops after its single sync.
+    transforming = config.protocol is not Protocol.NM
 
     join_tracker = _JoinCounter()
     filter_true = 0
-    arrivals_a: dict[int, list[StreamRecord]] = {}
-    for rec in stream_a.arrivals:
-        arrivals_a.setdefault(rec.t, []).append(rec)
-    arrivals_b: dict[int, list[StreamRecord]] = {}
-    if stream_b is not None:
-        for rec in stream_b.arrivals:
-            arrivals_b.setdefault(rec.t, []).append(rec)
+    arrivals: tuple[dict[int, list[StreamRecord]], ...] = ({}, {})
+    for by_step, stream in zip(arrivals, owners):
+        for rec in stream.arrivals:
+            by_step.setdefault(rec.t, []).append(rec)
 
-    result = ExperimentResult(config=config, metrics=[], transcript=transcript)
-    otm_synced = False
+    result = ExperimentResult(config=config, metrics=[], transcript=transcript,
+                              produced_rows=state.produced_rows)
 
     for t in range(1, config.horizon + 1):
-        cost = [0]
-        fetched_rows = 0
-        shrink_cost = [0]
+        cost = [0]  # compare-exchanges, then rows moved into the view
 
         # Owners upload fixed-size blocks; both servers observe the sizes.
         if config.protocol is not Protocol.NM:
-            for _ in range(n_owners):
+            for _ in owners:
                 for server in (0, 1):
                     transcript.add(t, server, TranscriptKind.OWNER_UPLOAD, config.c_r)
-            new_batches = [batches_a[t - 1]]
-            if batches_b is not None:
-                new_batches.append(batches_b[t - 1])
 
         # Maintain the plaintext truth incrementally.
-        for rec in arrivals_a.get(t, []):
-            if config.operator is OperatorKind.FILTER:
+        for rec in arrivals[0].get(t, []):
+            if filtering:
                 filter_true += bool(rec.attrs and rec.attrs[0])
             else:
                 join_tracker.add_left(rec.key)
-        if stream_b is not None:
-            for rec in arrivals_b.get(t, []):
-                join_tracker.add_right(rec.key)
+        for rec in arrivals[1].get(t, []):
+            join_tracker.add_right(rec.key)
 
-        if config.protocol in (Protocol.DP_TIMER, Protocol.DP_ANT, Protocol.EP):
-            cache, counter = transform_step(t, new_batches, cache, counter, state,
-                                            rand, transcript, cost)
-        elif config.protocol is Protocol.OTM and not otm_synced:
-            cache, counter = transform_step(t, new_batches, cache, counter, state,
-                                            rand, transcript, cost)
+        if transforming:
+            cache, counter = transform_step(t, [b[t - 1] for b in batches], cache,
+                                            counter, state, rand, transcript, cost)
 
-        if config.protocol is Protocol.DP_TIMER:
-            counter, cache, report = sdp_timer_step(
-                t, timer_cfg, counter, cache, view, rand, transcript, seqs,
-                width, shrink_cost)
+        if dp:
+            if timer:
+                counter, cache, report = sdp_timer_step(
+                    t, sync_cfg, counter, cache, view, rand, transcript, seqs,
+                    width, cost)
+            else:
+                counter, threshold, cache, report = sdp_ant_step(
+                    t, sync_cfg, counter, threshold, cache, view, rand, transcript,
+                    seqs, width, cost)
             if report.triggered:
                 result.sync_reports.append(report)
-                fetched_rows += report.size
-            cache, flush = flush_step(t, timer_cfg, cache, view, transcript,
-                                      seqs, width, shrink_cost)
+                cost[0] += report.size
+            cache, flush = flush_step(t, sync_cfg, cache, view, transcript,
+                                      seqs, width, cost)
             if flush.flushed:
                 result.flush_reports.append(flush)
-                fetched_rows += flush.size
-        elif config.protocol is Protocol.DP_ANT:
-            counter, threshold, cache, report = sdp_ant_step(
-                t, ant_cfg, counter, threshold, cache, view, rand, transcript,
-                seqs, width, shrink_cost)
-            if report.triggered:
-                result.sync_reports.append(report)
-                fetched_rows += report.size
-            cache, flush = flush_step(t, ant_cfg, cache, view, transcript,
-                                      seqs, width, shrink_cost)
-            if flush.flushed:
-                result.flush_reports.append(flush)
-                fetched_rows += flush.size
-        elif config.protocol is Protocol.EP:
-            # Exhaustive padding: the whole padded delta goes straight in.
-            sz = len(cache)
+                cost[0] += flush.size
+        elif transforming:
+            # EP and OTM: the whole padded delta goes straight in.
+            cost[0] += len(cache)
             view.append_batch(cache.entries, t)
-            cache = SecureCache()
-            fetched_rows += sz
             for server in (0, 1):
-                transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
-        elif config.protocol is Protocol.OTM and not otm_synced:
-            sz = len(cache)
-            view.append_batch(cache.entries, t)
+                transcript.add(t, server, TranscriptKind.SYNC_BATCH, len(cache))
             cache = SecureCache()
-            fetched_rows += sz
-            for server in (0, 1):
-                transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
-            otm_synced = True
-
-        cost[0] += shrink_cost[0]
-        result.shrink_cost_per_step.append(shrink_cost[0])
+            transforming = config.protocol is Protocol.EP
 
         if t % config.query_interval == 0:
-            truth = filter_true if config.operator is OperatorKind.FILTER \
-                else join_tracker.total
+            truth = filter_true if filtering else join_tracker.total
+            real = view.real_rows()
             if config.protocol is Protocol.NM:
                 answered = truth
-                if config.operator is OperatorKind.FILTER:
+                if filtering:
                     scan = stream_a.count_up_to(t)
                 else:
                     na, nb = join_tracker.sizes()
@@ -543,37 +523,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 answered = query_count(view, cache=cache if config.scan_cache else None)
                 scan = view.total_rows() + (len(cache) if config.scan_cache else 0)
                 deferred = cache.real_count()
-                discarded = truth - view.real_rows() - deferred
+                discarded = truth - real - deferred
             l1 = abs(truth - answered)
             result.metrics.append(MetricsRecord(
                 time=t,
                 l1_error=float(l1),
                 relative_error=float(l1) / max(1, truth),
                 view_rows_total=view.total_rows(),
-                view_rows_real=view.real_rows(),
+                view_rows_real=real,
                 deferred_real=deferred,
                 discarded_by_truncation=discarded,
-                cost_proxy=cost[0] + fetched_rows + scan,
+                cost_proxy=cost[0] + scan,
                 transcript_events=len(transcript),
             ))
 
-    result.produced_rows = state.produced_rows
     result.final_view = view
     result.final_cache = cache
     return result
 
 
-def run_trials(config: ExperimentConfig, trials: int,
-               max_workers: int = 4) -> list[ExperimentResult]:
-    """Independent seeded runs (seed + index), merged by trial index."""
-    configs = []
-    for i in range(trials):
-        kwargs = asdict(config)
-        kwargs["seed"] = config.seed + i
-        kwargs["trials"] = 1
-        configs.append(ExperimentConfig(**kwargs))
-    with ThreadPoolExecutor(max_workers=min(max_workers, trials)) as pool:
-        return list(pool.map(run_experiment, configs))
+def run_trials(config: ExperimentConfig, trials: int) -> list[ExperimentResult]:
+    """Independent seeded runs (seed + index), in trial order."""
+    return [run_experiment(replace(config, seed=config.seed + i, trials=1))
+            for i in range(trials)]
 
 
 def expected_transform_size(config: ExperimentConfig):
@@ -581,6 +553,6 @@ def expected_transform_size(config: ExperimentConfig):
     trunc = TruncationConfig(config.omega, config.b, config.charge_policy)
 
     def size(t: int) -> int:
-        return expected_output_size(config.operator, t, config.c_r, 2, trunc)
+        return expected_output_size(config.operator, t, config.c_r, trunc)
 
     return size

@@ -1,4 +1,4 @@
-"""Adversary-view transcripts, reference DP mechanisms, and empirical checks.
+"""Reference DP mechanisms, empirical privacy loss, and the transcript audit.
 
 The reference mechanisms mirror the sync protocols' observable behavior from
 the logical stream alone: what an adversary may learn is at most what these
@@ -9,7 +9,6 @@ function of public configuration or a coupled DP release.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -18,47 +17,13 @@ import numpy as np
 
 from .dpnoise import NoiseScale
 from .randomness import SeededLaplace
-from .shrink import ant_scales, clamp_round, timer_scale
+from .shrink import ant_scales, timer_scale
+# Callers of the audit also reach the transcript types through this module.
+from .transcript import Transcript, TranscriptEvent, TranscriptKind
 
 
 class NeighborViolation(ValueError):
     """The two streams do not differ by exactly one logical update."""
-
-
-class TranscriptKind(enum.Enum):
-    OWNER_UPLOAD = "OwnerUpload"
-    TRANSFORM_OUTPUT = "TransformOutput"
-    SYNC_BATCH = "SyncBatch"
-    FLUSH_BATCH = "FlushBatch"
-    SHARE_RECEIVED = "ShareReceived"
-    COMPARE_CHECK = "CompareCheck"
-
-
-@dataclass(frozen=True, slots=True)
-class TranscriptEvent:
-    time: int
-    server: int
-    kind: TranscriptKind
-    size: int
-    share_value: int | None = None
-
-
-class Transcript:
-    """Ordered per-server record of observed sizes, timestamps and shares."""
-
-    def __init__(self):
-        self.events: list[TranscriptEvent] = []
-
-    def add(self, time: int, server: int, kind: TranscriptKind, size: int,
-            share_value: int | None = None) -> None:
-        self.events.append(TranscriptEvent(time, server, kind, size, share_value))
-
-    def by_kind(self, kind: TranscriptKind, server: int | None = None) -> list[TranscriptEvent]:
-        return [e for e in self.events
-                if e.kind is kind and (server is None or e.server == server)]
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 class StreamRecord(NamedTuple):
@@ -250,8 +215,10 @@ def empirical_privacy_loss(mechanism, stream_a: LogicalStream,
                            seed: int = 0, min_bin: int | None = None) -> float:
     """Estimate max_o |ln(Pr_a[o] / Pr_b[o])| over binned output vectors.
 
-    Outputs are quantized to integers per timestep; bins need at least
-    min_bin samples on both sides to enter the maximum. The default cutoff
+    `mechanism.run_many(stream, trials, rng)` gives one output vector per
+    trial as the rows of an array. Outputs are quantized to integers per
+    timestep; bins need at least min_bin samples on both sides to enter the
+    maximum. The default cutoff
     grows with the trial count (never below 100) so the sampling noise on a
     qualifying bin's log-ratio stays well under the scales being measured.
     Identical streams are accepted as a degenerate case (the estimator's
@@ -265,18 +232,10 @@ def empirical_privacy_loss(mechanism, stream_a: LogicalStream,
     rng_b = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
 
     def histogram(stream, rng):
-        if hasattr(mechanism, "run_many"):
-            arr = mechanism.run_many(stream, trials, rng)
-            quantized = np.floor(arr + 0.5).astype(np.int64)
-            bins: dict[tuple, int] = {}
-            for row in quantized:
-                key = tuple(row.tolist())
-                bins[key] = bins.get(key, 0) + 1
-            return bins
-        bins = {}
-        for _ in range(trials):
-            vec = mechanism(stream, rng)
-            key = tuple(clamp_quantize(v) for v in vec)
+        quantized = np.floor(mechanism.run_many(stream, trials, rng) + 0.5).astype(np.int64)
+        bins: dict[tuple, int] = {}
+        for row in quantized:
+            key = tuple(row.tolist())
             bins[key] = bins.get(key, 0) + 1
         return bins
 
@@ -288,10 +247,6 @@ def empirical_privacy_loss(mechanism, stream_a: LogicalStream,
         if ca >= min_bin and cb >= min_bin:
             worst = max(worst, abs(math.log(ca / cb)))
     return worst
-
-
-def clamp_quantize(v: float) -> int:
-    return math.floor(v + 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -172,9 +172,11 @@ def network_sort(items: list, key_of: Callable, counter: list | None = None) -> 
 # ---------------------------------------------------------------------------
 # Cache operations.
 
-def _cache_key(t: SecureTuple) -> int:
+def real_first_key(t: SecureTuple) -> int:
     # Real entries first, FIFO within each class.
-    return ((0 if t.is_view else 1) << 48) | (t.seq & ((1 << 48) - 1))
+    if t.seq >> 48:
+        raise ValueError(f"seq {t.seq} does not fit the cache sort key (seq < 2**48)")
+    return ((0 if t.is_view else 1) << 48) | t.seq
 
 
 def cache_append(cache: SecureCache, batch: list[SecureTuple]) -> SecureCache:
@@ -184,7 +186,7 @@ def cache_append(cache: SecureCache, batch: list[SecureTuple]) -> SecureCache:
 
 def obli_sort(cache: SecureCache, counter: list | None = None) -> SecureCache:
     """Sort real entries ahead of dummies with the compare-exchange network."""
-    return SecureCache(network_sort(cache.entries, _cache_key, counter))
+    return SecureCache(network_sort(cache.entries, real_first_key, counter))
 
 
 def cache_read(cache: SecureCache, sz: int,

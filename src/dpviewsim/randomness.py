@@ -36,21 +36,6 @@ class ServerRandomness:
         return dpnoise.joint_laplace(*self.noise_pair(), scale)
 
 
-class JointNoiseSource:
-    """Oracle-side twin of a protocol run's noise stream.
-
-    Built from the same seed as the protocol's ServerRandomness, it yields the
-    identical joint-Laplace draw sequence, which is what makes coupled-seed
-    oracle/protocol comparisons exact.
-    """
-
-    def __init__(self, seed: int):
-        self._rand = ServerRandomness(seed)
-
-    def laplace(self, scale: NoiseScale) -> float:
-        return self._rand.joint_laplace(scale)
-
-
 class SeededLaplace:
     """Classical inverse-CDF Laplace source for statistical use."""
 

@@ -18,6 +18,7 @@ from .dpnoise import NoiseScale
 from .obliv import SecureCache, SecureTuple, SeqCounter, cache_flush, cache_read, obli_sort
 from .sharing import SharePair, recover, share_in_protocol
 from .transform import CounterShares
+from .transcript import TranscriptKind
 
 
 class BoundPreconditionError(ValueError):
@@ -56,14 +57,6 @@ class AntConfig:
             raise ValueError(f"f must be >= 1, got {self.f}")
         if self.epsilon <= 0 or self.b <= 0 or self.s < 0:
             raise ValueError("epsilon and b must be positive, s non-negative")
-
-    @property
-    def eps1(self) -> float:
-        return self.epsilon / 2
-
-    @property
-    def eps2(self) -> float:
-        return self.epsilon / 2
 
 
 def timer_scale(b: float, epsilon: float) -> NoiseScale:
@@ -161,7 +154,6 @@ def sdp_timer_step(t: int, config: TimerConfig, counter: CounterShares,
     view.append_batch(fetched, t)
     counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
     if transcript is not None:
-        from .leakage import TranscriptKind
         for server in (0, 1):
             transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
             transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
@@ -188,7 +180,6 @@ def sdp_ant_step(t: int, config: AntConfig, counter: CounterShares,
     th = recover_real(threshold)
     check = c + rand.joint_laplace(check_scale)
     if transcript is not None:
-        from .leakage import TranscriptKind
         for server in (0, 1):
             transcript.add(t, server, TranscriptKind.COMPARE_CHECK, 0)
     if check < th:
@@ -232,7 +223,6 @@ def flush_step(t: int, config, cache: SecureCache, view: MaterializedView,
     real_moved = sum(1 for r in fetched if r.is_view)
     view.append_batch(fetched, t)
     if transcript is not None:
-        from .leakage import TranscriptKind
         for server in (0, 1):
             transcript.add(t, server, TranscriptKind.FLUSH_BATCH, config.s)
     return cache, FlushReport(t, True, config.s, real_before - real_moved)

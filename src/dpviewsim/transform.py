@@ -13,9 +13,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .obliv import SecureCache, SecureTuple, SeqCounter, cache_append, make_dummy, network_sort
+from .obliv import (SecureCache, SecureTuple, SeqCounter, cache_append, make_dummy,
+                    network_sort, real_first_key)
 from .randomness import ServerRandomness
 from .sharing import RING_MASK, SharePair, recover, share_in_protocol
+from .transcript import TranscriptKind
 
 # Counter shares are a plain word SharePair; recover() gives the cached-real count.
 CounterShares = SharePair
@@ -71,9 +73,6 @@ class BudgetLedger:
     def retired(self, rid: int) -> bool:
         return self.remaining(rid) == 0
 
-    def items(self):
-        return self._remaining.items()
-
 
 class InvocationCaps:
     """Per-invocation contribution slots: min(omega, remaining budget)."""
@@ -124,14 +123,12 @@ def trans_truncate_filter(batch: list[SecureTuple],
     return out
 
 
-_SEQ_BITS = 28
-_SEQ_MASK = (1 << _SEQ_BITS) - 1
-
-
 def _merge_key(origin: int, t: SecureTuple) -> int:
     # (dummy-last, join key, t1-before-t2, seq) packed into one int64.
-    return (((0 if t.is_view else 1) << 61) | (t.key << 29) |
-            (origin << 28) | (t.seq & _SEQ_MASK))
+    if t.seq >> 28 or t.key >> 32:
+        raise ValueError(f"seq {t.seq} or key {t.key} does not fit the merge sort "
+                         f"key (seq < 2**28, 0 <= key < 2**32)")
+    return ((0 if t.is_view else 1) << 61) | (t.key << 29) | (origin << 28) | t.seq
 
 
 def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple],
@@ -139,8 +136,7 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple],
                        caps: InvocationCaps | None = None,
                        seqs: SeqCounter | None = None,
                        timestamp: int = 0,
-                       compare_counter: list | None = None,
-                       drop_counter: list | None = None) -> list[SecureTuple]:
+                       compare_counter: list | None = None) -> list[SecureTuple]:
     """Truncated oblivious sort-merge join.
 
     The tables are merged and network-sorted on (join key, origin, seq); ties
@@ -169,9 +165,7 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple],
             if tup.key != group_key:
                 group_key = tup.key
                 seen = ([], [])
-            partners = seen[1 - origin]
-            matched = len(partners)
-            for p in partners:
+            for p in seen[1 - origin]:
                 if len(emitted) == config.omega or caps.remaining(tup.seq) <= 0:
                     break
                 if caps.remaining(p.seq) <= 0:
@@ -180,8 +174,6 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple],
                 caps.consume(p.seq)
                 a, b = (tup, p) if origin == 0 else (p, tup)
                 emitted.append(_join_tuple(a, b, seqs, timestamp))
-            if drop_counter is not None:
-                drop_counter[0] += matched - len(emitted)
             seen[origin].append(tup)
         out.extend(emitted)
         for _ in range(config.omega - len(emitted)):
@@ -193,8 +185,7 @@ def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], b: int,
                        caps: InvocationCaps | None = None,
                        seqs: SeqCounter | None = None,
                        timestamp: int = 0,
-                       compare_counter: list | None = None,
-                       drop_counter: list | None = None) -> list[SecureTuple]:
+                       compare_counter: list | None = None) -> list[SecureTuple]:
     """Truncated oblivious nested-loop join: b output slots per outer tuple.
 
     Every (outer, inner) probe either emits a real join (keys match and both
@@ -215,23 +206,15 @@ def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], b: int,
     out: list[SecureTuple] = []
     for u in t1:
         row: list[SecureTuple] = []
-        matched = 0
         for v in t2:
-            real = (u.is_view and v.is_view and u.key == v.key)
-            if real:
-                matched += 1
-            if real and caps.remaining(u.seq) > 0 and caps.remaining(v.seq) > 0:
+            if u.is_view and v.is_view and u.key == v.key \
+                    and caps.remaining(u.seq) > 0 and caps.remaining(v.seq) > 0:
                 caps.consume(u.seq)
                 caps.consume(v.seq)
                 row.append(_join_tuple(u, v, seqs, timestamp))
             else:
                 row.append(make_dummy(seqs.take(), timestamp, width))
-        row = network_sort(
-            row, lambda r: ((0 if r.is_view else 1) << 61) | (r.seq & _SEQ_MASK),
-            compare_counter)
-        kept = row[:b]
-        if drop_counter is not None:
-            drop_counter[0] += matched - sum(1 for r in kept if r.is_view)
+        kept = network_sort(row, real_first_key, compare_counter)[:b]
         out.extend(kept)
         for _ in range(b - len(kept)):
             out.append(make_dummy(seqs.take(), timestamp, width))
@@ -255,15 +238,11 @@ class TransformState:
     ledger: BudgetLedger = field(default_factory=BudgetLedger)
     retained: tuple[deque, deque] = None  # past padded batches per owner
     produced_rows: list[SecureTuple] = field(default_factory=list)
-    cap_dropped: int = 0
 
     def __post_init__(self):
         if self.retained is None:
             keep = max(0, self.config.retention_steps - 1)
             self.retained = (deque(maxlen=keep), deque(maxlen=keep))
-
-    def produced_real(self) -> int:
-        return len(self.produced_rows)
 
 
 def transform_init(rand: ServerRandomness) -> CounterShares:
@@ -271,20 +250,17 @@ def transform_init(rand: ServerRandomness) -> CounterShares:
     return share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
 
 
-def expected_output_size(operator: OperatorKind, t: int, c_r: int, n_owners: int,
+def expected_output_size(operator: OperatorKind, t: int, c_r: int,
                          config: TruncationConfig) -> int:
     """Padded |delta-view| at step t: a function of public parameters only."""
     if operator is OperatorKind.FILTER:
         return c_r
-    r = config.retention_steps
-    old1 = c_r * min(t - 1, r - 1)
-    old2 = c_r * min(t - 1, r - 1)
-    per_tuple = config.omega
+    old = c_r * min(t - 1, config.retention_steps - 1)  # retained rows per owner
     if operator is OperatorKind.SMJ:
         # new1 vs (old2 + new2), then old1 vs new2; slots per scanned tuple.
-        return (c_r + old2 + c_r) * per_tuple + (old1 + c_r) * per_tuple
+        return (c_r + old + c_r) * config.omega + (old + c_r) * config.omega
     # NLJ: slots per outer tuple.
-    return c_r * per_tuple + old1 * per_tuple
+    return (c_r + old) * config.omega
 
 
 def transform_step(t: int, new_batches: list[list[SecureTuple]],
@@ -305,7 +281,6 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
                 state.ledger.register(tup.seq, cfg.b)
 
     caps = InvocationCaps(state.ledger, cfg.omega)
-    drops = [0]
     if state.operator is OperatorKind.FILTER:
         if state.predicate is None:
             raise ValueError("filter operator requires a predicate")
@@ -317,17 +292,16 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
         old2 = [tup for batch in state.retained[1] for tup in batch]
         if state.operator is OperatorKind.SMJ:
             d1 = trans_truncate_smj(new1, old2 + new2, cfg, state.ledger, caps,
-                                    state.seqs, t, compare_counter, drops)
+                                    state.seqs, t, compare_counter)
             d2 = trans_truncate_smj(old1, new2, cfg, state.ledger, caps,
-                                    state.seqs, t, compare_counter, drops)
+                                    state.seqs, t, compare_counter)
         else:
             d1 = trans_truncate_nlj(new1, old2 + new2, cfg.omega, caps,
-                                    state.seqs, t, compare_counter, drops)
+                                    state.seqs, t, compare_counter)
             d2 = trans_truncate_nlj(old1, new2, cfg.omega, caps,
-                                    state.seqs, t, compare_counter, drops)
+                                    state.seqs, t, compare_counter)
         delta = d1 + d2
         used = [tup for tup in new1 + new2 + old1 + old2 if tup.is_view]
-    state.cap_dropped += drops[0]
 
     real_rows = [row for row in delta if row.is_view]
     state.produced_rows.extend(real_rows)
@@ -350,7 +324,6 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
         state.retained[1].append(new_batches[1])
 
     if transcript is not None:
-        from .leakage import TranscriptKind
         for server in (0, 1):
             transcript.add(t, server, TranscriptKind.TRANSFORM_OUTPUT, len(delta))
             transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,

@@ -1,7 +1,10 @@
 import subprocess
 import sys
 
+import pytest
+
 from dpviewsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from dpviewsim.harness import coerce_config
 
 
 def test_missing_config_and_overrides_exits_2(capsys):
@@ -18,6 +21,26 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 def test_bad_field_value_exits_2(capsys):
     assert main(["--horizon", "soon"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("field,value", [("seed", "-1"), ("epsilon", "nan"),
+                                         ("theta", "inf"), ("scan_cache", "maybe")])
+def test_out_of_domain_value_exits_2(field, value, capsys):
+    assert main(["--operator", "Filter", "--horizon", "5",
+                 f"--{field}", value]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value,expected", [("yes", True), ("On", True), ("0", False),
+                                            ("off", False)])
+def test_bool_words_parse(value, expected):
+    assert coerce_config({"scan_cache": value}).scan_cache is expected
+
+
+def test_directory_as_stream_exits_3(tmp_path, capsys):
+    assert main(["--horizon", "10", "--operator", "Filter",
+                 "--stream_a", str(tmp_path)]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
 
 
 def test_missing_stream_file_exits_3(tmp_path, capsys):
@@ -75,3 +98,13 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert len(out.read_text().splitlines()) == 5
+
+
+def test_stdout_matches_out_file(tmp_path, capsys):
+    args = ["--protocol", "DPANT", "--operator", "Filter", "--horizon", "12",
+            "--seed", "2"]
+    out = tmp_path / "m.jsonl"
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text()

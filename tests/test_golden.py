@@ -1,0 +1,97 @@
+"""Byte-identity guard for the experiment loop.
+
+Each case pins the sha256 of a run's metrics JSONL (as `emit_metrics` writes
+it) and of its transcript events (time, server, kind, size, share value).
+A refactor of the experiment loop, the protocols or the transformation
+must leave every hash unchanged; a change that alters a run's bytes on
+purpose re-records them here and says so.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from dpviewsim.harness import (ExperimentConfig, Profile, Protocol, emit_metrics,
+                               run_experiment, run_trials)
+from dpviewsim.transform import OperatorKind
+
+
+def _grid():
+    cases = {}
+    for protocol in Protocol:
+        for operator in OperatorKind:
+            cases[f"{protocol.value}-{operator.value}"] = (ExperimentConfig(
+                protocol=protocol, operator=operator, profile=Profile.STANDARD,
+                horizon=40, f=20, s=5, seed=3), 1)
+    cases["DPANT-Filter-Burst"] = (ExperimentConfig(
+        protocol=Protocol.DP_ANT, operator=OperatorKind.FILTER,
+        profile=Profile.BURST, c_r=12, horizon=80, f=20, s=5, seed=4), 1)
+    cases["DPTimer-SMJ-scan-cache"] = (ExperimentConfig(
+        protocol=Protocol.DP_TIMER, operator=OperatorKind.SMJ, horizon=40,
+        f=20, s=5, seed=5, scan_cache=True, query_interval=3), 1)
+    cases["DPANT-SMJ-3-trials"] = (ExperimentConfig(
+        protocol=Protocol.DP_ANT, operator=OperatorKind.SMJ, horizon=30,
+        f=20, s=5, seed=6), 3)
+    return cases
+
+
+CASES = _grid()
+
+# (metrics sha256, transcript sha256), recorded before the experiment loop was folded.
+GOLDEN = {
+    "DPANT-Filter": ("21994e7c6c7778a462b06cebc08aba9d6ebafc232f4e3a38ed6f7002b59c66cf",
+                    "263c19fb3a68e67dab57d12dcb32ae97c8506dcb88f0690f588624f975076479"),
+    "DPANT-Filter-Burst": ("2c65b43e3a569c6001e729bc84e391a2acb9807d9ceb2466b3a966c11c8ed222",
+                          "90db15589522b84eb6d1950b23320cf3817d2a5592eb66e5207466efd7b5c494"),
+    "DPANT-NLJ": ("464e95f969ca720afbebe2a67eb3f3d19f5bb33e0b8f1de9fb781210a8a59cca",
+                 "7fb02fab7a5c0449538ca78e4d67a61a1586b154beea81b1de7e1cedb018135b"),
+    "DPANT-SMJ-3-trials": ("975803cf339a5c05565f41376b3c1dbebb4ab3ac5ee978e103865b80a8fd1dba",
+                          "ef8416be979b271518ce3c43559c63f7426682def6b20a19addb006ef00e2576"),
+    "DPANT-SMJ": ("eebb60a905406a32f5f559f95076414da5b442458b320f7acd1adc6c22958ed4",
+                 "c29fa69b5476b4e338c5df14586606ab40689bd9a4f730231a9aed5896d06e3f"),
+    "DPTimer-Filter": ("1ad0ac33996bf07557e7b6a59000226b6ff95b2beef343cbdb7ffe3bae0b4492",
+                      "68598d867ec811b217f48e1df7348dabf2d19cff902419f8b133f08b8cabedf8"),
+    "DPTimer-NLJ": ("0359b9df7f02dad86b7812753ff7501d7ac948847354689be28a10aedd3a177e",
+                   "72b6a61c7dfbb988db2c2efac919d74fd92392374ce974a02baeabeea71242de"),
+    "DPTimer-SMJ": ("cfbb3c57d507215fe29ef65de22cf9f0b131f2d537793197cd4edd125b488b27",
+                   "9aa0d618854265772616555f4084e7bcd8f8ae2eb585afc4a330b19d71bf7178"),
+    "DPTimer-SMJ-scan-cache": ("0a7cb1e8d7c72a44430f3509f10f7e714206508c26e37949166522ca243df1a8",
+                              "8dda0c2d923672744debcfe57a4dac072d6a1a7b99bb8419d6105f054c556048"),
+    "EP-Filter": ("c8b6cb8774a907ead91aa3609f9afb74f61cc99bee3b116ccb0b488d3e5f8014",
+                 "405a77e7ec6a3a3fcc0338be9b2036fff7383cb468f9c6dd75bd8194e5b98db2"),
+    "EP-NLJ": ("dc3395e93c14b43883e1a45894054b61a036b51f4aa8e8d2f7a65475f02f94e1",
+              "60d6754d08538410cea6ee40c5d33baed80e0daa15792013d0fcb9d6b142b816"),
+    "EP-SMJ": ("b63406e20bbb318d919cba2a55bf81378c5b3d615bb3a5bb0d6fb338c0ee61bd",
+              "554ac69c63162c9b7ebf19588516331555c95b34234060335ff45fccad27eadd"),
+    "NM-Filter": ("ec8b73aaba7f86b1d4fbbad15eaa0eec13cccadb69d2e83c6617c805dad7f2b8",
+                 "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "NM-NLJ": ("ee3aa15511014b8f4279d0eee19d5a405d057192c600d5568d96214ee0e4d50c",
+              "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "NM-SMJ": ("ee3aa15511014b8f4279d0eee19d5a405d057192c600d5568d96214ee0e4d50c",
+              "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "OTM-Filter": ("212a03eaaf7a9d2a71d39864e65040dab8e7ee877df214fb0dd64661838965b2",
+                  "a3e60ab10d9eff74f24835f7f5b36ac3e93baa447b3e0483dfe7471a64cdf624"),
+    "OTM-NLJ": ("b9990a6670409bfc8b5b49139733030169b954d1ccbddedd80656886b8128f36",
+               "4b7f60cb55bd0d17657c1a2153a5356b8f700b8eed9983e6a6f93c91b80c1620"),
+    "OTM-SMJ": ("4e70ccc10c07dc088aecc1e9ed2648201fc0cb96e36cb1807edcca40f0b39711",
+               "8862995c4174f79c4fa6d446746c6e8041dcf50f74534e46ad8f645c38f44248"),
+}
+
+
+def _hashes(config: ExperimentConfig, trials: int, tmp_path) -> tuple[str, str]:
+    results = (run_trials(config, trials) if trials > 1
+               else [run_experiment(config)])
+    path = tmp_path / "metrics.jsonl"
+    emit_metrics([rec for res in results for rec in res.metrics], str(path))
+    events = [[e.time, e.server, e.kind.value, e.size, e.share_value]
+              for res in results for e in res.transcript.events]
+    transcript = json.dumps(events, separators=(",", ":")).encode()
+    return (hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(transcript).hexdigest())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_bytes_match_recorded_hashes(name, tmp_path):
+    config, trials = CASES[name]
+    assert _hashes(config, trials, tmp_path) == GOLDEN[name]

@@ -5,7 +5,8 @@ from dpviewsim.obliv import (SecureCache, SecureTuple, SeqCounter,
                              cache_append, cache_flush, cache_read,
                              compare_exchange_pairs, make_dummy,
                              network_comparison_count, network_sort,
-                             network_sort_keys, obli_sort, padded_length)
+                             network_sort_keys, obli_sort, padded_length,
+                             real_first_key)
 
 
 def real(seq, key=1):
@@ -173,3 +174,20 @@ def test_conservation_under_read():
 
 def test_padded_length():
     assert [padded_length(n) for n in (0, 1, 2, 3, 4, 5, 9)] == [1, 1, 2, 4, 4, 8, 16]
+
+
+# ---------------------------------------------------------------------------
+# Packed sort keys never alias: out-of-range seqs raise instead of wrapping.
+
+def test_cache_key_top_seq_sorts_after_smaller_seqs():
+    top = real((1 << 48) - 1)
+    assert real_first_key(top) > real_first_key(real(0))
+    assert real_first_key(top) < real_first_key(dummy(0))
+
+
+@pytest.mark.parametrize("seq", [1 << 48, (1 << 48) + 5, -1])
+def test_cache_key_rejects_seq_outside_48_bits(seq):
+    with pytest.raises(ValueError, match="cache sort key"):
+        real_first_key(dummy(seq))
+    with pytest.raises(ValueError, match="cache sort key"):
+        obli_sort(SecureCache([real(0), dummy(seq)]))

@@ -8,7 +8,7 @@ from dpviewsim.transform import (BudgetLedger, ChargePolicy, OperatorKind,
                                  TransformState, TruncationConfig,
                                  expected_output_size, trans_truncate_filter,
                                  trans_truncate_nlj, trans_truncate_smj,
-                                 transform_init, transform_step)
+                                 transform_init, transform_step, _merge_key)
 
 
 def rec(seq, key, flag=1):
@@ -178,6 +178,25 @@ def test_smj_output_size_data_independent():
                               compare_counter=cb)
     assert len(outa) == len(outb) == 16
     assert ca[0] == cb[0]
+
+
+def test_merge_key_top_of_range_keeps_field_order():
+    top_key, top_seq = (1 << 32) - 1, (1 << 28) - 1
+    keys = [_merge_key(0, rec(top_seq, key=top_key - 1)),
+            _merge_key(0, rec(0, key=top_key)),
+            _merge_key(0, rec(top_seq, key=top_key)),
+            _merge_key(1, rec(0, key=top_key)),
+            _merge_key(0, pad(0))]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert keys[-1] < 1 << 63
+
+
+@pytest.mark.parametrize("seq,key", [(1 << 28, 1), (0, 1 << 32), (-1, 1), (0, -1)])
+def test_merge_key_rejects_fields_outside_their_bits(seq, key):
+    with pytest.raises(ValueError, match="merge sort key"):
+        _merge_key(0, rec(seq, key=key))
+    with pytest.raises(ValueError, match="merge sort key"):
+        smj([rec(seq, key=key)], [rec(5, key=1)], omega=1)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +435,7 @@ def test_output_sizes_match_public_formula():
             cache, counter = transform_step(t, [ba, bb], cache, counter, state, rand)
             delta_len = len(cache) - prev_len
             prev_len = len(cache)
-            assert delta_len == expected_output_size(op, t, 3, 2, state.config)
+            assert delta_len == expected_output_size(op, t, 3, state.config)
 
 
 def test_lifetime_budget_never_exceeded_small_run():
