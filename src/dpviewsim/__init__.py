@@ -3,7 +3,8 @@
 Modules:
     sharing    XOR secret sharing over the 32-bit ring
     dpnoise    joint Laplace noise from server-contributed words
-    obliv      padded secure cache and the data-independent sorting network
+    obliv      padded secure cache; sorts in the bitonic network's order at
+               its closed-form cost, the network itself as the test oracle
     transform  truncated view transformation with contribution budgets
     shrink     the timer and above-noisy-threshold sync protocols, flush,
                and the closed-form utility bounds

@@ -103,8 +103,10 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("DPTimer requires update interval T >= 1")
     if config.protocol is Protocol.DP_ANT and config.theta <= 0:
         raise ConfigError("DPANT requires sync threshold theta > 0")
-    if (config.stream_a is None) != (config.stream_b is None) and \
-            config.operator is not OperatorKind.FILTER:
+    if config.operator is OperatorKind.FILTER:
+        if config.stream_b is not None:
+            raise ConfigError("the Filter operator reads one stream; stream_b must be unset")
+    elif (config.stream_a is None) != (config.stream_b is None):
         raise ConfigError("join operators need both stream files or a profile")
     return config
 
@@ -335,20 +337,14 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
 # ---------------------------------------------------------------------------
 # Queries.
 
-def query_count(view: MaterializedView, predicate=None, t: int | None = None,
-                cache: SecureCache | None = None) -> int:
-    """Count synchronized real rows satisfying the predicate.
+def query_count(view: MaterializedView, cache: SecureCache | None = None) -> int:
+    """Count synchronized real rows.
 
     Passing `cache` additionally scans unsynchronized rows (the optional
     cache-scan query mode).
     """
     rows = view.rows if cache is None else view.rows + cache.entries
-    total = 0
-    for row in rows:
-        if row.is_view and (t is None or row.timestamp <= t) \
-                and (predicate is None or predicate(row)):
-            total += 1
-    return total
+    return sum(1 for row in rows if row.is_view)
 
 
 def true_count(stream_a: LogicalStream, stream_b: LogicalStream | None,
@@ -436,8 +432,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     counter = transform_init(rand)
     cache = SecureCache()
     view = MaterializedView()
-    width = sum(len(s.arrivals[0].attrs) if s.arrivals else 1
-                for s in (owners[:1] if filtering else owners))
+    width = sum(len(s.arrivals[0].attrs) if s.arrivals else 1 for s in owners)
 
     timer = config.protocol is Protocol.DP_TIMER
     dp = timer or config.protocol is Protocol.DP_ANT

@@ -1,8 +1,13 @@
 """Exhaustively padded secure cache and its oblivious operations.
 
-The cache is an append-only array of real view tuples and dummies. Sorting is
-a bitonic compare-exchange network, so the sequence of touched index pairs is
-a function of the array length alone and leaks nothing about the contents.
+The cache is an append-only array of real view tuples and dummies. The
+protocol sorts it with Batcher's bitonic compare-exchange network, so the
+sequence of touched index pairs is a function of the array length alone and
+leaks nothing about the contents. The simulator does not execute the network:
+it applies the permutation the network would produce and charges the
+network's closed-form compare count. `compare_exchange_pairs` is the network
+itself, and the tests run it as the oracle for both facts. Sort keys must be
+distinct, and this is enforced.
 """
 
 from __future__ import annotations
@@ -11,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
-
-_SENTINEL = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,11 +67,9 @@ class SecureCache:
 
 
 # ---------------------------------------------------------------------------
-# Bitonic sorting network. Stage plans depend only on the (padded) length and
-# are cached; execution applies each stage as a vectorized compare-exchange.
-
-_plan_cache: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-
+# Bitonic sorting network. The pair sequence below is the network; the sorts
+# reproduce its output order with argsort and charge its closed-form size.
+# With distinct keys every correct sort returns the network's permutation.
 
 def padded_length(n: int) -> int:
     m = 1
@@ -80,8 +81,8 @@ def padded_length(n: int) -> int:
 def compare_exchange_pairs(n: int) -> Iterator[tuple[int, int, bool]]:
     """Yield the (i, j, ascending) compare-exchange sequence for length n.
 
-    n must be a power of two. The sequence is a pure function of n; tests log
-    it to assert data-independence.
+    n must be a power of two. The sequence is a pure function of n; tests run
+    it as the oracle for the permutation and compare count of the sorts below.
     """
     if n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
@@ -106,58 +107,27 @@ def network_comparison_count(n: int) -> int:
     return (m // 2) * stages * (stages + 1) // 2
 
 
-def _stage_plan(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    plan = _plan_cache.get(n)
-    if plan is None:
-        plan = []
-        k = 2
-        while k <= n:
-            j = k >> 1
-            while j:
-                i = np.arange(n)
-                mask = (i & j) == 0
-                lo = i[mask]
-                hi = lo ^ j
-                asc = (lo & k) == 0
-                plan.append((lo, hi, asc))
-                j >>= 1
-            k <<= 1
-        _plan_cache[n] = plan
-    return plan
-
-
 def network_sort_keys(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Run the network on int64 keys; return the permutation and compare count.
+    """The permutation the network sorts int64 keys into, and its compare count.
 
-    Input is padded with max-int sentinels to a power of two; the permutation
-    returned covers only the original positions.
+    The network pads to a power of two with max-int sentinels; the count is
+    that of the padded network. Keys must be distinct (ValueError otherwise),
+    which makes the network's permutation the unique sorting one.
     """
-    n = len(keys)
-    m = padded_length(n)
-    buf = np.full(m, _SENTINEL, dtype=np.int64)
-    buf[:n] = keys
-    perm = np.arange(m)
-    comparisons = 0
-    if m >= 2:
-        for lo, hi, asc in _stage_plan(m):
-            a = buf[lo]
-            b = buf[hi]
-            swap = np.where(asc, a > b, a < b)
-            comparisons += len(lo)
-            if swap.any():
-                sl = lo[swap]
-                sh = hi[swap]
-                buf[sl], buf[sh] = buf[sh].copy(), buf[sl].copy()
-                perm[sl], perm[sh] = perm[sh].copy(), perm[sl].copy()
-    return perm[perm < n][: n], comparisons
+    perm = np.argsort(keys, kind="stable")
+    ordered = keys[perm]
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("sort keys must be distinct")
+    return perm, network_comparison_count(len(keys))
 
 
 def network_sort(items: list, key_of: Callable, counter: list | None = None) -> list:
-    """Data-independent sort of items by an int64 composite key.
+    """Sort items by an int64 composite key in the network's output order.
 
     key_of maps an item to a non-negative int below 2**62 and must be
-    injective over the input (include a seq component). When `counter` is
-    given, its single element accumulates the compare-exchange count.
+    injective over the input (include a seq component); a repeated key raises
+    ValueError. When `counter` is given, its single element accumulates the
+    network's compare-exchange count.
     """
     n = len(items)
     if n == 0:
@@ -185,7 +155,7 @@ def cache_append(cache: SecureCache, batch: list[SecureTuple]) -> SecureCache:
 
 
 def obli_sort(cache: SecureCache, counter: list | None = None) -> SecureCache:
-    """Sort real entries ahead of dummies with the compare-exchange network."""
+    """Sort real entries ahead of dummies, in the network's output order."""
     return SecureCache(network_sort(cache.entries, real_first_key, counter))
 
 

@@ -43,6 +43,18 @@ def test_directory_as_stream_exits_3(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_filter_with_stream_b_exits_2(tmp_path, capsys):
+    # Filter reads one owner; a second stream would be ignored or uploaded
+    # with no transform reading it.
+    stream = tmp_path / "s.csv"
+    stream.write_text("t,key,a\n1,1,1\n")
+    for streams in (["--stream_b", str(stream)],
+                    ["--stream_a", str(stream), "--stream_b", str(stream)]):
+        assert main(["--operator", "Filter", "--protocol", "EP", "--horizon", "5",
+                     *streams]) == EXIT_CONFIG
+        assert "stream_b" in capsys.readouterr().err
+
+
 def test_missing_stream_file_exits_3(tmp_path, capsys):
     assert main(["--horizon", "10", "--operator", "Filter",
                  "--stream_a", str(tmp_path / "nope.csv")]) == EXIT_DATA

@@ -76,22 +76,37 @@ def test_pair_sequence_function_of_length_only():
 
 
 def test_network_matches_pair_generator():
-    # The vectorized executor visits exactly the generated pair sequence.
-    n = 16
-    seen = []
-    keys = np.arange(n)[::-1].copy()
+    # The pair generator is the network. Run it in plain Python over distinct
+    # keys padded with max-int sentinels: the sort must return its permutation
+    # on the original positions and charge exactly its compare-exchanges.
     rng = np.random.default_rng(3)
-    rng.shuffle(keys)
-    values = list(keys)
+    top = np.iinfo(np.int64).max
+    for n in [0, 1, 2, 3, 5, 16, 33, 100, 1025, 4096]:
+        keys = rng.integers(np.iinfo(np.int64).min, top, size=n, dtype=np.int64)
+        assert len(set(keys.tolist())) == n
+        m = padded_length(n)
+        values = keys.tolist() + [top] * (m - n)
+        order = list(range(m))
+        pairs = 0
+        for i, j, asc in compare_exchange_pairs(m):
+            if (values[i] > values[j]) if asc else (values[i] < values[j]):
+                values[i], values[j] = values[j], values[i]
+                order[i], order[j] = order[j], order[i]
+            pairs += 1
+        perm, count = network_sort_keys(keys)
+        assert values[:n] == sorted(keys.tolist())
+        assert [p for p in order if p < n] == perm.tolist()
+        assert count == pairs == network_comparison_count(n)
 
-    for i, j, asc in compare_exchange_pairs(n):
-        if (values[i] > values[j]) == asc:
-            values[i], values[j] = values[j], values[i]
-        seen.append((i, j))
-    perm, count = network_sort_keys(np.array(keys, dtype=np.int64))
-    assert count == len(seen)
-    assert [int(keys[p]) for p in perm] == sorted(int(k) for k in keys)
-    assert values == sorted(values)
+
+def test_network_sort_rejects_repeated_keys():
+    with pytest.raises(ValueError, match="distinct"):
+        network_sort([3, 1, 2], lambda v: 7)
+
+
+def test_obli_sort_rejects_entries_sharing_class_and_seq():
+    with pytest.raises(ValueError, match="distinct"):
+        obli_sort(SecureCache([real(4), dummy(0), real(4, key=9)]))
 
 
 def test_network_sort_arbitrary_lengths():
