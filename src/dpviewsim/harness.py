@@ -338,13 +338,10 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
 # Queries.
 
 def query_count(view: MaterializedView, cache: SecureCache | None = None) -> int:
-    """Count synchronized real rows.
-
-    Passing `cache` additionally scans unsynchronized rows (the optional
-    cache-scan query mode).
+    """Count synchronized real rows; given `cache`, also its unsynchronized
+    real rows (the optional cache-scan query mode).
     """
-    rows = view.rows if cache is None else view.rows + cache.entries
-    return sum(1 for row in rows if row.is_view)
+    return view.real_rows() + (cache.real_count() if cache is not None else 0)
 
 
 def true_count(stream_a: LogicalStream, stream_b: LogicalStream | None,
@@ -374,17 +371,17 @@ class _JoinCounter:
         self._left: dict[int, int] = {}
         self._right: dict[int, int] = {}
         self.total = 0
+        self.n_left = self.n_right = 0
 
     def add_left(self, key: int) -> None:
         self.total += self._right.get(key, 0)
         self._left[key] = self._left.get(key, 0) + 1
+        self.n_left += 1
 
     def add_right(self, key: int) -> None:
         self.total += self._left.get(key, 0)
         self._right[key] = self._right.get(key, 0) + 1
-
-    def sizes(self) -> tuple[int, int]:
-        return sum(self._left.values()), sum(self._right.values())
+        self.n_right += 1
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +442,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     transforming = config.protocol is not Protocol.NM
 
     join_tracker = _JoinCounter()
-    filter_true = 0
+    filter_true = filter_seen = 0
     arrivals: tuple[dict[int, list[StreamRecord]], ...] = ({}, {})
     for by_step, stream in zip(arrivals, owners):
         for rec in stream.arrivals:
@@ -466,6 +463,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # Maintain the plaintext truth incrementally.
         for rec in arrivals[0].get(t, []):
             if filtering:
+                filter_seen += 1
                 filter_true += bool(rec.attrs and rec.attrs[0])
             else:
                 join_tracker.add_left(rec.key)
@@ -507,11 +505,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             real = view.real_rows()
             if config.protocol is Protocol.NM:
                 answered = truth
-                if filtering:
-                    scan = stream_a.count_up_to(t)
-                else:
-                    na, nb = join_tracker.sizes()
-                    scan = na * nb
+                scan = filter_seen if filtering else join_tracker.n_left * join_tracker.n_right
                 deferred = 0
                 discarded = 0
             else:

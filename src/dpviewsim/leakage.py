@@ -47,9 +47,6 @@ class LogicalStream:
                 counts[rec.t] += 1
         return counts
 
-    def count_up_to(self, t: int) -> int:
-        return sum(1 for rec in self.arrivals if rec.t <= t)
-
 
 def assert_neighbors(a: LogicalStream, b: LogicalStream) -> None:
     """Neighbors differ by the addition or removal of one logical update."""

@@ -1,18 +1,18 @@
 """Exhaustively padded secure cache and its oblivious operations.
 
-The cache is an append-only array of real view tuples and dummies. The
-protocol sorts it with Batcher's bitonic compare-exchange network, so the
-sequence of touched index pairs is a function of the array length alone and
-leaks nothing about the contents. The simulator does not execute the network:
-it applies the permutation the network would produce and charges the
-network's closed-form compare count. `compare_exchange_pairs` is the network
-itself, and the tests run it as the oracle for both facts. Sort keys must be
-distinct, and this is enforced.
+The cache is an append-only array of real view tuples and dummies, plus an
+int64 column of their sort keys built once, as each entry enters. The protocol
+sorts it with Batcher's bitonic compare-exchange network, so the sequence of
+touched index pairs is a function of the array length alone and leaks nothing
+about the contents. The simulator does not execute the network: it argsorts
+the keys, which gives the network's permutation, and charges the network's
+closed-form compare count. `compare_exchange_pairs` is the network itself, and
+the tests run it as the oracle for both facts. Repeated sort keys raise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -53,17 +53,31 @@ def make_dummy(seq: int, timestamp: int = 0, width: int = 0) -> SecureTuple:
                        timestamp=timestamp)
 
 
-@dataclass
 class SecureCache:
-    """Append-only padded array of SecureTuples awaiting synchronization."""
+    """Append-only padded array of SecureTuples awaiting synchronization.
 
-    entries: list[SecureTuple] = field(default_factory=list)
+    `keys[i]` is `real_first_key(entries[i])`, built once as the entry enters.
+    In a run each class (real, dummy) stays in seq order, so the argsort is a
+    stable partition.
+    """
+
+    def __init__(self, entries: list[SecureTuple] | None = None):
+        self.entries = [] if entries is None else entries
+        self.keys = np.fromiter(map(real_first_key, self.entries), dtype=np.int64,
+                                count=len(self.entries))
+
+    @classmethod
+    def _derived(cls, entries: list[SecureTuple], keys: np.ndarray) -> SecureCache:
+        # Successor caches of the operations below reuse their keys.
+        cache = cls.__new__(cls)
+        cache.entries, cache.keys = entries, keys
+        return cache
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def real_count(self) -> int:
-        return sum(1 for e in self.entries if e.is_view)
+        return int(np.count_nonzero(self.keys < 1 << 48))  # real_first_key's class bit
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +130,7 @@ def network_sort_keys(keys: np.ndarray) -> tuple[np.ndarray, int]:
     """
     perm = np.argsort(keys, kind="stable")
     ordered = keys[perm]
-    if np.any(ordered[1:] == ordered[:-1]):
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("sort keys must be distinct")
     return perm, network_comparison_count(len(keys))
 
@@ -151,12 +165,18 @@ def real_first_key(t: SecureTuple) -> int:
 
 def cache_append(cache: SecureCache, batch: list[SecureTuple]) -> SecureCache:
     """Append a padded batch, preserving order of prior entries."""
-    return SecureCache(cache.entries + list(batch))
+    added = SecureCache(list(batch))
+    return SecureCache._derived(cache.entries + added.entries,
+                                np.concatenate((cache.keys, added.keys)))
 
 
 def obli_sort(cache: SecureCache, counter: list | None = None) -> SecureCache:
     """Sort real entries ahead of dummies, in the network's output order."""
-    return SecureCache(network_sort(cache.entries, real_first_key, counter))
+    perm, comparisons = network_sort_keys(cache.keys)
+    if counter is not None:
+        counter[0] += comparisons
+    entries = cache.entries
+    return SecureCache._derived([entries[i] for i in perm], cache.keys[perm])
 
 
 def cache_read(cache: SecureCache, sz: int,
@@ -173,14 +193,14 @@ def cache_read(cache: SecureCache, sz: int,
         raise ValueError(f"read size must be non-negative, got {sz}")
     entries = cache.entries
     if sz <= len(entries):
-        return list(entries[:sz]), SecureCache(list(entries[sz:]))
+        return entries[:sz], SecureCache._derived(entries[sz:], cache.keys[sz:])
     fetched = list(entries)
     if seqs is None:
         start = max((e.seq for e in entries), default=-1) + 1
         seqs = SeqCounter(start)
     for _ in range(sz - len(entries)):
         fetched.append(make_dummy(seqs.take(), timestamp, width))
-    return fetched, SecureCache([])
+    return fetched, SecureCache()
 
 
 def cache_flush(cache: SecureCache, s: int,
@@ -189,6 +209,5 @@ def cache_flush(cache: SecureCache, s: int,
                 width: int = 0,
                 counter: list | None = None) -> tuple[list[SecureTuple], SecureCache]:
     """Sort, fetch s entries for the view, and recycle the remainder."""
-    sorted_cache = obli_sort(cache, counter)
-    fetched, _ = cache_read(sorted_cache, s, seqs, timestamp, width)
-    return fetched, SecureCache([])
+    fetched, _ = cache_read(obli_sort(cache, counter), s, seqs, timestamp, width)
+    return fetched, SecureCache()

@@ -112,20 +112,25 @@ def clamp_round(x: float) -> int:
 
 @dataclass
 class MaterializedView:
-    """Append-only synchronized rows plus per-sync batch boundaries."""
+    """Append-only synchronized rows, per-sync batch boundaries, running real-row count."""
 
     rows: list[SecureTuple] = field(default_factory=list)
     batches: list[tuple[int, int]] = field(default_factory=list)
+    _real: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._real = sum(1 for r in self.rows if r.is_view)
 
     def append_batch(self, fetched: list[SecureTuple], t: int) -> None:
         self.rows.extend(fetched)
         self.batches.append((t, len(fetched)))
+        self._real += sum(1 for r in fetched if r.is_view)
 
     def total_rows(self) -> int:
         return len(self.rows)
 
     def real_rows(self) -> int:
-        return sum(1 for r in self.rows if r.is_view)
+        return self._real
 
 
 class SyncReport(NamedTuple):
@@ -218,14 +223,13 @@ def flush_step(t: int, config, cache: SecureCache, view: MaterializedView,
     """Every f steps: sort, move s entries to the view, recycle the rest."""
     if t % config.f != 0:
         return cache, FlushReport(t, False)
-    real_before = cache.real_count()
+    real_before = cache.real_count() + view.real_rows()
     fetched, cache = cache_flush(cache, config.s, seqs, t, width, compare_counter)
-    real_moved = sum(1 for r in fetched if r.is_view)
     view.append_batch(fetched, t)
     if transcript is not None:
         for server in (0, 1):
             transcript.add(t, server, TranscriptKind.FLUSH_BATCH, config.s)
-    return cache, FlushReport(t, True, config.s, real_before - real_moved)
+    return cache, FlushReport(t, True, config.s, real_before - view.real_rows())
 
 
 # ---------------------------------------------------------------------------

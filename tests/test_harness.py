@@ -11,6 +11,7 @@ from dpviewsim.harness import (CapacityExceeded, ConfigError, ExperimentConfig,
                                synth_stream, true_count, validate_config)
 from dpviewsim.leakage import LogicalStream, StreamRecord
 from dpviewsim.shrink import MaterializedView
+from dpviewsim.transcript import TranscriptKind
 from dpviewsim.transform import OperatorKind
 
 
@@ -277,6 +278,28 @@ def test_run_trials_merged_by_index():
 
 def test_query_count_empty_view():
     assert query_count(MaterializedView()) == 0
+
+
+def test_cache_sort_keys_are_built_once_per_entry(monkeypatch):
+    # Each entry's cache key is built when it enters the cache, never again
+    # at a sync or flush. SMJ row sorts use their own key, so every call
+    # counted here comes from the cache.
+    from dpviewsim import obliv
+    calls = [0]
+    original = obliv.real_first_key
+
+    def counting(t):
+        calls[0] += 1
+        return original(t)
+
+    monkeypatch.setattr(obliv, "real_first_key", counting)
+    cfg = ExperimentConfig(protocol=Protocol.DP_TIMER, operator=OperatorKind.SMJ,
+                           horizon=60, T=5, f=20, s=5, seed=4)
+    res = run_experiment(cfg)
+    appended = sum(e.size for e in res.transcript.events
+                   if e.kind is TranscriptKind.TRANSFORM_OUTPUT and e.server == 0)
+    assert len(res.sync_reports) == 12 and len(res.flush_reports) == 3
+    assert calls[0] == appended > 0
 
 
 def test_true_count_brute_force_filter():

@@ -204,5 +204,47 @@ def test_cache_key_top_seq_sorts_after_smaller_seqs():
 def test_cache_key_rejects_seq_outside_48_bits(seq):
     with pytest.raises(ValueError, match="cache sort key"):
         real_first_key(dummy(seq))
+    # Keys are built when an entry enters the cache, so that is where it fails.
     with pytest.raises(ValueError, match="cache sort key"):
-        obli_sort(SecureCache([real(0), dummy(seq)]))
+        SecureCache([real(0), dummy(seq)])
+    cache = SecureCache([real(0)])
+    with pytest.raises(ValueError, match="cache sort key"):
+        cache_append(cache, [dummy(1), dummy(seq)])
+    assert [e.seq for e in cache.entries] == [0] and cache.keys.tolist() == [0]
+
+
+# ---------------------------------------------------------------------------
+# The key column is derived state: it must match the entries after every
+# operation.
+
+def assert_keys_aligned(cache):
+    assert cache.keys.dtype == np.int64
+    assert cache.keys.tolist() == [real_first_key(e) for e in cache.entries]
+    assert cache.real_count() == sum(1 for e in cache.entries if e.is_view)
+
+
+def test_key_column_stays_aligned_through_cache_operations():
+    rng = np.random.default_rng(41)
+    seqs = SeqCounter()
+    cache = SecureCache()
+    assert_keys_aligned(cache)
+    for _ in range(30):
+        batch = [real(seqs.take()) if rng.random() < 0.3 else dummy(seqs.take())
+                 for _ in range(int(rng.integers(0, 12)))]
+        cache = cache_append(cache, batch)
+        assert_keys_aligned(cache)
+        if rng.random() < 0.4:
+            cache = obli_sort(cache)
+            assert_keys_aligned(cache)
+            fetched, cache = cache_read(cache, int(rng.integers(0, len(cache) + 3)), seqs)
+            assert_keys_aligned(cache)
+    fetched, cache = cache_flush(cache, 5, seqs)
+    assert len(fetched) == 5
+    assert_keys_aligned(cache)
+    assert len(cache) == 0
+
+
+def test_given_entries_get_keys_and_real_count():
+    cache = SecureCache([dummy(7), real(3), dummy(1), real(9)])
+    assert_keys_aligned(cache)
+    assert cache.real_count() == 2

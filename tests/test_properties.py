@@ -1,7 +1,8 @@
 """Properties of real `run_experiment` output on small random configs.
 
 Every protocol x operator x profile runs with hypothesis-drawn horizon, flush
-schedule and seed. Each run must conserve its real rows at every step, pass the
+schedule and seed. Each run must conserve its real rows at every step, keep its
+running real-row counts and cache key column equal to plain recounts, pass the
 transcript audit against its public configuration, and reproduce its metrics
 bytes from the same seed.
 """
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from dpviewsim.harness import (ExperimentConfig, Profile, Protocol, emit_metrics,
                                expected_transform_size, run_experiment)
 from dpviewsim.leakage import AuditExpectation, transcript_audit
+from dpviewsim.obliv import real_first_key
 from dpviewsim.transform import OperatorKind
 
 _DP = (Protocol.DP_TIMER, Protocol.DP_ANT)
@@ -45,6 +47,11 @@ def test_real_runs_conserve_rows_pass_audit_and_repeat(protocol, operator, profi
             produced = sum(1 for row in result.produced_rows if row.timestamp <= m.time)
             lost = sum(r.real_lost for r in result.flush_reports if r.t <= m.time)
             assert produced == m.view_rows_real + m.deferred_real + lost, m.time
+
+    view, cache = result.final_view, result.final_cache
+    assert view.real_rows() == sum(1 for row in view.rows if row.is_view)
+    assert cache.real_count() == sum(1 for e in cache.entries if e.is_view)
+    assert cache.keys.tolist() == [real_first_key(e) for e in cache.entries]
 
     dp = protocol in _DP
     report = transcript_audit(result.transcript, AuditExpectation(

@@ -300,3 +300,10 @@ def test_randomness_reuse_guard_active():
     share_in_protocol(1, *z, seen=rand.seen_pairs)
     with pytest.raises(RandomnessReuse):
         share_in_protocol(2, *z, seen=rand.seen_pairs)
+
+
+def test_view_built_with_rows_counts_them():
+    view = MaterializedView(rows=[real_row(0), make_dummy(1), real_row(2)])
+    assert view.real_rows() == 2
+    view.append_batch([make_dummy(3), real_row(4)], t=1)
+    assert view.real_rows() == 3 and view.total_rows() == 5
