@@ -83,8 +83,9 @@ def laplace_oracle(scale: NoiseScale, rng: np.random.Generator | int) -> float:
     return laplace_inverse_cdf(u, scale.scale)
 
 
-def laplace_oracle_many(scale: NoiseScale, n: int, rng: np.random.Generator | int) -> np.ndarray:
-    """Vectorized oracle draws, same inverse-CDF transform as laplace_oracle."""
+def laplace_oracle_many(scale: NoiseScale, n: int | tuple[int, ...],
+                        rng: np.random.Generator | int) -> np.ndarray:
+    """Oracle draws of shape n (an int or a tuple), by laplace_oracle's inverse CDF."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     u = rng.random(n)

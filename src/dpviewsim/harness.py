@@ -10,13 +10,15 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+import sys
+from collections import Counter
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, TextIO
 
 import numpy as np
 
 from .leakage import LogicalStream, StreamRecord
-from .obliv import SecureCache, SecureTuple, SeqCounter
+from .obliv import SecureCache, SecureTuple, SeqCounter, make_dummy
 from .randomness import ServerRandomness
 from .sharing import RING_SIZE
 from .shrink import (AntConfig, FlushReport, MaterializedView, SyncReport,
@@ -94,9 +96,21 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.omega > config.b:
         raise ConfigError(f"omega ({config.omega}) must not exceed b ({config.b})")
+    if -(-config.b // config.omega) > sys.maxsize:
+        raise ConfigError(f"ceil(b / omega) retention steps must not exceed {sys.maxsize}")
     if config.protocol in (Protocol.DP_TIMER, Protocol.DP_ANT):
         if config.epsilon <= 0:
             raise ConfigError("DP protocols require epsilon > 0")
+        # The largest Laplace scale the protocol draws is b/epsilon, or DPANT's
+        # check scale 8b/epsilon (shrink.ant_scales); a joint draw lies within
+        # ln(2**31 + 1) scales of zero (dpnoise.fixed_point).
+        ant = config.protocol is Protocol.DP_ANT
+        try:
+            largest = (8 if ant else 1) * config.b / config.epsilon * math.log((1 << 31) + 1)
+        except OverflowError:
+            largest = math.inf
+        if not math.isfinite(largest):
+            raise ConfigError(f"noise scale {'8b' if ant else 'b'}/epsilon overflows a float")
         if config.f < 1 or config.s < 0:
             raise ConfigError("flush parameters require f >= 1 and s >= 0")
     if config.protocol is Protocol.DP_TIMER and config.T < 1:
@@ -191,7 +205,7 @@ def emit_metrics(records: Iterable[MetricsRecord], out: str | TextIO) -> None:
             emit_metrics(records, fh)
         return
     for rec in records:
-        out.write(json.dumps(asdict(rec), separators=(",", ":")) + "\n")
+        out.write(json.dumps(vars(rec), separators=(",", ":")) + "\n")
 
 
 def read_metrics(path: str) -> list[MetricsRecord]:
@@ -240,9 +254,8 @@ def load_stream(path: str) -> LogicalStream:
 
 
 def client_batches(stream: LogicalStream, c_r: int, horizon: int,
-                   seqs: SeqCounter | None = None) -> list[list[SecureTuple]]:
+                   seqs: SeqCounter) -> list[list[SecureTuple]]:
     """Per-step fixed-size owner batches: real arrivals padded with dummies."""
-    seqs = seqs or SeqCounter()
     width = len(stream.arrivals[0].attrs) if stream.arrivals else 1
     by_step: dict[int, list[StreamRecord]] = {}
     for rec in stream.arrivals:
@@ -257,8 +270,7 @@ def client_batches(stream: LogicalStream, c_r: int, horizon: int,
         batch = [SecureTuple(key=r.key, attrs=r.attrs, is_view=True,
                              seq=seqs.take(), timestamp=t) for r in recs]
         while len(batch) < c_r:
-            batch.append(SecureTuple(key=0, attrs=(0,) * width, is_view=False,
-                                     seq=seqs.take(), timestamp=t))
+            batch.append(make_dummy(seqs.take(), t, width))
         batches.append(batch)
     return batches
 
@@ -345,23 +357,18 @@ def query_count(view: MaterializedView, cache: SecureCache | None = None) -> int
 
 
 def true_count(stream_a: LogicalStream, stream_b: LogicalStream | None,
-               operator: OperatorKind, t: int, predicate=None) -> int:
+               operator: OperatorKind, t: int) -> int:
     """Plaintext oracle over the logical databases, no truncation.
 
-    Filter counts records with a nonzero first attribute (or the predicate);
-    joins count key-matching pairs, brute force.
+    Filter counts records with a nonzero first attribute; joins count
+    key-matching pairs from a count of the right side's keys.
     """
     if operator is OperatorKind.FILTER:
-        total = 0
-        for rec in stream_a.arrivals:
-            if rec.t <= t:
-                keep = predicate(rec) if predicate else bool(rec.attrs and rec.attrs[0])
-                total += bool(keep)
-        return total
+        return sum(1 for rec in stream_a.arrivals
+                   if rec.t <= t and rec.attrs and rec.attrs[0])
     assert stream_b is not None
-    left = [r for r in stream_a.arrivals if r.t <= t]
-    right = [r for r in stream_b.arrivals if r.t <= t]
-    return sum(1 for a in left for b in right if a.key == b.key)
+    right = Counter(r.key for r in stream_b.arrivals if r.t <= t)
+    return sum(right[a.key] for a in stream_a.arrivals if a.t <= t)
 
 
 class _JoinCounter:

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dpnoise import NoiseScale
+from .dpnoise import NoiseScale, laplace_oracle_many
 from .randomness import SeededLaplace
 from .shrink import ant_scales, timer_scale
 # Callers of the audit also reach the transcript types through this module.
@@ -153,10 +153,8 @@ class TimerMechanism:
         sync_ts = range(self.T, h + 1, self.T)
         base = np.array([counts[max(0, t - self.T + 1): t + 1].sum() for t in sync_ts],
                         dtype=np.float64)
-        u = rng.random((trials, len(base)))
-        d = u - 0.5
-        scale = timer_scale(self.b, self.epsilon).scale
-        noise = -scale * np.sign(d) * np.log1p(-2.0 * np.abs(d))
+        noise = laplace_oracle_many(timer_scale(self.b, self.epsilon),
+                                    (trials, len(base)), rng)
         return base[None, :] + noise
 
 
@@ -180,21 +178,17 @@ class AntMechanism:
         counts = s.arrivals_per_step(h)
         cum = np.cumsum(counts)
         th_scale, check_scale, out_scale = ant_scales(self.b, self.epsilon, self.variant)
-
-        def lap(scale, size):
-            d = rng.random(size) - 0.5
-            return -scale * np.sign(d) * np.log1p(-2.0 * np.abs(d))
-
-        noisy_th = self.theta + lap(th_scale.scale, trials)
+        noisy_th = self.theta + laplace_oracle_many(th_scale, trials, rng)
         last_cum = np.zeros(trials)
         out = np.zeros((trials, h))
         for t in range(1, h + 1):
             since = cum[t] - last_cum
-            check = since + lap(check_scale.scale, trials)
+            check = since + laplace_oracle_many(check_scale, trials, rng)
             trig = check >= noisy_th
             if trig.any():
-                out[trig, t - 1] = since[trig] + lap(out_scale.scale, int(trig.sum()))
-                noisy_th[trig] = self.theta + lap(th_scale.scale, int(trig.sum()))
+                hits = int(trig.sum())
+                out[trig, t - 1] = since[trig] + laplace_oracle_many(out_scale, hits, rng)
+                noisy_th[trig] = self.theta + laplace_oracle_many(th_scale, hits, rng)
                 last_cum[trig] = cum[t]
         return out
 

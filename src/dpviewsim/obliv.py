@@ -135,21 +135,19 @@ def network_sort_keys(keys: np.ndarray) -> tuple[np.ndarray, int]:
     return perm, network_comparison_count(len(keys))
 
 
-def network_sort(items: list, key_of: Callable, counter: list | None = None) -> list:
+def network_sort(items: list, key_of: Callable, counter: list) -> list:
     """Sort items by an int64 composite key in the network's output order.
 
     key_of maps an item to a non-negative int below 2**62 and must be
     injective over the input (include a seq component); a repeated key raises
-    ValueError. When `counter` is given, its single element accumulates the
-    network's compare-exchange count.
+    ValueError. `counter[0]` accumulates the network's compare-exchange count.
     """
     n = len(items)
     if n == 0:
         return []
     keys = np.fromiter((key_of(it) for it in items), dtype=np.int64, count=n)
     perm, comparisons = network_sort_keys(keys)
-    if counter is not None:
-        counter[0] += comparisons
+    counter[0] += comparisons
     return [items[i] for i in perm]
 
 
@@ -170,24 +168,20 @@ def cache_append(cache: SecureCache, batch: list[SecureTuple]) -> SecureCache:
                                 np.concatenate((cache.keys, added.keys)))
 
 
-def obli_sort(cache: SecureCache, counter: list | None = None) -> SecureCache:
+def obli_sort(cache: SecureCache, counter: list) -> SecureCache:
     """Sort real entries ahead of dummies, in the network's output order."""
     perm, comparisons = network_sort_keys(cache.keys)
-    if counter is not None:
-        counter[0] += comparisons
+    counter[0] += comparisons
     entries = cache.entries
     return SecureCache._derived([entries[i] for i in perm], cache.keys[perm])
 
 
-def cache_read(cache: SecureCache, sz: int,
-               seqs: SeqCounter | None = None,
-               timestamp: int = 0,
-               width: int = 0) -> tuple[list[SecureTuple], SecureCache]:
+def cache_read(cache: SecureCache, sz: int, seqs: SeqCounter, timestamp: int,
+               width: int) -> tuple[list[SecureTuple], SecureCache]:
     """Pop the first sz entries; mint fresh dummies when sz exceeds the cache.
 
     Callers sort first so real data is fetched ahead of dummies. Minted
-    dummies take seq stamps from `seqs`, or past the cache's own maximum when
-    no run counter is supplied.
+    dummies take seq stamps from the run's counter `seqs`.
     """
     if sz < 0:
         raise ValueError(f"read size must be non-negative, got {sz}")
@@ -195,19 +189,13 @@ def cache_read(cache: SecureCache, sz: int,
     if sz <= len(entries):
         return entries[:sz], SecureCache._derived(entries[sz:], cache.keys[sz:])
     fetched = list(entries)
-    if seqs is None:
-        start = max((e.seq for e in entries), default=-1) + 1
-        seqs = SeqCounter(start)
     for _ in range(sz - len(entries)):
         fetched.append(make_dummy(seqs.take(), timestamp, width))
     return fetched, SecureCache()
 
 
-def cache_flush(cache: SecureCache, s: int,
-                seqs: SeqCounter | None = None,
-                timestamp: int = 0,
-                width: int = 0,
-                counter: list | None = None) -> tuple[list[SecureTuple], SecureCache]:
+def cache_flush(cache: SecureCache, s: int, seqs: SeqCounter, timestamp: int,
+                width: int, counter: list) -> tuple[list[SecureTuple], SecureCache]:
     """Sort, fetch s entries for the view, and recycle the remainder."""
     fetched, _ = cache_read(obli_sort(cache, counter), s, seqs, timestamp, width)
     return fetched, SecureCache()

@@ -18,7 +18,7 @@ from .dpnoise import NoiseScale
 from .obliv import SecureCache, SecureTuple, SeqCounter, cache_flush, cache_read, obli_sort
 from .sharing import SharePair, recover, share_in_protocol
 from .transform import CounterShares
-from .transcript import TranscriptKind
+from .transcript import Transcript, TranscriptKind
 
 
 class BoundPreconditionError(ValueError):
@@ -144,9 +144,8 @@ class SyncReport(NamedTuple):
 
 def sdp_timer_step(t: int, config: TimerConfig, counter: CounterShares,
                    cache: SecureCache, view: MaterializedView, rand,
-                   transcript=None, seqs: SeqCounter | None = None,
-                   width: int = 0,
-                   compare_counter: list | None = None) -> tuple[CounterShares, SecureCache, SyncReport]:
+                   transcript: Transcript, seqs: SeqCounter, width: int,
+                   compare_counter: list) -> tuple[CounterShares, SecureCache, SyncReport]:
     """Sync a DP-sized batch every T steps; no-op otherwise."""
     if t % config.T != 0:
         return counter, cache, SyncReport(t, False)
@@ -158,11 +157,10 @@ def sdp_timer_step(t: int, config: TimerConfig, counter: CounterShares,
     fetched, cache = cache_read(cache, sz, seqs, t, width)
     view.append_batch(fetched, t)
     counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
-    if transcript is not None:
-        for server in (0, 1):
-            transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
-            transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
-                           share_value=counter[server])
+    for server in (0, 1):
+        transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
+        transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
+                       share_value=counter[server])
     return counter, cache, SyncReport(t, True, pre, sz)
 
 
@@ -175,18 +173,16 @@ def sdp_ant_init(config: AntConfig, rand) -> ThresholdShares:
 
 def sdp_ant_step(t: int, config: AntConfig, counter: CounterShares,
                  threshold: ThresholdShares, cache: SecureCache,
-                 view: MaterializedView, rand, transcript=None,
-                 seqs: SeqCounter | None = None, width: int = 0,
-                 compare_counter: list | None = None
+                 view: MaterializedView, rand, transcript: Transcript,
+                 seqs: SeqCounter, width: int, compare_counter: list
                  ) -> tuple[CounterShares, ThresholdShares, SecureCache, SyncReport]:
     """Noisy-count vs noisy-threshold check; sync and refresh on a trigger."""
     th_scale, check_scale, out_scale = ant_scales(config.b, config.epsilon)
     c = recover(counter)
     th = recover_real(threshold)
     check = c + rand.joint_laplace(check_scale)
-    if transcript is not None:
-        for server in (0, 1):
-            transcript.add(t, server, TranscriptKind.COMPARE_CHECK, 0)
+    for server in (0, 1):
+        transcript.add(t, server, TranscriptKind.COMPARE_CHECK, 0)
     if check < th:
         return counter, threshold, cache, SyncReport(t, False)
 
@@ -198,15 +194,14 @@ def sdp_ant_step(t: int, config: AntConfig, counter: CounterShares,
     new_noisy = config.theta + rand.joint_laplace(th_scale)
     threshold = share_real(new_noisy, rand, seen=rand.seen_pairs)
     counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
-    if transcript is not None:
-        for server in (0, 1):
-            transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
-            transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
-                           share_value=counter[server])
-            transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
-                           share_value=threshold.hi[server])
-            transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
-                           share_value=threshold.lo[server])
+    for server in (0, 1):
+        transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
+        transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
+                       share_value=counter[server])
+        transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
+                       share_value=threshold.hi[server])
+        transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
+                       share_value=threshold.lo[server])
     return counter, threshold, cache, SyncReport(t, True, pre, sz)
 
 
@@ -218,17 +213,16 @@ class FlushReport(NamedTuple):
 
 
 def flush_step(t: int, config, cache: SecureCache, view: MaterializedView,
-               transcript=None, seqs: SeqCounter | None = None, width: int = 0,
-               compare_counter: list | None = None) -> tuple[SecureCache, FlushReport]:
+               transcript: Transcript, seqs: SeqCounter, width: int,
+               compare_counter: list) -> tuple[SecureCache, FlushReport]:
     """Every f steps: sort, move s entries to the view, recycle the rest."""
     if t % config.f != 0:
         return cache, FlushReport(t, False)
     real_before = cache.real_count() + view.real_rows()
     fetched, cache = cache_flush(cache, config.s, seqs, t, width, compare_counter)
     view.append_batch(fetched, t)
-    if transcript is not None:
-        for server in (0, 1):
-            transcript.add(t, server, TranscriptKind.FLUSH_BATCH, config.s)
+    for server in (0, 1):
+        transcript.add(t, server, TranscriptKind.FLUSH_BATCH, config.s)
     return cache, FlushReport(t, True, config.s, real_before - view.real_rows())
 
 

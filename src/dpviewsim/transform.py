@@ -17,7 +17,7 @@ from .obliv import (SecureCache, SecureTuple, SeqCounter, cache_append, make_dum
                     network_sort, real_first_key)
 from .randomness import ServerRandomness
 from .sharing import RING_MASK, SharePair, recover, share_in_protocol
-from .transcript import TranscriptKind
+from .transcript import Transcript, TranscriptKind
 
 # Counter shares are a plain word SharePair; recover() gives the cached-real count.
 CounterShares = SharePair
@@ -107,13 +107,11 @@ def _join_width(t1: list[SecureTuple], t2: list[SecureTuple]) -> int:
 
 def trans_truncate_filter(batch: list[SecureTuple],
                           predicate: Callable[[SecureTuple], bool],
-                          seqs: SeqCounter | None = None,
-                          timestamp: int = 0) -> list[SecureTuple]:
+                          seqs: SeqCounter, timestamp: int) -> list[SecureTuple]:
     """Oblivious selection: same length out, isView set iff the predicate holds.
 
     Input dummies stay dummies; payloads pass through unchanged.
     """
-    seqs = seqs or SeqCounter(max((t.seq for t in batch), default=-1) + 1)
     out = []
     for tup in batch:
         keep = tup.is_view and bool(predicate(tup))
@@ -131,26 +129,18 @@ def _merge_key(origin: int, t: SecureTuple) -> int:
     return ((0 if t.is_view else 1) << 61) | (t.key << 29) | (origin << 28) | t.seq
 
 
-def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple],
-                       config: TruncationConfig, ledger: BudgetLedger,
-                       caps: InvocationCaps | None = None,
-                       seqs: SeqCounter | None = None,
-                       timestamp: int = 0,
-                       compare_counter: list | None = None) -> list[SecureTuple]:
+def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
+                       caps: InvocationCaps, seqs: SeqCounter, timestamp: int,
+                       compare_counter: list) -> list[SecureTuple]:
     """Truncated oblivious sort-merge join.
 
     The tables are merged and network-sorted on (join key, origin, seq); ties
     put t1 records first. The linear scan emits, for every accessed tuple,
     exactly omega output slots: real joins with previously scanned partners
-    while both sides hold contribution slots, dummies for the rest. A record's
-    slots this invocation are min(omega, remaining ledger budget), so joins of
-    an exhausted record are discarded automatically.
+    while both sides hold contribution slots, dummies for the rest. `caps`
+    holds each record's slots this invocation, min(omega, remaining ledger
+    budget), so joins of an exhausted or unregistered record are discarded.
     """
-    for tup in t1 + t2:
-        if tup.is_view:
-            ledger.register(tup.seq, config.b)
-    caps = caps or InvocationCaps(ledger, config.omega)
-    seqs = seqs or SeqCounter(max((t.seq for t in t1 + t2), default=-1) + 1)
     width = _join_width(t1, t2)
 
     tagged = [(0, t) for t in t1] + [(1, t) for t in t2]
@@ -166,7 +156,7 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple],
                 group_key = tup.key
                 seen = ([], [])
             for p in seen[1 - origin]:
-                if len(emitted) == config.omega or caps.remaining(tup.seq) <= 0:
+                if len(emitted) == omega or caps.remaining(tup.seq) <= 0:
                     break
                 if caps.remaining(p.seq) <= 0:
                     continue
@@ -176,16 +166,14 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple],
                 emitted.append(_join_tuple(a, b, seqs, timestamp))
             seen[origin].append(tup)
         out.extend(emitted)
-        for _ in range(config.omega - len(emitted)):
+        for _ in range(omega - len(emitted)):
             out.append(make_dummy(seqs.take(), timestamp, width))
     return out
 
 
 def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], b: int,
-                       caps: InvocationCaps | None = None,
-                       seqs: SeqCounter | None = None,
-                       timestamp: int = 0,
-                       compare_counter: list | None = None) -> list[SecureTuple]:
+                       caps: InvocationCaps, seqs: SeqCounter, timestamp: int,
+                       compare_counter: list) -> list[SecureTuple]:
     """Truncated oblivious nested-loop join: b output slots per outer tuple.
 
     Every (outer, inner) probe either emits a real join (keys match and both
@@ -194,13 +182,6 @@ def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], b: int,
     """
     if b < 1:
         raise ValueError(f"per-outer bound must be positive, got {b}")
-    if caps is None:
-        standalone = BudgetLedger()
-        for tup in t1 + t2:
-            if tup.is_view:
-                standalone.register(tup.seq, b)
-        caps = InvocationCaps(standalone, b)
-    seqs = seqs or SeqCounter(max((t.seq for t in t1 + t2), default=-1) + 1)
     width = _join_width(t1, t2)
 
     out: list[SecureTuple] = []
@@ -266,8 +247,8 @@ def expected_output_size(operator: OperatorKind, t: int, c_r: int,
 def transform_step(t: int, new_batches: list[list[SecureTuple]],
                    cache: SecureCache, counter: CounterShares,
                    state: TransformState, rand: ServerRandomness,
-                   transcript=None,
-                   compare_counter: list | None = None) -> tuple[SecureCache, CounterShares]:
+                   transcript: Transcript,
+                   compare_counter: list) -> tuple[SecureCache, CounterShares]:
     """One invocation: truncate-transform new data, cache it, update the counter.
 
     Join operators also scan the retained padded batches of the partner owner;
@@ -291,9 +272,9 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
         old1 = [tup for batch in state.retained[0] for tup in batch]
         old2 = [tup for batch in state.retained[1] for tup in batch]
         if state.operator is OperatorKind.SMJ:
-            d1 = trans_truncate_smj(new1, old2 + new2, cfg, state.ledger, caps,
+            d1 = trans_truncate_smj(new1, old2 + new2, cfg.omega, caps,
                                     state.seqs, t, compare_counter)
-            d2 = trans_truncate_smj(old1, new2, cfg, state.ledger, caps,
+            d2 = trans_truncate_smj(old1, new2, cfg.omega, caps,
                                     state.seqs, t, compare_counter)
         else:
             d1 = trans_truncate_nlj(new1, old2 + new2, cfg.omega, caps,
@@ -323,9 +304,8 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
         state.retained[0].append(new_batches[0])
         state.retained[1].append(new_batches[1])
 
-    if transcript is not None:
-        for server in (0, 1):
-            transcript.add(t, server, TranscriptKind.TRANSFORM_OUTPUT, len(delta))
-            transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
-                           share_value=counter[server])
+    for server in (0, 1):
+        transcript.add(t, server, TranscriptKind.TRANSFORM_OUTPUT, len(delta))
+        transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
+                       share_value=counter[server])
     return cache, counter

@@ -31,6 +31,22 @@ def test_out_of_domain_value_exits_2(field, value, capsys):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("protocol", ["DPTimer", "DPANT"])
+def test_overflowing_noise_scale_exits_2(protocol, capsys):
+    # b/epsilon is inf here; before, the first sync raised OverflowError.
+    assert main(["--protocol", protocol, "--operator", "Filter", "--horizon", "5",
+                 "--epsilon", "1e-320"]) == EXIT_CONFIG
+    assert "noise scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", ["DPTimer", "EP"])
+def test_overflowing_retention_exits_2(protocol, capsys):
+    # ceil(b / omega) sizes the join's retention window, which must fit an index.
+    assert main(["--protocol", protocol, "--operator", "SMJ", "--horizon", "5",
+                 "--b", str(10 ** 400)]) == EXIT_CONFIG
+    assert "retention" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value,expected", [("yes", True), ("On", True), ("0", False),
                                             ("off", False)])
 def test_bool_words_parse(value, expected):

@@ -64,6 +64,23 @@ def test_joint_laplace_moments():
     assert 1.9 < draws.var() < 2.1
 
 
+def test_vectorized_sampler_matches_protocol_sampler():
+    # The distribution tests run joint_laplace_many; the protocol draws with
+    # joint_laplace. They must agree word for word (np.log and math.log may
+    # differ in the last bits, hence the tolerance).
+    rng = np.random.default_rng(59)
+    edges = [0, 1, _HALF - 1, _HALF, (1 << 32) - 1]
+    z0 = rng.integers(1 << 32, size=10_000, dtype=np.uint64).tolist()
+    z1 = rng.integers(1 << 32, size=10_000, dtype=np.uint64).tolist()
+    z0 += [a for a in edges for _ in edges]
+    z1 += [b for _ in edges for b in edges]
+    scale = NoiseScale(3, 0.7)
+    many = joint_laplace_many(np.array(z0, dtype=np.uint64),
+                              np.array(z1, dtype=np.uint64), scale)
+    one = np.array([joint_laplace(a, b, scale) for a, b in zip(z0, z1)])
+    np.testing.assert_allclose(many, one, rtol=1e-12, atol=0)
+
+
 def test_sign_frequency_balanced():
     rng = np.random.default_rng(17)
     n = 100_000

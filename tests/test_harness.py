@@ -10,6 +10,7 @@ from dpviewsim.harness import (CapacityExceeded, ConfigError, ExperimentConfig,
                                read_metrics, run_experiment, run_trials,
                                synth_stream, true_count, validate_config)
 from dpviewsim.leakage import LogicalStream, StreamRecord
+from dpviewsim.obliv import SeqCounter, make_dummy
 from dpviewsim.shrink import MaterializedView
 from dpviewsim.transcript import TranscriptKind
 from dpviewsim.transform import OperatorKind
@@ -74,24 +75,27 @@ def make_stream(times):
 
 def test_client_batches_pads_to_capacity():
     s = make_stream([2, 2, 2])
-    batches = client_batches(s, c_r=5, horizon=3)
+    batches = client_batches(s, c_r=5, horizon=3, seqs=SeqCounter(0))
     assert [len(b) for b in batches] == [5, 5, 5]
     assert sum(t.is_view for t in batches[0]) == 0  # 0 arrivals -> all dummies
     assert sum(t.is_view for t in batches[1]) == 3  # 3 real + 2 dummy
     assert sum(t.is_view for t in batches[2]) == 0
+    # Padding is the step's dummy at the stream's width, stamped in order.
+    assert batches[1][3:] == [make_dummy(8, 2, 1), make_dummy(9, 2, 1)]
 
 
 def test_client_batches_capacity_exceeded():
     s = make_stream([1, 1, 1, 1, 1, 1])
     with pytest.raises(CapacityExceeded):
-        client_batches(s, c_r=5, horizon=2)
+        client_batches(s, c_r=5, horizon=2, seqs=SeqCounter(0))
 
 
 def test_client_batches_unique_seqs():
     s = make_stream([1, 2, 3])
-    batches = client_batches(s, c_r=4, horizon=3)
+    batches = client_batches(s, c_r=4, horizon=3, seqs=SeqCounter(100))
     seqs = [t.seq for b in batches for t in b]
     assert len(seqs) == len(set(seqs)) == 12
+    assert min(seqs) == 100
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +318,16 @@ def test_true_count_brute_force_join():
     b = LogicalStream([StreamRecord(1, 5, (1,)), StreamRecord(3, 5, (1,))], 3)
     assert true_count(a, b, OperatorKind.SMJ, 1) == 1
     assert true_count(a, b, OperatorKind.SMJ, 3) == 2
+
+
+def test_true_count_matches_nested_loop_on_synthetic_streams():
+    # Multiplicity 3 gives keys with several right-side matches.
+    for profile in Profile:
+        a, b = synth_stream(profile, 3, 120, multiplicity=3, cap=12)
+        for t in (1, 37, 120):
+            pairs = sum(1 for x in a.arrivals if x.t <= t
+                        for y in b.arrivals if y.t <= t and x.key == y.key)
+            assert true_count(a, b, OperatorKind.NLJ, t) == pairs
 
 
 # ---------------------------------------------------------------------------

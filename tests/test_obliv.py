@@ -17,6 +17,18 @@ def dummy(seq):
     return make_dummy(seq, width=1)
 
 
+# Seq stamps minted by the reads and flushes below start past every input seq.
+FRESH = 1000
+
+
+def read(cache, sz):
+    return cache_read(cache, sz, SeqCounter(FRESH), 0, 1)
+
+
+def flush(cache, s, counter=None):
+    return cache_flush(cache, s, SeqCounter(FRESH), 0, 1, [0] if counter is None else counter)
+
+
 def test_append_lengths():
     c = cache_append(SecureCache(), [real(0), real(1), dummy(2)])
     assert len(c) == 3
@@ -27,14 +39,14 @@ def test_append_lengths():
 
 def test_obli_sort_real_first_with_fifo_ties():
     c = SecureCache([dummy(0), real(1), dummy(2), real(3)])
-    out = obli_sort(c)
+    out = obli_sort(c, [0])
     assert [e.seq for e in out.entries] == [1, 3, 0, 2]
     assert [e.is_view for e in out.entries] == [True, True, False, False]
 
 
 def test_obli_sort_all_dummies_keeps_seq_order():
     c = SecureCache([dummy(5), dummy(2), dummy(9), dummy(0)])
-    out = obli_sort(c)
+    out = obli_sort(c, [0])
     assert [e.seq for e in out.entries] == [0, 2, 5, 9]
 
 
@@ -43,7 +55,7 @@ def test_real_first_exhaustive_small():
     for n in range(1, 7):
         for bits in range(1 << n):
             entries = [real(i) if bits >> i & 1 else dummy(i) for i in range(n)]
-            out = obli_sort(SecureCache(entries)).entries
+            out = obli_sort(SecureCache(entries), [0]).entries
             flags = [e.is_view for e in out]
             assert flags == sorted(flags, reverse=True)
             assert sorted(e.seq for e in out) == list(range(n))
@@ -101,61 +113,68 @@ def test_network_matches_pair_generator():
 
 def test_network_sort_rejects_repeated_keys():
     with pytest.raises(ValueError, match="distinct"):
-        network_sort([3, 1, 2], lambda v: 7)
+        network_sort([3, 1, 2], lambda v: 7, [0])
 
 
 def test_obli_sort_rejects_entries_sharing_class_and_seq():
     with pytest.raises(ValueError, match="distinct"):
-        obli_sort(SecureCache([real(4), dummy(0), real(4, key=9)]))
+        obli_sort(SecureCache([real(4), dummy(0), real(4, key=9)]), [0])
 
 
 def test_network_sort_arbitrary_lengths():
     rng = np.random.default_rng(11)
     for n in [1, 2, 3, 5, 7, 12, 33, 100]:
         vals = [int(v) for v in rng.permutation(n * 3)[:n]]
-        out = network_sort(vals, lambda v: v)
+        counter = [0]
+        out = network_sort(vals, lambda v: v, counter)
         assert out == sorted(vals)
+        assert counter[0] == network_comparison_count(n)
 
 
 def test_cache_read_prefix_cut():
     c = SecureCache([real(0), real(1), dummy(2), dummy(3)])
-    fetched, remaining = cache_read(c, 3)
+    fetched, remaining = read(c, 3)
     assert [e.seq for e in fetched] == [0, 1, 2]
     assert [e.seq for e in remaining.entries] == [3]
 
 
 def test_cache_read_dummy_top_up():
     c = SecureCache([real(0)])
-    fetched, remaining = cache_read(c, 4)
+    seqs = SeqCounter(FRESH)
+    fetched, remaining = cache_read(c, 4, seqs, 7, 2)
     assert len(fetched) == 4
     assert fetched[0].is_view and not any(e.is_view for e in fetched[1:])
     assert len(remaining) == 0
-    assert len({e.seq for e in fetched}) == 4  # fresh stamps
+    # Top-up dummies take the run counter's next stamps, the step and the width.
+    assert fetched[1:] == [make_dummy(FRESH + i, 7, 2) for i in range(3)]
+    assert seqs.take() == FRESH + 3
 
 
 def test_cache_read_zero():
     c = SecureCache([real(0), dummy(1)])
-    fetched, remaining = cache_read(c, 0)
+    fetched, remaining = read(c, 0)
     assert fetched == []
     assert remaining.entries == c.entries
 
 
 def test_cache_read_negative_rejected():
     with pytest.raises(ValueError):
-        cache_read(SecureCache(), -1)
+        read(SecureCache(), -1)
 
 
 def test_flush_basic():
     c = SecureCache([real(0), dummy(1), dummy(2)])
-    fetched, remaining = cache_flush(c, 2)
+    counter = [0]
+    fetched, remaining = flush(c, 2, counter)
     assert len(fetched) == 2
     assert fetched[0].is_view and not fetched[1].is_view
     assert len(remaining) == 0
+    assert counter[0] == network_comparison_count(3)  # the flush sorts first
 
 
 def test_flush_zero_recycles_everything():
     c = SecureCache([real(0), dummy(1)])
-    fetched, remaining = cache_flush(c, 0)
+    fetched, remaining = flush(c, 0)
     assert fetched == [] and len(remaining) == 0
 
 
@@ -168,7 +187,7 @@ def test_flush_real_count_oracle():
         entries = [real(i) if rng.random() < 0.4 else dummy(i) for i in range(n)]
         true_reals = sum(1 for e in entries if e.is_view)  # oracle
         s = int(rng.integers(0, 30))
-        fetched, _ = cache_flush(SecureCache(entries), s)
+        fetched, _ = flush(SecureCache(entries), s)
         assert len(fetched) == s
         assert sum(1 for e in fetched if e.is_view) == min(s, true_reals)
 
@@ -180,7 +199,7 @@ def test_conservation_under_read():
         entries = [real(i) if rng.random() < 0.5 else dummy(i) for i in range(n)]
         total_real = sum(e.is_view for e in entries)
         sz = int(rng.integers(0, n + 5))
-        fetched, remaining = cache_read(obli_sort(SecureCache(entries)), sz)
+        fetched, remaining = read(obli_sort(SecureCache(entries), [0]), sz)
         got = sum(e.is_view for e in fetched)
         left = sum(e.is_view for e in remaining.entries)
         assert got + left == total_real
@@ -234,11 +253,12 @@ def test_key_column_stays_aligned_through_cache_operations():
         cache = cache_append(cache, batch)
         assert_keys_aligned(cache)
         if rng.random() < 0.4:
-            cache = obli_sort(cache)
+            cache = obli_sort(cache, [0])
             assert_keys_aligned(cache)
-            fetched, cache = cache_read(cache, int(rng.integers(0, len(cache) + 3)), seqs)
+            fetched, cache = cache_read(cache, int(rng.integers(0, len(cache) + 3)),
+                                        seqs, 0, 1)
             assert_keys_aligned(cache)
-    fetched, cache = cache_flush(cache, 5, seqs)
+    fetched, cache = cache_flush(cache, 5, seqs, 0, 1, [0])
     assert len(fetched) == 5
     assert_keys_aligned(cache)
     assert len(cache) == 0

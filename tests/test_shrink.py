@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from dpviewsim.obliv import SecureCache, SecureTuple, SeqCounter, make_dummy
+from dpviewsim.obliv import (SecureCache, SecureTuple, SeqCounter, make_dummy,
+                             network_comparison_count)
 from dpviewsim.randomness import ScriptedNoise, ServerRandomness
 from dpviewsim.sharing import recover, share_in_protocol
 from dpviewsim.shrink import (AntConfig, BoundPreconditionError, MaterializedView,
@@ -11,6 +12,7 @@ from dpviewsim.shrink import (AntConfig, BoundPreconditionError, MaterializedVie
                               bound_dummy_timer, clamp_round, flush_step,
                               recover_real, sdp_ant_init, sdp_ant_step,
                               sdp_timer_step, share_real, timer_scale)
+from dpviewsim.transcript import Transcript, TranscriptKind
 
 
 class PinnedRand:
@@ -42,6 +44,28 @@ def filled_cache(n_real, n_dummy):
     return SecureCache(rows)
 
 
+# Dummies minted by syncs and flushes take stamps past every cached seq.
+FRESH = 50_000
+
+
+def timer_step(t, cfg, counter, cache, view, rand):
+    return sdp_timer_step(t, cfg, counter, cache, view, rand, Transcript(),
+                          SeqCounter(FRESH), 1, [0])
+
+
+def ant_step(t, cfg, counter, threshold, cache, view, rand):
+    return sdp_ant_step(t, cfg, counter, threshold, cache, view, rand, Transcript(),
+                        SeqCounter(FRESH), 1, [0])
+
+
+def flush(t, cfg, cache, view):
+    return flush_step(t, cfg, cache, view, Transcript(), SeqCounter(FRESH), 1, [0])
+
+
+def sizes(transcript, kind):
+    return [(e.time, e.server, e.size) for e in transcript.by_kind(kind)]
+
+
 # ---------------------------------------------------------------------------
 # Timer protocol.
 
@@ -51,13 +75,13 @@ def test_timer_noop_off_schedule():
     counter = counter_of(5, rand)
     cache = filled_cache(5, 5)
     view = MaterializedView()
-    from dpviewsim.leakage import Transcript
-    transcript = Transcript()
+    transcript, compares = Transcript(), [0]
     c2, cache2, report = sdp_timer_step(7, cfg, counter, cache, view, rand,
-                                        transcript)
+                                        transcript, SeqCounter(FRESH), 1, compares)
     assert not report.triggered
     assert c2 == counter and cache2 is cache
     assert view.total_rows() == 0 and len(transcript) == 0
+    assert compares == [0]
 
 
 def test_timer_pinned_positive_size():
@@ -67,7 +91,9 @@ def test_timer_pinned_positive_size():
     counter = counter_of(30, rand)
     cache = filled_cache(30, 10)
     view = MaterializedView()
-    counter, cache, report = sdp_timer_step(10, cfg, counter, cache, view, rand)
+    transcript, compares = Transcript(), [0]
+    counter, cache, report = sdp_timer_step(10, cfg, counter, cache, view, rand,
+                                            transcript, SeqCounter(FRESH), 1, compares)
     assert report.triggered
     assert report.pre_clamp == pytest.approx(25.8)
     assert report.size == 26
@@ -75,6 +101,11 @@ def test_timer_pinned_positive_size():
     assert view.real_rows() == 26  # reals fetched ahead of dummies
     assert len(cache) == 14
     assert recover(counter) == 0
+    # Both servers see the released size and a share of the reset counter.
+    assert sizes(transcript, TranscriptKind.SYNC_BATCH) == [(10, 0, 26), (10, 1, 26)]
+    shares = transcript.by_kind(TranscriptKind.SHARE_RECEIVED)
+    assert [e.share_value for e in shares] == list(counter)
+    assert compares == [network_comparison_count(40)]
 
 
 def test_timer_pinned_clamped_to_zero():
@@ -84,7 +115,7 @@ def test_timer_pinned_clamped_to_zero():
     counter = counter_of(2, rand)
     cache = filled_cache(2, 3)
     view = MaterializedView()
-    counter, cache, report = sdp_timer_step(5, cfg, counter, cache, view, rand)
+    counter, cache, report = timer_step(5, cfg, counter, cache, view, rand)
     assert report.triggered and report.size == 0
     assert report.pre_clamp == pytest.approx(-5.9)
     assert view.total_rows() == 0
@@ -98,12 +129,13 @@ def test_timer_tops_up_with_dummies():
     counter = counter_of(2, rand)
     cache = filled_cache(2, 0)
     view = MaterializedView()
-    counter, cache, report = sdp_timer_step(1, cfg, counter, cache, view, rand,
-                                            seqs=SeqCounter(50_000))
+    counter, cache, report = timer_step(1, cfg, counter, cache, view, rand)
     assert report.size == 6
     assert view.total_rows() == 6
     assert view.real_rows() == 2
     assert len(cache) == 0
+    # The four top-up dummies take the run counter's stamps, the step and the width.
+    assert view.rows[2:] == [make_dummy(FRESH + i, 1, 1) for i in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +163,26 @@ def test_ant_trigger_trace():
     counter = counter_of(35, rand)
     cache = filled_cache(35, 5)
     view = MaterializedView()
+    transcript, compares = Transcript(), [0]
     counter, threshold, cache, report = sdp_ant_step(
-        1, cfg, counter, threshold, cache, view, rand)
+        1, cfg, counter, threshold, cache, view, rand, transcript, SeqCounter(FRESH),
+        1, compares)
     assert report.triggered
     assert report.pre_clamp == pytest.approx(34.8)
     assert report.size == 35
     assert view.real_rows() == 35
     assert recover(counter) == 0
     assert recover_real(threshold) == 30 + 0.9
+    # Per server: the check, the release, then shares of counter and threshold.
+    for server in (0, 1):
+        events = [e for e in transcript.events if e.server == server]
+        assert [(e.kind, e.size) for e in events] == [
+            (TranscriptKind.COMPARE_CHECK, 0), (TranscriptKind.SYNC_BATCH, 35),
+            (TranscriptKind.SHARE_RECEIVED, 0), (TranscriptKind.SHARE_RECEIVED, 0),
+            (TranscriptKind.SHARE_RECEIVED, 0)]
+        assert [e.share_value for e in events[2:]] == [
+            counter[server], threshold.hi[server], threshold.lo[server]]
+    assert compares == [network_comparison_count(40)]
 
 
 def test_ant_below_threshold_no_trigger():
@@ -148,9 +192,14 @@ def test_ant_below_threshold_no_trigger():
     counter = counter_of(20, rand)
     cache = filled_cache(20, 0)
     view = MaterializedView()
+    transcript, compares = Transcript(), [0]
     c2, th2, cache2, report = sdp_ant_step(
-        1, cfg, counter, threshold, cache, view, rand)
+        1, cfg, counter, threshold, cache, view, rand, transcript, SeqCounter(FRESH),
+        1, compares)
     assert not report.triggered
+    # Every step shows both servers a check, even one that does not sync.
+    assert sizes(transcript, TranscriptKind.COMPARE_CHECK) == [(1, 0, 0), (1, 1, 0)]
+    assert len(transcript) == 2 and compares == [0]
     assert recover(c2) == 20          # counter untouched
     assert recover_real(th2) == 32.1  # threshold untouched
     assert view.total_rows() == 0
@@ -164,7 +213,7 @@ def test_ant_quiet_period_never_triggers():
     cache = SecureCache()
     view = MaterializedView()
     for t in range(1, 50):
-        counter, threshold, cache, report = sdp_ant_step(
+        counter, threshold, cache, report = ant_step(
             t, cfg, counter, threshold, cache, view, rand)
         assert not report.triggered
     assert view.total_rows() == 0
@@ -183,7 +232,7 @@ def test_ant_trigger_monotone_with_zero_noise():
     for t in range(1, 10):
         c += 2
         counter = counter_of(c, rand)
-        counter, threshold, cache, report = sdp_ant_step(
+        counter, threshold, cache, report = ant_step(
             t, cfg, counter, threshold, cache, view, rand)
         if report.triggered:
             trigger_at = t
@@ -208,7 +257,11 @@ def test_flush_on_schedule_paper_defaults():
     cfg = TimerConfig(T=10, epsilon=1.5, b=10, f=2000, s=15)
     cache = filled_cache(3, 30)
     view = MaterializedView()
-    cache, report = flush_step(2000, cfg, cache, view, seqs=SeqCounter(90_000))
+    transcript, compares = Transcript(), [0]
+    cache, report = flush_step(2000, cfg, cache, view, transcript, SeqCounter(FRESH),
+                               1, compares)
+    assert sizes(transcript, TranscriptKind.FLUSH_BATCH) == [(2000, 0, 15), (2000, 1, 15)]
+    assert compares == [network_comparison_count(33)]
     assert report.flushed and report.size == 15
     assert view.total_rows() == 15
     assert view.real_rows() == 3  # all reals land inside the 15
@@ -220,7 +273,7 @@ def test_flush_off_schedule():
     cfg = TimerConfig(T=10, epsilon=1.5, b=10, f=2000, s=15)
     cache = filled_cache(3, 3)
     view = MaterializedView()
-    cache2, report = flush_step(1999, cfg, cache, view)
+    cache2, report = flush(1999, cfg, cache, view)
     assert not report.flushed
     assert cache2 is cache and view.total_rows() == 0
 
@@ -229,7 +282,7 @@ def test_flush_size_zero_pure_recycle():
     cfg = TimerConfig(T=1, epsilon=1.0, b=1, f=1, s=0)
     cache = filled_cache(2, 2)
     view = MaterializedView()
-    cache, report = flush_step(1, cfg, cache, view)
+    cache, report = flush(1, cfg, cache, view)
     assert report.flushed and view.total_rows() == 0
     assert len(cache) == 0
     assert report.real_lost == 2
@@ -239,7 +292,7 @@ def test_flush_reports_lost_reals():
     cfg = TimerConfig(T=1, epsilon=1.0, b=1, f=1, s=4)
     cache = filled_cache(6, 2)
     view = MaterializedView()
-    cache, report = flush_step(1, cfg, cache, view)
+    cache, report = flush(1, cfg, cache, view)
     assert view.real_rows() == 4
     assert report.real_lost == 2
 

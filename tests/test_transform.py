@@ -4,8 +4,9 @@ import pytest
 from dpviewsim.obliv import SecureCache, SecureTuple, SeqCounter
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover
-from dpviewsim.transform import (BudgetLedger, ChargePolicy, OperatorKind,
-                                 TransformState, TruncationConfig,
+from dpviewsim.transcript import Transcript, TranscriptKind
+from dpviewsim.transform import (BudgetLedger, ChargePolicy, InvocationCaps,
+                                 OperatorKind, TransformState, TruncationConfig,
                                  expected_output_size, trans_truncate_filter,
                                  trans_truncate_nlj, trans_truncate_smj,
                                  transform_init, transform_step, _merge_key)
@@ -17,6 +18,29 @@ def rec(seq, key, flag=1):
 
 def pad(seq):
     return SecureTuple(key=0, attrs=(0,), is_view=False, seq=seq)
+
+
+# Seq stamps minted by the transforms start past every input seq.
+FRESH = 1 << 20
+
+
+def budgets(tables, b, omega):
+    """Invocation caps over a fresh ledger holding budget b per real record."""
+    ledger = BudgetLedger()
+    for table in tables:
+        for tup in table:
+            if tup.is_view:
+                ledger.register(tup.seq, b)
+    return InvocationCaps(ledger, omega)
+
+
+def filt(batch, predicate):
+    return trans_truncate_filter(batch, predicate, SeqCounter(FRESH), 0)
+
+
+def nlj(t1, t2, b, counter=None):
+    return trans_truncate_nlj(t1, t2, b, budgets((t1, t2), b, b), SeqCounter(FRESH),
+                              0, [0] if counter is None else counter)
 
 
 # ---------------------------------------------------------------------------
@@ -68,14 +92,14 @@ def real_pairs(output):
 
 def test_filter_all_true():
     batch = [rec(i, key=i) for i in range(5)]
-    out = trans_truncate_filter(batch, lambda t: True)
+    out = filt(batch, lambda t: True)
     assert len(out) == 5
     assert all(r.is_view for r in out)
 
 
 def test_filter_all_false():
     batch = [rec(i, key=i) for i in range(5)]
-    out = trans_truncate_filter(batch, lambda t: False)
+    out = filt(batch, lambda t: False)
     assert len(out) == 5
     assert not any(r.is_view for r in out)
 
@@ -87,7 +111,7 @@ def test_filter_matches_plaintext_selectivity():
     batch += [pad(100 + i) for i in range(10)]
     pred = lambda t: t.attrs[0] == 1
     expected = sum(1 for t in batch if t.is_view and pred(t))  # oracle
-    out = trans_truncate_filter(batch, pred)
+    out = filt(batch, pred)
     assert len(out) == len(batch)
     assert sum(r.is_view for r in out) == expected
     # input dummies never become view rows
@@ -97,7 +121,7 @@ def test_filter_matches_plaintext_selectivity():
 
 def test_filter_keeps_payload():
     batch = [rec(3, key=9, flag=7)]
-    out = trans_truncate_filter(batch, lambda t: True)
+    out = filt(batch, lambda t: True)
     assert out[0].key == 9 and out[0].attrs == (7,)
     assert out[0].sources == (3,)
 
@@ -105,9 +129,9 @@ def test_filter_keeps_payload():
 # ---------------------------------------------------------------------------
 # Sort-merge join.
 
-def smj(t1, t2, omega, b=None):
-    cfg = TruncationConfig(omega, b if b is not None else omega * 8)
-    return trans_truncate_smj(t1, t2, cfg, BudgetLedger())
+def smj(t1, t2, omega, counter=None):
+    return trans_truncate_smj(t1, t2, omega, budgets((t1, t2), omega * 8, omega),
+                              SeqCounter(FRESH), 0, [0] if counter is None else counter)
 
 
 def test_smj_worked_example():
@@ -157,27 +181,25 @@ def test_smj_respects_ledger_budget():
     # when omega allows more.
     t1 = [rec(0, key=1)]
     t2 = [rec(1, key=1), rec(2, key=1)]
-    cfg = TruncationConfig(2, 4)
     ledger = BudgetLedger()
-    ledger.register(0, 4)
+    for rid in (0, 1, 2):
+        ledger.register(rid, 4)
     ledger.charge(0, 3)  # one unit left
-    out = trans_truncate_smj(t1, t2, cfg, ledger)
+    out = trans_truncate_smj(t1, t2, 2, InvocationCaps(ledger, 2), SeqCounter(FRESH),
+                             0, [0])
     assert real_pairs(out) == [(0, 1)]
 
 
 def test_smj_output_size_data_independent():
-    caps = [0]
     t1a = [rec(i, key=1) for i in range(4)]
     t2a = [rec(10 + i, key=1) for i in range(4)]
     t1b = [rec(i, key=i) for i in range(4)]
     t2b = [rec(10 + i, key=50 + i) for i in range(4)]
     ca, cb = [0], [0]
-    outa = trans_truncate_smj(t1a, t2a, TruncationConfig(2, 8), BudgetLedger(),
-                              compare_counter=ca)
-    outb = trans_truncate_smj(t1b, t2b, TruncationConfig(2, 8), BudgetLedger(),
-                              compare_counter=cb)
+    outa = smj(t1a, t2a, 2, ca)
+    outb = smj(t1b, t2b, 2, cb)
     assert len(outa) == len(outb) == 16
-    assert ca[0] == cb[0]
+    assert ca[0] == cb[0] == 24  # one network over the 8 merged records
 
 
 def test_merge_key_top_of_range_keeps_field_order():
@@ -207,25 +229,29 @@ def test_nlj_hand_trace():
     # until the outer's budget is gone; the per-outer cut keeps 2 slots.
     t1 = [rec(0, key=7)]
     t2 = [rec(i + 1, key=7) for i in range(4)]
-    out = trans_truncate_nlj(t1, t2, b=2)
+    counter = [0]
+    out = nlj(t1, t2, b=2, counter=counter)
     assert len(out) == 1 * 2
     assert real_pairs(out) == [(0, 1), (0, 2)]
+    assert counter[0] == 6  # one network over the outer's 4 probes
 
 
 def test_nlj_large_bound_equals_brute_force():
     rng = np.random.default_rng(19)
     t1 = [rec(i, key=int(rng.integers(1, 4))) for i in range(6)]
     t2 = [rec(100 + i, key=int(rng.integers(1, 4))) for i in range(6)]
-    out = trans_truncate_nlj(t1, t2, b=50)
+    out = nlj(t1, t2, b=50)
     assert sorted(real_pairs(out)) == sorted(brute_force_pairs(t1, t2))
     assert len(out) == 6 * 50
 
 
 def test_nlj_empty_inner_all_dummy():
     t1 = [rec(i, key=1) for i in range(3)]
-    out = trans_truncate_nlj(t1, [], b=2)
+    counter = [0]
+    out = nlj(t1, [], b=2, counter=counter)
     assert len(out) == 6
     assert not any(r.is_view for r in out)
+    assert counter[0] == 0  # no probes, so no row sorts
 
 
 def test_nlj_consumes_both_sides():
@@ -233,7 +259,7 @@ def test_nlj_consumes_both_sides():
     # by the first outer.
     t1 = [rec(0, key=1), rec(1, key=1)]
     t2 = [rec(2, key=1)]
-    out = trans_truncate_nlj(t1, t2, b=1)
+    out = nlj(t1, t2, b=1)
     assert real_pairs(out) == [(0, 2)]
     assert len(out) == 2
 
@@ -283,12 +309,12 @@ def test_nlj_single_deletion_stability(omega):
     rng = np.random.default_rng(200 + omega)
     for _ in range(40):
         t1, t2 = _instance(rng, omega)
-        base = set(real_pairs(trans_truncate_nlj(t1, t2, omega)))
+        base = set(real_pairs(nlj(t1, t2, omega)))
         for side, table in ((0, t1), (1, t2)):
             for i in range(len(table)):
                 d1 = t1[:i] + t1[i + 1:] if side == 0 else t1
                 d2 = t2[:i] + t2[i + 1:] if side == 1 else t2
-                dropped = set(real_pairs(trans_truncate_nlj(d1, d2, omega)))
+                dropped = set(real_pairs(nlj(d1, d2, omega)))
                 assert len(base ^ dropped) <= omega
 
 
@@ -320,6 +346,10 @@ def make_state(operator, omega=1, b=2, policy=ChargePolicy.PER_INVOCATION_OMEGA,
                           predicate=predicate)
 
 
+def step(t, batches, cache, counter, state, rand):
+    return transform_step(t, batches, cache, counter, state, rand, Transcript(), [0])
+
+
 def batchify(recs, c_r, seq0):
     out = list(recs)
     i = 0
@@ -342,7 +372,7 @@ def test_counter_increases_by_real_count():
     cache = SecureCache()
     batch = [rec(0, 1, flag=1), rec(1, 2, flag=1), rec(2, 3, flag=1),
              rec(3, 4, flag=0), pad(4)]
-    cache, counter = transform_step(1, [batch], cache, counter, state, rand)
+    cache, counter = step(1, [batch], cache, counter, state, rand)
     assert recover(counter) == 3
     assert cache.real_count() == 3  # plaintext recount agrees
 
@@ -358,7 +388,7 @@ def test_counter_fidelity_across_steps():
         n_real = int(rng.integers(0, 4))
         batch = batchify([rec(100 * t + i, key=i) for i in range(n_real)], 5,
                          100 * t + 50)
-        cache, counter = transform_step(t, [batch], cache, counter, state, rand)
+        cache, counter = step(t, [batch], cache, counter, state, rand)
         total += n_real
         assert recover(counter) == total == cache.real_count()
 
@@ -376,7 +406,7 @@ def test_retirement_after_budget_exhaustion():
         ([pad(20), pad(21)], [rec(22, key=9), pad(23)]),   # lead retired+evicted
     ]
     for t, (ba, bb) in enumerate(batches, start=1):
-        cache, counter = transform_step(t, [ba, bb], cache, counter, state, rand)
+        cache, counter = step(t, [ba, bb], cache, counter, state, rand)
     assert state.ledger.retired(0)
     joined_with_lead = [row for row in state.produced_rows if 0 in row.sources]
     assert len(joined_with_lead) == 1  # only the step-2 partner
@@ -393,11 +423,11 @@ def test_invocation_count_matches_retention():
     counter = transform_init(rand)
     cache = SecureCache()
     target = rec(0, key=1)
-    cache, counter = transform_step(1, [[target, pad(1)], [pad(2), pad(3)]],
-                                    cache, counter, state, rand)
+    cache, counter = step(1, [[target, pad(1)], [pad(2), pad(3)]],
+                          cache, counter, state, rand)
     remaining = [state.ledger.remaining(0)]
     for t in range(2, 7):
-        cache, counter = transform_step(
+        cache, counter = step(
             t, [[pad(t * 10), pad(t * 10 + 1)], [pad(t * 10 + 2), pad(t * 10 + 3)]],
             cache, counter, state, rand)
         remaining.append(state.ledger.remaining(0))
@@ -413,7 +443,7 @@ def test_per_output_row_policy_charges_per_join():
     cache = SecureCache()
     ba = [rec(0, key=5), pad(1)]
     bb = [rec(2, key=5), pad(3)]
-    cache, counter = transform_step(1, [ba, bb], cache, counter, state, rand)
+    cache, counter = step(1, [ba, bb], cache, counter, state, rand)
     # one join emitted; each side pays one unit, not omega
     assert state.ledger.remaining(0) == 3
     assert state.ledger.remaining(2) == 3
@@ -432,7 +462,7 @@ def test_output_sizes_match_public_formula():
                            for i in range(int(rng.integers(0, 3)))], 3, 1000 * t + 500)
             bb = batchify([rec(2000 * t + i, key=int(rng.integers(1, 4)))
                            for i in range(int(rng.integers(0, 3)))], 3, 2000 * t + 500)
-            cache, counter = transform_step(t, [ba, bb], cache, counter, state, rand)
+            cache, counter = step(t, [ba, bb], cache, counter, state, rand)
             delta_len = len(cache) - prev_len
             prev_len = len(cache)
             assert delta_len == expected_output_size(op, t, 3, state.config)
@@ -450,10 +480,33 @@ def test_lifetime_budget_never_exceeded_small_run():
         for _ in range(2):
             ba.append(rec(seq, key=int(rng.integers(1, 3)))); seq += 1
             bb.append(rec(seq, key=int(rng.integers(1, 3)))); seq += 1
-        cache, counter = transform_step(t, [ba, bb], cache, counter, state, rand)
+        cache, counter = step(t, [ba, bb], cache, counter, state, rand)
     contributions: dict[int, int] = {}
     for row in state.produced_rows:
         for rid in row.sources:
             contributions[rid] = contributions.get(rid, 0) + 1
     assert contributions, "run produced no joins"
     assert max(contributions.values()) <= 4
+
+
+def test_step_records_sizes_shares_and_compares():
+    # Both servers see each step's padded output size and a fresh counter
+    # share; the compare count is that of the two merge networks per step.
+    rand = ServerRandomness(9)
+    state = make_state(OperatorKind.SMJ, omega=1, b=2)
+    counter = transform_init(rand)
+    cache = SecureCache()
+    transcript, compares = Transcript(), [0]
+    ba = [rec(0, key=4), pad(1)]
+    bb = [rec(2, key=4), pad(3)]
+    cache, counter = transform_step(1, [ba, bb], cache, counter, state, rand,
+                                    transcript, compares)
+    assert len(cache) == expected_output_size(OperatorKind.SMJ, 1, 2, state.config)
+    for server in (0, 1):
+        [out] = transcript.by_kind(TranscriptKind.TRANSFORM_OUTPUT, server)
+        assert (out.time, out.size) == (1, len(cache))
+        [share] = transcript.by_kind(TranscriptKind.SHARE_RECEIVED, server)
+        assert share.share_value == counter[server]
+    assert recover(counter) == 1
+    # new1 against old2 + new2 (2 + 2 records), then old1 against new2 (0 + 2).
+    assert compares[0] == 6 + 1
