@@ -1,10 +1,11 @@
 """Deterministic two-server simulator for DP materialized-view maintenance.
 
 Modules:
-    sharing    XOR secret sharing over the 32-bit ring
+    sharing    two-server XOR secret sharing over the 32-bit ring
     dpnoise    joint Laplace noise from server-contributed words
-    obliv      padded secure cache; sorts in the bitonic network's order at
-               its closed-form cost, the network itself as the test oracle
+    obliv      secure cache padded with one shared DUMMY; sorts the reals in
+               the bitonic network's order at the padded network's closed-form
+               cost, the network itself as the test oracle
     transform  truncated view transformation with contribution budgets
     shrink     the timer and above-noisy-threshold sync protocols, flush,
                and the closed-form utility bounds
@@ -14,7 +15,7 @@ Modules:
     cli        command-line front end
 """
 
-from .sharing import SharePair, recover, share, share_in_protocol, share_k
+from .sharing import SharePair, recover, share, share_in_protocol
 
-__all__ = ["SharePair", "share", "recover", "share_in_protocol", "share_k"]
+__all__ = ["SharePair", "share", "recover", "share_in_protocol"]
 __version__ = "0.1.0"

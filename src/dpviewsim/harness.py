@@ -18,7 +18,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .leakage import LogicalStream, StreamRecord
-from .obliv import SecureCache, SecureTuple, SeqCounter, make_dummy
+from .obliv import DUMMY, SecureCache, SecureTuple, SeqCounter
 from .randomness import ServerRandomness
 from .sharing import RING_SIZE
 from .shrink import (AntConfig, FlushReport, MaterializedView, SyncReport,
@@ -109,8 +109,9 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             largest = (8 if ant else 1) * config.b / config.epsilon * math.log((1 << 31) + 1)
         except OverflowError:
             largest = math.inf
-        if not math.isfinite(largest):
-            raise ConfigError(f"noise scale {'8b' if ant else 'b'}/epsilon overflows a float")
+        if not largest < sys.maxsize:  # also rejects inf
+            raise ConfigError(f"noise scale {'8b' if ant else 'b'}/epsilon allows syncs of "
+                              f"{largest:.3g} slots, more than a list can hold")
         if config.f < 1 or config.s < 0:
             raise ConfigError("flush parameters require f >= 1 and s >= 0")
     if config.protocol is Protocol.DP_TIMER and config.T < 1:
@@ -255,8 +256,7 @@ def load_stream(path: str) -> LogicalStream:
 
 def client_batches(stream: LogicalStream, c_r: int, horizon: int,
                    seqs: SeqCounter) -> list[list[SecureTuple]]:
-    """Per-step fixed-size owner batches: real arrivals padded with dummies."""
-    width = len(stream.arrivals[0].attrs) if stream.arrivals else 1
+    """Per-step fixed-size owner batches: real arrivals padded with DUMMY."""
     by_step: dict[int, list[StreamRecord]] = {}
     for rec in stream.arrivals:
         if rec.t <= horizon:
@@ -269,9 +269,7 @@ def client_batches(stream: LogicalStream, c_r: int, horizon: int,
                 f"step {t}: {len(recs)} arrivals exceed owner batch size {c_r}")
         batch = [SecureTuple(key=r.key, attrs=r.attrs, is_view=True,
                              seq=seqs.take(), timestamp=t) for r in recs]
-        while len(batch) < c_r:
-            batch.append(make_dummy(seqs.take(), t, width))
-        batches.append(batch)
+        batches.append(batch + [DUMMY] * (c_r - len(batch)))
     return batches
 
 
@@ -436,7 +434,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     counter = transform_init(rand)
     cache = SecureCache()
     view = MaterializedView()
-    width = sum(len(s.arrivals[0].attrs) if s.arrivals else 1 for s in owners)
 
     timer = config.protocol is Protocol.DP_TIMER
     dp = timer or config.protocol is Protocol.DP_ANT
@@ -484,17 +481,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if dp:
             if timer:
                 counter, cache, report = sdp_timer_step(
-                    t, sync_cfg, counter, cache, view, rand, transcript, seqs,
-                    width, cost)
+                    t, sync_cfg, counter, cache, view, rand, transcript, cost)
             else:
                 counter, threshold, cache, report = sdp_ant_step(
                     t, sync_cfg, counter, threshold, cache, view, rand, transcript,
-                    seqs, width, cost)
+                    cost)
             if report.triggered:
                 result.sync_reports.append(report)
                 cost[0] += report.size
-            cache, flush = flush_step(t, sync_cfg, cache, view, transcript,
-                                      seqs, width, cost)
+            cache, flush = flush_step(t, sync_cfg, cache, view, transcript, cost)
             if flush.flushed:
                 result.flush_reports.append(flush)
                 cost[0] += flush.size

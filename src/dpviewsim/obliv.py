@@ -1,13 +1,16 @@
 """Exhaustively padded secure cache and its oblivious operations.
 
-The cache is an append-only array of real view tuples and dummies, plus an
-int64 column of their sort keys built once, as each entry enters. The protocol
-sorts it with Batcher's bitonic compare-exchange network, so the sequence of
-touched index pairs is a function of the array length alone and leaks nothing
-about the contents. The simulator does not execute the network: it argsorts
-the keys, which gives the network's permutation, and charges the network's
-closed-form compare count. `compare_exchange_pairs` is the network itself, and
-the tests run it as the oracle for both facts. Repeated sort keys raise.
+The cache is an append-only array of real view tuples and padding. Every
+padding slot is a reference to the one immutable `DUMMY`: the servers learn
+only how many slots a batch has, so no output reads a dummy's contents. The
+protocol sorts the cache with Batcher's bitonic compare-exchange network, so
+the sequence of touched index pairs is a function of the array length alone
+and leaks nothing about the contents. The simulator does not execute the
+network: it argsorts the real entries' keys, which gives the network's order
+of the reals (every dummy lands behind every real), and charges the closed-form
+compare count of the whole padded array. `compare_exchange_pairs` is the
+network itself, and the tests run it as the oracle for both facts. Repeated
+sort keys raise.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ import numpy as np
 class SecureTuple:
     """One cache/view slot: payload plus flags.
 
-    is_view marks a real view entry; dummies carry is_view=False. seq is the
-    per-run creation stamp, unique across real rows and minted dummies.
-    sources lists the seq ids of the input records a real row was derived
-    from; simulator bookkeeping only, empty for dummies.
+    is_view marks a real view entry; every other slot is `DUMMY`. seq is the
+    per-run creation stamp of a real row, unique within the run. sources lists
+    the seq ids of the input records a real row was derived from; simulator
+    bookkeeping only.
     """
 
     key: int
@@ -36,8 +39,13 @@ class SecureTuple:
     sources: tuple[int, ...] = ()
 
 
+# The one padding slot. Its seq of -1 belongs to no real row, and the join's
+# packed merge key rejects it, so a dummy that reaches a merge sort raises.
+DUMMY = SecureTuple(key=0, attrs=(), is_view=False, seq=-1)
+
+
 class SeqCounter:
-    """Monotone stamp source for all tuples minted during one simulated run."""
+    """Monotone stamp source for the real rows created during one simulated run."""
 
     def __init__(self, start: int = 0):
         self._next = start
@@ -48,36 +56,22 @@ class SeqCounter:
         return n
 
 
-def make_dummy(seq: int, timestamp: int = 0, width: int = 0) -> SecureTuple:
-    return SecureTuple(key=0, attrs=(0,) * width, is_view=False, seq=seq,
-                       timestamp=timestamp)
-
-
 class SecureCache:
     """Append-only padded array of SecureTuples awaiting synchronization.
 
-    `keys[i]` is `real_first_key(entries[i])`, built once as the entry enters.
-    In a run each class (real, dummy) stays in seq order, so the argsort is a
-    stable partition.
+    Holds the running count of its real entries. In a run the reals stay in
+    seq order, so sorting them is a stable partition.
     """
 
     def __init__(self, entries: list[SecureTuple] | None = None):
         self.entries = [] if entries is None else entries
-        self.keys = np.fromiter(map(real_first_key, self.entries), dtype=np.int64,
-                                count=len(self.entries))
-
-    @classmethod
-    def _derived(cls, entries: list[SecureTuple], keys: np.ndarray) -> SecureCache:
-        # Successor caches of the operations below reuse their keys.
-        cache = cls.__new__(cls)
-        cache.entries, cache.keys = entries, keys
-        return cache
+        self._real = sum(1 for e in self.entries if e.is_view)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def real_count(self) -> int:
-        return int(np.count_nonzero(self.keys < 1 << 48))  # real_first_key's class bit
+        return self._real
 
 
 # ---------------------------------------------------------------------------
@@ -121,81 +115,74 @@ def network_comparison_count(n: int) -> int:
     return (m // 2) * stages * (stages + 1) // 2
 
 
-def network_sort_keys(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """The permutation the network sorts int64 keys into, and its compare count.
+def network_sort_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """The order the network sorts the real keys of an n-slot input into,
+    and its compare count.
 
-    The network pads to a power of two with max-int sentinels; the count is
-    that of the padded network. Keys must be distinct (ValueError otherwise),
-    which makes the network's permutation the unique sorting one.
+    The other n - len(keys) slots are dummies, which the network moves behind
+    every real. It pads to a power of two with max-int sentinels; the count is
+    that of the padded n-slot network. Keys must be distinct (ValueError
+    otherwise), which makes the network's permutation the unique sorting one.
     """
     perm = np.argsort(keys, kind="stable")
     ordered = keys[perm]
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("sort keys must be distinct")
-    return perm, network_comparison_count(len(keys))
+    return perm, network_comparison_count(n)
 
 
-def network_sort(items: list, key_of: Callable, counter: list) -> list:
-    """Sort items by an int64 composite key in the network's output order.
+def network_sort(reals: list, key_of: Callable, n: int, counter: list) -> list:
+    """The real items of an n-slot padded input, in the network's output order.
 
+    The network's output is these reals followed by n - len(reals) dummies.
     key_of maps an item to a non-negative int below 2**62 and must be
-    injective over the input (include a seq component); a repeated key raises
-    ValueError. `counter[0]` accumulates the network's compare-exchange count.
+    injective over the reals; a repeated key raises ValueError.
+    `counter[0]` accumulates the n-slot network's compare-exchange count.
     """
-    n = len(items)
-    if n == 0:
-        return []
-    keys = np.fromiter((key_of(it) for it in items), dtype=np.int64, count=n)
-    perm, comparisons = network_sort_keys(keys)
+    keys = np.fromiter(map(key_of, reals), dtype=np.int64, count=len(reals))
+    perm, comparisons = network_sort_keys(keys, n)
     counter[0] += comparisons
-    return [items[i] for i in perm]
+    return [reals[i] for i in perm]
 
 
 # ---------------------------------------------------------------------------
-# Cache operations.
-
-def real_first_key(t: SecureTuple) -> int:
-    # Real entries first, FIFO within each class.
-    if t.seq >> 48:
-        raise ValueError(f"seq {t.seq} does not fit the cache sort key (seq < 2**48)")
-    return ((0 if t.is_view else 1) << 48) | t.seq
-
+# Cache operations. A real's cache sort key is its seq: real first, FIFO.
 
 def cache_append(cache: SecureCache, batch: list[SecureTuple]) -> SecureCache:
     """Append a padded batch, preserving order of prior entries."""
-    added = SecureCache(list(batch))
-    return SecureCache._derived(cache.entries + added.entries,
-                                np.concatenate((cache.keys, added.keys)))
+    out = SecureCache(batch)  # counts only the batch's reals
+    out.entries = cache.entries + batch
+    out._real += cache._real
+    return out
 
 
 def obli_sort(cache: SecureCache, counter: list) -> SecureCache:
     """Sort real entries ahead of dummies, in the network's output order."""
-    perm, comparisons = network_sort_keys(cache.keys)
-    counter[0] += comparisons
-    entries = cache.entries
-    return SecureCache._derived([entries[i] for i in perm], cache.keys[perm])
+    reals = [e for e in cache.entries if e.is_view]
+    out = SecureCache(network_sort(reals, lambda e: e.seq, len(cache), counter))
+    out.entries += [DUMMY] * (len(cache) - len(reals))
+    return out
 
 
-def cache_read(cache: SecureCache, sz: int, seqs: SeqCounter, timestamp: int,
-               width: int) -> tuple[list[SecureTuple], SecureCache]:
-    """Pop the first sz entries; mint fresh dummies when sz exceeds the cache.
+def cache_read(cache: SecureCache, sz: int) -> tuple[list[SecureTuple], SecureCache]:
+    """Pop the first sz entries, topped up with DUMMY when sz exceeds the cache.
 
-    Callers sort first so real data is fetched ahead of dummies. Minted
-    dummies take seq stamps from the run's counter `seqs`.
+    Callers sort first so real data is fetched ahead of dummies.
     """
     if sz < 0:
         raise ValueError(f"read size must be non-negative, got {sz}")
     entries = cache.entries
-    if sz <= len(entries):
-        return entries[:sz], SecureCache._derived(entries[sz:], cache.keys[sz:])
-    fetched = list(entries)
-    for _ in range(sz - len(entries)):
-        fetched.append(make_dummy(seqs.take(), timestamp, width))
-    return fetched, SecureCache()
+    if sz >= len(entries):
+        return entries + [DUMMY] * (sz - len(entries)), SecureCache()
+    fetched = entries[:sz]
+    rest = SecureCache()
+    rest.entries = entries[sz:]
+    rest._real = cache._real - sum(1 for e in fetched if e.is_view)
+    return fetched, rest
 
 
-def cache_flush(cache: SecureCache, s: int, seqs: SeqCounter, timestamp: int,
-                width: int, counter: list) -> tuple[list[SecureTuple], SecureCache]:
+def cache_flush(cache: SecureCache, s: int,
+                counter: list) -> tuple[list[SecureTuple], SecureCache]:
     """Sort, fetch s entries for the view, and recycle the remainder."""
-    fetched, _ = cache_read(obli_sort(cache, counter), s, seqs, timestamp, width)
+    fetched, _ = cache_read(obli_sort(cache, counter), s)
     return fetched, SecureCache()

@@ -17,10 +17,6 @@ class RandomnessReuse(RuntimeError):
     """A (z0, z1) contribution pair was consumed twice within one protocol run."""
 
 
-class InsufficientRandomness(ValueError):
-    """A party supplied fewer random words than the sharing requires."""
-
-
 def check_word(x: int, name: str = "value") -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError(f"{name} must be an int, got {type(x).__name__}")
@@ -66,40 +62,3 @@ def share_in_protocol(x: int, z0: int, z1: int, seen: set | None = None) -> Shar
         seen.add(pair)
     s0 = z0 ^ z1
     return SharePair(s0, s0 ^ x)
-
-
-def share_k(x: int, contributions: list[list[int]]) -> list[int]:
-    """k-out-of-k sharing from per-party random word lists.
-
-    Each of the k parties contributes k-1 random words. Share j (j < k) is the
-    XOR of every party's j-th word; the last share folds in x so that the XOR
-    of all k shares recovers it.
-    """
-    check_word(x, "x")
-    k = len(contributions)
-    if k < 2:
-        raise ValueError(f"need at least 2 parties, got {k}")
-    for i, words in enumerate(contributions):
-        if len(words) < k - 1:
-            raise InsufficientRandomness(
-                f"party {i} contributed {len(words)} words, need {k - 1}"
-            )
-        for w in words[: k - 1]:
-            check_word(w, f"party {i} word")
-
-    z = [0] * (k - 1)
-    for j in range(k - 1):
-        for words in contributions:
-            z[j] ^= words[j]
-    last = x
-    for zj in z:
-        last ^= zj
-    return z + [last]
-
-
-def recover_k(shares: list[int]) -> int:
-    """XOR all k shares back together."""
-    out = 0
-    for s in shares:
-        out ^= check_word(s)
-    return out

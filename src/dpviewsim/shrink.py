@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .dpnoise import NoiseScale
-from .obliv import SecureCache, SecureTuple, SeqCounter, cache_flush, cache_read, obli_sort
+from .obliv import SecureCache, SecureTuple, cache_flush, cache_read, obli_sort
 from .sharing import SharePair, recover, share_in_protocol
 from .transform import CounterShares
 from .transcript import Transcript, TranscriptKind
@@ -144,7 +144,7 @@ class SyncReport(NamedTuple):
 
 def sdp_timer_step(t: int, config: TimerConfig, counter: CounterShares,
                    cache: SecureCache, view: MaterializedView, rand,
-                   transcript: Transcript, seqs: SeqCounter, width: int,
+                   transcript: Transcript,
                    compare_counter: list) -> tuple[CounterShares, SecureCache, SyncReport]:
     """Sync a DP-sized batch every T steps; no-op otherwise."""
     if t % config.T != 0:
@@ -154,7 +154,7 @@ def sdp_timer_step(t: int, config: TimerConfig, counter: CounterShares,
     pre = c + noise
     sz = clamp_round(pre)
     cache = obli_sort(cache, compare_counter)
-    fetched, cache = cache_read(cache, sz, seqs, t, width)
+    fetched, cache = cache_read(cache, sz)
     view.append_batch(fetched, t)
     counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
     for server in (0, 1):
@@ -174,7 +174,7 @@ def sdp_ant_init(config: AntConfig, rand) -> ThresholdShares:
 def sdp_ant_step(t: int, config: AntConfig, counter: CounterShares,
                  threshold: ThresholdShares, cache: SecureCache,
                  view: MaterializedView, rand, transcript: Transcript,
-                 seqs: SeqCounter, width: int, compare_counter: list
+                 compare_counter: list
                  ) -> tuple[CounterShares, ThresholdShares, SecureCache, SyncReport]:
     """Noisy-count vs noisy-threshold check; sync and refresh on a trigger."""
     th_scale, check_scale, out_scale = ant_scales(config.b, config.epsilon)
@@ -189,7 +189,7 @@ def sdp_ant_step(t: int, config: AntConfig, counter: CounterShares,
     pre = c + rand.joint_laplace(out_scale)
     sz = clamp_round(pre)
     cache = obli_sort(cache, compare_counter)
-    fetched, cache = cache_read(cache, sz, seqs, t, width)
+    fetched, cache = cache_read(cache, sz)
     view.append_batch(fetched, t)
     new_noisy = config.theta + rand.joint_laplace(th_scale)
     threshold = share_real(new_noisy, rand, seen=rand.seen_pairs)
@@ -213,13 +213,13 @@ class FlushReport(NamedTuple):
 
 
 def flush_step(t: int, config, cache: SecureCache, view: MaterializedView,
-               transcript: Transcript, seqs: SeqCounter, width: int,
+               transcript: Transcript,
                compare_counter: list) -> tuple[SecureCache, FlushReport]:
     """Every f steps: sort, move s entries to the view, recycle the rest."""
     if t % config.f != 0:
         return cache, FlushReport(t, False)
     real_before = cache.real_count() + view.real_rows()
-    fetched, cache = cache_flush(cache, config.s, seqs, t, width, compare_counter)
+    fetched, cache = cache_flush(cache, config.s, compare_counter)
     view.append_batch(fetched, t)
     for server in (0, 1):
         transcript.add(t, server, TranscriptKind.FLUSH_BATCH, config.s)

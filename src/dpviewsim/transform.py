@@ -13,8 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .obliv import (SecureCache, SecureTuple, SeqCounter, cache_append, make_dummy,
-                    network_sort, real_first_key)
+from .obliv import DUMMY, SecureCache, SecureTuple, SeqCounter, cache_append, network_sort
 from .randomness import ServerRandomness
 from .sharing import RING_MASK, SharePair, recover, share_in_protocol
 from .transcript import Transcript, TranscriptKind
@@ -99,26 +98,16 @@ def _join_tuple(a: SecureTuple, b: SecureTuple, seqs: SeqCounter, timestamp: int
                        sources=(a.seq, b.seq))
 
 
-def _join_width(t1: list[SecureTuple], t2: list[SecureTuple]) -> int:
-    w1 = len(t1[0].attrs) if t1 else 0
-    w2 = len(t2[0].attrs) if t2 else 0
-    return w1 + w2
-
-
 def trans_truncate_filter(batch: list[SecureTuple],
                           predicate: Callable[[SecureTuple], bool],
                           seqs: SeqCounter, timestamp: int) -> list[SecureTuple]:
-    """Oblivious selection: same length out, isView set iff the predicate holds.
+    """Oblivious selection: same length out, a view row iff the predicate holds.
 
-    Input dummies stay dummies; payloads pass through unchanged.
+    Kept rows carry their payload; every other slot is DUMMY.
     """
-    out = []
-    for tup in batch:
-        keep = tup.is_view and bool(predicate(tup))
-        out.append(SecureTuple(key=tup.key, attrs=tup.attrs, is_view=keep,
-                               seq=seqs.take(), timestamp=timestamp,
-                               sources=(tup.seq,) if keep else ()))
-    return out
+    return [SecureTuple(key=tup.key, attrs=tup.attrs, is_view=True, seq=seqs.take(),
+                        timestamp=timestamp, sources=(tup.seq,))
+            if tup.is_view and predicate(tup) else DUMMY for tup in batch]
 
 
 def _merge_key(origin: int, t: SecureTuple) -> int:
@@ -135,39 +124,38 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
     """Truncated oblivious sort-merge join.
 
     The tables are merged and network-sorted on (join key, origin, seq); ties
-    put t1 records first. The linear scan emits, for every accessed tuple,
-    exactly omega output slots: real joins with previously scanned partners
-    while both sides hold contribution slots, dummies for the rest. `caps`
-    holds each record's slots this invocation, min(omega, remaining ledger
-    budget), so joins of an exhausted or unregistered record are discarded.
+    put t1 records first and input dummies last. The linear scan emits, for
+    every accessed tuple, exactly omega output slots: real joins with
+    previously scanned partners while both sides hold contribution slots,
+    dummies for the rest. `caps` holds each record's slots this invocation,
+    min(omega, remaining ledger budget), so joins of an exhausted or
+    unregistered record are discarded.
     """
-    width = _join_width(t1, t2)
-
-    tagged = [(0, t) for t in t1] + [(1, t) for t in t2]
-    merged = network_sort(tagged, lambda it: _merge_key(*it), compare_counter)
+    tagged = [(0, t) for t in t1 if t.is_view] + [(1, t) for t in t2 if t.is_view]
+    merged = network_sort(tagged, lambda it: _merge_key(*it), len(t1) + len(t2),
+                          compare_counter)
 
     out: list[SecureTuple] = []
     group_key = None
     seen: tuple[list, list] = ([], [])
     for origin, tup in merged:
         emitted: list[SecureTuple] = []
-        if tup.is_view:
-            if tup.key != group_key:
-                group_key = tup.key
-                seen = ([], [])
-            for p in seen[1 - origin]:
-                if len(emitted) == omega or caps.remaining(tup.seq) <= 0:
-                    break
-                if caps.remaining(p.seq) <= 0:
-                    continue
-                caps.consume(tup.seq)
-                caps.consume(p.seq)
-                a, b = (tup, p) if origin == 0 else (p, tup)
-                emitted.append(_join_tuple(a, b, seqs, timestamp))
-            seen[origin].append(tup)
-        out.extend(emitted)
-        for _ in range(omega - len(emitted)):
-            out.append(make_dummy(seqs.take(), timestamp, width))
+        if tup.key != group_key:
+            group_key = tup.key
+            seen = ([], [])
+        for p in seen[1 - origin]:
+            if len(emitted) == omega or caps.remaining(tup.seq) <= 0:
+                break
+            if caps.remaining(p.seq) <= 0:
+                continue
+            caps.consume(tup.seq)
+            caps.consume(p.seq)
+            a, b = (tup, p) if origin == 0 else (p, tup)
+            emitted.append(_join_tuple(a, b, seqs, timestamp))
+        seen[origin].append(tup)
+        out += emitted
+        out += [DUMMY] * (omega - len(emitted))
+    out += [DUMMY] * (omega * (len(t1) + len(t2) - len(merged)))
     return out
 
 
@@ -178,27 +166,23 @@ def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], b: int,
 
     Every (outer, inner) probe either emits a real join (keys match and both
     records hold budget, one unit consumed from each) or a dummy. Each
-    per-outer intermediate is network-sorted real-first and cut to b slots.
+    per-outer intermediate of len(t2) slots is network-sorted real-first and
+    cut to b slots.
     """
     if b < 1:
         raise ValueError(f"per-outer bound must be positive, got {b}")
-    width = _join_width(t1, t2)
-
     out: list[SecureTuple] = []
     for u in t1:
         row: list[SecureTuple] = []
-        for v in t2:
-            if u.is_view and v.is_view and u.key == v.key \
+        for v in t2 if u.is_view else ():
+            if v.is_view and u.key == v.key \
                     and caps.remaining(u.seq) > 0 and caps.remaining(v.seq) > 0:
                 caps.consume(u.seq)
                 caps.consume(v.seq)
                 row.append(_join_tuple(u, v, seqs, timestamp))
-            else:
-                row.append(make_dummy(seqs.take(), timestamp, width))
-        kept = network_sort(row, real_first_key, compare_counter)[:b]
-        out.extend(kept)
-        for _ in range(b - len(kept)):
-            out.append(make_dummy(seqs.take(), timestamp, width))
+        kept = network_sort(row, lambda t: t.seq, len(t2), compare_counter)[:b]
+        out += kept
+        out += [DUMMY] * (b - len(kept))
     return out
 
 

@@ -39,6 +39,22 @@ def test_overflowing_noise_scale_exits_2(protocol, capsys):
     assert "noise scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("protocol", ["DPTimer", "DPANT"])
+def test_sync_size_past_list_capacity_exits_2(protocol, capsys):
+    # b/epsilon is finite here, but a sync could ask for ~1e301 padded slots.
+    assert main(["--protocol", protocol, "--operator", "Filter", "--horizon", "20",
+                 "--epsilon", "1e-300"]) == EXIT_CONFIG
+    assert "noise scale" in capsys.readouterr().err
+
+
+def test_small_epsilon_finishes(tmp_path):
+    # Syncs of about 1e7 padded slots: each is a list of references to DUMMY.
+    out = tmp_path / "m.jsonl"
+    assert main(["--protocol", "DPTimer", "--operator", "Filter", "--horizon", "20",
+                 "--epsilon", "1e-6", "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 20
+
+
 @pytest.mark.parametrize("protocol", ["DPTimer", "EP"])
 def test_overflowing_retention_exits_2(protocol, capsys):
     # ceil(b / omega) sizes the join's retention window, which must fit an index.

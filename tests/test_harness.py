@@ -10,9 +10,8 @@ from dpviewsim.harness import (CapacityExceeded, ConfigError, ExperimentConfig,
                                read_metrics, run_experiment, run_trials,
                                synth_stream, true_count, validate_config)
 from dpviewsim.leakage import LogicalStream, StreamRecord
-from dpviewsim.obliv import SeqCounter, make_dummy
+from dpviewsim.obliv import DUMMY, SeqCounter
 from dpviewsim.shrink import MaterializedView
-from dpviewsim.transcript import TranscriptKind
 from dpviewsim.transform import OperatorKind
 
 
@@ -80,8 +79,7 @@ def test_client_batches_pads_to_capacity():
     assert sum(t.is_view for t in batches[0]) == 0  # 0 arrivals -> all dummies
     assert sum(t.is_view for t in batches[1]) == 3  # 3 real + 2 dummy
     assert sum(t.is_view for t in batches[2]) == 0
-    # Padding is the step's dummy at the stream's width, stamped in order.
-    assert batches[1][3:] == [make_dummy(8, 2, 1), make_dummy(9, 2, 1)]
+    assert batches[1][3:] == [DUMMY, DUMMY]
 
 
 def test_client_batches_capacity_exceeded():
@@ -91,11 +89,12 @@ def test_client_batches_capacity_exceeded():
 
 
 def test_client_batches_unique_seqs():
-    s = make_stream([1, 2, 3])
+    s = make_stream([1, 2, 2, 3])
     batches = client_batches(s, c_r=4, horizon=3, seqs=SeqCounter(100))
-    seqs = [t.seq for b in batches for t in b]
-    assert len(seqs) == len(set(seqs)) == 12
-    assert min(seqs) == 100
+    rows = [t for b in batches for t in b]
+    assert [(t.seq, t.timestamp) for t in rows if t.is_view] == [
+        (100, 1), (101, 2), (102, 2), (103, 3)]
+    assert all(t is DUMMY for t in rows if not t.is_view) and len(rows) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -282,28 +281,6 @@ def test_run_trials_merged_by_index():
 
 def test_query_count_empty_view():
     assert query_count(MaterializedView()) == 0
-
-
-def test_cache_sort_keys_are_built_once_per_entry(monkeypatch):
-    # Each entry's cache key is built when it enters the cache, never again
-    # at a sync or flush. SMJ row sorts use their own key, so every call
-    # counted here comes from the cache.
-    from dpviewsim import obliv
-    calls = [0]
-    original = obliv.real_first_key
-
-    def counting(t):
-        calls[0] += 1
-        return original(t)
-
-    monkeypatch.setattr(obliv, "real_first_key", counting)
-    cfg = ExperimentConfig(protocol=Protocol.DP_TIMER, operator=OperatorKind.SMJ,
-                           horizon=60, T=5, f=20, s=5, seed=4)
-    res = run_experiment(cfg)
-    appended = sum(e.size for e in res.transcript.events
-                   if e.kind is TranscriptKind.TRANSFORM_OUTPUT and e.server == 0)
-    assert len(res.sync_reports) == 12 and len(res.flush_reports) == 3
-    assert calls[0] == appended > 0
 
 
 def test_true_count_brute_force_filter():

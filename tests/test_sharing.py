@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from dpviewsim.sharing import (InsufficientRandomness, RandomnessReuse,
-                               SharePair, recover, recover_k, share,
-                               share_in_protocol, share_k)
+from dpviewsim.sharing import (RandomnessReuse, SharePair, recover, share,
+                               share_in_protocol)
 
 
 def test_share_zero_case():
@@ -65,34 +64,6 @@ def test_share_in_protocol_reuse_detected():
         share_in_protocol(2, 10, 20, seen=seen)
 
 
-def test_share_k_degenerates_to_in_protocol():
-    x, z0, z1 = 0xCAFE, 0x1234, 0x9999
-    shares = share_k(x, [[z0], [z1]])
-    pair = share_in_protocol(x, z0, z1)
-    assert shares == [pair.s0, pair.s1]
-
-
-def test_share_k_zero_randomness():
-    assert share_k(7, [[0, 0], [0, 0], [0, 0]]) == [0, 0, 7]
-
-
-def test_share_k_recovers():
-    rng = np.random.default_rng(23)
-    for _ in range(1000):
-        k = int(rng.integers(2, 5))
-        x = int(rng.integers(1 << 32))
-        contributions = [[int(rng.integers(1 << 32)) for _ in range(k - 1)]
-                         for _ in range(k)]
-        shares = share_k(x, contributions)
-        assert len(shares) == k
-        assert recover_k(shares) == x
-
-
-def test_share_k_insufficient_randomness():
-    with pytest.raises(InsufficientRandomness):
-        share_k(1, [[1, 2], [3], [4, 5]])
-
-
 def test_uniform_marginals():
     # With uniform randomness each share's bits are unbiased.
     rng = np.random.default_rng(41)
@@ -107,28 +78,21 @@ def test_uniform_marginals():
 
 
 def test_strict_subsets_indistinguishable():
-    # XOR of any strict share subset cannot separate two fixed messages.
-    # Fixed seed: six comparisons at significance 0.01 would otherwise flag
-    # a null-true run about once in sixteen suites.
+    # Either share of a protocol sharing alone cannot separate two fixed
+    # messages. Fixed seed: two comparisons at significance 0.01 would
+    # otherwise flag a null-true run about once in fifty suites.
     rng = np.random.default_rng(61)
-    k = 3
     msg_a, msg_b = 0, 0xFFFFFFFF
     trials = 10_000
-    subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
-    samples = {m: {sub: [] for sub in subsets} for m in (msg_a, msg_b)}
+    samples = {m: ([], []) for m in (msg_a, msg_b)}
     for _ in range(trials):
         for m in (msg_a, msg_b):
-            # fresh randomness per sharing, as in a real run
-            contributions = [[int(rng.integers(1 << 32)) for _ in range(k - 1)]
-                             for _ in range(k)]
-            shares = share_k(m, contributions)
-            for sub in subsets:
-                acc = 0
-                for i in sub:
-                    acc ^= shares[i]
-                samples[m][sub].append(acc & 0xF)  # low nibble, 16 bins
-    for sub in subsets:
-        counts_a = np.bincount(samples[msg_a][sub], minlength=16)
-        counts_b = np.bincount(samples[msg_b][sub], minlength=16)
+            # fresh server contributions per sharing, as in a real run
+            z0, z1 = (int(rng.integers(1 << 32)) for _ in range(2))
+            for server, value in enumerate(share_in_protocol(m, z0, z1)):
+                samples[m][server].append(value & 0xF)  # low nibble, 16 bins
+    for server in (0, 1):
+        counts_a = np.bincount(samples[msg_a][server], minlength=16)
+        counts_b = np.bincount(samples[msg_b][server], minlength=16)
         _, p, _, _ = chi2_contingency(np.vstack([counts_a, counts_b]))
-        assert p > 0.01, f"subset {sub} distinguishable (p={p})"
+        assert p > 0.01, f"share {server} distinguishable (p={p})"

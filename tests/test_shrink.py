@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from dpviewsim.obliv import (SecureCache, SecureTuple, SeqCounter, make_dummy,
-                             network_comparison_count)
+from dpviewsim.obliv import DUMMY, SecureCache, SecureTuple, network_comparison_count
 from dpviewsim.randomness import ScriptedNoise, ServerRandomness
 from dpviewsim.sharing import recover, share_in_protocol
 from dpviewsim.shrink import (AntConfig, BoundPreconditionError, MaterializedView,
@@ -40,26 +39,19 @@ def counter_of(value, rand):
 
 def filled_cache(n_real, n_dummy):
     rows = [real_row(i) for i in range(n_real)]
-    rows += [make_dummy(1000 + i, width=1) for i in range(n_dummy)]
-    return SecureCache(rows)
-
-
-# Dummies minted by syncs and flushes take stamps past every cached seq.
-FRESH = 50_000
+    return SecureCache(rows + [DUMMY] * n_dummy)
 
 
 def timer_step(t, cfg, counter, cache, view, rand):
-    return sdp_timer_step(t, cfg, counter, cache, view, rand, Transcript(),
-                          SeqCounter(FRESH), 1, [0])
+    return sdp_timer_step(t, cfg, counter, cache, view, rand, Transcript(), [0])
 
 
 def ant_step(t, cfg, counter, threshold, cache, view, rand):
-    return sdp_ant_step(t, cfg, counter, threshold, cache, view, rand, Transcript(),
-                        SeqCounter(FRESH), 1, [0])
+    return sdp_ant_step(t, cfg, counter, threshold, cache, view, rand, Transcript(), [0])
 
 
 def flush(t, cfg, cache, view):
-    return flush_step(t, cfg, cache, view, Transcript(), SeqCounter(FRESH), 1, [0])
+    return flush_step(t, cfg, cache, view, Transcript(), [0])
 
 
 def sizes(transcript, kind):
@@ -77,7 +69,7 @@ def test_timer_noop_off_schedule():
     view = MaterializedView()
     transcript, compares = Transcript(), [0]
     c2, cache2, report = sdp_timer_step(7, cfg, counter, cache, view, rand,
-                                        transcript, SeqCounter(FRESH), 1, compares)
+                                        transcript, compares)
     assert not report.triggered
     assert c2 == counter and cache2 is cache
     assert view.total_rows() == 0 and len(transcript) == 0
@@ -93,7 +85,7 @@ def test_timer_pinned_positive_size():
     view = MaterializedView()
     transcript, compares = Transcript(), [0]
     counter, cache, report = sdp_timer_step(10, cfg, counter, cache, view, rand,
-                                            transcript, SeqCounter(FRESH), 1, compares)
+                                            transcript, compares)
     assert report.triggered
     assert report.pre_clamp == pytest.approx(25.8)
     assert report.size == 26
@@ -134,8 +126,7 @@ def test_timer_tops_up_with_dummies():
     assert view.total_rows() == 6
     assert view.real_rows() == 2
     assert len(cache) == 0
-    # The four top-up dummies take the run counter's stamps, the step and the width.
-    assert view.rows[2:] == [make_dummy(FRESH + i, 1, 1) for i in range(4)]
+    assert all(row is DUMMY for row in view.rows[2:])  # four top-up dummies
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +156,7 @@ def test_ant_trigger_trace():
     view = MaterializedView()
     transcript, compares = Transcript(), [0]
     counter, threshold, cache, report = sdp_ant_step(
-        1, cfg, counter, threshold, cache, view, rand, transcript, SeqCounter(FRESH),
-        1, compares)
+        1, cfg, counter, threshold, cache, view, rand, transcript, compares)
     assert report.triggered
     assert report.pre_clamp == pytest.approx(34.8)
     assert report.size == 35
@@ -194,8 +184,7 @@ def test_ant_below_threshold_no_trigger():
     view = MaterializedView()
     transcript, compares = Transcript(), [0]
     c2, th2, cache2, report = sdp_ant_step(
-        1, cfg, counter, threshold, cache, view, rand, transcript, SeqCounter(FRESH),
-        1, compares)
+        1, cfg, counter, threshold, cache, view, rand, transcript, compares)
     assert not report.triggered
     # Every step shows both servers a check, even one that does not sync.
     assert sizes(transcript, TranscriptKind.COMPARE_CHECK) == [(1, 0, 0), (1, 1, 0)]
@@ -258,8 +247,7 @@ def test_flush_on_schedule_paper_defaults():
     cache = filled_cache(3, 30)
     view = MaterializedView()
     transcript, compares = Transcript(), [0]
-    cache, report = flush_step(2000, cfg, cache, view, transcript, SeqCounter(FRESH),
-                               1, compares)
+    cache, report = flush_step(2000, cfg, cache, view, transcript, compares)
     assert sizes(transcript, TranscriptKind.FLUSH_BATCH) == [(2000, 0, 15), (2000, 1, 15)]
     assert compares == [network_comparison_count(33)]
     assert report.flushed and report.size == 15
@@ -356,7 +344,7 @@ def test_randomness_reuse_guard_active():
 
 
 def test_view_built_with_rows_counts_them():
-    view = MaterializedView(rows=[real_row(0), make_dummy(1), real_row(2)])
+    view = MaterializedView(rows=[real_row(0), DUMMY, real_row(2)])
     assert view.real_rows() == 2
-    view.append_batch([make_dummy(3), real_row(4)], t=1)
+    view.append_batch([DUMMY, real_row(4)], t=1)
     assert view.real_rows() == 3 and view.total_rows() == 5

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dpviewsim.obliv import SecureCache, SecureTuple, SeqCounter
+from dpviewsim.obliv import (DUMMY, SecureCache, SecureTuple, SeqCounter,
+                             network_comparison_count)
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover
 from dpviewsim.transcript import Transcript, TranscriptKind
@@ -221,6 +222,19 @@ def test_merge_key_rejects_fields_outside_their_bits(seq, key):
         smj([rec(seq, key=key)], [rec(5, key=1)], omega=1)
 
 
+def test_smj_pads_with_the_shared_dummy_after_the_reals():
+    # Each real's omega slots follow it in merge order; then omega slots for
+    # each input dummy. The sort is charged for all four input slots.
+    t1 = [rec(0, key=1), DUMMY]
+    t2 = [DUMMY, rec(1, key=1)]
+    counter = [0]
+    out = smj(t1, t2, omega=2, counter=counter)
+    assert out[0] is DUMMY and out[1] is DUMMY  # rec 0: no earlier partner
+    assert out[2].sources == (0, 1) and out[3] is DUMMY
+    assert out[4:] == [DUMMY] * 4
+    assert counter[0] == network_comparison_count(4)
+
+
 # ---------------------------------------------------------------------------
 # Nested-loop join.
 
@@ -252,6 +266,15 @@ def test_nlj_empty_inner_all_dummy():
     assert len(out) == 6
     assert not any(r.is_view for r in out)
     assert counter[0] == 0  # no probes, so no row sorts
+
+
+def test_nlj_dummy_outer_pads_and_still_sorts_its_row():
+    t2 = [rec(1, key=1), DUMMY, rec(2, key=1)]
+    counter = [0]
+    out = nlj([DUMMY, rec(0, key=1)], t2, b=2, counter=counter)
+    assert out[:2] == [DUMMY, DUMMY]
+    assert real_pairs(out[2:]) == [(0, 1), (0, 2)]
+    assert counter[0] == 2 * network_comparison_count(3)
 
 
 def test_nlj_consumes_both_sides():
