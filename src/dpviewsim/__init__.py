@@ -3,10 +3,12 @@
 Modules:
     sharing    two-server XOR secret sharing over the 32-bit ring
     dpnoise    joint Laplace noise from server-contributed words
-    obliv      secure cache padded with one shared DUMMY; sorts the reals in
-               the bitonic network's order at the padded network's closed-form
-               cost, the network itself as the test oracle
-    transform  truncated view transformation with contribution budgets
+    obliv      secure cache kept as its real rows plus a slot count; sorts the
+               reals in the bitonic network's order at the padded network's
+               closed-form cost, the network itself as the test oracle; reads
+               pad with one shared DUMMY
+    transform  truncated view transformation with contribution budgets; each
+               transform returns its real rows and a padded slot count
     shrink     the timer and above-noisy-threshold sync protocols, flush,
                and the closed-form utility bounds
     transcript what each server observes: sizes, timestamps and shares

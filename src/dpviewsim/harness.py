@@ -18,7 +18,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .leakage import LogicalStream, StreamRecord
-from .obliv import DUMMY, SecureCache, SecureTuple, SeqCounter
+from .obliv import DUMMY, SecureCache, SecureTuple, SeqCounter, cache_read
 from .randomness import ServerRandomness
 from .sharing import RING_SIZE
 from .shrink import (AntConfig, FlushReport, MaterializedView, SyncReport,
@@ -495,11 +495,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 cost[0] += flush.size
         elif transforming:
             # EP and OTM: the whole padded delta goes straight in.
-            cost[0] += len(cache)
-            view.append_batch(cache.entries, t)
+            fetched, cache = cache_read(cache, len(cache))
+            cost[0] += len(fetched)
+            view.append_batch(fetched, t)
             for server in (0, 1):
-                transcript.add(t, server, TranscriptKind.SYNC_BATCH, len(cache))
-            cache = SecureCache()
+                transcript.add(t, server, TranscriptKind.SYNC_BATCH, len(fetched))
             transforming = config.protocol is Protocol.EP
 
         if t % config.query_interval == 0:

@@ -1,21 +1,22 @@
 """Exhaustively padded secure cache and its oblivious operations.
 
-The cache is an append-only array of real view tuples and padding. Every
-padding slot is a reference to the one immutable `DUMMY`: the servers learn
-only how many slots a batch has, so no output reads a dummy's contents. The
-protocol sorts the cache with Batcher's bitonic compare-exchange network, so
-the sequence of touched index pairs is a function of the array length alone
-and leaks nothing about the contents. The simulator does not execute the
-network: it argsorts the real entries' keys, which gives the network's order
-of the reals (every dummy lands behind every real), and charges the closed-form
-compare count of the whole padded array. `compare_exchange_pairs` is the
-network itself, and the tests run it as the oracle for both facts. Repeated
-sort keys raise.
+The protocol's cache is an append-only array of real view tuples and padding.
+The servers learn only how many slots it has and read it only after an
+oblivious sort, so the simulator keeps just its real entries, in seq (FIFO)
+order, and its slot count; padding is never built until a read fills a batch
+with references to the one immutable `DUMMY`. The protocol sorts the cache
+with Batcher's bitonic compare-exchange network, so the sequence of touched
+index pairs is a function of the array length alone and leaks nothing about
+the contents. The simulator does not execute the network: it argsorts the
+real entries' keys, which gives the network's order of the reals (every dummy
+lands behind every real), and charges the closed-form compare count of the
+whole padded array. `compare_exchange_pairs` is the network itself, and the
+tests run it as the oracle for both facts. Repeated sort keys raise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -56,22 +57,28 @@ class SeqCounter:
         return n
 
 
+@dataclass
 class SecureCache:
-    """Append-only padded array of SecureTuples awaiting synchronization.
+    """Padded array of SecureTuples awaiting synchronization, kept as its
+    real rows plus a slot count.
 
-    Holds the running count of its real entries. In a run the reals stay in
-    seq order, so sorting them is a stable partition.
+    `entries` are the real rows, in seq order; `slots` is the padded length,
+    which is `len(cache)`. Every other slot is padding, which nothing reads by
+    position, since the servers read the cache only after sorting it.
     """
 
-    def __init__(self, entries: list[SecureTuple] | None = None):
-        self.entries = [] if entries is None else entries
-        self._real = sum(1 for e in self.entries if e.is_view)
+    entries: list[SecureTuple] = field(default_factory=list)
+    slots: int = 0
+
+    def __post_init__(self):
+        if len(self.entries) > self.slots:
+            raise ValueError(f"{len(self.entries)} real entries exceed {self.slots} slots")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.slots
 
     def real_count(self) -> int:
-        return self._real
+        return len(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -148,37 +155,28 @@ def network_sort(reals: list, key_of: Callable, n: int, counter: list) -> list:
 # ---------------------------------------------------------------------------
 # Cache operations. A real's cache sort key is its seq: real first, FIFO.
 
-def cache_append(cache: SecureCache, batch: list[SecureTuple]) -> SecureCache:
-    """Append a padded batch, preserving order of prior entries."""
-    out = SecureCache(batch)  # counts only the batch's reals
-    out.entries = cache.entries + batch
-    out._real += cache._real
-    return out
+def cache_append(cache: SecureCache, reals: list[SecureTuple], slots: int) -> SecureCache:
+    """Append a padded batch of `slots` slots holding `reals`, after prior entries."""
+    return SecureCache(cache.entries + reals, cache.slots + slots)
 
 
 def obli_sort(cache: SecureCache, counter: list) -> SecureCache:
     """Sort real entries ahead of dummies, in the network's output order."""
-    reals = [e for e in cache.entries if e.is_view]
-    out = SecureCache(network_sort(reals, lambda e: e.seq, len(cache), counter))
-    out.entries += [DUMMY] * (len(cache) - len(reals))
-    return out
+    return SecureCache(network_sort(cache.entries, lambda e: e.seq, len(cache), counter),
+                       len(cache))
 
 
 def cache_read(cache: SecureCache, sz: int) -> tuple[list[SecureTuple], SecureCache]:
-    """Pop the first sz entries, topped up with DUMMY when sz exceeds the cache.
+    """Pop the first sz slots: the first sz reals, topped up with DUMMY.
 
-    Callers sort first so real data is fetched ahead of dummies.
+    Reals come first in the padded array only once it is sorted, so callers
+    sort first. Reading past the cache empties it.
     """
     if sz < 0:
         raise ValueError(f"read size must be non-negative, got {sz}")
-    entries = cache.entries
-    if sz >= len(entries):
-        return entries + [DUMMY] * (sz - len(entries)), SecureCache()
-    fetched = entries[:sz]
-    rest = SecureCache()
-    rest.entries = entries[sz:]
-    rest._real = cache._real - sum(1 for e in fetched if e.is_view)
-    return fetched, rest
+    fetched = cache.entries[:sz]
+    return (fetched + [DUMMY] * (sz - len(fetched)),
+            SecureCache(cache.entries[sz:], max(0, cache.slots - sz)))
 
 
 def cache_flush(cache: SecureCache, s: int,

@@ -2,8 +2,10 @@
 
 Each step converts newly outsourced batches into padded view entries, keeps
 the secret-shared cardinality counter in sync, and charges every input record
-against its lifetime contribution budget. Output sizes are functions of the
-input sizes and the truncation parameters only, never of data values.
+against its lifetime contribution budget. Each transform returns its real
+output rows and its padded slot count, which is a function of the input sizes
+and the truncation parameters only, never of data values; the padding itself
+is never built.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .obliv import DUMMY, SecureCache, SecureTuple, SeqCounter, cache_append, network_sort
+from .obliv import SecureCache, SecureTuple, SeqCounter, cache_append, network_sort
 from .randomness import ServerRandomness
 from .sharing import RING_MASK, SharePair, recover, share_in_protocol
 from .transcript import Transcript, TranscriptKind
@@ -100,14 +102,14 @@ def _join_tuple(a: SecureTuple, b: SecureTuple, seqs: SeqCounter, timestamp: int
 
 def trans_truncate_filter(batch: list[SecureTuple],
                           predicate: Callable[[SecureTuple], bool],
-                          seqs: SeqCounter, timestamp: int) -> list[SecureTuple]:
-    """Oblivious selection: same length out, a view row iff the predicate holds.
+                          seqs: SeqCounter, timestamp: int) -> tuple[list[SecureTuple], int]:
+    """Oblivious selection: (kept rows, len(batch) slots).
 
-    Kept rows carry their payload; every other slot is DUMMY.
+    A real input is kept, with its payload, iff the predicate holds.
     """
     return [SecureTuple(key=tup.key, attrs=tup.attrs, is_view=True, seq=seqs.take(),
                         timestamp=timestamp, sources=(tup.seq,))
-            if tup.is_view and predicate(tup) else DUMMY for tup in batch]
+            for tup in batch if tup.is_view and predicate(tup)], len(batch)
 
 
 def _merge_key(origin: int, t: SecureTuple) -> int:
@@ -120,8 +122,8 @@ def _merge_key(origin: int, t: SecureTuple) -> int:
 
 def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
                        caps: InvocationCaps, seqs: SeqCounter, timestamp: int,
-                       compare_counter: list) -> list[SecureTuple]:
-    """Truncated oblivious sort-merge join.
+                       compare_counter: list) -> tuple[list[SecureTuple], int]:
+    """Truncated oblivious sort-merge join: (joined rows, omega slots per input).
 
     The tables are merged and network-sorted on (join key, origin, seq); ties
     put t1 records first and input dummies last. The linear scan emits, for
@@ -139,30 +141,26 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
     group_key = None
     seen: tuple[list, list] = ([], [])
     for origin, tup in merged:
-        emitted: list[SecureTuple] = []
         if tup.key != group_key:
             group_key = tup.key
             seen = ([], [])
         for p in seen[1 - origin]:
-            if len(emitted) == omega or caps.remaining(tup.seq) <= 0:
+            if caps.remaining(tup.seq) <= 0:  # at most omega joins per access
                 break
             if caps.remaining(p.seq) <= 0:
                 continue
             caps.consume(tup.seq)
             caps.consume(p.seq)
             a, b = (tup, p) if origin == 0 else (p, tup)
-            emitted.append(_join_tuple(a, b, seqs, timestamp))
+            out.append(_join_tuple(a, b, seqs, timestamp))
         seen[origin].append(tup)
-        out += emitted
-        out += [DUMMY] * (omega - len(emitted))
-    out += [DUMMY] * (omega * (len(t1) + len(t2) - len(merged)))
-    return out
+    return out, omega * (len(t1) + len(t2))
 
 
 def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], b: int,
                        caps: InvocationCaps, seqs: SeqCounter, timestamp: int,
-                       compare_counter: list) -> list[SecureTuple]:
-    """Truncated oblivious nested-loop join: b output slots per outer tuple.
+                       compare_counter: list) -> tuple[list[SecureTuple], int]:
+    """Truncated oblivious nested-loop join: (joined rows, b slots per outer tuple).
 
     Every (outer, inner) probe either emits a real join (keys match and both
     records hold budget, one unit consumed from each) or a dummy. Each
@@ -180,10 +178,8 @@ def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], b: int,
                 caps.consume(u.seq)
                 caps.consume(v.seq)
                 row.append(_join_tuple(u, v, seqs, timestamp))
-        kept = network_sort(row, lambda t: t.seq, len(t2), compare_counter)[:b]
-        out += kept
-        out += [DUMMY] * (b - len(kept))
-    return out
+        out += network_sort(row, lambda t: t.seq, len(t2), compare_counter)[:b]
+    return out, b * len(t1)
 
 
 class OperatorKind(enum.Enum):
@@ -249,38 +245,31 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
     if state.operator is OperatorKind.FILTER:
         if state.predicate is None:
             raise ValueError("filter operator requires a predicate")
-        delta = trans_truncate_filter(new_batches[0], state.predicate, state.seqs, t)
+        rows, slots = trans_truncate_filter(new_batches[0], state.predicate, state.seqs, t)
         used = [tup for tup in new_batches[0] if tup.is_view]
     else:
         new1, new2 = new_batches[0], new_batches[1]
         old1 = [tup for batch in state.retained[0] for tup in batch]
         old2 = [tup for batch in state.retained[1] for tup in batch]
-        if state.operator is OperatorKind.SMJ:
-            d1 = trans_truncate_smj(new1, old2 + new2, cfg.omega, caps,
-                                    state.seqs, t, compare_counter)
-            d2 = trans_truncate_smj(old1, new2, cfg.omega, caps,
-                                    state.seqs, t, compare_counter)
-        else:
-            d1 = trans_truncate_nlj(new1, old2 + new2, cfg.omega, caps,
-                                    state.seqs, t, compare_counter)
-            d2 = trans_truncate_nlj(old1, new2, cfg.omega, caps,
-                                    state.seqs, t, compare_counter)
-        delta = d1 + d2
+        join = trans_truncate_smj if state.operator is OperatorKind.SMJ else trans_truncate_nlj
+        rows, slots = join(new1, old2 + new2, cfg.omega, caps, state.seqs, t, compare_counter)
+        rows2, slots2 = join(old1, new2, cfg.omega, caps, state.seqs, t, compare_counter)
+        rows += rows2
+        slots += slots2
         used = [tup for tup in new1 + new2 + old1 + old2 if tup.is_view]
 
-    real_rows = [row for row in delta if row.is_view]
-    state.produced_rows.extend(real_rows)
+    state.produced_rows.extend(rows)
 
     c = recover(counter)
-    c = (c + len(real_rows)) & RING_MASK
+    c = (c + len(rows)) & RING_MASK
     counter = share_in_protocol(c, *rand.share_pair(), seen=rand.seen_pairs)
-    cache = cache_append(cache, delta)
+    cache = cache_append(cache, rows, slots)
 
     if cfg.charge_policy is ChargePolicy.PER_INVOCATION_OMEGA:
         for rid in dict.fromkeys(tup.seq for tup in used):
             state.ledger.charge(rid, cfg.omega)
     else:
-        for row in real_rows:
+        for row in rows:
             for rid in row.sources:
                 state.ledger.charge(rid, 1)
 
@@ -289,7 +278,7 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
         state.retained[1].append(new_batches[1])
 
     for server in (0, 1):
-        transcript.add(t, server, TranscriptKind.TRANSFORM_OUTPUT, len(delta))
+        transcript.add(t, server, TranscriptKind.TRANSFORM_OUTPUT, slots)
         transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
                        share_value=counter[server])
     return cache, counter

@@ -1,3 +1,4 @@
+import resource
 import subprocess
 import sys
 
@@ -53,6 +54,24 @@ def test_small_epsilon_finishes(tmp_path):
     assert main(["--protocol", "DPTimer", "--operator", "Filter", "--horizon", "20",
                  "--epsilon", "1e-6", "--out", str(out)]) == EXIT_OK
     assert len(out.read_text().splitlines()) == 20
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+
+def test_sync_past_memory_exits_2():
+    # b/epsilon = 1e10 passes validation, but the first sync's padded batch
+    # (about 2e10 slots at seed 0) cannot be allocated under a 2 GB cap.
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpviewsim.cli", "--protocol", "DPTimer",
+         "--operator", "Filter", "--horizon", "20", "--epsilon", "1e-9",
+         "--seed", "0"],
+        capture_output=True, text=True, preexec_fn=_cap_address_space, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: out of memory")
+    assert "b/epsilon" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("protocol", ["DPTimer", "EP"])

@@ -17,39 +17,53 @@ def flush(cache, s, counter=None):
 
 
 def test_append_lengths():
-    c = cache_append(SecureCache(), [real(0), real(1), DUMMY])
-    assert len(c) == 3
-    c2 = cache_append(c, [DUMMY, DUMMY])
-    assert len(c2) == 5
-    assert c2.entries[:3] == c.entries  # prior order preserved
+    c = cache_append(SecureCache(), [real(0), real(1)], 3)
+    assert len(c) == 3 and c.real_count() == 2
+    c2 = cache_append(c, [], 2)
+    assert len(c2) == 5 and c2.entries == c.entries
+    c3 = cache_append(c2, [real(2)], 4)
+    assert len(c3) == 9
+    assert c3.entries == [real(0), real(1), real(2)]  # prior order preserved
+    assert c.entries == [real(0), real(1)] and len(c) == 3  # inputs unchanged
+
+
+def test_cache_rejects_more_reals_than_slots():
+    with pytest.raises(ValueError, match="exceed"):
+        SecureCache([real(0), real(1)], 1)
+    with pytest.raises(ValueError, match="exceed"):
+        cache_append(SecureCache(), [real(0)], 0)
 
 
 def test_obli_sort_real_first_with_fifo_ties():
-    c = SecureCache([DUMMY, real(3), DUMMY, real(1)])
+    c = SecureCache([real(3), real(1)], 4)
     out = obli_sort(c, [0])
-    assert [e.seq for e in out.entries[:2]] == [1, 3]
-    assert out.entries[2:] == [DUMMY, DUMMY] and out.real_count() == 2
+    assert [e.seq for e in out.entries] == [1, 3]
+    assert len(out) == 4 and out.real_count() == 2
+    fetched, _ = cache_read(out, 4)
+    assert fetched[:2] == out.entries and fetched[2:] == [DUMMY, DUMMY]
 
 
 def test_real_first_exhaustive_small():
-    # No dummy may precede a real entry, for every flag pattern up to n=6.
+    # No dummy may precede a real entry, for every flag pattern up to n=6,
+    # whatever order the reals arrive in: reading all n sorted slots gives
+    # the reals in seq order, then DUMMY.
     for n in range(1, 7):
         for bits in range(1 << n):
-            entries = [real(i) if bits >> i & 1 else DUMMY for i in range(n)]
-            out = obli_sort(SecureCache(entries), [0]).entries
-            k = bin(bits).count("1")
-            assert [e.seq for e in out[:k]] == [i for i in range(n) if bits >> i & 1]
-            assert all(e is DUMMY for e in out[k:])
+            seqs = [i for i in range(n) if bits >> i & 1]
+            for order in (seqs, seqs[::-1]):
+                out = obli_sort(SecureCache([real(i) for i in order], n), [0])
+                fetched, rest = cache_read(out, n)
+                assert [e.seq for e in fetched[:len(seqs)]] == seqs
+                assert all(e is DUMMY for e in fetched[len(seqs):])
+                assert len(fetched) == n and len(rest) == 0
 
 
 def test_comparison_count_is_length_only():
     # Same length, different contents: identical comparison count, equal to
     # the closed-form size of the full network.
-    a = [real(i) for i in range(8)]
-    b = [DUMMY] * 8
     ca, cb = [0], [0]
-    obli_sort(SecureCache(a), ca)
-    obli_sort(SecureCache(b), cb)
+    obli_sort(SecureCache([real(i) for i in range(8)], 8), ca)
+    obli_sort(SecureCache([], 8), cb)
     assert ca[0] == cb[0] == network_comparison_count(8) == 24
 
 
@@ -121,7 +135,7 @@ def test_network_sort_rejects_repeated_keys():
 
 def test_obli_sort_rejects_entries_sharing_class_and_seq():
     with pytest.raises(ValueError, match="distinct"):
-        obli_sort(SecureCache([real(4), DUMMY, real(4, key=9)]), [0])
+        obli_sort(SecureCache([real(4), real(4, key=9)], 3), [0])
 
 
 def test_network_sort_arbitrary_lengths():
@@ -135,25 +149,30 @@ def test_network_sort_arbitrary_lengths():
 
 
 def test_cache_read_prefix_cut():
-    c = SecureCache([real(0), real(1), DUMMY, DUMMY])
-    fetched, remaining = cache_read(c, 3)
-    assert fetched == [real(0), real(1), DUMMY]
-    assert remaining.entries == [DUMMY] and remaining.real_count() == 0
+    c = SecureCache([real(0), real(1), real(2)], 6)
+    fetched, remaining = cache_read(c, 2)
+    assert fetched == [real(0), real(1)]
+    assert remaining.entries == [real(2)] and len(remaining) == 4
+    fetched, remaining = cache_read(c, 5)
+    assert fetched == [real(0), real(1), real(2), DUMMY, DUMMY]
+    assert remaining.entries == [] and len(remaining) == 1
+    assert remaining.real_count() == 0
 
 
 def test_cache_read_dummy_top_up():
-    c = SecureCache([real(0)])
+    c = SecureCache([real(0)], 1)
     fetched, remaining = cache_read(c, 4)
     assert fetched[0] == real(0)
     assert len(fetched) == 4 and all(e is DUMMY for e in fetched[1:])
-    assert len(remaining) == 0
+    assert len(remaining) == 0 and remaining.entries == []
 
 
 def test_cache_read_zero():
-    c = SecureCache([real(0), DUMMY])
+    c = SecureCache([real(0)], 2)
     fetched, remaining = cache_read(c, 0)
     assert fetched == []
     assert remaining.entries == c.entries and remaining.real_count() == 1
+    assert len(remaining) == 2
 
 
 def test_cache_read_negative_rejected():
@@ -162,7 +181,7 @@ def test_cache_read_negative_rejected():
 
 
 def test_flush_basic():
-    c = SecureCache([real(0), DUMMY, DUMMY])
+    c = SecureCache([real(0)], 3)
     counter = [0]
     fetched, remaining = flush(c, 2, counter)
     assert len(fetched) == 2
@@ -172,7 +191,7 @@ def test_flush_basic():
 
 
 def test_flush_zero_recycles_everything():
-    c = SecureCache([real(0), DUMMY])
+    c = SecureCache([real(0)], 2)
     fetched, remaining = flush(c, 0)
     assert fetched == [] and len(remaining) == 0
 
@@ -186,7 +205,7 @@ def test_flush_real_count_oracle():
         entries = [real(i) if rng.random() < 0.4 else DUMMY for i in range(n)]
         true_reals = sum(1 for e in entries if e.is_view)  # oracle
         s = int(rng.integers(0, 30))
-        fetched, _ = flush(SecureCache(entries), s)
+        fetched, _ = flush(SecureCache([e for e in entries if e.is_view], n), s)
         assert len(fetched) == s
         assert sum(1 for e in fetched if e.is_view) == min(s, true_reals)
 
@@ -198,11 +217,13 @@ def test_conservation_under_read():
         entries = [real(i) if rng.random() < 0.5 else DUMMY for i in range(n)]
         total_real = sum(e.is_view for e in entries)
         sz = int(rng.integers(0, n + 5))
-        fetched, remaining = cache_read(obli_sort(SecureCache(entries), [0]), sz)
+        cache = SecureCache([e for e in entries if e.is_view], n)
+        fetched, remaining = cache_read(obli_sort(cache, [0]), sz)
         got = sum(e.is_view for e in fetched)
         left = sum(e.is_view for e in remaining.entries)
         assert got + left == total_real
         assert got == min(sz, total_real)  # real-first fetch
+        assert len(fetched) == sz and len(remaining) == max(0, n - sz)
 
 
 def test_padded_length():
@@ -210,37 +231,48 @@ def test_padded_length():
 
 
 # ---------------------------------------------------------------------------
-# The real count is running state: it must match the entries after every
-# operation, and every non-real slot stays the shared DUMMY.
+# The cache is its reals plus a slot count. Every operation must agree with
+# the padded array it stands for: a plain list of reals and DUMMY slots, sorted
+# real-first (stable) before every read, as the protocol does.
 
-def assert_count_exact(cache):
-    assert cache.real_count() == sum(1 for e in cache.entries if e.is_view)
-    assert all(e is DUMMY for e in cache.entries if not e.is_view)
+def assert_matches_padded(cache, padded):
+    assert len(cache) == len(padded)
+    assert cache.entries == [e for e in padded if e.is_view]
+    assert cache.real_count() == sum(1 for e in padded if e.is_view)
+    assert all(e.is_view for e in cache.entries)
+    assert all(a.seq < b.seq for a, b in zip(cache.entries, cache.entries[1:]))
 
 
 def test_real_count_stays_exact_through_cache_operations():
     rng = np.random.default_rng(41)
     seqs = SeqCounter()
-    cache = SecureCache()
-    assert_count_exact(cache)
+    cache, padded = SecureCache(), []
+    assert_matches_padded(cache, padded)
     for _ in range(30):
         batch = [real(seqs.take()) if rng.random() < 0.3 else DUMMY
                  for _ in range(int(rng.integers(0, 12)))]
-        cache = cache_append(cache, batch)
-        assert_count_exact(cache)
+        cache = cache_append(cache, [e for e in batch if e.is_view], len(batch))
+        padded = padded + batch
+        assert_matches_padded(cache, padded)
         if rng.random() < 0.3:
             cache = obli_sort(cache, [0])
-            assert_count_exact(cache)
-        if rng.random() < 0.4:  # reads also cut unsorted caches
-            fetched, cache = cache_read(cache, int(rng.integers(0, len(cache) + 3)))
-            assert_count_exact(cache)
+            padded = sorted(padded, key=lambda e: not e.is_view)
+            assert_matches_padded(cache, padded)
+        if rng.random() < 0.4:
+            sz = int(rng.integers(0, len(cache) + 3))
+            fetched, cache = cache_read(cache, sz)
+            padded = sorted(padded, key=lambda e: not e.is_view)
+            padded += [DUMMY] * (sz - len(padded))
+            assert fetched == padded[:sz]
+            assert all(e is DUMMY for e in fetched if not e.is_view)
+            padded = padded[sz:]
+            assert_matches_padded(cache, padded)
     fetched, cache = cache_flush(cache, 5, [0])
-    assert len(fetched) == 5
-    assert_count_exact(cache)
-    assert len(cache) == 0
+    assert fetched == (sorted(padded, key=lambda e: not e.is_view) + [DUMMY] * 5)[:5]
+    assert cache.entries == [] and len(cache) == 0
 
 
 def test_given_entries_get_real_count():
-    cache = SecureCache([DUMMY, real(3), DUMMY, real(9)])
-    assert_count_exact(cache)
-    assert cache.real_count() == 2
+    cache = SecureCache([real(3), real(9)], 4)
+    assert cache.real_count() == 2 and len(cache) == 4
+    assert SecureCache().real_count() == len(SecureCache()) == 0

@@ -2,10 +2,11 @@
 
 Every protocol x operator x profile runs with hypothesis-drawn horizon, flush
 schedule and seed. Each run must conserve its real rows at every step, keep its
-running real-row counts equal to plain recounts, pad every non-real slot of its
-view and cache with the one shared `obliv.DUMMY`, pass the transcript audit
-against its public configuration, and reproduce its metrics bytes from the same
-seed.
+running view real-row count equal to a plain recount, pad every non-real slot
+of its view with the one shared `obliv.DUMMY`, end with a cache that holds only
+real rows, in strictly increasing seq order and no more of them than its slots,
+pass the transcript audit against its public configuration, and reproduce its
+metrics bytes from the same seed.
 """
 
 import io
@@ -51,8 +52,10 @@ def test_real_runs_conserve_rows_pass_audit_and_repeat(protocol, operator, profi
 
     view, cache = result.final_view, result.final_cache
     assert view.real_rows() == sum(1 for row in view.rows if row.is_view)
-    assert cache.real_count() == sum(1 for e in cache.entries if e.is_view)
-    assert all(e is obliv.DUMMY for e in view.rows + cache.entries if not e.is_view)
+    assert all(e.is_view for e in cache.entries)
+    assert all(a.seq < b.seq for a, b in zip(cache.entries, cache.entries[1:]))
+    assert len(cache.entries) <= len(cache)
+    assert all(row is obliv.DUMMY for row in view.rows if not row.is_view)
 
     dp = protocol in _DP
     report = transcript_audit(result.transcript, AuditExpectation(

@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from scipy.stats import binom
 
+from dpviewsim.harness import ExperimentConfig, Protocol, run_experiment
 from dpviewsim.obliv import DUMMY, SecureCache, SecureTuple, network_comparison_count
 from dpviewsim.randomness import ScriptedNoise, ServerRandomness
 from dpviewsim.sharing import recover, share_in_protocol
@@ -12,6 +14,7 @@ from dpviewsim.shrink import (AntConfig, BoundPreconditionError, MaterializedVie
                               recover_real, sdp_ant_init, sdp_ant_step,
                               sdp_timer_step, share_real, timer_scale)
 from dpviewsim.transcript import Transcript, TranscriptKind
+from dpviewsim.transform import OperatorKind
 
 
 class PinnedRand:
@@ -38,8 +41,7 @@ def counter_of(value, rand):
 
 
 def filled_cache(n_real, n_dummy):
-    rows = [real_row(i) for i in range(n_real)]
-    return SecureCache(rows + [DUMMY] * n_dummy)
+    return SecureCache([real_row(i) for i in range(n_real)], n_real + n_dummy)
 
 
 def timer_step(t, cfg, counter, cache, view, rand):
@@ -327,6 +329,31 @@ def test_bound_deferred_ant_values():
     assert bound_deferred_ant(1, 1.0, math.e) == pytest.approx(16.0)
     assert bound_deferred_ant(20, 1.5, 1000) == pytest.approx(1473.654, abs=1e-2)
     assert bound_deferred_ant(5, 1.0, 500) < bound_deferred_ant(5, 1.0, 1000)
+
+
+def test_deferred_bound_holds_on_real_timer_runs():
+    # After the k-th sync, at most bound_deferred_timer(b, epsilon, k, beta)
+    # real entries stay cached, except with probability beta. Over real runs,
+    # the syncs above the bound must not be so many that a Binomial(n, beta)
+    # count reaches them with probability below 1e-6. Flush steps move
+    # entries out on their own schedule, so syncs on them are skipped.
+    beta = 0.05
+    runs = ([(OperatorKind.FILTER, seed) for seed in range(30)] +
+            [(OperatorKind.SMJ, seed) for seed in range(4)])
+    checked = above = 0
+    for operator, seed in runs:
+        config = ExperimentConfig(protocol=Protocol.DP_TIMER, operator=operator,
+                                  horizon=1000, seed=seed)
+        result = run_experiment(config)
+        deferred = {m.time: m.deferred_real for m in result.metrics}
+        for k, report in enumerate(result.sync_reports, start=1):
+            if k < 4 * math.log(1 / beta) or report.t % config.f == 0:
+                continue
+            checked += 1
+            above += deferred[report.t] > bound_deferred_timer(
+                config.b, config.epsilon, k, beta)
+    assert checked == 34 * 89  # syncs 12..100 of each run
+    assert binom.sf(above - 1, checked, beta) >= 1e-6, (above, checked)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,10 @@ def greedy_cap_pairs(t1, t2, omega):
 
 
 def real_pairs(output):
-    return [row.sources for row in output if row.is_view]
+    """Source pairs of a join's (rows, slots) output; every row is real."""
+    rows, _ = output
+    assert all(row.is_view for row in rows)
+    return [row.sources for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +96,17 @@ def real_pairs(output):
 
 def test_filter_all_true():
     batch = [rec(i, key=i) for i in range(5)]
-    out = filt(batch, lambda t: True)
-    assert len(out) == 5
-    assert all(r.is_view for r in out)
+    rows, slots = filt(batch, lambda t: True)
+    assert slots == 5 and len(rows) == 5
+    assert all(r.is_view for r in rows)
+    assert [r.sources for r in rows] == [(i,) for i in range(5)]
 
 
 def test_filter_all_false():
     batch = [rec(i, key=i) for i in range(5)]
-    out = filt(batch, lambda t: False)
-    assert len(out) == 5
-    assert not any(r.is_view for r in out)
+    rows, slots = filt(batch, lambda t: False)
+    assert slots == 5
+    assert rows == []
 
 
 def test_filter_matches_plaintext_selectivity():
@@ -112,19 +116,19 @@ def test_filter_matches_plaintext_selectivity():
     batch += [pad(100 + i) for i in range(10)]
     pred = lambda t: t.attrs[0] == 1
     expected = sum(1 for t in batch if t.is_view and pred(t))  # oracle
-    out = filt(batch, pred)
-    assert len(out) == len(batch)
-    assert sum(r.is_view for r in out) == expected
-    # input dummies never become view rows
-    dummy_out = out[40:]
-    assert not any(r.is_view for r in dummy_out)
+    rows, slots = filt(batch, pred)
+    assert slots == len(batch)
+    assert len(rows) == expected and all(r.is_view for r in rows)
+    # input dummies never become view rows; kept rows stay in input order
+    assert [r.sources for r in rows] == [(t.seq,) for t in batch[:40] if pred(t)]
 
 
 def test_filter_keeps_payload():
     batch = [rec(3, key=9, flag=7)]
-    out = filt(batch, lambda t: True)
-    assert out[0].key == 9 and out[0].attrs == (7,)
-    assert out[0].sources == (3,)
+    [row], slots = filt(batch, lambda t: True)
+    assert slots == 1
+    assert row.key == 9 and row.attrs == (7,)
+    assert row.sources == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +149,7 @@ def test_smj_worked_example():
     assert len(brute_force_pairs(t1, t2)) == 6
     assert got == [(0, 2), (1, 2), (0, 3), (1, 3)]
     assert got == greedy_cap_pairs(t1, t2, 2)
-    assert len(out) == (2 + 3) * 2  # omega slots per scanned tuple
+    assert out[1] == (2 + 3) * 2  # omega slots per scanned tuple
 
 
 def test_smj_disjoint_keys_all_dummy():
@@ -153,7 +157,7 @@ def test_smj_disjoint_keys_all_dummy():
     t2 = [rec(2, key=3), rec(3, key=4)]
     out = smj(t1, t2, omega=2)
     assert real_pairs(out) == []
-    assert len(out) == 8
+    assert out[1] == 8
 
 
 def test_smj_one_to_one_equals_brute_force():
@@ -174,7 +178,7 @@ def test_smj_matches_greedy_oracle_random():
         omega = int(rng.integers(1, 4))
         out = smj(t1, t2, omega)
         assert real_pairs(out) == greedy_cap_pairs(t1, t2, omega)
-        assert len(out) == (n1 + n2) * omega
+        assert out[1] == (n1 + n2) * omega
 
 
 def test_smj_respects_ledger_budget():
@@ -199,7 +203,7 @@ def test_smj_output_size_data_independent():
     ca, cb = [0], [0]
     outa = smj(t1a, t2a, 2, ca)
     outb = smj(t1b, t2b, 2, cb)
-    assert len(outa) == len(outb) == 16
+    assert outa[1] == outb[1] == 16
     assert ca[0] == cb[0] == 24  # one network over the 8 merged records
 
 
@@ -222,16 +226,15 @@ def test_merge_key_rejects_fields_outside_their_bits(seq, key):
         smj([rec(seq, key=key)], [rec(5, key=1)], omega=1)
 
 
-def test_smj_pads_with_the_shared_dummy_after_the_reals():
-    # Each real's omega slots follow it in merge order; then omega slots for
-    # each input dummy. The sort is charged for all four input slots.
+def test_smj_counts_omega_slots_per_input_slot():
+    # Input dummies join nothing but still take omega output slots each, and
+    # the sort is charged for all four input slots.
     t1 = [rec(0, key=1), DUMMY]
     t2 = [DUMMY, rec(1, key=1)]
     counter = [0]
     out = smj(t1, t2, omega=2, counter=counter)
-    assert out[0] is DUMMY and out[1] is DUMMY  # rec 0: no earlier partner
-    assert out[2].sources == (0, 1) and out[3] is DUMMY
-    assert out[4:] == [DUMMY] * 4
+    assert real_pairs(out) == [(0, 1)]
+    assert out[1] == 2 * 4
     assert counter[0] == network_comparison_count(4)
 
 
@@ -245,7 +248,7 @@ def test_nlj_hand_trace():
     t2 = [rec(i + 1, key=7) for i in range(4)]
     counter = [0]
     out = nlj(t1, t2, b=2, counter=counter)
-    assert len(out) == 1 * 2
+    assert out[1] == 1 * 2
     assert real_pairs(out) == [(0, 1), (0, 2)]
     assert counter[0] == 6  # one network over the outer's 4 probes
 
@@ -256,15 +259,14 @@ def test_nlj_large_bound_equals_brute_force():
     t2 = [rec(100 + i, key=int(rng.integers(1, 4))) for i in range(6)]
     out = nlj(t1, t2, b=50)
     assert sorted(real_pairs(out)) == sorted(brute_force_pairs(t1, t2))
-    assert len(out) == 6 * 50
+    assert out[1] == 6 * 50
 
 
 def test_nlj_empty_inner_all_dummy():
     t1 = [rec(i, key=1) for i in range(3)]
     counter = [0]
     out = nlj(t1, [], b=2, counter=counter)
-    assert len(out) == 6
-    assert not any(r.is_view for r in out)
+    assert out == ([], 6)
     assert counter[0] == 0  # no probes, so no row sorts
 
 
@@ -272,8 +274,8 @@ def test_nlj_dummy_outer_pads_and_still_sorts_its_row():
     t2 = [rec(1, key=1), DUMMY, rec(2, key=1)]
     counter = [0]
     out = nlj([DUMMY, rec(0, key=1)], t2, b=2, counter=counter)
-    assert out[:2] == [DUMMY, DUMMY]
-    assert real_pairs(out[2:]) == [(0, 1), (0, 2)]
+    assert out[1] == 2 * 2  # the dummy outer's b slots are still counted
+    assert real_pairs(out) == [(0, 1), (0, 2)]
     assert counter[0] == 2 * network_comparison_count(3)
 
 
@@ -284,7 +286,7 @@ def test_nlj_consumes_both_sides():
     t2 = [rec(2, key=1)]
     out = nlj(t1, t2, b=1)
     assert real_pairs(out) == [(0, 2)]
-    assert len(out) == 2
+    assert out[1] == 2
 
 
 # ---------------------------------------------------------------------------
