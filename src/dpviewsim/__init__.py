@@ -4,11 +4,14 @@ Modules:
     sharing    two-server XOR secret sharing over the 32-bit ring
     dpnoise    joint Laplace noise from server-contributed words
     obliv      secure cache kept as its real rows plus a slot count; sorts the
-               reals in the bitonic network's order at the padded network's
+               reals of one or more same-length bitonic networks in their
+               output order with one argsort, at the padded networks'
                closed-form cost, the network itself as the test oracle; reads
                pad with one shared DUMMY
     transform  truncated view transformation with contribution budgets; each
-               transform returns its real rows and a padded slot count
+               transform returns its real rows and a padded slot count; the
+               NLJ probes a per-invocation key index and sorts all its
+               per-outer networks in one batched call
     shrink     the timer and above-noisy-threshold sync protocols, flush,
                and the closed-form utility bounds
     transcript what each server observes: sizes, timestamps and shares

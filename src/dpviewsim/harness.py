@@ -118,6 +118,11 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("DPTimer requires update interval T >= 1")
     if config.protocol is Protocol.DP_ANT and config.theta <= 0:
         raise ConfigError("DPANT requires sync threshold theta > 0")
+    # Owner rows are stamped first, so every owner seq is below 2 * c_r *
+    # horizon; the SMJ packs them into 28 bits of its merge key.
+    if config.operator is OperatorKind.SMJ and 2 * config.c_r * config.horizon > 1 << 28:
+        raise ConfigError(f"SMJ needs 2 * c_r * horizon <= 2**28 to pack owner seqs into "
+                          f"its merge key, got {2 * config.c_r * config.horizon}")
     if config.operator is OperatorKind.FILTER:
         if config.stream_b is not None:
             raise ConfigError("the Filter operator reads one stream; stream_b must be unset")

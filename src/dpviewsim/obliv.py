@@ -10,8 +10,11 @@ index pairs is a function of the array length alone and leaks nothing about
 the contents. The simulator does not execute the network: it argsorts the
 real entries' keys, which gives the network's order of the reals (every dummy
 lands behind every real), and charges the closed-form compare count of the
-whole padded array. `compare_exchange_pairs` is the network itself, and the
-tests run it as the oracle for both facts. Repeated sort keys raise.
+whole padded array. Several independent networks of one length, such as the
+nested-loop join's one network per outer tuple, are run as one argsort over
+their concatenated reals and charged one closed-form count each.
+`compare_exchange_pairs` is the network itself, and the tests run it as the
+oracle for these facts. Repeated sort keys raise.
 """
 
 from __future__ import annotations
@@ -122,32 +125,38 @@ def network_comparison_count(n: int) -> int:
     return (m // 2) * stages * (stages + 1) // 2
 
 
-def network_sort_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """The order the network sorts the real keys of an n-slot input into,
-    and its compare count.
+def network_sort_keys(keys: np.ndarray, n: int, networks: int) -> tuple[np.ndarray, int]:
+    """The order `networks` independent n-slot networks sort their real keys
+    into, and their total compare count.
 
-    The other n - len(keys) slots are dummies, which the network moves behind
-    every real. It pads to a power of two with max-int sentinels; the count is
-    that of the padded n-slot network. Keys must be distinct (ValueError
-    otherwise), which makes the network's permutation the unique sorting one.
+    `keys` are the reals of every network, concatenated in network order, and
+    every key of one network lies below every key of the next, so one argsort
+    gives each network's output order, concatenated. The other slots of each
+    network are dummies, which it moves behind every real. A network pads to a
+    power of two with max-int sentinels; the count is `networks` times that of
+    the padded n-slot network. Keys must be distinct (ValueError otherwise),
+    which makes each network's permutation the unique sorting one.
     """
     perm = np.argsort(keys, kind="stable")
     ordered = keys[perm]
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("sort keys must be distinct")
-    return perm, network_comparison_count(n)
+    return perm, networks * network_comparison_count(n)
 
 
-def network_sort(reals: list, key_of: Callable, n: int, counter: list) -> list:
-    """The real items of an n-slot padded input, in the network's output order.
+def network_sort(reals: list, key_of: Callable, n: int, counter: list,
+                 networks: int) -> list:
+    """The real items of `networks` independent n-slot padded inputs, in the
+    networks' output order, concatenated.
 
-    The network's output is these reals followed by n - len(reals) dummies.
-    key_of maps an item to a non-negative int below 2**62 and must be
-    injective over the reals; a repeated key raises ValueError.
-    `counter[0]` accumulates the n-slot network's compare-exchange count.
+    `reals` holds each input's reals in turn; each network's output is its
+    reals followed by its dummies. key_of maps an item to a non-negative int
+    below 2**62, must be injective over the reals (a repeated key raises
+    ValueError), and must put every item of one input below every item of the
+    next. `counter[0]` accumulates the networks' compare-exchange count.
     """
     keys = np.fromiter(map(key_of, reals), dtype=np.int64, count=len(reals))
-    perm, comparisons = network_sort_keys(keys, n)
+    perm, comparisons = network_sort_keys(keys, n, networks)
     counter[0] += comparisons
     return [reals[i] for i in perm]
 
@@ -162,8 +171,8 @@ def cache_append(cache: SecureCache, reals: list[SecureTuple], slots: int) -> Se
 
 def obli_sort(cache: SecureCache, counter: list) -> SecureCache:
     """Sort real entries ahead of dummies, in the network's output order."""
-    return SecureCache(network_sort(cache.entries, lambda e: e.seq, len(cache), counter),
-                       len(cache))
+    return SecureCache(network_sort(cache.entries, lambda e: e.seq, len(cache), counter,
+                                    networks=1), len(cache))
 
 
 def cache_read(cache: SecureCache, sz: int) -> tuple[list[SecureTuple], SecureCache]:

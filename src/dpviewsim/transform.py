@@ -135,7 +135,7 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
     """
     tagged = [(0, t) for t in t1 if t.is_view] + [(1, t) for t in t2 if t.is_view]
     merged = network_sort(tagged, lambda it: _merge_key(*it), len(t1) + len(t2),
-                          compare_counter)
+                          compare_counter, networks=1)
 
     out: list[SecureTuple] = []
     group_key = None
@@ -157,29 +157,44 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
     return out, omega * (len(t1) + len(t2))
 
 
-def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], b: int,
+def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
                        caps: InvocationCaps, seqs: SeqCounter, timestamp: int,
                        compare_counter: list) -> tuple[list[SecureTuple], int]:
-    """Truncated oblivious nested-loop join: (joined rows, b slots per outer tuple).
+    """Truncated oblivious nested-loop join: (joined rows, omega slots per outer tuple).
 
     Every (outer, inner) probe either emits a real join (keys match and both
-    records hold budget, one unit consumed from each) or a dummy. Each
-    per-outer intermediate of len(t2) slots is network-sorted real-first and
-    cut to b slots.
+    records hold budget, one unit consumed from each) or a dummy, so each
+    outer tuple yields a len(t2)-slot intermediate, which is network-sorted
+    real-first and cut to omega slots. Only key-matching probes can emit, so
+    each outer probes just the real inner rows of its key, in t2 order. The
+    len(t1) intermediates are sorted by one batched call of len(t1) networks:
+    their rows are stamped in emission order, so every row of one outer holds
+    a lower seq than every row of the next.
     """
-    if b < 1:
-        raise ValueError(f"per-outer bound must be positive, got {b}")
-    out: list[SecureTuple] = []
+    if omega < 1:
+        raise ValueError(f"per-outer bound must be positive, got {omega}")
+    inner: dict[int, list[SecureTuple]] = {}
+    for v in t2:
+        if v.is_view:
+            inner.setdefault(v.key, []).append(v)
+    rows: list[SecureTuple] = []
+    ends: list[int] = []  # where each outer's rows end in `rows`
     for u in t1:
-        row: list[SecureTuple] = []
-        for v in t2 if u.is_view else ():
-            if v.is_view and u.key == v.key \
-                    and caps.remaining(u.seq) > 0 and caps.remaining(v.seq) > 0:
+        for v in inner.get(u.key, ()) if u.is_view else ():
+            if caps.remaining(u.seq) <= 0:
+                break
+            if caps.remaining(v.seq) > 0:
                 caps.consume(u.seq)
                 caps.consume(v.seq)
-                row.append(_join_tuple(u, v, seqs, timestamp))
-        out += network_sort(row, lambda t: t.seq, len(t2), compare_counter)[:b]
-    return out, b * len(t1)
+                rows.append(_join_tuple(u, v, seqs, timestamp))
+        ends.append(len(rows))
+    rows = network_sort(rows, lambda t: t.seq, len(t2), compare_counter, networks=len(t1))
+    out: list[SecureTuple] = []
+    start = 0
+    for end in ends:
+        out += rows[start:min(end, start + omega)]
+        start = end
+    return out, omega * len(t1)
 
 
 class OperatorKind(enum.Enum):

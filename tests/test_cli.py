@@ -82,6 +82,15 @@ def test_overflowing_retention_exits_2(protocol, capsys):
     assert "retention" in capsys.readouterr().err
 
 
+def test_smj_owner_seqs_past_merge_key_exit_2(capsys):
+    # 2 * c_r * horizon = 2**29 owner seqs cannot fit the merge key's 28 bits;
+    # before, the first join raised ValueError mid-run.
+    assert main(["--operator", "SMJ", "--c_r", "16384", "--horizon", "16384"]) == EXIT_CONFIG
+    assert "merge key" in capsys.readouterr().err
+    assert coerce_config({"operator": "SMJ", "c_r": "8192", "horizon": "16384"})
+    assert coerce_config({"operator": "NLJ", "c_r": "16384", "horizon": "16384"})
+
+
 @pytest.mark.parametrize("value,expected", [("yes", True), ("On", True), ("0", False),
                                             ("off", False)])
 def test_bool_words_parse(value, expected):

@@ -100,7 +100,7 @@ def test_network_matches_pair_generator():
                 values[i], values[j] = values[j], values[i]
                 order[i], order[j] = order[j], order[i]
             pairs += 1
-        perm, count = network_sort_keys(keys, n)
+        perm, count = network_sort_keys(keys, n, 1)
         assert values[:n] == sorted(keys.tolist())
         assert [p for p in order if p < n] == perm.tolist()
         assert count == pairs == network_comparison_count(n)
@@ -123,14 +123,44 @@ def test_network_matches_pair_generator():
                     values[i], values[j] = values[j], values[i]
                 pairs += 1
             counter = [0]
-            assert network_sort(reals, lambda v: v, n, counter) == values[:k]
+            assert network_sort(reals, lambda v: v, n, counter, 1) == values[:k]
             assert all(v >= 4 * n for v in values[k:])
             assert counter[0] == pairs == network_comparison_count(n)
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("n", [0, 1, 5, 16, 33])
+def test_batched_sort_matches_independent_networks(k, n):
+    # k independent n-slot inputs, each run through its own plain-Python
+    # network. Group g's real keys lie below group g+1's, and its dummies
+    # hold a key above every real. One batched sort of all the reals must
+    # give each network's reals in its output order, concatenated, and
+    # charge the k networks.
+    rng = np.random.default_rng(10 * n + k)
+    top = 1 << 62
+    m = padded_length(n)
+    for _ in range(5):
+        reals, expected, pairs = [], [], 0
+        for g in range(k):
+            count = int(rng.integers(0, n + 1))
+            group = [int(v) + 4 * n * g for v in rng.permutation(4 * n)[:count]]
+            values = [top] * m
+            for value, at in zip(group, rng.permutation(n)):
+                values[at] = value
+            reals += [v for v in values if v != top]
+            for i, j, asc in compare_exchange_pairs(m):
+                if (values[i] > values[j]) if asc else (values[i] < values[j]):
+                    values[i], values[j] = values[j], values[i]
+                pairs += 1
+            expected += values[:count]
+        counter = [0]
+        assert network_sort(reals, lambda v: v, n, counter, networks=k) == expected
+        assert counter[0] == pairs == k * network_comparison_count(n)
+
+
 def test_network_sort_rejects_repeated_keys():
     with pytest.raises(ValueError, match="distinct"):
-        network_sort([3, 1, 2], lambda v: 7, 3, [0])
+        network_sort([3, 1, 2], lambda v: 7, 3, [0], 1)
 
 
 def test_obli_sort_rejects_entries_sharing_class_and_seq():
@@ -143,7 +173,7 @@ def test_network_sort_arbitrary_lengths():
     for n in [1, 2, 3, 5, 7, 12, 33, 100]:
         vals = [int(v) for v in rng.permutation(n * 3)[:n]]
         counter = [0]
-        out = network_sort(vals, lambda v: v, n, counter)
+        out = network_sort(vals, lambda v: v, n, counter, 1)
         assert out == sorted(vals)
         assert counter[0] == network_comparison_count(n)
 

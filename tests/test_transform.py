@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dpviewsim import transform
 from dpviewsim.obliv import (DUMMY, SecureCache, SecureTuple, SeqCounter,
-                             network_comparison_count)
+                             network_comparison_count, network_sort)
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover
 from dpviewsim.transcript import Transcript, TranscriptKind
@@ -267,7 +268,7 @@ def test_nlj_empty_inner_all_dummy():
     counter = [0]
     out = nlj(t1, [], b=2, counter=counter)
     assert out == ([], 6)
-    assert counter[0] == 0  # no probes, so no row sorts
+    assert counter[0] == 0  # a 0-slot network has no compare-exchanges
 
 
 def test_nlj_dummy_outer_pads_and_still_sorts_its_row():
@@ -287,6 +288,79 @@ def test_nlj_consumes_both_sides():
     out = nlj(t1, t2, b=1)
     assert real_pairs(out) == [(0, 2)]
     assert out[1] == 2
+
+
+def nlj_oracle(t1, t2, omega, caps, seqs, timestamp):
+    """The per-outer nested loop: (rows, slots, compares).
+
+    Every outer scans all of t2 in order; its row is sorted by seq on its own
+    and cut to omega, and each outer's len(t2)-slot network is charged.
+    """
+    out = []
+    for u in t1:
+        row = []
+        for v in t2 if u.is_view else ():
+            if v.is_view and u.key == v.key \
+                    and caps.remaining(u.seq) > 0 and caps.remaining(v.seq) > 0:
+                caps.consume(u.seq)
+                caps.consume(v.seq)
+                row.append(SecureTuple(key=u.key, attrs=u.attrs + v.attrs, is_view=True,
+                                       seq=seqs.take(), timestamp=timestamp,
+                                       sources=(u.seq, v.seq)))
+        out += sorted(row, key=lambda t: t.seq)[:omega]
+    return out, omega * len(t1), len(t1) * network_comparison_count(len(t2))
+
+
+@pytest.mark.parametrize("omega", [1, 2, 3])
+def test_nlj_matches_per_outer_loop_oracle(omega):
+    # Repeated keys, dummies on both sides, partly spent ledgers, and caps
+    # that may exceed the cut (so an outer can emit rows the cut drops).
+    rng = np.random.default_rng(60 + omega)
+    for trial in range(300):
+        n1 = 0 if trial % 10 == 0 else int(rng.integers(0, 9))
+        n2 = 0 if trial % 10 == 1 else int(rng.integers(0, 9))
+        t1, t2 = ([DUMMY if rng.random() < 0.25 else
+                   rec(base + i, key=int(rng.integers(1, 4)), flag=int(rng.integers(9)))
+                   for i in range(n)] for n, base in ((n1, 0), (n2, 100)))
+        b = int(rng.integers(omega, 3 * omega + 1))
+        spent = {t.seq: int(rng.integers(0, b + 1)) for t in t1 + t2 if t.is_view}
+        cap = omega + 2 * int(rng.integers(2))
+
+        def fresh_caps():
+            ledger = BudgetLedger()
+            for rid, used in spent.items():
+                ledger.register(rid, b)
+                ledger.charge(rid, used)
+            return InvocationCaps(ledger, cap)
+
+        caps, want_caps = fresh_caps(), fresh_caps()
+        seqs, want_seqs = SeqCounter(FRESH), SeqCounter(FRESH)
+        counter = [0]
+        rows, slots = trans_truncate_nlj(t1, t2, omega, caps, seqs, 7, counter)
+        want_rows, want_slots, want_compares = nlj_oracle(t1, t2, omega, want_caps,
+                                                          want_seqs, 7)
+        assert rows == want_rows
+        assert slots == want_slots == omega * n1
+        assert counter[0] == want_compares
+        assert all(caps.remaining(rid) == want_caps.remaining(rid) for rid in spent)
+        assert seqs.take() == want_seqs.take()
+
+
+def test_nlj_sorts_once_per_invocation(monkeypatch):
+    calls = []
+
+    def recording_sort(reals, key_of, n, counter, networks):
+        calls.append((n, networks))
+        return network_sort(reals, key_of, n, counter, networks)
+
+    monkeypatch.setattr(transform, "network_sort", recording_sort)
+    t2 = [rec(10 + i, key=i % 2) for i in range(5)] + [DUMMY]
+    for t1 in ([], [rec(0, key=0)], [rec(0, key=0), DUMMY, rec(1, key=1), rec(2, key=0)]):
+        calls.clear()
+        counter = [0]
+        nlj(t1, t2, b=2, counter=counter)
+        assert calls == [(len(t2), len(t1))]
+        assert counter[0] == len(t1) * network_comparison_count(len(t2))  # 0 for no t1
 
 
 # ---------------------------------------------------------------------------
