@@ -295,6 +295,11 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
     runs need an owner batch size of about 12 to carry the spikes. Per-step
     arrivals are capped at `cap` per owner; overflow spills deterministically
     into following steps.
+
+    Each step draws the attributes of all its groups in one block, A's then
+    B's `multiplicity` for each group in turn. numpy fills a block with the
+    generator calls that one scalar `integers(1000)` draw per record makes,
+    so the streams equal those of per-record draws.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     group_rate = pairs_per_step / multiplicity
@@ -317,15 +322,18 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
         return int(rng.poisson(group_rate))
 
     for t in range(1, horizon + 1):
-        for _ in range(scheduled_groups(t)):
-            key = next_key
-            next_key += 1
-            pend_a.setdefault(t, []).append(
-                StreamRecord(t, key, (matched_flag, int(rng.integers(1000)))))
-            for i in range(multiplicity):
-                bt = t + (i % 2)
-                pend_b.setdefault(bt, []).append(
-                    StreamRecord(bt, key, (matched_flag, int(rng.integers(1000)))))
+        groups = scheduled_groups(t)
+        if groups:
+            attrs = iter(rng.integers(1000, size=groups * (1 + multiplicity)).tolist())
+            for _ in range(groups):
+                key = next_key
+                next_key += 1
+                pend_a.setdefault(t, []).append(
+                    StreamRecord(t, key, (matched_flag, next(attrs))))
+                for i in range(multiplicity):
+                    bt = t + (i % 2)
+                    pend_b.setdefault(bt, []).append(
+                        StreamRecord(bt, key, (matched_flag, next(attrs))))
         if rng.random() < noise_rate:
             pend_a.setdefault(t, []).append(
                 StreamRecord(t, (1 << 30) + next_key, (0, int(rng.integers(1000)))))
@@ -341,7 +349,7 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
         for t in range(1, horizon + 1):
             queue = carry + pending.get(t, [])
             take, carry = queue[:cap], queue[cap:]
-            out.extend(StreamRecord(t, r.key, r.attrs) for r in take)
+            out.extend(r if r.t == t else StreamRecord(t, r.key, r.attrs) for r in take)
         return out
 
     a = drain(pend_a)

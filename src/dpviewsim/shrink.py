@@ -9,6 +9,7 @@ periodic flush drains the cache to keep dummy accumulation bounded.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -63,12 +64,14 @@ def timer_scale(b: float, epsilon: float) -> NoiseScale:
     return NoiseScale(b, epsilon)
 
 
+@functools.cache
 def ant_scales(b: float, epsilon: float, variant: str = "protocol") -> tuple[NoiseScale, NoiseScale, NoiseScale]:
     """(threshold, check, output) noise scales for the threshold protocol.
 
     Sub-budgets are eps1/2, eps1/4 and eps2 with eps1 = eps2 = epsilon/2,
     giving scales 4b/eps, 8b/eps and 2b/eps. The proofs' reference mechanism
-    uses 4b/eps for the output; variant="proof" selects it.
+    uses 4b/eps for the output; variant="proof" selects it. The scales are
+    immutable and built once per argument tuple.
     """
     eps1 = epsilon / 2
     eps2 = epsilon / 2

@@ -1,11 +1,11 @@
 """Truncated view transformation: filter, sort-merge join, nested-loop join.
 
 Each step converts newly outsourced batches into padded view entries, keeps
-the secret-shared cardinality counter in sync, and charges every input record
-against its lifetime contribution budget. Each transform returns its real
-output rows and its padded slot count, which is a function of the input sizes
-and the truncation parameters only, never of data values; the padding itself
-is never built.
+the secret-shared cardinality counter in sync, and charges every join input
+record against its lifetime contribution budget. Each transform returns its
+real output rows and its padded slot count, which is a function of the input
+sizes and the truncation parameters only, never of data values; the padding
+itself is never built.
 """
 
 from __future__ import annotations
@@ -249,21 +249,20 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
     Join operators also scan the retained padded batches of the partner owner;
     batches are retained for ceil(b / omega) invocations, after which their
     records are budget-retired, so the input sizes stay data-independent.
+    Only joins read the budget ledger, so only join inputs are registered
+    and charged in it.
     """
     cfg = state.config
-    for batch in new_batches:
-        for tup in batch:
-            if tup.is_view:
-                state.ledger.register(tup.seq, cfg.b)
-
-    caps = InvocationCaps(state.ledger, cfg.omega)
     if state.operator is OperatorKind.FILTER:
         if state.predicate is None:
             raise ValueError("filter operator requires a predicate")
         rows, slots = trans_truncate_filter(new_batches[0], state.predicate, state.seqs, t)
-        used = [tup for tup in new_batches[0] if tup.is_view]
     else:
         new1, new2 = new_batches[0], new_batches[1]
+        for tup in new1 + new2:
+            if tup.is_view:
+                state.ledger.register(tup.seq, cfg.b)
+        caps = InvocationCaps(state.ledger, cfg.omega)
         old1 = [tup for batch in state.retained[0] for tup in batch]
         old2 = [tup for batch in state.retained[1] for tup in batch]
         join = trans_truncate_smj if state.operator is OperatorKind.SMJ else trans_truncate_nlj
@@ -271,7 +270,16 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
         rows2, slots2 = join(old1, new2, cfg.omega, caps, state.seqs, t, compare_counter)
         rows += rows2
         slots += slots2
-        used = [tup for tup in new1 + new2 + old1 + old2 if tup.is_view]
+        if cfg.charge_policy is ChargePolicy.PER_INVOCATION_OMEGA:
+            for rid in dict.fromkeys(tup.seq for tup in new1 + new2 + old1 + old2
+                                     if tup.is_view):
+                state.ledger.charge(rid, cfg.omega)
+        else:
+            for row in rows:
+                for rid in row.sources:
+                    state.ledger.charge(rid, 1)
+        state.retained[0].append(new1)
+        state.retained[1].append(new2)
 
     state.produced_rows.extend(rows)
 
@@ -279,18 +287,6 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
     c = (c + len(rows)) & RING_MASK
     counter = share_in_protocol(c, *rand.share_pair(), seen=rand.seen_pairs)
     cache = cache_append(cache, rows, slots)
-
-    if cfg.charge_policy is ChargePolicy.PER_INVOCATION_OMEGA:
-        for rid in dict.fromkeys(tup.seq for tup in used):
-            state.ledger.charge(rid, cfg.omega)
-    else:
-        for row in rows:
-            for rid in row.sources:
-                state.ledger.charge(rid, 1)
-
-    if state.operator is not OperatorKind.FILTER:
-        state.retained[0].append(new_batches[0])
-        state.retained[1].append(new_batches[1])
 
     for server in (0, 1):
         transcript.add(t, server, TranscriptKind.TRANSFORM_OUTPUT, slots)

@@ -33,6 +33,17 @@ def _grid():
     cases["DPANT-SMJ-3-trials"] = (ExperimentConfig(
         protocol=Protocol.DP_ANT, operator=OperatorKind.SMJ, horizon=30,
         f=20, s=5, seed=6), 3)
+    # Paths the grid above misses: the Sparse profile, B groups of three
+    # records, and an NLJ under Burst.
+    cases["DPANT-SMJ-Sparse"] = (ExperimentConfig(
+        protocol=Protocol.DP_ANT, operator=OperatorKind.SMJ, profile=Profile.SPARSE,
+        horizon=80, f=20, s=5, seed=7), 1)
+    cases["DPTimer-SMJ-multiplicity-3"] = (ExperimentConfig(
+        protocol=Protocol.DP_TIMER, operator=OperatorKind.SMJ, multiplicity=3,
+        horizon=40, f=20, s=5, seed=8), 1)
+    cases["DPTimer-NLJ-Burst"] = (ExperimentConfig(
+        protocol=Protocol.DP_TIMER, operator=OperatorKind.NLJ, profile=Profile.BURST,
+        c_r=12, horizon=80, f=20, s=5, seed=9), 1)
     return cases
 
 
@@ -76,6 +87,15 @@ GOLDEN = {
                "4b7f60cb55bd0d17657c1a2153a5356b8f700b8eed9983e6a6f93c91b80c1620"),
     "OTM-SMJ": ("4e70ccc10c07dc088aecc1e9ed2648201fc0cb96e36cb1807edcca40f0b39711",
                "8862995c4174f79c4fa6d446746c6e8041dcf50f74534e46ad8f645c38f44248"),
+    # Recorded before the server word streams and stream attributes were
+    # drawn in blocks.
+    "DPANT-SMJ-Sparse": ("46e007befa5e8230c861e263a428ed0fbceaaafe0f2423e0ffd7dbf39042a9e7",
+                         "d4a0653ee536cb492cc37aca1600616de0b770bbd918f9342e95829428c5e096"),
+    "DPTimer-SMJ-multiplicity-3": (
+        "14322d24fd4a45ef8dc52c4cc0d6a7dbf4b20ab137a7afd7d52b3af02246d9e6",
+        "fe150f8f60f8629cf61c509959c6991f359cfe474803d8b9f8d6d7fc74b34286"),
+    "DPTimer-NLJ-Burst": ("cb5f2ae03533f2a41cd2f0c7b001874267a01edec4fcfc95c3f3b939244c3437",
+                          "9e6bb8fdd4358cd7371dedaab709c3be9a922041c1daac642f45a603b5d8f634"),
 }
 
 

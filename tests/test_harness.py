@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from dpviewsim.harness import (CapacityExceeded, ConfigError, ExperimentConfig,
-                               MetricsRecord, ParseError, Profile, Protocol,
+from dpviewsim.harness import (_BURST_ON, _BURST_PERIOD, CapacityExceeded,
+                               ConfigError, ExperimentConfig, MetricsRecord,
+                               ParseError, Profile, Protocol,
                                client_batches, coerce_config, emit_metrics,
                                load_stream, parse_config_file, query_count,
                                read_metrics, run_experiment, run_trials,
@@ -113,6 +114,66 @@ def test_synth_calibration_over_seeds():
         ratios_burst.append(burst / std)
     assert abs(np.mean(ratios_sparse) - 0.1) < 0.01   # 10% +- 10% of 0.1
     assert abs(np.mean(ratios_burst) - 2.0) < 0.2     # 2x +- 10%
+
+
+def _synth_stream_per_record(profile, seed, horizon, multiplicity=1,
+                             pairs_per_step=2.5, cap=5):
+    """Reference synth_stream: one scalar attribute draw per record."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    group_rate = pairs_per_step / multiplicity
+    if profile is Profile.SPARSE:
+        group_rate *= 0.1
+    noise_rate = min(0.5, group_rate * 0.2)
+    pend_a, pend_b = {}, {}
+    next_key = 1
+
+    def scheduled_groups(t):
+        if profile is Profile.BURST:
+            if (t - 1) % _BURST_PERIOD >= _BURST_ON:
+                return 0
+            return int(rng.poisson(2 * group_rate * _BURST_PERIOD / _BURST_ON))
+        return int(rng.poisson(group_rate))
+
+    for t in range(1, horizon + 1):
+        for _ in range(scheduled_groups(t)):
+            key = next_key
+            next_key += 1
+            pend_a.setdefault(t, []).append(
+                StreamRecord(t, key, (1, int(rng.integers(1000)))))
+            for i in range(multiplicity):
+                bt = t + (i % 2)
+                pend_b.setdefault(bt, []).append(
+                    StreamRecord(bt, key, (1, int(rng.integers(1000)))))
+        if rng.random() < noise_rate:
+            pend_a.setdefault(t, []).append(
+                StreamRecord(t, (1 << 30) + next_key, (0, int(rng.integers(1000)))))
+            next_key += 1
+        if rng.random() < noise_rate:
+            pend_b.setdefault(t, []).append(
+                StreamRecord(t, (1 << 31) + next_key, (0, int(rng.integers(1000)))))
+            next_key += 1
+
+    def drain(pending):
+        out, carry = [], []
+        for t in range(1, horizon + 1):
+            queue = carry + pending.get(t, [])
+            take, carry = queue[:cap], queue[cap:]
+            out.extend(StreamRecord(t, r.key, r.attrs) for r in take)
+        return out
+
+    return drain(pend_a), drain(pend_b)
+
+
+@pytest.mark.parametrize("multiplicity", [1, 2, 3])
+@pytest.mark.parametrize("profile", list(Profile))
+def test_synth_block_draws_match_per_record_draws(profile, multiplicity):
+    for cap in (5, 12):
+        for seed in range(5):
+            a, b = synth_stream(profile, seed, 150, multiplicity, cap=cap)
+            assert (a.arrivals, b.arrivals) == _synth_stream_per_record(
+                profile, seed, 150, multiplicity, cap=cap)
+    a, b = synth_stream(profile, 0, 0, multiplicity)
+    assert (a.arrivals, b.arrivals) == _synth_stream_per_record(profile, 0, 0, multiplicity)
 
 
 def test_synth_zero_horizon():

@@ -476,6 +476,22 @@ def test_counter_increases_by_real_count():
     assert cache.real_count() == 3  # plaintext recount agrees
 
 
+def test_filter_leaves_the_budget_ledger_empty():
+    # Only joins read contribution budgets, so a Filter run registers and
+    # charges nothing, under either charge policy.
+    for policy in ChargePolicy:
+        rand = ServerRandomness(12)
+        state = make_state(OperatorKind.FILTER, policy=policy,
+                           predicate=lambda t: t.attrs[0] == 1)
+        counter = transform_init(rand)
+        cache = SecureCache()
+        for t in range(1, 4):
+            batch = [rec(10 * t, 1, flag=1), rec(10 * t + 1, 2, flag=0), pad(10 * t + 2)]
+            cache, counter = step(t, [batch], cache, counter, state, rand)
+        assert recover(counter) == cache.real_count() == 3
+        assert state.ledger._remaining == {}
+
+
 def test_counter_fidelity_across_steps():
     rand = ServerRandomness(3)
     state = make_state(OperatorKind.FILTER, predicate=lambda t: True)
