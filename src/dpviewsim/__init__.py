@@ -10,8 +10,10 @@ Modules:
                pad with one shared DUMMY
     transform  truncated view transformation with contribution budgets; each
                transform returns its real rows and a padded slot count; the
-               NLJ probes a per-invocation key index and sorts all its
-               per-outer networks in one batched call
+               SMJ sorts and scans only the reals of keys found on both
+               sides; the NLJ probes a per-invocation key index with the real
+               outers that have partners and sorts all its per-outer networks
+               in one batched call
     shrink     the timer and above-noisy-threshold sync protocols, flush,
                and the closed-form utility bounds
     transcript what each server observes: sizes, timestamps and shares

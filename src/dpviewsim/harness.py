@@ -377,7 +377,8 @@ def true_count(stream_a: LogicalStream, stream_b: LogicalStream | None,
     if operator is OperatorKind.FILTER:
         return sum(1 for rec in stream_a.arrivals
                    if rec.t <= t and rec.attrs and rec.attrs[0])
-    assert stream_b is not None
+    if stream_b is None:
+        raise ValueError(f"{operator.value} needs a right-hand stream")
     right = Counter(r.key for r in stream_b.arrivals if r.t <= t)
     return sum(right[a.key] for a in stream_a.arrivals if a.t <= t)
 

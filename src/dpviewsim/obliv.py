@@ -20,13 +20,12 @@ oracle for these facts. Repeated sort keys raise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True, slots=True)
-class SecureTuple:
+class SecureTuple(NamedTuple):
     """One cache/view slot: payload plus flags.
 
     is_view marks a real view entry; every other slot is `DUMMY`. seq is the
@@ -154,6 +153,9 @@ def network_sort(reals: list, key_of: Callable, n: int, counter: list,
     below 2**62, must be injective over the reals (a repeated key raises
     ValueError), and must put every item of one input below every item of the
     next. `counter[0]` accumulates the networks' compare-exchange count.
+    Since the network orders reals by key alone, a caller may pass only the
+    reals whose order it reads: they come out in the order the network gives
+    them among all the input's reals, and the charge still covers all n slots.
     """
     keys = np.fromiter(map(key_of, reals), dtype=np.int64, count=len(reals))
     perm, comparisons = network_sort_keys(keys, n, networks)

@@ -63,13 +63,21 @@ class BudgetLedger:
 
     def charge(self, rid: int, amount: int) -> int:
         """Consume up to `amount`; returns what was actually consumed."""
+        have = self._remaining.get(rid, 0)
+        self.charge_each([rid], amount)
+        return have - self._remaining[rid]
+
+    def charge_each(self, rids: list[int], amount: int) -> None:
+        """Consume up to `amount` from each listed record in turn, as one
+        `charge` call per listed id would."""
         if amount < 0:
             raise ValueError("charge amount must be non-negative")
-        have = self._remaining.get(rid)
-        assert have is not None, f"charging unregistered record {rid}"
-        used = min(have, amount)
-        self._remaining[rid] = have - used
-        return used
+        remaining = self._remaining
+        for rid in rids:
+            have = remaining.get(rid)
+            if have is None:
+                raise ValueError(f"charging unregistered record {rid}")
+            remaining[rid] = have - amount if have > amount else 0
 
     def retired(self, rid: int) -> bool:
         return self.remaining(rid) == 0
@@ -132,8 +140,22 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
     dummies for the rest. `caps` holds each record's slots this invocation,
     min(omega, remaining ledger budget), so joins of an exhausted or
     unregistered record are discarded.
+
+    Every t1 record of a key sorts before every t2 record of it, so only t2
+    records join, each with the t1 records of its key. A real whose key is
+    not held by a real on the other side therefore emits nothing and touches
+    no cap: after every real's merge key is checked, only the reals of keys
+    found on both sides are sorted and scanned, in the network's order of the
+    whole padded input.
     """
-    tagged = [(0, t) for t in t1 if t.is_view] + [(1, t) for t in t2 if t.is_view]
+    reals1 = [t for t in t1 if t.is_view]
+    reals2 = [t for t in t2 if t.is_view]
+    for t in reals1 + reals2:
+        if t.seq >> 28 or t.key >> 32:
+            _merge_key(0, t)  # raises: a field does not fit the merge key
+    both = {t.key for t in reals1} & {t.key for t in reals2}
+    tagged = [(0, t) for t in reals1 if t.key in both] + \
+             [(1, t) for t in reals2 if t.key in both]
     merged = network_sort(tagged, lambda it: _merge_key(*it), len(t1) + len(t2),
                           compare_counter, networks=1)
 
@@ -166,10 +188,12 @@ def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
     records hold budget, one unit consumed from each) or a dummy, so each
     outer tuple yields a len(t2)-slot intermediate, which is network-sorted
     real-first and cut to omega slots. Only key-matching probes can emit, so
-    each outer probes just the real inner rows of its key, in t2 order. The
+    each real outer probes just the real inner rows of its key, in t2 order,
+    and a dummy outer or one whose key no real inner row holds is skipped. The
     len(t1) intermediates are sorted by one batched call of len(t1) networks:
     their rows are stamped in emission order, so every row of one outer holds
-    a lower seq than every row of the next.
+    a lower seq than every row of the next. Only the outers that emitted rows
+    have a span of the sorted rows to cut.
     """
     if omega < 1:
         raise ValueError(f"per-outer bound must be positive, got {omega}")
@@ -178,22 +202,25 @@ def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
         if v.is_view:
             inner.setdefault(v.key, []).append(v)
     rows: list[SecureTuple] = []
-    ends: list[int] = []  # where each outer's rows end in `rows`
+    spans: list[tuple[int, int]] = []  # each emitting outer's rows in `rows`
     for u in t1:
-        for v in inner.get(u.key, ()) if u.is_view else ():
+        partners = inner.get(u.key) if u.is_view else None
+        if not partners:
+            continue
+        start = len(rows)
+        for v in partners:
             if caps.remaining(u.seq) <= 0:
                 break
             if caps.remaining(v.seq) > 0:
                 caps.consume(u.seq)
                 caps.consume(v.seq)
                 rows.append(_join_tuple(u, v, seqs, timestamp))
-        ends.append(len(rows))
+        if len(rows) > start:
+            spans.append((start, len(rows)))
     rows = network_sort(rows, lambda t: t.seq, len(t2), compare_counter, networks=len(t1))
     out: list[SecureTuple] = []
-    start = 0
-    for end in ends:
+    for start, end in spans:
         out += rows[start:min(end, start + omega)]
-        start = end
     return out, omega * len(t1)
 
 
@@ -271,13 +298,11 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
         rows += rows2
         slots += slots2
         if cfg.charge_policy is ChargePolicy.PER_INVOCATION_OMEGA:
-            for rid in dict.fromkeys(tup.seq for tup in new1 + new2 + old1 + old2
-                                     if tup.is_view):
-                state.ledger.charge(rid, cfg.omega)
+            # The four batches are disjoint and seqs unique: each id once.
+            state.ledger.charge_each([tup.seq for tup in new1 + new2 + old1 + old2
+                                      if tup.is_view], cfg.omega)
         else:
-            for row in rows:
-                for rid in row.sources:
-                    state.ledger.charge(rid, 1)
+            state.ledger.charge_each([rid for row in rows for rid in row.sources], 1)
         state.retained[0].append(new1)
         state.retained[1].append(new2)
 

@@ -358,6 +358,14 @@ def test_true_count_brute_force_join():
     assert true_count(a, b, OperatorKind.SMJ, 3) == 2
 
 
+@pytest.mark.parametrize("operator", [OperatorKind.SMJ, OperatorKind.NLJ])
+def test_true_count_join_without_right_stream_raises(operator):
+    # An explicit raise, so the check also holds under python -O.
+    a = LogicalStream([StreamRecord(1, 5, (1,))], 3)
+    with pytest.raises(ValueError, match="right-hand stream"):
+        true_count(a, None, operator, 1)
+
+
 def test_true_count_matches_nested_loop_on_synthetic_streams():
     # Multiplicity 3 gives keys with several right-side matches.
     for profile in Profile:

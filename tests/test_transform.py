@@ -239,6 +239,103 @@ def test_smj_counts_omega_slots_per_input_slot():
     assert counter[0] == network_comparison_count(4)
 
 
+def smj_oracle(t1, t2, omega, caps, seqs, timestamp, compare_counter):
+    """The full merge: every real of both inputs is sorted and scanned."""
+    tagged = [(0, t) for t in t1 if t.is_view] + [(1, t) for t in t2 if t.is_view]
+    merged = network_sort(tagged, lambda it: _merge_key(*it), len(t1) + len(t2),
+                          compare_counter, networks=1)
+    out = []
+    group_key = None
+    seen = ([], [])
+    for origin, tup in merged:
+        if tup.key != group_key:
+            group_key = tup.key
+            seen = ([], [])
+        for p in seen[1 - origin]:
+            if caps.remaining(tup.seq) <= 0:
+                break
+            if caps.remaining(p.seq) <= 0:
+                continue
+            caps.consume(tup.seq)
+            caps.consume(p.seq)
+            a, b = (tup, p) if origin == 0 else (p, tup)
+            out.append(SecureTuple(key=a.key, attrs=a.attrs + b.attrs, is_view=True,
+                                   seq=seqs.take(), timestamp=timestamp,
+                                   sources=(a.seq, b.seq)))
+        seen[origin].append(tup)
+    return out, omega * (len(t1) + len(t2))
+
+
+def spent_caps(tables, b, spent, cap):
+    """Invocation caps of `cap` slots over a ledger with budget b per real,
+    of which each record has already spent `spent[seq]`."""
+    ledger = BudgetLedger()
+    for table in tables:
+        for tup in table:
+            if tup.is_view:
+                ledger.register(tup.seq, b)
+                ledger.charge(tup.seq, spent[tup.seq])
+    return InvocationCaps(ledger, cap)
+
+
+@pytest.mark.parametrize("omega", [1, 2, 3])
+def test_smj_matches_full_merge_oracle(omega):
+    # Shaped like transform_step: (new1, old2 + new2), then (old1, new2), with
+    # one InvocationCaps shared by both calls. Each side draws keys from its
+    # own random range, so some keys are held by one side only.
+    rng = np.random.default_rng(70 + omega)
+    for trial in range(300):
+        seq = iter(range(10_000))
+        lo1, lo2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+
+        def table(n, lo):
+            return [DUMMY if rng.random() < 0.25 else
+                    rec(next(seq), key=int(rng.integers(lo, lo + 4)),
+                        flag=int(rng.integers(9)))
+                    for _ in range(0 if trial % 10 == 0 else n)]
+
+        new1, old1 = table(int(rng.integers(0, 7)), lo1), table(int(rng.integers(0, 7)), lo1)
+        new2, old2 = table(int(rng.integers(0, 7)), lo2), table(int(rng.integers(0, 7)), lo2)
+        tables = (new1, old1, new2, old2)
+        b = int(rng.integers(omega, 3 * omega + 1))
+        spent = {t.seq: int(rng.integers(0, b + 1)) for tab in tables for t in tab
+                 if t.is_view}
+        caps, want_caps = (spent_caps(tables, b, spent, omega) for _ in range(2))
+        seqs, want_seqs = SeqCounter(FRESH), SeqCounter(FRESH)
+        counter, want_counter = [0], [0]
+        for left, right in ((new1, old2 + new2), (old1, new2)):
+            rows, slots = trans_truncate_smj(left, right, omega, caps, seqs, 7, counter)
+            want_rows, want_slots = smj_oracle(left, right, omega, want_caps, want_seqs,
+                                               7, want_counter)
+            assert [r.sources for r in rows] == [r.sources for r in want_rows]
+            assert rows == want_rows  # same seqs, payloads and timestamps
+            assert slots == want_slots == omega * (len(left) + len(right))
+            assert counter == want_counter
+        assert all(caps.remaining(rid) == want_caps.remaining(rid) for rid in spent)
+        assert seqs.take() == want_seqs.take()
+
+
+def test_smj_sorts_once_per_invocation(monkeypatch):
+    calls = []
+
+    def recording_sort(reals, key_of, n, counter, networks):
+        calls.append(([t.seq for _, t in reals], n, networks))
+        return network_sort(reals, key_of, n, counter, networks)
+
+    monkeypatch.setattr(transform, "network_sort", recording_sort)
+    t2 = [rec(10, key=1), DUMMY, rec(11, key=3), rec(12, key=1), rec(13, key=4)]
+    cases = (([], [], []),
+             ([], t2, []),
+             ([rec(0, key=2), DUMMY], t2, []),
+             ([rec(0, key=1), rec(1, key=2), DUMMY, rec(2, key=4)], t2, [0, 2, 10, 12, 13]))
+    for t1, right, joinable in cases:
+        calls.clear()
+        counter = [0]
+        smj(t1, right, omega=2, counter=counter)
+        assert calls == [(joinable, len(t1) + len(right), 1)]
+        assert counter[0] == network_comparison_count(len(t1) + len(right))
+
+
 # ---------------------------------------------------------------------------
 # Nested-loop join.
 
@@ -313,27 +410,20 @@ def nlj_oracle(t1, t2, omega, caps, seqs, timestamp):
 
 @pytest.mark.parametrize("omega", [1, 2, 3])
 def test_nlj_matches_per_outer_loop_oracle(omega):
-    # Repeated keys, dummies on both sides, partly spent ledgers, and caps
-    # that may exceed the cut (so an outer can emit rows the cut drops).
+    # Repeated keys, dummies on both sides, outers whose key no inner row
+    # holds, partly spent ledgers, and caps that may exceed the cut (so an
+    # outer can emit rows the cut drops).
     rng = np.random.default_rng(60 + omega)
     for trial in range(300):
         n1 = 0 if trial % 10 == 0 else int(rng.integers(0, 9))
         n2 = 0 if trial % 10 == 1 else int(rng.integers(0, 9))
         t1, t2 = ([DUMMY if rng.random() < 0.25 else
-                   rec(base + i, key=int(rng.integers(1, 4)), flag=int(rng.integers(9)))
-                   for i in range(n)] for n, base in ((n1, 0), (n2, 100)))
+                   rec(base + i, key=int(rng.integers(1, hi)), flag=int(rng.integers(9)))
+                   for i in range(n)] for n, base, hi in ((n1, 0, 6), (n2, 100, 4)))
         b = int(rng.integers(omega, 3 * omega + 1))
         spent = {t.seq: int(rng.integers(0, b + 1)) for t in t1 + t2 if t.is_view}
         cap = omega + 2 * int(rng.integers(2))
-
-        def fresh_caps():
-            ledger = BudgetLedger()
-            for rid, used in spent.items():
-                ledger.register(rid, b)
-                ledger.charge(rid, used)
-            return InvocationCaps(ledger, cap)
-
-        caps, want_caps = fresh_caps(), fresh_caps()
+        caps, want_caps = (spent_caps((t1, t2), b, spent, cap) for _ in range(2))
         seqs, want_seqs = SeqCounter(FRESH), SeqCounter(FRESH)
         counter = [0]
         rows, slots = trans_truncate_nlj(t1, t2, omega, caps, seqs, 7, counter)
@@ -433,6 +523,47 @@ def test_smj_count_stability_unrestricted(omega):
         for i in range(n2):
             n = len(real_pairs(smj(t1, t2[:i] + t2[i + 1:], omega)))
             assert abs(base - n) <= omega
+
+
+# ---------------------------------------------------------------------------
+# Budget ledger.
+
+def test_charge_each_matches_sequential_charges():
+    # Repeated ids, records driven to zero and amount 0.
+    rng = np.random.default_rng(40)
+    for trial in range(200):
+        n = int(rng.integers(1, 8))
+        budgets_ = [int(rng.integers(0, 6)) for _ in range(n)]
+        rids = [int(rng.integers(n)) for _ in range(int(rng.integers(0, 15)))]
+        amount = int(rng.integers(0, 4))
+        batched, sequential = BudgetLedger(), BudgetLedger()
+        for rid, b in enumerate(budgets_):
+            batched.register(rid, b)
+            sequential.register(rid, b)
+        batched.charge_each(rids, amount)
+        for rid in rids:
+            have = sequential.remaining(rid)
+            assert sequential.charge(rid, amount) == min(have, amount)
+        want = [max(0, b - rids.count(rid) * amount) for rid, b in enumerate(budgets_)]
+        assert [batched.remaining(r) for r in range(n)] == \
+            [sequential.remaining(r) for r in range(n)] == want
+
+
+def test_ledger_rejects_unregistered_ids_and_negative_amounts():
+    # Explicit raises, so the checks also hold under python -O.
+    ledger = BudgetLedger()
+    ledger.register(1, 3)
+    with pytest.raises(ValueError, match="unregistered record 2"):
+        ledger.charge(2, 1)
+    with pytest.raises(ValueError, match="unregistered record 2"):
+        ledger.charge_each([1, 2], 1)
+    for amount in (-1, -5):
+        with pytest.raises(ValueError, match="non-negative"):
+            ledger.charge(1, amount)
+        with pytest.raises(ValueError, match="non-negative"):
+            ledger.charge_each([1], amount)
+    assert ledger.charge(1, 5) == 2  # one unit went to the charge_each([1, 2], 1)
+    assert ledger.remaining(1) == 0
 
 
 # ---------------------------------------------------------------------------
