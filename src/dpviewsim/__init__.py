@@ -8,12 +8,13 @@ Modules:
                output order with one argsort, at the padded networks'
                closed-form cost, the network itself as the test oracle; reads
                pad with one shared DUMMY
-    transform  truncated view transformation with contribution budgets; each
-               transform returns its real rows and a padded slot count; the
-               SMJ sorts and scans only the reals of keys found on both
-               sides; the NLJ probes a per-invocation key index with the real
-               outers that have partners and sorts all its per-outer networks
-               in one batched call
+    transform  truncated view transformation with contribution budgets; a
+               record's join slots per invocation are a function of its age
+               alone; each transform returns its real rows and a padded slot
+               count; the SMJ sorts and scans only the reals of keys found on
+               both sides; the NLJ probes a per-invocation key index with the
+               real outers that have partners and sorts all its per-outer
+               networks in one batched call
     shrink     the timer and above-noisy-threshold sync protocols, flush,
                and the closed-form utility bounds
     transcript what each server observes: sizes, timestamps and shares

@@ -92,10 +92,3 @@ def laplace_oracle_many(scale: NoiseScale, n: int | tuple[int, ...],
     d = u - 0.5
     return -scale.scale * np.sign(d) * np.log1p(-2.0 * np.abs(d))
 
-
-def joint_laplace_many(z0: np.ndarray, z1: np.ndarray, scale: NoiseScale) -> np.ndarray:
-    """Vectorized joint_laplace over arrays of uint32 words."""
-    z = (np.asarray(z0, dtype=np.uint64) ^ np.asarray(z1, dtype=np.uint64)).astype(np.int64)
-    r = ((z & _LOW31) + 1) / _DENOM
-    sign = np.where(z & _MSB, 1.0, -1.0)
-    return scale.scale * np.log(r) * sign

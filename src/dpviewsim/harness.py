@@ -25,9 +25,8 @@ from .shrink import (AntConfig, FlushReport, MaterializedView, SyncReport,
                      TimerConfig, flush_step, sdp_ant_init, sdp_ant_step,
                      sdp_timer_step)
 from .transcript import Transcript, TranscriptKind
-from .transform import (ChargePolicy, OperatorKind, TransformState,
-                        TruncationConfig, expected_output_size, transform_init,
-                        transform_step)
+from .transform import (OperatorKind, TransformState, TruncationConfig,
+                        expected_output_size, transform_init, transform_step)
 
 
 class ConfigError(ValueError):
@@ -78,7 +77,6 @@ class ExperimentConfig:
     stream_a: str | None = None
     stream_b: str | None = None
     scan_cache: bool = False
-    charge_policy: ChargePolicy = ChargePolicy.PER_INVOCATION_OMEGA
     trials: int = 1
 
 
@@ -149,8 +147,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_ENUM_FIELDS = {"protocol": Protocol, "operator": OperatorKind,
-                "profile": Profile, "charge_policy": ChargePolicy}
+_ENUM_FIELDS = {"protocol": Protocol, "operator": OperatorKind, "profile": Profile}
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
@@ -440,7 +437,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     owners = [s for s in (stream_a, stream_b) if s is not None]
     batches = [client_batches(s, config.c_r, config.horizon, seqs) for s in owners]
 
-    trunc = TruncationConfig(config.omega, config.b, config.charge_policy)
+    trunc = TruncationConfig(config.omega, config.b)
     filtering = config.operator is OperatorKind.FILTER
     state = TransformState(config=trunc, operator=config.operator, seqs=seqs,
                            predicate=(lambda tup: bool(tup.attrs and tup.attrs[0]))
@@ -555,7 +552,7 @@ def run_trials(config: ExperimentConfig, trials: int) -> list[ExperimentResult]:
 
 def expected_transform_size(config: ExperimentConfig):
     """Audit helper: t -> padded transform output size under this config."""
-    trunc = TruncationConfig(config.omega, config.b, config.charge_policy)
+    trunc = TruncationConfig(config.omega, config.b)
 
     def size(t: int) -> int:
         return expected_output_size(config.operator, t, config.c_r, trunc)

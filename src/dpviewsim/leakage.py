@@ -5,6 +5,11 @@ the logical stream alone: what an adversary may learn is at most what these
 mechanisms release. The empirical estimator measures privacy loss between
 neighboring streams; the audit asserts that every transcript size is either a
 function of public configuration or a coupled DP release.
+
+The mechanisms' noise is calibrated to b, on the premise that one logical
+update moves the produced-row stream by at most b rows. tests/test_sensitivity
+checks that half of the DP argument on real runs: it deletes each record of
+hot-key streams in turn and bounds the change of the per-step produced rows.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dpnoise import NoiseScale, laplace_oracle_many
+from .dpnoise import laplace_oracle_many
 from .randomness import SeededLaplace
 from .shrink import ant_scales, timer_scale
 # Callers of the audit also reach the transcript types through this module.
@@ -110,26 +115,6 @@ def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float,
         else:
             out.append((t, None))
     return out
-
-
-def nant(stream: LogicalStream, epsilon: float, theta: float, delta_f: float,
-         seed: int | None = None, noise=None,
-         horizon: int | None = None) -> tuple[int, float] | None:
-    """Numeric above-noisy-threshold: one release at the first crossing."""
-    if noise is None:
-        noise = SeededLaplace(0 if seed is None else seed)
-    h = horizon if horizon is not None else stream.horizon
-    counts = stream.arrivals_per_step(h)
-    eps1 = epsilon / 2
-    eps2 = epsilon / 2
-    noisy_th = theta + noise.laplace(NoiseScale(2 * delta_f, eps1))
-    c = 0
-    for t in range(1, h + 1):
-        v_t = noise.laplace(NoiseScale(4 * delta_f, eps1))
-        c += int(counts[t])
-        if c + v_t >= noisy_th:
-            return (t, c + noise.laplace(NoiseScale(2 * delta_f, eps2)))
-    return None
 
 
 # Vectorized trial runners for the empirical estimator.

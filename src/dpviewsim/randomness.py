@@ -59,17 +59,3 @@ class SeededLaplace:
     def laplace(self, scale: NoiseScale) -> float:
         return dpnoise.laplace_oracle(scale, self._rng)
 
-
-class ScriptedNoise:
-    """Fixed noise sequence for pinned-randomness traces in tests."""
-
-    def __init__(self, values, default: float | None = None):
-        self._values = list(values)
-        self._default = default
-
-    def laplace(self, scale: NoiseScale) -> float:
-        if self._values:
-            return self._values.pop(0)
-        if self._default is None:
-            raise RuntimeError("scripted noise exhausted")
-        return self._default

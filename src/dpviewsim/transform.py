@@ -1,17 +1,20 @@
 """Truncated view transformation: filter, sort-merge join, nested-loop join.
 
-Each step converts newly outsourced batches into padded view entries, keeps
-the secret-shared cardinality counter in sync, and charges every join input
-record against its lifetime contribution budget. Each transform returns its
-real output rows and its padded slot count, which is a function of the input
-sizes and the truncation parameters only, never of data values; the padding
+Each step converts newly outsourced batches into padded view entries and
+keeps the secret-shared cardinality counter in sync. A join input record has
+a lifetime contribution budget b: it is scanned in ceil(b / omega)
+invocations and spends omega of b in each, whatever it joins. So its join
+slots in one invocation, min(omega, b - age * omega) after `age` earlier
+invocations, are a function of its age alone, never of the data. Each
+transform returns its real output rows and its padded slot count, which is a
+function of the input sizes and the truncation parameters only; the padding
 itself is never built.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,18 +27,10 @@ from .transcript import Transcript, TranscriptKind
 CounterShares = SharePair
 
 
-class ChargePolicy(enum.Enum):
-    # Flat omega per invocation a record is used in (main-protocol accounting).
-    PER_INVOCATION_OMEGA = "PerInvocationOmega"
-    # One unit per emitted real row the record contributes to.
-    PER_OUTPUT_ROW = "PerOutputRow"
-
-
 @dataclass(frozen=True)
 class TruncationConfig:
     omega: int
     b: int
-    charge_policy: ChargePolicy = ChargePolicy.PER_INVOCATION_OMEGA
 
     def __post_init__(self):
         if self.omega < 1:
@@ -45,61 +40,8 @@ class TruncationConfig:
 
     @property
     def retention_steps(self) -> int:
-        """Invocations a record stays usable under flat-omega charging."""
+        """Invocations that scan a record; each spends omega of its budget b."""
         return -(-self.b // self.omega)
-
-
-class BudgetLedger:
-    """Remaining lifetime contribution budget per record id (seq)."""
-
-    def __init__(self):
-        self._remaining: dict[int, int] = {}
-
-    def register(self, rid: int, b: int) -> None:
-        self._remaining.setdefault(rid, b)
-
-    def remaining(self, rid: int) -> int:
-        return self._remaining.get(rid, 0)
-
-    def charge(self, rid: int, amount: int) -> int:
-        """Consume up to `amount`; returns what was actually consumed."""
-        have = self._remaining.get(rid, 0)
-        self.charge_each([rid], amount)
-        return have - self._remaining[rid]
-
-    def charge_each(self, rids: list[int], amount: int) -> None:
-        """Consume up to `amount` from each listed record in turn, as one
-        `charge` call per listed id would."""
-        if amount < 0:
-            raise ValueError("charge amount must be non-negative")
-        remaining = self._remaining
-        for rid in rids:
-            have = remaining.get(rid)
-            if have is None:
-                raise ValueError(f"charging unregistered record {rid}")
-            remaining[rid] = have - amount if have > amount else 0
-
-    def retired(self, rid: int) -> bool:
-        return self.remaining(rid) == 0
-
-
-class InvocationCaps:
-    """Per-invocation contribution slots: min(omega, remaining budget)."""
-
-    def __init__(self, ledger: BudgetLedger, omega: int):
-        self._ledger = ledger
-        self._omega = omega
-        self._rem: dict[int, int] = {}
-
-    def remaining(self, rid: int) -> int:
-        r = self._rem.get(rid)
-        if r is None:
-            r = min(self._omega, self._ledger.remaining(rid))
-            self._rem[rid] = r
-        return r
-
-    def consume(self, rid: int) -> None:
-        self._rem[rid] = self.remaining(rid) - 1
 
 
 def _join_tuple(a: SecureTuple, b: SecureTuple, seqs: SeqCounter, timestamp: int) -> SecureTuple:
@@ -129,7 +71,7 @@ def _merge_key(origin: int, t: SecureTuple) -> int:
 
 
 def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
-                       caps: InvocationCaps, seqs: SeqCounter, timestamp: int,
+                       caps: dict[int, int], seqs: SeqCounter, timestamp: int,
                        compare_counter: list) -> tuple[list[SecureTuple], int]:
     """Truncated oblivious sort-merge join: (joined rows, omega slots per input).
 
@@ -137,9 +79,10 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
     put t1 records first and input dummies last. The linear scan emits, for
     every accessed tuple, exactly omega output slots: real joins with
     previously scanned partners while both sides hold contribution slots,
-    dummies for the rest. `caps` holds each record's slots this invocation,
-    min(omega, remaining ledger budget), so joins of an exhausted or
-    unregistered record are discarded.
+    dummies for the rest. `caps` maps the seq of every real input to its join
+    slots this invocation, a function of the record's age alone (see
+    `transform_step`), and each join takes one slot from both records, so a
+    record with no slots left joins nothing.
 
     Every t1 record of a key sorts before every t2 record of it, so only t2
     records join, each with the t1 records of its key. A real whose key is
@@ -167,12 +110,12 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
             group_key = tup.key
             seen = ([], [])
         for p in seen[1 - origin]:
-            if caps.remaining(tup.seq) <= 0:  # at most omega joins per access
+            if caps[tup.seq] <= 0:  # at most omega joins per access
                 break
-            if caps.remaining(p.seq) <= 0:
+            if caps[p.seq] <= 0:
                 continue
-            caps.consume(tup.seq)
-            caps.consume(p.seq)
+            caps[tup.seq] -= 1
+            caps[p.seq] -= 1
             a, b = (tup, p) if origin == 0 else (p, tup)
             out.append(_join_tuple(a, b, seqs, timestamp))
         seen[origin].append(tup)
@@ -180,20 +123,21 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
 
 
 def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
-                       caps: InvocationCaps, seqs: SeqCounter, timestamp: int,
+                       caps: dict[int, int], seqs: SeqCounter, timestamp: int,
                        compare_counter: list) -> tuple[list[SecureTuple], int]:
     """Truncated oblivious nested-loop join: (joined rows, omega slots per outer tuple).
 
     Every (outer, inner) probe either emits a real join (keys match and both
-    records hold budget, one unit consumed from each) or a dummy, so each
-    outer tuple yields a len(t2)-slot intermediate, which is network-sorted
-    real-first and cut to omega slots. Only key-matching probes can emit, so
-    each real outer probes just the real inner rows of its key, in t2 order,
-    and a dummy outer or one whose key no real inner row holds is skipped. The
-    len(t1) intermediates are sorted by one batched call of len(t1) networks:
-    their rows are stamped in emission order, so every row of one outer holds
-    a lower seq than every row of the next. Only the outers that emitted rows
-    have a span of the sorted rows to cut.
+    records hold a slot in `caps`, one taken from each; see
+    `trans_truncate_smj`) or a dummy, so each outer tuple yields a
+    len(t2)-slot intermediate, which is network-sorted real-first and cut to
+    omega slots. Only key-matching probes can emit, so each real outer probes
+    just the real inner rows of its key, in t2 order, and a dummy outer or one
+    whose key no real inner row holds is skipped. The len(t1) intermediates
+    are sorted by one batched call of len(t1) networks: their rows are stamped
+    in emission order, so every row of one outer holds a lower seq than every
+    row of the next. Only the outers that emitted rows have a span of the
+    sorted rows to cut.
     """
     if omega < 1:
         raise ValueError(f"per-outer bound must be positive, got {omega}")
@@ -209,11 +153,11 @@ def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
             continue
         start = len(rows)
         for v in partners:
-            if caps.remaining(u.seq) <= 0:
+            if caps[u.seq] <= 0:
                 break
-            if caps.remaining(v.seq) > 0:
-                caps.consume(u.seq)
-                caps.consume(v.seq)
+            if caps[v.seq] > 0:
+                caps[u.seq] -= 1
+                caps[v.seq] -= 1
                 rows.append(_join_tuple(u, v, seqs, timestamp))
         if len(rows) > start:
             spans.append((start, len(rows)))
@@ -238,7 +182,6 @@ class TransformState:
     operator: OperatorKind
     seqs: SeqCounter
     predicate: Callable[[SecureTuple], bool] | None = None
-    ledger: BudgetLedger = field(default_factory=BudgetLedger)
     retained: tuple[deque, deque] = None  # past padded batches per owner
     produced_rows: list[SecureTuple] = field(default_factory=list)
 
@@ -273,11 +216,12 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
                    compare_counter: list) -> tuple[SecureCache, CounterShares]:
     """One invocation: truncate-transform new data, cache it, update the counter.
 
-    Join operators also scan the retained padded batches of the partner owner;
-    batches are retained for ceil(b / omega) invocations, after which their
-    records are budget-retired, so the input sizes stay data-independent.
-    Only joins read the budget ledger, so only join inputs are registered
-    and charged in it.
+    Join operators also scan the retained padded batches of the partner owner.
+    A batch is scanned in ceil(b / omega) invocations, so the input sizes stay
+    data-independent, and each scan spends omega of its records' budget b. A
+    real record scanned in `age` earlier invocations therefore holds
+    min(omega, b - age * omega) join slots: omega, except for the reals of the
+    oldest retained batch when omega does not divide b.
     """
     cfg = state.config
     if state.operator is OperatorKind.FILTER:
@@ -286,25 +230,20 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
         rows, slots = trans_truncate_filter(new_batches[0], state.predicate, state.seqs, t)
     else:
         new1, new2 = new_batches[0], new_batches[1]
-        for tup in new1 + new2:
-            if tup.is_view:
-                state.ledger.register(tup.seq, cfg.b)
-        caps = InvocationCaps(state.ledger, cfg.omega)
-        old1 = [tup for batch in state.retained[0] for tup in batch]
-        old2 = [tup for batch in state.retained[1] for tup in batch]
+        kept1, kept2 = state.retained
+        caps = defaultdict(lambda: cfg.omega)
+        oldest = cfg.b - len(kept1) * cfg.omega  # the oldest batch's age is len(kept1)
+        if oldest < cfg.omega:
+            caps.update((tup.seq, oldest) for tup in kept1[0] + kept2[0] if tup.is_view)
+        old1 = [tup for batch in kept1 for tup in batch]
+        old2 = [tup for batch in kept2 for tup in batch]
         join = trans_truncate_smj if state.operator is OperatorKind.SMJ else trans_truncate_nlj
         rows, slots = join(new1, old2 + new2, cfg.omega, caps, state.seqs, t, compare_counter)
         rows2, slots2 = join(old1, new2, cfg.omega, caps, state.seqs, t, compare_counter)
         rows += rows2
         slots += slots2
-        if cfg.charge_policy is ChargePolicy.PER_INVOCATION_OMEGA:
-            # The four batches are disjoint and seqs unique: each id once.
-            state.ledger.charge_each([tup.seq for tup in new1 + new2 + old1 + old2
-                                      if tup.is_view], cfg.omega)
-        else:
-            state.ledger.charge_each([rid for row in rows for rid in row.sources], 1)
-        state.retained[0].append(new1)
-        state.retained[1].append(new2)
+        kept1.append(new1)
+        kept2.append(new2)
 
     state.produced_rows.extend(rows)
 

@@ -20,6 +20,19 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert main(["--config", str(cfg)]) == EXIT_CONFIG
 
 
+def test_deleted_charge_policy_option_exits_2(tmp_path, capsys):
+    # Per-output-row charging let one record move the produced rows by more
+    # than b, so the option is gone rather than ignored.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("charge_policy=PerOutputRow\n")
+    assert main(["--config", str(cfg)]) == EXIT_CONFIG
+    assert "unknown config key 'charge_policy'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--charge_policy", "PerOutputRow"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--charge_policy" in capsys.readouterr().err
+
+
 def test_bad_field_value_exits_2(capsys):
     assert main(["--horizon", "soon"]) == EXIT_CONFIG
 

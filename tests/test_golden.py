@@ -44,6 +44,14 @@ def _grid():
     cases["DPTimer-NLJ-Burst"] = (ExperimentConfig(
         protocol=Protocol.DP_TIMER, operator=OperatorKind.NLJ, profile=Profile.BURST,
         c_r=12, horizon=80, f=20, s=5, seed=9), 1)
+    # omega > 1 with omega not dividing b, so the oldest retained batch holds
+    # fewer than omega join slots.
+    cases["DPTimer-SMJ-omega-3-b-10"] = (ExperimentConfig(
+        protocol=Protocol.DP_TIMER, operator=OperatorKind.SMJ, omega=3, b=10,
+        multiplicity=3, horizon=40, f=20, s=5, seed=10), 1)
+    cases["EP-NLJ-omega-2-b-5-Burst"] = (ExperimentConfig(
+        protocol=Protocol.EP, operator=OperatorKind.NLJ, omega=2, b=5,
+        profile=Profile.BURST, c_r=12, horizon=80, f=20, s=5, seed=11), 1)
     return cases
 
 
@@ -96,6 +104,14 @@ GOLDEN = {
         "fe150f8f60f8629cf61c509959c6991f359cfe474803d8b9f8d6d7fc74b34286"),
     "DPTimer-NLJ-Burst": ("cb5f2ae03533f2a41cd2f0c7b001874267a01edec4fcfc95c3f3b939244c3437",
                           "9e6bb8fdd4358cd7371dedaab709c3be9a922041c1daac642f45a603b5d8f634"),
+    # Recorded before the budget ledger was replaced by join slots read from
+    # a record's age.
+    "DPTimer-SMJ-omega-3-b-10": (
+        "9de5a6ec111e2827831a6a0da39f9a2d01d45d57bc62e54e16694efc52d9e391",
+        "7207b59a421f2686831d03bb6d17e8d2a0a1a1cc9670a40fb3a17bdba8e68d63"),
+    "EP-NLJ-omega-2-b-5-Burst": (
+        "4cec7ce8a11e737d29224bee65167b197a671bff9f48c006592c84716dabc18e",
+        "9a6dae8213a8f986ee34f1e5377641d01662cdd8f80be18e54f4f6e357b4d7ea"),
 }
 
 

@@ -7,9 +7,8 @@ from dpviewsim.dpnoise import NoiseScale
 from dpviewsim.leakage import (AntMechanism, AuditExpectation, LogicalStream,
                                NeighborViolation, StreamRecord, TimerMechanism,
                                Transcript, TranscriptKind, assert_neighbors,
-                               empirical_privacy_loss, m_ant, m_timer, nant,
+                               empirical_privacy_loss, m_ant, m_timer,
                                transcript_audit)
-from dpviewsim.randomness import ScriptedNoise
 
 
 def stream(times, horizon=None, key0=1):
@@ -18,7 +17,42 @@ def stream(times, horizon=None, key0=1):
                          (max(times) if times else 0))
 
 
+class ScriptedNoise:
+    """Fixed noise sequence for pinned-randomness traces."""
+
+    def __init__(self, values, default: float | None = None):
+        self._values = list(values)
+        self._default = default
+
+    def laplace(self, scale: NoiseScale) -> float:
+        if self._values:
+            return self._values.pop(0)
+        if self._default is None:
+            raise RuntimeError("scripted noise exhausted")
+        return self._default
+
+
 ZERO = lambda: ScriptedNoise([], default=0.0)
+
+
+def nant(stream: LogicalStream, epsilon: float, theta: float, delta_f: float,
+         noise) -> tuple[int, float] | None:
+    """Numeric above-noisy-threshold: one release at the first crossing.
+
+    The single-release mechanism that m_ant repeats after every release.
+    """
+    h = stream.horizon
+    counts = stream.arrivals_per_step(h)
+    eps1 = epsilon / 2
+    eps2 = epsilon / 2
+    noisy_th = theta + noise.laplace(NoiseScale(2 * delta_f, eps1))
+    c = 0
+    for t in range(1, h + 1):
+        v_t = noise.laplace(NoiseScale(4 * delta_f, eps1))
+        c += int(counts[t])
+        if c + v_t >= noisy_th:
+            return (t, c + noise.laplace(NoiseScale(2 * delta_f, eps2)))
+    return None
 
 
 # ---------------------------------------------------------------------------

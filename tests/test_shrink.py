@@ -5,7 +5,7 @@ from scipy.stats import binom
 
 from dpviewsim.harness import ExperimentConfig, Protocol, run_experiment
 from dpviewsim.obliv import DUMMY, SecureCache, SecureTuple, network_comparison_count
-from dpviewsim.randomness import ScriptedNoise, ServerRandomness
+from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover, share_in_protocol
 from dpviewsim.shrink import (AntConfig, BoundPreconditionError, MaterializedView,
                               ThresholdShares, TimerConfig, ant_scales,
@@ -21,12 +21,17 @@ class PinnedRand:
     """Scripted joint noise over a real sharing stream, for protocol traces."""
 
     def __init__(self, noises, seed=0, default=None):
-        self._noise = ScriptedNoise(noises, default=default)
+        self._noises = list(noises)
+        self._default = default
         self._real = ServerRandomness(seed)
         self.seen_pairs = self._real.seen_pairs
 
     def joint_laplace(self, scale):
-        return self._noise.laplace(scale)
+        if self._noises:
+            return self._noises.pop(0)
+        if self._default is None:
+            raise RuntimeError("scripted noise exhausted")
+        return self._default
 
     def share_pair(self):
         return self._real.share_pair()

@@ -7,8 +7,7 @@ from dpviewsim.obliv import (DUMMY, SecureCache, SecureTuple, SeqCounter,
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover
 from dpviewsim.transcript import Transcript, TranscriptKind
-from dpviewsim.transform import (BudgetLedger, ChargePolicy, InvocationCaps,
-                                 OperatorKind, TransformState, TruncationConfig,
+from dpviewsim.transform import (OperatorKind, TransformState, TruncationConfig,
                                  expected_output_size, trans_truncate_filter,
                                  trans_truncate_nlj, trans_truncate_smj,
                                  transform_init, transform_step, _merge_key)
@@ -26,14 +25,9 @@ def pad(seq):
 FRESH = 1 << 20
 
 
-def budgets(tables, b, omega):
-    """Invocation caps over a fresh ledger holding budget b per real record."""
-    ledger = BudgetLedger()
-    for table in tables:
-        for tup in table:
-            if tup.is_view:
-                ledger.register(tup.seq, b)
-    return InvocationCaps(ledger, omega)
+def budgets(tables, omega):
+    """Join slots of omega for every real record, as a new record holds."""
+    return {tup.seq: omega for table in tables for tup in table if tup.is_view}
 
 
 def filt(batch, predicate):
@@ -41,7 +35,7 @@ def filt(batch, predicate):
 
 
 def nlj(t1, t2, b, counter=None):
-    return trans_truncate_nlj(t1, t2, b, budgets((t1, t2), b, b), SeqCounter(FRESH),
+    return trans_truncate_nlj(t1, t2, b, budgets((t1, t2), b), SeqCounter(FRESH),
                               0, [0] if counter is None else counter)
 
 
@@ -136,7 +130,7 @@ def test_filter_keeps_payload():
 # Sort-merge join.
 
 def smj(t1, t2, omega, counter=None):
-    return trans_truncate_smj(t1, t2, omega, budgets((t1, t2), omega * 8, omega),
+    return trans_truncate_smj(t1, t2, omega, budgets((t1, t2), omega),
                               SeqCounter(FRESH), 0, [0] if counter is None else counter)
 
 
@@ -182,18 +176,15 @@ def test_smj_matches_greedy_oracle_random():
         assert out[1] == (n1 + n2) * omega
 
 
-def test_smj_respects_ledger_budget():
-    # A record with one unit of lifetime budget left joins at most once even
-    # when omega allows more.
+def test_smj_respects_a_record_s_slots():
+    # A record holding one slot joins at most once even when omega allows
+    # more, and the join takes that slot.
     t1 = [rec(0, key=1)]
     t2 = [rec(1, key=1), rec(2, key=1)]
-    ledger = BudgetLedger()
-    for rid in (0, 1, 2):
-        ledger.register(rid, 4)
-    ledger.charge(0, 3)  # one unit left
-    out = trans_truncate_smj(t1, t2, 2, InvocationCaps(ledger, 2), SeqCounter(FRESH),
-                             0, [0])
+    caps = {0: 1, 1: 2, 2: 2}
+    out = trans_truncate_smj(t1, t2, 2, caps, SeqCounter(FRESH), 0, [0])
     assert real_pairs(out) == [(0, 1)]
+    assert caps == {0: 0, 1: 1, 2: 2}
 
 
 def test_smj_output_size_data_independent():
@@ -252,12 +243,12 @@ def smj_oracle(t1, t2, omega, caps, seqs, timestamp, compare_counter):
             group_key = tup.key
             seen = ([], [])
         for p in seen[1 - origin]:
-            if caps.remaining(tup.seq) <= 0:
+            if caps[tup.seq] <= 0:
                 break
-            if caps.remaining(p.seq) <= 0:
+            if caps[p.seq] <= 0:
                 continue
-            caps.consume(tup.seq)
-            caps.consume(p.seq)
+            caps[tup.seq] -= 1
+            caps[p.seq] -= 1
             a, b = (tup, p) if origin == 0 else (p, tup)
             out.append(SecureTuple(key=a.key, attrs=a.attrs + b.attrs, is_view=True,
                                    seq=seqs.take(), timestamp=timestamp,
@@ -267,21 +258,16 @@ def smj_oracle(t1, t2, omega, caps, seqs, timestamp, compare_counter):
 
 
 def spent_caps(tables, b, spent, cap):
-    """Invocation caps of `cap` slots over a ledger with budget b per real,
-    of which each record has already spent `spent[seq]`."""
-    ledger = BudgetLedger()
-    for table in tables:
-        for tup in table:
-            if tup.is_view:
-                ledger.register(tup.seq, b)
-                ledger.charge(tup.seq, spent[tup.seq])
-    return InvocationCaps(ledger, cap)
+    """Join slots min(cap, b - spent[seq]) for every real: a budget of b, of
+    which each record has already spent `spent[seq]`."""
+    return {tup.seq: min(cap, b - spent[tup.seq])
+            for table in tables for tup in table if tup.is_view}
 
 
 @pytest.mark.parametrize("omega", [1, 2, 3])
 def test_smj_matches_full_merge_oracle(omega):
     # Shaped like transform_step: (new1, old2 + new2), then (old1, new2), with
-    # one InvocationCaps shared by both calls. Each side draws keys from its
+    # one slots dict shared by both calls. Each side draws keys from its
     # own random range, so some keys are held by one side only.
     rng = np.random.default_rng(70 + omega)
     for trial in range(300):
@@ -311,7 +297,7 @@ def test_smj_matches_full_merge_oracle(omega):
             assert rows == want_rows  # same seqs, payloads and timestamps
             assert slots == want_slots == omega * (len(left) + len(right))
             assert counter == want_counter
-        assert all(caps.remaining(rid) == want_caps.remaining(rid) for rid in spent)
+        assert caps == want_caps
         assert seqs.take() == want_seqs.take()
 
 
@@ -397,10 +383,9 @@ def nlj_oracle(t1, t2, omega, caps, seqs, timestamp):
     for u in t1:
         row = []
         for v in t2 if u.is_view else ():
-            if v.is_view and u.key == v.key \
-                    and caps.remaining(u.seq) > 0 and caps.remaining(v.seq) > 0:
-                caps.consume(u.seq)
-                caps.consume(v.seq)
+            if v.is_view and u.key == v.key and caps[u.seq] > 0 and caps[v.seq] > 0:
+                caps[u.seq] -= 1
+                caps[v.seq] -= 1
                 row.append(SecureTuple(key=u.key, attrs=u.attrs + v.attrs, is_view=True,
                                        seq=seqs.take(), timestamp=timestamp,
                                        sources=(u.seq, v.seq)))
@@ -411,7 +396,7 @@ def nlj_oracle(t1, t2, omega, caps, seqs, timestamp):
 @pytest.mark.parametrize("omega", [1, 2, 3])
 def test_nlj_matches_per_outer_loop_oracle(omega):
     # Repeated keys, dummies on both sides, outers whose key no inner row
-    # holds, partly spent ledgers, and caps that may exceed the cut (so an
+    # holds, partly spent budgets, and caps that may exceed the cut (so an
     # outer can emit rows the cut drops).
     rng = np.random.default_rng(60 + omega)
     for trial in range(300):
@@ -432,7 +417,7 @@ def test_nlj_matches_per_outer_loop_oracle(omega):
         assert rows == want_rows
         assert slots == want_slots == omega * n1
         assert counter[0] == want_compares
-        assert all(caps.remaining(rid) == want_caps.remaining(rid) for rid in spent)
+        assert caps == want_caps
         assert seqs.take() == want_seqs.take()
 
 
@@ -526,52 +511,10 @@ def test_smj_count_stability_unrestricted(omega):
 
 
 # ---------------------------------------------------------------------------
-# Budget ledger.
-
-def test_charge_each_matches_sequential_charges():
-    # Repeated ids, records driven to zero and amount 0.
-    rng = np.random.default_rng(40)
-    for trial in range(200):
-        n = int(rng.integers(1, 8))
-        budgets_ = [int(rng.integers(0, 6)) for _ in range(n)]
-        rids = [int(rng.integers(n)) for _ in range(int(rng.integers(0, 15)))]
-        amount = int(rng.integers(0, 4))
-        batched, sequential = BudgetLedger(), BudgetLedger()
-        for rid, b in enumerate(budgets_):
-            batched.register(rid, b)
-            sequential.register(rid, b)
-        batched.charge_each(rids, amount)
-        for rid in rids:
-            have = sequential.remaining(rid)
-            assert sequential.charge(rid, amount) == min(have, amount)
-        want = [max(0, b - rids.count(rid) * amount) for rid, b in enumerate(budgets_)]
-        assert [batched.remaining(r) for r in range(n)] == \
-            [sequential.remaining(r) for r in range(n)] == want
-
-
-def test_ledger_rejects_unregistered_ids_and_negative_amounts():
-    # Explicit raises, so the checks also hold under python -O.
-    ledger = BudgetLedger()
-    ledger.register(1, 3)
-    with pytest.raises(ValueError, match="unregistered record 2"):
-        ledger.charge(2, 1)
-    with pytest.raises(ValueError, match="unregistered record 2"):
-        ledger.charge_each([1, 2], 1)
-    for amount in (-1, -5):
-        with pytest.raises(ValueError, match="non-negative"):
-            ledger.charge(1, amount)
-        with pytest.raises(ValueError, match="non-negative"):
-            ledger.charge_each([1], amount)
-    assert ledger.charge(1, 5) == 2  # one unit went to the charge_each([1, 2], 1)
-    assert ledger.remaining(1) == 0
-
-
-# ---------------------------------------------------------------------------
 # transform_step.
 
-def make_state(operator, omega=1, b=2, policy=ChargePolicy.PER_INVOCATION_OMEGA,
-               predicate=None):
-    return TransformState(config=TruncationConfig(omega, b, policy),
+def make_state(operator, omega=1, b=2, predicate=None):
+    return TransformState(config=TruncationConfig(omega, b),
                           operator=operator, seqs=SeqCounter(10_000),
                           predicate=predicate)
 
@@ -607,22 +550,6 @@ def test_counter_increases_by_real_count():
     assert cache.real_count() == 3  # plaintext recount agrees
 
 
-def test_filter_leaves_the_budget_ledger_empty():
-    # Only joins read contribution budgets, so a Filter run registers and
-    # charges nothing, under either charge policy.
-    for policy in ChargePolicy:
-        rand = ServerRandomness(12)
-        state = make_state(OperatorKind.FILTER, policy=policy,
-                           predicate=lambda t: t.attrs[0] == 1)
-        counter = transform_init(rand)
-        cache = SecureCache()
-        for t in range(1, 4):
-            batch = [rec(10 * t, 1, flag=1), rec(10 * t + 1, 2, flag=0), pad(10 * t + 2)]
-            cache, counter = step(t, [batch], cache, counter, state, rand)
-        assert recover(counter) == cache.real_count() == 3
-        assert state.ledger._remaining == {}
-
-
 def test_counter_fidelity_across_steps():
     rand = ServerRandomness(3)
     state = make_state(OperatorKind.FILTER, predicate=lambda t: True)
@@ -640,7 +567,7 @@ def test_counter_fidelity_across_steps():
 
 
 def test_retirement_after_budget_exhaustion():
-    # b=4, omega=2: a record is usable for exactly two invocations.
+    # b=4, omega=2: a record is scanned in exactly two invocations.
     rand = ServerRandomness(4)
     state = make_state(OperatorKind.SMJ, omega=2, b=4)
     counter = transform_init(rand)
@@ -648,51 +575,93 @@ def test_retirement_after_budget_exhaustion():
     lead = rec(0, key=9)  # arrives in step 1 on side A
     batches = [
         ([lead] + [pad(1)], [pad(2), pad(3)]),
-        ([pad(10), pad(11)], [rec(12, key=9), pad(13)]),   # joins: budget 4->2->0
-        ([pad(20), pad(21)], [rec(22, key=9), pad(23)]),   # lead retired+evicted
+        ([pad(10), pad(11)], [rec(12, key=9), pad(13)]),   # 2 of 2 slots left
+        ([pad(20), pad(21)], [rec(22, key=9), pad(23)]),   # lead evicted
     ]
     for t, (ba, bb) in enumerate(batches, start=1):
         cache, counter = step(t, [ba, bb], cache, counter, state, rand)
-    assert state.ledger.retired(0)
+    assert all(lead not in batch for batch in state.retained[0])
     joined_with_lead = [row for row in state.produced_rows if 0 in row.sources]
     assert len(joined_with_lead) == 1  # only the step-2 partner
-    assert state.ledger.retired(0)
     # Step-3 partner found no surviving counterpart.
     assert not any(22 in row.sources for row in state.produced_rows)
 
 
 def test_invocation_count_matches_retention():
+    # omega 3 does not divide b 10: the target holds 3 slots in each of its
+    # first three invocations and the last unit of b in its fourth.
     cfg = TruncationConfig(3, 10)
     assert cfg.retention_steps == 4  # ceil(10/3)
-    rand = ServerRandomness(5)
-    state = make_state(OperatorKind.SMJ, omega=3, b=10)
-    counter = transform_init(rand)
-    cache = SecureCache()
     target = rec(0, key=1)
-    cache, counter = step(1, [[target, pad(1)], [pad(2), pad(3)]],
-                          cache, counter, state, rand)
-    remaining = [state.ledger.remaining(0)]
-    for t in range(2, 7):
-        cache, counter = step(
-            t, [[pad(t * 10), pad(t * 10 + 1)], [pad(t * 10 + 2), pad(t * 10 + 3)]],
-            cache, counter, state, rand)
-        remaining.append(state.ledger.remaining(0))
-    # charged omega per invocation while retained: 10 -> 7 -> 4 -> 1 -> 0 -> 0
-    assert remaining == [7, 4, 1, 0, 0, 0]
+    for operator in (OperatorKind.SMJ, OperatorKind.NLJ):
+        rand = ServerRandomness(5)
+        state = make_state(operator, omega=3, b=10)
+        counter = transform_init(rand)
+        cache = SecureCache()
+        for t in range(1, 7):
+            ba = [target if t == 1 else pad(100 * t), pad(100 * t + 1), pad(100 * t + 2)]
+            bb = [rec(100 * t + 3 + i, key=1) for i in range(3)]  # 3 new partners
+            cache, counter = step(t, [ba, bb], cache, counter, state, rand)
+        joins = [sum(1 for row in state.produced_rows
+                     if row.timestamp == t and 0 in row.sources) for t in range(1, 7)]
+        assert joins == [3, 3, 3, 1, 0, 0], operator
 
 
-def test_per_output_row_policy_charges_per_join():
-    rand = ServerRandomness(6)
-    state = make_state(OperatorKind.NLJ, omega=2, b=4,
-                       policy=ChargePolicy.PER_OUTPUT_ROW)
-    counter = transform_init(rand)
-    cache = SecureCache()
-    ba = [rec(0, key=5), pad(1)]
-    bb = [rec(2, key=5), pad(3)]
-    cache, counter = step(1, [ba, bb], cache, counter, state, rand)
-    # one join emitted; each side pays one unit, not omega
-    assert state.ledger.remaining(0) == 3
-    assert state.ledger.remaining(2) == 3
+class LedgerModel:
+    """Join steps under a per-record lifetime ledger, kept as a test model.
+
+    b is registered on a record's first scan; each invocation gives a record
+    min(omega, remaining) join slots and then charges omega to every scanned
+    real, whatever it joined. Every past batch is scanned again, since a
+    record whose budget is spent joins nothing, so the model needs neither
+    the retention window nor the age rule of `transform_step`.
+    """
+
+    def __init__(self, operator, omega, b):
+        self.join = trans_truncate_smj if operator is OperatorKind.SMJ else trans_truncate_nlj
+        self.omega, self.b = omega, b
+        self.remaining = {}
+        self.old = ([], [])
+        self.seqs = SeqCounter(10_000)
+        self.rows = []
+
+    def step(self, t, new1, new2):
+        old1, old2 = self.old
+        for tup in new1 + new2:
+            if tup.is_view:
+                self.remaining[tup.seq] = self.b
+        scanned = [tup.seq for tup in new1 + new2 + old1 + old2 if tup.is_view]
+        caps = {rid: min(self.omega, self.remaining[rid]) for rid in scanned}
+        for left, right in ((new1, old2 + new2), (old1, new2)):
+            self.rows += self.join(left, right, self.omega, caps, self.seqs, t, [0])[0]
+        for rid in scanned:
+            self.remaining[rid] = max(0, self.remaining[rid] - self.omega)
+        old1 += new1
+        old2 += new2
+
+
+@pytest.mark.parametrize("operator", [OperatorKind.SMJ, OperatorKind.NLJ])
+@pytest.mark.parametrize("omega", [1, 2, 3])
+def test_transform_step_matches_ledger_model(operator, omega):
+    # Hot keys make records outlive their slots; b runs from omega to
+    # 3 omega + 1, so omega does not always divide b.
+    rng = np.random.default_rng(80 + omega)
+    for b in range(omega, 3 * omega + 2):
+        for trial in range(4):
+            rand = ServerRandomness(trial)
+            state = make_state(operator, omega=omega, b=b)
+            model = LedgerModel(operator, omega, b)
+            counter, cache = transform_init(rand), SecureCache()
+            seq = iter(range(10_000))
+            for t in range(1, 13):
+                ba, bb = ([rec(next(seq), key=int(rng.integers(1, 4)))
+                           for _ in range(int(rng.integers(0, 4)))] for _ in range(2))
+                ba, bb = ba + [DUMMY] * (3 - len(ba)), bb + [DUMMY] * (3 - len(bb))
+                cache, counter = step(t, [ba, bb], cache, counter, state, rand)
+                model.step(t, ba, bb)
+            assert [(r.seq, r.sources, r.timestamp) for r in state.produced_rows] == \
+                [(r.seq, r.sources, r.timestamp) for r in model.rows]
+            assert state.seqs.take() == model.seqs.take()
 
 
 def test_output_sizes_match_public_formula():
