@@ -5,7 +5,7 @@ Modules:
     dpnoise    joint Laplace noise from server-contributed words
     obliv      secure cache kept as its real rows plus a slot count; sorts the
                reals of one or more same-length bitonic networks in their
-               output order with one argsort, at the padded networks'
+               output order with one Timsort, at the padded networks'
                closed-form cost, the network itself as the test oracle; reads
                pad with one shared DUMMY
     transform  truncated view transformation with contribution budgets; a

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import fields
 
@@ -42,34 +43,35 @@ def main(argv: list[str] | None = None) -> int:
                  if getattr(args, f.name) is not None}
     if args.config is None and not overrides:
         parser.print_usage(sys.stderr)
-        print("error: provide --config or at least one field override",
-              file=sys.stderr)
+        print("error: provide --config or at least one field override", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
         values = parse_config_file(args.config) if args.config else {}
         values.update(overrides)
         config = coerce_config(values)
+        # Open the output now, so that an unwritable path fails before the run.
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    try:
-        if config.trials > 1:
-            results = run_trials(config, config.trials)
-            records = [rec for res in results for rec in res.metrics]
-        else:
-            records = run_experiment(config).metrics
-    except (ParseError, CapacityExceeded, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except MemoryError:
-        # A DP sync fetches a padded batch whose size is a draw of scale b/epsilon.
-        print("config error: out of memory: a sync's padded batch, about b/epsilon "
-              "slots, does not fit; raise epsilon or lower b", file=sys.stderr)
-        return EXIT_CONFIG
-
-    emit_metrics(records, args.out or sys.stdout)
+    with out as fh:
+        try:
+            if config.trials > 1:
+                results = run_trials(config, config.trials)
+                records = [rec for res in results for rec in res.metrics]
+            else:
+                records = run_experiment(config).metrics
+        except (ParseError, CapacityExceeded, OSError) as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except MemoryError:
+            # A DP sync fetches a padded batch whose size is a draw of scale b/epsilon.
+            print("config error: out of memory: a sync's padded batch, about b/epsilon "
+                  "slots, does not fit; raise epsilon or lower b", file=sys.stderr)
+            return EXIT_CONFIG
+        emit_metrics(records, fh)
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -197,6 +198,17 @@ class MetricsRecord:
     cost_proxy: int
     transcript_events: int
 
+    def __post_init__(self):
+        if not (math.isfinite(self.l1_error) and math.isfinite(self.relative_error)):
+            raise ValueError(f"metrics at time {self.time}: NaN or infinite, which JSON lacks")
+
+
+# A record's line as json.dumps(vars(rec), separators=(",", ":")) spells it:
+# the repr of a finite float is exactly json's spelling.
+_METRICS_LINE = "{" + ",".join(f'"{f.name}":%{"r" if f.type == "float" else "d"}'
+                               for f in fields(MetricsRecord)) + "}\n"
+_metrics_values = attrgetter(*(f.name for f in fields(MetricsRecord)))
+
 
 def emit_metrics(records: Iterable[MetricsRecord], out: str | TextIO) -> None:
     """One JSON object per line, snake_case fields, byte-deterministic.
@@ -207,8 +219,7 @@ def emit_metrics(records: Iterable[MetricsRecord], out: str | TextIO) -> None:
         with open(out, "w") as fh:
             emit_metrics(records, fh)
         return
-    for rec in records:
-        out.write(json.dumps(vars(rec), separators=(",", ":")) + "\n")
+    out.writelines(_METRICS_LINE % _metrics_values(rec) for rec in records)
 
 
 def read_metrics(path: str) -> list[MetricsRecord]:
@@ -349,9 +360,7 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
             out.extend(r if r.t == t else StreamRecord(t, r.key, r.attrs) for r in take)
         return out
 
-    a = drain(pend_a)
-    b = drain(pend_b)
-    return LogicalStream(a, horizon), LogicalStream(b, horizon)
+    return LogicalStream(drain(pend_a), horizon), LogicalStream(drain(pend_b), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +426,11 @@ class ExperimentResult:
 
 def _streams_for(config: ExperimentConfig) -> tuple[LogicalStream, LogicalStream | None]:
     if config.stream_a is not None:
-        a = load_stream(config.stream_a)
-        b = load_stream(config.stream_b) if config.stream_b else None
-        return a, b
+        return (load_stream(config.stream_a),
+                load_stream(config.stream_b) if config.stream_b else None)
     a, b = synth_stream(config.profile, config.seed, config.horizon,
                         config.multiplicity, cap=config.c_r)
-    if config.operator is OperatorKind.FILTER:
-        return a, None
-    return a, b
+    return a, None if config.operator is OperatorKind.FILTER else b
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -553,8 +559,4 @@ def run_trials(config: ExperimentConfig, trials: int) -> list[ExperimentResult]:
 def expected_transform_size(config: ExperimentConfig):
     """Audit helper: t -> padded transform output size under this config."""
     trunc = TruncationConfig(config.omega, config.b)
-
-    def size(t: int) -> int:
-        return expected_output_size(config.operator, t, config.c_r, trunc)
-
-    return size
+    return lambda t: expected_output_size(config.operator, t, config.c_r, trunc)

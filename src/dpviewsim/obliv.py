@@ -7,12 +7,13 @@ order, and its slot count; padding is never built until a read fills a batch
 with references to the one immutable `DUMMY`. The protocol sorts the cache
 with Batcher's bitonic compare-exchange network, so the sequence of touched
 index pairs is a function of the array length alone and leaks nothing about
-the contents. The simulator does not execute the network: it argsorts the
-real entries' keys, which gives the network's order of the reals (every dummy
-lands behind every real), and charges the closed-form compare count of the
-whole padded array. Several independent networks of one length, such as the
-nested-loop join's one network per outer tuple, are run as one argsort over
-their concatenated reals and charged one closed-form count each.
+the contents. The simulator does not execute the network: it Timsorts the real
+entries' keys, which gives the network's order of the reals (every dummy lands
+behind every real), and charges the closed-form compare count of the whole
+padded array. Several independent networks of one length, such as the
+nested-loop join's one network per outer tuple, are run as one sort over their
+concatenated reals and charged one closed-form count each; the cache and the
+join rows come in seq order, which Timsort takes in one pass.
 `compare_exchange_pairs` is the network itself, and the tests run it as the
 oracle for these facts. Repeated sort keys raise.
 """
@@ -20,9 +21,8 @@ oracle for these facts. Repeated sort keys raise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple
-
-import numpy as np
 
 
 class SecureTuple(NamedTuple):
@@ -85,14 +85,11 @@ class SecureCache:
 
 # ---------------------------------------------------------------------------
 # Bitonic sorting network. The pair sequence below is the network; the sorts
-# reproduce its output order with argsort and charge its closed-form size.
+# reproduce its output order with Timsort and charge its closed-form size.
 # With distinct keys every correct sort returns the network's permutation.
 
 def padded_length(n: int) -> int:
-    m = 1
-    while m < n:
-        m <<= 1
-    return m
+    return 1 << max(0, n - 1).bit_length()
 
 
 def compare_exchange_pairs(n: int) -> Iterator[tuple[int, int, bool]]:
@@ -118,29 +115,27 @@ def compare_exchange_pairs(n: int) -> Iterator[tuple[int, int, bool]]:
 def network_comparison_count(n: int) -> int:
     """Compare-exchange count of the network for n items (padded internally)."""
     m = padded_length(n)
-    if m < 2:
-        return 0
     stages = m.bit_length() - 1
     return (m // 2) * stages * (stages + 1) // 2
 
 
-def network_sort_keys(keys: np.ndarray, n: int, networks: int) -> tuple[np.ndarray, int]:
+def network_sort_keys(keys: list[int], n: int, networks: int) -> tuple[list[int], int]:
     """The order `networks` independent n-slot networks sort their real keys
     into, and their total compare count.
 
     `keys` are the reals of every network, concatenated in network order, and
-    every key of one network lies below every key of the next, so one argsort
-    gives each network's output order, concatenated. The other slots of each
-    network are dummies, which it moves behind every real. A network pads to a
-    power of two with max-int sentinels; the count is `networks` times that of
-    the padded n-slot network. Keys must be distinct (ValueError otherwise),
-    which makes each network's permutation the unique sorting one.
+    every key of one network lies below every key of the next, so one Timsort
+    of the positions by key gives each network's output order, concatenated.
+    The other slots of each network are dummies, which it moves behind every
+    real. A network pads to a power of two with max-int sentinels; the count
+    is `networks` times that of the padded n-slot network. Keys must be
+    distinct (ValueError otherwise), which makes each network's permutation
+    the unique sorting one.
     """
-    perm = np.argsort(keys, kind="stable")
-    ordered = keys[perm]
-    if (ordered[1:] == ordered[:-1]).any():
+    if len(set(keys)) != len(keys):
         raise ValueError("sort keys must be distinct")
-    return perm, networks * network_comparison_count(n)
+    return (sorted(range(len(keys)), key=keys.__getitem__),
+            networks * network_comparison_count(n))
 
 
 def network_sort(reals: list, key_of: Callable, n: int, counter: list,
@@ -149,22 +144,23 @@ def network_sort(reals: list, key_of: Callable, n: int, counter: list,
     networks' output order, concatenated.
 
     `reals` holds each input's reals in turn; each network's output is its
-    reals followed by its dummies. key_of maps an item to a non-negative int
-    below 2**62, must be injective over the reals (a repeated key raises
-    ValueError), and must put every item of one input below every item of the
-    next. `counter[0]` accumulates the networks' compare-exchange count.
-    Since the network orders reals by key alone, a caller may pass only the
-    reals whose order it reads: they come out in the order the network gives
-    them among all the input's reals, and the charge still covers all n slots.
+    reals followed by its dummies. key_of maps an item to an int, must be
+    injective over the reals (a repeated key raises ValueError), and must put
+    every item of one input below every item of the next. `counter[0]`
+    accumulates the networks' compare-exchange count. Since the network orders
+    reals by key alone, a caller may pass only the reals whose order it reads:
+    they come out in the order the network gives them among all the input's
+    reals, and the charge still covers all n slots.
     """
-    keys = np.fromiter(map(key_of, reals), dtype=np.int64, count=len(reals))
-    perm, comparisons = network_sort_keys(keys, n, networks)
+    perm, comparisons = network_sort_keys(list(map(key_of, reals)), n, networks)
     counter[0] += comparisons
     return [reals[i] for i in perm]
 
 
 # ---------------------------------------------------------------------------
 # Cache operations. A real's cache sort key is its seq: real first, FIFO.
+seq_of = attrgetter("seq")
+
 
 def cache_append(cache: SecureCache, reals: list[SecureTuple], slots: int) -> SecureCache:
     """Append a padded batch of `slots` slots holding `reals`, after prior entries."""
@@ -173,7 +169,7 @@ def cache_append(cache: SecureCache, reals: list[SecureTuple], slots: int) -> Se
 
 def obli_sort(cache: SecureCache, counter: list) -> SecureCache:
     """Sort real entries ahead of dummies, in the network's output order."""
-    return SecureCache(network_sort(cache.entries, lambda e: e.seq, len(cache), counter,
+    return SecureCache(network_sort(cache.entries, seq_of, len(cache), counter,
                                     networks=1), len(cache))
 
 

@@ -18,7 +18,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .obliv import SecureCache, SecureTuple, SeqCounter, cache_append, network_sort
+from .obliv import SecureCache, SecureTuple, SeqCounter, cache_append, network_sort, seq_of
 from .randomness import ServerRandomness
 from .sharing import RING_MASK, SharePair, recover, share_in_protocol
 from .transcript import Transcript, TranscriptKind
@@ -161,7 +161,7 @@ def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
                 rows.append(_join_tuple(u, v, seqs, timestamp))
         if len(rows) > start:
             spans.append((start, len(rows)))
-    rows = network_sort(rows, lambda t: t.seq, len(t2), compare_counter, networks=len(t1))
+    rows = network_sort(rows, seq_of, len(t2), compare_counter, networks=len(t1))
     out: list[SecureTuple] = []
     for start, end in spans:
         out += rows[start:min(end, start + omega)]

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from dpviewsim import cli
 from dpviewsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from dpviewsim.harness import coerce_config
 
@@ -193,3 +194,16 @@ def test_stdout_matches_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(args) == EXIT_OK
     assert capsys.readouterr().out == out.read_text()
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2_before_the_run(target, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "no" / "such" / "m.jsonl" if target == "missing-dir" else tmp_path
+
+    def no_run(config):
+        raise AssertionError("the run started before --out was opened")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    assert main(["--operator", "Filter", "--horizon", "5", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err

@@ -9,6 +9,8 @@ purpose re-records them here and says so.
 
 import hashlib
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -56,6 +58,27 @@ def _grid():
 
 
 CASES = _grid()
+
+
+def hot_key_csv(seed: int, horizon: int, c_r: int) -> str:
+    """A stream of 0 to c_r arrivals per step with keys from {1, 2, 3}."""
+    rng = random.Random(seed)
+    return "t,key,attr\n" + "".join(
+        f"{t},{rng.randint(1, 3)},{rng.randint(0, 999)}\n"
+        for t in range(1, horizon + 1) for _ in range(rng.randint(0, c_r)))
+
+
+# Join runs on hot-key CSV streams, so that truncation caps bind: at omega 2
+# and b 5 the oldest retained batch holds one join slot, not two. Stream A is
+# drawn from the run's seed and stream B from the next.
+HOT_KEY_CASES = {
+    "DPTimer-SMJ-hot-keys-omega-2-b-5": ExperimentConfig(
+        protocol=Protocol.DP_TIMER, operator=OperatorKind.SMJ, omega=2, b=5,
+        horizon=40, f=20, s=5, seed=12),
+    "DPANT-NLJ-hot-keys-omega-2-b-5": ExperimentConfig(
+        protocol=Protocol.DP_ANT, operator=OperatorKind.NLJ, omega=2, b=5,
+        horizon=40, f=20, s=5, seed=13),
+}
 
 # (metrics sha256, transcript sha256), recorded before the experiment loop was folded.
 GOLDEN = {
@@ -112,6 +135,13 @@ GOLDEN = {
     "EP-NLJ-omega-2-b-5-Burst": (
         "4cec7ce8a11e737d29224bee65167b197a671bff9f48c006592c84716dabc18e",
         "9a6dae8213a8f986ee34f1e5377641d01662cdd8f80be18e54f4f6e357b4d7ea"),
+    # Recorded before the sorts moved from numpy's argsort to Timsort.
+    "DPTimer-SMJ-hot-keys-omega-2-b-5": (
+        "482167a1fb73ce3fe8eca6764e51fdfced53a9d9b4602557f3ab9cbc07fdc14f",
+        "2b32c8351ffe48a1656f0ea539e51ee1e225b5f4cf93573d88464e884999230e"),
+    "DPANT-NLJ-hot-keys-omega-2-b-5": (
+        "3a3c60145091eabca407248a1dc8e3f7dcd099585621cc1349577970d90419a9",
+        "95e31c21f0ea0e5a052f93a3d1e24cdde18cf4eb39834cf70ba5038763681b59"),
 }
 
 
@@ -131,3 +161,15 @@ def _hashes(config: ExperimentConfig, trials: int, tmp_path) -> tuple[str, str]:
 def test_run_bytes_match_recorded_hashes(name, tmp_path):
     config, trials = CASES[name]
     assert _hashes(config, trials, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(HOT_KEY_CASES))
+def test_hot_key_run_bytes_match_recorded_hashes(name, tmp_path):
+    config = HOT_KEY_CASES[name]
+    paths = []
+    for side, seed in (("a", config.seed), ("b", config.seed + 1)):
+        path = tmp_path / f"{side}.csv"
+        path.write_text(hot_key_csv(seed, config.horizon, config.c_r))
+        paths.append(str(path))
+    config = replace(config, stream_a=paths[0], stream_b=paths[1])
+    assert _hashes(config, 1, tmp_path) == GOLDEN[name]

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -396,3 +397,38 @@ def test_metrics_bytes_deterministic(tmp_path):
     emit_metrics(run_experiment(cfg).metrics, str(p1))
     emit_metrics(run_experiment(cfg).metrics, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _json_lines(records) -> str:
+    return "".join(json.dumps(vars(rec), separators=(",", ":")) + "\n" for rec in records)
+
+
+@pytest.mark.parametrize("protocol,operator", [
+    (Protocol.DP_TIMER, OperatorKind.SMJ), (Protocol.DP_ANT, OperatorKind.FILTER),
+    (Protocol.EP, OperatorKind.NLJ), (Protocol.OTM, OperatorKind.SMJ),
+    (Protocol.NM, OperatorKind.NLJ)])
+def test_emit_metrics_matches_json_dumps_on_real_runs(protocol, operator):
+    records = run_experiment(ExperimentConfig(protocol=protocol, operator=operator,
+                                              horizon=60, f=20, s=5, seed=4)).metrics
+    out = io.StringIO()
+    emit_metrics(records, out)
+    assert out.getvalue() == _json_lines(records)
+
+
+def test_emit_metrics_matches_json_dumps_on_edge_values():
+    records = [MetricsRecord(t, x, y, 2 ** 53 + 1, -3, -(2 ** 70), 0, 10 ** 20, -1)
+               for t, (x, y) in enumerate([(0.0, -0.0), (1e16, 1e-7), (0.1 + 0.2, 1 / 3),
+                                           (1e300, 5e-324), (2.5, 123456789.125)])]
+    out = io.StringIO()
+    emit_metrics(records, out)
+    assert out.getvalue() == _json_lines(records)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_metrics_record_rejects_non_finite_floats(value):
+    # json.dumps would write NaN or Infinity, which is not JSON, so no such
+    # record reaches emit_metrics.
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        MetricsRecord(1, 0.0, value, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        MetricsRecord(1, value, 0.0, 0, 0, 0, 0, 0, 0)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from dpviewsim import obliv, shrink, transform
+from dpviewsim.harness import ExperimentConfig, Protocol, run_experiment
 from dpviewsim.obliv import (DUMMY, SecureCache, SecureTuple, SeqCounter,
                              cache_append, cache_flush, cache_read,
                              compare_exchange_pairs, network_comparison_count,
                              network_sort, network_sort_keys, obli_sort,
                              padded_length)
+from dpviewsim.transform import OperatorKind
 
 
 def real(seq, key=1):
@@ -100,9 +103,9 @@ def test_network_matches_pair_generator():
                 values[i], values[j] = values[j], values[i]
                 order[i], order[j] = order[j], order[i]
             pairs += 1
-        perm, count = network_sort_keys(keys, n, 1)
+        perm, count = network_sort_keys(keys.tolist(), n, 1)
         assert values[:n] == sorted(keys.tolist())
-        assert [p for p in order if p < n] == perm.tolist()
+        assert [p for p in order if p < n] == perm
         assert count == pairs == network_comparison_count(n)
 
     # The padded-length contract: k distinct real keys among n slots whose
@@ -306,3 +309,29 @@ def test_given_entries_get_real_count():
     cache = SecureCache([real(3), real(9)], 4)
     assert cache.real_count() == 2 and len(cache) == 4
     assert SecureCache().real_count() == len(SecureCache()) == 0
+
+
+@pytest.mark.parametrize("protocol", [Protocol.DP_TIMER, Protocol.DP_ANT])
+@pytest.mark.parametrize("operator", list(OperatorKind))
+def test_real_runs_sort_inputs_in_seq_order(monkeypatch, protocol, operator):
+    # The cache and the NLJ's rows reach the sort in seq order, so its
+    # Timsort makes one linear pass over them.
+    caches, row_inputs = [], []
+
+    def spy_obli_sort(cache, counter):
+        caches.append([e.seq for e in cache.entries])
+        return obli_sort(cache, counter)
+
+    def spy_network_sort(reals, key_of, n, counter, networks):
+        row_inputs.append([r.seq for r in reals])
+        return network_sort(reals, key_of, n, counter, networks)
+
+    monkeypatch.setattr(shrink, "obli_sort", spy_obli_sort)  # syncs
+    monkeypatch.setattr(obliv, "obli_sort", spy_obli_sort)  # flushes
+    if operator is OperatorKind.NLJ:
+        monkeypatch.setattr(transform, "network_sort", spy_network_sort)
+    run_experiment(ExperimentConfig(protocol=protocol, operator=operator, horizon=60,
+                                    f=20, s=5, seed=2))
+    for inputs in [caches] + ([row_inputs] if operator is OperatorKind.NLJ else []):
+        assert max(map(len, inputs)) > 1
+        assert all(a < b for seqs in inputs for a, b in zip(seqs, seqs[1:]))
