@@ -11,13 +11,15 @@ Modules:
     transform  truncated view transformation with contribution budgets; a
                record's join slots per invocation are a function of its age
                alone; each transform returns its real rows and a padded slot
-               count; the SMJ sorts and scans only the reals of keys found on
-               both sides; the NLJ probes a per-invocation key index with the
-               real outers that have partners and sorts all its per-outer
-               networks in one batched call
+               count; the SMJ sorts on (key, origin, seq) and scans only the
+               reals of keys found on both sides; the NLJ probes a
+               per-invocation key index with the real outers that have
+               partners and sorts all its per-outer networks in one batched
+               call
     shrink     the timer and above-noisy-threshold sync protocols, flush,
                and the closed-form utility bounds
-    transcript what each server observes: sizes, timestamps and shares
+    transcript what each server observes: sizes, timestamps and shares, one
+               slotted event per observation
     leakage    reference DP mechanisms, empirical privacy loss, transcript audit
     harness    experiment driver, baselines, synthetic workloads, metrics
     cli        command-line front end

@@ -117,11 +117,9 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("DPTimer requires update interval T >= 1")
     if config.protocol is Protocol.DP_ANT and config.theta <= 0:
         raise ConfigError("DPANT requires sync threshold theta > 0")
-    # Owner rows are stamped first, so every owner seq is below 2 * c_r *
-    # horizon; the SMJ packs them into 28 bits of its merge key.
-    if config.operator is OperatorKind.SMJ and 2 * config.c_r * config.horizon > 1 << 28:
-        raise ConfigError(f"SMJ needs 2 * c_r * horizon <= 2**28 to pack owner seqs into "
-                          f"its merge key, got {2 * config.c_r * config.horizon}")
+    if config.query_interval > config.horizon:
+        raise ConfigError(f"query_interval ({config.query_interval}) exceeds horizon "
+                          f"({config.horizon}), so no query would be answered")
     if config.operator is OperatorKind.FILTER:
         if config.stream_b is not None:
             raise ConfigError("the Filter operator reads one stream; stream_b must be unset")
@@ -280,8 +278,7 @@ def client_batches(stream: LogicalStream, c_r: int, horizon: int,
         if len(recs) > c_r:
             raise CapacityExceeded(
                 f"step {t}: {len(recs)} arrivals exceed owner batch size {c_r}")
-        batch = [SecureTuple(key=r.key, attrs=r.attrs, is_view=True,
-                             seq=seqs.take(), timestamp=t) for r in recs]
+        batch = [SecureTuple(r.key, r.attrs, True, seqs.take(), t) for r in recs]
         batches.append(batch + [DUMMY] * (c_r - len(batch)))
     return batches
 
@@ -464,16 +461,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     join_tracker = _JoinCounter()
     filter_true = filter_seen = 0
-    arrivals: tuple[dict[int, list[StreamRecord]], ...] = ({}, {})
-    for by_step, stream in zip(arrivals, owners):
-        for rec in stream.arrivals:
-            by_step.setdefault(rec.t, []).append(rec)
 
     result = ExperimentResult(config=config, metrics=[], transcript=transcript,
                               produced_rows=state.produced_rows)
 
     for t in range(1, config.horizon + 1):
         cost = [0]  # compare-exchanges, then rows moved into the view
+        step = [b[t - 1] for b in batches]
 
         # Owners upload fixed-size blocks; both servers observe the sizes.
         if config.protocol is not Protocol.NM:
@@ -481,19 +475,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 for server in (0, 1):
                     transcript.add(t, server, TranscriptKind.OWNER_UPLOAD, config.c_r)
 
-        # Maintain the plaintext truth incrementally.
-        for rec in arrivals[0].get(t, []):
-            if filtering:
-                filter_seen += 1
-                filter_true += bool(rec.attrs and rec.attrs[0])
-            else:
-                join_tracker.add_left(rec.key)
-        for rec in arrivals[1].get(t, []):
-            join_tracker.add_right(rec.key)
+        # Maintain the plaintext truth incrementally from the batches' reals.
+        if filtering:
+            for tup in step[0]:
+                if tup.is_view:
+                    filter_seen += 1
+                    filter_true += bool(tup.attrs and tup.attrs[0])
+        else:
+            for tup in step[0]:
+                if tup.is_view:
+                    join_tracker.add_left(tup.key)
+            for tup in step[1]:
+                if tup.is_view:
+                    join_tracker.add_right(tup.key)
 
         if transforming:
-            cache, counter = transform_step(t, [b[t - 1] for b in batches], cache,
-                                            counter, state, rand, transcript, cost)
+            cache, counter = transform_step(t, step, cache, counter, state, rand,
+                                            transcript, cost)
 
         if dp:
             if timer:

@@ -42,8 +42,9 @@ class SecureTuple(NamedTuple):
     sources: tuple[int, ...] = ()
 
 
-# The one padding slot. Its seq of -1 belongs to no real row, and the join's
-# packed merge key rejects it, so a dummy that reaches a merge sort raises.
+# The one padding slot. Its seq of -1 belongs to no real row. No sort takes a
+# dummy: the SMJ, like every sort, passes only reals
+# (test_smj_sorts_once_per_invocation).
 DUMMY = SecureTuple(key=0, attrs=(), is_view=False, seq=-1)
 
 
@@ -119,7 +120,7 @@ def network_comparison_count(n: int) -> int:
     return (m // 2) * stages * (stages + 1) // 2
 
 
-def network_sort_keys(keys: list[int], n: int, networks: int) -> tuple[list[int], int]:
+def network_sort_keys(keys: list, n: int, networks: int) -> tuple[list[int], int]:
     """The order `networks` independent n-slot networks sort their real keys
     into, and their total compare count.
 
@@ -144,13 +145,13 @@ def network_sort(reals: list, key_of: Callable, n: int, counter: list,
     networks' output order, concatenated.
 
     `reals` holds each input's reals in turn; each network's output is its
-    reals followed by its dummies. key_of maps an item to an int, must be
-    injective over the reals (a repeated key raises ValueError), and must put
-    every item of one input below every item of the next. `counter[0]`
-    accumulates the networks' compare-exchange count. Since the network orders
-    reals by key alone, a caller may pass only the reals whose order it reads:
-    they come out in the order the network gives them among all the input's
-    reals, and the charge still covers all n slots.
+    reals followed by its dummies. key_of maps an item to an int or a tuple of
+    ints, must be injective over the reals (a repeated key raises ValueError),
+    and must put every item of one input below every item of the next.
+    `counter[0]` accumulates the networks' compare-exchange count. Since the
+    network orders reals by key alone, a caller may pass only the reals whose
+    order it reads: they come out in the order the network gives them among
+    all the input's reals, and the charge still covers all n slots.
     """
     perm, comparisons = network_sort_keys(list(map(key_of, reals)), n, networks)
     counter[0] += comparisons

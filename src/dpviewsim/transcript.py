@@ -1,4 +1,10 @@
-"""What each server observes during a run: sizes, timestamps and shares."""
+"""What each server observes during a run: sizes, timestamps and shares.
+
+A run records one event per observation, so events are plain slotted records,
+not frozen ones: a frozen dataclass pays for an object.__setattr__ call per
+field on every construction, and nothing here assigns a field or hashes an
+event.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ class TranscriptKind(enum.Enum):
     COMPARE_CHECK = "CompareCheck"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TranscriptEvent:
     time: int
     server: int

@@ -45,9 +45,8 @@ class TruncationConfig:
 
 
 def _join_tuple(a: SecureTuple, b: SecureTuple, seqs: SeqCounter, timestamp: int) -> SecureTuple:
-    return SecureTuple(key=a.key, attrs=a.attrs + b.attrs, is_view=True,
-                       seq=seqs.take(), timestamp=timestamp,
-                       sources=(a.seq, b.seq))
+    return SecureTuple(a.key, a.attrs + b.attrs, True, seqs.take(), timestamp,
+                       (a.seq, b.seq))
 
 
 def trans_truncate_filter(batch: list[SecureTuple],
@@ -57,17 +56,8 @@ def trans_truncate_filter(batch: list[SecureTuple],
 
     A real input is kept, with its payload, iff the predicate holds.
     """
-    return [SecureTuple(key=tup.key, attrs=tup.attrs, is_view=True, seq=seqs.take(),
-                        timestamp=timestamp, sources=(tup.seq,))
+    return [SecureTuple(tup.key, tup.attrs, True, seqs.take(), timestamp, (tup.seq,))
             for tup in batch if tup.is_view and predicate(tup)], len(batch)
-
-
-def _merge_key(origin: int, t: SecureTuple) -> int:
-    # (dummy-last, join key, t1-before-t2, seq) packed into one int64.
-    if t.seq >> 28 or t.key >> 32:
-        raise ValueError(f"seq {t.seq} or key {t.key} does not fit the merge sort "
-                         f"key (seq < 2**28, 0 <= key < 2**32)")
-    return ((0 if t.is_view else 1) << 61) | (t.key << 29) | (origin << 28) | t.seq
 
 
 def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
@@ -87,20 +77,16 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
     Every t1 record of a key sorts before every t2 record of it, so only t2
     records join, each with the t1 records of its key. A real whose key is
     not held by a real on the other side therefore emits nothing and touches
-    no cap: after every real's merge key is checked, only the reals of keys
-    found on both sides are sorted and scanned, in the network's order of the
-    whole padded input.
+    no cap: only the reals of keys found on both sides are sorted and
+    scanned, in the network's order of the whole padded input.
     """
     reals1 = [t for t in t1 if t.is_view]
     reals2 = [t for t in t2 if t.is_view]
-    for t in reals1 + reals2:
-        if t.seq >> 28 or t.key >> 32:
-            _merge_key(0, t)  # raises: a field does not fit the merge key
     both = {t.key for t in reals1} & {t.key for t in reals2}
     tagged = [(0, t) for t in reals1 if t.key in both] + \
              [(1, t) for t in reals2 if t.key in both]
-    merged = network_sort(tagged, lambda it: _merge_key(*it), len(t1) + len(t2),
-                          compare_counter, networks=1)
+    merged = network_sort(tagged, lambda it: (it[1].key, it[0], it[1].seq),
+                          len(t1) + len(t2), compare_counter, networks=1)
 
     out: list[SecureTuple] = []
     group_key = None

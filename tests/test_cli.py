@@ -96,13 +96,18 @@ def test_overflowing_retention_exits_2(protocol, capsys):
     assert "retention" in capsys.readouterr().err
 
 
-def test_smj_owner_seqs_past_merge_key_exit_2(capsys):
-    # 2 * c_r * horizon = 2**29 owner seqs cannot fit the merge key's 28 bits;
-    # before, the first join raised ValueError mid-run.
-    assert main(["--operator", "SMJ", "--c_r", "16384", "--horizon", "16384"]) == EXIT_CONFIG
-    assert "merge key" in capsys.readouterr().err
-    assert coerce_config({"operator": "SMJ", "c_r": "8192", "horizon": "16384"})
-    assert coerce_config({"operator": "NLJ", "c_r": "16384", "horizon": "16384"})
+def test_smj_accepts_owner_seqs_past_28_bits():
+    # The SMJ sorts on (key, origin, seq), so no field width caps the owner
+    # seqs; 2 * c_r * horizon = 2**29 here. The config is only validated.
+    assert coerce_config({"operator": "SMJ", "c_r": "16384", "horizon": "16384"})
+
+
+def test_query_interval_past_horizon_exits_2(capsys):
+    # Before, the run answered no query and wrote an empty metrics file.
+    assert main(["--operator", "Filter", "--horizon", "5",
+                 "--query_interval", "10"]) == EXIT_CONFIG
+    assert "query_interval" in capsys.readouterr().err
+    assert coerce_config({"horizon": "5", "query_interval": "5"})
 
 
 @pytest.mark.parametrize("value,expected", [("yes", True), ("On", True), ("0", False),

@@ -2,6 +2,9 @@
 
 Each case pins the sha256 of a run's metrics JSONL (as `emit_metrics` writes
 it) and of its transcript events (time, server, kind, size, share value).
+Each case, the hot-key ones included, also pins the sha256 of every field of
+the rows the run produced and of its final view's rows and batch boundaries,
+which neither of the first two hashes reads.
 A refactor of the experiment loop, the protocols or the transformation
 must leave every hash unchanged; a change that alters a run's bytes on
 purpose re-records them here and says so.
@@ -145,9 +148,12 @@ GOLDEN = {
 }
 
 
+def _results(config: ExperimentConfig, trials: int) -> list:
+    return run_trials(config, trials) if trials > 1 else [run_experiment(config)]
+
+
 def _hashes(config: ExperimentConfig, trials: int, tmp_path) -> tuple[str, str]:
-    results = (run_trials(config, trials) if trials > 1
-               else [run_experiment(config)])
+    results = _results(config, trials)
     path = tmp_path / "metrics.jsonl"
     emit_metrics([rec for res in results for rec in res.metrics], str(path))
     events = [[e.time, e.server, e.kind.value, e.size, e.share_value]
@@ -163,13 +169,70 @@ def test_run_bytes_match_recorded_hashes(name, tmp_path):
     assert _hashes(config, trials, tmp_path) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", sorted(HOT_KEY_CASES))
-def test_hot_key_run_bytes_match_recorded_hashes(name, tmp_path):
+def _hot_key_config(name: str, tmp_path) -> ExperimentConfig:
     config = HOT_KEY_CASES[name]
     paths = []
     for side, seed in (("a", config.seed), ("b", config.seed + 1)):
         path = tmp_path / f"{side}.csv"
         path.write_text(hot_key_csv(seed, config.horizon, config.c_r))
         paths.append(str(path))
-    config = replace(config, stream_a=paths[0], stream_b=paths[1])
-    assert _hashes(config, 1, tmp_path) == GOLDEN[name]
+    return replace(config, stream_a=paths[0], stream_b=paths[1])
+
+
+@pytest.mark.parametrize("name", sorted(HOT_KEY_CASES))
+def test_hot_key_run_bytes_match_recorded_hashes(name, tmp_path):
+    assert _hashes(_hot_key_config(name, tmp_path), 1, tmp_path) == GOLDEN[name]
+
+
+def _row(r) -> list:
+    return [r.key, list(r.attrs), r.is_view, r.seq, r.timestamp, list(r.sources)]
+
+
+def _rows_hash(results) -> str:
+    data = [[[_row(r) for r in res.produced_rows],
+             [_row(r) for r in res.final_view.rows],
+             [list(b) for b in res.final_view.batches]] for res in results]
+    return hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest()
+
+
+# sha256 of every produced row, view row and view batch, recorded before the
+# owner batches and view rows were built positionally.
+ROWS_GOLDEN = {
+    "DPANT-Filter": "e392668391462900545e71a93c12192b2a40de6c18525a1f892fa1503ad333b3",
+    "DPANT-Filter-Burst": "5327bb265402eae46e6b054dd37d4f5a0c622496fb735d357ab756fac4115211",
+    "DPANT-NLJ": "c8837ead6d8757f0b51b95f990a58797508174333bb57dcdc25788cad44c469a",
+    "DPANT-NLJ-hot-keys-omega-2-b-5": "4d566b4c3f0b72ab1c45d1103591328af623510dde3a08eafc5cd3438b3be817",
+    "DPANT-SMJ": "c8837ead6d8757f0b51b95f990a58797508174333bb57dcdc25788cad44c469a",
+    "DPANT-SMJ-3-trials": "c0abc58976dfc5471e5eb36a9a0f40c2d13ce3109c32173fa953381877bd2b9c",
+    "DPANT-SMJ-Sparse": "c55cb1a3744cbc814b114b5365caddd90047f3d5195e4048e53770553475f7a0",
+    "DPTimer-Filter": "f8bd93749bad19e98689b4f06b7fdcacb187f696f3fca5f65aeae9b6aa1c9675",
+    "DPTimer-NLJ": "58a1ae82b270abc5a4060f0698350fe17b93e83748abf314310723f889ab7dbc",
+    "DPTimer-NLJ-Burst": "13402ede328cdd0d10e6d511cb172c23197b4dc55641d48ba203c9519c5a9dcd",
+    "DPTimer-SMJ": "58a1ae82b270abc5a4060f0698350fe17b93e83748abf314310723f889ab7dbc",
+    "DPTimer-SMJ-hot-keys-omega-2-b-5": "92f7ab7afb71024ad81cd6a9355991d39a0399680ac5fadbf27bde843ce5bfb8",
+    "DPTimer-SMJ-multiplicity-3": "3d96b1216c60eed83a09f247686194c008f4c346bda35ef8776afc1326cc02bc",
+    "DPTimer-SMJ-omega-3-b-10": "1176ab5b2a56a2e4e0b502f0e9916997bdb602e514bb41fc24b8bc23d519385d",
+    "DPTimer-SMJ-scan-cache": "fb498d020383a6c7f883641a12165d95aafedef883c5ebbe4bfdeaf26e44404b",
+    "EP-Filter": "5c994f86c0fac062b1c6a0a44525700cbe80302732238cc91fe99088f309003f",
+    "EP-NLJ": "5be4b0c85a61d38a6edb5cd4dd2561d1855709ad879f1acfedc2c915e3abed56",
+    "EP-NLJ-omega-2-b-5-Burst": "22eb8334e6b170928885583947f7d12a49d6b3ded9f99f1534c441191db48fc8",
+    "EP-SMJ": "dfab986ea2f09e4033b7f3725f48b7d93941dd24c32f98c3ed888e9e3b052767",
+    "NM-Filter": "e76b320f16a4ed1be05a0df70b1926e082b568d9879bd2bedd6b71cefed2ff74",
+    "NM-NLJ": "e76b320f16a4ed1be05a0df70b1926e082b568d9879bd2bedd6b71cefed2ff74",
+    "NM-SMJ": "e76b320f16a4ed1be05a0df70b1926e082b568d9879bd2bedd6b71cefed2ff74",
+    "OTM-Filter": "9f853a2a5803bddd26e9fef0381390e58bc24e57a56b451cafe55313859185f1",
+    "OTM-NLJ": "e738da6ac9db5d8c6fb11ccaca386d23ef1d63fddbec373e706c98096b630a31",
+    "OTM-SMJ": "d249a2c8c923164668309bd37950bb99678129db261758466b0b97c776d13b33",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_rows_match_recorded_hashes(name):
+    config, trials = CASES[name]
+    assert _rows_hash(_results(config, trials)) == ROWS_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(HOT_KEY_CASES))
+def test_hot_key_run_rows_match_recorded_hashes(name, tmp_path):
+    results = [run_experiment(_hot_key_config(name, tmp_path))]
+    assert _rows_hash(results) == ROWS_GOLDEN[name]

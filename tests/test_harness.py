@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -325,6 +326,22 @@ def test_determinism_same_seed():
     r2 = run_experiment(cfg)
     assert r1.metrics == r2.metrics
     assert r1.transcript.events == r2.transcript.events
+
+
+def test_transcript_event_contract():
+    # The bench gate test swaps one event of a run for a dataclasses.replace
+    # copy and compares the events of two runs of one config.
+    cfg = ExperimentConfig(protocol=Protocol.DP_TIMER, operator=OperatorKind.FILTER,
+                           horizon=20, seed=4)
+    events = run_experiment(cfg).transcript.events
+    event = events[0]
+    assert dataclasses.is_dataclass(event)
+    assert type(event).__slots__ == tuple(f.name for f in dataclasses.fields(event))
+    assert not hasattr(event, "__dict__")
+    bigger = dataclasses.replace(event, size=event.size + 1)
+    assert dataclasses.astuple(bigger) == (event.time, event.server, event.kind,
+                                           event.size + 1, event.share_value)
+    assert run_experiment(cfg).transcript.events == events
 
 
 def test_run_trials_merged_by_index():

@@ -10,7 +10,7 @@ from dpviewsim.transcript import Transcript, TranscriptKind
 from dpviewsim.transform import (OperatorKind, TransformState, TruncationConfig,
                                  expected_output_size, trans_truncate_filter,
                                  trans_truncate_nlj, trans_truncate_smj,
-                                 transform_init, transform_step, _merge_key)
+                                 transform_init, transform_step)
 
 
 def rec(seq, key, flag=1):
@@ -199,23 +199,36 @@ def test_smj_output_size_data_independent():
     assert ca[0] == cb[0] == 24  # one network over the 8 merged records
 
 
-def test_merge_key_top_of_range_keeps_field_order():
-    top_key, top_seq = (1 << 32) - 1, (1 << 28) - 1
-    keys = [_merge_key(0, rec(top_seq, key=top_key - 1)),
-            _merge_key(0, rec(0, key=top_key)),
-            _merge_key(0, rec(top_seq, key=top_key)),
-            _merge_key(1, rec(0, key=top_key)),
-            _merge_key(0, pad(0))]
-    assert keys == sorted(keys) and len(set(keys)) == len(keys)
-    assert keys[-1] < 1 << 63
+@pytest.mark.parametrize("omega", [1, 2])
+def test_smj_seqs_past_28_bits_and_top_keys_join_as_small_seqs(omega):
+    # The SMJ sorts on (key, origin, seq), which no field width bounds: seqs
+    # from 2**28 up and keys up to 2**32 - 1 give the rows of the same inputs
+    # with small seqs, every seq shifted.
+    shift, top = 1 << 28, (1 << 32) - 1
+    rng = np.random.default_rng(90 + omega)
 
+    def shifted(t):
+        return t._replace(seq=t.seq + shift,
+                          sources=tuple(s + shift for s in t.sources)) if t.is_view else t
 
-@pytest.mark.parametrize("seq,key", [(1 << 28, 1), (0, 1 << 32), (-1, 1), (0, -1)])
-def test_merge_key_rejects_fields_outside_their_bits(seq, key):
-    with pytest.raises(ValueError, match="merge sort key"):
-        _merge_key(0, rec(seq, key=key))
-    with pytest.raises(ValueError, match="merge sort key"):
-        smj([rec(seq, key=key)], [rec(5, key=1)], omega=1)
+    joined = 0
+    for _ in range(50):
+        seq = iter(range(100))
+        t1, t2 = ([DUMMY if rng.random() < 0.25 else
+                   rec(next(seq), key=top - int(rng.integers(3)), flag=int(rng.integers(9)))
+                   for _ in range(int(rng.integers(0, 7)))] for _ in range(2))
+        caps = budgets((t1, t2), omega)
+        big_caps = {s + shift: c for s, c in caps.items()}
+        counter, big_counter = [0], [0]
+        rows, slots = trans_truncate_smj(t1, t2, omega, caps, SeqCounter(FRESH), 0, counter)
+        big_rows, big_slots = trans_truncate_smj(
+            [shifted(t) for t in t1], [shifted(t) for t in t2], omega, big_caps,
+            SeqCounter(FRESH + shift), 0, big_counter)
+        assert big_rows == [shifted(r) for r in rows]
+        assert (big_slots, big_counter) == (slots, counter)
+        assert big_caps == {s + shift: c for s, c in caps.items()}
+        joined += len(rows)
+    assert joined
 
 
 def test_smj_counts_omega_slots_per_input_slot():
@@ -233,7 +246,8 @@ def test_smj_counts_omega_slots_per_input_slot():
 def smj_oracle(t1, t2, omega, caps, seqs, timestamp, compare_counter):
     """The full merge: every real of both inputs is sorted and scanned."""
     tagged = [(0, t) for t in t1 if t.is_view] + [(1, t) for t in t2 if t.is_view]
-    merged = network_sort(tagged, lambda it: _merge_key(*it), len(t1) + len(t2),
+    merged = network_sort(tagged, lambda it: (it[1].key, it[0], it[1].seq),
+                          len(t1) + len(t2),
                           compare_counter, networks=1)
     out = []
     group_key = None
