@@ -6,17 +6,18 @@ Modules:
     obliv      secure cache kept as its real rows plus a slot count; sorts the
                reals of one or more same-length bitonic networks in their
                output order with one Timsort, at the padded networks'
-               closed-form cost, the network itself as the test oracle; reads
-               pad with one shared DUMMY
+               closed-form cost, the network itself as the test oracle; a
+               read returns only the reals of the slots it reads
     transform  truncated view transformation with contribution budgets; a
                record's join slots per invocation are a function of its age
-               alone; each transform returns its real rows and a padded slot
-               count; the SMJ sorts on (key, origin, seq) and scans only the
-               reals of keys found on both sides; the NLJ probes a
-               per-invocation key index with the real outers that have
-               partners and sorts all its per-outer networks in one batched
-               call
+               alone; each transform takes reals plus padded input lengths
+               and returns its real rows and a padded slot count; the SMJ
+               sorts on (key, origin, seq) and scans only the reals of keys
+               found on both sides; the NLJ probes a per-invocation key index
+               with the real outers that have partners and sorts all its
+               per-outer networks in one batched call
     shrink     the timer and above-noisy-threshold sync protocols, flush,
+               the view kept as its real rows plus per-batch slot counts,
                and the closed-form utility bounds
     transcript what each server observes: sizes, timestamps and shares, one
                slotted event per observation

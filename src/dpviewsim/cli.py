@@ -66,11 +66,6 @@ def main(argv: list[str] | None = None) -> int:
         except (ParseError, CapacityExceeded, OSError) as exc:
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        except MemoryError:
-            # A DP sync fetches a padded batch whose size is a draw of scale b/epsilon.
-            print("config error: out of memory: a sync's padded batch, about b/epsilon "
-                  "slots, does not fit; raise epsilon or lower b", file=sys.stderr)
-            return EXIT_CONFIG
         emit_metrics(records, fh)
     return EXIT_OK
 

@@ -19,7 +19,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .leakage import LogicalStream, StreamRecord
-from .obliv import DUMMY, SecureCache, SecureTuple, SeqCounter, cache_read
+from .obliv import SecureCache, SecureTuple, SeqCounter, cache_read
 from .randomness import ServerRandomness
 from .sharing import RING_SIZE
 from .shrink import (AntConfig, FlushReport, MaterializedView, SyncReport,
@@ -102,7 +102,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("DP protocols require epsilon > 0")
         # The largest Laplace scale the protocol draws is b/epsilon, or DPANT's
         # check scale 8b/epsilon (shrink.ant_scales); a joint draw lies within
-        # ln(2**31 + 1) scales of zero (dpnoise.fixed_point).
+        # ln(2**31 + 1) scales of zero (dpnoise.fixed_point). A sync reads that
+        # many cache slots, and len(cache) cannot exceed sys.maxsize.
         ant = config.protocol is Protocol.DP_ANT
         try:
             largest = (8 if ant else 1) * config.b / config.epsilon * math.log((1 << 31) + 1)
@@ -110,7 +111,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             largest = math.inf
         if not largest < sys.maxsize:  # also rejects inf
             raise ConfigError(f"noise scale {'8b' if ant else 'b'}/epsilon allows syncs of "
-                              f"{largest:.3g} slots, more than a list can hold")
+                              f"{largest:.3g} slots, more than len(cache) can count")
         if config.f < 1 or config.s < 0:
             raise ConfigError("flush parameters require f >= 1 and s >= 0")
     if config.protocol is Protocol.DP_TIMER and config.T < 1:
@@ -267,7 +268,7 @@ def load_stream(path: str) -> LogicalStream:
 
 def client_batches(stream: LogicalStream, c_r: int, horizon: int,
                    seqs: SeqCounter) -> list[list[SecureTuple]]:
-    """Per-step fixed-size owner batches: real arrivals padded with DUMMY."""
+    """Per-step owner batches of c_r slots, each kept as its real arrivals."""
     by_step: dict[int, list[StreamRecord]] = {}
     for rec in stream.arrivals:
         if rec.t <= horizon:
@@ -278,8 +279,7 @@ def client_batches(stream: LogicalStream, c_r: int, horizon: int,
         if len(recs) > c_r:
             raise CapacityExceeded(
                 f"step {t}: {len(recs)} arrivals exceed owner batch size {c_r}")
-        batch = [SecureTuple(r.key, r.attrs, True, seqs.take(), t) for r in recs]
-        batches.append(batch + [DUMMY] * (c_r - len(batch)))
+        batches.append([SecureTuple(r.key, r.attrs, True, seqs.take(), t) for r in recs])
     return batches
 
 
@@ -390,20 +390,17 @@ class _JoinCounter:
     """Incremental key-match pair counter, equal to the brute-force oracle."""
 
     def __init__(self):
-        self._left: dict[int, int] = {}
-        self._right: dict[int, int] = {}
+        self.keys: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.sizes = [0, 0]
         self.total = 0
-        self.n_left = self.n_right = 0
 
-    def add_left(self, key: int) -> None:
-        self.total += self._right.get(key, 0)
-        self._left[key] = self._left.get(key, 0) + 1
-        self.n_left += 1
-
-    def add_right(self, key: int) -> None:
-        self.total += self._left.get(key, 0)
-        self._right[key] = self._right.get(key, 0) + 1
-        self.n_right += 1
+    def add(self, side: int, batch: list[SecureTuple]) -> None:
+        """Count new records of the left (side 0) or right (side 1) stream."""
+        mine, other = self.keys[side], self.keys[1 - side]
+        for tup in batch:
+            self.total += other.get(tup.key, 0)
+            mine[tup.key] = mine.get(tup.key, 0) + 1
+        self.sizes[side] += len(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +439,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     trunc = TruncationConfig(config.omega, config.b)
     filtering = config.operator is OperatorKind.FILTER
-    state = TransformState(config=trunc, operator=config.operator, seqs=seqs,
+    state = TransformState(config=trunc, operator=config.operator, seqs=seqs, c_r=config.c_r,
                            predicate=(lambda tup: bool(tup.attrs and tup.attrs[0]))
                            if filtering else None)
     counter = transform_init(rand)
@@ -477,17 +474,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
         # Maintain the plaintext truth incrementally from the batches' reals.
         if filtering:
-            for tup in step[0]:
-                if tup.is_view:
-                    filter_seen += 1
-                    filter_true += bool(tup.attrs and tup.attrs[0])
+            filter_seen += len(step[0])
+            filter_true += sum(map(state.predicate, step[0]))
         else:
-            for tup in step[0]:
-                if tup.is_view:
-                    join_tracker.add_left(tup.key)
-            for tup in step[1]:
-                if tup.is_view:
-                    join_tracker.add_right(tup.key)
+            for side, batch in enumerate(step):
+                join_tracker.add(side, batch)
 
         if transforming:
             cache, counter = transform_step(t, step, cache, counter, state, rand,
@@ -510,11 +501,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 cost[0] += flush.size
         elif transforming:
             # EP and OTM: the whole padded delta goes straight in.
-            fetched, cache = cache_read(cache, len(cache))
-            cost[0] += len(fetched)
-            view.append_batch(fetched, t)
+            slots = len(cache)
+            fetched, cache = cache_read(cache, slots)
+            cost[0] += slots
+            view.append_batch(fetched, slots, t)
             for server in (0, 1):
-                transcript.add(t, server, TranscriptKind.SYNC_BATCH, len(fetched))
+                transcript.add(t, server, TranscriptKind.SYNC_BATCH, slots)
             transforming = config.protocol is Protocol.EP
 
         if t % config.query_interval == 0:
@@ -522,7 +514,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             real = view.real_rows()
             if config.protocol is Protocol.NM:
                 answered = truth
-                scan = filter_seen if filtering else join_tracker.n_left * join_tracker.n_right
+                scan = filter_seen if filtering else math.prod(join_tracker.sizes)
                 deferred = 0
                 discarded = 0
             else:

@@ -3,19 +3,20 @@
 The protocol's cache is an append-only array of real view tuples and padding.
 The servers learn only how many slots it has and read it only after an
 oblivious sort, so the simulator keeps just its real entries, in seq (FIFO)
-order, and its slot count; padding is never built until a read fills a batch
-with references to the one immutable `DUMMY`. The protocol sorts the cache
-with Batcher's bitonic compare-exchange network, so the sequence of touched
-index pairs is a function of the array length alone and leaks nothing about
-the contents. The simulator does not execute the network: it Timsorts the real
-entries' keys, which gives the network's order of the reals (every dummy lands
-behind every real), and charges the closed-form compare count of the whole
-padded array. Several independent networks of one length, such as the
-nested-loop join's one network per outer tuple, are run as one sort over their
-concatenated reals and charged one closed-form count each; the cache and the
-join rows come in seq order, which Timsort takes in one pass.
-`compare_exchange_pairs` is the network itself, and the tests run it as the
-oracle for these facts. Repeated sort keys raise.
+order, and its slot count; padding is a count and is never built. A read of
+sz slots returns the reals among them, and the caller, which knows sz, counts
+the rest as padding. The protocol sorts the cache with Batcher's bitonic
+compare-exchange network, so the sequence of touched index pairs is a
+function of the array length alone and leaks nothing about the contents. The
+simulator does not execute the network: it Timsorts the real entries' keys,
+which gives the network's order of the reals (every dummy lands behind every
+real), and charges the closed-form compare count of the whole padded array.
+Several independent networks of one length, such as the nested-loop join's
+one network per outer tuple, are run as one sort over their concatenated
+reals and charged one closed-form count each; the cache and the join rows
+come in seq order, which Timsort takes in one pass. `compare_exchange_pairs`
+is the network itself, and the tests run it as the oracle for these facts.
+Repeated sort keys raise.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from typing import Callable, Iterator, NamedTuple
 class SecureTuple(NamedTuple):
     """One cache/view slot: payload plus flags.
 
-    is_view marks a real view entry; every other slot is `DUMMY`. seq is the
-    per-run creation stamp of a real row, unique within the run. sources lists
-    the seq ids of the input records a real row was derived from; simulator
-    bookkeeping only.
+    is_view marks a real view entry; only the padding slot below lacks it. seq
+    is the per-run creation stamp of a real row, unique within the run.
+    sources lists the seq ids of the input records a real row was derived
+    from; simulator bookkeeping only.
     """
 
     key: int
@@ -42,9 +43,8 @@ class SecureTuple(NamedTuple):
     sources: tuple[int, ...] = ()
 
 
-# The one padding slot. Its seq of -1 belongs to no real row. No sort takes a
-# dummy: the SMJ, like every sort, passes only reals
-# (test_smj_sorts_once_per_invocation).
+# The one padding slot, built only by the view's padded `rows` read. Its seq
+# of -1 belongs to no real row.
 DUMMY = SecureTuple(key=0, attrs=(), is_view=False, seq=-1)
 
 
@@ -175,20 +175,19 @@ def obli_sort(cache: SecureCache, counter: list) -> SecureCache:
 
 
 def cache_read(cache: SecureCache, sz: int) -> tuple[list[SecureTuple], SecureCache]:
-    """Pop the first sz slots: the first sz reals, topped up with DUMMY.
+    """Pop the first sz slots and return their reals: the first sz reals.
 
-    Reals come first in the padded array only once it is sorted, so callers
-    sort first. Reading past the cache empties it.
+    The other sz - len(reals) slots read are padding. Reals come first in the
+    padded array only once it is sorted, so callers sort first. Reading past
+    the cache empties it.
     """
     if sz < 0:
         raise ValueError(f"read size must be non-negative, got {sz}")
-    fetched = cache.entries[:sz]
-    return (fetched + [DUMMY] * (sz - len(fetched)),
-            SecureCache(cache.entries[sz:], max(0, cache.slots - sz)))
+    return cache.entries[:sz], SecureCache(cache.entries[sz:], max(0, cache.slots - sz))
 
 
 def cache_flush(cache: SecureCache, s: int,
                 counter: list) -> tuple[list[SecureTuple], SecureCache]:
-    """Sort, fetch s entries for the view, and recycle the remainder."""
+    """Sort, fetch s slots' reals for the view, and recycle the remainder."""
     fetched, _ = cache_read(obli_sort(cache, counter), s)
     return fetched, SecureCache()

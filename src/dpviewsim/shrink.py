@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .dpnoise import NoiseScale
-from .obliv import SecureCache, SecureTuple, cache_flush, cache_read, obli_sort
+from .obliv import DUMMY, SecureCache, SecureTuple, cache_flush, cache_read, obli_sort
 from .sharing import SharePair, recover, share_in_protocol
 from .transform import CounterShares
 from .transcript import Transcript, TranscriptKind
@@ -115,25 +115,36 @@ def clamp_round(x: float) -> int:
 
 @dataclass
 class MaterializedView:
-    """Append-only synchronized rows, per-sync batch boundaries, running real-row count."""
+    """Append-only synchronized view: its real rows, and per sync or flush
+    batch its (t, slots) in `batches` and its real count in `counts`."""
 
-    rows: list[SecureTuple] = field(default_factory=list)
-    batches: list[tuple[int, int]] = field(default_factory=list)
-    _real: int = field(init=False, repr=False, compare=False)
+    reals: list[SecureTuple] = field(init=False, default_factory=list)
+    batches: list[tuple[int, int]] = field(init=False, default_factory=list)
+    counts: list[int] = field(init=False, default_factory=list)
+    _total: int = field(init=False, default=0, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._real = sum(1 for r in self.rows if r.is_view)
+    def append_batch(self, reals: list[SecureTuple], slots: int, t: int) -> None:
+        if len(reals) > slots:
+            raise ValueError(f"{len(reals)} real rows exceed {slots} slots")
+        self.reals += reals
+        self.batches.append((t, slots))
+        self.counts.append(len(reals))
+        self._total += slots
 
-    def append_batch(self, fetched: list[SecureTuple], t: int) -> None:
-        self.rows.extend(fetched)
-        self.batches.append((t, len(fetched)))
-        self._real += sum(1 for r in fetched if r.is_view)
+    @property
+    def rows(self) -> list[SecureTuple]:
+        """The padded view, rebuilt per read: each batch's reals, then DUMMY."""
+        rows, start = [], 0
+        for (_, slots), n in zip(self.batches, self.counts):
+            rows += self.reals[start:start + n] + [DUMMY] * (slots - n)
+            start += n
+        return rows
 
     def total_rows(self) -> int:
-        return len(self.rows)
+        return self._total
 
     def real_rows(self) -> int:
-        return self._real
+        return len(self.reals)
 
 
 class SyncReport(NamedTuple):
@@ -158,7 +169,7 @@ def sdp_timer_step(t: int, config: TimerConfig, counter: CounterShares,
     sz = clamp_round(pre)
     cache = obli_sort(cache, compare_counter)
     fetched, cache = cache_read(cache, sz)
-    view.append_batch(fetched, t)
+    view.append_batch(fetched, sz, t)
     counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
     for server in (0, 1):
         transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
@@ -193,7 +204,7 @@ def sdp_ant_step(t: int, config: AntConfig, counter: CounterShares,
     sz = clamp_round(pre)
     cache = obli_sort(cache, compare_counter)
     fetched, cache = cache_read(cache, sz)
-    view.append_batch(fetched, t)
+    view.append_batch(fetched, sz, t)
     new_noisy = config.theta + rand.joint_laplace(th_scale)
     threshold = share_real(new_noisy, rand, seen=rand.seen_pairs)
     counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
@@ -223,7 +234,7 @@ def flush_step(t: int, config, cache: SecureCache, view: MaterializedView,
         return cache, FlushReport(t, False)
     real_before = cache.real_count() + view.real_rows()
     fetched, cache = cache_flush(cache, config.s, compare_counter)
-    view.append_batch(fetched, t)
+    view.append_batch(fetched, config.s, t)
     for server in (0, 1):
         transcript.add(t, server, TranscriptKind.FLUSH_BATCH, config.s)
     return cache, FlushReport(t, True, config.s, real_before - view.real_rows())

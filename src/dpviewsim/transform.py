@@ -6,9 +6,9 @@ a lifetime contribution budget b: it is scanned in ceil(b / omega)
 invocations and spends omega of b in each, whatever it joins. So its join
 slots in one invocation, min(omega, b - age * omega) after `age` earlier
 invocations, are a function of its age alone, never of the data. Each
-transform returns its real output rows and its padded slot count, which is a
-function of the input sizes and the truncation parameters only; the padding
-itself is never built.
+transform takes its inputs' reals and padded lengths (c_r slots per owner
+batch) and returns its real rows and its padded slot count, a function of
+those lengths and the truncation parameters only; padding is never built.
 """
 
 from __future__ import annotations
@@ -51,19 +51,19 @@ def _join_tuple(a: SecureTuple, b: SecureTuple, seqs: SeqCounter, timestamp: int
 
 def trans_truncate_filter(batch: list[SecureTuple],
                           predicate: Callable[[SecureTuple], bool],
-                          seqs: SeqCounter, timestamp: int) -> tuple[list[SecureTuple], int]:
-    """Oblivious selection: (kept rows, len(batch) slots).
+                          seqs: SeqCounter, timestamp: int) -> list[SecureTuple]:
+    """Oblivious selection over a batch's reals: the kept rows.
 
     A real input is kept, with its payload, iff the predicate holds.
     """
     return [SecureTuple(tup.key, tup.attrs, True, seqs.take(), timestamp, (tup.seq,))
-            for tup in batch if tup.is_view and predicate(tup)], len(batch)
+            for tup in batch if predicate(tup)]
 
 
-def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
-                       caps: dict[int, int], seqs: SeqCounter, timestamp: int,
+def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2: int,
+                       omega: int, caps: dict[int, int], seqs: SeqCounter, timestamp: int,
                        compare_counter: list) -> tuple[list[SecureTuple], int]:
-    """Truncated oblivious sort-merge join: (joined rows, omega slots per input).
+    """Truncated oblivious sort-merge join: (joined rows, omega slots per n1 + n2).
 
     The tables are merged and network-sorted on (join key, origin, seq); ties
     put t1 records first and input dummies last. The linear scan emits, for
@@ -80,13 +80,10 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
     no cap: only the reals of keys found on both sides are sorted and
     scanned, in the network's order of the whole padded input.
     """
-    reals1 = [t for t in t1 if t.is_view]
-    reals2 = [t for t in t2 if t.is_view]
-    both = {t.key for t in reals1} & {t.key for t in reals2}
-    tagged = [(0, t) for t in reals1 if t.key in both] + \
-             [(1, t) for t in reals2 if t.key in both]
+    both = {t.key for t in t1} & {t.key for t in t2}
+    tagged = [(0, t) for t in t1 if t.key in both] + [(1, t) for t in t2 if t.key in both]
     merged = network_sort(tagged, lambda it: (it[1].key, it[0], it[1].seq),
-                          len(t1) + len(t2), compare_counter, networks=1)
+                          n1 + n2, compare_counter, networks=1)
 
     out: list[SecureTuple] = []
     group_key = None
@@ -105,36 +102,34 @@ def trans_truncate_smj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
             a, b = (tup, p) if origin == 0 else (p, tup)
             out.append(_join_tuple(a, b, seqs, timestamp))
         seen[origin].append(tup)
-    return out, omega * (len(t1) + len(t2))
+    return out, omega * (n1 + n2)
 
 
-def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
-                       caps: dict[int, int], seqs: SeqCounter, timestamp: int,
+def trans_truncate_nlj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2: int,
+                       omega: int, caps: dict[int, int], seqs: SeqCounter, timestamp: int,
                        compare_counter: list) -> tuple[list[SecureTuple], int]:
-    """Truncated oblivious nested-loop join: (joined rows, omega slots per outer tuple).
+    """Truncated oblivious nested-loop join: (joined rows, omega slots per n1).
 
     Every (outer, inner) probe either emits a real join (keys match and both
     records hold a slot in `caps`, one taken from each; see
-    `trans_truncate_smj`) or a dummy, so each outer tuple yields a
-    len(t2)-slot intermediate, which is network-sorted real-first and cut to
-    omega slots. Only key-matching probes can emit, so each real outer probes
-    just the real inner rows of its key, in t2 order, and a dummy outer or one
-    whose key no real inner row holds is skipped. The len(t1) intermediates
-    are sorted by one batched call of len(t1) networks: their rows are stamped
-    in emission order, so every row of one outer holds a lower seq than every
-    row of the next. Only the outers that emitted rows have a span of the
-    sorted rows to cut.
+    `trans_truncate_smj`) or a dummy, so each of the n1 outer slots yields an
+    n2-slot intermediate, which is network-sorted real-first and cut to omega
+    slots. Only key-matching probes can emit, so each real outer probes just
+    the real inner rows of its key, in t2 order, and a dummy outer or one
+    whose key no real inner row holds is skipped. The n1 intermediates are
+    sorted by one batched call of n1 networks: their rows are stamped in
+    emission order, so every row of one outer holds a lower seq than every
+    row of the next; only the outers that emitted rows have a span to cut.
     """
     if omega < 1:
         raise ValueError(f"per-outer bound must be positive, got {omega}")
     inner: dict[int, list[SecureTuple]] = {}
     for v in t2:
-        if v.is_view:
-            inner.setdefault(v.key, []).append(v)
+        inner.setdefault(v.key, []).append(v)
     rows: list[SecureTuple] = []
     spans: list[tuple[int, int]] = []  # each emitting outer's rows in `rows`
     for u in t1:
-        partners = inner.get(u.key) if u.is_view else None
+        partners = inner.get(u.key)
         if not partners:
             continue
         start = len(rows)
@@ -147,11 +142,11 @@ def trans_truncate_nlj(t1: list[SecureTuple], t2: list[SecureTuple], omega: int,
                 rows.append(_join_tuple(u, v, seqs, timestamp))
         if len(rows) > start:
             spans.append((start, len(rows)))
-    rows = network_sort(rows, seq_of, len(t2), compare_counter, networks=len(t1))
+    rows = network_sort(rows, seq_of, n2, compare_counter, networks=n1)
     out: list[SecureTuple] = []
     for start, end in spans:
         out += rows[start:min(end, start + omega)]
-    return out, omega * len(t1)
+    return out, omega * n1
 
 
 class OperatorKind(enum.Enum):
@@ -167,8 +162,9 @@ class TransformState:
     config: TruncationConfig
     operator: OperatorKind
     seqs: SeqCounter
+    c_r: int  # padded slots of every owner batch
     predicate: Callable[[SecureTuple], bool] | None = None
-    retained: tuple[deque, deque] = None  # past padded batches per owner
+    retained: tuple[deque, deque] = None  # reals of past owner batches
     produced_rows: list[SecureTuple] = field(default_factory=list)
 
     def __post_init__(self):
@@ -202,7 +198,7 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
                    compare_counter: list) -> tuple[SecureCache, CounterShares]:
     """One invocation: truncate-transform new data, cache it, update the counter.
 
-    Join operators also scan the retained padded batches of the partner owner.
+    Join operators also scan the retained batches of the partner owner.
     A batch is scanned in ceil(b / omega) invocations, so the input sizes stay
     data-independent, and each scan spends omega of its records' budget b. A
     real record scanned in `age` earlier invocations therefore holds
@@ -213,19 +209,22 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
     if state.operator is OperatorKind.FILTER:
         if state.predicate is None:
             raise ValueError("filter operator requires a predicate")
-        rows, slots = trans_truncate_filter(new_batches[0], state.predicate, state.seqs, t)
+        rows = trans_truncate_filter(new_batches[0], state.predicate, state.seqs, t)
+        slots = state.c_r
     else:
         new1, new2 = new_batches[0], new_batches[1]
         kept1, kept2 = state.retained
         caps = defaultdict(lambda: cfg.omega)
         oldest = cfg.b - len(kept1) * cfg.omega  # the oldest batch's age is len(kept1)
         if oldest < cfg.omega:
-            caps.update((tup.seq, oldest) for tup in kept1[0] + kept2[0] if tup.is_view)
+            caps.update((tup.seq, oldest) for tup in kept1[0] + kept2[0])
         old1 = [tup for batch in kept1 for tup in batch]
         old2 = [tup for batch in kept2 for tup in batch]
+        c_r, n_old = state.c_r, state.c_r * len(kept1)  # both owners keep as many batches
         join = trans_truncate_smj if state.operator is OperatorKind.SMJ else trans_truncate_nlj
-        rows, slots = join(new1, old2 + new2, cfg.omega, caps, state.seqs, t, compare_counter)
-        rows2, slots2 = join(old1, new2, cfg.omega, caps, state.seqs, t, compare_counter)
+        rest = (cfg.omega, caps, state.seqs, t, compare_counter)
+        rows, slots = join(new1, c_r, old2 + new2, n_old + c_r, *rest)
+        rows2, slots2 = join(old1, n_old, new2, c_r, *rest)
         rows += rows2
         slots += slots2
         kept1.append(new1)

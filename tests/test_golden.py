@@ -73,14 +73,14 @@ def hot_key_csv(seed: int, horizon: int, c_r: int) -> str:
 
 # Join runs on hot-key CSV streams, so that truncation caps bind: at omega 2
 # and b 5 the oldest retained batch holds one join slot, not two. Stream A is
-# drawn from the run's seed and stream B from the next.
+# drawn from the run's seed and stream B from the next. Each protocol runs
+# both joins on the same streams, so the rows tell the SMJ from the NLJ.
 HOT_KEY_CASES = {
-    "DPTimer-SMJ-hot-keys-omega-2-b-5": ExperimentConfig(
-        protocol=Protocol.DP_TIMER, operator=OperatorKind.SMJ, omega=2, b=5,
-        horizon=40, f=20, s=5, seed=12),
-    "DPANT-NLJ-hot-keys-omega-2-b-5": ExperimentConfig(
-        protocol=Protocol.DP_ANT, operator=OperatorKind.NLJ, omega=2, b=5,
-        horizon=40, f=20, s=5, seed=13),
+    f"{protocol.value}-{operator.value}-hot-keys-omega-2-b-5": ExperimentConfig(
+        protocol=protocol, operator=operator, omega=2, b=5, horizon=40, f=20, s=5,
+        seed=seed)
+    for protocol, seed in ((Protocol.DP_TIMER, 12), (Protocol.DP_ANT, 13))
+    for operator in (OperatorKind.SMJ, OperatorKind.NLJ)
 }
 
 # (metrics sha256, transcript sha256), recorded before the experiment loop was folded.
@@ -145,6 +145,14 @@ GOLDEN = {
     "DPANT-NLJ-hot-keys-omega-2-b-5": (
         "3a3c60145091eabca407248a1dc8e3f7dcd099585621cc1349577970d90419a9",
         "95e31c21f0ea0e5a052f93a3d1e24cdde18cf4eb39834cf70ba5038763681b59"),
+    # Recorded before owner batches, transforms and the view dropped their
+    # padding rows.
+    "DPTimer-NLJ-hot-keys-omega-2-b-5": (
+        "f6dc76a23d940db731618a67a6dc4c7f0e4e6d0e9a2e5a168483e9c27ac1eedb",
+        "24855c520155935022249b5aca69673d11b7ddd74276c46220045fd277a24c67"),
+    "DPANT-SMJ-hot-keys-omega-2-b-5": (
+        "2283cd60a6ba7e28b72e801243e9995c0d0f0a98e3cfba99f361d7a3ac530c1f",
+        "5d3461ab640f39a04418039a5e7e14181ec24cb9e29031889c6ccf187ff5be73"),
 }
 
 
@@ -202,12 +210,14 @@ ROWS_GOLDEN = {
     "DPANT-Filter-Burst": "5327bb265402eae46e6b054dd37d4f5a0c622496fb735d357ab756fac4115211",
     "DPANT-NLJ": "c8837ead6d8757f0b51b95f990a58797508174333bb57dcdc25788cad44c469a",
     "DPANT-NLJ-hot-keys-omega-2-b-5": "4d566b4c3f0b72ab1c45d1103591328af623510dde3a08eafc5cd3438b3be817",
+    "DPANT-SMJ-hot-keys-omega-2-b-5": "92254c852a0770b250ca764612bf55b44bfeffba43a2d0c5a37f4350d05c1913",
     "DPANT-SMJ": "c8837ead6d8757f0b51b95f990a58797508174333bb57dcdc25788cad44c469a",
     "DPANT-SMJ-3-trials": "c0abc58976dfc5471e5eb36a9a0f40c2d13ce3109c32173fa953381877bd2b9c",
     "DPANT-SMJ-Sparse": "c55cb1a3744cbc814b114b5365caddd90047f3d5195e4048e53770553475f7a0",
     "DPTimer-Filter": "f8bd93749bad19e98689b4f06b7fdcacb187f696f3fca5f65aeae9b6aa1c9675",
     "DPTimer-NLJ": "58a1ae82b270abc5a4060f0698350fe17b93e83748abf314310723f889ab7dbc",
     "DPTimer-NLJ-Burst": "13402ede328cdd0d10e6d511cb172c23197b4dc55641d48ba203c9519c5a9dcd",
+    "DPTimer-NLJ-hot-keys-omega-2-b-5": "73abc2616cbe7818edf9202c14751bc3e1773bb09d39720162a1a0cd49913352",
     "DPTimer-SMJ": "58a1ae82b270abc5a4060f0698350fe17b93e83748abf314310723f889ab7dbc",
     "DPTimer-SMJ-hot-keys-omega-2-b-5": "92f7ab7afb71024ad81cd6a9355991d39a0399680ac5fadbf27bde843ce5bfb8",
     "DPTimer-SMJ-multiplicity-3": "3d96b1216c60eed83a09f247686194c008f4c346bda35ef8776afc1326cc02bc",
@@ -236,3 +246,11 @@ def test_run_rows_match_recorded_hashes(name):
 def test_hot_key_run_rows_match_recorded_hashes(name, tmp_path):
     results = [run_experiment(_hot_key_config(name, tmp_path))]
     assert _rows_hash(results) == ROWS_GOLDEN[name]
+
+
+@pytest.mark.parametrize("protocol", ["DPTimer", "DPANT"])
+def test_hot_key_rows_tell_the_joins_apart(protocol):
+    # The Standard grid gives the SMJ and the NLJ one rows hash each; on the
+    # same hot-key streams their rows must differ.
+    smj, nlj = (ROWS_GOLDEN[f"{protocol}-{op}-hot-keys-omega-2-b-5"] for op in ("SMJ", "NLJ"))
+    assert smj != nlj

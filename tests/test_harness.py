@@ -13,7 +13,7 @@ from dpviewsim.harness import (_BURST_ON, _BURST_PERIOD, CapacityExceeded,
                                read_metrics, run_experiment, run_trials,
                                synth_stream, true_count, validate_config)
 from dpviewsim.leakage import LogicalStream, StreamRecord
-from dpviewsim.obliv import DUMMY, SeqCounter
+from dpviewsim.obliv import SeqCounter
 from dpviewsim.shrink import MaterializedView
 from dpviewsim.transform import OperatorKind
 
@@ -75,14 +75,13 @@ def make_stream(times):
                          max(times) if times else 0)
 
 
-def test_client_batches_pads_to_capacity():
+def test_client_batches_hold_each_step_s_arrivals():
+    # Each batch is its step's reals; the upload's other c_r - len(batch)
+    # slots are padding, which is a count and is not built.
     s = make_stream([2, 2, 2])
     batches = client_batches(s, c_r=5, horizon=3, seqs=SeqCounter(0))
-    assert [len(b) for b in batches] == [5, 5, 5]
-    assert sum(t.is_view for t in batches[0]) == 0  # 0 arrivals -> all dummies
-    assert sum(t.is_view for t in batches[1]) == 3  # 3 real + 2 dummy
-    assert sum(t.is_view for t in batches[2]) == 0
-    assert batches[1][3:] == [DUMMY, DUMMY]
+    assert [len(b) for b in batches] == [0, 3, 0]
+    assert all(t.is_view and t.timestamp == 2 for t in batches[1])
 
 
 def test_client_batches_capacity_exceeded():
@@ -95,9 +94,8 @@ def test_client_batches_unique_seqs():
     s = make_stream([1, 2, 2, 3])
     batches = client_batches(s, c_r=4, horizon=3, seqs=SeqCounter(100))
     rows = [t for b in batches for t in b]
-    assert [(t.seq, t.timestamp) for t in rows if t.is_view] == [
-        (100, 1), (101, 2), (102, 2), (103, 3)]
-    assert all(t is DUMMY for t in rows if not t.is_view) and len(rows) == 12
+    assert [(t.seq, t.timestamp) for t in rows] == [(100, 1), (101, 2), (102, 2), (103, 3)]
+    assert all(t.is_view for t in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -42,23 +42,27 @@ def test_obli_sort_real_first_with_fifo_ties():
     out = obli_sort(c, [0])
     assert [e.seq for e in out.entries] == [1, 3]
     assert len(out) == 4 and out.real_count() == 2
-    fetched, _ = cache_read(out, 4)
-    assert fetched[:2] == out.entries and fetched[2:] == [DUMMY, DUMMY]
+    fetched, rest = cache_read(out, 4)
+    assert fetched == out.entries  # the other 2 of the 4 slots read are padding
+    assert len(rest) == 0 and rest.entries == []
 
 
 def test_real_first_exhaustive_small():
     # No dummy may precede a real entry, for every flag pattern up to n=6,
-    # whatever order the reals arrive in: reading all n sorted slots gives
-    # the reals in seq order, then DUMMY.
+    # whatever order the reals arrive in: reading the first sz sorted slots
+    # gives the first sz reals in seq order, and sz minus their count is
+    # the padding read.
     for n in range(1, 7):
         for bits in range(1 << n):
             seqs = [i for i in range(n) if bits >> i & 1]
             for order in (seqs, seqs[::-1]):
                 out = obli_sort(SecureCache([real(i) for i in order], n), [0])
-                fetched, rest = cache_read(out, n)
-                assert [e.seq for e in fetched[:len(seqs)]] == seqs
-                assert all(e is DUMMY for e in fetched[len(seqs):])
-                assert len(fetched) == n and len(rest) == 0
+                for sz in range(n + 1):
+                    fetched, rest = cache_read(out, sz)
+                    assert [e.seq for e in fetched] == seqs[:sz]
+                    assert sz - len(fetched) == max(0, sz - len(seqs))
+                    assert [e.seq for e in rest.entries] == seqs[sz:]
+                    assert len(rest) == n - sz
 
 
 def test_comparison_count_is_length_only():
@@ -187,16 +191,17 @@ def test_cache_read_prefix_cut():
     assert fetched == [real(0), real(1)]
     assert remaining.entries == [real(2)] and len(remaining) == 4
     fetched, remaining = cache_read(c, 5)
-    assert fetched == [real(0), real(1), real(2), DUMMY, DUMMY]
+    assert fetched == [real(0), real(1), real(2)]  # and 5 - 3 = 2 padding slots
     assert remaining.entries == [] and len(remaining) == 1
     assert remaining.real_count() == 0
 
 
 def test_cache_read_dummy_top_up():
+    # A read past the cache returns its reals; the other 4 - 1 slots read
+    # are padding, which is a count and is not built.
     c = SecureCache([real(0)], 1)
     fetched, remaining = cache_read(c, 4)
-    assert fetched[0] == real(0)
-    assert len(fetched) == 4 and all(e is DUMMY for e in fetched[1:])
+    assert fetched == [real(0)]
     assert len(remaining) == 0 and remaining.entries == []
 
 
@@ -217,9 +222,8 @@ def test_flush_basic():
     c = SecureCache([real(0)], 3)
     counter = [0]
     fetched, remaining = flush(c, 2, counter)
-    assert len(fetched) == 2
-    assert fetched[0].is_view and not fetched[1].is_view
-    assert len(remaining) == 0
+    assert fetched == [real(0)]  # the other of the 2 slots read is padding
+    assert len(remaining) == 0 and remaining.entries == []
     assert counter[0] == network_comparison_count(3)  # the flush sorts first
 
 
@@ -239,8 +243,8 @@ def test_flush_real_count_oracle():
         true_reals = sum(1 for e in entries if e.is_view)  # oracle
         s = int(rng.integers(0, 30))
         fetched, _ = flush(SecureCache([e for e in entries if e.is_view], n), s)
-        assert len(fetched) == s
-        assert sum(1 for e in fetched if e.is_view) == min(s, true_reals)
+        assert all(e.is_view for e in fetched)
+        assert len(fetched) == min(s, true_reals)  # s - len(fetched) is padding
 
 
 def test_conservation_under_read():
@@ -252,11 +256,11 @@ def test_conservation_under_read():
         sz = int(rng.integers(0, n + 5))
         cache = SecureCache([e for e in entries if e.is_view], n)
         fetched, remaining = cache_read(obli_sort(cache, [0]), sz)
-        got = sum(e.is_view for e in fetched)
-        left = sum(e.is_view for e in remaining.entries)
+        assert all(e.is_view for e in fetched + remaining.entries)
+        got, left = len(fetched), remaining.real_count()
         assert got + left == total_real
-        assert got == min(sz, total_real)  # real-first fetch
-        assert len(fetched) == sz and len(remaining) == max(0, n - sz)
+        assert got == min(sz, total_real)  # real-first fetch; sz - got is padding
+        assert len(remaining) == max(0, n - sz)
 
 
 def test_padded_length():
@@ -266,7 +270,8 @@ def test_padded_length():
 # ---------------------------------------------------------------------------
 # The cache is its reals plus a slot count. Every operation must agree with
 # the padded array it stands for: a plain list of reals and DUMMY slots, sorted
-# real-first (stable) before every read, as the protocol does.
+# real-first (stable) before every read, as the protocol does. A read returns
+# the reals of the slots it reads, and the rest of them are the padding.
 
 def assert_matches_padded(cache, padded):
     assert len(cache) == len(padded)
@@ -296,12 +301,13 @@ def test_real_count_stays_exact_through_cache_operations():
             fetched, cache = cache_read(cache, sz)
             padded = sorted(padded, key=lambda e: not e.is_view)
             padded += [DUMMY] * (sz - len(padded))
-            assert fetched == padded[:sz]
-            assert all(e is DUMMY for e in fetched if not e.is_view)
+            assert fetched == [e for e in padded[:sz] if e.is_view]
+            assert sz - len(fetched) == sum(e is DUMMY for e in padded[:sz])
             padded = padded[sz:]
             assert_matches_padded(cache, padded)
     fetched, cache = cache_flush(cache, 5, [0])
-    assert fetched == (sorted(padded, key=lambda e: not e.is_view) + [DUMMY] * 5)[:5]
+    read = (sorted(padded, key=lambda e: not e.is_view) + [DUMMY] * 5)[:5]
+    assert fetched == [e for e in read if e.is_view]
     assert cache.entries == [] and len(cache) == 0
 
 

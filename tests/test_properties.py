@@ -2,11 +2,11 @@
 
 Every protocol x operator x profile runs with hypothesis-drawn horizon, flush
 schedule and seed. Each run must conserve its real rows at every step, keep its
-running view real-row count equal to a plain recount, pad every non-real slot
-of its view with the one shared `obliv.DUMMY`, end with a cache that holds only
-real rows, in strictly increasing seq order and no more of them than its slots,
-pass the transcript audit against its public configuration, and reproduce its
-metrics bytes from the same seed.
+running view real-row count equal to a plain recount, hold no more reals in a
+view batch than its slots and as many padded rows as its running slot total,
+end with a cache that holds only real rows, in strictly increasing seq order
+and no more of them than its slots, pass the transcript audit against its
+public configuration, and reproduce its metrics bytes from the same seed.
 """
 
 import io
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpviewsim import obliv
 from dpviewsim.harness import (ExperimentConfig, Profile, Protocol, emit_metrics,
                                expected_transform_size, run_experiment)
 from dpviewsim.leakage import AuditExpectation, transcript_audit
@@ -55,7 +54,9 @@ def test_real_runs_conserve_rows_pass_audit_and_repeat(protocol, operator, profi
     assert all(e.is_view for e in cache.entries)
     assert all(a.seq < b.seq for a, b in zip(cache.entries, cache.entries[1:]))
     assert len(cache.entries) <= len(cache)
-    assert all(row is obliv.DUMMY for row in view.rows if not row.is_view)
+    assert all(n <= slots for (_, slots), n in zip(view.batches, view.counts))
+    assert len(view.counts) == len(view.batches)
+    assert len(view.rows) == view.total_rows() == sum(slots for _, slots in view.batches)
 
     dp = protocol in _DP
     report = transcript_audit(result.transcript, AuditExpectation(

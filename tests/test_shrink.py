@@ -376,7 +376,15 @@ def test_randomness_reuse_guard_active():
 
 
 def test_view_built_with_rows_counts_them():
-    view = MaterializedView(rows=[real_row(0), DUMMY, real_row(2)])
-    assert view.real_rows() == 2
-    view.append_batch([DUMMY, real_row(4)], t=1)
-    assert view.real_rows() == 3 and view.total_rows() == 5
+    # The view holds each batch's reals and slot count; its padded rows are
+    # each batch's reals, then DUMMY up to its slots.
+    view = MaterializedView()
+    view.append_batch([real_row(0), real_row(2)], 3, t=1)
+    view.append_batch([], 2, t=2)
+    view.append_batch([real_row(4)], 1, t=3)
+    assert view.real_rows() == 3 and view.total_rows() == 6
+    assert view.batches == [(1, 3), (2, 2), (3, 1)] and view.counts == [2, 0, 1]
+    assert view.rows == [real_row(0), real_row(2), DUMMY, DUMMY, DUMMY, real_row(4)]
+    with pytest.raises(ValueError, match="exceed"):
+        view.append_batch([real_row(5), real_row(6)], 1, t=4)
+    assert view.real_rows() == 3 and view.total_rows() == 6

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpviewsim import transform
-from dpviewsim.obliv import (DUMMY, SecureCache, SecureTuple, SeqCounter,
+from dpviewsim.obliv import (SecureCache, SecureTuple, SeqCounter,
                              network_comparison_count, network_sort)
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover
@@ -17,8 +17,10 @@ def rec(seq, key, flag=1):
     return SecureTuple(key=key, attrs=(flag,), is_view=True, seq=seq)
 
 
-def pad(seq):
-    return SecureTuple(key=0, attrs=(0,), is_view=False, seq=seq)
+def padded(rng, n, make):
+    """The reals of an n-slot padded input: make(i) for each slot i that is
+    not padding, which a slot is with probability 1/4."""
+    return [make(i) for i in range(n) if rng.random() >= 0.25]
 
 
 # Seq stamps minted by the transforms start past every input seq.
@@ -27,16 +29,18 @@ FRESH = 1 << 20
 
 def budgets(tables, omega):
     """Join slots of omega for every real record, as a new record holds."""
-    return {tup.seq: omega for table in tables for tup in table if tup.is_view}
+    return {tup.seq: omega for table in tables for tup in table}
 
 
 def filt(batch, predicate):
     return trans_truncate_filter(batch, predicate, SeqCounter(FRESH), 0)
 
 
-def nlj(t1, t2, b, counter=None):
-    return trans_truncate_nlj(t1, t2, b, budgets((t1, t2), b), SeqCounter(FRESH),
-                              0, [0] if counter is None else counter)
+def nlj(t1, t2, b, counter=None, n1=None, n2=None):
+    """The NLJ of reals t1 and t2, padded to n1 and n2 slots (default: none)."""
+    return trans_truncate_nlj(t1, len(t1) if n1 is None else n1,
+                              t2, len(t2) if n2 is None else n2, b, budgets((t1, t2), b),
+                              SeqCounter(FRESH), 0, [0] if counter is None else counter)
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +48,7 @@ def nlj(t1, t2, b, counter=None):
 
 def brute_force_pairs(t1, t2):
     """Every key-matching (t1.seq, t2.seq) pair, no truncation."""
-    return [(a.seq, b.seq) for a in t1 if a.is_view
-            for b in t2 if b.is_view and a.key == b.key]
+    return [(a.seq, b.seq) for a in t1 for b in t2 if a.key == b.key]
 
 
 def greedy_cap_pairs(t1, t2, omega):
@@ -55,8 +58,7 @@ def greedy_cap_pairs(t1, t2, omega):
     joins earlier records of the other table while both sides still hold
     contribution slots, at most omega per access.
     """
-    items = sorted([(t.key, 0, t.seq, t) for t in t1 if t.is_view] +
-                   [(t.key, 1, t.seq, t) for t in t2 if t.is_view])
+    items = sorted([(t.key, 0, t.seq, t) for t in t1] + [(t.key, 1, t.seq, t) for t in t2])
     caps: dict[int, int] = {}
     pairs = []
     group = None
@@ -91,37 +93,32 @@ def real_pairs(output):
 
 def test_filter_all_true():
     batch = [rec(i, key=i) for i in range(5)]
-    rows, slots = filt(batch, lambda t: True)
-    assert slots == 5 and len(rows) == 5
+    rows = filt(batch, lambda t: True)
+    assert len(rows) == 5
     assert all(r.is_view for r in rows)
     assert [r.sources for r in rows] == [(i,) for i in range(5)]
 
 
 def test_filter_all_false():
     batch = [rec(i, key=i) for i in range(5)]
-    rows, slots = filt(batch, lambda t: False)
-    assert slots == 5
-    assert rows == []
+    assert filt(batch, lambda t: False) == []
 
 
 def test_filter_matches_plaintext_selectivity():
     rng = np.random.default_rng(5)
     batch = [SecureTuple(key=i, attrs=(int(rng.integers(2)),), is_view=True, seq=i)
              for i in range(40)]
-    batch += [pad(100 + i) for i in range(10)]
     pred = lambda t: t.attrs[0] == 1
-    expected = sum(1 for t in batch if t.is_view and pred(t))  # oracle
-    rows, slots = filt(batch, pred)
-    assert slots == len(batch)
+    expected = sum(1 for t in batch if pred(t))  # oracle
+    rows = filt(batch, pred)
     assert len(rows) == expected and all(r.is_view for r in rows)
-    # input dummies never become view rows; kept rows stay in input order
-    assert [r.sources for r in rows] == [(t.seq,) for t in batch[:40] if pred(t)]
+    # kept rows stay in input order
+    assert [r.sources for r in rows] == [(t.seq,) for t in batch if pred(t)]
 
 
 def test_filter_keeps_payload():
     batch = [rec(3, key=9, flag=7)]
-    [row], slots = filt(batch, lambda t: True)
-    assert slots == 1
+    [row] = filt(batch, lambda t: True)
     assert row.key == 9 and row.attrs == (7,)
     assert row.sources == (3,)
 
@@ -129,9 +126,12 @@ def test_filter_keeps_payload():
 # ---------------------------------------------------------------------------
 # Sort-merge join.
 
-def smj(t1, t2, omega, counter=None):
-    return trans_truncate_smj(t1, t2, omega, budgets((t1, t2), omega),
-                              SeqCounter(FRESH), 0, [0] if counter is None else counter)
+def smj(t1, t2, omega, counter=None, n1=None, n2=None):
+    """The SMJ of reals t1 and t2, padded to n1 and n2 slots (default: none)."""
+    return trans_truncate_smj(t1, len(t1) if n1 is None else n1,
+                              t2, len(t2) if n2 is None else n2, omega,
+                              budgets((t1, t2), omega), SeqCounter(FRESH), 0,
+                              [0] if counter is None else counter)
 
 
 def test_smj_worked_example():
@@ -182,7 +182,7 @@ def test_smj_respects_a_record_s_slots():
     t1 = [rec(0, key=1)]
     t2 = [rec(1, key=1), rec(2, key=1)]
     caps = {0: 1, 1: 2, 2: 2}
-    out = trans_truncate_smj(t1, t2, 2, caps, SeqCounter(FRESH), 0, [0])
+    out = trans_truncate_smj(t1, 1, t2, 2, 2, caps, SeqCounter(FRESH), 0, [0])
     assert real_pairs(out) == [(0, 1)]
     assert caps == {0: 0, 1: 1, 2: 2}
 
@@ -208,21 +208,22 @@ def test_smj_seqs_past_28_bits_and_top_keys_join_as_small_seqs(omega):
     rng = np.random.default_rng(90 + omega)
 
     def shifted(t):
-        return t._replace(seq=t.seq + shift,
-                          sources=tuple(s + shift for s in t.sources)) if t.is_view else t
+        return t._replace(seq=t.seq + shift, sources=tuple(s + shift for s in t.sources))
 
     joined = 0
     for _ in range(50):
         seq = iter(range(100))
-        t1, t2 = ([DUMMY if rng.random() < 0.25 else
-                   rec(next(seq), key=top - int(rng.integers(3)), flag=int(rng.integers(9)))
-                   for _ in range(int(rng.integers(0, 7)))] for _ in range(2))
+        n1, n2 = int(rng.integers(0, 7)), int(rng.integers(0, 7))
+        t1, t2 = (padded(rng, n, lambda _: rec(next(seq), key=top - int(rng.integers(3)),
+                                               flag=int(rng.integers(9))))
+                  for n in (n1, n2))
         caps = budgets((t1, t2), omega)
         big_caps = {s + shift: c for s, c in caps.items()}
         counter, big_counter = [0], [0]
-        rows, slots = trans_truncate_smj(t1, t2, omega, caps, SeqCounter(FRESH), 0, counter)
+        rows, slots = trans_truncate_smj(t1, n1, t2, n2, omega, caps, SeqCounter(FRESH), 0,
+                                         counter)
         big_rows, big_slots = trans_truncate_smj(
-            [shifted(t) for t in t1], [shifted(t) for t in t2], omega, big_caps,
+            [shifted(t) for t in t1], n1, [shifted(t) for t in t2], n2, omega, big_caps,
             SeqCounter(FRESH + shift), 0, big_counter)
         assert big_rows == [shifted(r) for r in rows]
         assert (big_slots, big_counter) == (slots, counter)
@@ -232,22 +233,19 @@ def test_smj_seqs_past_28_bits_and_top_keys_join_as_small_seqs(omega):
 
 
 def test_smj_counts_omega_slots_per_input_slot():
-    # Input dummies join nothing but still take omega output slots each, and
-    # the sort is charged for all four input slots.
-    t1 = [rec(0, key=1), DUMMY]
-    t2 = [DUMMY, rec(1, key=1)]
+    # Input padding joins nothing but still takes omega output slots per
+    # slot, and the sort is charged for all four input slots.
     counter = [0]
-    out = smj(t1, t2, omega=2, counter=counter)
+    out = smj([rec(0, key=1)], [rec(1, key=1)], omega=2, counter=counter, n1=2, n2=2)
     assert real_pairs(out) == [(0, 1)]
     assert out[1] == 2 * 4
     assert counter[0] == network_comparison_count(4)
 
 
-def smj_oracle(t1, t2, omega, caps, seqs, timestamp, compare_counter):
+def smj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp, compare_counter):
     """The full merge: every real of both inputs is sorted and scanned."""
-    tagged = [(0, t) for t in t1 if t.is_view] + [(1, t) for t in t2 if t.is_view]
-    merged = network_sort(tagged, lambda it: (it[1].key, it[0], it[1].seq),
-                          len(t1) + len(t2),
+    tagged = [(0, t) for t in t1] + [(1, t) for t in t2]
+    merged = network_sort(tagged, lambda it: (it[1].key, it[0], it[1].seq), n1 + n2,
                           compare_counter, networks=1)
     out = []
     group_key = None
@@ -268,14 +266,13 @@ def smj_oracle(t1, t2, omega, caps, seqs, timestamp, compare_counter):
                                    seq=seqs.take(), timestamp=timestamp,
                                    sources=(a.seq, b.seq)))
         seen[origin].append(tup)
-    return out, omega * (len(t1) + len(t2))
+    return out, omega * (n1 + n2)
 
 
 def spent_caps(tables, b, spent, cap):
     """Join slots min(cap, b - spent[seq]) for every real: a budget of b, of
     which each record has already spent `spent[seq]`."""
-    return {tup.seq: min(cap, b - spent[tup.seq])
-            for table in tables for tup in table if tup.is_view}
+    return {tup.seq: min(cap, b - spent[tup.seq]) for table in tables for tup in table}
 
 
 @pytest.mark.parametrize("omega", [1, 2, 3])
@@ -289,27 +286,25 @@ def test_smj_matches_full_merge_oracle(omega):
         lo1, lo2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
 
         def table(n, lo):
-            return [DUMMY if rng.random() < 0.25 else
-                    rec(next(seq), key=int(rng.integers(lo, lo + 4)),
-                        flag=int(rng.integers(9)))
-                    for _ in range(0 if trial % 10 == 0 else n)]
+            n = 0 if trial % 10 == 0 else n
+            return padded(rng, n, lambda _: rec(next(seq), key=int(rng.integers(lo, lo + 4)),
+                                                flag=int(rng.integers(9)))), n
 
-        new1, old1 = table(int(rng.integers(0, 7)), lo1), table(int(rng.integers(0, 7)), lo1)
-        new2, old2 = table(int(rng.integers(0, 7)), lo2), table(int(rng.integers(0, 7)), lo2)
+        (new1, m1), (old1, k1) = (table(int(rng.integers(0, 7)), lo1) for _ in range(2))
+        (new2, m2), (old2, k2) = (table(int(rng.integers(0, 7)), lo2) for _ in range(2))
         tables = (new1, old1, new2, old2)
         b = int(rng.integers(omega, 3 * omega + 1))
-        spent = {t.seq: int(rng.integers(0, b + 1)) for tab in tables for t in tab
-                 if t.is_view}
+        spent = {t.seq: int(rng.integers(0, b + 1)) for tab in tables for t in tab}
         caps, want_caps = (spent_caps(tables, b, spent, omega) for _ in range(2))
         seqs, want_seqs = SeqCounter(FRESH), SeqCounter(FRESH)
         counter, want_counter = [0], [0]
-        for left, right in ((new1, old2 + new2), (old1, new2)):
-            rows, slots = trans_truncate_smj(left, right, omega, caps, seqs, 7, counter)
-            want_rows, want_slots = smj_oracle(left, right, omega, want_caps, want_seqs,
+        for inputs in ((new1, m1, old2 + new2, k2 + m2), (old1, k1, new2, m2)):
+            rows, slots = trans_truncate_smj(*inputs, omega, caps, seqs, 7, counter)
+            want_rows, want_slots = smj_oracle(*inputs, omega, want_caps, want_seqs,
                                                7, want_counter)
             assert [r.sources for r in rows] == [r.sources for r in want_rows]
             assert rows == want_rows  # same seqs, payloads and timestamps
-            assert slots == want_slots == omega * (len(left) + len(right))
+            assert slots == want_slots == omega * (inputs[1] + inputs[3])
             assert counter == want_counter
         assert caps == want_caps
         assert seqs.take() == want_seqs.take()
@@ -323,17 +318,17 @@ def test_smj_sorts_once_per_invocation(monkeypatch):
         return network_sort(reals, key_of, n, counter, networks)
 
     monkeypatch.setattr(transform, "network_sort", recording_sort)
-    t2 = [rec(10, key=1), DUMMY, rec(11, key=3), rec(12, key=1), rec(13, key=4)]
-    cases = (([], [], []),
-             ([], t2, []),
-             ([rec(0, key=2), DUMMY], t2, []),
-             ([rec(0, key=1), rec(1, key=2), DUMMY, rec(2, key=4)], t2, [0, 2, 10, 12, 13]))
-    for t1, right, joinable in cases:
+    t2 = [rec(10, key=1), rec(11, key=3), rec(12, key=1), rec(13, key=4)]  # of 5 slots
+    cases = (([], 0, [], 0, []),
+             ([], 0, t2, 5, []),
+             ([rec(0, key=2)], 2, t2, 5, []),
+             ([rec(0, key=1), rec(1, key=2), rec(2, key=4)], 4, t2, 5, [0, 2, 10, 12, 13]))
+    for t1, n1, right, n2, joinable in cases:
         calls.clear()
         counter = [0]
-        smj(t1, right, omega=2, counter=counter)
-        assert calls == [(joinable, len(t1) + len(right), 1)]
-        assert counter[0] == network_comparison_count(len(t1) + len(right))
+        smj(t1, right, omega=2, counter=counter, n1=n1, n2=n2)
+        assert calls == [(joinable, n1 + n2, 1)]
+        assert counter[0] == network_comparison_count(n1 + n2)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +364,10 @@ def test_nlj_empty_inner_all_dummy():
 
 
 def test_nlj_dummy_outer_pads_and_still_sorts_its_row():
-    t2 = [rec(1, key=1), DUMMY, rec(2, key=1)]
+    t2 = [rec(1, key=1), rec(2, key=1)]  # of 3 slots
     counter = [0]
-    out = nlj([DUMMY, rec(0, key=1)], t2, b=2, counter=counter)
-    assert out[1] == 2 * 2  # the dummy outer's b slots are still counted
+    out = nlj([rec(0, key=1)], t2, b=2, counter=counter, n1=2, n2=3)
+    assert out[1] == 2 * 2  # the padding outer's b slots are still counted
     assert real_pairs(out) == [(0, 1), (0, 2)]
     assert counter[0] == 2 * network_comparison_count(3)
 
@@ -387,24 +382,25 @@ def test_nlj_consumes_both_sides():
     assert out[1] == 2
 
 
-def nlj_oracle(t1, t2, omega, caps, seqs, timestamp):
+def nlj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp):
     """The per-outer nested loop: (rows, slots, compares).
 
-    Every outer scans all of t2 in order; its row is sorted by seq on its own
-    and cut to omega, and each outer's len(t2)-slot network is charged.
+    Every real outer scans all of t2 in order; its row is sorted by seq on its
+    own and cut to omega, and each of the n1 outer slots' n2-slot networks is
+    charged.
     """
     out = []
     for u in t1:
         row = []
-        for v in t2 if u.is_view else ():
-            if v.is_view and u.key == v.key and caps[u.seq] > 0 and caps[v.seq] > 0:
+        for v in t2:
+            if u.key == v.key and caps[u.seq] > 0 and caps[v.seq] > 0:
                 caps[u.seq] -= 1
                 caps[v.seq] -= 1
                 row.append(SecureTuple(key=u.key, attrs=u.attrs + v.attrs, is_view=True,
                                        seq=seqs.take(), timestamp=timestamp,
                                        sources=(u.seq, v.seq)))
         out += sorted(row, key=lambda t: t.seq)[:omega]
-    return out, omega * len(t1), len(t1) * network_comparison_count(len(t2))
+    return out, omega * n1, n1 * network_comparison_count(n2)
 
 
 @pytest.mark.parametrize("omega", [1, 2, 3])
@@ -416,17 +412,17 @@ def test_nlj_matches_per_outer_loop_oracle(omega):
     for trial in range(300):
         n1 = 0 if trial % 10 == 0 else int(rng.integers(0, 9))
         n2 = 0 if trial % 10 == 1 else int(rng.integers(0, 9))
-        t1, t2 = ([DUMMY if rng.random() < 0.25 else
-                   rec(base + i, key=int(rng.integers(1, hi)), flag=int(rng.integers(9)))
-                   for i in range(n)] for n, base, hi in ((n1, 0, 6), (n2, 100, 4)))
+        t1, t2 = (padded(rng, n, lambda i: rec(base + i, key=int(rng.integers(1, hi)),
+                                                flag=int(rng.integers(9))))
+                  for n, base, hi in ((n1, 0, 6), (n2, 100, 4)))
         b = int(rng.integers(omega, 3 * omega + 1))
-        spent = {t.seq: int(rng.integers(0, b + 1)) for t in t1 + t2 if t.is_view}
+        spent = {t.seq: int(rng.integers(0, b + 1)) for t in t1 + t2}
         cap = omega + 2 * int(rng.integers(2))
         caps, want_caps = (spent_caps((t1, t2), b, spent, cap) for _ in range(2))
         seqs, want_seqs = SeqCounter(FRESH), SeqCounter(FRESH)
         counter = [0]
-        rows, slots = trans_truncate_nlj(t1, t2, omega, caps, seqs, 7, counter)
-        want_rows, want_slots, want_compares = nlj_oracle(t1, t2, omega, want_caps,
+        rows, slots = trans_truncate_nlj(t1, n1, t2, n2, omega, caps, seqs, 7, counter)
+        want_rows, want_slots, want_compares = nlj_oracle(t1, n1, t2, n2, omega, want_caps,
                                                           want_seqs, 7)
         assert rows == want_rows
         assert slots == want_slots == omega * n1
@@ -443,13 +439,14 @@ def test_nlj_sorts_once_per_invocation(monkeypatch):
         return network_sort(reals, key_of, n, counter, networks)
 
     monkeypatch.setattr(transform, "network_sort", recording_sort)
-    t2 = [rec(10 + i, key=i % 2) for i in range(5)] + [DUMMY]
-    for t1 in ([], [rec(0, key=0)], [rec(0, key=0), DUMMY, rec(1, key=1), rec(2, key=0)]):
+    t2 = [rec(10 + i, key=i % 2) for i in range(5)]  # of 6 slots
+    for t1, n1 in (([], 0), ([rec(0, key=0)], 1),
+                   ([rec(0, key=0), rec(1, key=1), rec(2, key=0)], 4)):
         calls.clear()
         counter = [0]
-        nlj(t1, t2, b=2, counter=counter)
-        assert calls == [(len(t2), len(t1))]
-        assert counter[0] == len(t1) * network_comparison_count(len(t2))  # 0 for no t1
+        nlj(t1, t2, b=2, counter=counter, n1=n1, n2=6)
+        assert calls == [(6, n1)]
+        assert counter[0] == n1 * network_comparison_count(6)  # 0 for no t1
 
 
 # ---------------------------------------------------------------------------
@@ -527,23 +524,14 @@ def test_smj_count_stability_unrestricted(omega):
 # ---------------------------------------------------------------------------
 # transform_step.
 
-def make_state(operator, omega=1, b=2, predicate=None):
+def make_state(operator, c_r, omega=1, b=2, predicate=None):
     return TransformState(config=TruncationConfig(omega, b),
-                          operator=operator, seqs=SeqCounter(10_000),
+                          operator=operator, seqs=SeqCounter(10_000), c_r=c_r,
                           predicate=predicate)
 
 
 def step(t, batches, cache, counter, state, rand):
     return transform_step(t, batches, cache, counter, state, rand, Transcript(), [0])
-
-
-def batchify(recs, c_r, seq0):
-    out = list(recs)
-    i = 0
-    while len(out) < c_r:
-        out.append(pad(seq0 + i))
-        i += 1
-    return out
 
 
 def test_initial_counter_recovers_zero():
@@ -554,27 +542,26 @@ def test_initial_counter_recovers_zero():
 
 def test_counter_increases_by_real_count():
     rand = ServerRandomness(2)
-    state = make_state(OperatorKind.FILTER, predicate=lambda t: t.attrs[0] == 1)
+    state = make_state(OperatorKind.FILTER, 5, predicate=lambda t: t.attrs[0] == 1)
     counter = transform_init(rand)
     cache = SecureCache()
-    batch = [rec(0, 1, flag=1), rec(1, 2, flag=1), rec(2, 3, flag=1),
-             rec(3, 4, flag=0), pad(4)]
+    batch = [rec(0, 1, flag=1), rec(1, 2, flag=1), rec(2, 3, flag=1), rec(3, 4, flag=0)]
     cache, counter = step(1, [batch], cache, counter, state, rand)
     assert recover(counter) == 3
     assert cache.real_count() == 3  # plaintext recount agrees
+    assert len(cache) == 5  # the filter charges the c_r slots of the upload
 
 
 def test_counter_fidelity_across_steps():
     rand = ServerRandomness(3)
-    state = make_state(OperatorKind.FILTER, predicate=lambda t: True)
+    state = make_state(OperatorKind.FILTER, 5, predicate=lambda t: True)
     counter = transform_init(rand)
     cache = SecureCache()
     rng = np.random.default_rng(0)
     total = 0
     for t in range(1, 12):
         n_real = int(rng.integers(0, 4))
-        batch = batchify([rec(100 * t + i, key=i) for i in range(n_real)], 5,
-                         100 * t + 50)
+        batch = [rec(100 * t + i, key=i) for i in range(n_real)]
         cache, counter = step(t, [batch], cache, counter, state, rand)
         total += n_real
         assert recover(counter) == total == cache.real_count()
@@ -583,14 +570,14 @@ def test_counter_fidelity_across_steps():
 def test_retirement_after_budget_exhaustion():
     # b=4, omega=2: a record is scanned in exactly two invocations.
     rand = ServerRandomness(4)
-    state = make_state(OperatorKind.SMJ, omega=2, b=4)
+    state = make_state(OperatorKind.SMJ, 2, omega=2, b=4)
     counter = transform_init(rand)
     cache = SecureCache()
     lead = rec(0, key=9)  # arrives in step 1 on side A
     batches = [
-        ([lead] + [pad(1)], [pad(2), pad(3)]),
-        ([pad(10), pad(11)], [rec(12, key=9), pad(13)]),   # 2 of 2 slots left
-        ([pad(20), pad(21)], [rec(22, key=9), pad(23)]),   # lead evicted
+        ([lead], []),
+        ([], [rec(12, key=9)]),   # 2 of 2 slots left
+        ([], [rec(22, key=9)]),   # lead evicted
     ]
     for t, (ba, bb) in enumerate(batches, start=1):
         cache, counter = step(t, [ba, bb], cache, counter, state, rand)
@@ -609,11 +596,11 @@ def test_invocation_count_matches_retention():
     target = rec(0, key=1)
     for operator in (OperatorKind.SMJ, OperatorKind.NLJ):
         rand = ServerRandomness(5)
-        state = make_state(operator, omega=3, b=10)
+        state = make_state(operator, 3, omega=3, b=10)
         counter = transform_init(rand)
         cache = SecureCache()
         for t in range(1, 7):
-            ba = [target if t == 1 else pad(100 * t), pad(100 * t + 1), pad(100 * t + 2)]
+            ba = [target] if t == 1 else []
             bb = [rec(100 * t + 3 + i, key=1) for i in range(3)]  # 3 new partners
             cache, counter = step(t, [ba, bb], cache, counter, state, rand)
         joins = [sum(1 for row in state.produced_rows
@@ -642,12 +629,12 @@ class LedgerModel:
     def step(self, t, new1, new2):
         old1, old2 = self.old
         for tup in new1 + new2:
-            if tup.is_view:
-                self.remaining[tup.seq] = self.b
-        scanned = [tup.seq for tup in new1 + new2 + old1 + old2 if tup.is_view]
+            self.remaining[tup.seq] = self.b
+        scanned = [tup.seq for tup in new1 + new2 + old1 + old2]
         caps = {rid: min(self.omega, self.remaining[rid]) for rid in scanned}
         for left, right in ((new1, old2 + new2), (old1, new2)):
-            self.rows += self.join(left, right, self.omega, caps, self.seqs, t, [0])[0]
+            self.rows += self.join(left, len(left), right, len(right), self.omega, caps,
+                                   self.seqs, t, [0])[0]
         for rid in scanned:
             self.remaining[rid] = max(0, self.remaining[rid] - self.omega)
         old1 += new1
@@ -663,14 +650,13 @@ def test_transform_step_matches_ledger_model(operator, omega):
     for b in range(omega, 3 * omega + 2):
         for trial in range(4):
             rand = ServerRandomness(trial)
-            state = make_state(operator, omega=omega, b=b)
+            state = make_state(operator, 3, omega=omega, b=b)
             model = LedgerModel(operator, omega, b)
             counter, cache = transform_init(rand), SecureCache()
             seq = iter(range(10_000))
             for t in range(1, 13):
                 ba, bb = ([rec(next(seq), key=int(rng.integers(1, 4)))
                            for _ in range(int(rng.integers(0, 4)))] for _ in range(2))
-                ba, bb = ba + [DUMMY] * (3 - len(ba)), bb + [DUMMY] * (3 - len(bb))
                 cache, counter = step(t, [ba, bb], cache, counter, state, rand)
                 model.step(t, ba, bb)
             assert [(r.seq, r.sources, r.timestamp) for r in state.produced_rows] == \
@@ -679,18 +665,20 @@ def test_transform_step_matches_ledger_model(operator, omega):
 
 
 def test_output_sizes_match_public_formula():
-    for op in (OperatorKind.SMJ, OperatorKind.NLJ):
+    # transform_step counts its slots from the c_r-slot uploads and the
+    # retained batches; expected_output_size is the audit's own formula.
+    for op in OperatorKind:
         rand = ServerRandomness(7)
-        state = make_state(op, omega=2, b=4)
+        state = make_state(op, 3, omega=2, b=4, predicate=lambda t: True)
         counter = transform_init(rand)
         cache = SecureCache()
         rng = np.random.default_rng(9)
         prev_len = 0
         for t in range(1, 6):
-            ba = batchify([rec(1000 * t + i, key=int(rng.integers(1, 4)))
-                           for i in range(int(rng.integers(0, 3)))], 3, 1000 * t + 500)
-            bb = batchify([rec(2000 * t + i, key=int(rng.integers(1, 4)))
-                           for i in range(int(rng.integers(0, 3)))], 3, 2000 * t + 500)
+            ba = [rec(1000 * t + i, key=int(rng.integers(1, 4)))
+                  for i in range(int(rng.integers(0, 3)))]
+            bb = [rec(2000 * t + i, key=int(rng.integers(1, 4)))
+                  for i in range(int(rng.integers(0, 3)))]
             cache, counter = step(t, [ba, bb], cache, counter, state, rand)
             delta_len = len(cache) - prev_len
             prev_len = len(cache)
@@ -699,7 +687,7 @@ def test_output_sizes_match_public_formula():
 
 def test_lifetime_budget_never_exceeded_small_run():
     rand = ServerRandomness(8)
-    state = make_state(OperatorKind.SMJ, omega=2, b=4)
+    state = make_state(OperatorKind.SMJ, 2, omega=2, b=4)
     counter = transform_init(rand)
     cache = SecureCache()
     rng = np.random.default_rng(21)
@@ -722,12 +710,12 @@ def test_step_records_sizes_shares_and_compares():
     # Both servers see each step's padded output size and a fresh counter
     # share; the compare count is that of the two merge networks per step.
     rand = ServerRandomness(9)
-    state = make_state(OperatorKind.SMJ, omega=1, b=2)
+    state = make_state(OperatorKind.SMJ, 2, omega=1, b=2)
     counter = transform_init(rand)
     cache = SecureCache()
     transcript, compares = Transcript(), [0]
-    ba = [rec(0, key=4), pad(1)]
-    bb = [rec(2, key=4), pad(3)]
+    ba = [rec(0, key=4)]  # each of 2 slots
+    bb = [rec(2, key=4)]
     cache, counter = transform_step(1, [ba, bb], cache, counter, state, rand,
                                     transcript, compares)
     assert len(cache) == expected_output_size(OperatorKind.SMJ, 1, 2, state.config)
