@@ -20,7 +20,8 @@ Modules:
                the view kept as its real rows plus per-batch slot counts,
                and the closed-form utility bounds
     transcript what each server observes: sizes, timestamps and shares, one
-               slotted event per observation
+               plain row per observation, built into slotted events when first
+               read
     leakage    reference DP mechanisms, empirical privacy loss, transcript audit
     harness    experiment driver, baselines, synthetic workloads, metrics
     cli        command-line front end

@@ -289,7 +289,8 @@ _BURST_ON = 20
 
 def synth_stream(profile: Profile, seed: int, horizon: int,
                  multiplicity: int = 1, pairs_per_step: float = 2.5,
-                 cap: int = 5) -> tuple[LogicalStream, LogicalStream]:
+                 cap: int = 5, *, right: bool = True
+                 ) -> tuple[LogicalStream, LogicalStream | None]:
     """Paired join streams with a controlled expected match count.
 
     Owner A receives records with fresh keys; for each "matched" A key,
@@ -305,6 +306,10 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
     B's `multiplicity` for each group in turn. numpy fills a block with the
     generator calls that one scalar `integers(1000)` draw per record makes,
     so the streams equal those of per-record draws.
+
+    With `right=False` B comes back as None and none of its records are
+    built, but every B draw is still made (its attributes in each block, its
+    noise test and its noise attribute), so A equals A of a `right=True` call.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     group_rate = pairs_per_step / multiplicity
@@ -329,23 +334,26 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
     for t in range(1, horizon + 1):
         groups = scheduled_groups(t)
         if groups:
-            attrs = iter(rng.integers(1000, size=groups * (1 + multiplicity)).tolist())
-            for _ in range(groups):
+            block = rng.integers(1000, size=groups * (1 + multiplicity)).tolist()
+            for at in range(0, len(block), 1 + multiplicity):
                 key = next_key
                 next_key += 1
                 pend_a.setdefault(t, []).append(
-                    StreamRecord(t, key, (matched_flag, next(attrs))))
-                for i in range(multiplicity):
-                    bt = t + (i % 2)
-                    pend_b.setdefault(bt, []).append(
-                        StreamRecord(bt, key, (matched_flag, next(attrs))))
+                    StreamRecord(t, key, (matched_flag, block[at])))
+                if right:
+                    for i in range(multiplicity):
+                        bt = t + (i % 2)
+                        pend_b.setdefault(bt, []).append(
+                            StreamRecord(bt, key, (matched_flag, block[at + 1 + i])))
         if rng.random() < noise_rate:
             pend_a.setdefault(t, []).append(
                 StreamRecord(t, (1 << 30) + next_key, (0, int(rng.integers(1000)))))
             next_key += 1
         if rng.random() < noise_rate:
-            pend_b.setdefault(t, []).append(
-                StreamRecord(t, (1 << 31) + next_key, (0, int(rng.integers(1000)))))
+            attr = int(rng.integers(1000))
+            if right:
+                pend_b.setdefault(t, []).append(
+                    StreamRecord(t, (1 << 31) + next_key, (0, attr)))
             next_key += 1
 
     def drain(pending: dict[int, list[StreamRecord]]) -> list[StreamRecord]:
@@ -357,7 +365,8 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
             out.extend(r if r.t == t else StreamRecord(t, r.key, r.attrs) for r in take)
         return out
 
-    return LogicalStream(drain(pend_a), horizon), LogicalStream(drain(pend_b), horizon)
+    return (LogicalStream(drain(pend_a), horizon),
+            LogicalStream(drain(pend_b), horizon) if right else None)
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +431,19 @@ def _streams_for(config: ExperimentConfig) -> tuple[LogicalStream, LogicalStream
     if config.stream_a is not None:
         return (load_stream(config.stream_a),
                 load_stream(config.stream_b) if config.stream_b else None)
-    a, b = synth_stream(config.profile, config.seed, config.horizon,
-                        config.multiplicity, cap=config.c_r)
-    return a, None if config.operator is OperatorKind.FILTER else b
+    return synth_stream(config.profile, config.seed, config.horizon, config.multiplicity,
+                        cap=config.c_r, right=config.operator is not OperatorKind.FILTER)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     validate_config(config)
-    stream_a, stream_b = _streams_for(config)
     seqs = SeqCounter()
     rand = ServerRandomness(config.seed)
     transcript = Transcript()
 
-    owners = [s for s in (stream_a, stream_b) if s is not None]
-    batches = [client_batches(s, config.c_r, config.horizon, seqs) for s in owners]
+    # Only the batches are kept: the loop never reads the streams.
+    batches = [client_batches(s, config.c_r, config.horizon, seqs)
+               for s in _streams_for(config) if s is not None]
 
     trunc = TruncationConfig(config.omega, config.b)
     filtering = config.operator is OperatorKind.FILTER
@@ -468,7 +476,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
         # Owners upload fixed-size blocks; both servers observe the sizes.
         if config.protocol is not Protocol.NM:
-            for _ in owners:
+            for _ in batches:
                 for server in (0, 1):
                     transcript.add(t, server, TranscriptKind.OWNER_UPLOAD, config.c_r)
 

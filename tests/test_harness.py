@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dpviewsim import harness
 from dpviewsim.harness import (_BURST_ON, _BURST_PERIOD, CapacityExceeded,
                                ConfigError, ExperimentConfig, MetricsRecord,
                                ParseError, Profile, Protocol,
@@ -15,6 +16,7 @@ from dpviewsim.harness import (_BURST_ON, _BURST_PERIOD, CapacityExceeded,
 from dpviewsim.leakage import LogicalStream, StreamRecord
 from dpviewsim.obliv import SeqCounter
 from dpviewsim.shrink import MaterializedView
+from dpviewsim.transcript import TranscriptKind
 from dpviewsim.transform import OperatorKind
 
 
@@ -169,11 +171,27 @@ def _synth_stream_per_record(profile, seed, horizon, multiplicity=1,
 def test_synth_block_draws_match_per_record_draws(profile, multiplicity):
     for cap in (5, 12):
         for seed in range(5):
+            want = _synth_stream_per_record(profile, seed, 150, multiplicity, cap=cap)
             a, b = synth_stream(profile, seed, 150, multiplicity, cap=cap)
-            assert (a.arrivals, b.arrivals) == _synth_stream_per_record(
-                profile, seed, 150, multiplicity, cap=cap)
+            assert (a.arrivals, b.arrivals) == want
+            # Without B's records, B's draws are still made: A is unchanged.
+            a, b = synth_stream(profile, seed, 150, multiplicity, cap=cap, right=False)
+            assert a.arrivals == want[0] and b is None
     a, b = synth_stream(profile, 0, 0, multiplicity)
     assert (a.arrivals, b.arrivals) == _synth_stream_per_record(profile, 0, 0, multiplicity)
+
+
+@pytest.mark.parametrize("operator", list(OperatorKind))
+def test_run_builds_owner_b_only_for_joins(monkeypatch, operator):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["right"])
+        return synth_stream(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "synth_stream", recording)
+    run_experiment(ExperimentConfig(operator=operator, horizon=10))
+    assert calls == [operator is not OperatorKind.FILTER]
 
 
 def test_synth_zero_horizon():
@@ -331,7 +349,12 @@ def test_transcript_event_contract():
     # copy and compares the events of two runs of one config.
     cfg = ExperimentConfig(protocol=Protocol.DP_TIMER, operator=OperatorKind.FILTER,
                            horizon=20, seed=4)
-    events = run_experiment(cfg).transcript.events
+    result = run_experiment(cfg)
+    transcript = result.transcript
+    adds = result.metrics[-1].transcript_events
+    assert len(transcript) == adds
+    events = transcript.events
+    assert len(events) == adds
     event = events[0]
     assert dataclasses.is_dataclass(event)
     assert type(event).__slots__ == tuple(f.name for f in dataclasses.fields(event))
@@ -340,6 +363,17 @@ def test_transcript_event_contract():
     assert dataclasses.astuple(bigger) == (event.time, event.server, event.kind,
                                            event.size + 1, event.share_value)
     assert run_experiment(cfg).transcript.events == events
+    # Events are built on the first read and kept: every read returns the same
+    # list, so an event replaced in it stays replaced.
+    events[0] = bigger
+    assert transcript.events is events and transcript.events[0] is bigger
+    later = [(21, 0, TranscriptKind.SYNC_BATCH, 3, None),
+             (21, 1, TranscriptKind.SHARE_RECEIVED, 0, 7)]
+    for row in later:
+        transcript.add(*row)
+    assert len(transcript) == adds + 2
+    assert transcript.events is events and events[0] is bigger
+    assert [dataclasses.astuple(e) for e in events[adds:]] == later
 
 
 def test_run_trials_merged_by_index():
