@@ -8,7 +8,8 @@ Modules:
                output order with one Timsort, at the padded networks'
                closed-form cost, the network itself as the test oracle; a
                read returns only the reals of the slots it reads
-    transform  truncated view transformation with contribution budgets; a
+    transform  truncated view transformation with contribution budgets,
+               reading the run's one validated config by attribute; a
                record's join slots per invocation are a function of its age
                alone; each transform takes reals plus padded input lengths
                and returns its real rows and a padded slot count; the SMJ
@@ -16,14 +17,16 @@ Modules:
                found on both sides; the NLJ probes a per-invocation key index
                with the real outers that have partners and sorts all its
                per-outer networks in one batched call
-    shrink     the timer and above-noisy-threshold sync protocols, flush,
-               the view kept as its real rows plus per-batch slot counts,
-               and the closed-form utility bounds
+    shrink     the timer and above-noisy-threshold sync protocols and flush,
+               which read the run's one config by attribute and report only
+               the steps that sync or flush; the view kept as its real rows
+               plus per-batch slot counts; the closed-form utility bounds
     transcript what each server observes: sizes, timestamps and shares, one
                plain row per observation, built into slotted events when first
                read
     leakage    reference DP mechanisms, empirical privacy loss, transcript audit
-    harness    experiment driver, baselines, synthetic workloads, metrics
+    harness    the run's config and its single validation, experiment
+               driver, baselines, synthetic workloads, metrics
     cli        command-line front end
 """
 

@@ -8,26 +8,26 @@ and a count query. Everything is deterministic given (config, seed).
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .leakage import LogicalStream, StreamRecord
-from .obliv import SecureCache, SecureTuple, SeqCounter, cache_read
+from .obliv import SecureCache, SecureTuple, cache_read
 from .randomness import ServerRandomness
 from .sharing import RING_SIZE
-from .shrink import (AntConfig, FlushReport, MaterializedView, SyncReport,
-                     TimerConfig, flush_step, sdp_ant_init, sdp_ant_step,
-                     sdp_timer_step)
+from .shrink import (FlushReport, MaterializedView, SyncReport, flush_step,
+                     sdp_ant_init, sdp_ant_step, sdp_timer_step)
 from .transcript import Transcript, TranscriptKind
-from .transform import (OperatorKind, TransformState, TruncationConfig,
-                        expected_output_size, transform_init, transform_step)
+from .transform import (OperatorKind, TransformState, expected_output_size,
+                        retention_steps, transform_init, transform_step)
 
 
 class ConfigError(ValueError):
@@ -95,7 +95,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.omega > config.b:
         raise ConfigError(f"omega ({config.omega}) must not exceed b ({config.b})")
-    if -(-config.b // config.omega) > sys.maxsize:
+    if retention_steps(config) > sys.maxsize:
         raise ConfigError(f"ceil(b / omega) retention steps must not exceed {sys.maxsize}")
     if config.protocol in (Protocol.DP_TIMER, Protocol.DP_ANT):
         if config.epsilon <= 0:
@@ -267,7 +267,7 @@ def load_stream(path: str) -> LogicalStream:
 
 
 def client_batches(stream: LogicalStream, c_r: int, horizon: int,
-                   seqs: SeqCounter) -> list[list[SecureTuple]]:
+                   seqs: Iterator[int]) -> list[list[SecureTuple]]:
     """Per-step owner batches of c_r slots, each kept as its real arrivals."""
     by_step: dict[int, list[StreamRecord]] = {}
     for rec in stream.arrivals:
@@ -279,7 +279,7 @@ def client_batches(stream: LogicalStream, c_r: int, horizon: int,
         if len(recs) > c_r:
             raise CapacityExceeded(
                 f"step {t}: {len(recs)} arrivals exceed owner batch size {c_r}")
-        batches.append([SecureTuple(r.key, r.attrs, True, seqs.take(), t) for r in recs])
+        batches.append([SecureTuple(r.key, r.attrs, True, next(seqs), t) for r in recs])
     return batches
 
 
@@ -437,7 +437,7 @@ def _streams_for(config: ExperimentConfig) -> tuple[LogicalStream, LogicalStream
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     validate_config(config)
-    seqs = SeqCounter()
+    seqs = itertools.count()
     rand = ServerRandomness(config.seed)
     transcript = Transcript()
 
@@ -445,10 +445,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     batches = [client_batches(s, config.c_r, config.horizon, seqs)
                for s in _streams_for(config) if s is not None]
 
-    trunc = TruncationConfig(config.omega, config.b)
     filtering = config.operator is OperatorKind.FILTER
-    state = TransformState(config=trunc, operator=config.operator, seqs=seqs, c_r=config.c_r,
-                           predicate=(lambda tup: bool(tup.attrs and tup.attrs[0]))
+    state = TransformState(config, seqs, (lambda tup: bool(tup.attrs and tup.attrs[0]))
                            if filtering else None)
     counter = transform_init(rand)
     cache = SecureCache()
@@ -456,11 +454,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     timer = config.protocol is Protocol.DP_TIMER
     dp = timer or config.protocol is Protocol.DP_ANT
-    if timer:
-        sync_cfg = TimerConfig(config.T, config.epsilon, config.b, config.f, config.s)
-    elif dp:
-        sync_cfg = AntConfig(config.theta, config.epsilon, config.b, config.f, config.s)
-        threshold = sdp_ant_init(sync_cfg, rand)
+    if config.protocol is Protocol.DP_ANT:
+        threshold = sdp_ant_init(config, rand)
     # NM never transforms; OTM stops after its single sync.
     transforming = config.protocol is not Protocol.NM
 
@@ -495,16 +490,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if dp:
             if timer:
                 counter, cache, report = sdp_timer_step(
-                    t, sync_cfg, counter, cache, view, rand, transcript, cost)
+                    t, config, counter, cache, view, rand, transcript, cost)
             else:
                 counter, threshold, cache, report = sdp_ant_step(
-                    t, sync_cfg, counter, threshold, cache, view, rand, transcript,
-                    cost)
-            if report.triggered:
+                    t, config, counter, threshold, cache, view, rand, transcript, cost)
+            if report is not None:
                 result.sync_reports.append(report)
                 cost[0] += report.size
-            cache, flush = flush_step(t, sync_cfg, cache, view, transcript, cost)
-            if flush.flushed:
+            cache, flush = flush_step(t, config, cache, view, transcript, cost)
+            if flush is not None:
                 result.flush_reports.append(flush)
                 cost[0] += flush.size
         elif transforming:
@@ -556,5 +550,4 @@ def run_trials(config: ExperimentConfig, trials: int) -> list[ExperimentResult]:
 
 def expected_transform_size(config: ExperimentConfig):
     """Audit helper: t -> padded transform output size under this config."""
-    trunc = TruncationConfig(config.omega, config.b)
-    return lambda t: expected_output_size(config.operator, t, config.c_r, trunc)
+    return lambda t: expected_output_size(config, t)

@@ -48,18 +48,6 @@ class SecureTuple(NamedTuple):
 DUMMY = SecureTuple(key=0, attrs=(), is_view=False, seq=-1)
 
 
-class SeqCounter:
-    """Monotone stamp source for the real rows created during one simulated run."""
-
-    def __init__(self, start: int = 0):
-        self._next = start
-
-    def take(self) -> int:
-        n = self._next
-        self._next += 1
-        return n
-
-
 @dataclass
 class SecureCache:
     """Padded array of SecureTuples awaiting synchronization, kept as its

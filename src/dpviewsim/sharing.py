@@ -44,21 +44,19 @@ def recover(p: SharePair) -> int:
     return check_word(p.s0, "s0") ^ check_word(p.s1, "s1")
 
 
-def share_in_protocol(x: int, z0: int, z1: int, seen: set | None = None) -> SharePair:
+def share_in_protocol(x: int, z0: int, z1: int, seen: set) -> SharePair:
     """Share x using server-contributed random words z0, z1.
 
     s0 = z0 XOR z1 and s1 = s0 XOR x, so neither server alone controls or
-    predicts the sharing randomness. Each (z0, z1) pair is one-shot: when the
-    caller passes the run-scoped `seen` set, a repeated pair raises
-    RandomnessReuse.
+    predicts the sharing randomness. Each (z0, z1) pair is one-shot: a pair
+    already in the run-scoped `seen` set raises RandomnessReuse.
     """
     check_word(x, "x")
     check_word(z0, "z0")
     check_word(z1, "z1")
-    if seen is not None:
-        pair = (z0, z1)
-        if pair in seen:
-            raise RandomnessReuse(f"contribution pair reused within run: {pair}")
-        seen.add(pair)
+    pair = (z0, z1)
+    if pair in seen:
+        raise RandomnessReuse(f"contribution pair reused within run: {pair}")
+    seen.add(pair)
     s0 = z0 ^ z1
     return SharePair(s0, s0 ^ x)

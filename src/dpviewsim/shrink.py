@@ -5,6 +5,10 @@ variant that syncs when the noisy cached-entry count crosses a noisy
 threshold. Both draw joint noise from server-contributed words, fetch a
 DP-sized batch from the sorted cache, and re-share the reset counter. A
 periodic flush drains the cache to keep dummy accumulation bounded.
+
+Each step function takes the run's one validated config (the harness's
+`ExperimentConfig`) and reads it by attribute; its docstring names the fields
+it reads. A step that syncs or flushes nothing returns no report.
 """
 
 from __future__ import annotations
@@ -24,40 +28,6 @@ from .transcript import Transcript, TranscriptKind
 
 class BoundPreconditionError(ValueError):
     """A closed-form bound was evaluated outside its stated precondition."""
-
-
-@dataclass(frozen=True)
-class TimerConfig:
-    T: int
-    epsilon: float
-    b: int
-    f: int = 2000
-    s: int = 15
-
-    def __post_init__(self):
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.f < 1:
-            raise ValueError(f"f must be >= 1, got {self.f}")
-        if self.epsilon <= 0 or self.b <= 0 or self.s < 0:
-            raise ValueError("epsilon and b must be positive, s non-negative")
-
-
-@dataclass(frozen=True)
-class AntConfig:
-    theta: float
-    epsilon: float
-    b: int
-    f: int = 2000
-    s: int = 15
-
-    def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
-        if self.f < 1:
-            raise ValueError(f"f must be >= 1, got {self.f}")
-        if self.epsilon <= 0 or self.b <= 0 or self.s < 0:
-            raise ValueError("epsilon and b must be positive, s non-negative")
 
 
 def timer_scale(b: float, epsilon: float) -> NoiseScale:
@@ -96,10 +66,11 @@ class ThresholdShares(NamedTuple):
 _WORD = (1 << 32) - 1
 
 
-def share_real(value: float, rand, seen: set | None = None) -> ThresholdShares:
+def share_real(value: float, rand) -> ThresholdShares:
+    """Share a float's two words, each guarded by `rand.seen_pairs`."""
     bits = struct.unpack("<Q", struct.pack("<d", float(value)))[0]
-    hi = share_in_protocol(bits >> 32, *rand.share_pair(), seen=seen)
-    lo = share_in_protocol(bits & _WORD, *rand.share_pair(), seen=seen)
+    hi = share_in_protocol(bits >> 32, *rand.share_pair(), seen=rand.seen_pairs)
+    lo = share_in_protocol(bits & _WORD, *rand.share_pair(), seen=rand.seen_pairs)
     return ThresholdShares(hi, lo)
 
 
@@ -148,21 +119,23 @@ class MaterializedView:
 
 
 class SyncReport(NamedTuple):
-    """Per-step protocol diagnostics (simulator-side, not adversary-visible)."""
+    """One sync's diagnostics (simulator-side, not adversary-visible)."""
 
     t: int
-    triggered: bool
-    pre_clamp: float | None = None
-    size: int | None = None
+    pre_clamp: float
+    size: int
 
 
-def sdp_timer_step(t: int, config: TimerConfig, counter: CounterShares,
+def sdp_timer_step(t: int, config, counter: CounterShares,
                    cache: SecureCache, view: MaterializedView, rand,
-                   transcript: Transcript,
-                   compare_counter: list) -> tuple[CounterShares, SecureCache, SyncReport]:
-    """Sync a DP-sized batch every T steps; no-op otherwise."""
+                   transcript: Transcript, compare_counter: list
+                   ) -> tuple[CounterShares, SecureCache, SyncReport | None]:
+    """Sync a DP-sized batch every T steps; no-op, and no report, otherwise.
+
+    Reads the config's `T`, `b` and `epsilon`.
+    """
     if t % config.T != 0:
-        return counter, cache, SyncReport(t, False)
+        return counter, cache, None
     c = recover(counter)
     noise = rand.joint_laplace(timer_scale(config.b, config.epsilon))
     pre = c + noise
@@ -175,22 +148,24 @@ def sdp_timer_step(t: int, config: TimerConfig, counter: CounterShares,
         transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
         transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
                        share_value=counter[server])
-    return counter, cache, SyncReport(t, True, pre, sz)
+    return counter, cache, SyncReport(t, pre, sz)
 
 
-def sdp_ant_init(config: AntConfig, rand) -> ThresholdShares:
-    """Draw and share the initial noisy threshold."""
+def sdp_ant_init(config, rand) -> ThresholdShares:
+    """Draw and share the initial noisy threshold from the config's `theta`,
+    `b` and `epsilon`."""
     th_scale, _, _ = ant_scales(config.b, config.epsilon)
-    noisy = config.theta + rand.joint_laplace(th_scale)
-    return share_real(noisy, rand, seen=rand.seen_pairs)
+    return share_real(config.theta + rand.joint_laplace(th_scale), rand)
 
 
-def sdp_ant_step(t: int, config: AntConfig, counter: CounterShares,
+def sdp_ant_step(t: int, config, counter: CounterShares,
                  threshold: ThresholdShares, cache: SecureCache,
                  view: MaterializedView, rand, transcript: Transcript,
                  compare_counter: list
-                 ) -> tuple[CounterShares, ThresholdShares, SecureCache, SyncReport]:
-    """Noisy-count vs noisy-threshold check; sync and refresh on a trigger."""
+                 ) -> tuple[CounterShares, ThresholdShares, SecureCache, SyncReport | None]:
+    """Noisy-count vs noisy-threshold check; sync and refresh on a trigger,
+    with no report otherwise. Reads the config's `theta`, `b` and `epsilon`.
+    """
     th_scale, check_scale, out_scale = ant_scales(config.b, config.epsilon)
     c = recover(counter)
     th = recover_real(threshold)
@@ -198,15 +173,14 @@ def sdp_ant_step(t: int, config: AntConfig, counter: CounterShares,
     for server in (0, 1):
         transcript.add(t, server, TranscriptKind.COMPARE_CHECK, 0)
     if check < th:
-        return counter, threshold, cache, SyncReport(t, False)
+        return counter, threshold, cache, None
 
     pre = c + rand.joint_laplace(out_scale)
     sz = clamp_round(pre)
     cache = obli_sort(cache, compare_counter)
     fetched, cache = cache_read(cache, sz)
     view.append_batch(fetched, sz, t)
-    new_noisy = config.theta + rand.joint_laplace(th_scale)
-    threshold = share_real(new_noisy, rand, seen=rand.seen_pairs)
+    threshold = share_real(config.theta + rand.joint_laplace(th_scale), rand)
     counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
     for server in (0, 1):
         transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
@@ -216,28 +190,28 @@ def sdp_ant_step(t: int, config: AntConfig, counter: CounterShares,
                        share_value=threshold.hi[server])
         transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
                        share_value=threshold.lo[server])
-    return counter, threshold, cache, SyncReport(t, True, pre, sz)
+    return counter, threshold, cache, SyncReport(t, pre, sz)
 
 
 class FlushReport(NamedTuple):
     t: int
-    flushed: bool
-    size: int = 0
-    real_lost: int = 0
+    size: int
+    real_lost: int
 
 
 def flush_step(t: int, config, cache: SecureCache, view: MaterializedView,
-               transcript: Transcript,
-               compare_counter: list) -> tuple[SecureCache, FlushReport]:
-    """Every f steps: sort, move s entries to the view, recycle the rest."""
+               transcript: Transcript, compare_counter: list
+               ) -> tuple[SecureCache, FlushReport | None]:
+    """Every f steps: sort, move s entries to the view, recycle the rest; no
+    report on other steps. Reads the config's `f` and `s`."""
     if t % config.f != 0:
-        return cache, FlushReport(t, False)
+        return cache, None
     real_before = cache.real_count() + view.real_rows()
     fetched, cache = cache_flush(cache, config.s, compare_counter)
     view.append_batch(fetched, config.s, t)
     for server in (0, 1):
         transcript.add(t, server, TranscriptKind.FLUSH_BATCH, config.s)
-    return cache, FlushReport(t, True, config.s, real_before - view.real_rows())
+    return cache, FlushReport(t, config.s, real_before - view.real_rows())
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ invocations, are a function of its age alone, never of the data. Each
 transform takes its inputs' reals and padded lengths (c_r slots per owner
 batch) and returns its real rows and its padded slot count, a function of
 those lengths and the truncation parameters only; padding is never built.
+
+The run's one validated config (the harness's `ExperimentConfig`) is read by
+attribute: `operator`, `omega`, `b` and `c_r`.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from __future__ import annotations
 import enum
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable, Iterator
 
-from .obliv import SecureCache, SecureTuple, SeqCounter, cache_append, network_sort, seq_of
+from .obliv import SecureCache, SecureTuple, cache_append, network_sort, seq_of
 from .randomness import ServerRandomness
 from .sharing import RING_MASK, SharePair, recover, share_in_protocol
 from .transcript import Transcript, TranscriptKind
@@ -27,41 +30,30 @@ from .transcript import Transcript, TranscriptKind
 CounterShares = SharePair
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
-    omega: int
-    b: int
-
-    def __post_init__(self):
-        if self.omega < 1:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.b < self.omega:
-            raise ValueError(f"omega ({self.omega}) must not exceed budget b ({self.b})")
-
-    @property
-    def retention_steps(self) -> int:
-        """Invocations that scan a record; each spends omega of its budget b."""
-        return -(-self.b // self.omega)
+def retention_steps(config) -> int:
+    """Invocations that scan a record, ceil(b / omega): each spends omega of
+    its budget b. Reads `config.b` and `config.omega`."""
+    return -(-config.b // config.omega)
 
 
-def _join_tuple(a: SecureTuple, b: SecureTuple, seqs: SeqCounter, timestamp: int) -> SecureTuple:
-    return SecureTuple(a.key, a.attrs + b.attrs, True, seqs.take(), timestamp,
+def _join_tuple(a: SecureTuple, b: SecureTuple, seqs: Iterator[int], timestamp: int) -> SecureTuple:
+    return SecureTuple(a.key, a.attrs + b.attrs, True, next(seqs), timestamp,
                        (a.seq, b.seq))
 
 
 def trans_truncate_filter(batch: list[SecureTuple],
                           predicate: Callable[[SecureTuple], bool],
-                          seqs: SeqCounter, timestamp: int) -> list[SecureTuple]:
+                          seqs: Iterator[int], timestamp: int) -> list[SecureTuple]:
     """Oblivious selection over a batch's reals: the kept rows.
 
     A real input is kept, with its payload, iff the predicate holds.
     """
-    return [SecureTuple(tup.key, tup.attrs, True, seqs.take(), timestamp, (tup.seq,))
+    return [SecureTuple(tup.key, tup.attrs, True, next(seqs), timestamp, (tup.seq,))
             for tup in batch if predicate(tup)]
 
 
 def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2: int,
-                       omega: int, caps: dict[int, int], seqs: SeqCounter, timestamp: int,
+                       omega: int, caps: dict[int, int], seqs: Iterator[int], timestamp: int,
                        compare_counter: list) -> tuple[list[SecureTuple], int]:
     """Truncated oblivious sort-merge join: (joined rows, omega slots per n1 + n2).
 
@@ -106,7 +98,7 @@ def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
 
 
 def trans_truncate_nlj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2: int,
-                       omega: int, caps: dict[int, int], seqs: SeqCounter, timestamp: int,
+                       omega: int, caps: dict[int, int], seqs: Iterator[int], timestamp: int,
                        compare_counter: list) -> tuple[list[SecureTuple], int]:
     """Truncated oblivious nested-loop join: (joined rows, omega slots per n1).
 
@@ -157,19 +149,21 @@ class OperatorKind(enum.Enum):
 
 @dataclass
 class TransformState:
-    """Everything the transformation carries across invocations."""
+    """Everything the transformation carries across invocations.
 
-    config: TruncationConfig
-    operator: OperatorKind
-    seqs: SeqCounter
-    c_r: int  # padded slots of every owner batch
+    `config` is the run's validated config; the state reads its `operator`,
+    `omega`, `b` and `c_r` (the padded slots of every owner batch).
+    """
+
+    config: Any
+    seqs: Iterator[int]
     predicate: Callable[[SecureTuple], bool] | None = None
     retained: tuple[deque, deque] = None  # reals of past owner batches
     produced_rows: list[SecureTuple] = field(default_factory=list)
 
     def __post_init__(self):
         if self.retained is None:
-            keep = max(0, self.config.retention_steps - 1)
+            keep = max(0, retention_steps(self.config) - 1)
             self.retained = (deque(maxlen=keep), deque(maxlen=keep))
 
 
@@ -178,13 +172,14 @@ def transform_init(rand: ServerRandomness) -> CounterShares:
     return share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
 
 
-def expected_output_size(operator: OperatorKind, t: int, c_r: int,
-                         config: TruncationConfig) -> int:
-    """Padded |delta-view| at step t: a function of public parameters only."""
-    if operator is OperatorKind.FILTER:
+def expected_output_size(config, t: int) -> int:
+    """Padded |delta-view| at step t: a function of public parameters only,
+    the config's `operator`, `c_r`, `omega` and `b`."""
+    c_r = config.c_r
+    if config.operator is OperatorKind.FILTER:
         return c_r
-    old = c_r * min(t - 1, config.retention_steps - 1)  # retained rows per owner
-    if operator is OperatorKind.SMJ:
+    old = c_r * min(t - 1, retention_steps(config) - 1)  # retained rows per owner
+    if config.operator is OperatorKind.SMJ:
         # new1 vs (old2 + new2), then old1 vs new2; slots per scanned tuple.
         return (c_r + old + c_r) * config.omega + (old + c_r) * config.omega
     # NLJ: slots per outer tuple.
@@ -203,14 +198,15 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
     data-independent, and each scan spends omega of its records' budget b. A
     real record scanned in `age` earlier invocations therefore holds
     min(omega, b - age * omega) join slots: omega, except for the reals of the
-    oldest retained batch when omega does not divide b.
+    oldest retained batch when omega does not divide b. Reads the state
+    config's `operator`, `omega`, `b` and `c_r`.
     """
     cfg = state.config
-    if state.operator is OperatorKind.FILTER:
+    if cfg.operator is OperatorKind.FILTER:
         if state.predicate is None:
             raise ValueError("filter operator requires a predicate")
         rows = trans_truncate_filter(new_batches[0], state.predicate, state.seqs, t)
-        slots = state.c_r
+        slots = cfg.c_r
     else:
         new1, new2 = new_batches[0], new_batches[1]
         kept1, kept2 = state.retained
@@ -220,8 +216,8 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
             caps.update((tup.seq, oldest) for tup in kept1[0] + kept2[0])
         old1 = [tup for batch in kept1 for tup in batch]
         old2 = [tup for batch in kept2 for tup in batch]
-        c_r, n_old = state.c_r, state.c_r * len(kept1)  # both owners keep as many batches
-        join = trans_truncate_smj if state.operator is OperatorKind.SMJ else trans_truncate_nlj
+        c_r, n_old = cfg.c_r, cfg.c_r * len(kept1)  # both owners keep as many batches
+        join = trans_truncate_smj if cfg.operator is OperatorKind.SMJ else trans_truncate_nlj
         rest = (cfg.omega, caps, state.seqs, t, compare_counter)
         rows, slots = join(new1, c_r, old2 + new2, n_old + c_r, *rest)
         rows2, slots2 = join(old1, n_old, new2, c_r, *rest)

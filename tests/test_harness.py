@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import json
 
 import numpy as np
@@ -14,7 +15,6 @@ from dpviewsim.harness import (_BURST_ON, _BURST_PERIOD, CapacityExceeded,
                                read_metrics, run_experiment, run_trials,
                                synth_stream, true_count, validate_config)
 from dpviewsim.leakage import LogicalStream, StreamRecord
-from dpviewsim.obliv import SeqCounter
 from dpviewsim.shrink import MaterializedView
 from dpviewsim.transcript import TranscriptKind
 from dpviewsim.transform import OperatorKind
@@ -81,7 +81,7 @@ def test_client_batches_hold_each_step_s_arrivals():
     # Each batch is its step's reals; the upload's other c_r - len(batch)
     # slots are padding, which is a count and is not built.
     s = make_stream([2, 2, 2])
-    batches = client_batches(s, c_r=5, horizon=3, seqs=SeqCounter(0))
+    batches = client_batches(s, c_r=5, horizon=3, seqs=itertools.count(0))
     assert [len(b) for b in batches] == [0, 3, 0]
     assert all(t.is_view and t.timestamp == 2 for t in batches[1])
 
@@ -89,12 +89,12 @@ def test_client_batches_hold_each_step_s_arrivals():
 def test_client_batches_capacity_exceeded():
     s = make_stream([1, 1, 1, 1, 1, 1])
     with pytest.raises(CapacityExceeded):
-        client_batches(s, c_r=5, horizon=2, seqs=SeqCounter(0))
+        client_batches(s, c_r=5, horizon=2, seqs=itertools.count(0))
 
 
 def test_client_batches_unique_seqs():
     s = make_stream([1, 2, 2, 3])
-    batches = client_batches(s, c_r=4, horizon=3, seqs=SeqCounter(100))
+    batches = client_batches(s, c_r=4, horizon=3, seqs=itertools.count(100))
     rows = [t for b in batches for t in b]
     assert [(t.seq, t.timestamp) for t in rows] == [(100, 1), (101, 2), (102, 2), (103, 3)]
     assert all(t.is_view for t in rows)

@@ -176,6 +176,16 @@ def test_timer_estimate_within_budget():
     assert est > 0.5  # the mechanism does spend real budget
 
 
+@pytest.mark.parametrize("theta", [1, 2, 4])
+def test_ant_protocol_variant_estimate_within_budget(theta):
+    # The protocol variant's output scale 2b/epsilon is the one a run draws
+    # (shrink.ant_scales); its loss must stay inside the same budget.
+    a, b = neighbor_pair(horizon=2)
+    mech = AntMechanism(theta, b=1, epsilon=1.0, horizon=2, variant="protocol")
+    est = empirical_privacy_loss(mech, a, b, trials=400_000, seed=theta, min_bin=2000)
+    assert 0.4 < est <= 1.15
+
+
 def test_timer_stability_scaling_doubles_loss():
     # A 2-stable transform ahead of the same mechanism doubles the measured
     # loss (the composed release moves by 2 between neighbors).

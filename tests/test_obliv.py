@@ -1,13 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from dpviewsim import obliv, shrink, transform
 from dpviewsim.harness import ExperimentConfig, Protocol, run_experiment
-from dpviewsim.obliv import (DUMMY, SecureCache, SecureTuple, SeqCounter,
-                             cache_append, cache_flush, cache_read,
-                             compare_exchange_pairs, network_comparison_count,
-                             network_sort, network_sort_keys, obli_sort,
-                             padded_length)
+from dpviewsim.obliv import (DUMMY, SecureCache, SecureTuple, cache_append,
+                             cache_flush, cache_read, compare_exchange_pairs,
+                             network_comparison_count, network_sort,
+                             network_sort_keys, obli_sort, padded_length)
 from dpviewsim.transform import OperatorKind
 
 
@@ -283,11 +284,11 @@ def assert_matches_padded(cache, padded):
 
 def test_real_count_stays_exact_through_cache_operations():
     rng = np.random.default_rng(41)
-    seqs = SeqCounter()
+    seqs = itertools.count()
     cache, padded = SecureCache(), []
     assert_matches_padded(cache, padded)
     for _ in range(30):
-        batch = [real(seqs.take()) if rng.random() < 0.3 else DUMMY
+        batch = [real(next(seqs)) if rng.random() < 0.3 else DUMMY
                  for _ in range(int(rng.integers(0, 12)))]
         cache = cache_append(cache, [e for e in batch if e.is_view], len(batch))
         padded = padded + batch

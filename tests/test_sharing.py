@@ -37,7 +37,7 @@ def test_out_of_ring_rejected():
 
 
 def test_share_in_protocol_forced_values():
-    p = share_in_protocol(5, 3, 0)
+    p = share_in_protocol(5, 3, 0, set())
     assert p == SharePair(3, 6)
     assert recover(p) == 5
 
@@ -46,14 +46,14 @@ def test_share_in_protocol_zero_recovers():
     rng = np.random.default_rng(3)
     for _ in range(100):
         z0, z1 = int(rng.integers(1 << 32)), int(rng.integers(1 << 32))
-        assert recover(share_in_protocol(0, z0, z1)) == 0
+        assert recover(share_in_protocol(0, z0, z1, set())) == 0
 
 
 def test_share_in_protocol_round_trip_random():
     rng = np.random.default_rng(11)
     for _ in range(10_000):
         x, z0, z1 = (int(rng.integers(1 << 32)) for _ in range(3))
-        assert recover(share_in_protocol(x, z0, z1)) == x
+        assert recover(share_in_protocol(x, z0, z1, set())) == x
 
 
 def test_share_in_protocol_reuse_detected():
@@ -89,7 +89,7 @@ def test_strict_subsets_indistinguishable():
         for m in (msg_a, msg_b):
             # fresh server contributions per sharing, as in a real run
             z0, z1 = (int(rng.integers(1 << 32)) for _ in range(2))
-            for server, value in enumerate(share_in_protocol(m, z0, z1)):
+            for server, value in enumerate(share_in_protocol(m, z0, z1, set())):
                 samples[m][server].append(value & 0xF)  # low nibble, 16 bins
     for server in (0, 1):
         counts_a = np.bincount(samples[msg_a][server], minlength=16)

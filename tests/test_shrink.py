@@ -7,8 +7,8 @@ from dpviewsim.harness import ExperimentConfig, Protocol, run_experiment
 from dpviewsim.obliv import DUMMY, SecureCache, SecureTuple, network_comparison_count
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover, share_in_protocol
-from dpviewsim.shrink import (AntConfig, BoundPreconditionError, MaterializedView,
-                              ThresholdShares, TimerConfig, ant_scales,
+from dpviewsim.shrink import (BoundPreconditionError, MaterializedView,
+                              ThresholdShares, ant_scales,
                               bound_deferred_ant, bound_deferred_timer,
                               bound_dummy_timer, clamp_round, flush_step,
                               recover_real, sdp_ant_init, sdp_ant_step,
@@ -70,14 +70,14 @@ def sizes(transcript, kind):
 
 def test_timer_noop_off_schedule():
     rand = PinnedRand([])
-    cfg = TimerConfig(T=10, epsilon=1.5, b=10)
+    cfg = ExperimentConfig(T=10, epsilon=1.5, b=10)
     counter = counter_of(5, rand)
     cache = filled_cache(5, 5)
     view = MaterializedView()
     transcript, compares = Transcript(), [0]
     c2, cache2, report = sdp_timer_step(7, cfg, counter, cache, view, rand,
                                         transcript, compares)
-    assert not report.triggered
+    assert report is None
     assert c2 == counter and cache2 is cache
     assert view.total_rows() == 0 and len(transcript) == 0
     assert compares == [0]
@@ -86,14 +86,14 @@ def test_timer_noop_off_schedule():
 def test_timer_pinned_positive_size():
     # c=30 with noise -4.2: sz = round(25.8) = 26 entries, real-first.
     rand = PinnedRand([-4.2])
-    cfg = TimerConfig(T=10, epsilon=1.5, b=10)
+    cfg = ExperimentConfig(T=10, epsilon=1.5, b=10)
     counter = counter_of(30, rand)
     cache = filled_cache(30, 10)
     view = MaterializedView()
     transcript, compares = Transcript(), [0]
     counter, cache, report = sdp_timer_step(10, cfg, counter, cache, view, rand,
                                             transcript, compares)
-    assert report.triggered
+    assert report is not None
     assert report.pre_clamp == pytest.approx(25.8)
     assert report.size == 26
     assert view.total_rows() == 26
@@ -110,12 +110,12 @@ def test_timer_pinned_positive_size():
 def test_timer_pinned_clamped_to_zero():
     # c=2 with noise -7.9: sz = 0, view untouched, counter still reset.
     rand = PinnedRand([-7.9])
-    cfg = TimerConfig(T=5, epsilon=1.5, b=10)
+    cfg = ExperimentConfig(T=5, epsilon=1.5, b=10)
     counter = counter_of(2, rand)
     cache = filled_cache(2, 3)
     view = MaterializedView()
     counter, cache, report = timer_step(5, cfg, counter, cache, view, rand)
-    assert report.triggered and report.size == 0
+    assert report is not None and report.size == 0
     assert report.pre_clamp == pytest.approx(-5.9)
     assert view.total_rows() == 0
     assert len(cache) == 5
@@ -124,7 +124,7 @@ def test_timer_pinned_clamped_to_zero():
 
 def test_timer_tops_up_with_dummies():
     rand = PinnedRand([4.0])
-    cfg = TimerConfig(T=1, epsilon=1.0, b=1)
+    cfg = ExperimentConfig(T=1, epsilon=1.0, b=1)
     counter = counter_of(2, rand)
     cache = filled_cache(2, 0)
     view = MaterializedView()
@@ -141,7 +141,7 @@ def test_timer_tops_up_with_dummies():
 
 def test_ant_init_round_trip():
     rand = PinnedRand([2.1])
-    cfg = AntConfig(theta=30, epsilon=1.5, b=10)
+    cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
     shares = sdp_ant_init(cfg, rand)
     assert recover_real(shares) == 30 + 2.1
 
@@ -156,7 +156,7 @@ def test_ant_trigger_trace():
     # theta-tilde = 32.1; c = 35 with check noise +1.3 crosses; output noise
     # -0.2 gives sz = round(34.8) = 35; threshold refreshed with noise 0.9.
     rand = PinnedRand([2.1, 1.3, -0.2, 0.9])
-    cfg = AntConfig(theta=30, epsilon=1.5, b=10)
+    cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
     threshold = sdp_ant_init(cfg, rand)
     counter = counter_of(35, rand)
     cache = filled_cache(35, 5)
@@ -164,7 +164,7 @@ def test_ant_trigger_trace():
     transcript, compares = Transcript(), [0]
     counter, threshold, cache, report = sdp_ant_step(
         1, cfg, counter, threshold, cache, view, rand, transcript, compares)
-    assert report.triggered
+    assert report is not None
     assert report.pre_clamp == pytest.approx(34.8)
     assert report.size == 35
     assert view.real_rows() == 35
@@ -184,7 +184,7 @@ def test_ant_trigger_trace():
 
 def test_ant_below_threshold_no_trigger():
     rand = PinnedRand([2.1, -1.0])
-    cfg = AntConfig(theta=30, epsilon=1.5, b=10)
+    cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
     threshold = sdp_ant_init(cfg, rand)
     counter = counter_of(20, rand)
     cache = filled_cache(20, 0)
@@ -192,7 +192,7 @@ def test_ant_below_threshold_no_trigger():
     transcript, compares = Transcript(), [0]
     c2, th2, cache2, report = sdp_ant_step(
         1, cfg, counter, threshold, cache, view, rand, transcript, compares)
-    assert not report.triggered
+    assert report is None
     # Every step shows both servers a check, even one that does not sync.
     assert sizes(transcript, TranscriptKind.COMPARE_CHECK) == [(1, 0, 0), (1, 1, 0)]
     assert len(transcript) == 2 and compares == [0]
@@ -203,7 +203,7 @@ def test_ant_below_threshold_no_trigger():
 
 def test_ant_quiet_period_never_triggers():
     rand = PinnedRand([0.0], default=0.0)
-    cfg = AntConfig(theta=30, epsilon=1.5, b=10)
+    cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
     threshold = sdp_ant_init(cfg, rand)
     counter = counter_of(0, rand)
     cache = SecureCache()
@@ -211,14 +211,14 @@ def test_ant_quiet_period_never_triggers():
     for t in range(1, 50):
         counter, threshold, cache, report = ant_step(
             t, cfg, counter, threshold, cache, view, rand)
-        assert not report.triggered
+        assert report is None
     assert view.total_rows() == 0
 
 
 def test_ant_trigger_monotone_with_zero_noise():
     # Counts grow 2 per step; with all noise pinned at zero the first trigger
     # is exactly the first step where c >= theta.
-    cfg = AntConfig(theta=5, epsilon=1.0, b=1)
+    cfg = ExperimentConfig(Protocol.DP_ANT, theta=5, epsilon=1.0, b=1)
     rand = PinnedRand([], default=0.0)
     threshold = sdp_ant_init(cfg, rand)
     cache = SecureCache()
@@ -230,7 +230,7 @@ def test_ant_trigger_monotone_with_zero_noise():
         counter = counter_of(c, rand)
         counter, threshold, cache, report = ant_step(
             t, cfg, counter, threshold, cache, view, rand)
-        if report.triggered:
+        if report is not None:
             trigger_at = t
             break
     assert trigger_at == 3  # c = 6 is the first count >= 5
@@ -250,14 +250,14 @@ def test_ant_scales_protocol_and_proof():
 # Flush.
 
 def test_flush_on_schedule_paper_defaults():
-    cfg = TimerConfig(T=10, epsilon=1.5, b=10, f=2000, s=15)
+    cfg = ExperimentConfig(T=10, epsilon=1.5, b=10, f=2000, s=15)
     cache = filled_cache(3, 30)
     view = MaterializedView()
     transcript, compares = Transcript(), [0]
     cache, report = flush_step(2000, cfg, cache, view, transcript, compares)
     assert sizes(transcript, TranscriptKind.FLUSH_BATCH) == [(2000, 0, 15), (2000, 1, 15)]
     assert compares == [network_comparison_count(33)]
-    assert report.flushed and report.size == 15
+    assert report is not None and report.size == 15
     assert view.total_rows() == 15
     assert view.real_rows() == 3  # all reals land inside the 15
     assert len(cache) == 0
@@ -265,26 +265,26 @@ def test_flush_on_schedule_paper_defaults():
 
 
 def test_flush_off_schedule():
-    cfg = TimerConfig(T=10, epsilon=1.5, b=10, f=2000, s=15)
+    cfg = ExperimentConfig(T=10, epsilon=1.5, b=10, f=2000, s=15)
     cache = filled_cache(3, 3)
     view = MaterializedView()
     cache2, report = flush(1999, cfg, cache, view)
-    assert not report.flushed
+    assert report is None
     assert cache2 is cache and view.total_rows() == 0
 
 
 def test_flush_size_zero_pure_recycle():
-    cfg = TimerConfig(T=1, epsilon=1.0, b=1, f=1, s=0)
+    cfg = ExperimentConfig(T=1, epsilon=1.0, b=1, f=1, s=0)
     cache = filled_cache(2, 2)
     view = MaterializedView()
     cache, report = flush(1, cfg, cache, view)
-    assert report.flushed and view.total_rows() == 0
+    assert report is not None and view.total_rows() == 0
     assert len(cache) == 0
     assert report.real_lost == 2
 
 
 def test_flush_reports_lost_reals():
-    cfg = TimerConfig(T=1, epsilon=1.0, b=1, f=1, s=4)
+    cfg = ExperimentConfig(T=1, epsilon=1.0, b=1, f=1, s=4)
     cache = filled_cache(6, 2)
     view = MaterializedView()
     cache, report = flush(1, cfg, cache, view)

@@ -1,14 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from dpviewsim import transform
-from dpviewsim.obliv import (SecureCache, SecureTuple, SeqCounter,
-                             network_comparison_count, network_sort)
+from dpviewsim.harness import ExperimentConfig
+from dpviewsim.obliv import SecureCache, SecureTuple, network_comparison_count, network_sort
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover
 from dpviewsim.transcript import Transcript, TranscriptKind
-from dpviewsim.transform import (OperatorKind, TransformState, TruncationConfig,
-                                 expected_output_size, trans_truncate_filter,
+from dpviewsim.transform import (OperatorKind, TransformState, expected_output_size,
+                                 retention_steps, trans_truncate_filter,
                                  trans_truncate_nlj, trans_truncate_smj,
                                  transform_init, transform_step)
 
@@ -33,14 +35,14 @@ def budgets(tables, omega):
 
 
 def filt(batch, predicate):
-    return trans_truncate_filter(batch, predicate, SeqCounter(FRESH), 0)
+    return trans_truncate_filter(batch, predicate, itertools.count(FRESH), 0)
 
 
 def nlj(t1, t2, b, counter=None, n1=None, n2=None):
     """The NLJ of reals t1 and t2, padded to n1 and n2 slots (default: none)."""
     return trans_truncate_nlj(t1, len(t1) if n1 is None else n1,
                               t2, len(t2) if n2 is None else n2, b, budgets((t1, t2), b),
-                              SeqCounter(FRESH), 0, [0] if counter is None else counter)
+                              itertools.count(FRESH), 0, [0] if counter is None else counter)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +132,7 @@ def smj(t1, t2, omega, counter=None, n1=None, n2=None):
     """The SMJ of reals t1 and t2, padded to n1 and n2 slots (default: none)."""
     return trans_truncate_smj(t1, len(t1) if n1 is None else n1,
                               t2, len(t2) if n2 is None else n2, omega,
-                              budgets((t1, t2), omega), SeqCounter(FRESH), 0,
+                              budgets((t1, t2), omega), itertools.count(FRESH), 0,
                               [0] if counter is None else counter)
 
 
@@ -182,7 +184,7 @@ def test_smj_respects_a_record_s_slots():
     t1 = [rec(0, key=1)]
     t2 = [rec(1, key=1), rec(2, key=1)]
     caps = {0: 1, 1: 2, 2: 2}
-    out = trans_truncate_smj(t1, 1, t2, 2, 2, caps, SeqCounter(FRESH), 0, [0])
+    out = trans_truncate_smj(t1, 1, t2, 2, 2, caps, itertools.count(FRESH), 0, [0])
     assert real_pairs(out) == [(0, 1)]
     assert caps == {0: 0, 1: 1, 2: 2}
 
@@ -220,11 +222,11 @@ def test_smj_seqs_past_28_bits_and_top_keys_join_as_small_seqs(omega):
         caps = budgets((t1, t2), omega)
         big_caps = {s + shift: c for s, c in caps.items()}
         counter, big_counter = [0], [0]
-        rows, slots = trans_truncate_smj(t1, n1, t2, n2, omega, caps, SeqCounter(FRESH), 0,
+        rows, slots = trans_truncate_smj(t1, n1, t2, n2, omega, caps, itertools.count(FRESH), 0,
                                          counter)
         big_rows, big_slots = trans_truncate_smj(
             [shifted(t) for t in t1], n1, [shifted(t) for t in t2], n2, omega, big_caps,
-            SeqCounter(FRESH + shift), 0, big_counter)
+            itertools.count(FRESH + shift), 0, big_counter)
         assert big_rows == [shifted(r) for r in rows]
         assert (big_slots, big_counter) == (slots, counter)
         assert big_caps == {s + shift: c for s, c in caps.items()}
@@ -263,7 +265,7 @@ def smj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp, compare_counter):
             caps[p.seq] -= 1
             a, b = (tup, p) if origin == 0 else (p, tup)
             out.append(SecureTuple(key=a.key, attrs=a.attrs + b.attrs, is_view=True,
-                                   seq=seqs.take(), timestamp=timestamp,
+                                   seq=next(seqs), timestamp=timestamp,
                                    sources=(a.seq, b.seq)))
         seen[origin].append(tup)
     return out, omega * (n1 + n2)
@@ -296,7 +298,7 @@ def test_smj_matches_full_merge_oracle(omega):
         b = int(rng.integers(omega, 3 * omega + 1))
         spent = {t.seq: int(rng.integers(0, b + 1)) for tab in tables for t in tab}
         caps, want_caps = (spent_caps(tables, b, spent, omega) for _ in range(2))
-        seqs, want_seqs = SeqCounter(FRESH), SeqCounter(FRESH)
+        seqs, want_seqs = itertools.count(FRESH), itertools.count(FRESH)
         counter, want_counter = [0], [0]
         for inputs in ((new1, m1, old2 + new2, k2 + m2), (old1, k1, new2, m2)):
             rows, slots = trans_truncate_smj(*inputs, omega, caps, seqs, 7, counter)
@@ -307,7 +309,7 @@ def test_smj_matches_full_merge_oracle(omega):
             assert slots == want_slots == omega * (inputs[1] + inputs[3])
             assert counter == want_counter
         assert caps == want_caps
-        assert seqs.take() == want_seqs.take()
+        assert next(seqs) == next(want_seqs)
 
 
 def test_smj_sorts_once_per_invocation(monkeypatch):
@@ -397,7 +399,7 @@ def nlj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp):
                 caps[u.seq] -= 1
                 caps[v.seq] -= 1
                 row.append(SecureTuple(key=u.key, attrs=u.attrs + v.attrs, is_view=True,
-                                       seq=seqs.take(), timestamp=timestamp,
+                                       seq=next(seqs), timestamp=timestamp,
                                        sources=(u.seq, v.seq)))
         out += sorted(row, key=lambda t: t.seq)[:omega]
     return out, omega * n1, n1 * network_comparison_count(n2)
@@ -419,7 +421,7 @@ def test_nlj_matches_per_outer_loop_oracle(omega):
         spent = {t.seq: int(rng.integers(0, b + 1)) for t in t1 + t2}
         cap = omega + 2 * int(rng.integers(2))
         caps, want_caps = (spent_caps((t1, t2), b, spent, cap) for _ in range(2))
-        seqs, want_seqs = SeqCounter(FRESH), SeqCounter(FRESH)
+        seqs, want_seqs = itertools.count(FRESH), itertools.count(FRESH)
         counter = [0]
         rows, slots = trans_truncate_nlj(t1, n1, t2, n2, omega, caps, seqs, 7, counter)
         want_rows, want_slots, want_compares = nlj_oracle(t1, n1, t2, n2, omega, want_caps,
@@ -428,7 +430,7 @@ def test_nlj_matches_per_outer_loop_oracle(omega):
         assert slots == want_slots == omega * n1
         assert counter[0] == want_compares
         assert caps == want_caps
-        assert seqs.take() == want_seqs.take()
+        assert next(seqs) == next(want_seqs)
 
 
 def test_nlj_sorts_once_per_invocation(monkeypatch):
@@ -525,9 +527,8 @@ def test_smj_count_stability_unrestricted(omega):
 # transform_step.
 
 def make_state(operator, c_r, omega=1, b=2, predicate=None):
-    return TransformState(config=TruncationConfig(omega, b),
-                          operator=operator, seqs=SeqCounter(10_000), c_r=c_r,
-                          predicate=predicate)
+    config = ExperimentConfig(operator=operator, omega=omega, b=b, c_r=c_r)
+    return TransformState(config, itertools.count(10_000), predicate)
 
 
 def step(t, batches, cache, counter, state, rand):
@@ -591,8 +592,7 @@ def test_retirement_after_budget_exhaustion():
 def test_invocation_count_matches_retention():
     # omega 3 does not divide b 10: the target holds 3 slots in each of its
     # first three invocations and the last unit of b in its fourth.
-    cfg = TruncationConfig(3, 10)
-    assert cfg.retention_steps == 4  # ceil(10/3)
+    assert retention_steps(ExperimentConfig(omega=3, b=10)) == 4  # ceil(10/3)
     target = rec(0, key=1)
     for operator in (OperatorKind.SMJ, OperatorKind.NLJ):
         rand = ServerRandomness(5)
@@ -623,7 +623,7 @@ class LedgerModel:
         self.omega, self.b = omega, b
         self.remaining = {}
         self.old = ([], [])
-        self.seqs = SeqCounter(10_000)
+        self.seqs = itertools.count(10_000)
         self.rows = []
 
     def step(self, t, new1, new2):
@@ -661,7 +661,7 @@ def test_transform_step_matches_ledger_model(operator, omega):
                 model.step(t, ba, bb)
             assert [(r.seq, r.sources, r.timestamp) for r in state.produced_rows] == \
                 [(r.seq, r.sources, r.timestamp) for r in model.rows]
-            assert state.seqs.take() == model.seqs.take()
+            assert next(state.seqs) == next(model.seqs)
 
 
 def test_output_sizes_match_public_formula():
@@ -682,7 +682,7 @@ def test_output_sizes_match_public_formula():
             cache, counter = step(t, [ba, bb], cache, counter, state, rand)
             delta_len = len(cache) - prev_len
             prev_len = len(cache)
-            assert delta_len == expected_output_size(op, t, 3, state.config)
+            assert delta_len == expected_output_size(state.config, t)
 
 
 def test_lifetime_budget_never_exceeded_small_run():
@@ -718,7 +718,7 @@ def test_step_records_sizes_shares_and_compares():
     bb = [rec(2, key=4)]
     cache, counter = transform_step(1, [ba, bb], cache, counter, state, rand,
                                     transcript, compares)
-    assert len(cache) == expected_output_size(OperatorKind.SMJ, 1, 2, state.config)
+    assert len(cache) == expected_output_size(state.config, 1)
     for server in (0, 1):
         [out] = transcript.by_kind(TranscriptKind.TRANSFORM_OUTPUT, server)
         assert (out.time, out.size) == (1, len(cache))
