@@ -7,9 +7,11 @@ Modules:
                reals of one or more same-length bitonic networks in their
                output order with one Timsort, at the padded networks'
                closed-form cost, the network itself as the test oracle; a
-               read returns only the reals of the slots it reads
+               read returns only the reals of the slots it reads; a tuple
+               is a real view entry iff its seq is non-negative
     transform  truncated view transformation with contribution budgets,
-               reading the run's one validated config by attribute; a
+               reading the run's one validated config by attribute; the
+               Filter keeps the rows of one fixed predicate, `selected`; a
                record's join slots per invocation are a function of its age
                alone; each transform takes reals plus padded input lengths
                and returns its real rows and a padded slot count; the SMJ
@@ -17,10 +19,11 @@ Modules:
                found on both sides; the NLJ probes a per-invocation key index
                with the real outers that have partners and sorts all its
                per-outer networks in one batched call
-    shrink     the timer and above-noisy-threshold sync protocols and flush,
-               which read the run's one config by attribute and report only
-               the steps that sync or flush; the view kept as its real rows
-               plus per-batch slot counts; the closed-form utility bounds
+    shrink     the timer and above-noisy-threshold sync protocols, which
+               differ only in when they run their one shared sync body, and
+               the flush; all read the run's one config by attribute and
+               report only the steps that sync or flush; the view kept as its
+               real rows plus per-batch slot counts; the closed-form bounds
     transcript what each server observes: sizes, timestamps and shares, one
                plain row per observation, built into slotted events when first
                read

@@ -15,7 +15,7 @@ from dataclasses import fields
 
 from .harness import (CapacityExceeded, ConfigError, ExperimentConfig,
                       ParseError, coerce_config, emit_metrics,
-                      parse_config_file, run_experiment, run_trials)
+                      parse_config_file, run_trials)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,15 +58,11 @@ def main(argv: list[str] | None = None) -> int:
 
     with out as fh:
         try:
-            if config.trials > 1:
-                results = run_trials(config, config.trials)
-                records = [rec for res in results for rec in res.metrics]
-            else:
-                records = run_experiment(config).metrics
+            results = run_trials(config, config.trials)
         except (ParseError, CapacityExceeded, OSError) as exc:
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        emit_metrics(records, fh)
+        emit_metrics([rec for res in results for rec in res.metrics], fh)
     return EXIT_OK
 
 

@@ -73,10 +73,8 @@ def laplace_inverse_cdf(u: float, scale: float) -> float:
     return -scale * math.copysign(1.0, d) * math.log1p(-2.0 * abs(d))
 
 
-def laplace_oracle(scale: NoiseScale, rng: np.random.Generator | int) -> float:
+def laplace_oracle(scale: NoiseScale, rng: np.random.Generator) -> float:
     """Reference inverse-CDF Laplace sample from a seeded generator."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     u = rng.random()
     while u == 0.0:  # keep u strictly inside (0,1)
         u = rng.random()
@@ -84,10 +82,8 @@ def laplace_oracle(scale: NoiseScale, rng: np.random.Generator | int) -> float:
 
 
 def laplace_oracle_many(scale: NoiseScale, n: int | tuple[int, ...],
-                        rng: np.random.Generator | int) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """Oracle draws of shape n (an int or a tuple), by laplace_oracle's inverse CDF."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     u = rng.random(n)
     d = u - 0.5
     return -scale.scale * np.sign(d) * np.log1p(-2.0 * np.abs(d))

@@ -23,11 +23,11 @@ from .leakage import LogicalStream, StreamRecord
 from .obliv import SecureCache, SecureTuple, cache_read
 from .randomness import ServerRandomness
 from .sharing import RING_SIZE
-from .shrink import (FlushReport, MaterializedView, SyncReport, flush_step,
-                     sdp_ant_init, sdp_ant_step, sdp_timer_step)
+from .shrink import (FlushReport, MaterializedView, SyncReport, ant_scales, flush_step,
+                     sdp_ant_init, sdp_ant_step, sdp_timer_step, timer_scale)
 from .transcript import Transcript, TranscriptKind
 from .transform import (OperatorKind, TransformState, expected_output_size,
-                        retention_steps, transform_init, transform_step)
+                        retention_steps, selected, transform_init, transform_step)
 
 
 class ConfigError(ValueError):
@@ -100,18 +100,21 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.protocol in (Protocol.DP_TIMER, Protocol.DP_ANT):
         if config.epsilon <= 0:
             raise ConfigError("DP protocols require epsilon > 0")
-        # The largest Laplace scale the protocol draws is b/epsilon, or DPANT's
-        # check scale 8b/epsilon (shrink.ant_scales); a joint draw lies within
-        # ln(2**31 + 1) scales of zero (dpnoise.fixed_point). A sync reads that
-        # many cache slots, and len(cache) cannot exceed sys.maxsize.
-        ant = config.protocol is Protocol.DP_ANT
+        # A joint draw lies within ln(2**31 + 1) scales of zero (dpnoise.fixed_point),
+        # so a sync may read that many of the protocol's largest scale in cache slots;
+        # len(cache) cannot exceed sys.maxsize. A sub-budget that rounds to zero
+        # (ValueError) is an unbounded scale.
         try:
-            largest = (8 if ant else 1) * config.b / config.epsilon * math.log((1 << 31) + 1)
-        except OverflowError:
-            largest = math.inf
+            scales = (ant_scales(config.b, config.epsilon)
+                      if config.protocol is Protocol.DP_ANT
+                      else (timer_scale(config.b, config.epsilon),))
+            scale = max(sc.scale for sc in scales)
+        except (OverflowError, ValueError):
+            scale = math.inf
+        largest = scale * math.log((1 << 31) + 1)
         if not largest < sys.maxsize:  # also rejects inf
-            raise ConfigError(f"noise scale {'8b' if ant else 'b'}/epsilon allows syncs of "
-                              f"{largest:.3g} slots, more than len(cache) can count")
+            raise ConfigError(f"noise scale {scale:.3g} allows syncs of {largest:.3g} "
+                              f"slots, more than len(cache) can count")
         if config.f < 1 or config.s < 0:
             raise ConfigError("flush parameters require f >= 1 and s >= 0")
     if config.protocol is Protocol.DP_TIMER and config.T < 1:
@@ -279,17 +282,17 @@ def client_batches(stream: LogicalStream, c_r: int, horizon: int,
         if len(recs) > c_r:
             raise CapacityExceeded(
                 f"step {t}: {len(recs)} arrivals exceed owner batch size {c_r}")
-        batches.append([SecureTuple(r.key, r.attrs, True, next(seqs), t) for r in recs])
+        batches.append([SecureTuple(r.key, r.attrs, next(seqs), t) for r in recs])
     return batches
 
 
 _BURST_PERIOD = 40
 _BURST_ON = 20
+_PAIRS_PER_STEP = 2.5  # Standard's expected join pairs per step
 
 
 def synth_stream(profile: Profile, seed: int, horizon: int,
-                 multiplicity: int = 1, pairs_per_step: float = 2.5,
-                 cap: int = 5, *, right: bool = True
+                 multiplicity: int = 1, cap: int = 5, *, right: bool = True
                  ) -> tuple[LogicalStream, LogicalStream | None]:
     """Paired join streams with a controlled expected match count.
 
@@ -312,7 +315,7 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
     noise test and its noise attribute), so A equals A of a `right=True` call.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-    group_rate = pairs_per_step / multiplicity
+    group_rate = _PAIRS_PER_STEP / multiplicity
     if profile is Profile.SPARSE:
         group_rate *= 0.1
     noise_rate = min(0.5, group_rate * 0.2)
@@ -446,8 +449,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                for s in _streams_for(config) if s is not None]
 
     filtering = config.operator is OperatorKind.FILTER
-    state = TransformState(config, seqs, (lambda tup: bool(tup.attrs and tup.attrs[0]))
-                           if filtering else None)
+    state = TransformState(config, seqs)
     counter = transform_init(rand)
     cache = SecureCache()
     view = MaterializedView()
@@ -478,7 +480,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # Maintain the plaintext truth incrementally from the batches' reals.
         if filtering:
             filter_seen += len(step[0])
-            filter_true += sum(map(state.predicate, step[0]))
+            filter_true += sum(map(selected, step[0]))
         else:
             for side, batch in enumerate(step):
                 join_tracker.add(side, batch)

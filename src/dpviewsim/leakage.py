@@ -1,10 +1,12 @@
 """Reference DP mechanisms, empirical privacy loss, and the transcript audit.
 
 The reference mechanisms mirror the sync protocols' observable behavior from
-the logical stream alone: what an adversary may learn is at most what these
-mechanisms release. The empirical estimator measures privacy loss between
-neighboring streams; the audit asserts that every transcript size is either a
-function of public configuration or a coupled DP release.
+the logical stream alone, with the noise source they are given: what an
+adversary may learn is at most what these mechanisms release. The empirical
+estimator measures privacy loss between neighboring streams from the
+mechanisms' vectorized `run_many` trials; the audit asserts that every
+transcript size is either a function of public configuration or a coupled DP
+release.
 
 The mechanisms' noise is calibrated to b, on the premise that one logical
 update moves the produced-row stream by at most b rows. tests/test_sensitivity
@@ -21,7 +23,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dpnoise import laplace_oracle_many
-from .randomness import SeededLaplace
 from .shrink import ant_scales, timer_scale
 # Callers of the audit also reach the transcript types through this module.
 from .transcript import Transcript, TranscriptEvent, TranscriptKind
@@ -70,12 +71,10 @@ def assert_neighbors(a: LogicalStream, b: LogicalStream) -> None:
 # ---------------------------------------------------------------------------
 # Reference mechanisms.
 
-def m_timer(stream: LogicalStream, T: int, b: float, epsilon: float,
-            seed: int | None = None, noise=None,
+def m_timer(stream: LogicalStream, T: int, b: float, epsilon: float, noise,
             horizon: int | None = None) -> list[tuple[int, float]]:
-    """Noisy per-window arrival counts at every multiple of T."""
-    if noise is None:
-        noise = SeededLaplace(0 if seed is None else seed)
+    """Noisy per-window arrival counts at every multiple of T; each noise
+    draw is `noise.laplace(scale)`, as a `randomness.SeededLaplace` gives."""
     h = horizon if horizon is not None else stream.horizon
     counts = stream.arrivals_per_step(h)
     scale = timer_scale(b, epsilon)
@@ -86,18 +85,17 @@ def m_timer(stream: LogicalStream, T: int, b: float, epsilon: float,
     return out
 
 
-def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float,
-          seed: int | None = None, noise=None, horizon: int | None = None,
+def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float, noise,
+          horizon: int | None = None,
           variant: str = "protocol") -> list[tuple[int, float | None]]:
     """Sparse-vector release of counts-since-last-release.
 
     Draw order matches the threshold protocol exactly: initial threshold,
     one check per step, then release noise and a threshold refresh on each
-    trigger. variant selects the output-noise scale ("protocol" couples with
-    the running protocol; "proof" matches the reference analysis).
+    trigger; `noise` gives the draws as in `m_timer`. variant selects the
+    output-noise scale ("protocol" couples with the running protocol;
+    "proof" matches the reference analysis).
     """
-    if noise is None:
-        noise = SeededLaplace(0 if seed is None else seed)
     h = horizon if horizon is not None else stream.horizon
     counts = stream.arrivals_per_step(h)
     th_scale, check_scale, out_scale = ant_scales(b, epsilon, variant)
@@ -125,12 +123,6 @@ class TimerMechanism:
         self.T, self.b, self.epsilon, self.horizon = T, b, epsilon, horizon
         self.stability = stability  # view entries produced per logical update
 
-    def __call__(self, stream: LogicalStream, rng) -> list[float]:
-        noise = SeededLaplace(rng)
-        outs = m_timer(_scaled(stream, self.stability), self.T, self.b,
-                       self.epsilon, noise=noise, horizon=self.horizon)
-        return [v for _, v in outs]
-
     def run_many(self, stream: LogicalStream, trials: int, rng) -> np.ndarray:
         s = _scaled(stream, self.stability)
         h = self.horizon if self.horizon is not None else s.horizon
@@ -149,13 +141,6 @@ class AntMechanism:
                  stability: int = 1):
         self.theta, self.b, self.epsilon = theta, b, epsilon
         self.horizon, self.variant, self.stability = horizon, variant, stability
-
-    def __call__(self, stream: LogicalStream, rng) -> list[float]:
-        noise = SeededLaplace(rng)
-        outs = m_ant(_scaled(stream, self.stability), self.theta, self.b,
-                     self.epsilon, noise=noise, horizon=self.horizon,
-                     variant=self.variant)
-        return [0.0 if v is None else v for _, v in outs]
 
     def run_many(self, stream: LogicalStream, trials: int, rng) -> np.ndarray:
         s = _scaled(stream, self.stability)

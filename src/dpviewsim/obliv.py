@@ -1,6 +1,7 @@
 """Exhaustively padded secure cache and its oblivious operations.
 
-The protocol's cache is an append-only array of real view tuples and padding.
+The protocol's cache is an append-only array of real view tuples and padding;
+a tuple is real iff its seq is non-negative (`is_view` is read, not stored).
 The servers learn only how many slots it has and read it only after an
 oblivious sort, so the simulator keeps just its real entries, in seq (FIFO)
 order, and its slot count; padding is a count and is never built. A read of
@@ -27,25 +28,29 @@ from typing import Callable, Iterator, NamedTuple
 
 
 class SecureTuple(NamedTuple):
-    """One cache/view slot: payload plus flags.
+    """One cache/view slot: its payload and per-run stamps.
 
-    is_view marks a real view entry; only the padding slot below lacks it. seq
-    is the per-run creation stamp of a real row, unique within the run.
-    sources lists the seq ids of the input records a real row was derived
-    from; simulator bookkeeping only.
+    seq is the per-run creation stamp of a real row, unique within the run
+    and never negative; only the padding slot below has seq -1. sources lists
+    the seq ids of the input records a real row was derived from; simulator
+    bookkeeping only.
     """
 
     key: int
     attrs: tuple[int, ...]
-    is_view: bool
     seq: int
     timestamp: int = 0
     sources: tuple[int, ...] = ()
 
+    @property
+    def is_view(self) -> bool:
+        """A real view entry: every slot but the padding one."""
+        return self.seq >= 0
+
 
 # The one padding slot, built only by the view's padded `rows` read. Its seq
 # of -1 belongs to no real row.
-DUMMY = SecureTuple(key=0, attrs=(), is_view=False, seq=-1)
+DUMMY = SecureTuple(key=0, attrs=(), seq=-1)
 
 
 @dataclass

@@ -2,9 +2,11 @@
 
 Two protocols: a timer that syncs every T steps, and an above-noisy-threshold
 variant that syncs when the noisy cached-entry count crosses a noisy
-threshold. Both draw joint noise from server-contributed words, fetch a
-DP-sized batch from the sorted cache, and re-share the reset counter. A
-periodic flush drains the cache to keep dummy accumulation bounded.
+threshold. They differ only in when they sync: each draws joint noise from
+server-contributed words and fresh shares, then runs the one sync body
+`_sync`, which fetches a DP-sized batch from the sorted cache and hands out
+the re-shared counter (and DPANT's new threshold). A periodic flush drains
+the cache to keep dummy accumulation bounded.
 
 Each step function takes the run's one validated config (the harness's
 `ExperimentConfig`) and reads it by attribute; its docstring names the fields
@@ -126,6 +128,23 @@ class SyncReport(NamedTuple):
     size: int
 
 
+def _sync(t: int, pre: float, cache: SecureCache, view: MaterializedView,
+          transcript: Transcript, compare_counter: list, *shares: SharePair
+          ) -> tuple[SecureCache, SyncReport]:
+    """The sync both protocols run: sort the cache, move the first
+    clamp_round(pre) slots into the view, and hand each server its half of
+    every re-shared pair in `shares`, in order. Draws no randomness."""
+    sz = clamp_round(pre)
+    fetched, cache = cache_read(obli_sort(cache, compare_counter), sz)
+    view.append_batch(fetched, sz, t)
+    for server in (0, 1):
+        transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
+        for pair in shares:
+            transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
+                           share_value=pair[server])
+    return cache, SyncReport(t, pre, sz)
+
+
 def sdp_timer_step(t: int, config, counter: CounterShares,
                    cache: SecureCache, view: MaterializedView, rand,
                    transcript: Transcript, compare_counter: list
@@ -136,19 +155,9 @@ def sdp_timer_step(t: int, config, counter: CounterShares,
     """
     if t % config.T != 0:
         return counter, cache, None
-    c = recover(counter)
-    noise = rand.joint_laplace(timer_scale(config.b, config.epsilon))
-    pre = c + noise
-    sz = clamp_round(pre)
-    cache = obli_sort(cache, compare_counter)
-    fetched, cache = cache_read(cache, sz)
-    view.append_batch(fetched, sz, t)
+    pre = recover(counter) + rand.joint_laplace(timer_scale(config.b, config.epsilon))
     counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
-    for server in (0, 1):
-        transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
-        transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
-                       share_value=counter[server])
-    return counter, cache, SyncReport(t, pre, sz)
+    return (counter, *_sync(t, pre, cache, view, transcript, compare_counter, counter))
 
 
 def sdp_ant_init(config, rand) -> ThresholdShares:
@@ -168,29 +177,16 @@ def sdp_ant_step(t: int, config, counter: CounterShares,
     """
     th_scale, check_scale, out_scale = ant_scales(config.b, config.epsilon)
     c = recover(counter)
-    th = recover_real(threshold)
     check = c + rand.joint_laplace(check_scale)
     for server in (0, 1):
         transcript.add(t, server, TranscriptKind.COMPARE_CHECK, 0)
-    if check < th:
+    if check < recover_real(threshold):
         return counter, threshold, cache, None
-
     pre = c + rand.joint_laplace(out_scale)
-    sz = clamp_round(pre)
-    cache = obli_sort(cache, compare_counter)
-    fetched, cache = cache_read(cache, sz)
-    view.append_batch(fetched, sz, t)
     threshold = share_real(config.theta + rand.joint_laplace(th_scale), rand)
     counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
-    for server in (0, 1):
-        transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
-        transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
-                       share_value=counter[server])
-        transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
-                       share_value=threshold.hi[server])
-        transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
-                       share_value=threshold.lo[server])
-    return counter, threshold, cache, SyncReport(t, pre, sz)
+    return (counter, threshold,
+            *_sync(t, pre, cache, view, transcript, compare_counter, counter, *threshold))
 
 
 class FlushReport(NamedTuple):

@@ -9,6 +9,7 @@ invocations, are a function of its age alone, never of the data. Each
 transform takes its inputs' reals and padded lengths (c_r slots per owner
 batch) and returns its real rows and its padded slot count, a function of
 those lengths and the truncation parameters only; padding is never built.
+The Filter keeps the rows that `selected` accepts, a fixed predicate.
 
 The run's one validated config (the harness's `ExperimentConfig`) is read by
 attribute: `operator`, `omega`, `b` and `c_r`.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from .obliv import SecureCache, SecureTuple, cache_append, network_sort, seq_of
 from .randomness import ServerRandomness
@@ -37,19 +38,22 @@ def retention_steps(config) -> int:
 
 
 def _join_tuple(a: SecureTuple, b: SecureTuple, seqs: Iterator[int], timestamp: int) -> SecureTuple:
-    return SecureTuple(a.key, a.attrs + b.attrs, True, next(seqs), timestamp,
-                       (a.seq, b.seq))
+    return SecureTuple(a.key, a.attrs + b.attrs, next(seqs), timestamp, (a.seq, b.seq))
 
 
-def trans_truncate_filter(batch: list[SecureTuple],
-                          predicate: Callable[[SecureTuple], bool],
-                          seqs: Iterator[int], timestamp: int) -> list[SecureTuple]:
+def selected(tup: SecureTuple) -> bool:
+    """The Filter operator's predicate: the first attribute is nonzero."""
+    return bool(tup.attrs and tup.attrs[0])
+
+
+def trans_truncate_filter(batch: list[SecureTuple], seqs: Iterator[int],
+                          timestamp: int) -> list[SecureTuple]:
     """Oblivious selection over a batch's reals: the kept rows.
 
-    A real input is kept, with its payload, iff the predicate holds.
+    A real input is kept, with its payload, iff it is `selected`.
     """
-    return [SecureTuple(tup.key, tup.attrs, True, next(seqs), timestamp, (tup.seq,))
-            for tup in batch if predicate(tup)]
+    return [SecureTuple(tup.key, tup.attrs, next(seqs), timestamp, (tup.seq,))
+            for tup in batch if selected(tup)]
 
 
 def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2: int,
@@ -157,14 +161,12 @@ class TransformState:
 
     config: Any
     seqs: Iterator[int]
-    predicate: Callable[[SecureTuple], bool] | None = None
-    retained: tuple[deque, deque] = None  # reals of past owner batches
+    retained: tuple[deque, deque] = field(init=False)  # reals of past owner batches
     produced_rows: list[SecureTuple] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.retained is None:
-            keep = max(0, retention_steps(self.config) - 1)
-            self.retained = (deque(maxlen=keep), deque(maxlen=keep))
+        keep = max(0, retention_steps(self.config) - 1)
+        self.retained = (deque(maxlen=keep), deque(maxlen=keep))
 
 
 def transform_init(rand: ServerRandomness) -> CounterShares:
@@ -203,9 +205,7 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
     """
     cfg = state.config
     if cfg.operator is OperatorKind.FILTER:
-        if state.predicate is None:
-            raise ValueError("filter operator requires a predicate")
-        rows = trans_truncate_filter(new_batches[0], state.predicate, state.seqs, t)
+        rows = trans_truncate_filter(new_batches[0], state.seqs, t)
         slots = cfg.c_r
     else:
         new1, new2 = new_batches[0], new_batches[1]

@@ -1,3 +1,4 @@
+import io
 import os
 import resource
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 from dpviewsim import cli
 from dpviewsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from dpviewsim.harness import coerce_config
+from dpviewsim.harness import coerce_config, emit_metrics, run_experiment
 
 
 def test_missing_config_and_overrides_exits_2(capsys):
@@ -53,6 +54,13 @@ def test_overflowing_noise_scale_exits_2(protocol, capsys):
     assert main(["--protocol", protocol, "--operator", "Filter", "--horizon", "5",
                  "--epsilon", "1e-320"]) == EXIT_CONFIG
     assert "noise scale" in capsys.readouterr().err
+
+
+def test_sub_budget_rounding_to_zero_exits_2(capsys):
+    # DPANT's check sub-budget epsilon/8 of the smallest positive float is 0.
+    assert main(["--protocol", "DPANT", "--operator", "Filter", "--horizon", "5",
+                 "--epsilon", "5e-324"]) == EXIT_CONFIG
+    assert "noise scale inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("protocol", ["DPTimer", "DPANT"])
@@ -198,6 +206,18 @@ def test_trials_sweep(tmp_path):
     assert len(out.read_text().splitlines()) == 30  # 3 trials x 10 steps
 
 
+@pytest.mark.parametrize("trials", [[], ["--trials", "1"]])
+def test_one_trial_writes_run_experiment_bytes(trials, tmp_path):
+    # Every run goes through run_trials; its one trial is the plain run.
+    args = {"protocol": "DPANT", "operator": "SMJ", "horizon": "40", "seed": "5"}
+    out = tmp_path / "m.jsonl"
+    argv = [word for key, value in args.items() for word in (f"--{key}", value)]
+    assert main(argv + trials + ["--out", str(out)]) == EXIT_OK
+    want = io.StringIO()
+    emit_metrics(run_experiment(coerce_config(args)).metrics, want)
+    assert out.read_text() == want.getvalue() != ""
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "m.jsonl"
     proc = subprocess.run(
@@ -222,10 +242,10 @@ def test_stdout_matches_out_file(tmp_path, capsys):
 def test_unwritable_out_exits_2_before_the_run(target, tmp_path, capsys, monkeypatch):
     out = tmp_path / "no" / "such" / "m.jsonl" if target == "missing-dir" else tmp_path
 
-    def no_run(config):
+    def no_run(config, trials):
         raise AssertionError("the run started before --out was opened")
 
-    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(cli, "run_trials", no_run)
     assert main(["--operator", "Filter", "--horizon", "5", "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err

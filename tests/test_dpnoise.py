@@ -136,7 +136,8 @@ def test_inverse_cdf_median_and_unit_quantile():
 
 def test_oracle_seeded_reproducible():
     scale = NoiseScale(1, 1)
-    assert laplace_oracle(scale, 99) == laplace_oracle(scale, 99)
+    assert (laplace_oracle(scale, np.random.default_rng(99))
+            == laplace_oracle(scale, np.random.default_rng(99)))
 
 
 def test_joint_vs_oracle_ks():

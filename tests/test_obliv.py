@@ -13,11 +13,25 @@ from dpviewsim.transform import OperatorKind
 
 
 def real(seq, key=1):
-    return SecureTuple(key=key, attrs=(key,), is_view=True, seq=seq)
+    return SecureTuple(key=key, attrs=(key,), seq=seq)
 
 
 def flush(cache, s, counter=None):
     return cache_flush(cache, s, [0] if counter is None else counter)
+
+
+def test_secure_tuple_fields_and_view_flag():
+    # is_view is read from seq, not stored: a real row's seq is never
+    # negative, and DUMMY, seq -1, is the only slot that is not a view entry.
+    assert SecureTuple._fields == ("key", "attrs", "seq", "timestamp", "sources")
+    for seq in (-2, -1, 0, 1, 1 << 40):
+        assert SecureTuple(key=3, attrs=(1,), seq=seq).is_view == (seq >= 0)
+    assert DUMMY.seq == -1 and not DUMMY.is_view
+    result = run_experiment(ExperimentConfig(protocol=Protocol.DP_TIMER, horizon=40, seed=2))
+    rows = result.final_view.rows
+    assert any(r is DUMMY for r in rows) and result.produced_rows
+    assert all(r.is_view for r in result.produced_rows)
+    assert all(r.is_view == (r is not DUMMY) for r in rows)
 
 
 def test_append_lengths():

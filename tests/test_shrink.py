@@ -38,7 +38,7 @@ class PinnedRand:
 
 
 def real_row(seq):
-    return SecureTuple(key=1, attrs=(1,), is_view=True, seq=seq)
+    return SecureTuple(key=1, attrs=(1,), seq=seq)
 
 
 def counter_of(value, rand):

@@ -16,7 +16,7 @@ from dpviewsim.transform import (OperatorKind, TransformState, expected_output_s
 
 
 def rec(seq, key, flag=1):
-    return SecureTuple(key=key, attrs=(flag,), is_view=True, seq=seq)
+    return SecureTuple(key=key, attrs=(flag,), seq=seq)
 
 
 def padded(rng, n, make):
@@ -34,8 +34,8 @@ def budgets(tables, omega):
     return {tup.seq: omega for table in tables for tup in table}
 
 
-def filt(batch, predicate):
-    return trans_truncate_filter(batch, predicate, itertools.count(FRESH), 0)
+def filt(batch):
+    return trans_truncate_filter(batch, itertools.count(FRESH), 0)
 
 
 def nlj(t1, t2, b, counter=None, n1=None, n2=None):
@@ -94,25 +94,25 @@ def real_pairs(output):
 # Filter.
 
 def test_filter_all_true():
-    batch = [rec(i, key=i) for i in range(5)]
-    rows = filt(batch, lambda t: True)
+    batch = [rec(i, key=i) for i in range(5)]  # flag 1: every record is selected
+    rows = filt(batch)
     assert len(rows) == 5
     assert all(r.is_view for r in rows)
     assert [r.sources for r in rows] == [(i,) for i in range(5)]
 
 
 def test_filter_all_false():
-    batch = [rec(i, key=i) for i in range(5)]
-    assert filt(batch, lambda t: False) == []
+    batch = [rec(i, key=i, flag=0) for i in range(5)]
+    assert filt(batch) == []
 
 
 def test_filter_matches_plaintext_selectivity():
     rng = np.random.default_rng(5)
-    batch = [SecureTuple(key=i, attrs=(int(rng.integers(2)),), is_view=True, seq=i)
+    batch = [SecureTuple(key=i, attrs=(int(rng.integers(2)),), seq=i)
              for i in range(40)]
     pred = lambda t: t.attrs[0] == 1
     expected = sum(1 for t in batch if pred(t))  # oracle
-    rows = filt(batch, pred)
+    rows = filt(batch)
     assert len(rows) == expected and all(r.is_view for r in rows)
     # kept rows stay in input order
     assert [r.sources for r in rows] == [(t.seq,) for t in batch if pred(t)]
@@ -120,7 +120,7 @@ def test_filter_matches_plaintext_selectivity():
 
 def test_filter_keeps_payload():
     batch = [rec(3, key=9, flag=7)]
-    [row] = filt(batch, lambda t: True)
+    [row] = filt(batch)
     assert row.key == 9 and row.attrs == (7,)
     assert row.sources == (3,)
 
@@ -264,7 +264,7 @@ def smj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp, compare_counter):
             caps[tup.seq] -= 1
             caps[p.seq] -= 1
             a, b = (tup, p) if origin == 0 else (p, tup)
-            out.append(SecureTuple(key=a.key, attrs=a.attrs + b.attrs, is_view=True,
+            out.append(SecureTuple(key=a.key, attrs=a.attrs + b.attrs,
                                    seq=next(seqs), timestamp=timestamp,
                                    sources=(a.seq, b.seq)))
         seen[origin].append(tup)
@@ -398,7 +398,7 @@ def nlj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp):
             if u.key == v.key and caps[u.seq] > 0 and caps[v.seq] > 0:
                 caps[u.seq] -= 1
                 caps[v.seq] -= 1
-                row.append(SecureTuple(key=u.key, attrs=u.attrs + v.attrs, is_view=True,
+                row.append(SecureTuple(key=u.key, attrs=u.attrs + v.attrs,
                                        seq=next(seqs), timestamp=timestamp,
                                        sources=(u.seq, v.seq)))
         out += sorted(row, key=lambda t: t.seq)[:omega]
@@ -526,9 +526,9 @@ def test_smj_count_stability_unrestricted(omega):
 # ---------------------------------------------------------------------------
 # transform_step.
 
-def make_state(operator, c_r, omega=1, b=2, predicate=None):
+def make_state(operator, c_r, omega=1, b=2):
     config = ExperimentConfig(operator=operator, omega=omega, b=b, c_r=c_r)
-    return TransformState(config, itertools.count(10_000), predicate)
+    return TransformState(config, itertools.count(10_000))
 
 
 def step(t, batches, cache, counter, state, rand):
@@ -543,7 +543,7 @@ def test_initial_counter_recovers_zero():
 
 def test_counter_increases_by_real_count():
     rand = ServerRandomness(2)
-    state = make_state(OperatorKind.FILTER, 5, predicate=lambda t: t.attrs[0] == 1)
+    state = make_state(OperatorKind.FILTER, 5)
     counter = transform_init(rand)
     cache = SecureCache()
     batch = [rec(0, 1, flag=1), rec(1, 2, flag=1), rec(2, 3, flag=1), rec(3, 4, flag=0)]
@@ -555,7 +555,7 @@ def test_counter_increases_by_real_count():
 
 def test_counter_fidelity_across_steps():
     rand = ServerRandomness(3)
-    state = make_state(OperatorKind.FILTER, 5, predicate=lambda t: True)
+    state = make_state(OperatorKind.FILTER, 5)  # flag 1: every record is selected
     counter = transform_init(rand)
     cache = SecureCache()
     rng = np.random.default_rng(0)
@@ -669,7 +669,7 @@ def test_output_sizes_match_public_formula():
     # retained batches; expected_output_size is the audit's own formula.
     for op in OperatorKind:
         rand = ServerRandomness(7)
-        state = make_state(op, 3, omega=2, b=4, predicate=lambda t: True)
+        state = make_state(op, 3, omega=2, b=4)
         counter = transform_init(rand)
         cache = SecureCache()
         rng = np.random.default_rng(9)
