@@ -30,6 +30,11 @@ Modules:
     leakage    reference DP mechanisms, empirical privacy loss, transcript audit
     harness    the run's config and its single validation, experiment
                driver, baselines, synthetic workloads, metrics
+               (a run pauses the cyclic garbage collector and restores the
+               caller's setting, which is safe because a run builds no
+               reference cycles, as a test checks; the setting is
+               process-wide, so runs in concurrent threads only lose the
+               speed-up)
     cli        command-line front end
 """
 

@@ -8,6 +8,7 @@ and a count query. Everything is deterministic given (config, seed).
 from __future__ import annotations
 
 import enum
+import gc
 import itertools
 import json
 import math
@@ -439,6 +440,25 @@ def _streams_for(config: ExperimentConfig) -> tuple[LogicalStream, LogicalStream
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """One seeded run of `config`, with automatic cyclic collection paused.
+
+    The caller's collector setting is restored on return and on error. The
+    pause is safe because a run builds no reference cycles: reference
+    counting frees all of it, so a collector pass would free nothing
+    (`tests/test_harness.py` checks this for every protocol and operator).
+    The setting is process-wide, so runs in concurrent threads only lose the
+    speed-up: one that returns may re-enable the collector while others run.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(config)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(config: ExperimentConfig) -> ExperimentResult:
     validate_config(config)
     seqs = itertools.count()
     rand = ServerRandomness(config.seed)

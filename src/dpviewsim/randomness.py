@@ -53,8 +53,8 @@ class ServerRandomness:
 class SeededLaplace:
     """Classical inverse-CDF Laplace source for statistical use."""
 
-    def __init__(self, seed: int | np.random.Generator):
-        self._rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
 
     def laplace(self, scale: NoiseScale) -> float:
         return dpnoise.laplace_oracle(scale, self._rng)

@@ -177,19 +177,20 @@ def test_run_bytes_match_recorded_hashes(name, tmp_path):
     assert _hashes(config, trials, tmp_path) == GOLDEN[name]
 
 
-def _hot_key_config(name: str, tmp_path) -> ExperimentConfig:
-    config = HOT_KEY_CASES[name]
-    paths = []
-    for side, seed in (("a", config.seed), ("b", config.seed + 1)):
-        path = tmp_path / f"{side}.csv"
-        path.write_text(hot_key_csv(seed, config.horizon, config.c_r))
-        paths.append(str(path))
-    return replace(config, stream_a=paths[0], stream_b=paths[1])
+def hot_key_config(config: ExperimentConfig, tmp_path) -> ExperimentConfig:
+    """`config` on hot-key CSV streams: A drawn from its seed, B (joins only) from the next."""
+    sides = 1 if config.operator is OperatorKind.FILTER else 2
+    paths = {}
+    for side, field in enumerate(("stream_a", "stream_b")[:sides]):
+        path = tmp_path / f"{'ab'[side]}.csv"
+        path.write_text(hot_key_csv(config.seed + side, config.horizon, config.c_r))
+        paths[field] = str(path)
+    return replace(config, **paths)
 
 
 @pytest.mark.parametrize("name", sorted(HOT_KEY_CASES))
 def test_hot_key_run_bytes_match_recorded_hashes(name, tmp_path):
-    assert _hashes(_hot_key_config(name, tmp_path), 1, tmp_path) == GOLDEN[name]
+    assert _hashes(hot_key_config(HOT_KEY_CASES[name], tmp_path), 1, tmp_path) == GOLDEN[name]
 
 
 def _row(r) -> list:
@@ -244,7 +245,7 @@ def test_run_rows_match_recorded_hashes(name):
 
 @pytest.mark.parametrize("name", sorted(HOT_KEY_CASES))
 def test_hot_key_run_rows_match_recorded_hashes(name, tmp_path):
-    results = [run_experiment(_hot_key_config(name, tmp_path))]
+    results = [run_experiment(hot_key_config(HOT_KEY_CASES[name], tmp_path))]
     assert _rows_hash(results) == ROWS_GOLDEN[name]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import io
 import itertools
 import json
@@ -18,6 +19,7 @@ from dpviewsim.leakage import LogicalStream, StreamRecord
 from dpviewsim.shrink import MaterializedView
 from dpviewsim.transcript import TranscriptKind
 from dpviewsim.transform import OperatorKind
+from test_golden import hot_key_config
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +387,72 @@ def test_run_trials_merged_by_index():
         protocol=Protocol.DP_TIMER, operator=OperatorKind.FILTER,
         horizon=30, seed=101))
     assert results[1].metrics == solo.metrics
+
+
+# ---------------------------------------------------------------------------
+# The collector pause around a run.
+
+@pytest.fixture
+def gc_restored():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("source", [p.value for p in Profile] + ["hot-keys"])
+@pytest.mark.parametrize("operator", list(OperatorKind))
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_run_builds_no_reference_cycles(protocol, operator, source, tmp_path, gc_restored):
+    # The pause is safe only if reference counting frees all of a run: a
+    # cycle would stay in memory until the caller's collector ran again.
+    config = ExperimentConfig(protocol=protocol, operator=operator, horizon=60,
+                              f=20, s=5, omega=2, b=5, seed=3)
+    if source == "hot-keys":
+        config = hot_key_config(config, tmp_path)
+    else:
+        config = dataclasses.replace(config, profile=Profile(source))
+    gc.collect()
+    gc.disable()
+    results = run_trials(config, 2)
+    assert len(results) == 2
+    del results
+    assert gc.collect() == 0
+
+
+def test_run_starts_no_collector_pass(gc_restored):
+    config = ExperimentConfig(protocol=Protocol.DP_ANT, operator=OperatorKind.FILTER,
+                              profile=Profile.BURST, c_r=12, f=500, horizon=1000, seed=1)
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        run_experiment(config)
+    finally:
+        gc.callbacks.remove(hook)
+    assert starts == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_collector_setting(enabled, tmp_path, gc_restored):
+    threshold = gc.get_threshold()
+    (gc.enable if enabled else gc.disable)()
+    run_experiment(ExperimentConfig(horizon=20))
+    assert gc.isenabled() is enabled
+    with pytest.raises(ConfigError):
+        run_experiment(ExperimentConfig(omega=3, b=2))
+    assert gc.isenabled() is enabled
+    path = tmp_path / "a.csv"
+    path.write_text("t,key,a\n" + "1,7,1\n" * 6)  # c_r + 1 arrivals in step 1
+    with pytest.raises(CapacityExceeded):
+        run_experiment(ExperimentConfig(operator=OperatorKind.FILTER, c_r=5, horizon=2,
+                                        stream_a=str(path)))
+    assert gc.isenabled() is enabled
+    assert gc.get_threshold() == threshold
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,8 @@ def nant(stream: LogicalStream, epsilon: float, theta: float, delta_f: float,
 # Reference mechanisms.
 
 def test_m_timer_empty_stream_pure_noise():
-    out = m_timer(stream([], horizon=20), T=5, b=1, epsilon=1.0, noise=SeededLaplace(4))
+    out = m_timer(stream([], horizon=20), T=5, b=1, epsilon=1.0,
+                  noise=SeededLaplace(np.random.default_rng(4)))
     assert [t for t, _ in out] == [5, 10, 15, 20]
     values = np.array([v for _, v in out])
     assert np.all(np.abs(values) < 50)  # Laplace(1) draws around zero
@@ -76,12 +77,13 @@ def test_m_timer_window_counts_with_zero_noise():
 
 def test_m_timer_deterministic_given_seed():
     s = stream([1, 3], horizon=6)
-    assert m_timer(s, 2, 1, 1.0, SeededLaplace(9)) == m_timer(s, 2, 1, 1.0, SeededLaplace(9))
+    assert (m_timer(s, 2, 1, 1.0, SeededLaplace(np.random.default_rng(9)))
+            == m_timer(s, 2, 1, 1.0, SeededLaplace(np.random.default_rng(9))))
 
 
 def test_m_ant_huge_threshold_never_releases():
     s = stream([1, 2, 3], horizon=10)
-    out = m_ant(s, theta=1e9, b=1, epsilon=1.0, noise=SeededLaplace(3))
+    out = m_ant(s, theta=1e9, b=1, epsilon=1.0, noise=SeededLaplace(np.random.default_rng(3)))
     assert all(v is None for _, v in out)
 
 
@@ -202,7 +204,8 @@ def test_run_many_matches_scalar_mechanism_distribution():
     rng = np.random.default_rng(7)
     arr = mech.run_many(a, 20_000, rng)
     assert arr.shape == (20_000, 1)
-    seq = np.array([m_timer(a, 4, 1, 1.0, SeededLaplace(100 + i), horizon=4)[0][1]
+    seq = np.array([m_timer(a, 4, 1, 1.0, SeededLaplace(np.random.default_rng(100 + i)),
+                            horizon=4)[0][1]
                     for i in range(2_000)])
     assert abs(arr.mean() - seq.mean()) < 0.15
     assert abs(arr.var() - seq.var()) < 0.4
@@ -219,7 +222,8 @@ def test_ant_mechanism_run_many_consistent_with_scalar():
     n = 2_000
     for i in range(n):
         vec = [0.0 if v is None else v for _, v in
-               m_ant(a, 2, 1, 2.0, SeededLaplace(500 + i), horizon=4, variant="proof")]
+               m_ant(a, 2, 1, 2.0, SeededLaplace(np.random.default_rng(500 + i)), horizon=4,
+                     variant="proof")]
         scalar_hits += np.array(vec) != 0
     vec_hits = (arr != 0).mean(axis=0)
     assert np.all(np.abs(vec_hits - scalar_hits / n) < 0.05)
