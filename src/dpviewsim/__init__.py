@@ -25,8 +25,9 @@ Modules:
                report only the steps that sync or flush; the view kept as its
                real rows plus per-batch slot counts; the closed-form bounds
     transcript what each server observes: sizes, timestamps and shares, one
-               plain row per observation, built into slotted events when first
-               read
+               plain row per server per observation, fanned out to both
+               servers in turn by `observe`, built into slotted events when
+               first read
     leakage    reference DP mechanisms, empirical privacy loss, transcript audit
     harness    the run's config and its single validation, experiment
                driver, baselines, synthetic workloads, metrics

@@ -494,8 +494,7 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
         # Owners upload fixed-size blocks; both servers observe the sizes.
         if config.protocol is not Protocol.NM:
             for _ in batches:
-                for server in (0, 1):
-                    transcript.add(t, server, TranscriptKind.OWNER_UPLOAD, config.c_r)
+                transcript.observe(t, TranscriptKind.OWNER_UPLOAD, config.c_r)
 
         # Maintain the plaintext truth incrementally from the batches' reals.
         if filtering:
@@ -529,8 +528,7 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
             fetched, cache = cache_read(cache, slots)
             cost[0] += slots
             view.append_batch(fetched, slots, t)
-            for server in (0, 1):
-                transcript.add(t, server, TranscriptKind.SYNC_BATCH, slots)
+            transcript.observe(t, TranscriptKind.SYNC_BATCH, slots)
             transforming = config.protocol is Protocol.EP
 
         if t % config.query_interval == 0:

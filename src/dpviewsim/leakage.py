@@ -1,12 +1,13 @@
 """Reference DP mechanisms, empirical privacy loss, and the transcript audit.
 
 The reference mechanisms mirror the sync protocols' observable behavior from
-the logical stream alone, with the noise source they are given: what an
-adversary may learn is at most what these mechanisms release. The empirical
-estimator measures privacy loss between neighboring streams from the
-mechanisms' vectorized `run_many` trials; the audit asserts that every
-transcript size is either a function of public configuration or a coupled DP
-release.
+the logical stream alone, up to its own horizon, with the noise source they
+are given: what an adversary may learn is at most what these mechanisms
+release. The threshold ones draw a run's scales by default; variant="proof"
+selects the analysis's output scale. The empirical estimator measures privacy
+loss between neighboring streams from the mechanisms' vectorized `run_many`
+trials; the audit asserts that every transcript size is either a function of
+public configuration or a coupled DP release.
 
 The mechanisms' noise is calibrated to b, on the premise that one logical
 update moves the produced-row stream by at most b rows. tests/test_sensitivity
@@ -45,11 +46,10 @@ class LogicalStream:
     arrivals: list[StreamRecord]
     horizon: int
 
-    def arrivals_per_step(self, horizon: int | None = None) -> np.ndarray:
-        h = horizon if horizon is not None else self.horizon
-        counts = np.zeros(h + 1, dtype=np.int64)
+    def arrivals_per_step(self) -> np.ndarray:
+        counts = np.zeros(self.horizon + 1, dtype=np.int64)
         for rec in self.arrivals:
-            if 1 <= rec.t <= h:
+            if 1 <= rec.t <= self.horizon:
                 counts[rec.t] += 1
         return counts
 
@@ -71,22 +71,21 @@ def assert_neighbors(a: LogicalStream, b: LogicalStream) -> None:
 # ---------------------------------------------------------------------------
 # Reference mechanisms.
 
-def m_timer(stream: LogicalStream, T: int, b: float, epsilon: float, noise,
-            horizon: int | None = None) -> list[tuple[int, float]]:
-    """Noisy per-window arrival counts at every multiple of T; each noise
-    draw is `noise.laplace(scale)`, as a `randomness.SeededLaplace` gives."""
-    h = horizon if horizon is not None else stream.horizon
-    counts = stream.arrivals_per_step(h)
+def m_timer(stream: LogicalStream, T: int, b: float, epsilon: float,
+            noise) -> list[tuple[int, float]]:
+    """Noisy per-window arrival counts at every multiple of T up to the
+    stream's horizon; each noise draw is `noise.laplace(scale)`, as a
+    `randomness.SeededLaplace` gives."""
+    counts = stream.arrivals_per_step()
     scale = timer_scale(b, epsilon)
     out = []
-    for t in range(T, h + 1, T):
+    for t in range(T, stream.horizon + 1, T):
         c = int(counts[max(0, t - T + 1): t + 1].sum())
         out.append((t, c + noise.laplace(scale)))
     return out
 
 
 def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float, noise,
-          horizon: int | None = None,
           variant: str = "protocol") -> list[tuple[int, float | None]]:
     """Sparse-vector release of counts-since-last-release.
 
@@ -96,13 +95,12 @@ def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float, noise,
     output-noise scale ("protocol" couples with the running protocol;
     "proof" matches the reference analysis).
     """
-    h = horizon if horizon is not None else stream.horizon
-    counts = stream.arrivals_per_step(h)
+    counts = stream.arrivals_per_step()
     th_scale, check_scale, out_scale = ant_scales(b, epsilon, variant)
     noisy_th = theta + noise.laplace(th_scale)
     out: list[tuple[int, float | None]] = []
     since = 0
-    for t in range(1, h + 1):
+    for t in range(1, stream.horizon + 1):
         since += int(counts[t])
         check = since + noise.laplace(check_scale)
         if check >= noisy_th:
@@ -118,16 +116,12 @@ def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float, noise,
 # Vectorized trial runners for the empirical estimator.
 
 class TimerMechanism:
-    def __init__(self, T: int, b: float, epsilon: float, horizon: int | None = None,
-                 stability: int = 1):
-        self.T, self.b, self.epsilon, self.horizon = T, b, epsilon, horizon
-        self.stability = stability  # view entries produced per logical update
+    def __init__(self, T: int, b: float, epsilon: float):
+        self.T, self.b, self.epsilon = T, b, epsilon
 
     def run_many(self, stream: LogicalStream, trials: int, rng) -> np.ndarray:
-        s = _scaled(stream, self.stability)
-        h = self.horizon if self.horizon is not None else s.horizon
-        counts = s.arrivals_per_step(h)
-        sync_ts = range(self.T, h + 1, self.T)
+        counts = stream.arrivals_per_step()
+        sync_ts = range(self.T, stream.horizon + 1, self.T)
         base = np.array([counts[max(0, t - self.T + 1): t + 1].sum() for t in sync_ts],
                         dtype=np.float64)
         noise = laplace_oracle_many(timer_scale(self.b, self.epsilon),
@@ -137,15 +131,12 @@ class TimerMechanism:
 
 class AntMechanism:
     def __init__(self, theta: float, b: float, epsilon: float,
-                 horizon: int | None = None, variant: str = "proof",
-                 stability: int = 1):
-        self.theta, self.b, self.epsilon = theta, b, epsilon
-        self.horizon, self.variant, self.stability = horizon, variant, stability
+                 variant: str = "protocol"):
+        self.theta, self.b, self.epsilon, self.variant = theta, b, epsilon, variant
 
     def run_many(self, stream: LogicalStream, trials: int, rng) -> np.ndarray:
-        s = _scaled(stream, self.stability)
-        h = self.horizon if self.horizon is not None else s.horizon
-        counts = s.arrivals_per_step(h)
+        h = stream.horizon
+        counts = stream.arrivals_per_step()
         cum = np.cumsum(counts)
         th_scale, check_scale, out_scale = ant_scales(self.b, self.epsilon, self.variant)
         noisy_th = self.theta + laplace_oracle_many(th_scale, trials, rng)
@@ -161,14 +152,6 @@ class AntMechanism:
                 noisy_th[trig] = self.theta + laplace_oracle_many(th_scale, hits, rng)
                 last_cum[trig] = cum[t]
         return out
-
-
-def _scaled(stream: LogicalStream, stability: int) -> LogicalStream:
-    """Each logical update yields `stability` view entries (q-stable transform)."""
-    if stability == 1:
-        return stream
-    arrivals = [rec for rec in stream.arrivals for _ in range(stability)]
-    return LogicalStream(arrivals, stream.horizon)
 
 
 def empirical_privacy_loss(mechanism, stream_a: LogicalStream,

@@ -24,7 +24,6 @@ from typing import NamedTuple
 from .dpnoise import NoiseScale
 from .obliv import DUMMY, SecureCache, SecureTuple, cache_flush, cache_read, obli_sort
 from .sharing import SharePair, recover, share_in_protocol
-from .transform import CounterShares
 from .transcript import Transcript, TranscriptKind
 
 
@@ -137,18 +136,14 @@ def _sync(t: int, pre: float, cache: SecureCache, view: MaterializedView,
     sz = clamp_round(pre)
     fetched, cache = cache_read(obli_sort(cache, compare_counter), sz)
     view.append_batch(fetched, sz, t)
-    for server in (0, 1):
-        transcript.add(t, server, TranscriptKind.SYNC_BATCH, sz)
-        for pair in shares:
-            transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
-                           share_value=pair[server])
+    transcript.observe(t, TranscriptKind.SYNC_BATCH, sz, *shares)
     return cache, SyncReport(t, pre, sz)
 
 
-def sdp_timer_step(t: int, config, counter: CounterShares,
+def sdp_timer_step(t: int, config, counter: SharePair,
                    cache: SecureCache, view: MaterializedView, rand,
                    transcript: Transcript, compare_counter: list
-                   ) -> tuple[CounterShares, SecureCache, SyncReport | None]:
+                   ) -> tuple[SharePair, SecureCache, SyncReport | None]:
     """Sync a DP-sized batch every T steps; no-op, and no report, otherwise.
 
     Reads the config's `T`, `b` and `epsilon`.
@@ -167,19 +162,18 @@ def sdp_ant_init(config, rand) -> ThresholdShares:
     return share_real(config.theta + rand.joint_laplace(th_scale), rand)
 
 
-def sdp_ant_step(t: int, config, counter: CounterShares,
+def sdp_ant_step(t: int, config, counter: SharePair,
                  threshold: ThresholdShares, cache: SecureCache,
                  view: MaterializedView, rand, transcript: Transcript,
                  compare_counter: list
-                 ) -> tuple[CounterShares, ThresholdShares, SecureCache, SyncReport | None]:
+                 ) -> tuple[SharePair, ThresholdShares, SecureCache, SyncReport | None]:
     """Noisy-count vs noisy-threshold check; sync and refresh on a trigger,
     with no report otherwise. Reads the config's `theta`, `b` and `epsilon`.
     """
     th_scale, check_scale, out_scale = ant_scales(config.b, config.epsilon)
     c = recover(counter)
     check = c + rand.joint_laplace(check_scale)
-    for server in (0, 1):
-        transcript.add(t, server, TranscriptKind.COMPARE_CHECK, 0)
+    transcript.observe(t, TranscriptKind.COMPARE_CHECK, 0)
     if check < recover_real(threshold):
         return counter, threshold, cache, None
     pre = c + rand.joint_laplace(out_scale)
@@ -205,8 +199,7 @@ def flush_step(t: int, config, cache: SecureCache, view: MaterializedView,
     real_before = cache.real_count() + view.real_rows()
     fetched, cache = cache_flush(cache, config.s, compare_counter)
     view.append_batch(fetched, config.s, t)
-    for server in (0, 1):
-        transcript.add(t, server, TranscriptKind.FLUSH_BATCH, config.s)
+    transcript.observe(t, TranscriptKind.FLUSH_BATCH, config.s)
     return cache, FlushReport(t, config.s, real_before - view.real_rows())
 
 

@@ -1,6 +1,8 @@
 """What each server observes during a run: sizes, timestamps and shares.
 
-A run records one row per observation and reads none of them: only the
+Both servers see every observation. `observe` fans one out into one row per
+server: server 0's size row and then its half of each re-shared pair, then the
+same for server 1. A run records rows and reads none of them: only the
 transcript audit and the tests read the events, after the run. So `add`
 stores a plain `(time, server, kind, size, share_value)` tuple, and `events`
 builds a `TranscriptEvent` for each row not yet built when it is read, and
@@ -46,6 +48,14 @@ class Transcript:
     def add(self, time: int, server: int, kind: TranscriptKind, size: int,
             share_value: int | None = None) -> None:
         self._rows.append((time, server, kind, size, share_value))
+
+    def observe(self, time: int, kind: TranscriptKind, size: int,
+                *shares: tuple[int, int]) -> None:
+        """Each server in turn sees `size`, then its half of each pair in `shares`."""
+        for server in (0, 1):
+            self.add(time, server, kind, size)
+            for pair in shares:
+                self.add(time, server, TranscriptKind.SHARE_RECEIVED, 0, pair[server])
 
     @property
     def events(self) -> list[TranscriptEvent]:

@@ -27,9 +27,6 @@ from .randomness import ServerRandomness
 from .sharing import RING_MASK, SharePair, recover, share_in_protocol
 from .transcript import Transcript, TranscriptKind
 
-# Counter shares are a plain word SharePair; recover() gives the cached-real count.
-CounterShares = SharePair
-
 
 def retention_steps(config) -> int:
     """Invocations that scan a record, ceil(b / omega): each spends omega of
@@ -169,7 +166,7 @@ class TransformState:
         self.retained = (deque(maxlen=keep), deque(maxlen=keep))
 
 
-def transform_init(rand: ServerRandomness) -> CounterShares:
+def transform_init(rand: ServerRandomness) -> SharePair:
     """Zero counter, secret-shared with server-contributed randomness."""
     return share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
 
@@ -189,10 +186,10 @@ def expected_output_size(config, t: int) -> int:
 
 
 def transform_step(t: int, new_batches: list[list[SecureTuple]],
-                   cache: SecureCache, counter: CounterShares,
+                   cache: SecureCache, counter: SharePair,
                    state: TransformState, rand: ServerRandomness,
                    transcript: Transcript,
-                   compare_counter: list) -> tuple[SecureCache, CounterShares]:
+                   compare_counter: list) -> tuple[SecureCache, SharePair]:
     """One invocation: truncate-transform new data, cache it, update the counter.
 
     Join operators also scan the retained batches of the partner owner.
@@ -233,8 +230,5 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
     counter = share_in_protocol(c, *rand.share_pair(), seen=rand.seen_pairs)
     cache = cache_append(cache, rows, slots)
 
-    for server in (0, 1):
-        transcript.add(t, server, TranscriptKind.TRANSFORM_OUTPUT, slots)
-        transcript.add(t, server, TranscriptKind.SHARE_RECEIVED, 0,
-                       share_value=counter[server])
+    transcript.observe(t, TranscriptKind.TRANSFORM_OUTPUT, slots, counter)
     return cache, counter

@@ -43,7 +43,7 @@ def nant(stream: LogicalStream, epsilon: float, theta: float, delta_f: float,
     The single-release mechanism that m_ant repeats after every release.
     """
     h = stream.horizon
-    counts = stream.arrivals_per_step(h)
+    counts = stream.arrivals_per_step()
     eps1 = epsilon / 2
     eps2 = epsilon / 2
     noisy_th = theta + noise.laplace(NoiseScale(2 * delta_f, eps1))
@@ -166,14 +166,14 @@ def neighbor_pair(horizon=4, extra_t=2):
 
 def test_identical_streams_estimate_near_zero():
     a, _ = neighbor_pair()
-    mech = TimerMechanism(T=4, b=1, epsilon=1.0, horizon=4)
+    mech = TimerMechanism(T=4, b=1, epsilon=1.0)
     est = empirical_privacy_loss(mech, a, a, trials=100_000, seed=0)
     assert est < 0.05
 
 
 def test_timer_estimate_within_budget():
     a, b = neighbor_pair()
-    mech = TimerMechanism(T=4, b=1, epsilon=1.0, horizon=4)
+    mech = TimerMechanism(T=4, b=1, epsilon=1.0)
     est = empirical_privacy_loss(mech, a, b, trials=100_000, seed=1)
     assert est <= 1.15
     assert est > 0.5  # the mechanism does spend real budget
@@ -184,7 +184,7 @@ def test_ant_protocol_variant_estimate_within_budget(theta):
     # The protocol variant's output scale 2b/epsilon is the one a run draws
     # (shrink.ant_scales); its loss must stay inside the same budget.
     a, b = neighbor_pair(horizon=2)
-    mech = AntMechanism(theta, b=1, epsilon=1.0, horizon=2, variant="protocol")
+    mech = AntMechanism(theta, b=1, epsilon=1.0, variant="protocol")
     est = empirical_privacy_loss(mech, a, b, trials=400_000, seed=theta, min_bin=2000)
     assert 0.4 < est <= 1.15
 
@@ -193,19 +193,24 @@ def test_timer_stability_scaling_doubles_loss():
     # A 2-stable transform ahead of the same mechanism doubles the measured
     # loss (the composed release moves by 2 between neighbors).
     a, b = neighbor_pair()
-    mech = TimerMechanism(T=4, b=1, epsilon=1.0, horizon=4, stability=2)
-    est = empirical_privacy_loss(mech, a, b, trials=100_000, seed=2)
+    timer = TimerMechanism(T=4, b=1, epsilon=1.0)
+
+    class TwoStable:
+        def run_many(self, s, trials, rng):
+            doubled = [rec for rec in s.arrivals for _ in range(2)]
+            return timer.run_many(LogicalStream(doubled, s.horizon), trials, rng)
+
+    est = empirical_privacy_loss(TwoStable(), a, b, trials=100_000, seed=2)
     assert 1.6 < est < 2.3
 
 
 def test_run_many_matches_scalar_mechanism_distribution():
     a, _ = neighbor_pair()
-    mech = TimerMechanism(T=4, b=1, epsilon=1.0, horizon=4)
+    mech = TimerMechanism(T=4, b=1, epsilon=1.0)
     rng = np.random.default_rng(7)
     arr = mech.run_many(a, 20_000, rng)
     assert arr.shape == (20_000, 1)
-    seq = np.array([m_timer(a, 4, 1, 1.0, SeededLaplace(np.random.default_rng(100 + i)),
-                            horizon=4)[0][1]
+    seq = np.array([m_timer(a, 4, 1, 1.0, SeededLaplace(np.random.default_rng(100 + i)))[0][1]
                     for i in range(2_000)])
     assert abs(arr.mean() - seq.mean()) < 0.15
     assert abs(arr.var() - seq.var()) < 0.4
@@ -213,7 +218,7 @@ def test_run_many_matches_scalar_mechanism_distribution():
 
 def test_ant_mechanism_run_many_consistent_with_scalar():
     a, _ = neighbor_pair()
-    mech = AntMechanism(theta=2, b=1, epsilon=2.0, horizon=4)
+    mech = AntMechanism(theta=2, b=1, epsilon=2.0, variant="proof")
     rng = np.random.default_rng(11)
     arr = mech.run_many(a, 5_000, rng)
     assert arr.shape == (5_000, 4)
@@ -222,7 +227,7 @@ def test_ant_mechanism_run_many_consistent_with_scalar():
     n = 2_000
     for i in range(n):
         vec = [0.0 if v is None else v for _, v in
-               m_ant(a, 2, 1, 2.0, SeededLaplace(np.random.default_rng(500 + i)), horizon=4,
+               m_ant(a, 2, 1, 2.0, SeededLaplace(np.random.default_rng(500 + i)),
                      variant="proof")]
         scalar_hits += np.array(vec) != 0
     vec_hits = (arr != 0).mean(axis=0)
@@ -259,6 +264,20 @@ def test_two_phase_composition_bound():
 
 # ---------------------------------------------------------------------------
 # Transcript audit.
+
+def test_observe_fans_out_to_each_server_in_turn():
+    tr = Transcript()
+    p, q = (11, 12), (21, 22)
+    tr.observe(7, TranscriptKind.SYNC_BATCH, 3, p, q)
+    share = TranscriptKind.SHARE_RECEIVED
+    assert [(e.time, e.server, e.kind, e.size, e.share_value) for e in tr.events] == [
+        (7, 0, TranscriptKind.SYNC_BATCH, 3, None), (7, 0, share, 0, 11), (7, 0, share, 0, 21),
+        (7, 1, TranscriptKind.SYNC_BATCH, 3, None), (7, 1, share, 0, 12), (7, 1, share, 0, 22),
+    ]
+    tr.observe(8, TranscriptKind.FLUSH_BATCH, 5)
+    assert len(tr) == 8
+    assert [(e.server, e.size) for e in tr.events[6:]] == [(0, 5), (1, 5)]
+
 
 def test_audit_config_determined_pass():
     tr = Transcript()

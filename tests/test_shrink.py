@@ -361,6 +361,21 @@ def test_deferred_bound_holds_on_real_timer_runs():
     assert binom.sf(above - 1, checked, beta) >= 1e-6, (above, checked)
 
 
+@pytest.mark.parametrize("operator", [OperatorKind.FILTER, OperatorKind.SMJ])
+def test_deferred_bound_holds_on_real_ant_runs(operator):
+    # At every step t >= 2, the real entries still cached stay within
+    # bound_deferred_ant(b, epsilon, t). At t = 1 the bound is 0 (ln 1), so
+    # that step is not checked.
+    for seed in range(5):
+        config = ExperimentConfig(protocol=Protocol.DP_ANT, operator=operator,
+                                  horizon=1000, seed=seed)
+        metrics = run_experiment(config).metrics
+        assert [m.time for m in metrics] == list(range(1, 1001))
+        for m in metrics[1:]:
+            assert m.deferred_real <= bound_deferred_ant(config.b, config.epsilon, m.time), (
+                seed, m.time, m.deferred_real)
+
+
 # ---------------------------------------------------------------------------
 # Reuse guard wiring.
 
