@@ -10,7 +10,7 @@ Modules:
                read returns only the reals of the slots it reads; a tuple
                is a real view entry iff its seq is non-negative
     transform  truncated view transformation with contribution budgets,
-               reading the run's one validated config by attribute; the
+               whose step reads and updates the run's one state; the
                Filter keeps the rows of one fixed predicate, `selected`; a
                record's join slots per invocation are a function of its age
                alone; each transform takes reals plus padded input lengths
@@ -21,19 +21,23 @@ Modules:
                per-outer networks in one batched call
     shrink     the timer and above-noisy-threshold sync protocols, which
                differ only in when they run their one shared sync body, and
-               the flush; all read the run's one config by attribute and
-               report only the steps that sync or flush; the view kept as its
-               real rows plus per-batch slot counts; the closed-form bounds
+               the flush; each step updates the run's one state in place and
+               returns only a report, on the steps that sync or flush; the
+               view kept as its real rows plus per-batch slot counts; the
+               closed-form bounds
     transcript what each server observes: sizes, timestamps and shares, one
                plain row per server per observation, fanned out to both
                servers in turn by `observe`, built into slotted events when
                first read
     leakage    reference DP mechanisms, empirical privacy loss, transcript audit
-    harness    the run's config and its single validation, experiment
-               driver, baselines, synthetic workloads, metrics
-               (a run pauses the cyclic garbage collector and restores the
-               caller's setting, which is safe because a run builds no
-               reference cycles, as a test checks; the setting is
+    harness    the run's config and its single validation, the run's one
+               state (`RunState`: the config, seq stamps, randomness and
+               transcript the steps read; the cache, counter, threshold,
+               view, retained batches and produced rows they update in
+               place), experiment driver, baselines, synthetic workloads,
+               metrics (a run pauses the cyclic garbage collector and
+               restores the caller's setting, which is safe because a run
+               builds no reference cycles, as a test checks; the setting is
                process-wide, so runs in concurrent threads only lose the
                speed-up)
     cli        command-line front end

@@ -2,7 +2,10 @@
 
 One experiment = one seeded timeline driving owner uploads, the truncated
 transformation, the chosen sync protocol (or a baseline), the periodic flush,
-and a count query. Everything is deterministic given (config, seed).
+and a count query. Everything is deterministic given (config, seed). The
+run's one `RunState` carries the secure cache, the shared counter, DPANT's
+shared noisy threshold and the view from step to step; each step updates it
+in place and returns only its report.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import itertools
 import json
 import math
 import sys
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Iterable, Iterator, TextIO
@@ -23,12 +26,12 @@ import numpy as np
 from .leakage import LogicalStream, StreamRecord
 from .obliv import SecureCache, SecureTuple, cache_read
 from .randomness import ServerRandomness
-from .sharing import RING_SIZE
-from .shrink import (FlushReport, MaterializedView, SyncReport, ant_scales, flush_step,
-                     sdp_ant_init, sdp_ant_step, sdp_timer_step, timer_scale)
+from .sharing import RING_SIZE, SharePair
+from .shrink import (FlushReport, MaterializedView, SyncReport, ThresholdShares, ant_scales,
+                     flush_step, sdp_ant_init, sdp_ant_step, sdp_timer_step, timer_scale)
 from .transcript import Transcript, TranscriptKind
-from .transform import (OperatorKind, TransformState, expected_output_size,
-                        retention_steps, selected, transform_init, transform_step)
+from .transform import (OperatorKind, expected_output_size, retention_steps, selected,
+                        transform_init, transform_step)
 
 
 class ConfigError(ValueError):
@@ -182,8 +185,6 @@ def coerce_config(values: dict[str, str]) -> ExperimentConfig:
                 kwargs[key] = int(raw)
             elif isinstance(current, float):
                 kwargs[key] = float(raw)
-            else:
-                kwargs[key] = raw
         except (KeyError, ValueError):
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
     return validate_config(ExperimentConfig(**kwargs))
@@ -458,34 +459,56 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             gc.enable()
 
 
+@dataclass
+class RunState:
+    """What a run carries from one step to the next.
+
+    The steps read `config`, `seqs` (the run's seq stamps), `rand` and
+    `transcript`. They update the rest in place: the secure `cache`, the
+    shared `counter`, DPANT's shared noisy `threshold`, the `view`, the reals
+    of the past owner batches that joins still scan (`retained`) and every
+    row the transform produced (`produced_rows`).
+    """
+
+    config: ExperimentConfig
+    seqs: Iterator[int]
+    rand: ServerRandomness
+    transcript: Transcript
+    counter: SharePair
+    threshold: ThresholdShares | None = None
+    cache: SecureCache = field(default_factory=SecureCache)
+    view: MaterializedView = field(default_factory=MaterializedView)
+    retained: tuple[deque, deque] = field(init=False)
+    produced_rows: list[SecureTuple] = field(default_factory=list)
+
+    def __post_init__(self):
+        keep = max(0, retention_steps(self.config) - 1)
+        self.retained = (deque(maxlen=keep), deque(maxlen=keep))
+
+
 def _run(config: ExperimentConfig) -> ExperimentResult:
     validate_config(config)
     seqs = itertools.count()
-    rand = ServerRandomness(config.seed)
-    transcript = Transcript()
 
     # Only the batches are kept: the loop never reads the streams.
     batches = [client_batches(s, config.c_r, config.horizon, seqs)
                for s in _streams_for(config) if s is not None]
 
-    filtering = config.operator is OperatorKind.FILTER
-    state = TransformState(config, seqs)
-    counter = transform_init(rand)
-    cache = SecureCache()
-    view = MaterializedView()
-
-    timer = config.protocol is Protocol.DP_TIMER
-    dp = timer or config.protocol is Protocol.DP_ANT
+    rand = ServerRandomness(config.seed)
+    run = RunState(config, seqs, rand, Transcript(), transform_init(rand))
     if config.protocol is Protocol.DP_ANT:
-        threshold = sdp_ant_init(config, rand)
+        run.threshold = sdp_ant_init(config, rand)
+    sync_step = {Protocol.DP_TIMER: sdp_timer_step,
+                 Protocol.DP_ANT: sdp_ant_step}.get(config.protocol)
+    filtering = config.operator is OperatorKind.FILTER
     # NM never transforms; OTM stops after its single sync.
     transforming = config.protocol is not Protocol.NM
 
     join_tracker = _JoinCounter()
     filter_true = filter_seen = 0
 
-    result = ExperimentResult(config=config, metrics=[], transcript=transcript,
-                              produced_rows=state.produced_rows)
+    result = ExperimentResult(config=config, metrics=[], transcript=run.transcript,
+                              produced_rows=run.produced_rows)
 
     for t in range(1, config.horizon + 1):
         cost = [0]  # compare-exchanges, then rows moved into the view
@@ -494,7 +517,7 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
         # Owners upload fixed-size blocks; both servers observe the sizes.
         if config.protocol is not Protocol.NM:
             for _ in batches:
-                transcript.observe(t, TranscriptKind.OWNER_UPLOAD, config.c_r)
+                run.transcript.observe(t, TranscriptKind.OWNER_UPLOAD, config.c_r)
 
         # Maintain the plaintext truth incrementally from the batches' reals.
         if filtering:
@@ -505,33 +528,28 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
                 join_tracker.add(side, batch)
 
         if transforming:
-            cache, counter = transform_step(t, step, cache, counter, state, rand,
-                                            transcript, cost)
+            transform_step(t, step, run, cost)
 
-        if dp:
-            if timer:
-                counter, cache, report = sdp_timer_step(
-                    t, config, counter, cache, view, rand, transcript, cost)
-            else:
-                counter, threshold, cache, report = sdp_ant_step(
-                    t, config, counter, threshold, cache, view, rand, transcript, cost)
+        if sync_step is not None:
+            report = sync_step(t, run, cost)
             if report is not None:
                 result.sync_reports.append(report)
                 cost[0] += report.size
-            cache, flush = flush_step(t, config, cache, view, transcript, cost)
+            flush = flush_step(t, run, cost)
             if flush is not None:
                 result.flush_reports.append(flush)
                 cost[0] += flush.size
         elif transforming:
             # EP and OTM: the whole padded delta goes straight in.
-            slots = len(cache)
-            fetched, cache = cache_read(cache, slots)
+            slots = len(run.cache)
+            fetched, run.cache = cache_read(run.cache, slots)
             cost[0] += slots
-            view.append_batch(fetched, slots, t)
-            transcript.observe(t, TranscriptKind.SYNC_BATCH, slots)
+            run.view.append_batch(fetched, slots, t)
+            run.transcript.observe(t, TranscriptKind.SYNC_BATCH, slots)
             transforming = config.protocol is Protocol.EP
 
         if t % config.query_interval == 0:
+            view, cache = run.view, run.cache
             truth = filter_true if filtering else join_tracker.total
             real = view.real_rows()
             if config.protocol is Protocol.NM:
@@ -554,11 +572,11 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
                 deferred_real=deferred,
                 discarded_by_truncation=discarded,
                 cost_proxy=cost[0] + scan,
-                transcript_events=len(transcript),
+                transcript_events=len(run.transcript),
             ))
 
-    result.final_view = view
-    result.final_cache = cache
+    result.final_view = run.view
+    result.final_cache = run.cache
     return result
 
 

@@ -8,9 +8,11 @@ server-contributed words and fresh shares, then runs the one sync body
 the re-shared counter (and DPANT's new threshold). A periodic flush drains
 the cache to keep dummy accumulation bounded.
 
-Each step function takes the run's one validated config (the harness's
-`ExperimentConfig`) and reads it by attribute; its docstring names the fields
-it reads. A step that syncs or flushes nothing returns no report.
+Each step function takes the run's one state (the harness's `RunState`) and
+reads it by attribute: its validated config, whose fields each step's
+docstring names, and its `rand` and `transcript`. It updates the state's `cache`,
+`counter`, `threshold` and `view` in place and returns only its report, or
+None on a step that syncs or flushes nothing.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .dpnoise import NoiseScale
-from .obliv import DUMMY, SecureCache, SecureTuple, cache_flush, cache_read, obli_sort
+from .obliv import DUMMY, SecureTuple, cache_flush, cache_read, obli_sort
 from .sharing import SharePair, recover, share_in_protocol
-from .transcript import Transcript, TranscriptKind
+from .transcript import TranscriptKind
 
 
 class BoundPreconditionError(ValueError):
@@ -127,32 +129,28 @@ class SyncReport(NamedTuple):
     size: int
 
 
-def _sync(t: int, pre: float, cache: SecureCache, view: MaterializedView,
-          transcript: Transcript, compare_counter: list, *shares: SharePair
-          ) -> tuple[SecureCache, SyncReport]:
+def _sync(t: int, pre: float, run, compare_counter: list, *shares: SharePair) -> SyncReport:
     """The sync both protocols run: sort the cache, move the first
     clamp_round(pre) slots into the view, and hand each server its half of
     every re-shared pair in `shares`, in order. Draws no randomness."""
     sz = clamp_round(pre)
-    fetched, cache = cache_read(obli_sort(cache, compare_counter), sz)
-    view.append_batch(fetched, sz, t)
-    transcript.observe(t, TranscriptKind.SYNC_BATCH, sz, *shares)
-    return cache, SyncReport(t, pre, sz)
+    fetched, run.cache = cache_read(obli_sort(run.cache, compare_counter), sz)
+    run.view.append_batch(fetched, sz, t)
+    run.transcript.observe(t, TranscriptKind.SYNC_BATCH, sz, *shares)
+    return SyncReport(t, pre, sz)
 
 
-def sdp_timer_step(t: int, config, counter: SharePair,
-                   cache: SecureCache, view: MaterializedView, rand,
-                   transcript: Transcript, compare_counter: list
-                   ) -> tuple[SharePair, SecureCache, SyncReport | None]:
+def sdp_timer_step(t: int, run, compare_counter: list) -> SyncReport | None:
     """Sync a DP-sized batch every T steps; no-op, and no report, otherwise.
 
     Reads the config's `T`, `b` and `epsilon`.
     """
+    config, rand = run.config, run.rand
     if t % config.T != 0:
-        return counter, cache, None
-    pre = recover(counter) + rand.joint_laplace(timer_scale(config.b, config.epsilon))
-    counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
-    return (counter, *_sync(t, pre, cache, view, transcript, compare_counter, counter))
+        return None
+    pre = recover(run.counter) + rand.joint_laplace(timer_scale(config.b, config.epsilon))
+    run.counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
+    return _sync(t, pre, run, compare_counter, run.counter)
 
 
 def sdp_ant_init(config, rand) -> ThresholdShares:
@@ -162,25 +160,21 @@ def sdp_ant_init(config, rand) -> ThresholdShares:
     return share_real(config.theta + rand.joint_laplace(th_scale), rand)
 
 
-def sdp_ant_step(t: int, config, counter: SharePair,
-                 threshold: ThresholdShares, cache: SecureCache,
-                 view: MaterializedView, rand, transcript: Transcript,
-                 compare_counter: list
-                 ) -> tuple[SharePair, ThresholdShares, SecureCache, SyncReport | None]:
+def sdp_ant_step(t: int, run, compare_counter: list) -> SyncReport | None:
     """Noisy-count vs noisy-threshold check; sync and refresh on a trigger,
     with no report otherwise. Reads the config's `theta`, `b` and `epsilon`.
     """
+    config, rand = run.config, run.rand
     th_scale, check_scale, out_scale = ant_scales(config.b, config.epsilon)
-    c = recover(counter)
+    c = recover(run.counter)
     check = c + rand.joint_laplace(check_scale)
-    transcript.observe(t, TranscriptKind.COMPARE_CHECK, 0)
-    if check < recover_real(threshold):
-        return counter, threshold, cache, None
+    run.transcript.observe(t, TranscriptKind.COMPARE_CHECK, 0)
+    if check < recover_real(run.threshold):
+        return None
     pre = c + rand.joint_laplace(out_scale)
-    threshold = share_real(config.theta + rand.joint_laplace(th_scale), rand)
-    counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
-    return (counter, threshold,
-            *_sync(t, pre, cache, view, transcript, compare_counter, counter, *threshold))
+    run.threshold = share_real(config.theta + rand.joint_laplace(th_scale), rand)
+    run.counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
+    return _sync(t, pre, run, compare_counter, run.counter, *run.threshold)
 
 
 class FlushReport(NamedTuple):
@@ -189,18 +183,17 @@ class FlushReport(NamedTuple):
     real_lost: int
 
 
-def flush_step(t: int, config, cache: SecureCache, view: MaterializedView,
-               transcript: Transcript, compare_counter: list
-               ) -> tuple[SecureCache, FlushReport | None]:
+def flush_step(t: int, run, compare_counter: list) -> FlushReport | None:
     """Every f steps: sort, move s entries to the view, recycle the rest; no
     report on other steps. Reads the config's `f` and `s`."""
+    config = run.config
     if t % config.f != 0:
-        return cache, None
-    real_before = cache.real_count() + view.real_rows()
-    fetched, cache = cache_flush(cache, config.s, compare_counter)
-    view.append_batch(fetched, config.s, t)
-    transcript.observe(t, TranscriptKind.FLUSH_BATCH, config.s)
-    return cache, FlushReport(t, config.s, real_before - view.real_rows())
+        return None
+    real = run.cache.real_count()
+    fetched, run.cache = cache_flush(run.cache, config.s, compare_counter)
+    run.view.append_batch(fetched, config.s, t)
+    run.transcript.observe(t, TranscriptKind.FLUSH_BATCH, config.s)
+    return FlushReport(t, config.s, real - len(fetched))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +216,8 @@ def bound_dummy_timer(b: float, epsilon: float, k: int, s: float, T: int,
 
 
 def bound_deferred_ant(b: float, epsilon: float, t: float) -> float:
-    """Deferred-entry bound for the threshold protocol at time t."""
-    if t < 1:
-        raise BoundPreconditionError(f"t must be >= 1, got {t}")
+    """Deferred-entry bound for the threshold protocol at time t >= 2 (at
+    t = 1, ln t makes it 0, which real runs exceed)."""
+    if t < 2:
+        raise BoundPreconditionError(f"t must be >= 2, got {t}")
     return 16 * b * math.log(t) / epsilon

@@ -11,21 +11,22 @@ batch) and returns its real rows and its padded slot count, a function of
 those lengths and the truncation parameters only; padding is never built.
 The Filter keeps the rows that `selected` accepts, a fixed predicate.
 
-The run's one validated config (the harness's `ExperimentConfig`) is read by
-attribute: `operator`, `omega`, `b` and `c_r`.
+`transform_step` takes the run's one state (the harness's `RunState`) and
+reads it by attribute: its validated config's `operator`, `omega`, `b` and
+`c_r`, its `seqs`, `rand` and `transcript`. It updates the state's `cache`,
+`counter`, `retained` and `produced_rows` in place.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from collections import defaultdict
+from typing import Iterator
 
-from .obliv import SecureCache, SecureTuple, cache_append, network_sort, seq_of
+from .obliv import SecureTuple, cache_append, network_sort, seq_of
 from .randomness import ServerRandomness
 from .sharing import RING_MASK, SharePair, recover, share_in_protocol
-from .transcript import Transcript, TranscriptKind
+from .transcript import TranscriptKind
 
 
 def retention_steps(config) -> int:
@@ -148,24 +149,6 @@ class OperatorKind(enum.Enum):
     NLJ = "NLJ"
 
 
-@dataclass
-class TransformState:
-    """Everything the transformation carries across invocations.
-
-    `config` is the run's validated config; the state reads its `operator`,
-    `omega`, `b` and `c_r` (the padded slots of every owner batch).
-    """
-
-    config: Any
-    seqs: Iterator[int]
-    retained: tuple[deque, deque] = field(init=False)  # reals of past owner batches
-    produced_rows: list[SecureTuple] = field(default_factory=list)
-
-    def __post_init__(self):
-        keep = max(0, retention_steps(self.config) - 1)
-        self.retained = (deque(maxlen=keep), deque(maxlen=keep))
-
-
 def transform_init(rand: ServerRandomness) -> SharePair:
     """Zero counter, secret-shared with server-contributed randomness."""
     return share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
@@ -185,11 +168,8 @@ def expected_output_size(config, t: int) -> int:
     return (c_r + old) * config.omega
 
 
-def transform_step(t: int, new_batches: list[list[SecureTuple]],
-                   cache: SecureCache, counter: SharePair,
-                   state: TransformState, rand: ServerRandomness,
-                   transcript: Transcript,
-                   compare_counter: list) -> tuple[SecureCache, SharePair]:
+def transform_step(t: int, new_batches: list[list[SecureTuple]], run,
+                   compare_counter: list) -> None:
     """One invocation: truncate-transform new data, cache it, update the counter.
 
     Join operators also scan the retained batches of the partner owner.
@@ -197,16 +177,16 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
     data-independent, and each scan spends omega of its records' budget b. A
     real record scanned in `age` earlier invocations therefore holds
     min(omega, b - age * omega) join slots: omega, except for the reals of the
-    oldest retained batch when omega does not divide b. Reads the state
+    oldest retained batch when omega does not divide b. Reads the run
     config's `operator`, `omega`, `b` and `c_r`.
     """
-    cfg = state.config
+    cfg = run.config
     if cfg.operator is OperatorKind.FILTER:
-        rows = trans_truncate_filter(new_batches[0], state.seqs, t)
+        rows = trans_truncate_filter(new_batches[0], run.seqs, t)
         slots = cfg.c_r
     else:
         new1, new2 = new_batches[0], new_batches[1]
-        kept1, kept2 = state.retained
+        kept1, kept2 = run.retained
         caps = defaultdict(lambda: cfg.omega)
         oldest = cfg.b - len(kept1) * cfg.omega  # the oldest batch's age is len(kept1)
         if oldest < cfg.omega:
@@ -215,7 +195,7 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
         old2 = [tup for batch in kept2 for tup in batch]
         c_r, n_old = cfg.c_r, cfg.c_r * len(kept1)  # both owners keep as many batches
         join = trans_truncate_smj if cfg.operator is OperatorKind.SMJ else trans_truncate_nlj
-        rest = (cfg.omega, caps, state.seqs, t, compare_counter)
+        rest = (cfg.omega, caps, run.seqs, t, compare_counter)
         rows, slots = join(new1, c_r, old2 + new2, n_old + c_r, *rest)
         rows2, slots2 = join(old1, n_old, new2, c_r, *rest)
         rows += rows2
@@ -223,12 +203,9 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]],
         kept1.append(new1)
         kept2.append(new2)
 
-    state.produced_rows.extend(rows)
+    run.produced_rows.extend(rows)
 
-    c = recover(counter)
-    c = (c + len(rows)) & RING_MASK
-    counter = share_in_protocol(c, *rand.share_pair(), seen=rand.seen_pairs)
-    cache = cache_append(cache, rows, slots)
-
-    transcript.observe(t, TranscriptKind.TRANSFORM_OUTPUT, slots, counter)
-    return cache, counter
+    c = (recover(run.counter) + len(rows)) & RING_MASK
+    run.counter = share_in_protocol(c, *run.rand.share_pair(), seen=run.rand.seen_pairs)
+    run.cache = cache_append(run.cache, rows, slots)
+    run.transcript.observe(t, TranscriptKind.TRANSFORM_OUTPUT, slots, run.counter)

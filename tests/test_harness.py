@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import io
 import itertools
 import json
@@ -10,15 +11,18 @@ import pytest
 from dpviewsim import harness
 from dpviewsim.harness import (_BURST_ON, _BURST_PERIOD, CapacityExceeded,
                                ConfigError, ExperimentConfig, MetricsRecord,
-                               ParseError, Profile, Protocol,
+                               ParseError, Profile, Protocol, RunState,
                                client_batches, coerce_config, emit_metrics,
                                load_stream, parse_config_file, query_count,
                                read_metrics, run_experiment, run_trials,
                                synth_stream, true_count, validate_config)
 from dpviewsim.leakage import LogicalStream, StreamRecord
-from dpviewsim.shrink import MaterializedView
-from dpviewsim.transcript import TranscriptKind
-from dpviewsim.transform import OperatorKind
+from dpviewsim.obliv import SecureTuple
+from dpviewsim.randomness import ServerRandomness
+from dpviewsim.sharing import recover
+from dpviewsim.shrink import MaterializedView, flush_step, sdp_ant_step, sdp_timer_step
+from dpviewsim.transcript import Transcript, TranscriptKind
+from dpviewsim.transform import OperatorKind, transform_init, transform_step
 from test_golden import hot_key_config
 
 
@@ -387,6 +391,30 @@ def test_run_trials_merged_by_index():
         protocol=Protocol.DP_TIMER, operator=OperatorKind.FILTER,
         horizon=30, seed=101))
     assert results[1].metrics == solo.metrics
+
+
+def test_steps_update_the_run_state_in_place():
+    # No step takes the state a run carries from step to step, or hands it
+    # back: each updates the run's one RunState and returns only its report.
+    for step in (transform_step, sdp_timer_step, sdp_ant_step, flush_step):
+        names = set(inspect.signature(step).parameters)
+        assert not names & {"cache", "counter", "threshold", "view"}, step.__name__
+    rand = ServerRandomness(3)
+    run = RunState(ExperimentConfig(T=10, f=20), itertools.count(), rand, Transcript(),
+                   transform_init(rand))
+    assert transform_step(1, [[SecureTuple(4, (1,), 0, 1)], [SecureTuple(4, (2,), 1, 1)]],
+                          run, [0]) is None
+    cache, counter, view = run.cache, run.counter, run.view
+    assert (cache.real_count(), recover(counter)) == (1, 1)
+    events = len(run.transcript)
+    # Off schedule (t = 7 is no multiple of T or f): no report, nothing moves.
+    assert sdp_timer_step(7, run, [0]) is None and flush_step(7, run, [0]) is None
+    assert run.cache is cache and run.counter is counter and run.view is view
+    assert cache.real_count() == 1 and view.batches == [] and len(run.transcript) == events
+    # On schedule the same run is updated in place: a new cache and counter.
+    report = sdp_timer_step(10, run, [0])
+    assert report is not None and run.view is view and view.batches == [(10, report.size)]
+    assert run.cache is not cache and recover(run.counter) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import pytest
 from scipy.stats import binom
 
-from dpviewsim.harness import ExperimentConfig, Protocol, run_experiment
+from dpviewsim.harness import ExperimentConfig, Protocol, RunState, run_experiment
 from dpviewsim.obliv import DUMMY, SecureCache, SecureTuple, network_comparison_count
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover, share_in_protocol
@@ -49,16 +50,21 @@ def filled_cache(n_real, n_dummy):
     return SecureCache([real_row(i) for i in range(n_real)], n_real + n_dummy)
 
 
-def timer_step(t, cfg, counter, cache, view, rand):
-    return sdp_timer_step(t, cfg, counter, cache, view, rand, Transcript(), [0])
+def run_state(cfg, cache, rand=None, counter=None, threshold=None):
+    """A run's state at some step: an empty view and transcript."""
+    return RunState(cfg, itertools.count(), rand, Transcript(), counter, threshold, cache)
 
 
-def ant_step(t, cfg, counter, threshold, cache, view, rand):
-    return sdp_ant_step(t, cfg, counter, threshold, cache, view, rand, Transcript(), [0])
+def timer_step(t, run):
+    return sdp_timer_step(t, run, [0])
 
 
-def flush(t, cfg, cache, view):
-    return flush_step(t, cfg, cache, view, Transcript(), [0])
+def ant_step(t, run):
+    return sdp_ant_step(t, run, [0])
+
+
+def flush(t, run):
+    return flush_step(t, run, [0])
 
 
 def sizes(transcript, kind):
@@ -73,13 +79,12 @@ def test_timer_noop_off_schedule():
     cfg = ExperimentConfig(T=10, epsilon=1.5, b=10)
     counter = counter_of(5, rand)
     cache = filled_cache(5, 5)
-    view = MaterializedView()
-    transcript, compares = Transcript(), [0]
-    c2, cache2, report = sdp_timer_step(7, cfg, counter, cache, view, rand,
-                                        transcript, compares)
+    run = run_state(cfg, cache, rand, counter)
+    compares = [0]
+    report = sdp_timer_step(7, run, compares)
     assert report is None
-    assert c2 == counter and cache2 is cache
-    assert view.total_rows() == 0 and len(transcript) == 0
+    assert run.counter == counter and run.cache is cache
+    assert run.view.total_rows() == 0 and len(run.transcript) == 0
     assert compares == [0]
 
 
@@ -87,23 +92,20 @@ def test_timer_pinned_positive_size():
     # c=30 with noise -4.2: sz = round(25.8) = 26 entries, real-first.
     rand = PinnedRand([-4.2])
     cfg = ExperimentConfig(T=10, epsilon=1.5, b=10)
-    counter = counter_of(30, rand)
-    cache = filled_cache(30, 10)
-    view = MaterializedView()
-    transcript, compares = Transcript(), [0]
-    counter, cache, report = sdp_timer_step(10, cfg, counter, cache, view, rand,
-                                            transcript, compares)
+    run = run_state(cfg, filled_cache(30, 10), rand, counter_of(30, rand))
+    compares = [0]
+    report = sdp_timer_step(10, run, compares)
     assert report is not None
     assert report.pre_clamp == pytest.approx(25.8)
     assert report.size == 26
-    assert view.total_rows() == 26
-    assert view.real_rows() == 26  # reals fetched ahead of dummies
-    assert len(cache) == 14
-    assert recover(counter) == 0
+    assert run.view.total_rows() == 26
+    assert run.view.real_rows() == 26  # reals fetched ahead of dummies
+    assert len(run.cache) == 14
+    assert recover(run.counter) == 0
     # Both servers see the released size and a share of the reset counter.
-    assert sizes(transcript, TranscriptKind.SYNC_BATCH) == [(10, 0, 26), (10, 1, 26)]
-    shares = transcript.by_kind(TranscriptKind.SHARE_RECEIVED)
-    assert [e.share_value for e in shares] == list(counter)
+    assert sizes(run.transcript, TranscriptKind.SYNC_BATCH) == [(10, 0, 26), (10, 1, 26)]
+    shares = run.transcript.by_kind(TranscriptKind.SHARE_RECEIVED)
+    assert [e.share_value for e in shares] == list(run.counter)
     assert compares == [network_comparison_count(40)]
 
 
@@ -111,29 +113,25 @@ def test_timer_pinned_clamped_to_zero():
     # c=2 with noise -7.9: sz = 0, view untouched, counter still reset.
     rand = PinnedRand([-7.9])
     cfg = ExperimentConfig(T=5, epsilon=1.5, b=10)
-    counter = counter_of(2, rand)
-    cache = filled_cache(2, 3)
-    view = MaterializedView()
-    counter, cache, report = timer_step(5, cfg, counter, cache, view, rand)
+    run = run_state(cfg, filled_cache(2, 3), rand, counter_of(2, rand))
+    report = timer_step(5, run)
     assert report is not None and report.size == 0
     assert report.pre_clamp == pytest.approx(-5.9)
-    assert view.total_rows() == 0
-    assert len(cache) == 5
-    assert recover(counter) == 0
+    assert run.view.total_rows() == 0
+    assert len(run.cache) == 5
+    assert recover(run.counter) == 0
 
 
 def test_timer_tops_up_with_dummies():
     rand = PinnedRand([4.0])
     cfg = ExperimentConfig(T=1, epsilon=1.0, b=1)
-    counter = counter_of(2, rand)
-    cache = filled_cache(2, 0)
-    view = MaterializedView()
-    counter, cache, report = timer_step(1, cfg, counter, cache, view, rand)
+    run = run_state(cfg, filled_cache(2, 0), rand, counter_of(2, rand))
+    report = timer_step(1, run)
     assert report.size == 6
-    assert view.total_rows() == 6
-    assert view.real_rows() == 2
-    assert len(cache) == 0
-    assert all(row is DUMMY for row in view.rows[2:])  # four top-up dummies
+    assert run.view.total_rows() == 6
+    assert run.view.real_rows() == 2
+    assert len(run.cache) == 0
+    assert all(row is DUMMY for row in run.view.rows[2:])  # four top-up dummies
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +156,19 @@ def test_ant_trigger_trace():
     rand = PinnedRand([2.1, 1.3, -0.2, 0.9])
     cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
     threshold = sdp_ant_init(cfg, rand)
-    counter = counter_of(35, rand)
-    cache = filled_cache(35, 5)
-    view = MaterializedView()
-    transcript, compares = Transcript(), [0]
-    counter, threshold, cache, report = sdp_ant_step(
-        1, cfg, counter, threshold, cache, view, rand, transcript, compares)
+    run = run_state(cfg, filled_cache(35, 5), rand, counter_of(35, rand), threshold)
+    compares = [0]
+    report = sdp_ant_step(1, run, compares)
+    counter, threshold = run.counter, run.threshold
     assert report is not None
     assert report.pre_clamp == pytest.approx(34.8)
     assert report.size == 35
-    assert view.real_rows() == 35
+    assert run.view.real_rows() == 35
     assert recover(counter) == 0
     assert recover_real(threshold) == 30 + 0.9
     # Per server: the check, the release, then shares of counter and threshold.
     for server in (0, 1):
-        events = [e for e in transcript.events if e.server == server]
+        events = [e for e in run.transcript.events if e.server == server]
         assert [(e.kind, e.size) for e in events] == [
             (TranscriptKind.COMPARE_CHECK, 0), (TranscriptKind.SYNC_BATCH, 35),
             (TranscriptKind.SHARE_RECEIVED, 0), (TranscriptKind.SHARE_RECEIVED, 0),
@@ -186,33 +182,27 @@ def test_ant_below_threshold_no_trigger():
     rand = PinnedRand([2.1, -1.0])
     cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
     threshold = sdp_ant_init(cfg, rand)
-    counter = counter_of(20, rand)
-    cache = filled_cache(20, 0)
-    view = MaterializedView()
-    transcript, compares = Transcript(), [0]
-    c2, th2, cache2, report = sdp_ant_step(
-        1, cfg, counter, threshold, cache, view, rand, transcript, compares)
+    run = run_state(cfg, filled_cache(20, 0), rand, counter_of(20, rand), threshold)
+    compares = [0]
+    report = sdp_ant_step(1, run, compares)
     assert report is None
     # Every step shows both servers a check, even one that does not sync.
-    assert sizes(transcript, TranscriptKind.COMPARE_CHECK) == [(1, 0, 0), (1, 1, 0)]
-    assert len(transcript) == 2 and compares == [0]
-    assert recover(c2) == 20          # counter untouched
-    assert recover_real(th2) == 32.1  # threshold untouched
-    assert view.total_rows() == 0
+    assert sizes(run.transcript, TranscriptKind.COMPARE_CHECK) == [(1, 0, 0), (1, 1, 0)]
+    assert len(run.transcript) == 2 and compares == [0]
+    assert recover(run.counter) == 20          # counter untouched
+    assert recover_real(run.threshold) == 32.1  # threshold untouched
+    assert run.view.total_rows() == 0
 
 
 def test_ant_quiet_period_never_triggers():
     rand = PinnedRand([0.0], default=0.0)
     cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
     threshold = sdp_ant_init(cfg, rand)
-    counter = counter_of(0, rand)
-    cache = SecureCache()
-    view = MaterializedView()
+    run = run_state(cfg, SecureCache(), rand, counter_of(0, rand), threshold)
     for t in range(1, 50):
-        counter, threshold, cache, report = ant_step(
-            t, cfg, counter, threshold, cache, view, rand)
+        report = ant_step(t, run)
         assert report is None
-    assert view.total_rows() == 0
+    assert run.view.total_rows() == 0
 
 
 def test_ant_trigger_monotone_with_zero_noise():
@@ -220,16 +210,13 @@ def test_ant_trigger_monotone_with_zero_noise():
     # is exactly the first step where c >= theta.
     cfg = ExperimentConfig(Protocol.DP_ANT, theta=5, epsilon=1.0, b=1)
     rand = PinnedRand([], default=0.0)
-    threshold = sdp_ant_init(cfg, rand)
-    cache = SecureCache()
-    view = MaterializedView()
+    run = run_state(cfg, SecureCache(), rand, threshold=sdp_ant_init(cfg, rand))
     c = 0
     trigger_at = None
     for t in range(1, 10):
         c += 2
-        counter = counter_of(c, rand)
-        counter, threshold, cache, report = ant_step(
-            t, cfg, counter, threshold, cache, view, rand)
+        run.counter = counter_of(c, rand)
+        report = ant_step(t, run)
         if report is not None:
             trigger_at = t
             break
@@ -251,44 +238,41 @@ def test_ant_scales_protocol_and_proof():
 
 def test_flush_on_schedule_paper_defaults():
     cfg = ExperimentConfig(T=10, epsilon=1.5, b=10, f=2000, s=15)
-    cache = filled_cache(3, 30)
-    view = MaterializedView()
-    transcript, compares = Transcript(), [0]
-    cache, report = flush_step(2000, cfg, cache, view, transcript, compares)
-    assert sizes(transcript, TranscriptKind.FLUSH_BATCH) == [(2000, 0, 15), (2000, 1, 15)]
+    run = run_state(cfg, filled_cache(3, 30))
+    compares = [0]
+    report = flush_step(2000, run, compares)
+    assert sizes(run.transcript, TranscriptKind.FLUSH_BATCH) == [(2000, 0, 15), (2000, 1, 15)]
     assert compares == [network_comparison_count(33)]
     assert report is not None and report.size == 15
-    assert view.total_rows() == 15
-    assert view.real_rows() == 3  # all reals land inside the 15
-    assert len(cache) == 0
+    assert run.view.total_rows() == 15
+    assert run.view.real_rows() == 3  # all reals land inside the 15
+    assert len(run.cache) == 0
     assert report.real_lost == 0
 
 
 def test_flush_off_schedule():
     cfg = ExperimentConfig(T=10, epsilon=1.5, b=10, f=2000, s=15)
     cache = filled_cache(3, 3)
-    view = MaterializedView()
-    cache2, report = flush(1999, cfg, cache, view)
+    run = run_state(cfg, cache)
+    report = flush(1999, run)
     assert report is None
-    assert cache2 is cache and view.total_rows() == 0
+    assert run.cache is cache and run.view.total_rows() == 0
 
 
 def test_flush_size_zero_pure_recycle():
     cfg = ExperimentConfig(T=1, epsilon=1.0, b=1, f=1, s=0)
-    cache = filled_cache(2, 2)
-    view = MaterializedView()
-    cache, report = flush(1, cfg, cache, view)
-    assert report is not None and view.total_rows() == 0
-    assert len(cache) == 0
+    run = run_state(cfg, filled_cache(2, 2))
+    report = flush(1, run)
+    assert report is not None and run.view.total_rows() == 0
+    assert len(run.cache) == 0
     assert report.real_lost == 2
 
 
 def test_flush_reports_lost_reals():
     cfg = ExperimentConfig(T=1, epsilon=1.0, b=1, f=1, s=4)
-    cache = filled_cache(6, 2)
-    view = MaterializedView()
-    cache, report = flush(1, cfg, cache, view)
-    assert view.real_rows() == 4
+    run = run_state(cfg, filled_cache(6, 2))
+    report = flush(1, run)
+    assert run.view.real_rows() == 4
     assert report.real_lost == 2
 
 
@@ -330,6 +314,13 @@ def test_bound_dummy_timer():
     assert (with_flush - base) == pytest.approx(2 * (halved - base))
 
 
+def test_bound_deferred_ant_precondition():
+    # At t = 1 the formula gives 0, which real DPANT runs exceed.
+    with pytest.raises(BoundPreconditionError):
+        bound_deferred_ant(10, 1.5, 1)
+    assert bound_deferred_ant(10, 1.5, 2) == pytest.approx(160 * math.log(2) / 1.5)
+
+
 def test_bound_deferred_ant_values():
     assert bound_deferred_ant(1, 1.0, math.e) == pytest.approx(16.0)
     assert bound_deferred_ant(20, 1.5, 1000) == pytest.approx(1473.654, abs=1e-2)
@@ -361,11 +352,38 @@ def test_deferred_bound_holds_on_real_timer_runs():
     assert binom.sf(above - 1, checked, beta) >= 1e-6, (above, checked)
 
 
+def test_dummy_bound_holds_on_real_timer_runs():
+    # After the k-th sync, the padding rows the view holds (flushes included)
+    # stay within bound_dummy_timer(b, epsilon, k, s, T, f, beta), except with
+    # probability beta; the count above it is judged by the binomial-tail
+    # rule of the deferred-entry test. A flush at a sync's step comes after it.
+    beta = 0.05
+    checked = above = 0
+    for seed in range(10):
+        config = ExperimentConfig(protocol=Protocol.DP_TIMER, operator=OperatorKind.FILTER,
+                                  horizon=2000, f=500, seed=seed)
+        result = run_experiment(config)
+        view = result.final_view
+        events = sorted([(r.t, 0, r.size) for r in result.sync_reports] +
+                        [(f.t, 1, f.size) for f in result.flush_reports])
+        assert [(t, size) for t, _, size in events] == view.batches
+        padding = k = 0
+        for (_, kind, size), real in zip(events, view.counts):
+            padding += size - real
+            if kind == 0:
+                k += 1
+                if k >= 4 * math.log(1 / beta):
+                    checked += 1
+                    above += padding > bound_dummy_timer(
+                        config.b, config.epsilon, k, config.s, config.T, config.f, beta)
+    assert checked == 10 * 189  # syncs 12..200 of each run
+    assert binom.sf(above - 1, checked, beta) >= 1e-6, (above, checked)
+
+
 @pytest.mark.parametrize("operator", [OperatorKind.FILTER, OperatorKind.SMJ])
 def test_deferred_bound_holds_on_real_ant_runs(operator):
     # At every step t >= 2, the real entries still cached stay within
-    # bound_deferred_ant(b, epsilon, t). At t = 1 the bound is 0 (ln 1), so
-    # that step is not checked.
+    # bound_deferred_ant(b, epsilon, t), whose precondition rejects t = 1.
     for seed in range(5):
         config = ExperimentConfig(protocol=Protocol.DP_ANT, operator=operator,
                                   horizon=1000, seed=seed)

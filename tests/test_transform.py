@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from dpviewsim import transform
-from dpviewsim.harness import ExperimentConfig
-from dpviewsim.obliv import SecureCache, SecureTuple, network_comparison_count, network_sort
+from dpviewsim.harness import ExperimentConfig, RunState
+from dpviewsim.obliv import SecureTuple, network_comparison_count, network_sort
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover
 from dpviewsim.transcript import Transcript, TranscriptKind
-from dpviewsim.transform import (OperatorKind, TransformState, expected_output_size,
+from dpviewsim.transform import (OperatorKind, expected_output_size,
                                  retention_steps, trans_truncate_filter,
                                  trans_truncate_nlj, trans_truncate_smj,
                                  transform_init, transform_step)
@@ -526,13 +526,13 @@ def test_smj_count_stability_unrestricted(omega):
 # ---------------------------------------------------------------------------
 # transform_step.
 
-def make_state(operator, c_r, omega=1, b=2):
+def make_state(operator, c_r, rand, omega=1, b=2):
     config = ExperimentConfig(operator=operator, omega=omega, b=b, c_r=c_r)
-    return TransformState(config, itertools.count(10_000))
+    return RunState(config, itertools.count(10_000), rand, Transcript(), transform_init(rand))
 
 
-def step(t, batches, cache, counter, state, rand):
-    return transform_step(t, batches, cache, counter, state, rand, Transcript(), [0])
+def step(t, batches, state):
+    transform_step(t, batches, state, [0])
 
 
 def test_initial_counter_recovers_zero():
@@ -543,37 +543,31 @@ def test_initial_counter_recovers_zero():
 
 def test_counter_increases_by_real_count():
     rand = ServerRandomness(2)
-    state = make_state(OperatorKind.FILTER, 5)
-    counter = transform_init(rand)
-    cache = SecureCache()
+    state = make_state(OperatorKind.FILTER, 5, rand)
     batch = [rec(0, 1, flag=1), rec(1, 2, flag=1), rec(2, 3, flag=1), rec(3, 4, flag=0)]
-    cache, counter = step(1, [batch], cache, counter, state, rand)
-    assert recover(counter) == 3
-    assert cache.real_count() == 3  # plaintext recount agrees
-    assert len(cache) == 5  # the filter charges the c_r slots of the upload
+    step(1, [batch], state)
+    assert recover(state.counter) == 3
+    assert state.cache.real_count() == 3  # plaintext recount agrees
+    assert len(state.cache) == 5  # the filter charges the c_r slots of the upload
 
 
 def test_counter_fidelity_across_steps():
     rand = ServerRandomness(3)
-    state = make_state(OperatorKind.FILTER, 5)  # flag 1: every record is selected
-    counter = transform_init(rand)
-    cache = SecureCache()
+    state = make_state(OperatorKind.FILTER, 5, rand)  # flag 1: every record is selected
     rng = np.random.default_rng(0)
     total = 0
     for t in range(1, 12):
         n_real = int(rng.integers(0, 4))
         batch = [rec(100 * t + i, key=i) for i in range(n_real)]
-        cache, counter = step(t, [batch], cache, counter, state, rand)
+        step(t, [batch], state)
         total += n_real
-        assert recover(counter) == total == cache.real_count()
+        assert recover(state.counter) == total == state.cache.real_count()
 
 
 def test_retirement_after_budget_exhaustion():
     # b=4, omega=2: a record is scanned in exactly two invocations.
     rand = ServerRandomness(4)
-    state = make_state(OperatorKind.SMJ, 2, omega=2, b=4)
-    counter = transform_init(rand)
-    cache = SecureCache()
+    state = make_state(OperatorKind.SMJ, 2, rand, omega=2, b=4)
     lead = rec(0, key=9)  # arrives in step 1 on side A
     batches = [
         ([lead], []),
@@ -581,7 +575,7 @@ def test_retirement_after_budget_exhaustion():
         ([], [rec(22, key=9)]),   # lead evicted
     ]
     for t, (ba, bb) in enumerate(batches, start=1):
-        cache, counter = step(t, [ba, bb], cache, counter, state, rand)
+        step(t, [ba, bb], state)
     assert all(lead not in batch for batch in state.retained[0])
     joined_with_lead = [row for row in state.produced_rows if 0 in row.sources]
     assert len(joined_with_lead) == 1  # only the step-2 partner
@@ -596,13 +590,11 @@ def test_invocation_count_matches_retention():
     target = rec(0, key=1)
     for operator in (OperatorKind.SMJ, OperatorKind.NLJ):
         rand = ServerRandomness(5)
-        state = make_state(operator, 3, omega=3, b=10)
-        counter = transform_init(rand)
-        cache = SecureCache()
+        state = make_state(operator, 3, rand, omega=3, b=10)
         for t in range(1, 7):
             ba = [target] if t == 1 else []
             bb = [rec(100 * t + 3 + i, key=1) for i in range(3)]  # 3 new partners
-            cache, counter = step(t, [ba, bb], cache, counter, state, rand)
+            step(t, [ba, bb], state)
         joins = [sum(1 for row in state.produced_rows
                      if row.timestamp == t and 0 in row.sources) for t in range(1, 7)]
         assert joins == [3, 3, 3, 1, 0, 0], operator
@@ -650,14 +642,13 @@ def test_transform_step_matches_ledger_model(operator, omega):
     for b in range(omega, 3 * omega + 2):
         for trial in range(4):
             rand = ServerRandomness(trial)
-            state = make_state(operator, 3, omega=omega, b=b)
+            state = make_state(operator, 3, rand, omega=omega, b=b)
             model = LedgerModel(operator, omega, b)
-            counter, cache = transform_init(rand), SecureCache()
             seq = iter(range(10_000))
             for t in range(1, 13):
                 ba, bb = ([rec(next(seq), key=int(rng.integers(1, 4)))
                            for _ in range(int(rng.integers(0, 4)))] for _ in range(2))
-                cache, counter = step(t, [ba, bb], cache, counter, state, rand)
+                step(t, [ba, bb], state)
                 model.step(t, ba, bb)
             assert [(r.seq, r.sources, r.timestamp) for r in state.produced_rows] == \
                 [(r.seq, r.sources, r.timestamp) for r in model.rows]
@@ -669,9 +660,7 @@ def test_output_sizes_match_public_formula():
     # retained batches; expected_output_size is the audit's own formula.
     for op in OperatorKind:
         rand = ServerRandomness(7)
-        state = make_state(op, 3, omega=2, b=4)
-        counter = transform_init(rand)
-        cache = SecureCache()
+        state = make_state(op, 3, rand, omega=2, b=4)
         rng = np.random.default_rng(9)
         prev_len = 0
         for t in range(1, 6):
@@ -679,17 +668,15 @@ def test_output_sizes_match_public_formula():
                   for i in range(int(rng.integers(0, 3)))]
             bb = [rec(2000 * t + i, key=int(rng.integers(1, 4)))
                   for i in range(int(rng.integers(0, 3)))]
-            cache, counter = step(t, [ba, bb], cache, counter, state, rand)
-            delta_len = len(cache) - prev_len
-            prev_len = len(cache)
+            step(t, [ba, bb], state)
+            delta_len = len(state.cache) - prev_len
+            prev_len = len(state.cache)
             assert delta_len == expected_output_size(state.config, t)
 
 
 def test_lifetime_budget_never_exceeded_small_run():
     rand = ServerRandomness(8)
-    state = make_state(OperatorKind.SMJ, 2, omega=2, b=4)
-    counter = transform_init(rand)
-    cache = SecureCache()
+    state = make_state(OperatorKind.SMJ, 2, rand, omega=2, b=4)
     rng = np.random.default_rng(21)
     seq = 0
     for t in range(1, 30):
@@ -697,7 +684,7 @@ def test_lifetime_budget_never_exceeded_small_run():
         for _ in range(2):
             ba.append(rec(seq, key=int(rng.integers(1, 3)))); seq += 1
             bb.append(rec(seq, key=int(rng.integers(1, 3)))); seq += 1
-        cache, counter = step(t, [ba, bb], cache, counter, state, rand)
+        step(t, [ba, bb], state)
     contributions: dict[int, int] = {}
     for row in state.produced_rows:
         for rid in row.sources:
@@ -710,20 +697,17 @@ def test_step_records_sizes_shares_and_compares():
     # Both servers see each step's padded output size and a fresh counter
     # share; the compare count is that of the two merge networks per step.
     rand = ServerRandomness(9)
-    state = make_state(OperatorKind.SMJ, 2, omega=1, b=2)
-    counter = transform_init(rand)
-    cache = SecureCache()
-    transcript, compares = Transcript(), [0]
+    state = make_state(OperatorKind.SMJ, 2, rand, omega=1, b=2)
+    compares = [0]
     ba = [rec(0, key=4)]  # each of 2 slots
     bb = [rec(2, key=4)]
-    cache, counter = transform_step(1, [ba, bb], cache, counter, state, rand,
-                                    transcript, compares)
-    assert len(cache) == expected_output_size(state.config, 1)
+    transform_step(1, [ba, bb], state, compares)
+    assert len(state.cache) == expected_output_size(state.config, 1)
     for server in (0, 1):
-        [out] = transcript.by_kind(TranscriptKind.TRANSFORM_OUTPUT, server)
-        assert (out.time, out.size) == (1, len(cache))
-        [share] = transcript.by_kind(TranscriptKind.SHARE_RECEIVED, server)
-        assert share.share_value == counter[server]
-    assert recover(counter) == 1
+        [out] = state.transcript.by_kind(TranscriptKind.TRANSFORM_OUTPUT, server)
+        assert (out.time, out.size) == (1, len(state.cache))
+        [share] = state.transcript.by_kind(TranscriptKind.SHARE_RECEIVED, server)
+        assert share.share_value == state.counter[server]
+    assert recover(state.counter) == 1
     # new1 against old2 + new2 (2 + 2 records), then old1 against new2 (0 + 2).
     assert compares[0] == 6 + 1
