@@ -5,16 +5,16 @@ Modules:
     dpnoise    joint Laplace noise from server-contributed words
     obliv      secure cache kept as its real rows plus a slot count; sorts the
                reals of one or more same-length bitonic networks in their
-               output order with one Timsort, at the padded networks'
-               closed-form cost, the network itself as the test oracle; a
-               read returns only the reals of the slots it reads; a tuple
+               output order with one Timsort and charges nothing, the network
+               itself as the test oracle and its compare count a closed form;
+               a read returns only the reals of the slots it reads; a tuple
                is a real view entry iff its seq is non-negative
     transform  truncated view transformation with contribution budgets,
                whose step reads and updates the run's one state; the
                Filter keeps the rows of one fixed predicate, `selected`; a
                record's join slots per invocation are a function of its age
-               alone; each transform takes reals plus padded input lengths
-               and returns its real rows and a padded slot count; the SMJ
+               alone; a join takes reals plus padded lengths and returns only
+               its rows; a step's sizes are functions of config and t; the SMJ
                sorts on (key, origin, seq) and scans only the reals of keys
                found on both sides; the NLJ probes a per-invocation key index
                with the real outers that have partners and sorts all its
@@ -22,24 +22,24 @@ Modules:
     shrink     the timer and above-noisy-threshold sync protocols, which
                differ only in when they run their one shared sync body, and
                the flush; each step updates the run's one state in place and
-               returns only a report, on the steps that sync or flush; the
-               view kept as its real rows plus per-batch slot counts; the
-               closed-form bounds
+               returns only a report, on the steps that sync or flush; one
+               helper shares each zero counter; the view kept as its real
+               rows plus per-batch slot counts; the closed-form bounds
     transcript what each server observes: sizes, timestamps and shares, one
                plain row per server per observation, fanned out to both
                servers in turn by `observe`, built into slotted events when
                first read
     leakage    reference DP mechanisms, empirical privacy loss, transcript audit
-    harness    the run's config and its single validation, the run's one
-               state (`RunState`: the config, seq stamps, randomness and
-               transcript the steps read; the cache, counter, threshold,
-               view, retained batches and produced rows they update in
-               place), experiment driver, baselines, synthetic workloads,
-               metrics (a run pauses the cyclic garbage collector and
-               restores the caller's setting, which is safe because a run
-               builds no reference cycles, as a test checks; the setting is
-               process-wide, so runs in concurrent threads only lose the
-               speed-up)
+    harness    the run's config and its single validation, the run's one state
+               (`RunState`: the config, seq stamps, randomness and transcript
+               the steps read; the cache, counter, threshold, view, retained
+               batches and produced rows they update in place), experiment
+               loop (which charges each step's cost from sizes the servers
+               see), baselines, synthetic workloads, metrics (a run pauses the
+               cyclic garbage collector and restores the caller's setting,
+               which is safe because a run builds no reference cycles, as a
+               test checks; the setting is process-wide, so runs in concurrent
+               threads only lose the speed-up)
     cli        command-line front end
 """
 

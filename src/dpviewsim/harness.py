@@ -24,14 +24,15 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .leakage import LogicalStream, StreamRecord
-from .obliv import SecureCache, SecureTuple, cache_read
+from .obliv import SecureCache, SecureTuple, cache_read, network_comparison_count
 from .randomness import ServerRandomness
 from .sharing import RING_SIZE, SharePair
 from .shrink import (FlushReport, MaterializedView, SyncReport, ThresholdShares, ant_scales,
-                     flush_step, sdp_ant_init, sdp_ant_step, sdp_timer_step, timer_scale)
+                     flush_step, sdp_ant_init, sdp_ant_step, sdp_timer_step, timer_scale,
+                     zero_counter)
 from .transcript import Transcript, TranscriptKind
 from .transform import (OperatorKind, expected_output_size, retention_steps, selected,
-                        transform_init, transform_step)
+                        transform_compares, transform_step)
 
 
 class ConfigError(ValueError):
@@ -495,7 +496,7 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
                for s in _streams_for(config) if s is not None]
 
     rand = ServerRandomness(config.seed)
-    run = RunState(config, seqs, rand, Transcript(), transform_init(rand))
+    run = RunState(config, seqs, rand, Transcript(), zero_counter(rand))
     if config.protocol is Protocol.DP_ANT:
         run.threshold = sdp_ant_init(config, rand)
     sync_step = {Protocol.DP_TIMER: sdp_timer_step,
@@ -509,9 +510,11 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
 
     result = ExperimentResult(config=config, metrics=[], transcript=run.transcript,
                               produced_rows=run.produced_rows)
+    # A sync or flush sorts the whole cache, then moves its report's size.
+    sorting_steps = ((sync_step, result.sync_reports), (flush_step, result.flush_reports))
 
     for t in range(1, config.horizon + 1):
-        cost = [0]  # compare-exchanges, then rows moved into the view
+        cost = 0  # from sizes the servers see: sorts' compares, then slots moved
         step = [b[t - 1] for b in batches]
 
         # Owners upload fixed-size blocks; both servers observe the sizes.
@@ -528,22 +531,21 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
                 join_tracker.add(side, batch)
 
         if transforming:
-            transform_step(t, step, run, cost)
+            transform_step(t, step, run)
+            cost = transform_compares(config, t)
 
         if sync_step is not None:
-            report = sync_step(t, run, cost)
-            if report is not None:
-                result.sync_reports.append(report)
-                cost[0] += report.size
-            flush = flush_step(t, run, cost)
-            if flush is not None:
-                result.flush_reports.append(flush)
-                cost[0] += flush.size
+            for act, reports in sorting_steps:
+                sorted_slots = run.cache.slots
+                report = act(t, run)
+                if report is not None:
+                    reports.append(report)
+                    cost += network_comparison_count(sorted_slots) + report.size
         elif transforming:
             # EP and OTM: the whole padded delta goes straight in.
             slots = len(run.cache)
             fetched, run.cache = cache_read(run.cache, slots)
-            cost[0] += slots
+            cost += slots
             run.view.append_batch(fetched, slots, t)
             run.transcript.observe(t, TranscriptKind.SYNC_BATCH, slots)
             transforming = config.protocol is Protocol.EP
@@ -571,7 +573,7 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
                 view_rows_real=real,
                 deferred_real=deferred,
                 discarded_by_truncation=discarded,
-                cost_proxy=cost[0] + scan,
+                cost_proxy=cost + scan,
                 transcript_events=len(run.transcript),
             ))
 

@@ -11,17 +11,17 @@ compare-exchange network, so the sequence of touched index pairs is a
 function of the array length alone and leaks nothing about the contents. The
 simulator does not execute the network: it Timsorts the real entries' keys,
 which gives the network's order of the reals (every dummy lands behind every
-real), and charges the closed-form compare count of the whole padded array.
-Several independent networks of one length, such as the nested-loop join's
-one network per outer tuple, are run as one sort over their concatenated
-reals and charged one closed-form count each; the cache and the join rows
-come in seq order, which Timsort takes in one pass. `compare_exchange_pairs`
-is the network itself, and the tests run it as the oracle for these facts.
-Repeated sort keys raise.
+real). The sorts charge nothing: the run charges a network's closed-form
+compare count from its step's public sizes. Independent networks of one
+length, such as the nested-loop join's one per outer tuple, run as one sort of
+their concatenated reals; the cache and join rows come in seq order, which
+Timsort takes in one pass. `compare_exchange_pairs` is the network itself,
+which the tests run as the oracle for these facts. Repeated sort keys raise.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple
@@ -79,7 +79,7 @@ class SecureCache:
 
 # ---------------------------------------------------------------------------
 # Bitonic sorting network. The pair sequence below is the network; the sorts
-# reproduce its output order with Timsort and charge its closed-form size.
+# reproduce its output order with Timsort, and its size has a closed form.
 # With distinct keys every correct sort returns the network's permutation.
 
 def padded_length(n: int) -> int:
@@ -106,11 +106,11 @@ def compare_exchange_pairs(n: int) -> Iterator[tuple[int, int, bool]]:
         k <<= 1
 
 
+@functools.lru_cache(maxsize=64)
 def network_comparison_count(n: int) -> int:
-    """Compare-exchange count of the network for n items (padded internally)."""
-    m = padded_length(n)
-    stages = m.bit_length() - 1
-    return (m // 2) * stages * (stages + 1) // 2
+    """Compare-exchange count of the padded n-item network; cached, as steps repeat n."""
+    stages = padded_length(n).bit_length() - 1
+    return (1 << stages) // 2 * stages * (stages + 1) // 2
 
 
 def network_sort_keys(keys: list, n: int, networks: int) -> tuple[list[int], int]:
@@ -121,10 +121,10 @@ def network_sort_keys(keys: list, n: int, networks: int) -> tuple[list[int], int
     every key of one network lies below every key of the next, so one Timsort
     of the positions by key gives each network's output order, concatenated.
     The other slots of each network are dummies, which it moves behind every
-    real. A network pads to a power of two with max-int sentinels; the count
-    is `networks` times that of the padded n-slot network. Keys must be
-    distinct (ValueError otherwise), which makes each network's permutation
-    the unique sorting one.
+    real. A network pads to a power of two with max-int sentinels. The count,
+    `networks` times the padded n-slot network's, is for `bench/tracing.py`.
+    Keys must be distinct (ValueError otherwise), which makes each network's
+    permutation the unique sorting one.
     """
     if len(set(keys)) != len(keys):
         raise ValueError("sort keys must be distinct")
@@ -132,23 +132,19 @@ def network_sort_keys(keys: list, n: int, networks: int) -> tuple[list[int], int
             networks * network_comparison_count(n))
 
 
-def network_sort(reals: list, key_of: Callable, n: int, counter: list,
-                 networks: int) -> list:
+def network_sort(reals: list, key_of: Callable, n: int, networks: int) -> list:
     """The real items of `networks` independent n-slot padded inputs, in the
     networks' output order, concatenated.
 
     `reals` holds each input's reals in turn; each network's output is its
     reals followed by its dummies. key_of maps an item to an int or a tuple of
     ints, must be injective over the reals (a repeated key raises ValueError),
-    and must put every item of one input below every item of the next.
-    `counter[0]` accumulates the networks' compare-exchange count. Since the
-    network orders reals by key alone, a caller may pass only the reals whose
-    order it reads: they come out in the order the network gives them among
-    all the input's reals, and the charge still covers all n slots.
+    and must put every item of one input below every item of the next. Since
+    the network orders reals by key alone, a caller may pass only the reals
+    whose order it reads: they come out in the order the network gives them
+    among all the input's reals.
     """
-    perm, comparisons = network_sort_keys(list(map(key_of, reals)), n, networks)
-    counter[0] += comparisons
-    return [reals[i] for i in perm]
+    return [reals[i] for i in network_sort_keys(list(map(key_of, reals)), n, networks)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +157,9 @@ def cache_append(cache: SecureCache, reals: list[SecureTuple], slots: int) -> Se
     return SecureCache(cache.entries + reals, cache.slots + slots)
 
 
-def obli_sort(cache: SecureCache, counter: list) -> SecureCache:
+def obli_sort(cache: SecureCache) -> SecureCache:
     """Sort real entries ahead of dummies, in the network's output order."""
-    return SecureCache(network_sort(cache.entries, seq_of, len(cache), counter,
-                                    networks=1), len(cache))
+    return SecureCache(network_sort(cache.entries, seq_of, len(cache), 1), len(cache))
 
 
 def cache_read(cache: SecureCache, sz: int) -> tuple[list[SecureTuple], SecureCache]:
@@ -179,8 +174,7 @@ def cache_read(cache: SecureCache, sz: int) -> tuple[list[SecureTuple], SecureCa
     return cache.entries[:sz], SecureCache(cache.entries[sz:], max(0, cache.slots - sz))
 
 
-def cache_flush(cache: SecureCache, s: int,
-                counter: list) -> tuple[list[SecureTuple], SecureCache]:
+def cache_flush(cache: SecureCache, s: int) -> tuple[list[SecureTuple], SecureCache]:
     """Sort, fetch s slots' reals for the view, and recycle the remainder."""
-    fetched, _ = cache_read(obli_sort(cache, counter), s)
+    fetched, _ = cache_read(obli_sort(cache), s)
     return fetched, SecureCache()

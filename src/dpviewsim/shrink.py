@@ -69,6 +69,11 @@ class ThresholdShares(NamedTuple):
 _WORD = (1 << 32) - 1
 
 
+def zero_counter(rand) -> SharePair:
+    """A fresh shared zero: the run's first counter and each sync's reset."""
+    return share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
+
+
 def share_real(value: float, rand) -> ThresholdShares:
     """Share a float's two words, each guarded by `rand.seen_pairs`."""
     bits = struct.unpack("<Q", struct.pack("<d", float(value)))[0]
@@ -129,18 +134,18 @@ class SyncReport(NamedTuple):
     size: int
 
 
-def _sync(t: int, pre: float, run, compare_counter: list, *shares: SharePair) -> SyncReport:
+def _sync(t: int, pre: float, run, *shares: SharePair) -> SyncReport:
     """The sync both protocols run: sort the cache, move the first
     clamp_round(pre) slots into the view, and hand each server its half of
     every re-shared pair in `shares`, in order. Draws no randomness."""
     sz = clamp_round(pre)
-    fetched, run.cache = cache_read(obli_sort(run.cache, compare_counter), sz)
+    fetched, run.cache = cache_read(obli_sort(run.cache), sz)
     run.view.append_batch(fetched, sz, t)
     run.transcript.observe(t, TranscriptKind.SYNC_BATCH, sz, *shares)
     return SyncReport(t, pre, sz)
 
 
-def sdp_timer_step(t: int, run, compare_counter: list) -> SyncReport | None:
+def sdp_timer_step(t: int, run) -> SyncReport | None:
     """Sync a DP-sized batch every T steps; no-op, and no report, otherwise.
 
     Reads the config's `T`, `b` and `epsilon`.
@@ -149,8 +154,8 @@ def sdp_timer_step(t: int, run, compare_counter: list) -> SyncReport | None:
     if t % config.T != 0:
         return None
     pre = recover(run.counter) + rand.joint_laplace(timer_scale(config.b, config.epsilon))
-    run.counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
-    return _sync(t, pre, run, compare_counter, run.counter)
+    run.counter = zero_counter(rand)
+    return _sync(t, pre, run, run.counter)
 
 
 def sdp_ant_init(config, rand) -> ThresholdShares:
@@ -160,7 +165,7 @@ def sdp_ant_init(config, rand) -> ThresholdShares:
     return share_real(config.theta + rand.joint_laplace(th_scale), rand)
 
 
-def sdp_ant_step(t: int, run, compare_counter: list) -> SyncReport | None:
+def sdp_ant_step(t: int, run) -> SyncReport | None:
     """Noisy-count vs noisy-threshold check; sync and refresh on a trigger,
     with no report otherwise. Reads the config's `theta`, `b` and `epsilon`.
     """
@@ -173,8 +178,8 @@ def sdp_ant_step(t: int, run, compare_counter: list) -> SyncReport | None:
         return None
     pre = c + rand.joint_laplace(out_scale)
     run.threshold = share_real(config.theta + rand.joint_laplace(th_scale), rand)
-    run.counter = share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
-    return _sync(t, pre, run, compare_counter, run.counter, *run.threshold)
+    run.counter = zero_counter(rand)
+    return _sync(t, pre, run, run.counter, *run.threshold)
 
 
 class FlushReport(NamedTuple):
@@ -183,14 +188,14 @@ class FlushReport(NamedTuple):
     real_lost: int
 
 
-def flush_step(t: int, run, compare_counter: list) -> FlushReport | None:
+def flush_step(t: int, run) -> FlushReport | None:
     """Every f steps: sort, move s entries to the view, recycle the rest; no
     report on other steps. Reads the config's `f` and `s`."""
     config = run.config
     if t % config.f != 0:
         return None
     real = run.cache.real_count()
-    fetched, run.cache = cache_flush(run.cache, config.s, compare_counter)
+    fetched, run.cache = cache_flush(run.cache, config.s)
     run.view.append_batch(fetched, config.s, t)
     run.transcript.observe(t, TranscriptKind.FLUSH_BATCH, config.s)
     return FlushReport(t, config.s, real - len(fetched))

@@ -7,8 +7,8 @@ invocations and spends omega of b in each, whatever it joins. So its join
 slots in one invocation, min(omega, b - age * omega) after `age` earlier
 invocations, are a function of its age alone, never of the data. Each
 transform takes its inputs' reals and padded lengths (c_r slots per owner
-batch) and returns its real rows and its padded slot count, a function of
-those lengths and the truncation parameters only; padding is never built.
+batch) and returns only its real rows, never padding. A step's padded join
+lengths, output slots and sort compares are functions of the config and t.
 The Filter keeps the rows that `selected` accepts, a fixed predicate.
 
 `transform_step` takes the run's one state (the harness's `RunState`) and
@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
+from itertools import chain
 from typing import Iterator
 
-from .obliv import SecureTuple, cache_append, network_sort, seq_of
-from .randomness import ServerRandomness
-from .sharing import RING_MASK, SharePair, recover, share_in_protocol
+from .obliv import SecureTuple, cache_append, network_comparison_count, network_sort, seq_of
+from .sharing import RING_MASK, recover, share_in_protocol
 from .transcript import TranscriptKind
 
 
@@ -55,9 +55,9 @@ def trans_truncate_filter(batch: list[SecureTuple], seqs: Iterator[int],
 
 
 def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2: int,
-                       omega: int, caps: dict[int, int], seqs: Iterator[int], timestamp: int,
-                       compare_counter: list) -> tuple[list[SecureTuple], int]:
-    """Truncated oblivious sort-merge join: (joined rows, omega slots per n1 + n2).
+                       omega: int, caps: dict[int, int], seqs: Iterator[int],
+                       timestamp: int) -> list[SecureTuple]:
+    """Truncated oblivious sort-merge join: its real rows, of omega (n1 + n2) slots.
 
     The tables are merged and network-sorted on (join key, origin, seq); ties
     put t1 records first and input dummies last. The linear scan emits, for
@@ -77,7 +77,7 @@ def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
     both = {t.key for t in t1} & {t.key for t in t2}
     tagged = [(0, t) for t in t1 if t.key in both] + [(1, t) for t in t2 if t.key in both]
     merged = network_sort(tagged, lambda it: (it[1].key, it[0], it[1].seq),
-                          n1 + n2, compare_counter, networks=1)
+                          n1 + n2, networks=1)
 
     out: list[SecureTuple] = []
     group_key = None
@@ -96,13 +96,13 @@ def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
             a, b = (tup, p) if origin == 0 else (p, tup)
             out.append(_join_tuple(a, b, seqs, timestamp))
         seen[origin].append(tup)
-    return out, omega * (n1 + n2)
+    return out
 
 
 def trans_truncate_nlj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2: int,
-                       omega: int, caps: dict[int, int], seqs: Iterator[int], timestamp: int,
-                       compare_counter: list) -> tuple[list[SecureTuple], int]:
-    """Truncated oblivious nested-loop join: (joined rows, omega slots per n1).
+                       omega: int, caps: dict[int, int], seqs: Iterator[int],
+                       timestamp: int) -> list[SecureTuple]:
+    """Truncated oblivious nested-loop join: its real rows, of omega n1 slots.
 
     Every (outer, inner) probe either emits a real join (keys match and both
     records hold a slot in `caps`, one taken from each; see
@@ -136,11 +136,11 @@ def trans_truncate_nlj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
                 rows.append(_join_tuple(u, v, seqs, timestamp))
         if len(rows) > start:
             spans.append((start, len(rows)))
-    rows = network_sort(rows, seq_of, n2, compare_counter, networks=n1)
+    rows = network_sort(rows, seq_of, n2, networks=n1)
     out: list[SecureTuple] = []
     for start, end in spans:
         out += rows[start:min(end, start + omega)]
-    return out, omega * n1
+    return out
 
 
 class OperatorKind(enum.Enum):
@@ -149,27 +149,36 @@ class OperatorKind(enum.Enum):
     NLJ = "NLJ"
 
 
-def transform_init(rand: ServerRandomness) -> SharePair:
-    """Zero counter, secret-shared with server-contributed randomness."""
-    return share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
+def _join_inputs(config, t: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Padded (n1, n2) of the step-t joins, new1 with old2 + new2 and old1 with
+    new2: each owner keeps c_r slots per step for min(t, retention_steps) - 1."""
+    c_r = config.c_r
+    old = c_r * min(t - 1, retention_steps(config) - 1)
+    return (c_r, old + c_r), (old, c_r)
 
 
 def expected_output_size(config, t: int) -> int:
-    """Padded |delta-view| at step t: a function of public parameters only,
-    the config's `operator`, `c_r`, `omega` and `b`."""
-    c_r = config.c_r
+    """Padded |delta-view| at step t, from the config's `operator`, `c_r`, `omega` and `b`."""
     if config.operator is OperatorKind.FILTER:
-        return c_r
-    old = c_r * min(t - 1, retention_steps(config) - 1)  # retained rows per owner
+        return config.c_r
+    (a1, a2), (b1, b2) = _join_inputs(config, t)
     if config.operator is OperatorKind.SMJ:
-        # new1 vs (old2 + new2), then old1 vs new2; slots per scanned tuple.
-        return (c_r + old + c_r) * config.omega + (old + c_r) * config.omega
-    # NLJ: slots per outer tuple.
-    return (c_r + old) * config.omega
+        return config.omega * (a1 + a2 + b1 + b2)  # omega per scanned tuple
+    return config.omega * (a1 + b1)  # NLJ: omega per outer tuple
 
 
-def transform_step(t: int, new_batches: list[list[SecureTuple]], run,
-                   compare_counter: list) -> None:
+def transform_compares(config, t: int) -> int:
+    """Compare-exchanges of the step-t sorts: one (n1 + n2)-slot network per
+    SMJ join, n1 n2-slot networks per NLJ join, none for the Filter."""
+    if config.operator is OperatorKind.FILTER:
+        return 0
+    (a1, a2), (b1, b2) = _join_inputs(config, t)
+    if config.operator is OperatorKind.SMJ:
+        return network_comparison_count(a1 + a2) + network_comparison_count(b1 + b2)
+    return a1 * network_comparison_count(a2) + b1 * network_comparison_count(b2)
+
+
+def transform_step(t: int, new_batches: list[list[SecureTuple]], run) -> None:
     """One invocation: truncate-transform new data, cache it, update the counter.
 
     Join operators also scan the retained batches of the partner owner.
@@ -191,15 +200,13 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]], run,
         oldest = cfg.b - len(kept1) * cfg.omega  # the oldest batch's age is len(kept1)
         if oldest < cfg.omega:
             caps.update((tup.seq, oldest) for tup in kept1[0] + kept2[0])
-        old1 = [tup for batch in kept1 for tup in batch]
-        old2 = [tup for batch in kept2 for tup in batch]
-        c_r, n_old = cfg.c_r, cfg.c_r * len(kept1)  # both owners keep as many batches
-        join = trans_truncate_smj if cfg.operator is OperatorKind.SMJ else trans_truncate_nlj
-        rest = (cfg.omega, caps, run.seqs, t, compare_counter)
-        rows, slots = join(new1, c_r, old2 + new2, n_old + c_r, *rest)
-        rows2, slots2 = join(old1, n_old, new2, c_r, *rest)
-        rows += rows2
-        slots += slots2
+        old1, old2 = list(chain.from_iterable(kept1)), list(chain.from_iterable(kept2))
+        (n1, n2), (m1, m2) = _join_inputs(cfg, t)
+        smj = cfg.operator is OperatorKind.SMJ
+        join = trans_truncate_smj if smj else trans_truncate_nlj
+        rest = (cfg.omega, caps, run.seqs, t)
+        rows = join(new1, n1, old2 + new2, n2, *rest) + join(old1, m1, new2, m2, *rest)
+        slots = cfg.omega * (n1 + n2 + m1 + m2 if smj else n1 + m1)  # see the joins
         kept1.append(new1)
         kept2.append(new2)
 

@@ -4,11 +4,14 @@ import inspect
 import io
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpviewsim import harness
+from dpviewsim import harness, obliv, shrink
 from dpviewsim.harness import (_BURST_ON, _BURST_PERIOD, CapacityExceeded,
                                ConfigError, ExperimentConfig, MetricsRecord,
                                ParseError, Profile, Protocol, RunState,
@@ -17,12 +20,15 @@ from dpviewsim.harness import (_BURST_ON, _BURST_PERIOD, CapacityExceeded,
                                read_metrics, run_experiment, run_trials,
                                synth_stream, true_count, validate_config)
 from dpviewsim.leakage import LogicalStream, StreamRecord
-from dpviewsim.obliv import SecureTuple
+from dpviewsim.obliv import (SecureTuple, cache_flush, network_sort, network_sort_keys,
+                             obli_sort)
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover
-from dpviewsim.shrink import MaterializedView, flush_step, sdp_ant_step, sdp_timer_step
+from dpviewsim.shrink import (MaterializedView, flush_step, sdp_ant_step, sdp_timer_step,
+                              zero_counter)
 from dpviewsim.transcript import Transcript, TranscriptKind
-from dpviewsim.transform import OperatorKind, transform_init, transform_step
+from dpviewsim.transform import (OperatorKind, trans_truncate_nlj, trans_truncate_smj,
+                                 transform_step)
 from test_golden import hot_key_config
 
 
@@ -401,20 +407,106 @@ def test_steps_update_the_run_state_in_place():
         assert not names & {"cache", "counter", "threshold", "view"}, step.__name__
     rand = ServerRandomness(3)
     run = RunState(ExperimentConfig(T=10, f=20), itertools.count(), rand, Transcript(),
-                   transform_init(rand))
+                   zero_counter(rand))
     assert transform_step(1, [[SecureTuple(4, (1,), 0, 1)], [SecureTuple(4, (2,), 1, 1)]],
-                          run, [0]) is None
+                          run) is None
     cache, counter, view = run.cache, run.counter, run.view
     assert (cache.real_count(), recover(counter)) == (1, 1)
     events = len(run.transcript)
     # Off schedule (t = 7 is no multiple of T or f): no report, nothing moves.
-    assert sdp_timer_step(7, run, [0]) is None and flush_step(7, run, [0]) is None
+    assert sdp_timer_step(7, run) is None and flush_step(7, run) is None
     assert run.cache is cache and run.counter is counter and run.view is view
     assert cache.real_count() == 1 and view.batches == [] and len(run.transcript) == events
     # On schedule the same run is updated in place: a new cache and counter.
-    report = sdp_timer_step(10, run, [0])
+    report = sdp_timer_step(10, run)
     assert report is not None and run.view is view and view.batches == [(10, report.size)]
     assert run.cache is not cache and recover(run.counter) == 0
+
+
+def test_no_step_join_or_sort_takes_a_counter():
+    # The run charges each step's cost from the sizes the servers see, so no
+    # step, join or sort takes a counter or a cost to add to.
+    for fn in (transform_step, sdp_timer_step, sdp_ant_step, flush_step, shrink._sync,
+               trans_truncate_smj, trans_truncate_nlj, network_sort, obli_sort, cache_flush):
+        names = inspect.signature(fn).parameters
+        assert not [n for n in names if "counter" in n or "cost" in n], fn.__name__
+
+
+def assert_cost_is_what_the_run_did(config):
+    """Run `config` and check each query step's cost_proxy: the compare count
+    its sorts returned, plus the slots it moved into the view, plus the
+    query's scan. Returns the compare count per step."""
+    compares, batches, now = Counter(), [], 0
+
+    def at_step(fn):
+        def stepped(t, *args):
+            nonlocal now
+            now = t
+            return fn(t, *args)
+        return stepped
+
+    def counting(keys, n, networks):
+        perm, count = network_sort_keys(keys, n, networks)
+        compares[now] += count
+        return perm, count
+
+    def recording(*args):
+        batches.append(client_batches(*args))
+        return batches[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("transform_step", "sdp_timer_step", "sdp_ant_step", "flush_step"):
+            mp.setattr(harness, name, at_step(getattr(harness, name)))
+        mp.setattr(harness, "client_batches", recording)
+        mp.setattr(obliv, "network_sort_keys", counting)
+        result = run_experiment(config)
+    moved = Counter()
+    for t, slots in result.final_view.batches:
+        moved[t] += slots
+    assert [m.time for m in result.metrics] == list(range(1, config.horizon + 1))
+    for m in result.metrics:
+        if config.protocol is Protocol.NM:  # the query scans every real record
+            seen = [sum(map(len, side[:m.time])) for side in batches]
+            scan = seen[0] if config.operator is OperatorKind.FILTER else seen[0] * seen[1]
+        else:
+            scan = m.view_rows_total
+        assert m.cost_proxy == compares[m.time] + moved[m.time] + scan, m.time
+    return compares
+
+
+_COST_SOURCES = [p.value for p in Profile] + ["hot-keys"]
+
+
+def cost_config(protocol, operator, source, tmp_path, **fields):
+    config = ExperimentConfig(protocol=protocol, operator=operator, omega=2, b=5,
+                              multiplicity=3, **fields)
+    if source == "hot-keys":
+        return hot_key_config(config, tmp_path)
+    return dataclasses.replace(config, profile=Profile(source))
+
+
+@pytest.mark.parametrize("source", _COST_SOURCES)
+@pytest.mark.parametrize("operator", list(OperatorKind))
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_cost_proxy_charges_the_sorts_the_run_ran(protocol, operator, source, tmp_path):
+    config = cost_config(protocol, operator, source, tmp_path, horizon=60, f=20, s=5, seed=3)
+    compares = assert_cost_is_what_the_run_did(config)
+    # Syncs and flushes sort the cache; joins sort their rows; nothing else sorts.
+    sorts = protocol in (Protocol.DP_TIMER, Protocol.DP_ANT) or (
+        protocol in (Protocol.EP, Protocol.OTM) and operator is not OperatorKind.FILTER)
+    assert (sum(compares.values()) > 0) == sorts
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(protocol=st.sampled_from(list(Protocol)), operator=st.sampled_from(list(OperatorKind)),
+       source=st.sampled_from(_COST_SOURCES), horizon=st.integers(1, 40),
+       f=st.integers(1, 40), s=st.integers(0, 20), T=st.integers(1, 12),
+       seed=st.integers(0, 2**16))
+def test_cost_proxy_charges_the_sorts_on_drawn_configs(protocol, operator, source, horizon,
+                                                       f, s, T, seed, tmp_path_factory):
+    config = cost_config(protocol, operator, source, tmp_path_factory.mktemp("cost"),
+                         horizon=horizon, f=f, s=s, T=T, seed=seed)
+    assert_cost_is_what_the_run_did(config)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +532,15 @@ def test_run_builds_no_reference_cycles(protocol, operator, source, tmp_path, gc
     else:
         config = dataclasses.replace(config, profile=Profile(source))
     gc.collect()
-    gc.disable()
-    results = run_trials(config, 2)
-    assert len(results) == 2
-    del results
-    assert gc.collect() == 0
+    gc.freeze()  # later collections skip every object that exists now
+    try:
+        gc.disable()
+        results = run_trials(config, 2)
+        assert len(results) == 2
+        del results
+        assert gc.collect() == 0
+    finally:
+        gc.unfreeze()
 
 
 def test_run_starts_no_collector_pass(gc_restored):

@@ -16,10 +16,6 @@ def real(seq, key=1):
     return SecureTuple(key=key, attrs=(key,), seq=seq)
 
 
-def flush(cache, s, counter=None):
-    return cache_flush(cache, s, [0] if counter is None else counter)
-
-
 def test_secure_tuple_fields_and_view_flag():
     # is_view is read from seq, not stored: a real row's seq is never
     # negative, and DUMMY, seq -1, is the only slot that is not a view entry.
@@ -54,7 +50,7 @@ def test_cache_rejects_more_reals_than_slots():
 
 def test_obli_sort_real_first_with_fifo_ties():
     c = SecureCache([real(3), real(1)], 4)
-    out = obli_sort(c, [0])
+    out = obli_sort(c)
     assert [e.seq for e in out.entries] == [1, 3]
     assert len(out) == 4 and out.real_count() == 2
     fetched, rest = cache_read(out, 4)
@@ -71,7 +67,7 @@ def test_real_first_exhaustive_small():
         for bits in range(1 << n):
             seqs = [i for i in range(n) if bits >> i & 1]
             for order in (seqs, seqs[::-1]):
-                out = obli_sort(SecureCache([real(i) for i in order], n), [0])
+                out = obli_sort(SecureCache([real(i) for i in order], n))
                 for sz in range(n + 1):
                     fetched, rest = cache_read(out, sz)
                     assert [e.seq for e in fetched] == seqs[:sz]
@@ -83,10 +79,8 @@ def test_real_first_exhaustive_small():
 def test_comparison_count_is_length_only():
     # Same length, different contents: identical comparison count, equal to
     # the closed-form size of the full network.
-    ca, cb = [0], [0]
-    obli_sort(SecureCache([real(i) for i in range(8)], 8), ca)
-    obli_sort(SecureCache([], 8), cb)
-    assert ca[0] == cb[0] == network_comparison_count(8) == 24
+    full = network_sort_keys(list(range(8)), 8, 1)[1]
+    assert full == network_sort_keys([], 8, 1)[1] == network_comparison_count(8) == 24
 
 
 def test_comparison_count_closed_form():
@@ -144,10 +138,9 @@ def test_network_matches_pair_generator():
                 if (values[i] > values[j]) if asc else (values[i] < values[j]):
                     values[i], values[j] = values[j], values[i]
                 pairs += 1
-            counter = [0]
-            assert network_sort(reals, lambda v: v, n, counter, 1) == values[:k]
+            assert network_sort(reals, lambda v: v, n, 1) == values[:k]
             assert all(v >= 4 * n for v in values[k:])
-            assert counter[0] == pairs == network_comparison_count(n)
+            assert network_sort_keys(reals, n, 1)[1] == pairs == network_comparison_count(n)
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
@@ -175,29 +168,27 @@ def test_batched_sort_matches_independent_networks(k, n):
                     values[i], values[j] = values[j], values[i]
                 pairs += 1
             expected += values[:count]
-        counter = [0]
-        assert network_sort(reals, lambda v: v, n, counter, networks=k) == expected
-        assert counter[0] == pairs == k * network_comparison_count(n)
+        assert network_sort(reals, lambda v: v, n, networks=k) == expected
+        assert network_sort_keys(reals, n, k)[1] == pairs == k * network_comparison_count(n)
 
 
 def test_network_sort_rejects_repeated_keys():
     with pytest.raises(ValueError, match="distinct"):
-        network_sort([3, 1, 2], lambda v: 7, 3, [0], 1)
+        network_sort([3, 1, 2], lambda v: 7, 3, 1)
 
 
 def test_obli_sort_rejects_entries_sharing_class_and_seq():
     with pytest.raises(ValueError, match="distinct"):
-        obli_sort(SecureCache([real(4), real(4, key=9)], 3), [0])
+        obli_sort(SecureCache([real(4), real(4, key=9)], 3))
 
 
 def test_network_sort_arbitrary_lengths():
     rng = np.random.default_rng(11)
     for n in [1, 2, 3, 5, 7, 12, 33, 100]:
         vals = [int(v) for v in rng.permutation(n * 3)[:n]]
-        counter = [0]
-        out = network_sort(vals, lambda v: v, n, counter, 1)
+        out = network_sort(vals, lambda v: v, n, 1)
         assert out == sorted(vals)
-        assert counter[0] == network_comparison_count(n)
+        assert network_sort_keys(vals, n, 1)[1] == network_comparison_count(n)
 
 
 def test_cache_read_prefix_cut():
@@ -233,18 +224,24 @@ def test_cache_read_negative_rejected():
         cache_read(SecureCache(), -1)
 
 
-def test_flush_basic():
+def test_flush_basic(monkeypatch):
+    sorted_caches = []
+
+    def spy_obli_sort(cache):
+        sorted_caches.append(len(cache))
+        return obli_sort(cache)
+
+    monkeypatch.setattr(obliv, "obli_sort", spy_obli_sort)
     c = SecureCache([real(0)], 3)
-    counter = [0]
-    fetched, remaining = flush(c, 2, counter)
+    fetched, remaining = cache_flush(c, 2)
     assert fetched == [real(0)]  # the other of the 2 slots read is padding
     assert len(remaining) == 0 and remaining.entries == []
-    assert counter[0] == network_comparison_count(3)  # the flush sorts first
+    assert sorted_caches == [3]  # the flush sorts the whole cache first
 
 
 def test_flush_zero_recycles_everything():
     c = SecureCache([real(0)], 2)
-    fetched, remaining = flush(c, 0)
+    fetched, remaining = cache_flush(c, 0)
     assert fetched == [] and len(remaining) == 0
 
 
@@ -257,7 +254,7 @@ def test_flush_real_count_oracle():
         entries = [real(i) if rng.random() < 0.4 else DUMMY for i in range(n)]
         true_reals = sum(1 for e in entries if e.is_view)  # oracle
         s = int(rng.integers(0, 30))
-        fetched, _ = flush(SecureCache([e for e in entries if e.is_view], n), s)
+        fetched, _ = cache_flush(SecureCache([e for e in entries if e.is_view], n), s)
         assert all(e.is_view for e in fetched)
         assert len(fetched) == min(s, true_reals)  # s - len(fetched) is padding
 
@@ -270,7 +267,7 @@ def test_conservation_under_read():
         total_real = sum(e.is_view for e in entries)
         sz = int(rng.integers(0, n + 5))
         cache = SecureCache([e for e in entries if e.is_view], n)
-        fetched, remaining = cache_read(obli_sort(cache, [0]), sz)
+        fetched, remaining = cache_read(obli_sort(cache), sz)
         assert all(e.is_view for e in fetched + remaining.entries)
         got, left = len(fetched), remaining.real_count()
         assert got + left == total_real
@@ -308,7 +305,7 @@ def test_real_count_stays_exact_through_cache_operations():
         padded = padded + batch
         assert_matches_padded(cache, padded)
         if rng.random() < 0.3:
-            cache = obli_sort(cache, [0])
+            cache = obli_sort(cache)
             padded = sorted(padded, key=lambda e: not e.is_view)
             assert_matches_padded(cache, padded)
         if rng.random() < 0.4:
@@ -320,7 +317,7 @@ def test_real_count_stays_exact_through_cache_operations():
             assert sz - len(fetched) == sum(e is DUMMY for e in padded[:sz])
             padded = padded[sz:]
             assert_matches_padded(cache, padded)
-    fetched, cache = cache_flush(cache, 5, [0])
+    fetched, cache = cache_flush(cache, 5)
     read = (sorted(padded, key=lambda e: not e.is_view) + [DUMMY] * 5)[:5]
     assert fetched == [e for e in read if e.is_view]
     assert cache.entries == [] and len(cache) == 0
@@ -339,13 +336,13 @@ def test_real_runs_sort_inputs_in_seq_order(monkeypatch, protocol, operator):
     # Timsort makes one linear pass over them.
     caches, row_inputs = [], []
 
-    def spy_obli_sort(cache, counter):
+    def spy_obli_sort(cache):
         caches.append([e.seq for e in cache.entries])
-        return obli_sort(cache, counter)
+        return obli_sort(cache)
 
-    def spy_network_sort(reals, key_of, n, counter, networks):
+    def spy_network_sort(reals, key_of, n, networks):
         row_inputs.append([r.seq for r in reals])
-        return network_sort(reals, key_of, n, counter, networks)
+        return network_sort(reals, key_of, n, networks)
 
     monkeypatch.setattr(shrink, "obli_sort", spy_obli_sort)  # syncs
     monkeypatch.setattr(obliv, "obli_sort", spy_obli_sort)  # flushes

@@ -4,8 +4,9 @@ import math
 import pytest
 from scipy.stats import binom
 
+from dpviewsim import obliv, shrink
 from dpviewsim.harness import ExperimentConfig, Protocol, RunState, run_experiment
-from dpviewsim.obliv import DUMMY, SecureCache, SecureTuple, network_comparison_count
+from dpviewsim.obliv import DUMMY, SecureCache, SecureTuple, obli_sort
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover, share_in_protocol
 from dpviewsim.shrink import (BoundPreconditionError, MaterializedView,
@@ -13,7 +14,8 @@ from dpviewsim.shrink import (BoundPreconditionError, MaterializedView,
                               bound_deferred_ant, bound_deferred_timer,
                               bound_dummy_timer, clamp_round, flush_step,
                               recover_real, sdp_ant_init, sdp_ant_step,
-                              sdp_timer_step, share_real, timer_scale)
+                              sdp_timer_step, share_real, timer_scale,
+                              zero_counter)
 from dpviewsim.transcript import Transcript, TranscriptKind
 from dpviewsim.transform import OperatorKind
 
@@ -55,46 +57,56 @@ def run_state(cfg, cache, rand=None, counter=None, threshold=None):
     return RunState(cfg, itertools.count(), rand, Transcript(), counter, threshold, cache)
 
 
-def timer_step(t, run):
-    return sdp_timer_step(t, run, [0])
+@pytest.fixture
+def sorted_slots(monkeypatch):
+    """The slot count of every cache a sync (shrink's name) or flush
+    (obliv's name) sorts, in order."""
+    lengths = []
 
+    def spy_obli_sort(cache):
+        lengths.append(len(cache))
+        return obli_sort(cache)
 
-def ant_step(t, run):
-    return sdp_ant_step(t, run, [0])
-
-
-def flush(t, run):
-    return flush_step(t, run, [0])
+    monkeypatch.setattr(shrink, "obli_sort", spy_obli_sort)
+    monkeypatch.setattr(obliv, "obli_sort", spy_obli_sort)
+    return lengths
 
 
 def sizes(transcript, kind):
     return [(e.time, e.server, e.size) for e in transcript.by_kind(kind)]
 
 
+def test_zero_counter_is_one_share_pair_draw():
+    # The run's first counter and each sync's reset: a sharing of 0 that
+    # takes the same one share-pair draw as any other counter.
+    rand, same = ServerRandomness(4), ServerRandomness(4)
+    for _ in range(3):
+        counter = zero_counter(rand)
+        assert recover(counter) == 0 and counter == counter_of(0, same)
+
+
 # ---------------------------------------------------------------------------
 # Timer protocol.
 
-def test_timer_noop_off_schedule():
+def test_timer_noop_off_schedule(sorted_slots):
     rand = PinnedRand([])
     cfg = ExperimentConfig(T=10, epsilon=1.5, b=10)
     counter = counter_of(5, rand)
     cache = filled_cache(5, 5)
     run = run_state(cfg, cache, rand, counter)
-    compares = [0]
-    report = sdp_timer_step(7, run, compares)
+    report = sdp_timer_step(7, run)
     assert report is None
     assert run.counter == counter and run.cache is cache
     assert run.view.total_rows() == 0 and len(run.transcript) == 0
-    assert compares == [0]
+    assert sorted_slots == []
 
 
-def test_timer_pinned_positive_size():
+def test_timer_pinned_positive_size(sorted_slots):
     # c=30 with noise -4.2: sz = round(25.8) = 26 entries, real-first.
     rand = PinnedRand([-4.2])
     cfg = ExperimentConfig(T=10, epsilon=1.5, b=10)
     run = run_state(cfg, filled_cache(30, 10), rand, counter_of(30, rand))
-    compares = [0]
-    report = sdp_timer_step(10, run, compares)
+    report = sdp_timer_step(10, run)
     assert report is not None
     assert report.pre_clamp == pytest.approx(25.8)
     assert report.size == 26
@@ -106,7 +118,7 @@ def test_timer_pinned_positive_size():
     assert sizes(run.transcript, TranscriptKind.SYNC_BATCH) == [(10, 0, 26), (10, 1, 26)]
     shares = run.transcript.by_kind(TranscriptKind.SHARE_RECEIVED)
     assert [e.share_value for e in shares] == list(run.counter)
-    assert compares == [network_comparison_count(40)]
+    assert sorted_slots == [40]
 
 
 def test_timer_pinned_clamped_to_zero():
@@ -114,7 +126,7 @@ def test_timer_pinned_clamped_to_zero():
     rand = PinnedRand([-7.9])
     cfg = ExperimentConfig(T=5, epsilon=1.5, b=10)
     run = run_state(cfg, filled_cache(2, 3), rand, counter_of(2, rand))
-    report = timer_step(5, run)
+    report = sdp_timer_step(5, run)
     assert report is not None and report.size == 0
     assert report.pre_clamp == pytest.approx(-5.9)
     assert run.view.total_rows() == 0
@@ -126,7 +138,7 @@ def test_timer_tops_up_with_dummies():
     rand = PinnedRand([4.0])
     cfg = ExperimentConfig(T=1, epsilon=1.0, b=1)
     run = run_state(cfg, filled_cache(2, 0), rand, counter_of(2, rand))
-    report = timer_step(1, run)
+    report = sdp_timer_step(1, run)
     assert report.size == 6
     assert run.view.total_rows() == 6
     assert run.view.real_rows() == 2
@@ -150,15 +162,14 @@ def test_share_real_exact_round_trip():
         assert recover_real(share_real(value, rand)) == value
 
 
-def test_ant_trigger_trace():
+def test_ant_trigger_trace(sorted_slots):
     # theta-tilde = 32.1; c = 35 with check noise +1.3 crosses; output noise
     # -0.2 gives sz = round(34.8) = 35; threshold refreshed with noise 0.9.
     rand = PinnedRand([2.1, 1.3, -0.2, 0.9])
     cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
     threshold = sdp_ant_init(cfg, rand)
     run = run_state(cfg, filled_cache(35, 5), rand, counter_of(35, rand), threshold)
-    compares = [0]
-    report = sdp_ant_step(1, run, compares)
+    report = sdp_ant_step(1, run)
     counter, threshold = run.counter, run.threshold
     assert report is not None
     assert report.pre_clamp == pytest.approx(34.8)
@@ -175,20 +186,19 @@ def test_ant_trigger_trace():
             (TranscriptKind.SHARE_RECEIVED, 0)]
         assert [e.share_value for e in events[2:]] == [
             counter[server], threshold.hi[server], threshold.lo[server]]
-    assert compares == [network_comparison_count(40)]
+    assert sorted_slots == [40]
 
 
-def test_ant_below_threshold_no_trigger():
+def test_ant_below_threshold_no_trigger(sorted_slots):
     rand = PinnedRand([2.1, -1.0])
     cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
     threshold = sdp_ant_init(cfg, rand)
     run = run_state(cfg, filled_cache(20, 0), rand, counter_of(20, rand), threshold)
-    compares = [0]
-    report = sdp_ant_step(1, run, compares)
+    report = sdp_ant_step(1, run)
     assert report is None
     # Every step shows both servers a check, even one that does not sync.
     assert sizes(run.transcript, TranscriptKind.COMPARE_CHECK) == [(1, 0, 0), (1, 1, 0)]
-    assert len(run.transcript) == 2 and compares == [0]
+    assert len(run.transcript) == 2 and sorted_slots == []
     assert recover(run.counter) == 20          # counter untouched
     assert recover_real(run.threshold) == 32.1  # threshold untouched
     assert run.view.total_rows() == 0
@@ -200,7 +210,7 @@ def test_ant_quiet_period_never_triggers():
     threshold = sdp_ant_init(cfg, rand)
     run = run_state(cfg, SecureCache(), rand, counter_of(0, rand), threshold)
     for t in range(1, 50):
-        report = ant_step(t, run)
+        report = sdp_ant_step(t, run)
         assert report is None
     assert run.view.total_rows() == 0
 
@@ -216,7 +226,7 @@ def test_ant_trigger_monotone_with_zero_noise():
     for t in range(1, 10):
         c += 2
         run.counter = counter_of(c, rand)
-        report = ant_step(t, run)
+        report = sdp_ant_step(t, run)
         if report is not None:
             trigger_at = t
             break
@@ -236,13 +246,12 @@ def test_ant_scales_protocol_and_proof():
 # ---------------------------------------------------------------------------
 # Flush.
 
-def test_flush_on_schedule_paper_defaults():
+def test_flush_on_schedule_paper_defaults(sorted_slots):
     cfg = ExperimentConfig(T=10, epsilon=1.5, b=10, f=2000, s=15)
     run = run_state(cfg, filled_cache(3, 30))
-    compares = [0]
-    report = flush_step(2000, run, compares)
+    report = flush_step(2000, run)
     assert sizes(run.transcript, TranscriptKind.FLUSH_BATCH) == [(2000, 0, 15), (2000, 1, 15)]
-    assert compares == [network_comparison_count(33)]
+    assert sorted_slots == [33]
     assert report is not None and report.size == 15
     assert run.view.total_rows() == 15
     assert run.view.real_rows() == 3  # all reals land inside the 15
@@ -254,7 +263,7 @@ def test_flush_off_schedule():
     cfg = ExperimentConfig(T=10, epsilon=1.5, b=10, f=2000, s=15)
     cache = filled_cache(3, 3)
     run = run_state(cfg, cache)
-    report = flush(1999, run)
+    report = flush_step(1999, run)
     assert report is None
     assert run.cache is cache and run.view.total_rows() == 0
 
@@ -262,7 +271,7 @@ def test_flush_off_schedule():
 def test_flush_size_zero_pure_recycle():
     cfg = ExperimentConfig(T=1, epsilon=1.0, b=1, f=1, s=0)
     run = run_state(cfg, filled_cache(2, 2))
-    report = flush(1, run)
+    report = flush_step(1, run)
     assert report is not None and run.view.total_rows() == 0
     assert len(run.cache) == 0
     assert report.real_lost == 2
@@ -271,7 +280,7 @@ def test_flush_size_zero_pure_recycle():
 def test_flush_reports_lost_reals():
     cfg = ExperimentConfig(T=1, epsilon=1.0, b=1, f=1, s=4)
     run = run_state(cfg, filled_cache(6, 2))
-    report = flush(1, run)
+    report = flush_step(1, run)
     assert run.view.real_rows() == 4
     assert report.real_lost == 2
 

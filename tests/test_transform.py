@@ -3,16 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from dpviewsim import transform
+from dpviewsim import obliv, transform
 from dpviewsim.harness import ExperimentConfig, RunState
-from dpviewsim.obliv import SecureTuple, network_comparison_count, network_sort
+from dpviewsim.obliv import (SecureTuple, network_comparison_count, network_sort,
+                             network_sort_keys)
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover
+from dpviewsim.shrink import zero_counter
 from dpviewsim.transcript import Transcript, TranscriptKind
 from dpviewsim.transform import (OperatorKind, expected_output_size,
                                  retention_steps, trans_truncate_filter,
                                  trans_truncate_nlj, trans_truncate_smj,
-                                 transform_init, transform_step)
+                                 transform_compares, transform_step)
 
 
 def rec(seq, key, flag=1):
@@ -29,6 +31,21 @@ def padded(rng, n, make):
 FRESH = 1 << 20
 
 
+@pytest.fixture
+def compares(monkeypatch):
+    """The compare count of every sort run, in order, as `network_sort_keys`
+    returns it: the sorts themselves charge nothing."""
+    counts = []
+
+    def counting(keys, n, networks):
+        perm, count = network_sort_keys(keys, n, networks)
+        counts.append(count)
+        return perm, count
+
+    monkeypatch.setattr(obliv, "network_sort_keys", counting)
+    return counts
+
+
 def budgets(tables, omega):
     """Join slots of omega for every real record, as a new record holds."""
     return {tup.seq: omega for table in tables for tup in table}
@@ -38,11 +55,11 @@ def filt(batch):
     return trans_truncate_filter(batch, itertools.count(FRESH), 0)
 
 
-def nlj(t1, t2, b, counter=None, n1=None, n2=None):
+def nlj(t1, t2, b, n1=None, n2=None):
     """The NLJ of reals t1 and t2, padded to n1 and n2 slots (default: none)."""
     return trans_truncate_nlj(t1, len(t1) if n1 is None else n1,
                               t2, len(t2) if n2 is None else n2, b, budgets((t1, t2), b),
-                              itertools.count(FRESH), 0, [0] if counter is None else counter)
+                              itertools.count(FRESH), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +100,8 @@ def greedy_cap_pairs(t1, t2, omega):
     return pairs
 
 
-def real_pairs(output):
-    """Source pairs of a join's (rows, slots) output; every row is real."""
-    rows, _ = output
+def real_pairs(rows):
+    """Source pairs of a join's rows; every row is real."""
     assert all(row.is_view for row in rows)
     return [row.sources for row in rows]
 
@@ -128,12 +144,11 @@ def test_filter_keeps_payload():
 # ---------------------------------------------------------------------------
 # Sort-merge join.
 
-def smj(t1, t2, omega, counter=None, n1=None, n2=None):
+def smj(t1, t2, omega, n1=None, n2=None):
     """The SMJ of reals t1 and t2, padded to n1 and n2 slots (default: none)."""
     return trans_truncate_smj(t1, len(t1) if n1 is None else n1,
                               t2, len(t2) if n2 is None else n2, omega,
-                              budgets((t1, t2), omega), itertools.count(FRESH), 0,
-                              [0] if counter is None else counter)
+                              budgets((t1, t2), omega), itertools.count(FRESH), 0)
 
 
 def test_smj_worked_example():
@@ -146,7 +161,6 @@ def test_smj_worked_example():
     assert len(brute_force_pairs(t1, t2)) == 6
     assert got == [(0, 2), (1, 2), (0, 3), (1, 3)]
     assert got == greedy_cap_pairs(t1, t2, 2)
-    assert out[1] == (2 + 3) * 2  # omega slots per scanned tuple
 
 
 def test_smj_disjoint_keys_all_dummy():
@@ -154,7 +168,6 @@ def test_smj_disjoint_keys_all_dummy():
     t2 = [rec(2, key=3), rec(3, key=4)]
     out = smj(t1, t2, omega=2)
     assert real_pairs(out) == []
-    assert out[1] == 8
 
 
 def test_smj_one_to_one_equals_brute_force():
@@ -175,7 +188,6 @@ def test_smj_matches_greedy_oracle_random():
         omega = int(rng.integers(1, 4))
         out = smj(t1, t2, omega)
         assert real_pairs(out) == greedy_cap_pairs(t1, t2, omega)
-        assert out[1] == (n1 + n2) * omega
 
 
 def test_smj_respects_a_record_s_slots():
@@ -184,21 +196,18 @@ def test_smj_respects_a_record_s_slots():
     t1 = [rec(0, key=1)]
     t2 = [rec(1, key=1), rec(2, key=1)]
     caps = {0: 1, 1: 2, 2: 2}
-    out = trans_truncate_smj(t1, 1, t2, 2, 2, caps, itertools.count(FRESH), 0, [0])
+    out = trans_truncate_smj(t1, 1, t2, 2, 2, caps, itertools.count(FRESH), 0)
     assert real_pairs(out) == [(0, 1)]
     assert caps == {0: 0, 1: 1, 2: 2}
 
 
-def test_smj_output_size_data_independent():
+def test_smj_output_size_data_independent(compares):
     t1a = [rec(i, key=1) for i in range(4)]
     t2a = [rec(10 + i, key=1) for i in range(4)]
     t1b = [rec(i, key=i) for i in range(4)]
     t2b = [rec(10 + i, key=50 + i) for i in range(4)]
-    ca, cb = [0], [0]
-    outa = smj(t1a, t2a, 2, ca)
-    outb = smj(t1b, t2b, 2, cb)
-    assert outa[1] == outb[1] == 16
-    assert ca[0] == cb[0] == 24  # one network over the 8 merged records
+    assert len(smj(t1a, t2a, 2)) == 8 and smj(t1b, t2b, 2) == []
+    assert compares == [24, 24]  # one network over the 8 merged records each
 
 
 @pytest.mark.parametrize("omega", [1, 2])
@@ -221,34 +230,29 @@ def test_smj_seqs_past_28_bits_and_top_keys_join_as_small_seqs(omega):
                   for n in (n1, n2))
         caps = budgets((t1, t2), omega)
         big_caps = {s + shift: c for s, c in caps.items()}
-        counter, big_counter = [0], [0]
-        rows, slots = trans_truncate_smj(t1, n1, t2, n2, omega, caps, itertools.count(FRESH), 0,
-                                         counter)
-        big_rows, big_slots = trans_truncate_smj(
+        rows = trans_truncate_smj(t1, n1, t2, n2, omega, caps, itertools.count(FRESH), 0)
+        big_rows = trans_truncate_smj(
             [shifted(t) for t in t1], n1, [shifted(t) for t in t2], n2, omega, big_caps,
-            itertools.count(FRESH + shift), 0, big_counter)
+            itertools.count(FRESH + shift), 0)
         assert big_rows == [shifted(r) for r in rows]
-        assert (big_slots, big_counter) == (slots, counter)
         assert big_caps == {s + shift: c for s, c in caps.items()}
         joined += len(rows)
     assert joined
 
 
-def test_smj_counts_omega_slots_per_input_slot():
-    # Input padding joins nothing but still takes omega output slots per
-    # slot, and the sort is charged for all four input slots.
-    counter = [0]
-    out = smj([rec(0, key=1)], [rec(1, key=1)], omega=2, counter=counter, n1=2, n2=2)
+def test_smj_counts_omega_slots_per_input_slot(compares):
+    # Input padding joins nothing, and the sort runs the network of all four
+    # input slots.
+    out = smj([rec(0, key=1)], [rec(1, key=1)], omega=2, n1=2, n2=2)
     assert real_pairs(out) == [(0, 1)]
-    assert out[1] == 2 * 4
-    assert counter[0] == network_comparison_count(4)
+    assert compares == [network_comparison_count(4)]
 
 
-def smj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp, compare_counter):
+def smj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp):
     """The full merge: every real of both inputs is sorted and scanned."""
     tagged = [(0, t) for t in t1] + [(1, t) for t in t2]
     merged = network_sort(tagged, lambda it: (it[1].key, it[0], it[1].seq), n1 + n2,
-                          compare_counter, networks=1)
+                          networks=1)
     out = []
     group_key = None
     seen = ([], [])
@@ -268,7 +272,7 @@ def smj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp, compare_counter):
                                    seq=next(seqs), timestamp=timestamp,
                                    sources=(a.seq, b.seq)))
         seen[origin].append(tup)
-    return out, omega * (n1 + n2)
+    return out
 
 
 def spent_caps(tables, b, spent, cap):
@@ -299,25 +303,21 @@ def test_smj_matches_full_merge_oracle(omega):
         spent = {t.seq: int(rng.integers(0, b + 1)) for tab in tables for t in tab}
         caps, want_caps = (spent_caps(tables, b, spent, omega) for _ in range(2))
         seqs, want_seqs = itertools.count(FRESH), itertools.count(FRESH)
-        counter, want_counter = [0], [0]
         for inputs in ((new1, m1, old2 + new2, k2 + m2), (old1, k1, new2, m2)):
-            rows, slots = trans_truncate_smj(*inputs, omega, caps, seqs, 7, counter)
-            want_rows, want_slots = smj_oracle(*inputs, omega, want_caps, want_seqs,
-                                               7, want_counter)
+            rows = trans_truncate_smj(*inputs, omega, caps, seqs, 7)
+            want_rows = smj_oracle(*inputs, omega, want_caps, want_seqs, 7)
             assert [r.sources for r in rows] == [r.sources for r in want_rows]
             assert rows == want_rows  # same seqs, payloads and timestamps
-            assert slots == want_slots == omega * (inputs[1] + inputs[3])
-            assert counter == want_counter
         assert caps == want_caps
         assert next(seqs) == next(want_seqs)
 
 
-def test_smj_sorts_once_per_invocation(monkeypatch):
+def test_smj_sorts_once_per_invocation(monkeypatch, compares):
     calls = []
 
-    def recording_sort(reals, key_of, n, counter, networks):
+    def recording_sort(reals, key_of, n, networks):
         calls.append(([t.seq for _, t in reals], n, networks))
-        return network_sort(reals, key_of, n, counter, networks)
+        return network_sort(reals, key_of, n, networks)
 
     monkeypatch.setattr(transform, "network_sort", recording_sort)
     t2 = [rec(10, key=1), rec(11, key=3), rec(12, key=1), rec(13, key=4)]  # of 5 slots
@@ -327,25 +327,23 @@ def test_smj_sorts_once_per_invocation(monkeypatch):
              ([rec(0, key=1), rec(1, key=2), rec(2, key=4)], 4, t2, 5, [0, 2, 10, 12, 13]))
     for t1, n1, right, n2, joinable in cases:
         calls.clear()
-        counter = [0]
-        smj(t1, right, omega=2, counter=counter, n1=n1, n2=n2)
+        compares.clear()
+        smj(t1, right, omega=2, n1=n1, n2=n2)
         assert calls == [(joinable, n1 + n2, 1)]
-        assert counter[0] == network_comparison_count(n1 + n2)
+        assert compares == [network_comparison_count(n1 + n2)]
 
 
 # ---------------------------------------------------------------------------
 # Nested-loop join.
 
-def test_nlj_hand_trace():
+def test_nlj_hand_trace(compares):
     # One outer row, four matching inner rows, bound 2: the inner scan joins
     # until the outer's budget is gone; the per-outer cut keeps 2 slots.
     t1 = [rec(0, key=7)]
     t2 = [rec(i + 1, key=7) for i in range(4)]
-    counter = [0]
-    out = nlj(t1, t2, b=2, counter=counter)
-    assert out[1] == 1 * 2
+    out = nlj(t1, t2, b=2)
     assert real_pairs(out) == [(0, 1), (0, 2)]
-    assert counter[0] == 6  # one network over the outer's 4 probes
+    assert compares == [6]  # one network over the outer's 4 probes
 
 
 def test_nlj_large_bound_equals_brute_force():
@@ -354,24 +352,19 @@ def test_nlj_large_bound_equals_brute_force():
     t2 = [rec(100 + i, key=int(rng.integers(1, 4))) for i in range(6)]
     out = nlj(t1, t2, b=50)
     assert sorted(real_pairs(out)) == sorted(brute_force_pairs(t1, t2))
-    assert out[1] == 6 * 50
 
 
-def test_nlj_empty_inner_all_dummy():
+def test_nlj_empty_inner_all_dummy(compares):
     t1 = [rec(i, key=1) for i in range(3)]
-    counter = [0]
-    out = nlj(t1, [], b=2, counter=counter)
-    assert out == ([], 6)
-    assert counter[0] == 0  # a 0-slot network has no compare-exchanges
+    assert nlj(t1, [], b=2) == []
+    assert compares == [0]  # a 0-slot network has no compare-exchanges
 
 
-def test_nlj_dummy_outer_pads_and_still_sorts_its_row():
+def test_nlj_dummy_outer_pads_and_still_sorts_its_row(compares):
     t2 = [rec(1, key=1), rec(2, key=1)]  # of 3 slots
-    counter = [0]
-    out = nlj([rec(0, key=1)], t2, b=2, counter=counter, n1=2, n2=3)
-    assert out[1] == 2 * 2  # the padding outer's b slots are still counted
+    out = nlj([rec(0, key=1)], t2, b=2, n1=2, n2=3)
     assert real_pairs(out) == [(0, 1), (0, 2)]
-    assert counter[0] == 2 * network_comparison_count(3)
+    assert compares == [2 * network_comparison_count(3)]  # the padding outer's too
 
 
 def test_nlj_consumes_both_sides():
@@ -381,11 +374,10 @@ def test_nlj_consumes_both_sides():
     t2 = [rec(2, key=1)]
     out = nlj(t1, t2, b=1)
     assert real_pairs(out) == [(0, 2)]
-    assert out[1] == 2
 
 
 def nlj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp):
-    """The per-outer nested loop: (rows, slots, compares).
+    """The per-outer nested loop: (rows, compares).
 
     Every real outer scans all of t2 in order; its row is sorted by seq on its
     own and cut to omega, and each of the n1 outer slots' n2-slot networks is
@@ -402,11 +394,11 @@ def nlj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp):
                                        seq=next(seqs), timestamp=timestamp,
                                        sources=(u.seq, v.seq)))
         out += sorted(row, key=lambda t: t.seq)[:omega]
-    return out, omega * n1, n1 * network_comparison_count(n2)
+    return out, n1 * network_comparison_count(n2)
 
 
 @pytest.mark.parametrize("omega", [1, 2, 3])
-def test_nlj_matches_per_outer_loop_oracle(omega):
+def test_nlj_matches_per_outer_loop_oracle(omega, compares):
     # Repeated keys, dummies on both sides, outers whose key no inner row
     # holds, partly spent budgets, and caps that may exceed the cut (so an
     # outer can emit rows the cut drops).
@@ -422,33 +414,31 @@ def test_nlj_matches_per_outer_loop_oracle(omega):
         cap = omega + 2 * int(rng.integers(2))
         caps, want_caps = (spent_caps((t1, t2), b, spent, cap) for _ in range(2))
         seqs, want_seqs = itertools.count(FRESH), itertools.count(FRESH)
-        counter = [0]
-        rows, slots = trans_truncate_nlj(t1, n1, t2, n2, omega, caps, seqs, 7, counter)
-        want_rows, want_slots, want_compares = nlj_oracle(t1, n1, t2, n2, omega, want_caps,
-                                                          want_seqs, 7)
+        compares.clear()
+        rows = trans_truncate_nlj(t1, n1, t2, n2, omega, caps, seqs, 7)
+        want_rows, want_compares = nlj_oracle(t1, n1, t2, n2, omega, want_caps, want_seqs, 7)
         assert rows == want_rows
-        assert slots == want_slots == omega * n1
-        assert counter[0] == want_compares
+        assert compares == [want_compares]
         assert caps == want_caps
         assert next(seqs) == next(want_seqs)
 
 
-def test_nlj_sorts_once_per_invocation(monkeypatch):
+def test_nlj_sorts_once_per_invocation(monkeypatch, compares):
     calls = []
 
-    def recording_sort(reals, key_of, n, counter, networks):
+    def recording_sort(reals, key_of, n, networks):
         calls.append((n, networks))
-        return network_sort(reals, key_of, n, counter, networks)
+        return network_sort(reals, key_of, n, networks)
 
     monkeypatch.setattr(transform, "network_sort", recording_sort)
     t2 = [rec(10 + i, key=i % 2) for i in range(5)]  # of 6 slots
     for t1, n1 in (([], 0), ([rec(0, key=0)], 1),
                    ([rec(0, key=0), rec(1, key=1), rec(2, key=0)], 4)):
         calls.clear()
-        counter = [0]
-        nlj(t1, t2, b=2, counter=counter, n1=n1, n2=6)
+        compares.clear()
+        nlj(t1, t2, b=2, n1=n1, n2=6)
         assert calls == [(6, n1)]
-        assert counter[0] == n1 * network_comparison_count(6)  # 0 for no t1
+        assert compares == [n1 * network_comparison_count(6)]  # 0 for no t1
 
 
 # ---------------------------------------------------------------------------
@@ -528,16 +518,16 @@ def test_smj_count_stability_unrestricted(omega):
 
 def make_state(operator, c_r, rand, omega=1, b=2):
     config = ExperimentConfig(operator=operator, omega=omega, b=b, c_r=c_r)
-    return RunState(config, itertools.count(10_000), rand, Transcript(), transform_init(rand))
+    return RunState(config, itertools.count(10_000), rand, Transcript(), zero_counter(rand))
 
 
 def step(t, batches, state):
-    transform_step(t, batches, state, [0])
+    transform_step(t, batches, state)
 
 
 def test_initial_counter_recovers_zero():
     rand = ServerRandomness(1)
-    counter = transform_init(rand)
+    counter = zero_counter(rand)
     assert recover(counter) == 0
 
 
@@ -626,7 +616,7 @@ class LedgerModel:
         caps = {rid: min(self.omega, self.remaining[rid]) for rid in scanned}
         for left, right in ((new1, old2 + new2), (old1, new2)):
             self.rows += self.join(left, len(left), right, len(right), self.omega, caps,
-                                   self.seqs, t, [0])[0]
+                                   self.seqs, t)
         for rid in scanned:
             self.remaining[rid] = max(0, self.remaining[rid] - self.omega)
         old1 += new1
@@ -656,8 +646,9 @@ def test_transform_step_matches_ledger_model(operator, omega):
 
 
 def test_output_sizes_match_public_formula():
-    # transform_step counts its slots from the c_r-slot uploads and the
-    # retained batches; expected_output_size is the audit's own formula.
+    # Each step's padded output, counted here from the c_r-slot uploads and
+    # the batches retained before the step: omega slots per scanned record
+    # for the SMJ, per outer record for the NLJ, c_r for the Filter.
     for op in OperatorKind:
         rand = ServerRandomness(7)
         state = make_state(op, 3, rand, omega=2, b=4)
@@ -668,10 +659,13 @@ def test_output_sizes_match_public_formula():
                   for i in range(int(rng.integers(0, 3)))]
             bb = [rec(2000 * t + i, key=int(rng.integers(1, 4)))
                   for i in range(int(rng.integers(0, 3)))]
+            old = 3 * len(state.retained[0])  # both owners retain as many slots
+            want = {OperatorKind.FILTER: 3, OperatorKind.SMJ: 2 * (3 + old + 3 + old + 3),
+                    OperatorKind.NLJ: 2 * (3 + old)}[op]
             step(t, [ba, bb], state)
             delta_len = len(state.cache) - prev_len
             prev_len = len(state.cache)
-            assert delta_len == expected_output_size(state.config, t)
+            assert delta_len == expected_output_size(state.config, t) == want
 
 
 def test_lifetime_budget_never_exceeded_small_run():
@@ -693,15 +687,14 @@ def test_lifetime_budget_never_exceeded_small_run():
     assert max(contributions.values()) <= 4
 
 
-def test_step_records_sizes_shares_and_compares():
+def test_step_records_sizes_shares_and_compares(compares):
     # Both servers see each step's padded output size and a fresh counter
     # share; the compare count is that of the two merge networks per step.
     rand = ServerRandomness(9)
     state = make_state(OperatorKind.SMJ, 2, rand, omega=1, b=2)
-    compares = [0]
     ba = [rec(0, key=4)]  # each of 2 slots
     bb = [rec(2, key=4)]
-    transform_step(1, [ba, bb], state, compares)
+    transform_step(1, [ba, bb], state)
     assert len(state.cache) == expected_output_size(state.config, 1)
     for server in (0, 1):
         [out] = state.transcript.by_kind(TranscriptKind.TRANSFORM_OUTPUT, server)
@@ -710,4 +703,5 @@ def test_step_records_sizes_shares_and_compares():
         assert share.share_value == state.counter[server]
     assert recover(state.counter) == 1
     # new1 against old2 + new2 (2 + 2 records), then old1 against new2 (0 + 2).
-    assert compares[0] == 6 + 1
+    assert compares == [6, 1]
+    assert transform_compares(state.config, 1) == 6 + 1
