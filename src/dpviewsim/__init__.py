@@ -10,15 +10,15 @@ Modules:
                a read returns only the reals of the slots it reads; a tuple
                is a real view entry iff its seq is non-negative
     transform  truncated view transformation with contribution budgets,
-               whose step reads and updates the run's one state; the
-               Filter keeps the rows of one fixed predicate, `selected`; a
-               record's join slots per invocation are a function of its age
-               alone; a join takes reals plus padded lengths and returns only
-               its rows; a step's sizes are functions of config and t; the SMJ
-               sorts on (key, origin, seq) and scans only the reals of keys
-               found on both sides; the NLJ probes a per-invocation key index
-               with the real outers that have partners and sorts all its
-               per-outer networks in one batched call
+               whose step reads and updates the run's one state and returns
+               its `step_sizes`, the one rule for a step's padded join
+               lengths, output slots and compares; the Filter keeps the rows
+               of one fixed predicate, `selected`; a record's join slots per
+               invocation, a function of its age alone, are the joins' only
+               contribution bound; a join takes reals plus padded lengths and
+               returns only its rows; the SMJ sorts on (key, origin, seq) and
+               scans only the reals of keys found on both sides; the NLJ
+               probes a key index with the real outers that have partners
     shrink     the timer and above-noisy-threshold sync protocols, which
                differ only in when they run their one shared sync body, and
                the flush; each step updates the run's one state in place and

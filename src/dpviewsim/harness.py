@@ -31,8 +31,7 @@ from .shrink import (FlushReport, MaterializedView, SyncReport, ThresholdShares,
                      flush_step, sdp_ant_init, sdp_ant_step, sdp_timer_step, timer_scale,
                      zero_counter)
 from .transcript import Transcript, TranscriptKind
-from .transform import (OperatorKind, expected_output_size, retention_steps, selected,
-                        transform_compares, transform_step)
+from .transform import OperatorKind, retention_steps, selected, step_sizes, transform_step
 
 
 class ConfigError(ValueError):
@@ -531,8 +530,7 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
                 join_tracker.add(side, batch)
 
         if transforming:
-            transform_step(t, step, run)
-            cost = transform_compares(config, t)
+            cost = transform_step(t, step, run).compares
 
         if sync_step is not None:
             for act, reports in sorting_steps:
@@ -590,4 +588,4 @@ def run_trials(config: ExperimentConfig, trials: int) -> list[ExperimentResult]:
 
 def expected_transform_size(config: ExperimentConfig):
     """Audit helper: t -> padded transform output size under this config."""
-    return lambda t: expected_output_size(config, t)
+    return lambda t: step_sizes(config, t).slots

@@ -1,7 +1,7 @@
 """Reference DP mechanisms, empirical privacy loss, and the transcript audit.
 
 The reference mechanisms mirror the sync protocols' observable behavior from
-the logical stream alone, up to its own horizon, with the noise source they
+the logical stream alone, up to its own horizon, with the noise draw they
 are given: what an adversary may learn is at most what these mechanisms
 release. The threshold ones draw a run's scales by default; variant="proof"
 selects the analysis's output scale. The empirical estimator measures privacy
@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dpnoise import laplace_oracle_many
+from .dpnoise import NoiseScale, laplace_oracle_many
 from .shrink import ant_scales, timer_scale
 # Callers of the audit also reach the transcript types through this module.
 from .transcript import Transcript, TranscriptEvent, TranscriptKind
@@ -72,41 +72,43 @@ def assert_neighbors(a: LogicalStream, b: LogicalStream) -> None:
 # Reference mechanisms.
 
 def m_timer(stream: LogicalStream, T: int, b: float, epsilon: float,
-            noise) -> list[tuple[int, float]]:
+            draw: Callable[[NoiseScale], float]) -> list[tuple[int, float]]:
     """Noisy per-window arrival counts at every multiple of T up to the
-    stream's horizon; each noise draw is `noise.laplace(scale)`, as a
-    `randomness.SeededLaplace` gives."""
+    stream's horizon; each noise draw is `draw(scale)`, e.g.
+    `ServerRandomness(seed).joint_laplace` or `dpnoise.laplace_oracle` bound
+    to a generator."""
     counts = stream.arrivals_per_step()
     scale = timer_scale(b, epsilon)
     out = []
     for t in range(T, stream.horizon + 1, T):
         c = int(counts[max(0, t - T + 1): t + 1].sum())
-        out.append((t, c + noise.laplace(scale)))
+        out.append((t, c + draw(scale)))
     return out
 
 
-def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float, noise,
+def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float,
+          draw: Callable[[NoiseScale], float],
           variant: str = "protocol") -> list[tuple[int, float | None]]:
     """Sparse-vector release of counts-since-last-release.
 
     Draw order matches the threshold protocol exactly: initial threshold,
     one check per step, then release noise and a threshold refresh on each
-    trigger; `noise` gives the draws as in `m_timer`. variant selects the
+    trigger; `draw` gives the draws as in `m_timer`. variant selects the
     output-noise scale ("protocol" couples with the running protocol;
     "proof" matches the reference analysis).
     """
     counts = stream.arrivals_per_step()
     th_scale, check_scale, out_scale = ant_scales(b, epsilon, variant)
-    noisy_th = theta + noise.laplace(th_scale)
+    noisy_th = theta + draw(th_scale)
     out: list[tuple[int, float | None]] = []
     since = 0
     for t in range(1, stream.horizon + 1):
         since += int(counts[t])
-        check = since + noise.laplace(check_scale)
+        check = since + draw(check_scale)
         if check >= noisy_th:
-            released = since + noise.laplace(out_scale)
+            released = since + draw(out_scale)
             out.append((t, released))
-            noisy_th = theta + noise.laplace(th_scale)
+            noisy_th = theta + draw(th_scale)
             since = 0
         else:
             out.append((t, None))

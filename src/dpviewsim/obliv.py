@@ -15,8 +15,10 @@ real). The sorts charge nothing: the run charges a network's closed-form
 compare count from its step's public sizes. Independent networks of one
 length, such as the nested-loop join's one per outer tuple, run as one sort of
 their concatenated reals; the cache and join rows come in seq order, which
-Timsort takes in one pass. `compare_exchange_pairs` is the network itself,
-which the tests run as the oracle for these facts. Repeated sort keys raise.
+Timsort takes in one pass. The NLJ's per-outer cut is realized by its caps, so
+its sort reorders nothing and stays only for the benchmark's tracer.
+`compare_exchange_pairs` is the network itself, which the tests run as the
+oracle for these facts. Repeated sort keys raise.
 """
 
 from __future__ import annotations

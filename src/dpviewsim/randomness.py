@@ -49,13 +49,3 @@ class ServerRandomness:
     def joint_laplace(self, scale: NoiseScale) -> float:
         return dpnoise.joint_laplace(*self.noise_pair(), scale)
 
-
-class SeededLaplace:
-    """Classical inverse-CDF Laplace source for statistical use."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-
-    def laplace(self, scale: NoiseScale) -> float:
-        return dpnoise.laplace_oracle(scale, self._rng)
-

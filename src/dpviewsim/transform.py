@@ -5,16 +5,17 @@ keeps the secret-shared cardinality counter in sync. A join input record has
 a lifetime contribution budget b: it is scanned in ceil(b / omega)
 invocations and spends omega of b in each, whatever it joins. So its join
 slots in one invocation, min(omega, b - age * omega) after `age` earlier
-invocations, are a function of its age alone, never of the data. Each
-transform takes its inputs' reals and padded lengths (c_r slots per owner
-batch) and returns only its real rows, never padding. A step's padded join
-lengths, output slots and sort compares are functions of the config and t.
-The Filter keeps the rows that `selected` accepts, a fixed predicate.
+invocations, are a function of its age alone, never of the data; these
+`caps` are the joins' only contribution bound. Each transform takes its
+inputs' reals and padded lengths (c_r slots per owner batch) and returns
+only its real rows, never padding. `step_sizes` states a step's padded join
+lengths, output slots and sort compares from the config and t. The Filter
+keeps the rows that `selected` accepts, a fixed predicate.
 
 `transform_step` takes the run's one state (the harness's `RunState`) and
 reads it by attribute: its validated config's `operator`, `omega`, `b` and
 `c_r`, its `seqs`, `rand` and `transcript`. It updates the state's `cache`,
-`counter`, `retained` and `produced_rows` in place.
+`counter`, `retained` and `produced_rows` in place and returns its sizes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .obliv import SecureTuple, cache_append, network_comparison_count, network_sort, seq_of
 from .sharing import RING_MASK, recover, share_in_protocol
@@ -55,7 +56,7 @@ def trans_truncate_filter(batch: list[SecureTuple], seqs: Iterator[int],
 
 
 def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2: int,
-                       omega: int, caps: dict[int, int], seqs: Iterator[int],
+                       caps: dict[int, int], seqs: Iterator[int],
                        timestamp: int) -> list[SecureTuple]:
     """Truncated oblivious sort-merge join: its real rows, of omega (n1 + n2) slots.
 
@@ -64,9 +65,10 @@ def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
     every accessed tuple, exactly omega output slots: real joins with
     previously scanned partners while both sides hold contribution slots,
     dummies for the rest. `caps` maps the seq of every real input to its join
-    slots this invocation, a function of the record's age alone (see
-    `transform_step`), and each join takes one slot from both records, so a
-    record with no slots left joins nothing.
+    slots this invocation, at most omega and a function of the record's age
+    alone (see `transform_step`), and each join takes one slot from both
+    records, so a record with no slots left joins nothing: `caps` is the
+    whole cut.
 
     Every t1 record of a key sorts before every t2 record of it, so only t2
     records join, each with the t1 records of its key. A real whose key is
@@ -100,47 +102,35 @@ def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
 
 
 def trans_truncate_nlj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2: int,
-                       omega: int, caps: dict[int, int], seqs: Iterator[int],
+                       caps: dict[int, int], seqs: Iterator[int],
                        timestamp: int) -> list[SecureTuple]:
     """Truncated oblivious nested-loop join: its real rows, of omega n1 slots.
 
     Every (outer, inner) probe either emits a real join (keys match and both
     records hold a slot in `caps`, one taken from each; see
     `trans_truncate_smj`) or a dummy, so each of the n1 outer slots yields an
-    n2-slot intermediate, which is network-sorted real-first and cut to omega
-    slots. Only key-matching probes can emit, so each real outer probes just
-    the real inner rows of its key, in t2 order, and a dummy outer or one
-    whose key no real inner row holds is skipped. The n1 intermediates are
-    sorted by one batched call of n1 networks: their rows are stamped in
-    emission order, so every row of one outer holds a lower seq than every
-    row of the next; only the outers that emitted rows have a span to cut.
+    n2-slot intermediate, which the protocol sorts real-first and cuts to
+    omega slots. `caps` is that cut: a record is an outer in one call per
+    step and spends its at most omega slots only on its own joins. Only
+    key-matching probes can emit, so each real outer probes just the real
+    inner rows of its key, in t2 order. Rows are stamped in emission order,
+    so the batched sort of the n1 networks reorders nothing; it stays only
+    because `bench/tracing.py` times `transform.network_sort` and
+    `obliv.network_sort_keys` here (see ROADMAP item 10).
     """
-    if omega < 1:
-        raise ValueError(f"per-outer bound must be positive, got {omega}")
     inner: dict[int, list[SecureTuple]] = {}
     for v in t2:
         inner.setdefault(v.key, []).append(v)
     rows: list[SecureTuple] = []
-    spans: list[tuple[int, int]] = []  # each emitting outer's rows in `rows`
     for u in t1:
-        partners = inner.get(u.key)
-        if not partners:
-            continue
-        start = len(rows)
-        for v in partners:
+        for v in inner.get(u.key, ()):
             if caps[u.seq] <= 0:
                 break
             if caps[v.seq] > 0:
                 caps[u.seq] -= 1
                 caps[v.seq] -= 1
                 rows.append(_join_tuple(u, v, seqs, timestamp))
-        if len(rows) > start:
-            spans.append((start, len(rows)))
-    rows = network_sort(rows, seq_of, n2, networks=n1)
-    out: list[SecureTuple] = []
-    for start, end in spans:
-        out += rows[start:min(end, start + omega)]
-    return out
+    return network_sort(rows, seq_of, n2, networks=n1)
 
 
 class OperatorKind(enum.Enum):
@@ -149,36 +139,36 @@ class OperatorKind(enum.Enum):
     NLJ = "NLJ"
 
 
-def _join_inputs(config, t: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Padded (n1, n2) of the step-t joins, new1 with old2 + new2 and old1 with
-    new2: each owner keeps c_r slots per step for min(t, retention_steps) - 1."""
-    c_r = config.c_r
+class StepSizes(NamedTuple):
+    """A step's public sizes: each join call's padded (n1, n2), none for the
+    Filter; the padded output slots; the sorts' compare-exchanges."""
+
+    joins: tuple[tuple[int, int], ...]
+    slots: int
+    compares: int
+
+
+def step_sizes(config, t: int) -> StepSizes:
+    """The step-t sizes, from the config's `operator`, `c_r`, `omega` and `b`:
+    the joins are new1 against old2 + new2, then old1 against new2, and each
+    owner keeps c_r slots per step for min(t, retention_steps) - 1 steps. The
+    SMJ pads omega slots per scanned tuple and runs one (n1 + n2)-slot network
+    per join; the NLJ pads omega per outer tuple and runs n1 n2-slot networks
+    per join; the Filter pads to its c_r input slots and sorts nothing."""
+    if config.operator is OperatorKind.FILTER:
+        return StepSizes((), config.c_r, 0)
+    c_r, omega = config.c_r, config.omega
     old = c_r * min(t - 1, retention_steps(config) - 1)
-    return (c_r, old + c_r), (old, c_r)
-
-
-def expected_output_size(config, t: int) -> int:
-    """Padded |delta-view| at step t, from the config's `operator`, `c_r`, `omega` and `b`."""
-    if config.operator is OperatorKind.FILTER:
-        return config.c_r
-    (a1, a2), (b1, b2) = _join_inputs(config, t)
+    n1, n2, m1, m2 = c_r, old + c_r, old, c_r
+    joins = (n1, n2), (m1, m2)
     if config.operator is OperatorKind.SMJ:
-        return config.omega * (a1 + a2 + b1 + b2)  # omega per scanned tuple
-    return config.omega * (a1 + b1)  # NLJ: omega per outer tuple
+        return StepSizes(joins, omega * (n1 + n2 + m1 + m2),
+                         network_comparison_count(n1 + n2) + network_comparison_count(m1 + m2))
+    return StepSizes(joins, omega * (n1 + m1),
+                     n1 * network_comparison_count(n2) + m1 * network_comparison_count(m2))
 
 
-def transform_compares(config, t: int) -> int:
-    """Compare-exchanges of the step-t sorts: one (n1 + n2)-slot network per
-    SMJ join, n1 n2-slot networks per NLJ join, none for the Filter."""
-    if config.operator is OperatorKind.FILTER:
-        return 0
-    (a1, a2), (b1, b2) = _join_inputs(config, t)
-    if config.operator is OperatorKind.SMJ:
-        return network_comparison_count(a1 + a2) + network_comparison_count(b1 + b2)
-    return a1 * network_comparison_count(a2) + b1 * network_comparison_count(b2)
-
-
-def transform_step(t: int, new_batches: list[list[SecureTuple]], run) -> None:
+def transform_step(t: int, new_batches: list[list[SecureTuple]], run) -> StepSizes:
     """One invocation: truncate-transform new data, cache it, update the counter.
 
     Join operators also scan the retained batches of the partner owner.
@@ -187,12 +177,12 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]], run) -> None:
     real record scanned in `age` earlier invocations therefore holds
     min(omega, b - age * omega) join slots: omega, except for the reals of the
     oldest retained batch when omega does not divide b. Reads the run
-    config's `operator`, `omega`, `b` and `c_r`.
+    config's `operator`, `omega`, `b` and `c_r`; returns `step_sizes`.
     """
     cfg = run.config
+    sizes = step_sizes(cfg, t)
     if cfg.operator is OperatorKind.FILTER:
         rows = trans_truncate_filter(new_batches[0], run.seqs, t)
-        slots = cfg.c_r
     else:
         new1, new2 = new_batches[0], new_batches[1]
         kept1, kept2 = run.retained
@@ -201,12 +191,10 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]], run) -> None:
         if oldest < cfg.omega:
             caps.update((tup.seq, oldest) for tup in kept1[0] + kept2[0])
         old1, old2 = list(chain.from_iterable(kept1)), list(chain.from_iterable(kept2))
-        (n1, n2), (m1, m2) = _join_inputs(cfg, t)
-        smj = cfg.operator is OperatorKind.SMJ
-        join = trans_truncate_smj if smj else trans_truncate_nlj
-        rest = (cfg.omega, caps, run.seqs, t)
+        (n1, n2), (m1, m2) = sizes.joins
+        join = trans_truncate_smj if cfg.operator is OperatorKind.SMJ else trans_truncate_nlj
+        rest = (caps, run.seqs, t)
         rows = join(new1, n1, old2 + new2, n2, *rest) + join(old1, m1, new2, m2, *rest)
-        slots = cfg.omega * (n1 + n2 + m1 + m2 if smj else n1 + m1)  # see the joins
         kept1.append(new1)
         kept2.append(new2)
 
@@ -214,5 +202,6 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]], run) -> None:
 
     c = (recover(run.counter) + len(rows)) & RING_MASK
     run.counter = share_in_protocol(c, *run.rand.share_pair(), seen=run.rand.seen_pairs)
-    run.cache = cache_append(run.cache, rows, slots)
-    run.transcript.observe(t, TranscriptKind.TRANSFORM_OUTPUT, slots, run.counter)
+    run.cache = cache_append(run.cache, rows, sizes.slots)
+    run.transcript.observe(t, TranscriptKind.TRANSFORM_OUTPUT, sizes.slots, run.counter)
+    return sizes

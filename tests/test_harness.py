@@ -27,8 +27,8 @@ from dpviewsim.sharing import recover
 from dpviewsim.shrink import (MaterializedView, flush_step, sdp_ant_step, sdp_timer_step,
                               zero_counter)
 from dpviewsim.transcript import Transcript, TranscriptKind
-from dpviewsim.transform import (OperatorKind, trans_truncate_nlj, trans_truncate_smj,
-                                 transform_step)
+from dpviewsim.transform import (OperatorKind, step_sizes, trans_truncate_nlj,
+                                 trans_truncate_smj, transform_step)
 from test_golden import hot_key_config
 
 
@@ -409,7 +409,7 @@ def test_steps_update_the_run_state_in_place():
     run = RunState(ExperimentConfig(T=10, f=20), itertools.count(), rand, Transcript(),
                    zero_counter(rand))
     assert transform_step(1, [[SecureTuple(4, (1,), 0, 1)], [SecureTuple(4, (2,), 1, 1)]],
-                          run) is None
+                          run) == step_sizes(run.config, 1)
     cache, counter, view = run.cache, run.counter, run.view
     assert (cache.real_count(), recover(counter)) == (1, 1)
     events = len(run.transcript)
@@ -425,11 +425,14 @@ def test_steps_update_the_run_state_in_place():
 
 def test_no_step_join_or_sort_takes_a_counter():
     # The run charges each step's cost from the sizes the servers see, so no
-    # step, join or sort takes a counter or a cost to add to.
+    # step, join or sort takes a counter or a cost to add to. A join's caps
+    # alone bound each record's joins, so neither join takes omega.
     for fn in (transform_step, sdp_timer_step, sdp_ant_step, flush_step, shrink._sync,
                trans_truncate_smj, trans_truncate_nlj, network_sort, obli_sort, cache_flush):
         names = inspect.signature(fn).parameters
         assert not [n for n in names if "counter" in n or "cost" in n], fn.__name__
+    for join in (trans_truncate_smj, trans_truncate_nlj):
+        assert "omega" not in inspect.signature(join).parameters, join.__name__
 
 
 def assert_cost_is_what_the_run_did(config):

@@ -59,3 +59,31 @@ def test_module_import_graph_is_acyclic():
 
     for module in graph:
         visit(module, [])
+
+
+def _unread_parameters(tree: ast.Module, module: str) -> list[str]:
+    """`module.py:line function: parameter` for every parameter of a function
+    or lambda that its body never reads, except self, cls and _-prefixed ones."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                  if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{module}.py:{node.lineno} {name}: {p}" for p in params
+                   if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # A parameter that no body reads is a decision made in two places: the
+    # caller computes a value that the callee has stopped using.
+    unread = []
+    for module, tree in _modules().items():
+        unread += _unread_parameters(tree, module)
+    assert unread == []

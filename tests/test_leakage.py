@@ -1,15 +1,15 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from dpviewsim.dpnoise import NoiseScale
+from dpviewsim.dpnoise import NoiseScale, laplace_oracle
 from dpviewsim.leakage import (AntMechanism, AuditExpectation, LogicalStream,
                                NeighborViolation, StreamRecord, TimerMechanism,
                                Transcript, TranscriptKind, assert_neighbors,
                                empirical_privacy_loss, m_ant, m_timer,
                                transcript_audit)
-from dpviewsim.randomness import SeededLaplace
 
 
 def stream(times, horizon=None, key0=1):
@@ -36,6 +36,11 @@ class ScriptedNoise:
 ZERO = lambda: ScriptedNoise([], default=0.0)
 
 
+def seeded(seed: int):
+    """Inverse-CDF Laplace draws from a generator seeded with `seed`."""
+    return functools.partial(laplace_oracle, rng=np.random.default_rng(seed))
+
+
 def nant(stream: LogicalStream, epsilon: float, theta: float, delta_f: float,
          noise) -> tuple[int, float] | None:
     """Numeric above-noisy-threshold: one release at the first crossing.
@@ -60,30 +65,28 @@ def nant(stream: LogicalStream, epsilon: float, theta: float, delta_f: float,
 # Reference mechanisms.
 
 def test_m_timer_empty_stream_pure_noise():
-    out = m_timer(stream([], horizon=20), T=5, b=1, epsilon=1.0,
-                  noise=SeededLaplace(np.random.default_rng(4)))
+    out = m_timer(stream([], horizon=20), T=5, b=1, epsilon=1.0, draw=seeded(4))
     assert [t for t, _ in out] == [5, 10, 15, 20]
     values = np.array([v for _, v in out])
     assert np.all(np.abs(values) < 50)  # Laplace(1) draws around zero
-    zeroed = m_timer(stream([], horizon=20), T=5, b=1, epsilon=1.0, noise=ZERO())
+    zeroed = m_timer(stream([], horizon=20), T=5, b=1, epsilon=1.0, draw=ZERO().laplace)
     assert [v for _, v in zeroed] == [0, 0, 0, 0]
 
 
 def test_m_timer_window_counts_with_zero_noise():
     s = stream([1, 2, 2, 7], horizon=10)
-    out = m_timer(s, T=5, b=1, epsilon=1.0, noise=ZERO())
+    out = m_timer(s, T=5, b=1, epsilon=1.0, draw=ZERO().laplace)
     assert out == [(5, 3.0), (10, 1.0)]
 
 
 def test_m_timer_deterministic_given_seed():
     s = stream([1, 3], horizon=6)
-    assert (m_timer(s, 2, 1, 1.0, SeededLaplace(np.random.default_rng(9)))
-            == m_timer(s, 2, 1, 1.0, SeededLaplace(np.random.default_rng(9))))
+    assert m_timer(s, 2, 1, 1.0, seeded(9)) == m_timer(s, 2, 1, 1.0, seeded(9))
 
 
 def test_m_ant_huge_threshold_never_releases():
     s = stream([1, 2, 3], horizon=10)
-    out = m_ant(s, theta=1e9, b=1, epsilon=1.0, noise=SeededLaplace(np.random.default_rng(3)))
+    out = m_ant(s, theta=1e9, b=1, epsilon=1.0, draw=seeded(3))
     assert all(v is None for _, v in out)
 
 
@@ -92,7 +95,7 @@ def test_m_ant_zero_noise_release_trace():
     # with value 6, then the window resets.
     arrivals = [StreamRecord(t, 10 * t + i, (1,)) for t in (1, 2, 3, 4) for i in (0, 1)]
     s = LogicalStream(arrivals, 4)
-    out = m_ant(s, theta=5, b=1, epsilon=1.0, noise=ZERO())
+    out = m_ant(s, theta=5, b=1, epsilon=1.0, draw=ZERO().laplace)
     assert out[:3] == [(1, None), (2, None), (3, 6.0)]
     assert out[3] == (4, None)  # window restarted: count 2 < 5
 
@@ -120,7 +123,7 @@ def test_nant_segments_compose_to_m_ant():
     s = stream(times, horizon=8)
     b, eps, theta = 1, 2.0, 3
     tape = list(np.random.default_rng(5).standard_normal(64))
-    repeated = m_ant(s, theta, b, eps, noise=ScriptedNoise(list(tape)),
+    repeated = m_ant(s, theta, b, eps, draw=ScriptedNoise(list(tape)).laplace,
                      variant="proof")
     releases = [(t, v) for t, v in repeated if v is not None]
 
@@ -210,7 +213,7 @@ def test_run_many_matches_scalar_mechanism_distribution():
     rng = np.random.default_rng(7)
     arr = mech.run_many(a, 20_000, rng)
     assert arr.shape == (20_000, 1)
-    seq = np.array([m_timer(a, 4, 1, 1.0, SeededLaplace(np.random.default_rng(100 + i)))[0][1]
+    seq = np.array([m_timer(a, 4, 1, 1.0, seeded(100 + i))[0][1]
                     for i in range(2_000)])
     assert abs(arr.mean() - seq.mean()) < 0.15
     assert abs(arr.var() - seq.var()) < 0.4
@@ -227,7 +230,7 @@ def test_ant_mechanism_run_many_consistent_with_scalar():
     n = 2_000
     for i in range(n):
         vec = [0.0 if v is None else v for _, v in
-               m_ant(a, 2, 1, 2.0, SeededLaplace(np.random.default_rng(500 + i)),
+               m_ant(a, 2, 1, 2.0, seeded(500 + i),
                      variant="proof")]
         scalar_hits += np.array(vec) != 0
     vec_hits = (arr != 0).mean(axis=0)

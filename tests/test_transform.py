@@ -1,20 +1,21 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from dpviewsim import obliv, transform
-from dpviewsim.harness import ExperimentConfig, RunState
+from dpviewsim.harness import ExperimentConfig, RunState, run_experiment
 from dpviewsim.obliv import (SecureTuple, network_comparison_count, network_sort,
                              network_sort_keys)
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover
 from dpviewsim.shrink import zero_counter
 from dpviewsim.transcript import Transcript, TranscriptKind
-from dpviewsim.transform import (OperatorKind, expected_output_size,
-                                 retention_steps, trans_truncate_filter,
-                                 trans_truncate_nlj, trans_truncate_smj,
-                                 transform_compares, transform_step)
+from dpviewsim.transform import (OperatorKind, retention_steps, step_sizes,
+                                 trans_truncate_filter, trans_truncate_nlj,
+                                 trans_truncate_smj, transform_step)
+from test_golden import hot_key_config
 
 
 def rec(seq, key, flag=1):
@@ -58,7 +59,7 @@ def filt(batch):
 def nlj(t1, t2, b, n1=None, n2=None):
     """The NLJ of reals t1 and t2, padded to n1 and n2 slots (default: none)."""
     return trans_truncate_nlj(t1, len(t1) if n1 is None else n1,
-                              t2, len(t2) if n2 is None else n2, b, budgets((t1, t2), b),
+                              t2, len(t2) if n2 is None else n2, budgets((t1, t2), b),
                               itertools.count(FRESH), 0)
 
 
@@ -147,7 +148,7 @@ def test_filter_keeps_payload():
 def smj(t1, t2, omega, n1=None, n2=None):
     """The SMJ of reals t1 and t2, padded to n1 and n2 slots (default: none)."""
     return trans_truncate_smj(t1, len(t1) if n1 is None else n1,
-                              t2, len(t2) if n2 is None else n2, omega,
+                              t2, len(t2) if n2 is None else n2,
                               budgets((t1, t2), omega), itertools.count(FRESH), 0)
 
 
@@ -196,7 +197,7 @@ def test_smj_respects_a_record_s_slots():
     t1 = [rec(0, key=1)]
     t2 = [rec(1, key=1), rec(2, key=1)]
     caps = {0: 1, 1: 2, 2: 2}
-    out = trans_truncate_smj(t1, 1, t2, 2, 2, caps, itertools.count(FRESH), 0)
+    out = trans_truncate_smj(t1, 1, t2, 2, caps, itertools.count(FRESH), 0)
     assert real_pairs(out) == [(0, 1)]
     assert caps == {0: 0, 1: 1, 2: 2}
 
@@ -230,9 +231,9 @@ def test_smj_seqs_past_28_bits_and_top_keys_join_as_small_seqs(omega):
                   for n in (n1, n2))
         caps = budgets((t1, t2), omega)
         big_caps = {s + shift: c for s, c in caps.items()}
-        rows = trans_truncate_smj(t1, n1, t2, n2, omega, caps, itertools.count(FRESH), 0)
+        rows = trans_truncate_smj(t1, n1, t2, n2, caps, itertools.count(FRESH), 0)
         big_rows = trans_truncate_smj(
-            [shifted(t) for t in t1], n1, [shifted(t) for t in t2], n2, omega, big_caps,
+            [shifted(t) for t in t1], n1, [shifted(t) for t in t2], n2, big_caps,
             itertools.count(FRESH + shift), 0)
         assert big_rows == [shifted(r) for r in rows]
         assert big_caps == {s + shift: c for s, c in caps.items()}
@@ -248,7 +249,7 @@ def test_smj_counts_omega_slots_per_input_slot(compares):
     assert compares == [network_comparison_count(4)]
 
 
-def smj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp):
+def smj_oracle(t1, n1, t2, n2, caps, seqs, timestamp):
     """The full merge: every real of both inputs is sorted and scanned."""
     tagged = [(0, t) for t in t1] + [(1, t) for t in t2]
     merged = network_sort(tagged, lambda it: (it[1].key, it[0], it[1].seq), n1 + n2,
@@ -304,8 +305,8 @@ def test_smj_matches_full_merge_oracle(omega):
         caps, want_caps = (spent_caps(tables, b, spent, omega) for _ in range(2))
         seqs, want_seqs = itertools.count(FRESH), itertools.count(FRESH)
         for inputs in ((new1, m1, old2 + new2, k2 + m2), (old1, k1, new2, m2)):
-            rows = trans_truncate_smj(*inputs, omega, caps, seqs, 7)
-            want_rows = smj_oracle(*inputs, omega, want_caps, want_seqs, 7)
+            rows = trans_truncate_smj(*inputs, caps, seqs, 7)
+            want_rows = smj_oracle(*inputs, want_caps, want_seqs, 7)
             assert [r.sources for r in rows] == [r.sources for r in want_rows]
             assert rows == want_rows  # same seqs, payloads and timestamps
         assert caps == want_caps
@@ -338,7 +339,7 @@ def test_smj_sorts_once_per_invocation(monkeypatch, compares):
 
 def test_nlj_hand_trace(compares):
     # One outer row, four matching inner rows, bound 2: the inner scan joins
-    # until the outer's budget is gone; the per-outer cut keeps 2 slots.
+    # until the outer's 2 slots are spent, so its caps alone keep 2 rows.
     t1 = [rec(0, key=7)]
     t2 = [rec(i + 1, key=7) for i in range(4)]
     out = nlj(t1, t2, b=2)
@@ -377,11 +378,11 @@ def test_nlj_consumes_both_sides():
 
 
 def nlj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp):
-    """The per-outer nested loop: (rows, compares).
+    """The paper's per-outer nested loop: (rows, compares).
 
     Every real outer scans all of t2 in order; its row is sorted by seq on its
     own and cut to omega, and each of the n1 outer slots' n2-slot networks is
-    charged.
+    charged. The join has no cut of its own: its caps, at most omega, are it.
     """
     out = []
     for u in t1:
@@ -400,8 +401,8 @@ def nlj_oracle(t1, n1, t2, n2, omega, caps, seqs, timestamp):
 @pytest.mark.parametrize("omega", [1, 2, 3])
 def test_nlj_matches_per_outer_loop_oracle(omega, compares):
     # Repeated keys, dummies on both sides, outers whose key no inner row
-    # holds, partly spent budgets, and caps that may exceed the cut (so an
-    # outer can emit rows the cut drops).
+    # holds and partly spent budgets. Caps are at most omega, as a run builds
+    # them, so the oracle's omega cut drops no row the caps let through.
     rng = np.random.default_rng(60 + omega)
     for trial in range(300):
         n1 = 0 if trial % 10 == 0 else int(rng.integers(0, 9))
@@ -411,11 +412,10 @@ def test_nlj_matches_per_outer_loop_oracle(omega, compares):
                   for n, base, hi in ((n1, 0, 6), (n2, 100, 4)))
         b = int(rng.integers(omega, 3 * omega + 1))
         spent = {t.seq: int(rng.integers(0, b + 1)) for t in t1 + t2}
-        cap = omega + 2 * int(rng.integers(2))
-        caps, want_caps = (spent_caps((t1, t2), b, spent, cap) for _ in range(2))
+        caps, want_caps = (spent_caps((t1, t2), b, spent, omega) for _ in range(2))
         seqs, want_seqs = itertools.count(FRESH), itertools.count(FRESH)
         compares.clear()
-        rows = trans_truncate_nlj(t1, n1, t2, n2, omega, caps, seqs, 7)
+        rows = trans_truncate_nlj(t1, n1, t2, n2, caps, seqs, 7)
         want_rows, want_compares = nlj_oracle(t1, n1, t2, n2, omega, want_caps, want_seqs, 7)
         assert rows == want_rows
         assert compares == [want_compares]
@@ -615,8 +615,7 @@ class LedgerModel:
         scanned = [tup.seq for tup in new1 + new2 + old1 + old2]
         caps = {rid: min(self.omega, self.remaining[rid]) for rid in scanned}
         for left, right in ((new1, old2 + new2), (old1, new2)):
-            self.rows += self.join(left, len(left), right, len(right), self.omega, caps,
-                                   self.seqs, t)
+            self.rows += self.join(left, len(left), right, len(right), caps, self.seqs, t)
         for rid in scanned:
             self.remaining[rid] = max(0, self.remaining[rid] - self.omega)
         old1 += new1
@@ -665,7 +664,7 @@ def test_output_sizes_match_public_formula():
             step(t, [ba, bb], state)
             delta_len = len(state.cache) - prev_len
             prev_len = len(state.cache)
-            assert delta_len == expected_output_size(state.config, t) == want
+            assert delta_len == step_sizes(state.config, t).slots == want
 
 
 def test_lifetime_budget_never_exceeded_small_run():
@@ -687,6 +686,25 @@ def test_lifetime_budget_never_exceeded_small_run():
     assert max(contributions.values()) <= 4
 
 
+@pytest.mark.parametrize("operator", [OperatorKind.SMJ, OperatorKind.NLJ])
+@pytest.mark.parametrize("omega", [1, 2, 3])
+def test_real_runs_bound_each_record_per_step_and_per_lifetime(operator, omega, tmp_path):
+    # Both contribution bounds, on real runs over hot-key streams, where the
+    # caps bind: an input record feeds at most omega rows of any one step and
+    # at most b rows over the run. b = omega scans a record once, and
+    # b = 2 omega + 1 three times, the last with one slot.
+    for b in (omega, 2 * omega + 1):
+        for seed in (12, 13):
+            config = hot_key_config(ExperimentConfig(operator=operator, omega=omega, b=b,
+                                                     horizon=40, f=20, s=5, seed=seed),
+                                    tmp_path)
+            rows = run_experiment(config).produced_rows
+            per_step = Counter((row.timestamp, rid) for row in rows for rid in row.sources)
+            lifetime = Counter(rid for row in rows for rid in row.sources)
+            assert max(per_step.values()) == omega, (b, seed)  # reached, never passed
+            assert max(lifetime.values()) <= b, (b, seed)
+
+
 def test_step_records_sizes_shares_and_compares(compares):
     # Both servers see each step's padded output size and a fresh counter
     # share; the compare count is that of the two merge networks per step.
@@ -694,8 +712,9 @@ def test_step_records_sizes_shares_and_compares(compares):
     state = make_state(OperatorKind.SMJ, 2, rand, omega=1, b=2)
     ba = [rec(0, key=4)]  # each of 2 slots
     bb = [rec(2, key=4)]
-    transform_step(1, [ba, bb], state)
-    assert len(state.cache) == expected_output_size(state.config, 1)
+    sizes = transform_step(1, [ba, bb], state)
+    assert sizes == step_sizes(state.config, 1)
+    assert len(state.cache) == sizes.slots
     for server in (0, 1):
         [out] = state.transcript.by_kind(TranscriptKind.TRANSFORM_OUTPUT, server)
         assert (out.time, out.size) == (1, len(state.cache))
@@ -704,4 +723,4 @@ def test_step_records_sizes_shares_and_compares(compares):
     assert recover(state.counter) == 1
     # new1 against old2 + new2 (2 + 2 records), then old1 against new2 (0 + 2).
     assert compares == [6, 1]
-    assert transform_compares(state.config, 1) == 6 + 1
+    assert sizes.compares == 6 + 1 and sizes.joins == ((2, 2), (0, 2))
