@@ -5,7 +5,8 @@ Modules:
     dpnoise    joint Laplace noise from server-contributed words
     obliv      secure cache kept as its real rows plus a slot count; sorts the
                reals of one or more same-length bitonic networks in their
-               output order with one Timsort and charges nothing, the network
+               output order with one Timsort (at once for fewer than two
+               keys) and charges nothing, the network
                itself as the test oracle and its compare count a closed form;
                a read returns only the reals of the slots it reads; a tuple
                is a real view entry iff its seq is non-negative
@@ -16,9 +17,11 @@ Modules:
                of one fixed predicate, `selected`; a record's join slots per
                invocation, a function of its age alone, are the joins' only
                contribution bound; a join takes reals plus padded lengths and
-               returns only its rows; the SMJ sorts on (key, origin, seq) and
-               scans only the reals of keys found on both sides; the NLJ
-               probes a key index with the real outers that have partners
+               returns only its rows and sorts only when a real can join;
+               the SMJ keys its smaller input, scans its larger input once,
+               and sorts on (key, origin, seq) only the reals of keys found on
+               both sides; the NLJ indexes the inner reals whose key an outer
+               holds
     shrink     the timer and above-noisy-threshold sync protocols, which
                differ only in when they run their one shared sync body, and
                the flush; each step updates the run's one state in place and

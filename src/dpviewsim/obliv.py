@@ -16,7 +16,9 @@ compare count from its step's public sizes. Independent networks of one
 length, such as the nested-loop join's one per outer tuple, run as one sort of
 their concatenated reals; the cache and join rows come in seq order, which
 Timsort takes in one pass. The NLJ's per-outer cut is realized by its caps, so
-its sort reorders nothing and stays only for the benchmark's tracer.
+its sort reorders nothing and stays only for the benchmark's tracer. A join
+sorts only when a real can join, and fewer than two keys are returned at once,
+since the network's compare count is charged from the public sizes anyway.
 `compare_exchange_pairs` is the network itself, which the tests run as the
 oracle for these facts. Repeated sort keys raise.
 """
@@ -124,14 +126,17 @@ def network_sort_keys(keys: list, n: int, networks: int) -> tuple[list[int], int
     of the positions by key gives each network's output order, concatenated.
     The other slots of each network are dummies, which it moves behind every
     real. A network pads to a power of two with max-int sentinels. The count,
-    `networks` times the padded n-slot network's, is for `bench/tracing.py`.
+    `networks` times the padded n-slot network's, is for `bench/tracing.py`;
+    fewer than two keys have nothing to order and return at once with it.
     Keys must be distinct (ValueError otherwise), which makes each network's
     permutation the unique sorting one.
     """
+    count = networks * network_comparison_count(n)
+    if len(keys) < 2:
+        return list(range(len(keys))), count
     if len(set(keys)) != len(keys):
         raise ValueError("sort keys must be distinct")
-    return (sorted(range(len(keys)), key=keys.__getitem__),
-            networks * network_comparison_count(n))
+    return sorted(range(len(keys)), key=keys.__getitem__), count
 
 
 def network_sort(reals: list, key_of: Callable, n: int, networks: int) -> list:

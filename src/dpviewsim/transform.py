@@ -9,8 +9,12 @@ invocations, are a function of its age alone, never of the data; these
 `caps` are the joins' only contribution bound. Each transform takes its
 inputs' reals and padded lengths (c_r slots per owner batch) and returns
 only its real rows, never padding. `step_sizes` states a step's padded join
-lengths, output slots and sort compares from the config and t. The Filter
-keeps the rows that `selected` accepts, a fixed predicate.
+lengths, output slots and sort compares from the config and t, so the
+simulator's joins may skip work that emits nothing: a join sorts only when a
+real can join. The SMJ builds the key set of its input with fewer reals and
+scans the larger input once; the NLJ indexes only the inner reals whose key
+an outer holds. The Filter keeps the rows that `selected` accepts, a fixed
+predicate.
 
 `transform_step` takes the run's one state (the harness's `RunState`) and
 reads it by attribute: its validated config's `operator`, `omega`, `b` and
@@ -23,6 +27,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from itertools import chain
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .obliv import SecureTuple, cache_append, network_comparison_count, network_sort, seq_of
@@ -73,31 +78,40 @@ def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
     Every t1 record of a key sorts before every t2 record of it, so only t2
     records join, each with the t1 records of its key. A real whose key is
     not held by a real on the other side therefore emits nothing and touches
-    no cap: only the reals of keys found on both sides are sorted and
-    scanned, in the network's order of the whole padded input.
+    no cap. So the join keys the input with fewer reals and scans the larger
+    one once for reals of those keys; if it finds none, nothing joins, and it
+    sorts nothing. Otherwise only the reals of keys found on both sides are
+    sorted, on precomputed keys, and scanned in the network's order of the
+    whole padded input; the scan keeps only each key's t1 records, the only
+    partners a t2 record can have.
     """
-    both = {t.key for t in t1} & {t.key for t in t2}
-    tagged = [(0, t) for t in t1 if t.key in both] + [(1, t) for t in t2 if t.key in both]
-    merged = network_sort(tagged, lambda it: (it[1].key, it[0], it[1].seq),
-                          n1 + n2, networks=1)
+    small, large = (t1, t2) if len(t1) <= len(t2) else (t2, t1)
+    keys = {t.key for t in small}
+    found = [t for t in large if t.key in keys]
+    if not found:
+        return []
+    keys = {t.key for t in found}
+    joinable = [t for t in small if t.key in keys]
+    j1, j2 = (joinable, found) if small is t1 else (found, joinable)
+    tagged = [((t.key, 0, t.seq), t) for t in j1] + [((t.key, 1, t.seq), t) for t in j2]
 
     out: list[SecureTuple] = []
     group_key = None
-    seen: tuple[list, list] = ([], [])
-    for origin, tup in merged:
-        if tup.key != group_key:
-            group_key = tup.key
-            seen = ([], [])
-        for p in seen[1 - origin]:
+    partners: list[SecureTuple] = []  # the t1 records of the current key
+    for (key, origin, _), tup in network_sort(tagged, itemgetter(0), n1 + n2, networks=1):
+        if origin == 0:
+            if key != group_key:
+                group_key, partners = key, []
+            partners.append(tup)
+            continue
+        for p in partners:
             if caps[tup.seq] <= 0:  # at most omega joins per access
                 break
             if caps[p.seq] <= 0:
                 continue
             caps[tup.seq] -= 1
             caps[p.seq] -= 1
-            a, b = (tup, p) if origin == 0 else (p, tup)
-            out.append(_join_tuple(a, b, seqs, timestamp))
-        seen[origin].append(tup)
+            out.append(_join_tuple(p, tup, seqs, timestamp))
     return out
 
 
@@ -112,15 +126,19 @@ def trans_truncate_nlj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
     n2-slot intermediate, which the protocol sorts real-first and cuts to
     omega slots. `caps` is that cut: a record is an outer in one call per
     step and spends its at most omega slots only on its own joins. Only
-    key-matching probes can emit, so each real outer probes just the real
-    inner rows of its key, in t2 order. Rows are stamped in emission order,
-    so the batched sort of the n1 networks reorders nothing; it stays only
-    because `bench/tracing.py` times `transform.network_sort` and
-    `obliv.network_sort_keys` here (see ROADMAP item 10).
+    key-matching probes can emit, so the join indexes only the inner reals
+    whose key some outer holds, and each real outer probes just the inner
+    rows of its key, in t2 order. Rows are stamped in emission order, so the
+    batched sort of the n1 networks reorders nothing; it runs only when there
+    are rows, and stays only because `bench/tracing.py` times
+    `transform.network_sort` and `obliv.network_sort_keys` here (see ROADMAP
+    item 10).
     """
+    outer_keys = {u.key for u in t1}
     inner: dict[int, list[SecureTuple]] = {}
     for v in t2:
-        inner.setdefault(v.key, []).append(v)
+        if v.key in outer_keys:
+            inner.setdefault(v.key, []).append(v)
     rows: list[SecureTuple] = []
     for u in t1:
         for v in inner.get(u.key, ()):
@@ -130,7 +148,7 @@ def trans_truncate_nlj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
                 caps[u.seq] -= 1
                 caps[v.seq] -= 1
                 rows.append(_join_tuple(u, v, seqs, timestamp))
-    return network_sort(rows, seq_of, n2, networks=n1)
+    return network_sort(rows, seq_of, n2, networks=n1) if rows else rows
 
 
 class OperatorKind(enum.Enum):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpviewsim import harness, obliv, shrink
+from dpviewsim import harness, shrink
 from dpviewsim.harness import (_BURST_ON, _BURST_PERIOD, CapacityExceeded,
                                ConfigError, ExperimentConfig, MetricsRecord,
                                ParseError, Profile, Protocol, RunState,
@@ -20,8 +20,7 @@ from dpviewsim.harness import (_BURST_ON, _BURST_PERIOD, CapacityExceeded,
                                read_metrics, run_experiment, run_trials,
                                synth_stream, true_count, validate_config)
 from dpviewsim.leakage import LogicalStream, StreamRecord
-from dpviewsim.obliv import (SecureTuple, cache_flush, network_sort, network_sort_keys,
-                             obli_sort)
+from dpviewsim.obliv import SecureTuple, cache_flush, network_sort, obli_sort
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover
 from dpviewsim.shrink import (MaterializedView, flush_step, sdp_ant_step, sdp_timer_step,
@@ -30,6 +29,7 @@ from dpviewsim.transcript import Transcript, TranscriptKind
 from dpviewsim.transform import (OperatorKind, step_sizes, trans_truncate_nlj,
                                  trans_truncate_smj, transform_step)
 from test_golden import hot_key_config
+from test_transform import charge_joins
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +437,12 @@ def test_no_step_join_or_sort_takes_a_counter():
 
 def assert_cost_is_what_the_run_did(config):
     """Run `config` and check each query step's cost_proxy: the compare count
-    its sorts returned, plus the slots it moved into the view, plus the
-    query's scan. Returns the compare count per step."""
+    of the networks it ran, plus the slots it moved into the view, plus the
+    query's scan. Returns the compare count per step.
+
+    A join is charged the networks of the padded (n1, n2) it was called with,
+    whether or not a real can join, and cache sorts as `network_sort_keys`
+    returns their count (see `test_transform.charge_joins`)."""
     compares, batches, now = Counter(), [], 0
 
     def at_step(fn):
@@ -448,10 +452,8 @@ def assert_cost_is_what_the_run_did(config):
             return fn(t, *args)
         return stepped
 
-    def counting(keys, n, networks):
-        perm, count = network_sort_keys(keys, n, networks)
+    def charge(count):
         compares[now] += count
-        return perm, count
 
     def recording(*args):
         batches.append(client_batches(*args))
@@ -461,7 +463,7 @@ def assert_cost_is_what_the_run_did(config):
         for name in ("transform_step", "sdp_timer_step", "sdp_ant_step", "flush_step"):
             mp.setattr(harness, name, at_step(getattr(harness, name)))
         mp.setattr(harness, "client_batches", recording)
-        mp.setattr(obliv, "network_sort_keys", counting)
+        charge_joins(mp, charge, charge)
         result = run_experiment(config)
     moved = Counter()
     for t, slots in result.final_view.batches:
@@ -494,7 +496,7 @@ def cost_config(protocol, operator, source, tmp_path, **fields):
 def test_cost_proxy_charges_the_sorts_the_run_ran(protocol, operator, source, tmp_path):
     config = cost_config(protocol, operator, source, tmp_path, horizon=60, f=20, s=5, seed=3)
     compares = assert_cost_is_what_the_run_did(config)
-    # Syncs and flushes sort the cache; joins sort their rows; nothing else sorts.
+    # Syncs and flushes sort the cache; joins charge their networks; nothing else does.
     sorts = protocol in (Protocol.DP_TIMER, Protocol.DP_ANT) or (
         protocol in (Protocol.EP, Protocol.OTM) and operator is not OperatorKind.FILTER)
     assert (sum(compares.values()) > 0) == sorts

@@ -8,7 +8,7 @@ from dpviewsim.harness import ExperimentConfig, Protocol, run_experiment
 from dpviewsim.obliv import (DUMMY, SecureCache, SecureTuple, cache_append,
                              cache_flush, cache_read, compare_exchange_pairs,
                              network_comparison_count, network_sort,
-                             network_sort_keys, obli_sort, padded_length)
+                             network_sort_keys, obli_sort, padded_length, seq_of)
 from dpviewsim.transform import OperatorKind
 
 
@@ -170,6 +170,19 @@ def test_batched_sort_matches_independent_networks(k, n):
             expected += values[:count]
         assert network_sort(reals, lambda v: v, n, networks=k) == expected
         assert network_sort_keys(reals, n, k)[1] == pairs == k * network_comparison_count(n)
+
+
+@pytest.mark.parametrize("networks", [0, 1, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 16])
+def test_fewer_than_two_keys_return_at_once_with_the_networks_count(n, networks):
+    # Nothing to order: no key is compared, but the count is still that of
+    # the `networks` n-slot networks the protocol runs.
+    count = networks * network_comparison_count(n)
+    assert network_sort_keys([], n, networks) == ([], count)
+    assert network_sort_keys([(7, 0, 3)], n, networks) == ([0], count)
+    item = real(5)
+    assert network_sort([item], seq_of, n, networks) == [item]
+    assert network_sort([], seq_of, n, networks) == []
 
 
 def test_network_sort_rejects_repeated_keys():

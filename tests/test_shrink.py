@@ -4,8 +4,8 @@ import math
 import pytest
 from scipy.stats import binom
 
-from dpviewsim import obliv, shrink
-from dpviewsim.harness import ExperimentConfig, Protocol, RunState, run_experiment
+from dpviewsim import harness, obliv, shrink
+from dpviewsim.harness import ExperimentConfig, Profile, Protocol, RunState, run_experiment
 from dpviewsim.obliv import DUMMY, SecureCache, SecureTuple, obli_sort
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover, share_in_protocol
@@ -430,3 +430,38 @@ def test_view_built_with_rows_counts_them():
     with pytest.raises(ValueError, match="exceed"):
         view.append_batch([real_row(5), real_row(6)], 1, t=4)
     assert view.real_rows() == 3 and view.total_rows() == 6
+
+
+# ---------------------------------------------------------------------------
+# The zero-noise limit on real runs.
+
+@pytest.mark.parametrize("operator", list(OperatorKind))
+@pytest.mark.parametrize("protocol", [Protocol.DP_TIMER, Protocol.DP_ANT])
+def test_zero_noise_syncs_move_every_cached_row(protocol, operator, monkeypatch):
+    # At epsilon = 1e300 the noise is about 1e-299 slots, so a DP sync's
+    # size is the real count to the last row, and the sync must leave no real
+    # row cached: a sync that read the wrong rows, or one row short, fails.
+    # Hot keys (Burst, multiplicity 3) make the three operators differ.
+    syncs = []
+
+    def checked(step):
+        def sync_then_check(t, run):
+            report = step(t, run)
+            if report is not None:
+                syncs.append((t, run.cache.entries))
+            return report
+        return sync_then_check
+
+    name = {Protocol.DP_TIMER: "sdp_timer_step", Protocol.DP_ANT: "sdp_ant_step"}[protocol]
+    monkeypatch.setattr(harness, name, checked(getattr(harness, name)))
+    result = run_experiment(ExperimentConfig(
+        protocol=protocol, operator=operator, epsilon=1e300, profile=Profile.BURST,
+        multiplicity=3, c_r=12, horizon=400, omega=2, b=5, seed=1))
+    assert len(syncs) == len(result.sync_reports) >= 20
+    assert [t for t, entries in syncs if entries] == []
+    # No flush falls in the horizon, and every synced slot holds a real row:
+    # the view holds exactly the rows produced up to the last sync.
+    view, last = result.final_view, syncs[-1][0]
+    assert view.batches == [(r.t, r.size) for r in result.sync_reports]
+    assert view.counts == [r.size for r in result.sync_reports]
+    assert sum(view.counts) == sum(1 for row in result.produced_rows if row.timestamp <= last)

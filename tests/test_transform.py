@@ -1,5 +1,5 @@
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -32,18 +32,48 @@ def padded(rng, n, make):
 FRESH = 1 << 20
 
 
-@pytest.fixture
-def compares(monkeypatch):
-    """The compare count of every sort run, in order, as `network_sort_keys`
-    returns it: the sorts themselves charge nothing."""
-    counts = []
+JOIN_NETWORKS = ((trans_truncate_smj, lambda n1, n2: network_comparison_count(n1 + n2)),
+                 (trans_truncate_nlj, lambda n1, n2: n1 * network_comparison_count(n2)))
+
+
+def charge_joins(mp, charge, sorted_outside):
+    """Pass `charge` the compare count of each join call's networks, from the
+    padded (n1, n2) it was called with: the SMJ's one (n1 + n2)-slot network,
+    the NLJ's n1 n2-slot ones. A join sorts only when a real can join, so
+    whether it sorts depends on the data; a sort it does run must be the
+    networks it is charged for. Sorts outside a join pass their count, as
+    `network_sort_keys` returns it, to `sorted_outside`. The joins are
+    wrapped where `transform_step` resolves them."""
+    in_join = []  # the open join call's count, then the counts of its sorts
 
     def counting(keys, n, networks):
         perm, count = network_sort_keys(keys, n, networks)
-        counts.append(count)
+        (in_join.append if in_join else sorted_outside)(count)
         return perm, count
 
-    monkeypatch.setattr(obliv, "network_sort_keys", counting)
+    def charging(join, networks_of):
+        def charged(t1, n1, t2, n2, *rest):
+            in_join[:] = [networks_of(n1, n2)]
+            rows = join(t1, n1, t2, n2, *rest)
+            count, *ran = in_join
+            in_join.clear()
+            assert ran in ([], [count])
+            charge(count)
+            return rows
+        return charged
+
+    mp.setattr(obliv, "network_sort_keys", counting)
+    for join, networks_of in JOIN_NETWORKS:
+        mp.setattr(transform, join.__name__, charging(join, networks_of))
+
+
+@pytest.fixture
+def compares(monkeypatch):
+    """The compare count of every join call's networks and of every other
+    sort, in order (see `charge_joins`); the `smj` and `nlj` helpers call
+    the joins where it wraps them."""
+    counts = []
+    charge_joins(monkeypatch, counts.append, counts.append)
     return counts
 
 
@@ -57,10 +87,11 @@ def filt(batch):
 
 
 def nlj(t1, t2, b, n1=None, n2=None):
-    """The NLJ of reals t1 and t2, padded to n1 and n2 slots (default: none)."""
-    return trans_truncate_nlj(t1, len(t1) if n1 is None else n1,
-                              t2, len(t2) if n2 is None else n2, budgets((t1, t2), b),
-                              itertools.count(FRESH), 0)
+    """The NLJ of reals t1 and t2, padded to n1 and n2 slots (default: none),
+    called where the `compares` fixture wraps it."""
+    return transform.trans_truncate_nlj(t1, len(t1) if n1 is None else n1,
+                                        t2, len(t2) if n2 is None else n2,
+                                        budgets((t1, t2), b), itertools.count(FRESH), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +177,11 @@ def test_filter_keeps_payload():
 # Sort-merge join.
 
 def smj(t1, t2, omega, n1=None, n2=None):
-    """The SMJ of reals t1 and t2, padded to n1 and n2 slots (default: none)."""
-    return trans_truncate_smj(t1, len(t1) if n1 is None else n1,
-                              t2, len(t2) if n2 is None else n2,
-                              budgets((t1, t2), omega), itertools.count(FRESH), 0)
+    """The SMJ of reals t1 and t2, padded to n1 and n2 slots (default: none),
+    called where the `compares` fixture wraps it."""
+    return transform.trans_truncate_smj(t1, len(t1) if n1 is None else n1,
+                                        t2, len(t2) if n2 is None else n2,
+                                        budgets((t1, t2), omega), itertools.count(FRESH), 0)
 
 
 def test_smj_worked_example():
@@ -313,6 +345,61 @@ def test_smj_matches_full_merge_oracle(omega):
         assert next(seqs) == next(want_seqs)
 
 
+@pytest.mark.parametrize("more_reals", ["t1", "t2", "neither"])
+def test_smj_keys_either_input_as_the_full_merge_does(more_reals):
+    # The SMJ keys the input with fewer reals (t1 on a tie) and scans the
+    # other once, so each case keys a different side. Each input is two seq
+    # runs, the later one first, as old2 + new2 is in a step; keys 2 and 3
+    # are held by several records on both sides, key 1 by t1 alone and key 4
+    # by t2 alone.
+    reals, seed = {"t1": ((9, 5), 81), "t2": ((5, 9), 82), "neither": ((7, 7), 83)}[more_reals]
+    rng = np.random.default_rng(seed)
+    joined = hot = 0
+    for _ in range(200):
+        seq = iter(range(10_000))
+
+        def table(k, lo):
+            early, late = ([rec(next(seq), key=int(rng.integers(lo, lo + 3)),
+                                flag=int(rng.integers(9))) for _ in range(m)]
+                           for m in (k // 2, k - k // 2))
+            return late + early
+
+        t1, t2 = table(reals[0], 1), table(reals[1], 2)
+        n1, n2 = (len(t) + int(rng.integers(0, 3)) for t in (t1, t2))
+        b = int(rng.integers(2, 7))
+        spent = {t.seq: int(rng.integers(0, b + 1)) for t in t1 + t2}
+        caps, want_caps = (spent_caps((t1, t2), b, spent, 2) for _ in range(2))
+        seqs, want_seqs = itertools.count(FRESH), itertools.count(FRESH)
+        rows = trans_truncate_smj(t1, n1, t2, n2, caps, seqs, 7)
+        assert rows == smj_oracle(t1, n1, t2, n2, want_caps, want_seqs, 7)
+        assert caps == want_caps
+        assert next(seqs) == next(want_seqs)
+        joined += len(rows)
+        held = [Counter(t.key for t in side) for side in (t1, t2)]
+        hot += any(held[0][k] > 1 and held[1][k] > 1 for k in (2, 3))
+    assert joined and hot > 100, (joined, hot)
+
+
+def test_smj_with_no_shared_key_sorts_and_spends_nothing(monkeypatch):
+    # Reals on both sides, but no key on both: no rows, no sort, no cap read
+    # or spent and no seq drawn, whichever side has more reals.
+    sorts = []
+
+    def recording(keys, n, networks):
+        sorts.append((keys, n, networks))
+        return network_sort_keys(keys, n, networks)
+
+    monkeypatch.setattr(obliv, "network_sort_keys", recording)
+    ones = [rec(3, key=1), rec(0, key=2), rec(1, key=2)]
+    twos = [rec(7, key=3), rec(5, key=4)]
+    for t1, t2 in ((ones, twos), (twos, ones), (ones, []), ([], twos), ([], [])):
+        caps = defaultdict(lambda: 2)  # as transform_step builds them
+        seqs = itertools.count(FRESH)
+        assert trans_truncate_smj(t1, len(t1) + 2, t2, len(t2) + 1, caps, seqs, 0) == []
+        assert caps == {} and next(seqs) == FRESH
+    assert sorts == []
+
+
 def test_smj_sorts_once_per_invocation(monkeypatch, compares):
     calls = []
 
@@ -330,7 +417,7 @@ def test_smj_sorts_once_per_invocation(monkeypatch, compares):
         calls.clear()
         compares.clear()
         smj(t1, right, omega=2, n1=n1, n2=n2)
-        assert calls == [(joinable, n1 + n2, 1)]
+        assert calls == ([(joinable, n1 + n2, 1)] if joinable else [])  # no key, no sort
         assert compares == [network_comparison_count(n1 + n2)]
 
 
@@ -415,7 +502,7 @@ def test_nlj_matches_per_outer_loop_oracle(omega, compares):
         caps, want_caps = (spent_caps((t1, t2), b, spent, omega) for _ in range(2))
         seqs, want_seqs = itertools.count(FRESH), itertools.count(FRESH)
         compares.clear()
-        rows = trans_truncate_nlj(t1, n1, t2, n2, caps, seqs, 7)
+        rows = transform.trans_truncate_nlj(t1, n1, t2, n2, caps, seqs, 7)
         want_rows, want_compares = nlj_oracle(t1, n1, t2, n2, omega, want_caps, want_seqs, 7)
         assert rows == want_rows
         assert compares == [want_compares]
@@ -436,8 +523,8 @@ def test_nlj_sorts_once_per_invocation(monkeypatch, compares):
                    ([rec(0, key=0), rec(1, key=1), rec(2, key=0)], 4)):
         calls.clear()
         compares.clear()
-        nlj(t1, t2, b=2, n1=n1, n2=6)
-        assert calls == [(6, n1)]
+        rows = nlj(t1, t2, b=2, n1=n1, n2=6)
+        assert calls == ([(6, n1)] if rows else [])  # no rows, no sort
         assert compares == [n1 * network_comparison_count(6)]  # 0 for no t1
 
 
