@@ -2,7 +2,7 @@
 
 Modules:
     sharing    two-server XOR secret sharing over the 32-bit ring
-    dpnoise    joint Laplace noise from server-contributed words
+    dpnoise    joint Laplace noise from server words; one inverse-CDF oracle
     obliv      secure cache kept as its real rows plus a slot count; sorts the
                reals of one or more same-length bitonic networks in their
                output order with one Timsort (at once for fewer than two
@@ -32,7 +32,8 @@ Modules:
                plain row per server per observation, fanned out to both
                servers in turn by `observe`, built into slotted events when
                first read
-    leakage    reference DP mechanisms, empirical privacy loss, transcript audit
+    leakage    reference DP mechanisms, one body each for one run or many
+               trials; empirical privacy loss; transcript audit
     harness    the run's config and its single validation, the run's one state
                (`RunState`: the config, seq stamps, randomness and transcript
                the steps read; the cache, counter, threshold, view, retained

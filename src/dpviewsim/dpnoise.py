@@ -2,8 +2,8 @@
 
 Both servers feed one uniform 32-bit word into each draw; the XOR of the two
 words seeds a log-transform Laplace sample, so neither server alone can
-predict or steer the noise. A conventional inverse-CDF sampler is provided as
-a statistical oracle for distribution tests.
+predict or steer the noise. One inverse-CDF sampler, scalar or batched, is the
+oracle for the distribution tests and for the reference mechanisms' trials.
 """
 
 from __future__ import annotations
@@ -63,28 +63,20 @@ def joint_laplace(z0: int, z1: int, scale: NoiseScale) -> float:
     return scale.scale * math.log(fixed_point(z)) * sign
 
 
-def laplace_inverse_cdf(u: float, scale: float) -> float:
-    """Inverse CDF of Laplace(0, scale) at u in (0, 1)."""
-    if not 0.0 < u < 1.0:
+def laplace_inverse_cdf(u: float | np.ndarray, scale: float) -> float | np.ndarray:
+    """Inverse CDF of Laplace(0, scale) at each u in (0, 1)."""
+    if not np.all((0.0 < u) & (u < 1.0)):
         raise ValueError(f"u must be in (0,1), got {u}")
     d = u - 0.5
-    if d == 0.0:
-        return 0.0
-    return -scale * math.copysign(1.0, d) * math.log1p(-2.0 * abs(d))
+    return -scale * np.sign(d) * np.log1p(-2.0 * np.abs(d))
 
 
-def laplace_oracle(scale: NoiseScale, rng: np.random.Generator) -> float:
-    """Reference inverse-CDF Laplace sample from a seeded generator."""
-    u = rng.random()
-    while u == 0.0:  # keep u strictly inside (0,1)
-        u = rng.random()
-    return laplace_inverse_cdf(u, scale.scale)
-
-
-def laplace_oracle_many(scale: NoiseScale, n: int | tuple[int, ...],
-                        rng: np.random.Generator) -> np.ndarray:
-    """Oracle draws of shape n (an int or a tuple), by laplace_oracle's inverse CDF."""
-    u = rng.random(n)
-    d = u - 0.5
-    return -scale.scale * np.sign(d) * np.log1p(-2.0 * np.abs(d))
-
+def laplace_oracle(scale: NoiseScale, rng: np.random.Generator,
+                   n: int | tuple[int, ...] | None = None) -> float | np.ndarray:
+    """Reference inverse-CDF Laplace draws from a seeded generator: one float,
+    or an array of shape n (an int or a tuple)."""
+    u = np.array(rng.random(n))
+    while (zero := u == 0.0).any():  # keep every u strictly inside (0,1)
+        u[zero] = rng.random(int(zero.sum()))
+    x = laplace_inverse_cdf(u, scale.scale)
+    return x if n is not None else float(x)

@@ -2,12 +2,12 @@
 
 The reference mechanisms mirror the sync protocols' observable behavior from
 the logical stream alone, up to its own horizon, with the noise draw they
-are given: what an adversary may learn is at most what these mechanisms
-release. The threshold ones draw a run's scales by default; variant="proof"
-selects the analysis's output scale. The empirical estimator measures privacy
-loss between neighboring streams from the mechanisms' vectorized `run_many`
-trials; the audit asserts that every transcript size is either a function of
-public configuration or a coupled DP release.
+are given: what an adversary may learn is at most what they release. Each
+has one body. `m_timer` and `m_ant` run it once with the caller's draw, which
+tests/test_replay ties to real runs; `run_many` runs it over many trials with
+oracle draws, and the empirical estimator measures privacy loss between
+neighboring streams from those trials. The audit asserts that every transcript
+size is either a function of public configuration or a coupled DP release.
 
 The mechanisms' noise is calibrated to b, on the premise that one logical
 update moves the produced-row stream by at most b rows. tests/test_sensitivity
@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dpnoise import NoiseScale, laplace_oracle_many
+from .dpnoise import NoiseScale, laplace_oracle
 from .shrink import ant_scales, timer_scale
 # Callers of the audit also reach the transcript types through this module.
 from .transcript import Transcript, TranscriptEvent, TranscriptKind
@@ -75,8 +75,8 @@ def m_timer(stream: LogicalStream, T: int, b: float, epsilon: float,
             draw: Callable[[NoiseScale], float]) -> list[tuple[int, float]]:
     """Noisy per-window arrival counts at every multiple of T up to the
     stream's horizon; each noise draw is `draw(scale)`, e.g.
-    `ServerRandomness(seed).joint_laplace` or `dpnoise.laplace_oracle` bound
-    to a generator."""
+    `ServerRandomness(seed).joint_laplace`, or `dpnoise.laplace_oracle` bound
+    to a generator and, in `TimerMechanism.run_many`, to a trial count."""
     counts = stream.arrivals_per_step()
     scale = timer_scale(b, epsilon)
     out = []
@@ -86,49 +86,50 @@ def m_timer(stream: LogicalStream, T: int, b: float, epsilon: float,
     return out
 
 
-def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float,
-          draw: Callable[[NoiseScale], float],
-          variant: str = "protocol") -> list[tuple[int, float | None]]:
-    """Sparse-vector release of counts-since-last-release.
-
-    Draw order matches the threshold protocol exactly: initial threshold,
-    one check per step, then release noise and a threshold refresh on each
-    trigger; `draw` gives the draws as in `m_timer`. variant selects the
-    output-noise scale ("protocol" couples with the running protocol;
-    "proof" matches the reference analysis).
-    """
-    counts = stream.arrivals_per_step()
+def _threshold(stream: LogicalStream, theta: float, b: float, epsilon: float,
+               variant: str, draw: Callable[[NoiseScale, int], np.ndarray],
+               trials: int) -> np.ndarray:
+    """Noisy counts-since-last-release of `trials` sparse-vector runs at once
+    (a row per run, a column per step, NaN where none is released). In the
+    protocol's order, `draw(scale, n)` gives the n runs that need one each a
+    threshold, a check per step, then a release and a refresh per trigger."""
+    cum = np.cumsum(stream.arrivals_per_step())
     th_scale, check_scale, out_scale = ant_scales(b, epsilon, variant)
-    noisy_th = theta + draw(th_scale)
-    out: list[tuple[int, float | None]] = []
-    since = 0
+    noisy_th = theta + draw(th_scale, trials)
+    last_cum = np.zeros(trials)
+    out = np.full((trials, stream.horizon), np.nan)
     for t in range(1, stream.horizon + 1):
-        since += int(counts[t])
-        check = since + draw(check_scale)
-        if check >= noisy_th:
-            released = since + draw(out_scale)
-            out.append((t, released))
-            noisy_th = theta + draw(th_scale)
-            since = 0
-        else:
-            out.append((t, None))
+        since = cum[t] - last_cum
+        trig = since + draw(check_scale, trials) >= noisy_th
+        if trig.any():
+            hits = int(trig.sum())
+            out[trig, t - 1] = since[trig] + draw(out_scale, hits)
+            noisy_th[trig] = theta + draw(th_scale, hits)
+            last_cum[trig] = cum[t]
     return out
 
 
-# Vectorized trial runners for the empirical estimator.
+def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float,
+          draw: Callable[[NoiseScale], float],
+          variant: str = "protocol") -> list[tuple[int, float | None]]:
+    """The threshold mechanism's one-run case, None where a step releases
+    nothing; `draw` gives the draws as in `m_timer`, and `variant` selects
+    `shrink.ant_scales`' output scale, the running protocol's by default."""
+    out = _threshold(stream, theta, b, epsilon, variant,
+                     lambda scale, n: np.full(n, draw(scale)), 1)[0]
+    return [(t, None if math.isnan(v) else v) for t, v in enumerate(out.tolist(), 1)]
+
+
+# Trial runners for the empirical estimator: the bodies above, one oracle draw per trial.
 
 class TimerMechanism:
     def __init__(self, T: int, b: float, epsilon: float):
         self.T, self.b, self.epsilon = T, b, epsilon
 
     def run_many(self, stream: LogicalStream, trials: int, rng) -> np.ndarray:
-        counts = stream.arrivals_per_step()
-        sync_ts = range(self.T, stream.horizon + 1, self.T)
-        base = np.array([counts[max(0, t - self.T + 1): t + 1].sum() for t in sync_ts],
-                        dtype=np.float64)
-        noise = laplace_oracle_many(timer_scale(self.b, self.epsilon),
-                                    (trials, len(base)), rng)
-        return base[None, :] + noise
+        out = m_timer(stream, self.T, self.b, self.epsilon,
+                      lambda scale: laplace_oracle(scale, rng, trials))
+        return np.array([v for _, v in out]).reshape(len(out), trials).T
 
 
 class AntMechanism:
@@ -137,23 +138,9 @@ class AntMechanism:
         self.theta, self.b, self.epsilon, self.variant = theta, b, epsilon, variant
 
     def run_many(self, stream: LogicalStream, trials: int, rng) -> np.ndarray:
-        h = stream.horizon
-        counts = stream.arrivals_per_step()
-        cum = np.cumsum(counts)
-        th_scale, check_scale, out_scale = ant_scales(self.b, self.epsilon, self.variant)
-        noisy_th = self.theta + laplace_oracle_many(th_scale, trials, rng)
-        last_cum = np.zeros(trials)
-        out = np.zeros((trials, h))
-        for t in range(1, h + 1):
-            since = cum[t] - last_cum
-            check = since + laplace_oracle_many(check_scale, trials, rng)
-            trig = check >= noisy_th
-            if trig.any():
-                hits = int(trig.sum())
-                out[trig, t - 1] = since[trig] + laplace_oracle_many(out_scale, hits, rng)
-                noisy_th[trig] = self.theta + laplace_oracle_many(th_scale, hits, rng)
-                last_cum[trig] = cum[t]
-        return out
+        out = _threshold(stream, self.theta, self.b, self.epsilon, self.variant,
+                         lambda scale, n: laplace_oracle(scale, rng, n), trials)
+        return np.nan_to_num(out, nan=0.0)
 
 
 def empirical_privacy_loss(mechanism, stream_a: LogicalStream,
@@ -174,8 +161,7 @@ def empirical_privacy_loss(mechanism, stream_a: LogicalStream,
         min_bin = max(100, trials // 20)
     if sorted(stream_a.arrivals) != sorted(stream_b.arrivals):
         assert_neighbors(stream_a, stream_b)
-    rng_a = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-    rng_b = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    rng_a, rng_b = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
 
     def histogram(stream, rng):
         quantized = np.floor(mechanism.run_many(stream, trials, rng) + 0.5).astype(np.int64)

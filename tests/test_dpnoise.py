@@ -5,8 +5,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from dpviewsim.dpnoise import (NoiseScale, fixed_point, joint_laplace,
-                               laplace_inverse_cdf, laplace_oracle,
-                               laplace_oracle_many)
+                               laplace_inverse_cdf, laplace_oracle)
 
 _HALF = 1 << 31
 
@@ -140,12 +139,36 @@ def test_oracle_seeded_reproducible():
             == laplace_oracle(scale, np.random.default_rng(99)))
 
 
+class FirstUniformZero:
+    """Generator stub: every uniform of its first call is 0.0, later ones 0.25."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def random(self, size=None):
+        self.calls += 1
+        u = 0.0 if self.calls == 1 else 0.25
+        return u if size is None else np.full(size, u)
+
+
+@pytest.mark.parametrize("n", [None, (3,)])
+def test_oracle_redraws_a_zero_uniform(n):
+    # u = 0 lies outside the inverse CDF's open interval (it maps to -inf);
+    # the oracle draws it again, scalar and batched alike.
+    rng = FirstUniformZero()
+    draws = laplace_oracle(NoiseScale(2, 1), rng, n)
+    assert rng.calls == 2
+    assert np.shape(draws) == (() if n is None else n)
+    assert np.all(np.isfinite(draws))
+    np.testing.assert_array_equal(draws, laplace_inverse_cdf(0.25, 2.0))
+
+
 def test_joint_vs_oracle_ks():
     n = 100_000
     rng = np.random.default_rng(77)
     z0 = rng.integers(1 << 32, size=n, dtype=np.uint64)
     z1 = rng.integers(1 << 32, size=n, dtype=np.uint64)
     joint = joint_laplace_many(z0, z1, NoiseScale(1, 1))
-    oracle = laplace_oracle_many(NoiseScale(1, 1), n, np.random.default_rng(78))
+    oracle = laplace_oracle(NoiseScale(1, 1), np.random.default_rng(78), n)
     stat, _ = ks_2samp(joint, oracle)
     assert stat < 0.01

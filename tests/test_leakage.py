@@ -217,6 +217,16 @@ def test_run_many_matches_scalar_mechanism_distribution():
                     for i in range(2_000)])
     assert abs(arr.mean() - seq.mean()) < 0.15
     assert abs(arr.var() - seq.var()) < 0.4
+    # One body: a one-trial run_many is m_timer under the same seed, exactly,
+    # on a stream with several syncs.
+    several = stream([t for t in range(1, 41) for _ in range(t % 3)], horizon=40)
+    for k in range(20):
+        one = mech.run_many(several, 1, np.random.default_rng(k))
+        assert one.shape == (1, 10)
+        assert one[0].tolist() == [v for _, v in m_timer(several, 4, 1, 1.0, seeded(k))]
+    # A horizon shorter than T syncs nothing.
+    assert mech.run_many(stream([1, 2], horizon=3), 5, rng).shape == (5, 0)
+    assert m_timer(stream([1, 2], horizon=3), 4, 1, 1.0, seeded(0)) == []
 
 
 def test_ant_mechanism_run_many_consistent_with_scalar():
@@ -235,6 +245,20 @@ def test_ant_mechanism_run_many_consistent_with_scalar():
         scalar_hits += np.array(vec) != 0
     vec_hits = (arr != 0).mean(axis=0)
     assert np.all(np.abs(vec_hits - scalar_hits / n) < 0.05)
+    # One body: a one-trial run_many is m_ant under the same seed, exactly,
+    # with None read as 0, on a stream with several releases.
+    several = stream([t for t in range(1, 41) for _ in range(t % 3)], horizon=40)
+    for variant in ("protocol", "proof"):
+        mech = AntMechanism(theta=4, b=1, epsilon=1.0, variant=variant)
+        for k in range(20):
+            one = mech.run_many(several, 1, np.random.default_rng(k))
+            assert one.shape == (1, 40)
+            scalar = m_ant(several, 4, 1, 1.0, seeded(k), variant=variant)
+            assert sum(v is not None for _, v in scalar) >= 2
+            assert one[0].tolist() == [0.0 if v is None else v for _, v in scalar]
+        # A horizon of 0 has no step to release at.
+        assert mech.run_many(stream([], horizon=0), 5, rng).shape == (5, 0)
+        assert m_ant(stream([], horizon=0), 4, 1, 1.0, seeded(0), variant=variant) == []
 
 
 def test_two_phase_composition_bound():
@@ -248,13 +272,8 @@ def test_two_phase_composition_bound():
     class TwoPhase:
         def run_many(self, s, trials, rng):
             count = len(s.arrivals)
-
-            def lap(scale, size):
-                d = rng.random(size) - 0.5
-                return -scale * np.sign(d) * np.log1p(-2.0 * np.abs(d))
-
-            r1 = q1 * count + lap(1 / eps1, trials)
-            r2 = q2 * count + lap(1 / eps2, trials)
+            r1 = q1 * count + laplace_oracle(NoiseScale(1, eps1), rng, trials)
+            r2 = q2 * count + laplace_oracle(NoiseScale(1, eps2), rng, trials)
             return np.stack([r1, r2], axis=1)
 
     # two release dimensions spread the mass; a fixed cutoff keeps bins
