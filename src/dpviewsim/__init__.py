@@ -3,17 +3,19 @@
 Modules:
     sharing    two-server XOR secret sharing over the 32-bit ring
     dpnoise    joint Laplace noise from server words; one inverse-CDF oracle
-    obliv      secure cache kept as its real rows plus a slot count; sorts the
-               reals of one or more same-length bitonic networks in their
-               output order with one Timsort (at once for fewer than two
-               keys) and charges nothing, the network
+    obliv      secure cache kept as its real rows plus a slot count, which
+               each step appends to in place; sorts the reals of one or more
+               same-length bitonic networks in their output order with one
+               Timsort (one scan for keys already in order) and charges
+               nothing, the network
                itself as the test oracle and its compare count a closed form;
                a read returns only the reals of the slots it reads; a tuple
                is a real view entry iff its seq is non-negative
     transform  truncated view transformation with contribution budgets,
                whose step reads and updates the run's one state and returns
                its `step_sizes`, the one rule for a step's padded join
-               lengths, output slots and compares; the Filter keeps the rows
+               lengths, output slots and compares, computed once per retained
+               depth; the Filter keeps the rows
                of one fixed predicate, `selected`; a record's join slots per
                invocation, a function of its age alone, are the joins' only
                contribution bound; a join takes reals plus padded lengths and
@@ -39,7 +41,8 @@ Modules:
                the steps read; the cache, counter, threshold, view, retained
                batches and produced rows they update in place), experiment
                loop (which charges each step's cost from sizes the servers
-               see), baselines, synthetic workloads, metrics (a run pauses the
+               see), baselines, synthetic workloads drawn and handed out to
+               the owners in one pass, metrics (a run pauses the
                cyclic garbage collector and restores the caller's setting,
                which is safe because a run builds no reference cycles, as a
                test checks; the setting is process-wide, so runs in concurrent

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .leakage import LogicalStream, StreamRecord
-from .obliv import SecureCache, SecureTuple, cache_read, network_comparison_count
+from .obliv import SecureCache, SecureTuple, network_comparison_count
 from .randomness import ServerRandomness
 from .sharing import RING_SIZE, SharePair
 from .shrink import (FlushReport, MaterializedView, SyncReport, ThresholdShares, ant_scales,
@@ -273,14 +273,14 @@ def load_stream(path: str) -> LogicalStream:
 
 def client_batches(stream: LogicalStream, c_r: int, horizon: int,
                    seqs: Iterator[int]) -> list[list[SecureTuple]]:
-    """Per-step owner batches of c_r slots, each kept as its real arrivals."""
-    by_step: dict[int, list[StreamRecord]] = {}
+    """Owner batches of c_r slots for steps 1..horizon, each kept as its real arrivals."""
+    by_step: list[list[StreamRecord]] = [[] for _ in range(horizon + 1)]
     for rec in stream.arrivals:
-        if rec.t <= horizon:
-            by_step.setdefault(rec.t, []).append(rec)
+        if 0 < rec.t <= horizon:
+            by_step[rec.t].append(rec)
     batches = []
     for t in range(1, horizon + 1):
-        recs = by_step.get(t, [])
+        recs = by_step[t]
         if len(recs) > c_r:
             raise CapacityExceeded(
                 f"step {t}: {len(recs)} arrivals exceed owner batch size {c_r}")
@@ -312,6 +312,11 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
     generator calls that one scalar `integers(1000)` draw per record makes,
     so the streams equal those of per-record draws.
 
+    Records are handed out in the pass that draws them. At the end of each
+    step an owner sends its first `cap` waiting records, stamped with the
+    step: its carry, then the records due at the step in draw order. The
+    rest wait; those left after the horizon are dropped.
+
     With `right=False` B comes back as None and none of its records are
     built, but every B draw is still made (its attributes in each block, its
     noise test and its noise attribute), so A equals A of a `right=True` call.
@@ -321,57 +326,58 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
     if profile is Profile.SPARSE:
         group_rate *= 0.1
     noise_rate = min(0.5, group_rate * 0.2)
+    burst_rate = 2 * group_rate * _BURST_PERIOD / _BURST_ON  # 2x Standard, when on
 
-    pend_a: dict[int, list[StreamRecord]] = {}
-    pend_b: dict[int, list[StreamRecord]] = {}
+    out_a: list[StreamRecord] = []
+    out_b: list[StreamRecord] = []
+    wait_a: list[StreamRecord] = []
+    wait_b: list[StreamRecord] = []
+    due_b: list[StreamRecord] = []  # B records scheduled for the next step
     next_key = 1
     matched_flag = 1
 
-    def scheduled_groups(t: int) -> int:
-        if profile is Profile.BURST:
-            # 2x the standard load, concentrated in the on-phase.
-            if (t - 1) % _BURST_PERIOD >= _BURST_ON:
-                return 0
-            lam = 2 * group_rate * _BURST_PERIOD / _BURST_ON
-            return int(rng.poisson(lam))
-        return int(rng.poisson(group_rate))
-
     for t in range(1, horizon + 1):
-        groups = scheduled_groups(t)
+        wait_b += due_b
+        due_b = []
+        if profile is not Profile.BURST:
+            groups = int(rng.poisson(group_rate))
+        elif (t - 1) % _BURST_PERIOD < _BURST_ON:
+            groups = int(rng.poisson(burst_rate))
+        else:
+            groups = 0
         if groups:
             block = rng.integers(1000, size=groups * (1 + multiplicity)).tolist()
             for at in range(0, len(block), 1 + multiplicity):
                 key = next_key
                 next_key += 1
-                pend_a.setdefault(t, []).append(
-                    StreamRecord(t, key, (matched_flag, block[at])))
+                wait_a.append(StreamRecord(t, key, (matched_flag, block[at])))
                 if right:
                     for i in range(multiplicity):
-                        bt = t + (i % 2)
-                        pend_b.setdefault(bt, []).append(
-                            StreamRecord(bt, key, (matched_flag, block[at + 1 + i])))
+                        rec = StreamRecord(t + i % 2, key, (matched_flag, block[at + 1 + i]))
+                        (due_b if i % 2 else wait_b).append(rec)
         if rng.random() < noise_rate:
-            pend_a.setdefault(t, []).append(
-                StreamRecord(t, (1 << 30) + next_key, (0, int(rng.integers(1000)))))
+            wait_a.append(StreamRecord(t, (1 << 30) + next_key, (0, int(rng.integers(1000)))))
             next_key += 1
         if rng.random() < noise_rate:
             attr = int(rng.integers(1000))
             if right:
-                pend_b.setdefault(t, []).append(
-                    StreamRecord(t, (1 << 31) + next_key, (0, attr)))
+                wait_b.append(StreamRecord(t, (1 << 31) + next_key, (0, attr)))
             next_key += 1
+        wait_a = _hand_out(wait_a, t, cap, out_a)
+        wait_b = _hand_out(wait_b, t, cap, out_b)
 
-    def drain(pending: dict[int, list[StreamRecord]]) -> list[StreamRecord]:
-        out: list[StreamRecord] = []
-        carry: list[StreamRecord] = []
-        for t in range(1, horizon + 1):
-            queue = carry + pending.get(t, [])
-            take, carry = queue[:cap], queue[cap:]
-            out.extend(r if r.t == t else StreamRecord(t, r.key, r.attrs) for r in take)
-        return out
+    return (LogicalStream(out_a, horizon),
+            LogicalStream(out_b, horizon) if right else None)
 
-    return (LogicalStream(drain(pend_a), horizon),
-            LogicalStream(drain(pend_b), horizon) if right else None)
+
+def _hand_out(waiting: list[StreamRecord], t: int, cap: int,
+              out: list[StreamRecord]) -> list[StreamRecord]:
+    """Append the first `cap` waiting records to `out`, stamped t; return the rest."""
+    if len(waiting) <= cap and (not waiting or waiting[0].t == t):
+        out += waiting  # no carry: every record is already stamped t
+        return []
+    out.extend(r if r.t == t else StreamRecord(t, r.key, r.attrs) for r in waiting[:cap])
+    return waiting[cap:]
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +548,9 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
         elif transforming:
             # EP and OTM: the whole padded delta goes straight in.
             slots = len(run.cache)
-            fetched, run.cache = cache_read(run.cache, slots)
             cost += slots
-            run.view.append_batch(fetched, slots, t)
+            run.view.append_batch(run.cache.entries, slots, t)
+            run.cache = SecureCache()
             run.transcript.observe(t, TranscriptKind.SYNC_BATCH, slots)
             transforming = config.protocol is Protocol.EP
 
@@ -564,16 +570,8 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
                 discarded = truth - real - deferred
             l1 = abs(truth - answered)
             result.metrics.append(MetricsRecord(
-                time=t,
-                l1_error=float(l1),
-                relative_error=float(l1) / max(1, truth),
-                view_rows_total=view.total_rows(),
-                view_rows_real=real,
-                deferred_real=deferred,
-                discarded_by_truncation=discarded,
-                cost_proxy=cost + scan,
-                transcript_events=len(run.transcript),
-            ))
+                t, float(l1), float(l1) / max(1, truth), view.total_rows(), real, deferred,
+                discarded, cost + scan, len(run.transcript)))
 
     result.final_view = run.view
     result.final_cache = run.cache

@@ -18,6 +18,7 @@ hot-key streams in turn and bounds the change of the per-step produced rows.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -56,7 +57,6 @@ class LogicalStream:
 
 def assert_neighbors(a: LogicalStream, b: LogicalStream) -> None:
     """Neighbors differ by the addition or removal of one logical update."""
-    from collections import Counter
     ca = Counter(a.arrivals)
     cb = Counter(b.arrivals)
     diff = ca - cb
@@ -165,11 +165,9 @@ def empirical_privacy_loss(mechanism, stream_a: LogicalStream,
 
     def histogram(stream, rng):
         quantized = np.floor(mechanism.run_many(stream, trials, rng) + 0.5).astype(np.int64)
-        bins: dict[tuple, int] = {}
-        for row in quantized:
-            key = tuple(row.tolist())
-            bins[key] = bins.get(key, 0) + 1
-        return bins
+        if not quantized.shape[1]:  # no column to zip: every trial's vector is ()
+            return Counter({(): len(quantized)})
+        return Counter(zip(*quantized.T.tolist()))
 
     bins_a = histogram(stream_a, rng_a)
     bins_b = histogram(stream_b, rng_b)

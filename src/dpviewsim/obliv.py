@@ -4,30 +4,31 @@ The protocol's cache is an append-only array of real view tuples and padding;
 a tuple is real iff its seq is non-negative (`is_view` is read, not stored).
 The servers learn only how many slots it has and read it only after an
 oblivious sort, so the simulator keeps just its real entries, in seq (FIFO)
-order, and its slot count; padding is a count and is never built. A read of
-sz slots returns the reals among them, and the caller, which knows sz, counts
-the rest as padding. The protocol sorts the cache with Batcher's bitonic
-compare-exchange network, so the sequence of touched index pairs is a
-function of the array length alone and leaks nothing about the contents. The
-simulator does not execute the network: it Timsorts the real entries' keys,
+order, and its slot count; padding is a count and is never built. Each step
+appends its padded batch to the cache in place. A read of sz slots returns
+the reals among them, and the caller, which knows sz, counts the rest as
+padding. The protocol sorts the cache with Batcher's bitonic compare-exchange
+network, so the sequence of touched index pairs is a function of the array
+length alone and leaks nothing about the contents. The simulator does not execute the network: it Timsorts the real entries' keys,
 which gives the network's order of the reals (every dummy lands behind every
 real). The sorts charge nothing: the run charges a network's closed-form
 compare count from its step's public sizes. Independent networks of one
 length, such as the nested-loop join's one per outer tuple, run as one sort of
-their concatenated reals; the cache and join rows come in seq order, which
-Timsort takes in one pass. The NLJ's per-outer cut is realized by its caps, so
+their concatenated reals. Keys already strictly ascending, which proves them
+distinct, come back in order after one scan: the cache and the NLJ's rows
+always arrive in seq order. The NLJ's per-outer cut is realized by its caps, so
 its sort reorders nothing and stays only for the benchmark's tracer. A join
-sorts only when a real can join, and fewer than two keys are returned at once,
-since the network's compare count is charged from the public sizes anyway.
-`compare_exchange_pairs` is the network itself, which the tests run as the
-oracle for these facts. Repeated sort keys raise.
+sorts only when a real can join, since the network's compare count is charged
+from the public sizes anyway. `compare_exchange_pairs` is the network itself,
+which the tests run as the oracle for these facts. Repeated sort keys raise.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, lt
 from typing import Callable, Iterator, NamedTuple
 
 
@@ -80,6 +81,13 @@ class SecureCache:
     def real_count(self) -> int:
         return len(self.entries)
 
+    def append(self, reals: list[SecureTuple], slots: int) -> None:
+        """Append, in place, a padded batch of `slots` slots holding `reals`."""
+        if len(reals) > slots:
+            raise ValueError(f"{len(reals)} real entries exceed {slots} slots")
+        self.entries += reals
+        self.slots += slots
+
 
 # ---------------------------------------------------------------------------
 # Bitonic sorting network. The pair sequence below is the network; the sorts
@@ -126,14 +134,15 @@ def network_sort_keys(keys: list, n: int, networks: int) -> tuple[list[int], int
     of the positions by key gives each network's output order, concatenated.
     The other slots of each network are dummies, which it moves behind every
     real. A network pads to a power of two with max-int sentinels. The count,
-    `networks` times the padded n-slot network's, is for `bench/tracing.py`;
-    fewer than two keys have nothing to order and return at once with it.
-    Keys must be distinct (ValueError otherwise), which makes each network's
-    permutation the unique sorting one.
+    `networks` times the padded n-slot network's, is for `bench/tracing.py`.
+    Keys already strictly ascending (fewer than two keys included) are
+    distinct and in order, so they come back as the identity after one scan.
+    Otherwise keys must be distinct (ValueError otherwise), which makes each
+    network's permutation the unique sorting one.
     """
     count = networks * network_comparison_count(n)
-    if len(keys) < 2:
-        return list(range(len(keys))), count
+    if len(keys) < 2 or all(map(lt, keys, islice(keys, 1, None))):
+        return list(range(len(keys))), count  # in order, so distinct: one scan
     if len(set(keys)) != len(keys):
         raise ValueError("sort keys must be distinct")
     return sorted(range(len(keys)), key=keys.__getitem__), count
@@ -157,11 +166,6 @@ def network_sort(reals: list, key_of: Callable, n: int, networks: int) -> list:
 # ---------------------------------------------------------------------------
 # Cache operations. A real's cache sort key is its seq: real first, FIFO.
 seq_of = attrgetter("seq")
-
-
-def cache_append(cache: SecureCache, reals: list[SecureTuple], slots: int) -> SecureCache:
-    """Append a padded batch of `slots` slots holding `reals`, after prior entries."""
-    return SecureCache(cache.entries + reals, cache.slots + slots)
 
 
 def obli_sort(cache: SecureCache) -> SecureCache:

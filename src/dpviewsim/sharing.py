@@ -18,6 +18,8 @@ class RandomnessReuse(RuntimeError):
 
 
 def check_word(x: int, name: str = "value") -> int:
+    if type(x) is int and 0 <= x < RING_SIZE:
+        return x
     if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError(f"{name} must be an int, got {type(x).__name__}")
     if not 0 <= x < RING_SIZE:

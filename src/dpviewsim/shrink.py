@@ -82,7 +82,9 @@ def share_real(value: float, rand) -> ThresholdShares:
     return ThresholdShares(hi, lo)
 
 
+@functools.lru_cache(maxsize=1)
 def recover_real(shares: ThresholdShares) -> float:
+    """The shared float; cached, as a threshold is read until a trigger refreshes it."""
     bits = (recover(shares.hi) << 32) | recover(shares.lo)
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 

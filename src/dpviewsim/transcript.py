@@ -52,10 +52,11 @@ class Transcript:
     def observe(self, time: int, kind: TranscriptKind, size: int,
                 *shares: tuple[int, int]) -> None:
         """Each server in turn sees `size`, then its half of each pair in `shares`."""
+        add = self.add
         for server in (0, 1):
-            self.add(time, server, kind, size)
+            add(time, server, kind, size)
             for pair in shares:
-                self.add(time, server, TranscriptKind.SHARE_RECEIVED, 0, pair[server])
+                add(time, server, TranscriptKind.SHARE_RECEIVED, 0, pair[server])
 
     @property
     def events(self) -> list[TranscriptEvent]:

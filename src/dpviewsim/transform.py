@@ -25,12 +25,13 @@ reads it by attribute: its validated config's `operator`, `omega`, `b` and
 from __future__ import annotations
 
 import enum
+import functools
 from collections import defaultdict
 from itertools import chain
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .obliv import SecureTuple, cache_append, network_comparison_count, network_sort, seq_of
+from .obliv import SecureTuple, network_comparison_count, network_sort, seq_of
 from .sharing import RING_MASK, recover, share_in_protocol
 from .transcript import TranscriptKind
 
@@ -172,14 +173,22 @@ def step_sizes(config, t: int) -> StepSizes:
     owner keeps c_r slots per step for min(t, retention_steps) - 1 steps. The
     SMJ pads omega slots per scanned tuple and runs one (n1 + n2)-slot network
     per join; the NLJ pads omega per outer tuple and runs n1 n2-slot networks
-    per join; the Filter pads to its c_r input slots and sorts nothing."""
-    if config.operator is OperatorKind.FILTER:
-        return StepSizes((), config.c_r, 0)
-    c_r, omega = config.c_r, config.omega
-    old = c_r * min(t - 1, retention_steps(config) - 1)
+    per join; the Filter pads to its c_r input slots and sorts nothing. The
+    sizes stop changing once t reaches retention_steps, so they are computed
+    once per retained depth."""
+    return _step_sizes(config.operator, config.c_r, config.omega,
+                       min(t - 1, retention_steps(config) - 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _step_sizes(operator: OperatorKind, c_r: int, omega: int, depth: int) -> StepSizes:
+    """`step_sizes` for owners that each retain `depth` past batches."""
+    if operator is OperatorKind.FILTER:
+        return StepSizes((), c_r, 0)
+    old = c_r * depth
     n1, n2, m1, m2 = c_r, old + c_r, old, c_r
     joins = (n1, n2), (m1, m2)
-    if config.operator is OperatorKind.SMJ:
+    if operator is OperatorKind.SMJ:
         return StepSizes(joins, omega * (n1 + n2 + m1 + m2),
                          network_comparison_count(n1 + n2) + network_comparison_count(m1 + m2))
     return StepSizes(joins, omega * (n1 + m1),
@@ -220,6 +229,6 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]], run) -> StepSiz
 
     c = (recover(run.counter) + len(rows)) & RING_MASK
     run.counter = share_in_protocol(c, *run.rand.share_pair(), seen=run.rand.seen_pairs)
-    run.cache = cache_append(run.cache, rows, sizes.slots)
+    run.cache.append(rows, sizes.slots)
     run.transcript.observe(t, TranscriptKind.TRANSFORM_OUTPUT, sizes.slots, run.counter)
     return sizes

@@ -104,6 +104,20 @@ def test_client_batches_capacity_exceeded():
         client_batches(s, c_r=5, horizon=2, seqs=itertools.count(0))
 
 
+def test_client_batches_drop_arrivals_outside_the_horizon():
+    s = LogicalStream([StreamRecord(t, i + 1, (1,)) for i, t in enumerate([0, -3, 1, 4, 3, -1])],
+                      4)
+    batches = client_batches(s, c_r=5, horizon=3, seqs=itertools.count(0))
+    assert [[(r.key, r.timestamp) for r in b] for b in batches] == [[(3, 1)], [], [(5, 3)]]
+
+
+def test_client_batches_keep_unsorted_arrivals_in_order_within_a_step():
+    s = make_stream([2, 1, 2, 3, 1])
+    batches = client_batches(s, c_r=5, horizon=3, seqs=itertools.count(10))
+    assert [[(r.key, r.seq) for r in b] for b in batches] == [[(2, 10), (5, 11)],
+                                                              [(1, 12), (3, 13)], [(4, 14)]]
+
+
 def test_client_batches_unique_seqs():
     s = make_stream([1, 2, 2, 3])
     batches = client_batches(s, c_r=4, horizon=3, seqs=itertools.count(100))
@@ -191,6 +205,85 @@ def test_synth_block_draws_match_per_record_draws(profile, multiplicity):
             assert a.arrivals == want[0] and b is None
     a, b = synth_stream(profile, 0, 0, multiplicity)
     assert (a.arrivals, b.arrivals) == _synth_stream_per_record(profile, 0, 0, multiplicity)
+
+
+def _synth_stream_two_pass(profile, seed, horizon, multiplicity=1, cap=5, *, right=True,
+                           leftover=None):
+    """The two-pass synth_stream that the one-pass generator replaced: it draws
+    every step into per-step dicts, then drains each owner's dict. Adds to
+    `leftover` the records that were still waiting after the horizon."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    group_rate = harness._PAIRS_PER_STEP / multiplicity
+    if profile is Profile.SPARSE:
+        group_rate *= 0.1
+    noise_rate = min(0.5, group_rate * 0.2)
+
+    pend_a, pend_b = {}, {}
+    next_key = 1
+    matched_flag = 1
+
+    def scheduled_groups(t):
+        if profile is Profile.BURST:
+            if (t - 1) % _BURST_PERIOD >= _BURST_ON:
+                return 0
+            lam = 2 * group_rate * _BURST_PERIOD / _BURST_ON
+            return int(rng.poisson(lam))
+        return int(rng.poisson(group_rate))
+
+    for t in range(1, horizon + 1):
+        groups = scheduled_groups(t)
+        if groups:
+            block = rng.integers(1000, size=groups * (1 + multiplicity)).tolist()
+            for at in range(0, len(block), 1 + multiplicity):
+                key = next_key
+                next_key += 1
+                pend_a.setdefault(t, []).append(
+                    StreamRecord(t, key, (matched_flag, block[at])))
+                if right:
+                    for i in range(multiplicity):
+                        bt = t + (i % 2)
+                        pend_b.setdefault(bt, []).append(
+                            StreamRecord(bt, key, (matched_flag, block[at + 1 + i])))
+        if rng.random() < noise_rate:
+            pend_a.setdefault(t, []).append(
+                StreamRecord(t, (1 << 30) + next_key, (0, int(rng.integers(1000)))))
+            next_key += 1
+        if rng.random() < noise_rate:
+            attr = int(rng.integers(1000))
+            if right:
+                pend_b.setdefault(t, []).append(
+                    StreamRecord(t, (1 << 31) + next_key, (0, attr)))
+            next_key += 1
+
+    def drain(pending):
+        out, carry = [], []
+        for t in range(1, horizon + 1):
+            queue = carry + pending.get(t, [])
+            take, carry = queue[:cap], queue[cap:]
+            out.extend(r if r.t == t else StreamRecord(t, r.key, r.attrs) for r in take)
+        if leftover is not None:
+            leftover.update(carry + pending.get(horizon + 1, []))
+        return out
+
+    return (LogicalStream(drain(pend_a), horizon),
+            LogicalStream(drain(pend_b), horizon) if right else None)
+
+
+@pytest.mark.parametrize("right", [True, False])
+@pytest.mark.parametrize("multiplicity", [1, 2, 3])
+def test_one_pass_synth_stream_equals_the_two_pass_generator(multiplicity, right):
+    carried, due_past = set(), set()
+    for profile, horizon, cap, seed in itertools.product(Profile, (41, 83), (1, 2, 5, 12),
+                                                         range(3)):
+        leftover = set()
+        want = _synth_stream_two_pass(profile, seed, horizon, multiplicity, cap,
+                                      right=right, leftover=leftover)
+        assert synth_stream(profile, seed, horizon, multiplicity, cap, right=right) == want
+        carried |= {r for r in leftover if r.t <= horizon}
+        due_past |= {r for r in leftover if r.t > horizon}
+    # The grid covers records spilled past the horizon, and (with B records
+    # scheduled a step late) B records due after it.
+    assert carried and bool(due_past) == (right and multiplicity > 1)
 
 
 @pytest.mark.parametrize("operator", list(OperatorKind))

@@ -5,9 +5,8 @@ import pytest
 
 from dpviewsim import obliv, shrink, transform
 from dpviewsim.harness import ExperimentConfig, Protocol, run_experiment
-from dpviewsim.obliv import (DUMMY, SecureCache, SecureTuple, cache_append,
-                             cache_flush, cache_read, compare_exchange_pairs,
-                             network_comparison_count, network_sort,
+from dpviewsim.obliv import (DUMMY, SecureCache, SecureTuple, cache_flush, cache_read,
+                             compare_exchange_pairs, network_comparison_count, network_sort,
                              network_sort_keys, obli_sort, padded_length, seq_of)
 from dpviewsim.transform import OperatorKind
 
@@ -31,21 +30,30 @@ def test_secure_tuple_fields_and_view_flag():
 
 
 def test_append_lengths():
-    c = cache_append(SecureCache(), [real(0), real(1)], 3)
+    # The cache changes in place, so each state is copied before the next append.
+    c = SecureCache()
+    c.append([real(0), real(1)], 3)
     assert len(c) == 3 and c.real_count() == 2
-    c2 = cache_append(c, [], 2)
-    assert len(c2) == 5 and c2.entries == c.entries
-    c3 = cache_append(c2, [real(2)], 4)
-    assert len(c3) == 9
-    assert c3.entries == [real(0), real(1), real(2)]  # prior order preserved
-    assert c.entries == [real(0), real(1)] and len(c) == 3  # inputs unchanged
+    first = (list(c.entries), len(c))
+    c.append([], 2)
+    assert len(c) == 5 and c.entries == first[0]
+    batch = [real(2)]
+    c.append(batch, 4)
+    assert len(c) == 9
+    assert c.entries == [real(0), real(1), real(2)]  # prior order preserved
+    assert first == ([real(0), real(1)], 3) and batch == [real(2)]  # inputs unchanged
 
 
 def test_cache_rejects_more_reals_than_slots():
     with pytest.raises(ValueError, match="exceed"):
         SecureCache([real(0), real(1)], 1)
     with pytest.raises(ValueError, match="exceed"):
-        cache_append(SecureCache(), [real(0)], 0)
+        SecureCache().append([real(0)], 0)
+    # The batch's own slots bound its reals, whatever slots the cache has spare.
+    cache = SecureCache([real(0)], 3)
+    with pytest.raises(ValueError, match="exceed"):
+        cache.append([real(1), real(2)], 1)
+    assert cache == SecureCache([real(0)], 3)  # a rejected batch changes nothing
 
 
 def test_obli_sort_real_first_with_fifo_ties():
@@ -185,6 +193,24 @@ def test_fewer_than_two_keys_return_at_once_with_the_networks_count(n, networks)
     assert network_sort([], seq_of, n, networks) == []
 
 
+@pytest.mark.parametrize("keys", [[1, 2, 5, 9], [(0, 1, 3), (0, 1, 4), (2, 0, 0)]])
+def test_strictly_ascending_keys_come_back_in_order(keys):
+    assert network_sort_keys(keys, 8, 2) == ([0, 1, 2, 3][:len(keys)],
+                                              2 * network_comparison_count(8))
+
+
+@pytest.mark.parametrize("keys", [[1, 2, 2, 3], [(0, 1), (1, 0), (1, 0)]])
+def test_ascending_keys_with_a_tie_raise(keys):
+    with pytest.raises(ValueError, match="distinct"):
+        network_sort_keys(keys, 4, 1)
+
+
+@pytest.mark.parametrize("keys", [[3, 1, 2], [1, 3, 2, 4], [(1, 0), (0, 5), (0, 6)]])
+def test_unsorted_keys_give_the_sorting_permutation(keys):
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    assert network_sort_keys(keys, 4, 3) == (order, 3 * network_comparison_count(4))
+
+
 def test_network_sort_rejects_repeated_keys():
     with pytest.raises(ValueError, match="distinct"):
         network_sort([3, 1, 2], lambda v: 7, 3, 1)
@@ -314,7 +340,7 @@ def test_real_count_stays_exact_through_cache_operations():
     for _ in range(30):
         batch = [real(next(seqs)) if rng.random() < 0.3 else DUMMY
                  for _ in range(int(rng.integers(0, 12)))]
-        cache = cache_append(cache, [e for e in batch if e.is_view], len(batch))
+        cache.append([e for e in batch if e.is_view], len(batch))
         padded = padded + batch
         assert_matches_padded(cache, padded)
         if rng.random() < 0.3:
@@ -345,8 +371,8 @@ def test_given_entries_get_real_count():
 @pytest.mark.parametrize("protocol", [Protocol.DP_TIMER, Protocol.DP_ANT])
 @pytest.mark.parametrize("operator", list(OperatorKind))
 def test_real_runs_sort_inputs_in_seq_order(monkeypatch, protocol, operator):
-    # The cache and the NLJ's rows reach the sort in seq order, so its
-    # Timsort makes one linear pass over them.
+    # The cache and the NLJ's rows reach the sort in seq order, so it returns
+    # them after the one scan that finds them strictly ascending.
     caches, row_inputs = [], []
 
     def spy_obli_sort(cache):

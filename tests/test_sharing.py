@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from dpviewsim.sharing import (RandomnessReuse, SharePair, recover, share,
-                               share_in_protocol)
+from dpviewsim.sharing import (RING_MASK, RING_SIZE, RandomnessReuse, SharePair, check_word,
+                               recover, share, share_in_protocol)
 
 
 def test_share_zero_case():
@@ -34,6 +34,21 @@ def test_out_of_ring_rejected():
         share(5, -1)
     with pytest.raises(TypeError):
         share(1.5, 0)
+
+
+class Word(int):
+    pass
+
+
+def test_check_word_paths():
+    # An exact int in the ring returns at once; every other input is checked
+    # by type, then by range, with the errors it always had.
+    for x in (0, 7, RING_MASK, Word(7)):
+        assert check_word(x) is x
+    for x, err in ((True, TypeError), (1.0, TypeError), (np.int64(3), TypeError),
+                   (-1, ValueError), (RING_SIZE, ValueError), (Word(RING_SIZE), ValueError)):
+        with pytest.raises(err, match="^w "):
+            check_word(x, "w")
 
 
 def test_share_in_protocol_forced_values():

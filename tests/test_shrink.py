@@ -204,6 +204,17 @@ def test_ant_below_threshold_no_trigger(sorted_slots):
     assert run.view.total_rows() == 0
 
 
+def test_ant_decodes_each_threshold_once():
+    # The shared threshold changes only at a trigger, so a run decodes the
+    # initial one and each refresh that a later step reads, and no more.
+    recover_real.cache_clear()
+    horizon = 300
+    result = run_experiment(ExperimentConfig(Protocol.DP_ANT, horizon=horizon, seed=1))
+    info = recover_real.cache_info()
+    assert info.hits + info.misses == horizon
+    assert info.misses == 1 + sum(r.t < horizon for r in result.sync_reports) > 1
+
+
 def test_ant_quiet_period_never_triggers():
     rand = PinnedRand([0.0], default=0.0)
     cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
@@ -448,7 +459,7 @@ def test_zero_noise_syncs_move_every_cached_row(protocol, operator, monkeypatch)
         def sync_then_check(t, run):
             report = step(t, run)
             if report is not None:
-                syncs.append((t, run.cache.entries))
+                syncs.append((t, list(run.cache.entries)))  # the cache changes in place
             return report
         return sync_then_check
 

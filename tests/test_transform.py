@@ -754,6 +754,19 @@ def test_output_sizes_match_public_formula():
             assert delta_len == step_sizes(state.config, t).slots == want
 
 
+@pytest.mark.parametrize("operator", list(OperatorKind))
+def test_step_sizes_depend_on_t_only_through_the_retained_depth(operator):
+    # Retention 3 (b 5) and 5 (b 9) at omega 2: a step's sizes stop changing
+    # once t reaches the retention, and each is computed once.
+    short, long = (ExperimentConfig(operator=operator, c_r=3, omega=2, b=b) for b in (5, 9))
+    assert step_sizes(short, 3) is step_sizes(short, 9) is step_sizes(long, 3)
+    assert step_sizes(long, 5) is step_sizes(long, 9)
+    assert (step_sizes(long, 5) == step_sizes(long, 3)) == (operator is OperatorKind.FILTER)
+    wider = ExperimentConfig(operator=operator, c_r=3, omega=3, b=9)  # retention 3 too
+    assert ((step_sizes(wider, 3).slots == step_sizes(short, 3).slots)
+            == (operator is OperatorKind.FILTER))
+
+
 def test_lifetime_budget_never_exceeded_small_run():
     rand = ServerRandomness(8)
     state = make_state(OperatorKind.SMJ, 2, rand, omega=2, b=4)
