@@ -31,9 +31,8 @@ Modules:
                helper shares each zero counter; the view kept as its real
                rows plus per-batch slot counts; the closed-form bounds
     transcript what each server observes: sizes, timestamps and shares, one
-               plain row per server per observation, fanned out to both
-               servers in turn by `observe`, built into slotted events when
-               first read
+               plain row per observation, expanded per server into slotted
+               events when first read
     leakage    reference DP mechanisms, one body each for one run or many
                trials; empirical privacy loss; transcript audit
     harness    the run's config and its single validation, the run's one state

@@ -3,13 +3,14 @@
 Runs one experiment (or a --trials sweep) from a key=value config file plus
 per-field overrides, and writes line-delimited metrics.
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 2 configuration error or failed metrics write, 3 data error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from dataclasses import fields
 
@@ -56,13 +57,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    with out as fh:
-        try:
-            results = run_trials(config, config.trials)
-        except (ParseError, CapacityExceeded, OSError) as exc:
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        emit_metrics([rec for res in results for rec in res.metrics], fh)
+    try:
+        with out as fh:
+            try:
+                results = run_trials(config, config.trials)
+            except (ParseError, CapacityExceeded, OSError) as exc:
+                print(f"data error: {exc}", file=sys.stderr)
+                return EXIT_DATA
+            emit_metrics([rec for res in results for rec in res.metrics], fh)
+            fh.flush()
+    except OSError as exc:
+        print(f"write error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError) and not args.out:  # so the exit flush is silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -525,7 +525,7 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
         # Owners upload fixed-size blocks; both servers observe the sizes.
         if config.protocol is not Protocol.NM:
             for _ in batches:
-                run.transcript.observe(t, TranscriptKind.OWNER_UPLOAD, config.c_r)
+                run.transcript.add(t, TranscriptKind.OWNER_UPLOAD, config.c_r)
 
         # Maintain the plaintext truth incrementally from the batches' reals.
         if filtering:
@@ -551,7 +551,7 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
             cost += slots
             run.view.append_batch(run.cache.entries, slots, t)
             run.cache = SecureCache()
-            run.transcript.observe(t, TranscriptKind.SYNC_BATCH, slots)
+            run.transcript.add(t, TranscriptKind.SYNC_BATCH, slots)
             transforming = config.protocol is Protocol.EP
 
         if t % config.query_interval == 0:

@@ -143,7 +143,7 @@ def _sync(t: int, pre: float, run, *shares: SharePair) -> SyncReport:
     sz = clamp_round(pre)
     fetched, run.cache = cache_read(obli_sort(run.cache), sz)
     run.view.append_batch(fetched, sz, t)
-    run.transcript.observe(t, TranscriptKind.SYNC_BATCH, sz, *shares)
+    run.transcript.add(t, TranscriptKind.SYNC_BATCH, sz, shares)
     return SyncReport(t, pre, sz)
 
 
@@ -175,7 +175,7 @@ def sdp_ant_step(t: int, run) -> SyncReport | None:
     th_scale, check_scale, out_scale = ant_scales(config.b, config.epsilon)
     c = recover(run.counter)
     check = c + rand.joint_laplace(check_scale)
-    run.transcript.observe(t, TranscriptKind.COMPARE_CHECK, 0)
+    run.transcript.add(t, TranscriptKind.COMPARE_CHECK, 0)
     if check < recover_real(run.threshold):
         return None
     pre = c + rand.joint_laplace(out_scale)
@@ -199,7 +199,7 @@ def flush_step(t: int, run) -> FlushReport | None:
     real = run.cache.real_count()
     fetched, run.cache = cache_flush(run.cache, config.s)
     run.view.append_batch(fetched, config.s, t)
-    run.transcript.observe(t, TranscriptKind.FLUSH_BATCH, config.s)
+    run.transcript.add(t, TranscriptKind.FLUSH_BATCH, config.s)
     return FlushReport(t, config.s, real - len(fetched))
 
 

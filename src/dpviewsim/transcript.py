@@ -1,22 +1,21 @@
 """What each server observes during a run: sizes, timestamps and shares.
 
-Both servers see every observation. `observe` fans one out into one row per
-server: server 0's size row and then its half of each re-shared pair, then the
-same for server 1. A run records rows and reads none of them: only the
-transcript audit and the tests read the events, after the run. So `add`
-stores a plain `(time, server, kind, size, share_value)` tuple, and `events`
-builds a `TranscriptEvent` for each row not yet built when it is read, and
-keeps them. Every read returns the same list, so an event replaced in it stays
-replaced for the next read and for the audit; the benchmark's gate test forges
-a size that way. Events are slotted, not frozen: a frozen dataclass pays for
-an object.__setattr__ call per field on every construction.
+Both servers see the same sizes, so `add` stores one plain row per
+observation, seen by both servers or by `server` alone, and counts the
+per-server events the rows stand for: the transcript's length. A run records
+rows and reads none of them; only the transcript audit and the tests read the
+events, after the run. `events` expands each row not yet built when it is
+read, server 0's size event and its half of each re-shared pair, then server
+1's, and keeps them. Every read returns the same list, so an event replaced in
+it stays replaced for the next read and for the audit; the benchmark's gate
+test forges a size that way. Events are slotted, not frozen: a frozen
+dataclass pays for an object.__setattr__ call per field on every construction.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import starmap
 
 
 class TranscriptKind(enum.Enum):
@@ -43,32 +42,30 @@ class Transcript:
     def __init__(self):
         self._rows: list[tuple] = []
         self._events: list[TranscriptEvent] = []
-        self._built = 0  # rows that have an event in _events
+        self._built = 0  # rows whose events are in _events
+        self._count = 0  # per-server events the rows stand for
 
-    def add(self, time: int, server: int, kind: TranscriptKind, size: int,
-            share_value: int | None = None) -> None:
-        self._rows.append((time, server, kind, size, share_value))
-
-    def observe(self, time: int, kind: TranscriptKind, size: int,
-                *shares: tuple[int, int]) -> None:
-        """Each server in turn sees `size`, then its half of each pair in `shares`."""
-        add = self.add
-        for server in (0, 1):
-            add(time, server, kind, size)
-            for pair in shares:
-                add(time, server, TranscriptKind.SHARE_RECEIVED, 0, pair[server])
+    def add(self, time: int, kind: TranscriptKind, size: int,
+            shares: tuple[tuple[int, int], ...] = (), server: int | None = None) -> None:
+        """Both servers, or `server` alone, see `size`, then their half of each of `shares`."""
+        self._rows.append((time, kind, size, shares, server))
+        self._count += (1 + len(shares)) * (2 if server is None else 1)
 
     @property
     def events(self) -> list[TranscriptEvent]:
-        """One event per row, in order of addition; the same list on every read."""
-        if self._built < len(self._rows):
-            self._events.extend(starmap(TranscriptEvent, self._rows[self._built:]))
-            self._built = len(self._rows)
-        return self._events
+        """One event per server per size or share seen, in order; the same list on every read."""
+        events, share = self._events, TranscriptKind.SHARE_RECEIVED
+        for time, kind, size, shares, only in self._rows[self._built:]:
+            for server in (0, 1) if only is None else (only,):
+                events.append(TranscriptEvent(time, server, kind, size))
+                for pair in shares:
+                    events.append(TranscriptEvent(time, server, share, 0, pair[server]))
+        self._built = len(self._rows)
+        return events
 
     def by_kind(self, kind: TranscriptKind, server: int | None = None) -> list[TranscriptEvent]:
         return [e for e in self.events
                 if e.kind is kind and (server is None or e.server == server)]
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._count

@@ -230,5 +230,5 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]], run) -> StepSiz
     c = (recover(run.counter) + len(rows)) & RING_MASK
     run.counter = share_in_protocol(c, *run.rand.share_pair(), seen=run.rand.seen_pairs)
     run.cache.append(rows, sizes.slots)
-    run.transcript.observe(t, TranscriptKind.TRANSFORM_OUTPUT, sizes.slots, run.counter)
+    run.transcript.add(t, TranscriptKind.TRANSFORM_OUTPUT, sizes.slots, (run.counter,))
     return sizes

@@ -249,3 +249,30 @@ def test_unwritable_out_exits_2_before_the_run(target, tmp_path, capsys, monkeyp
     assert main(["--operator", "Filter", "--horizon", "5", "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_out_exits_2_without_a_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpviewsim.cli", "--protocol", "DPTimer",
+         "--operator", "Filter", "--horizon", "200", "--out", "/dev/full"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("write error:") and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_closed_stdout_pipe_exits_2_without_a_traceback():
+    # Like `| head -c 100`: the reader takes 100 bytes and closes the pipe
+    # while the metrics, far more than a pipe holds, are still being written.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dpviewsim.cli", "--protocol", "DPTimer",
+         "--operator", "Filter", "--horizon", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_CONFIG
+    assert err.startswith("write error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1

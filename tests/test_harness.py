@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import gc
 import inspect
@@ -472,13 +473,83 @@ def test_transcript_event_contract():
     # list, so an event replaced in it stays replaced.
     events[0] = bigger
     assert transcript.events is events and transcript.events[0] is bigger
+    transcript.add(21, TranscriptKind.SYNC_BATCH, 3, server=0)
+    transcript.add(21, TranscriptKind.SHARE_RECEIVED, 0, server=1)
     later = [(21, 0, TranscriptKind.SYNC_BATCH, 3, None),
-             (21, 1, TranscriptKind.SHARE_RECEIVED, 0, 7)]
-    for row in later:
-        transcript.add(*row)
+             (21, 1, TranscriptKind.SHARE_RECEIVED, 0, None)]
     assert len(transcript) == adds + 2
     assert transcript.events is events and events[0] is bigger
     assert [dataclasses.astuple(e) for e in events[adds:]] == later
+
+
+def _fan_out(time, kind, size, shares=(), server=None):
+    """Oracle for the events of one observation, built row by row: server 0's
+    size row and its half of each pair, then server 1's; or `server`'s alone."""
+    rows = []
+    for s in (0, 1) if server is None else (server,):
+        rows.append((time, s, kind, size, None))
+        for pair in shares:
+            rows.append((time, s, TranscriptKind.SHARE_RECEIVED, 0, pair[s]))
+    return rows
+
+
+def _expected_observations(config, result) -> Counter:
+    """(time, kind) -> observations: one per owner per step (none for NM),
+    per transform, sync and flush, and per DPANT check."""
+    owners = 1 if config.operator is OperatorKind.FILTER else 2
+    want = Counter()
+    if config.protocol is not Protocol.NM:
+        for t in range(1, config.horizon + 1):
+            want[t, TranscriptKind.OWNER_UPLOAD] = owners
+    # OTM transforms and syncs once; EP every step; the DP protocols
+    # transform every step and sync when a report says so.
+    direct = {Protocol.OTM: range(1, 2), Protocol.EP: range(1, config.horizon + 1)}
+    if config.protocol in direct:
+        for t in direct[config.protocol]:
+            want[t, TranscriptKind.TRANSFORM_OUTPUT] = want[t, TranscriptKind.SYNC_BATCH] = 1
+    elif config.protocol is not Protocol.NM:
+        for t in range(1, config.horizon + 1):
+            want[t, TranscriptKind.TRANSFORM_OUTPUT] = 1
+        for rep in result.sync_reports:
+            want[rep.t, TranscriptKind.SYNC_BATCH] += 1
+    for rep in result.flush_reports:
+        want[rep.t, TranscriptKind.FLUSH_BATCH] += 1
+    if config.protocol is Protocol.DP_ANT:
+        for t in range(1, config.horizon + 1):
+            want[t, TranscriptKind.COMPARE_CHECK] = 1
+    return want
+
+
+_EXPANSION_CASES = [(p, o, False) for p in Protocol for o in OperatorKind]
+_EXPANSION_CASES.append((Protocol.DP_ANT, OperatorKind.SMJ, True))
+
+
+@pytest.mark.parametrize("protocol,operator,hot", _EXPANSION_CASES)
+def test_events_expand_one_row_per_observation(protocol, operator, hot, tmp_path,
+                                               monkeypatch):
+    config = ExperimentConfig(protocol=protocol, operator=operator, horizon=60, f=20,
+                              seed=3)
+    if hot:
+        config = hot_key_config(config, tmp_path)
+    observed, fanned = Counter(), []
+    add = Transcript.add
+
+    def recording_add(self, time, kind, *args, **kwargs):
+        observed[time, kind] += 1
+        fanned.extend(_fan_out(time, kind, *args, **kwargs))  # expanded when seen
+        add(self, time, kind, *args, **kwargs)
+
+    monkeypatch.setattr(Transcript, "add", recording_add)
+    result = run_experiment(config)
+    events = result.transcript.events
+
+    assert [dataclasses.astuple(e) for e in events] == fanned
+    assert observed == _expected_observations(config, result)
+    times = [e.time for e in events]
+    assert len(result.metrics) == config.horizon
+    for m in result.metrics:
+        assert m.transcript_events == bisect.bisect_right(times, m.time), m.time
+    assert len(result.transcript) == len(events)
 
 
 def test_run_trials_merged_by_index():

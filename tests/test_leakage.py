@@ -290,13 +290,13 @@ def test_two_phase_composition_bound():
 def test_observe_fans_out_to_each_server_in_turn():
     tr = Transcript()
     p, q = (11, 12), (21, 22)
-    tr.observe(7, TranscriptKind.SYNC_BATCH, 3, p, q)
+    tr.add(7, TranscriptKind.SYNC_BATCH, 3, (p, q))
     share = TranscriptKind.SHARE_RECEIVED
     assert [(e.time, e.server, e.kind, e.size, e.share_value) for e in tr.events] == [
         (7, 0, TranscriptKind.SYNC_BATCH, 3, None), (7, 0, share, 0, 11), (7, 0, share, 0, 21),
         (7, 1, TranscriptKind.SYNC_BATCH, 3, None), (7, 1, share, 0, 12), (7, 1, share, 0, 22),
     ]
-    tr.observe(8, TranscriptKind.FLUSH_BATCH, 5)
+    tr.add(8, TranscriptKind.FLUSH_BATCH, 5)
     assert len(tr) == 8
     assert [(e.server, e.size) for e in tr.events[6:]] == [(0, 5), (1, 5)]
 
@@ -305,9 +305,9 @@ def test_audit_config_determined_pass():
     tr = Transcript()
     for t in (1, 2, 3):
         for server in (0, 1):
-            tr.add(t, server, TranscriptKind.OWNER_UPLOAD, 5)
-            tr.add(t, server, TranscriptKind.TRANSFORM_OUTPUT, 20)
-            tr.add(t, server, TranscriptKind.SYNC_BATCH, 20)
+            tr.add(t, TranscriptKind.OWNER_UPLOAD, 5, server=server)
+            tr.add(t, TranscriptKind.TRANSFORM_OUTPUT, 20, server=server)
+            tr.add(t, TranscriptKind.SYNC_BATCH, 20, server=server)
     report = transcript_audit(tr, AuditExpectation(
         owner_batch=5, transform_size=lambda t: 20, sync_equals_transform=True))
     assert report.passed
@@ -316,8 +316,8 @@ def test_audit_config_determined_pass():
 
 def test_audit_flags_leaked_counter():
     tr = Transcript()
-    tr.add(1, 0, TranscriptKind.OWNER_UPLOAD, 5)
-    tr.add(1, 0, TranscriptKind.SYNC_BATCH, 37)  # true count leaked as a size
+    tr.add(1, TranscriptKind.OWNER_UPLOAD, 5, server=0)
+    tr.add(1, TranscriptKind.SYNC_BATCH, 37, server=0)  # true count leaked as a size
     report = transcript_audit(tr, AuditExpectation(
         owner_batch=5, sync_sizes={1: 12}))
     assert not report.passed
@@ -328,8 +328,8 @@ def test_audit_flags_leaked_counter():
 def test_audit_coupled_sync_sizes():
     tr = Transcript()
     for server in (0, 1):
-        tr.add(10, server, TranscriptKind.SYNC_BATCH, 12)
-        tr.add(20, server, TranscriptKind.SYNC_BATCH, 0)
+        tr.add(10, TranscriptKind.SYNC_BATCH, 12, server=server)
+        tr.add(20, TranscriptKind.SYNC_BATCH, 0, server=server)
     ok = transcript_audit(tr, AuditExpectation(sync_sizes={10: 12, 20: 0}))
     assert ok.passed
     bad = transcript_audit(tr, AuditExpectation(sync_sizes={10: 12, 20: 3}))
@@ -338,7 +338,7 @@ def test_audit_coupled_sync_sizes():
 
 def test_audit_missing_release_flagged():
     tr = Transcript()
-    tr.add(10, 0, TranscriptKind.SYNC_BATCH, 12)
+    tr.add(10, TranscriptKind.SYNC_BATCH, 12, server=0)
     report = transcript_audit(tr, AuditExpectation(sync_sizes={10: 12, 20: 4}))
     assert not report.passed
     assert any("t=20" in v and "missing" in v for v in report.violations)
@@ -346,8 +346,8 @@ def test_audit_missing_release_flagged():
 
 def test_audit_flush_schedule():
     tr = Transcript()
-    tr.add(2000, 0, TranscriptKind.FLUSH_BATCH, 15)
-    tr.add(2500, 0, TranscriptKind.FLUSH_BATCH, 15)  # off schedule
+    tr.add(2000, TranscriptKind.FLUSH_BATCH, 15, server=0)
+    tr.add(2500, TranscriptKind.FLUSH_BATCH, 15, server=0)  # off schedule
     report = transcript_audit(tr, AuditExpectation(flush_interval=2000, flush_size=15))
     assert not report.passed
     assert len(report.violations) == 1
