@@ -47,9 +47,11 @@ Modules:
                test checks; the setting is process-wide, so runs in concurrent
                threads only lose the speed-up)
     cli        command-line front end
+
+The package root exports nothing: callers import the module they need. Every
+function in the package is reached by a run, the CLI or the audit, apart from
+a short allow-list of the paper's claims as code; tests/test_reachability
+checks this.
 """
 
-from .sharing import SharePair, recover, share, share_in_protocol
-
-__all__ = ["SharePair", "share", "recover", "share_in_protocol"]
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""End-to-end experiment driver: streams, baselines, metrics, sweeps.
+"""End-to-end experiment driver: config, streams, run loop, baselines, metrics.
 
 One experiment = one seeded timeline driving owner uploads, the truncated
 transformation, the chosen sync protocol (or a baseline), the periodic flush,
@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 import gc
+import io
 import itertools
-import json
 import math
 import sys
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Iterable, Iterator, TextIO
@@ -136,21 +136,36 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     return config
 
 
+def _read_text(path: str) -> io.StringIO:
+    """The file's lines as `open` reads them, but decoded as UTF-8 whatever
+    the locale; a byte that is not UTF-8 raises ParseError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {data[exc.start]:#04x} is not UTF-8",
+                         data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment."""
+    """Flat key=value lines of UTF-8 text; '#' starts a comment."""
     values: dict[str, str] = {}
     known = {f.name for f in fields(ExperimentConfig)}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value
+    try:
+        lines = _read_text(path)
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value
     return values
 
 
@@ -226,23 +241,13 @@ def emit_metrics(records: Iterable[MetricsRecord], out: str | TextIO) -> None:
     out.writelines(_METRICS_LINE % _metrics_values(rec) for rec in records)
 
 
-def read_metrics(path: str) -> list[MetricsRecord]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(MetricsRecord(**json.loads(line)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Streams.
 
 def load_stream(path: str) -> LogicalStream:
-    """CSV with header t,key,attr...; integer fields; rows stable-sorted by t."""
+    """UTF-8 CSV with header t,key,attr...; integer fields; rows stable-sorted by t."""
     arrivals: list[StreamRecord] = []
-    with open(path) as fh:
+    with _read_text(path) as fh:
         header = fh.readline()
         if not header:
             raise ParseError("missing header", 1)
@@ -390,24 +395,8 @@ def query_count(view: MaterializedView, cache: SecureCache | None = None) -> int
     return view.real_rows() + (cache.real_count() if cache is not None else 0)
 
 
-def true_count(stream_a: LogicalStream, stream_b: LogicalStream | None,
-               operator: OperatorKind, t: int) -> int:
-    """Plaintext oracle over the logical databases, no truncation.
-
-    Filter counts records with a nonzero first attribute; joins count
-    key-matching pairs from a count of the right side's keys.
-    """
-    if operator is OperatorKind.FILTER:
-        return sum(1 for rec in stream_a.arrivals
-                   if rec.t <= t and rec.attrs and rec.attrs[0])
-    if stream_b is None:
-        raise ValueError(f"{operator.value} needs a right-hand stream")
-    right = Counter(r.key for r in stream_b.arrivals if r.t <= t)
-    return sum(right[a.key] for a in stream_a.arrivals if a.t <= t)
-
-
 class _JoinCounter:
-    """Incremental key-match pair counter, equal to the brute-force oracle."""
+    """Incremental key-match pair counter, equal to tests/oracles.true_count."""
 
     def __init__(self):
         self.keys: tuple[dict[int, int], dict[int, int]] = ({}, {})

@@ -8,6 +8,9 @@ tests/test_replay ties to real runs; `run_many` runs it over many trials with
 oracle draws, and the empirical estimator measures privacy loss between
 neighboring streams from those trials. The audit asserts that every transcript
 size is either a function of public configuration or a coupled DP release.
+No run, CLI call or audit reaches the mechanisms or the estimator yet, so
+tests/test_reachability allow-lists them as test oracles until ROADMAP items 3,
+12 and 13 make them part of a run.
 
 The mechanisms' noise is calibrated to b, on the premise that one logical
 update moves the produced-row stream by at most b rows. tests/test_sensitivity
@@ -94,7 +97,11 @@ def _threshold(stream: LogicalStream, theta: float, b: float, epsilon: float,
     protocol's order, `draw(scale, n)` gives the n runs that need one each a
     threshold, a check per step, then a release and a refresh per trigger."""
     cum = np.cumsum(stream.arrivals_per_step())
-    th_scale, check_scale, out_scale = ant_scales(b, epsilon, variant)
+    th_scale, check_scale, out_scale = ant_scales(b, epsilon)
+    if variant == "proof":
+        out_scale = NoiseScale(b, epsilon / 4)  # the proofs' output scale, 4b/eps
+    elif variant != "protocol":
+        raise ValueError(f"unknown variant {variant!r}")
     noisy_th = theta + draw(th_scale, trials)
     last_cum = np.zeros(trials)
     out = np.full((trials, stream.horizon), np.nan)
@@ -113,8 +120,9 @@ def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float,
           draw: Callable[[NoiseScale], float],
           variant: str = "protocol") -> list[tuple[int, float | None]]:
     """The threshold mechanism's one-run case, None where a step releases
-    nothing; `draw` gives the draws as in `m_timer`, and `variant` selects
-    `shrink.ant_scales`' output scale, the running protocol's by default."""
+    nothing; `draw` gives the draws as in `m_timer`. `variant` selects the
+    output scale: the running protocol's (`shrink.ant_scales`) by default, or
+    "proof" for the proofs' 4b/epsilon."""
     out = _threshold(stream, theta, b, epsilon, variant,
                      lambda scale, n: np.full(n, draw(scale)), 1)[0]
     return [(t, None if math.isnan(v) else v) for t, v in enumerate(out.tolist(), 1)]

@@ -34,13 +34,6 @@ class SharePair(NamedTuple):
     s1: int
 
 
-def share(x: int, randomness: int) -> SharePair:
-    """Split x into (randomness, x XOR randomness)."""
-    check_word(x, "x")
-    check_word(randomness, "randomness")
-    return SharePair(randomness, x ^ randomness)
-
-
 def recover(p: SharePair) -> int:
     """XOR the two shares back together."""
     return check_word(p.s0, "s0") ^ check_word(p.s1, "s1")

@@ -38,25 +38,17 @@ def timer_scale(b: float, epsilon: float) -> NoiseScale:
 
 
 @functools.cache
-def ant_scales(b: float, epsilon: float, variant: str = "protocol") -> tuple[NoiseScale, NoiseScale, NoiseScale]:
+def ant_scales(b: float, epsilon: float) -> tuple[NoiseScale, NoiseScale, NoiseScale]:
     """(threshold, check, output) noise scales for the threshold protocol.
 
     Sub-budgets are eps1/2, eps1/4 and eps2 with eps1 = eps2 = epsilon/2,
-    giving scales 4b/eps, 8b/eps and 2b/eps. The proofs' reference mechanism
-    uses 4b/eps for the output; variant="proof" selects it. The scales are
-    immutable and built once per argument tuple.
+    giving scales 4b/eps, 8b/eps and 2b/eps. (The proofs' reference mechanism
+    outputs at 4b/eps instead; `leakage._threshold` selects it.) The scales
+    are immutable and built once per argument pair.
     """
     eps1 = epsilon / 2
     eps2 = epsilon / 2
-    threshold = NoiseScale(b, eps1 / 2)
-    check = NoiseScale(b, eps1 / 4)
-    if variant == "protocol":
-        out = NoiseScale(b, eps2)
-    elif variant == "proof":
-        out = NoiseScale(b, epsilon / 4)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return threshold, check, out
+    return NoiseScale(b, eps1 / 2), NoiseScale(b, eps1 / 4), NoiseScale(b, eps2)
 
 
 class ThresholdShares(NamedTuple):

@@ -1,15 +1,15 @@
 """What each server observes during a run: sizes, timestamps and shares.
 
-Both servers see the same sizes, so `add` stores one plain row per
-observation, seen by both servers or by `server` alone, and counts the
-per-server events the rows stand for: the transcript's length. A run records
-rows and reads none of them; only the transcript audit and the tests read the
-events, after the run. `events` expands each row not yet built when it is
-read, server 0's size event and its half of each re-shared pair, then server
-1's, and keeps them. Every read returns the same list, so an event replaced in
-it stays replaced for the next read and for the audit; the benchmark's gate
-test forges a size that way. Events are slotted, not frozen: a frozen
-dataclass pays for an object.__setattr__ call per field on every construction.
+Both servers see every observation, so `add` stores one plain row per
+observation and counts the per-server events the rows stand for: the
+transcript's length. A run records rows and reads none of them; only the
+transcript audit and the tests read the events, after the run. `events`
+expands each row not yet built when it is read, server 0's size event and its
+half of each re-shared pair, then server 1's, and keeps them. Every read
+returns the same list, so an event replaced in it stays replaced for the next
+read and for the audit; the benchmark's gate test forges a size that way.
+Events are slotted, not frozen: a frozen dataclass pays for an
+object.__setattr__ call per field on every construction.
 """
 
 from __future__ import annotations
@@ -46,17 +46,17 @@ class Transcript:
         self._count = 0  # per-server events the rows stand for
 
     def add(self, time: int, kind: TranscriptKind, size: int,
-            shares: tuple[tuple[int, int], ...] = (), server: int | None = None) -> None:
-        """Both servers, or `server` alone, see `size`, then their half of each of `shares`."""
-        self._rows.append((time, kind, size, shares, server))
-        self._count += (1 + len(shares)) * (2 if server is None else 1)
+            shares: tuple[tuple[int, int], ...] = ()) -> None:
+        """Both servers see `size`, then their half of each of `shares`."""
+        self._rows.append((time, kind, size, shares))
+        self._count += 2 * (1 + len(shares))
 
     @property
     def events(self) -> list[TranscriptEvent]:
         """One event per server per size or share seen, in order; the same list on every read."""
         events, share = self._events, TranscriptKind.SHARE_RECEIVED
-        for time, kind, size, shares, only in self._rows[self._built:]:
-            for server in (0, 1) if only is None else (only,):
+        for time, kind, size, shares in self._rows[self._built:]:
+            for server in (0, 1):
                 events.append(TranscriptEvent(time, server, kind, size))
                 for pair in shares:
                     events.append(TranscriptEvent(time, server, share, 0, pair[server]))

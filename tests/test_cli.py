@@ -171,6 +171,40 @@ def test_malformed_stream_exits_3(tmp_path, capsys):
                  "--stream_a", str(bad)]) == EXIT_DATA
 
 
+def test_stream_that_is_not_utf8_exits_3_naming_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"t,key,a\n1,1,1\n2,\xff,0\n")
+    assert main(["--operator", "Filter", "--horizon", "5",
+                 "--stream_a", str(bad)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: line 3: {bad}: byte 0xff is not UTF-8\n"
+
+
+def test_config_file_that_is_not_utf8_exits_2_naming_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"horizon=5\n# caf\xff\n")
+    assert main(["--config", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: line 2: {bad}: byte 0xff is not UTF-8\n"
+
+
+def test_utf8_files_are_read_whatever_the_locale(tmp_path):
+    # A config file with a UTF-8 comment reads the same under an ASCII
+    # locale, whose default text encoding would reject its bytes.
+    stream = tmp_path / "s.csv"
+    stream.write_bytes(b"t,key\n1,5\n2,6\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(f"# caf\u00e9\noperator=Filter\nhorizon=3\nstream_a={stream}\n"
+                    .encode("utf-8"))
+    out = tmp_path / "m.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpviewsim.cli", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True,
+        env=dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_run_with_overrides_writes_metrics(tmp_path, capsys):
     out = tmp_path / "m.jsonl"
     rc = main(["--protocol", "DPTimer", "--operator", "Filter",

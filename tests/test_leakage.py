@@ -7,7 +7,8 @@ import pytest
 from dpviewsim.dpnoise import NoiseScale, laplace_oracle
 from dpviewsim.leakage import (AntMechanism, AuditExpectation, LogicalStream,
                                NeighborViolation, StreamRecord, TimerMechanism,
-                               Transcript, TranscriptKind, assert_neighbors,
+                               Transcript, TranscriptEvent, TranscriptKind,
+                               assert_neighbors,
                                empirical_privacy_loss, m_ant, m_timer,
                                transcript_audit)
 
@@ -261,6 +262,16 @@ def test_ant_mechanism_run_many_consistent_with_scalar():
         assert m_ant(stream([], horizon=0), 4, 1, 1.0, seeded(0), variant=variant) == []
 
 
+def test_unknown_ant_variant_raises():
+    # Only the protocol's and the proofs' output scales exist.
+    a, _ = neighbor_pair()
+    with pytest.raises(ValueError, match="unknown variant 'paper'"):
+        m_ant(a, 2, 1, 2.0, seeded(0), variant="paper")
+    with pytest.raises(ValueError, match="unknown variant 'paper'"):
+        AntMechanism(theta=2, b=1, epsilon=2.0, variant="paper").run_many(
+            a, 10, np.random.default_rng(0))
+
+
 def test_two_phase_composition_bound():
     # Release one count per phase; a record with stability q_i in phase i and
     # per-phase budgets eps_i yields total loss sum(q_i * eps_i).
@@ -304,10 +315,9 @@ def test_observe_fans_out_to_each_server_in_turn():
 def test_audit_config_determined_pass():
     tr = Transcript()
     for t in (1, 2, 3):
-        for server in (0, 1):
-            tr.add(t, TranscriptKind.OWNER_UPLOAD, 5, server=server)
-            tr.add(t, TranscriptKind.TRANSFORM_OUTPUT, 20, server=server)
-            tr.add(t, TranscriptKind.SYNC_BATCH, 20, server=server)
+        tr.add(t, TranscriptKind.OWNER_UPLOAD, 5)
+        tr.add(t, TranscriptKind.TRANSFORM_OUTPUT, 20)
+        tr.add(t, TranscriptKind.SYNC_BATCH, 20)
     report = transcript_audit(tr, AuditExpectation(
         owner_batch=5, transform_size=lambda t: 20, sync_equals_transform=True))
     assert report.passed
@@ -316,38 +326,55 @@ def test_audit_config_determined_pass():
 
 def test_audit_flags_leaked_counter():
     tr = Transcript()
-    tr.add(1, TranscriptKind.OWNER_UPLOAD, 5, server=0)
-    tr.add(1, TranscriptKind.SYNC_BATCH, 37, server=0)  # true count leaked as a size
+    tr.add(1, TranscriptKind.OWNER_UPLOAD, 5)
+    tr.add(1, TranscriptKind.SYNC_BATCH, 37)  # true count leaked as a size
     report = transcript_audit(tr, AuditExpectation(
         owner_batch=5, sync_sizes={1: 12}))
     assert not report.passed
-    assert any("t=1" in v and "SyncBatch" in v and "37" in v
+    # Each server saw the size, so each is flagged once.
+    assert [v.split()[1] for v in report.violations] == ["server=0", "server=1"]
+    assert all("t=1" in v and "SyncBatch" in v and "37" in v
                for v in report.violations)
 
 
 def test_audit_coupled_sync_sizes():
     tr = Transcript()
-    for server in (0, 1):
-        tr.add(10, TranscriptKind.SYNC_BATCH, 12, server=server)
-        tr.add(20, TranscriptKind.SYNC_BATCH, 0, server=server)
+    tr.add(10, TranscriptKind.SYNC_BATCH, 12)
+    tr.add(20, TranscriptKind.SYNC_BATCH, 0)
     ok = transcript_audit(tr, AuditExpectation(sync_sizes={10: 12, 20: 0}))
     assert ok.passed
     bad = transcript_audit(tr, AuditExpectation(sync_sizes={10: 12, 20: 3}))
     assert not bad.passed
+    assert [v.split()[:2] for v in bad.violations] == [["t=20", "server=0"],
+                                                        ["t=20", "server=1"]]
 
 
 def test_audit_missing_release_flagged():
     tr = Transcript()
-    tr.add(10, TranscriptKind.SYNC_BATCH, 12, server=0)
+    tr.add(10, TranscriptKind.SYNC_BATCH, 12)
     report = transcript_audit(tr, AuditExpectation(sync_sizes={10: 12, 20: 4}))
     assert not report.passed
-    assert any("t=20" in v and "missing" in v for v in report.violations)
+    assert report.violations == ["t=20 kind=SyncBatch: expected release missing"]
 
 
 def test_audit_flush_schedule():
     tr = Transcript()
-    tr.add(2000, TranscriptKind.FLUSH_BATCH, 15, server=0)
-    tr.add(2500, TranscriptKind.FLUSH_BATCH, 15, server=0)  # off schedule
+    tr.add(2000, TranscriptKind.FLUSH_BATCH, 15)
+    tr.add(2500, TranscriptKind.FLUSH_BATCH, 15)  # off schedule
     report = transcript_audit(tr, AuditExpectation(flush_interval=2000, flush_size=15))
     assert not report.passed
-    assert len(report.violations) == 1
+    assert [v.split()[:2] for v in report.violations] == [["t=2500", "server=0"],
+                                                          ["t=2500", "server=1"]]
+
+
+def test_audit_flags_a_forgery_seen_by_server_1_only():
+    tr = Transcript()
+    for t in (1, 2):
+        tr.add(t, TranscriptKind.OWNER_UPLOAD, 5)
+        tr.add(t, TranscriptKind.TRANSFORM_OUTPUT, 20, ((t, t + 1),))
+    expect = AuditExpectation(owner_batch=5, transform_size=lambda t: 20)
+    assert transcript_audit(tr, expect).passed
+    tr.events.append(TranscriptEvent(2, 1, TranscriptKind.TRANSFORM_OUTPUT, 21))
+    assert transcript_audit(tr, expect).violations == [
+        "t=2 server=1 kind=TransformOutput size=21: "
+        "transform output size must equal padded size 20"]

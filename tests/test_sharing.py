@@ -3,15 +3,19 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from dpviewsim.sharing import (RING_MASK, RING_SIZE, RandomnessReuse, SharePair, check_word,
-                               recover, share, share_in_protocol)
+                               recover, share_in_protocol)
+
+# With z1 = 0 a protocol sharing of x is (z0, x XOR z0): the plain sharing of
+# x with randomness z0, so these vectors are the plain sharing's.
 
 
 def test_share_zero_case():
-    assert share(0, 0) == SharePair(0, 0)
+    assert share_in_protocol(0, 0, 0, set()) == SharePair(0, 0)
 
 
 def test_share_forced_by_definition():
-    assert share(0xDEADBEEF, 0xFFFFFFFF) == SharePair(0xFFFFFFFF, 0x21524110)
+    assert share_in_protocol(0xDEADBEEF, 0xFFFFFFFF, 0, set()) == \
+        SharePair(0xFFFFFFFF, 0x21524110)
 
 
 def test_recover_zero_and_bit_pattern():
@@ -24,16 +28,23 @@ def test_round_trip_identity():
     for _ in range(10_000):
         x = int(rng.integers(1 << 32))
         r = int(rng.integers(1 << 32))
-        assert recover(share(x, r)) == x
+        assert recover(share_in_protocol(x, r, 0, set())) == x
 
 
 def test_out_of_ring_rejected():
+    # check_word guards the value and each server word.
+    with pytest.raises(ValueError, match="^x "):
+        share_in_protocol(1 << 32, 0, 0, set())
+    with pytest.raises(ValueError, match="^z0 "):
+        share_in_protocol(5, -1, 0, set())
+    with pytest.raises(TypeError, match="^x "):
+        share_in_protocol(1.5, 0, 0, set())
     with pytest.raises(ValueError):
-        share(1 << 32, 0)
+        check_word(1 << 32, "x")
     with pytest.raises(ValueError):
-        share(5, -1)
+        check_word(-1, "randomness")
     with pytest.raises(TypeError):
-        share(1.5, 0)
+        check_word(1.5, "x")
 
 
 class Word(int):

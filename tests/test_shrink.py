@@ -6,6 +6,7 @@ from scipy.stats import binom
 
 from dpviewsim import harness, obliv, shrink
 from dpviewsim.harness import ExperimentConfig, Profile, Protocol, RunState, run_experiment
+from dpviewsim.leakage import LogicalStream, StreamRecord, m_ant
 from dpviewsim.obliv import DUMMY, SecureCache, SecureTuple, obli_sort
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover, share_in_protocol
@@ -249,9 +250,16 @@ def test_ant_scales_protocol_and_proof():
     assert th.scale == pytest.approx(4 * 10 / 1.5)
     assert check.scale == pytest.approx(8 * 10 / 1.5)
     assert out.scale == pytest.approx(2 * 10 / 1.5)
-    _, _, out_proof = ant_scales(10, 1.5, variant="proof")
-    assert out_proof.scale == pytest.approx(4 * 10 / 1.5)
     assert timer_scale(10, 1.5).scale == pytest.approx(10 / 1.5)
+    # The proofs' reference mechanism releases at 4b/eps instead; leakage
+    # selects that output scale. At zero noise one record crosses theta 0.5
+    # at t = 1: a threshold, a check, the release and a refreshed threshold.
+    one = LogicalStream([StreamRecord(1, 1, (1,))], 1)
+    for variant, release in (("protocol", 2), ("proof", 4)):
+        scales = []
+        m_ant(one, 0.5, 10, 1.5, lambda scale: scales.append(scale.scale) or 0.0,
+              variant=variant)
+        assert scales == pytest.approx([b * 10 / 1.5 for b in (4, 8, release, 4)])
 
 
 # ---------------------------------------------------------------------------
