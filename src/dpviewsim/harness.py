@@ -21,11 +21,9 @@ from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Iterable, Iterator, TextIO
 
-import numpy as np
-
-from .leakage import LogicalStream, StreamRecord
-from .obliv import SecureCache, SecureTuple, network_comparison_count
-from .randomness import ServerRandomness
+from .leakage import LogicalStream, StreamRecord, stream_record
+from .obliv import SecureCache, SecureTuple, network_comparison_count, secure_tuple
+from .randomness import RawStream, ServerRandomness
 from .sharing import RING_SIZE, SharePair
 from .shrink import (FlushReport, MaterializedView, SyncReport, ThresholdShares, ant_scales,
                      flush_step, sdp_ant_init, sdp_ant_step, sdp_timer_step, timer_scale,
@@ -39,8 +37,8 @@ class ConfigError(ValueError):
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, path: str):
+        super().__init__(f"line {line}: {path}: {message}")
         self.line = line
 
 
@@ -85,7 +83,8 @@ class ExperimentConfig:
     trials: int = 1
 
 
-_POSITIVE = {"c_r", "horizon", "query_interval", "omega", "b", "multiplicity", "trials"}
+# In field order, so that of several invalid fields the first is named.
+_POSITIVE = ("b", "omega", "c_r", "horizon", "query_interval", "multiplicity", "trials")
 
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
@@ -144,8 +143,8 @@ def _read_text(path: str) -> io.StringIO:
     try:
         return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: byte {data[exc.start]:#04x} is not UTF-8",
-                         data.count(b"\n", 0, exc.start) + 1) from None
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8",
+                         data.count(b"\n", 0, exc.start) + 1, path) from None
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -250,27 +249,26 @@ def load_stream(path: str) -> LogicalStream:
     with _read_text(path) as fh:
         header = fh.readline()
         if not header:
-            raise ParseError("missing header", 1)
+            raise ParseError("missing header", 1, path)
         cols = [c.strip() for c in header.strip().split(",")]
         if len(cols) < 2 or cols[0] != "t" or cols[1] != "key":
-            raise ParseError(f"header must start with 't,key', got {header.strip()!r}", 1)
-        n_attrs = len(cols) - 2
+            raise ParseError(f"header must start with 't,key', got {header.strip()!r}", 1, path)
         for lineno, raw in enumerate(fh, start=2):
             line = raw.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != len(cols):
-                raise ParseError(f"expected {len(cols)} fields, got {len(parts)}", lineno)
+                raise ParseError(f"expected {len(cols)} fields, got {len(parts)}", lineno, path)
             try:
                 values = [int(p) for p in parts]
             except ValueError:
-                raise ParseError(f"non-integer field in {line!r}", lineno) from None
+                raise ParseError(f"non-integer field in {line!r}", lineno, path) from None
             if values[0] < 1:
-                raise ParseError(f"time must be >= 1, got {values[0]}", lineno)
+                raise ParseError(f"time must be >= 1, got {values[0]}", lineno, path)
             if not 0 <= values[1] < RING_SIZE:
-                raise ParseError(f"key out of 32-bit range: {values[1]}", lineno)
-            arrivals.append(StreamRecord(values[0], values[1], tuple(values[2:2 + n_attrs])))
+                raise ParseError(f"key out of 32-bit range: {values[1]}", lineno, path)
+            arrivals.append(stream_record((values[0], values[1], tuple(values[2:]))))
     arrivals.sort(key=lambda r: r.t)  # stable
     horizon = max((r.t for r in arrivals), default=0)
     return LogicalStream(arrivals, horizon)
@@ -289,7 +287,7 @@ def client_batches(stream: LogicalStream, c_r: int, horizon: int,
         if len(recs) > c_r:
             raise CapacityExceeded(
                 f"step {t}: {len(recs)} arrivals exceed owner batch size {c_r}")
-        batches.append([SecureTuple(r.key, r.attrs, next(seqs), t) for r in recs])
+        batches.append([secure_tuple((r.key, r.attrs, next(seqs), t, ())) for r in recs])
     return batches
 
 
@@ -312,10 +310,13 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
     arrivals are capped at `cap` per owner; overflow spills deterministically
     into following steps.
 
-    Each step draws the attributes of all its groups in one block, A's then
-    B's `multiplicity` for each group in turn. numpy fills a block with the
-    generator calls that one scalar `integers(1000)` draw per record makes,
-    so the streams equal those of per-record draws.
+    The draws come from a `RawStream` on PCG64(SeedSequence([seed, 7])): it
+    reads the raw words a block at a time, returns plain ints and floats, and
+    gives what numpy's Generator on that bit generator would. Each step draws
+    the attributes of all its groups in one call, A's then B's `multiplicity`
+    for each group in turn; a bounded integer takes the same 32-bit draws
+    whether drawn alone or in a block, so the streams equal those of
+    per-record draws.
 
     Records are handed out in the pass that draws them. At the end of each
     step an owner sends its first `cap` waiting records, stamped with the
@@ -326,7 +327,7 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
     built, but every B draw is still made (its attributes in each block, its
     noise test and its noise attribute), so A equals A of a `right=True` call.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    rng = RawStream([seed, 7])
     group_rate = _PAIRS_PER_STEP / multiplicity
     if profile is Profile.SPARSE:
         group_rate *= 0.1
@@ -345,28 +346,28 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
         wait_b += due_b
         due_b = []
         if profile is not Profile.BURST:
-            groups = int(rng.poisson(group_rate))
+            groups = rng.poisson(group_rate)
         elif (t - 1) % _BURST_PERIOD < _BURST_ON:
-            groups = int(rng.poisson(burst_rate))
+            groups = rng.poisson(burst_rate)
         else:
             groups = 0
         if groups:
-            block = rng.integers(1000, size=groups * (1 + multiplicity)).tolist()
+            block = rng.integers(1000, groups * (1 + multiplicity))
             for at in range(0, len(block), 1 + multiplicity):
                 key = next_key
                 next_key += 1
-                wait_a.append(StreamRecord(t, key, (matched_flag, block[at])))
+                wait_a.append(stream_record((t, key, (matched_flag, block[at]))))
                 if right:
                     for i in range(multiplicity):
-                        rec = StreamRecord(t + i % 2, key, (matched_flag, block[at + 1 + i]))
+                        rec = stream_record((t + i % 2, key, (matched_flag, block[at + 1 + i])))
                         (due_b if i % 2 else wait_b).append(rec)
         if rng.random() < noise_rate:
-            wait_a.append(StreamRecord(t, (1 << 30) + next_key, (0, int(rng.integers(1000)))))
+            wait_a.append(stream_record((t, (1 << 30) + next_key, (0, rng.integers(1000)))))
             next_key += 1
         if rng.random() < noise_rate:
-            attr = int(rng.integers(1000))
+            attr = rng.integers(1000)
             if right:
-                wait_b.append(StreamRecord(t, (1 << 31) + next_key, (0, attr)))
+                wait_b.append(stream_record((t, (1 << 31) + next_key, (0, attr))))
             next_key += 1
         wait_a = _hand_out(wait_a, t, cap, out_a)
         wait_b = _hand_out(wait_b, t, cap, out_b)
@@ -381,7 +382,7 @@ def _hand_out(waiting: list[StreamRecord], t: int, cap: int,
     if len(waiting) <= cap and (not waiting or waiting[0].t == t):
         out += waiting  # no carry: every record is already stamped t
         return []
-    out.extend(r if r.t == t else StreamRecord(t, r.key, r.attrs) for r in waiting[:cap])
+    out.extend(r if r.t == t else stream_record((t, r.key, r.attrs)) for r in waiting[:cap])
     return waiting[cap:]
 
 

@@ -20,6 +20,7 @@ hot-key streams in turn and bounds the change of the per-step produced rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -41,6 +42,11 @@ class StreamRecord(NamedTuple):
     t: int
     key: int
     attrs: tuple[int, ...]
+
+
+# Builds a StreamRecord from its three fields without the Python-level call of
+# the generated constructor: stream_record((t, key, attrs)).
+stream_record = functools.partial(tuple.__new__, StreamRecord)
 
 
 @dataclass

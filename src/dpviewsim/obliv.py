@@ -53,6 +53,10 @@ class SecureTuple(NamedTuple):
         return self.seq >= 0
 
 
+# Builds a SecureTuple from all five fields without the Python-level call of
+# the generated constructor: secure_tuple((key, attrs, seq, timestamp, sources)).
+secure_tuple = functools.partial(tuple.__new__, SecureTuple)
+
 # The one padding slot, built only by the view's padded `rows` read. Its seq
 # of -1 belongs to no real row.
 DUMMY = SecureTuple(key=0, attrs=(), seq=-1)

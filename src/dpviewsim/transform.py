@@ -31,7 +31,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .obliv import SecureTuple, network_comparison_count, network_sort, seq_of
+from .obliv import SecureTuple, network_comparison_count, network_sort, secure_tuple, seq_of
 from .sharing import RING_MASK, recover, share_in_protocol
 from .transcript import TranscriptKind
 
@@ -43,7 +43,7 @@ def retention_steps(config) -> int:
 
 
 def _join_tuple(a: SecureTuple, b: SecureTuple, seqs: Iterator[int], timestamp: int) -> SecureTuple:
-    return SecureTuple(a.key, a.attrs + b.attrs, next(seqs), timestamp, (a.seq, b.seq))
+    return secure_tuple((a.key, a.attrs + b.attrs, next(seqs), timestamp, (a.seq, b.seq)))
 
 
 def selected(tup: SecureTuple) -> bool:
@@ -57,7 +57,7 @@ def trans_truncate_filter(batch: list[SecureTuple], seqs: Iterator[int],
 
     A real input is kept, with its payload, iff it is `selected`.
     """
-    return [SecureTuple(tup.key, tup.attrs, next(seqs), timestamp, (tup.seq,))
+    return [secure_tuple((tup.key, tup.attrs, next(seqs), timestamp, (tup.seq,)))
             for tup in batch if selected(tup)]
 
 

@@ -180,6 +180,33 @@ def test_stream_that_is_not_utf8_exits_3_naming_file_and_line(tmp_path, capsys):
     assert err == f"data error: line 3: {bad}: byte 0xff is not UTF-8\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: {}: missing header"),
+    ("x,key\n1,7\n", "line 1: {}: header must start with 't,key', got 'x,key'"),
+    ("t,key,a\n1,7\n", "line 2: {}: expected 3 fields, got 2"),
+    ("t,key,a\n1,x,1\n", "line 2: {}: non-integer field in '1,x,1'"),
+    ("t,key,a\n1,7,1\n0,7,1\n", "line 3: {}: time must be >= 1, got 0"),
+    ("t,key,a\n1,4294967296,1\n", "line 2: {}: key out of 32-bit range: 4294967296"),
+])
+def test_bad_stream_b_exits_3_naming_its_file(tmp_path, capsys, text, message):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("t,key,a\n1,7,1\n")
+    bad.write_text(text)
+    assert main(["--operator", "SMJ", "--horizon", "5",
+                 "--stream_a", str(good), "--stream_b", str(bad)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {message.format(bad)}\n"
+
+
+def test_first_invalid_field_is_named_whatever_the_hash_seed():
+    # Of several invalid fields, validation names the first in field order.
+    cmd = [sys.executable, "-m", "dpviewsim.cli", "--horizon", "0", "--c_r", "0", "--b", "0"]
+    procs = [subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True, env=dict(os.environ, PYTHONHASHSEED=str(seed)))
+             for seed in range(6)]
+    outcomes = {(proc.communicate()[1], proc.returncode) for proc in procs}
+    assert outcomes == {("config error: b must be >= 1, got 0\n", EXIT_CONFIG)}
+
+
 def test_config_file_that_is_not_utf8_exits_2_naming_file_and_line(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(b"horizon=5\n# caf\xff\n")

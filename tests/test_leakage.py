@@ -10,7 +10,7 @@ from dpviewsim.leakage import (AntMechanism, AuditExpectation, LogicalStream,
                                Transcript, TranscriptEvent, TranscriptKind,
                                assert_neighbors,
                                empirical_privacy_loss, m_ant, m_timer,
-                               transcript_audit)
+                               stream_record, transcript_audit)
 
 
 def stream(times, horizon=None, key0=1):
@@ -155,6 +155,14 @@ def test_neighbor_check():
     y = LogicalStream([StreamRecord(1, 6, (1,))], 1)
     with pytest.raises(NeighborViolation):
         assert_neighbors(x, y)
+
+
+def test_stream_record_builder_equals_the_constructor():
+    fields = (3, 9, (1, 2))
+    built, made = stream_record(fields), StreamRecord(*fields)
+    assert built == made and type(built) is StreamRecord
+    assert (built.t, built.key, built.attrs) == fields
+    assert built._asdict() == made._asdict()
 
 
 # ---------------------------------------------------------------------------

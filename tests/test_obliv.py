@@ -7,7 +7,7 @@ from dpviewsim import obliv, shrink, transform
 from dpviewsim.harness import ExperimentConfig, Protocol, run_experiment
 from dpviewsim.obliv import (DUMMY, SecureCache, SecureTuple, cache_flush, cache_read,
                              compare_exchange_pairs, network_comparison_count, network_sort,
-                             network_sort_keys, obli_sort, padded_length, seq_of)
+                             network_sort_keys, obli_sort, padded_length, secure_tuple, seq_of)
 from dpviewsim.transform import OperatorKind
 
 
@@ -27,6 +27,14 @@ def test_secure_tuple_fields_and_view_flag():
     assert any(r is DUMMY for r in rows) and result.produced_rows
     assert all(r.is_view for r in result.produced_rows)
     assert all(r.is_view == (r is not DUMMY) for r in rows)
+
+
+def test_secure_tuple_builder_equals_the_constructor():
+    fields = (7, (1, 2), 3, 4, (0, 1))
+    built, made = secure_tuple(fields), SecureTuple(*fields)
+    assert built == made and type(built) is SecureTuple
+    assert (built.key, built.attrs, built.seq, built.timestamp, built.sources) == fields
+    assert built._asdict() == made._asdict() and built.is_view
 
 
 def test_append_lengths():

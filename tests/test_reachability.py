@@ -3,13 +3,13 @@
 ROADMAP aim 2 allows no function that only unit tests reach. This test runs,
 in a fresh interpreter under `sys.setprofile`, what a user and the
 benchmark's gate do: the CLI on every protocol x operator config, a trials
-sweep, a cache-scan run, CSV streams through a config file, a malformed
-stream and a bad config, `bench/worker.py`'s `check_results` on every run's
-results, and that gate again on a transcript with one forged size. It lists
-every function, method and property defined in the package's source, nested
-ones included, and fails on any that no call entered unless it is on
-`ALLOWED`, and on any allow-listed name that is not defined or was entered,
-so the list cannot go stale.
+sweep, a cache-scan run, a Burst run, CSV streams through a config file, a
+malformed stream and a bad config, `bench/worker.py`'s `check_results` on
+every run's results, and that gate again on a transcript with one forged
+size. It lists every function, method and property defined in the package's
+source, nested ones included, and fails on any that no call entered unless
+it is on `ALLOWED`, and on any allow-listed name that is not defined or was
+entered, so the list cannot go stale.
 
 The probe runs in a fresh interpreter because a warm `functools` cache hides
 calls: in a pytest session `ant_scales`, `_step_sizes`,
@@ -116,6 +116,8 @@ for protocol in harness.Protocol:
              "--horizon", "40", "--f", "20")
 main("--protocol", "DPANT", "--operator", "Filter", "--horizon", "40", "--trials", "2")
 main("--protocol", "DPTimer", "--operator", "SMJ", "--horizon", "40", "--scan_cache", "1")
+# Burst at multiplicity 1 draws its group counts through PTRS (lam = 10).
+main("--profile", "Burst", "--c_r", "12", "--horizon", "40", "--f", "20")
 main("--config", str(tmp / "streams.cfg"))
 main("--operator", "Filter", "--horizon", "8", "--stream_a", str(tmp / "bad.csv"), want=3)
 main("--config", str(tmp / "bad.cfg"), want=2)
@@ -190,7 +192,7 @@ def test_listing_reads_nested_functions_methods_and_properties():
 
 
 def test_probe_runs_the_gate_on_every_run(probe):
-    assert probe["results"] == 15 + 2 + 1 + 1
+    assert probe["results"] == 15 + 2 + 1 + 1 + 1
     assert probe["problems"] == []
     assert len(probe["forged"]) == 1 and "transform output size" in probe["forged"][0]
 
