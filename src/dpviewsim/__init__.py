@@ -1,8 +1,10 @@
 """Deterministic two-server simulator for DP materialized-view maintenance.
 
 Modules:
-    sharing    two-server XOR secret sharing over the 32-bit ring
+    sharing    two-server XOR sharing over the 32-bit ring; one-expression word checks
     dpnoise    joint Laplace noise from server words; one inverse-CDF oracle
+    randomness every word and variate from PCG64's raw words: the owners'
+               streams, and the servers' words drawn in pairs
     obliv      secure cache kept as its real rows plus a slot count, which
                each step appends to in place; sorts the reals of one or more
                same-length bitonic networks in their output order with one

@@ -8,12 +8,13 @@ oracle for the distribution tests and for the reference mechanisms' trials.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sharing import check_word
+from .sharing import RING_SIZE, check_word
 
 _LOW31 = (1 << 31) - 1
 _DENOM = (1 << 31) + 1
@@ -22,7 +23,8 @@ _MSB = 1 << 31
 
 @dataclass(frozen=True)
 class NoiseScale:
-    """Sensitivity / epsilon pair; scale of the Laplace distribution."""
+    """Sensitivity / epsilon pair; scale of the Laplace distribution, computed
+    on its first read and kept (equality and hashing read the two fields)."""
 
     sensitivity: float
     epsilon: float
@@ -33,7 +35,7 @@ class NoiseScale:
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
-    @property
+    @functools.cached_property
     def scale(self) -> float:
         return self.sensitivity / self.epsilon
 
@@ -56,8 +58,9 @@ def joint_laplace(z0: int, z1: int, scale: NoiseScale) -> float:
     msb of z is clear. msb set means a negative draw (ln r < 0 kept as is).
     Over uniform z the result is Laplace up to 31-bit discretization.
     """
-    check_word(z0, "z0")
-    check_word(z1, "z1")
+    if not (type(z0) is int and 0 <= z0 < RING_SIZE and type(z1) is int and 0 <= z1 < RING_SIZE):
+        check_word(z0, "z0")
+        check_word(z1, "z1")
     z = z0 ^ z1
     sign = 1.0 if z & _MSB else -1.0
     return scale.scale * math.log(fixed_point(z)) * sign

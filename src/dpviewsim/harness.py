@@ -492,15 +492,19 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
 
     rand = ServerRandomness(config.seed)
     run = RunState(config, seqs, rand, Transcript(), zero_counter(rand))
-    if config.protocol is Protocol.DP_ANT:
+    protocol, c_r, interval, scan_cache = (config.protocol, config.c_r, config.query_interval,
+                                           config.scan_cache)
+    if protocol is Protocol.DP_ANT:
         run.threshold = sdp_ant_init(config, rand)
     sync_step = {Protocol.DP_TIMER: sdp_timer_step,
-                 Protocol.DP_ANT: sdp_ant_step}.get(config.protocol)
+                 Protocol.DP_ANT: sdp_ant_step}.get(protocol)
     filtering = config.operator is OperatorKind.FILTER
+    nm = protocol is Protocol.NM
     # NM never transforms; OTM stops after its single sync.
-    transforming = config.protocol is not Protocol.NM
+    transforming = not nm
 
     join_tracker = _JoinCounter()
+    # Filter truth: the selected reals of steps not transformed, plus the rows kept.
     filter_true = filter_seen = 0
 
     result = ExperimentResult(config=config, metrics=[], transcript=run.transcript,
@@ -508,19 +512,19 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
     # A sync or flush sorts the whole cache, then moves its report's size.
     sorting_steps = ((sync_step, result.sync_reports), (flush_step, result.flush_reports))
 
-    for t in range(1, config.horizon + 1):
+    for t, step in enumerate(zip(*batches), start=1):
         cost = 0  # from sizes the servers see: sorts' compares, then slots moved
-        step = [b[t - 1] for b in batches]
 
         # Owners upload fixed-size blocks; both servers observe the sizes.
-        if config.protocol is not Protocol.NM:
-            for _ in batches:
-                run.transcript.add(t, TranscriptKind.OWNER_UPLOAD, config.c_r)
+        if not nm:
+            for _ in step:
+                run.transcript.add(t, TranscriptKind.OWNER_UPLOAD, c_r)
 
         # Maintain the plaintext truth incrementally from the batches' reals.
         if filtering:
             filter_seen += len(step[0])
-            filter_true += sum(map(selected, step[0]))
+            if not transforming:
+                filter_true += sum(map(selected, step[0]))
         else:
             for side, batch in enumerate(step):
                 join_tracker.add(side, batch)
@@ -542,25 +546,25 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
             run.view.append_batch(run.cache.entries, slots, t)
             run.cache = SecureCache()
             run.transcript.add(t, TranscriptKind.SYNC_BATCH, slots)
-            transforming = config.protocol is Protocol.EP
+            transforming = protocol is Protocol.EP
 
-        if t % config.query_interval == 0:
+        if t % interval == 0:
             view, cache = run.view, run.cache
-            truth = filter_true if filtering else join_tracker.total
-            real = view.real_rows()
-            if config.protocol is Protocol.NM:
+            truth = filter_true + len(run.produced_rows) if filtering else join_tracker.total
+            real, total = view.real_rows(), view.total_rows()
+            if nm:
                 answered = truth
                 scan = filter_seen if filtering else math.prod(join_tracker.sizes)
                 deferred = 0
                 discarded = 0
             else:
-                answered = query_count(view, cache=cache if config.scan_cache else None)
-                scan = view.total_rows() + (len(cache) if config.scan_cache else 0)
+                answered = query_count(view, cache=cache if scan_cache else None)
+                scan = total + (len(cache) if scan_cache else 0)
                 deferred = cache.real_count()
                 discarded = truth - real - deferred
             l1 = abs(truth - answered)
             result.metrics.append(MetricsRecord(
-                t, float(l1), float(l1) / max(1, truth), view.total_rows(), real, deferred,
+                t, float(l1), float(l1) / max(1, truth), total, real, deferred,
                 discarded, cost + scan, len(run.transcript)))
 
     result.final_view = run.view

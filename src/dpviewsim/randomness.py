@@ -8,11 +8,13 @@ Generator; `RawStream` runs numpy's algorithms on the raw words.
 Every protocol run owns one ServerRandomness. Each server contributes words
 from its own seeded stream; noise words and sharing words come from separate
 substreams so that leakage oracles can replay the noise sequence exactly
-without tracking sharing traffic.
+without tracking sharing traffic. A run draws its words in pairs, one from
+each server's stream, together.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -40,12 +42,13 @@ def _raw_blocks(seed, n: int):
 
 def _words(seed: np.random.SeedSequence):
     """Endless ring words of one substream: raw words' halves, low first, _BLOCK at a time."""
-    for raw in _raw_blocks(seed, _BLOCK // 2):
-        yield from raw.astype("<u8", copy=False).view("<u4").tolist()
+    return itertools.chain.from_iterable(raw.astype("<u8", copy=False).view("<u4").tolist()
+                                         for raw in _raw_blocks(seed, _BLOCK // 2))
 
 
+@functools.lru_cache(maxsize=1024)
 def _loggam(x: int) -> float:
-    """numpy's random_loggam: log Gamma(x) from Stirling's series at x shifted to 7."""
+    """numpy's random_loggam, memoized: log Gamma(x) from Stirling's series at x shifted to 7."""
     if x == 1 or x == 2:
         return 0.0
     n = max(0, 7 - x)
@@ -112,10 +115,7 @@ class RawStream:
 
     def _ptrs(self, lam: float) -> int:
         """numpy's transformed rejection with squeeze, for lam >= 10."""
-        b = 0.931 + 2.53 * math.sqrt(lam)
-        a = -0.059 + 0.02483 * b
-        invalpha = 1.1239 + 1.1328 / (b - 3.4)
-        vr = 0.9277 - 3.6224 / (b - 2)
+        b, a, vr, log_invalpha, log_lam = _ptrs_setup(lam)
         while True:
             u = self.random() - 0.5
             v = self.random()
@@ -126,9 +126,19 @@ class RawStream:
                 return k
             # numpy's log(0.0) is -inf, so v = 0 accepts.
             if k >= 0 and (us >= 0.013 or v <= us) and (
-                    not v or math.log(v) + math.log(invalpha) - math.log(a / (us * us) + b)
-                    <= -lam + k * math.log(lam) - _loggam(k + 1)):
+                    not v or math.log(v) + log_invalpha - math.log(a / (us * us) + b)
+                    <= -lam + k * log_lam - _loggam(k + 1)):
                 return k
+
+
+@functools.lru_cache(maxsize=16)
+def _ptrs_setup(lam: float) -> tuple[float, float, float, float, float]:
+    """PTRS's set-up, once per lam: b, a, vr and the logs of invalpha and lam."""
+    b = 0.931 + 2.53 * math.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    invalpha = 1.1239 + 1.1328 / (b - 3.4)
+    vr = 0.9277 - 3.6224 / (b - 2)
+    return b, a, vr, math.log(invalpha), math.log(lam)
 
 
 class ServerRandomness:
@@ -137,19 +147,15 @@ class ServerRandomness:
     The four substreams (noise and sharing words of each server) are spawned
     from SeedSequence(seed) in that order, and each yields the words of scalar
     `integers(RING_SIZE)` draws by numpy's Generator on PCG64(child).
+    `noise_pair()` and `share_pair()` each draw a (server 0, server 1) pair
+    together: the `__next__` of a `zip` over the two servers' streams.
     """
 
     def __init__(self, seed: int):
         n0, n1, s0, s1 = np.random.SeedSequence(seed).spawn(4)
-        self._noise0, self._noise1 = _words(n0), _words(n1)
-        self._share0, self._share1 = _words(s0), _words(s1)
+        self.noise_pair = zip(_words(n0), _words(n1)).__next__
+        self.share_pair = zip(_words(s0), _words(s1)).__next__
         self.seen_pairs: set = set()
-
-    def noise_pair(self) -> tuple[int, int]:
-        return next(self._noise0), next(self._noise1)
-
-    def share_pair(self) -> tuple[int, int]:
-        return next(self._share0), next(self._share1)
 
     def joint_laplace(self, scale: NoiseScale) -> float:
         return dpnoise.joint_laplace(*self.noise_pair(), scale)

@@ -1,11 +1,14 @@
 """XOR-based secret sharing over the 32-bit ring.
 
 Ring values are plain Python ints in [0, 2**32). Values outside the ring are
-rejected rather than truncated, so counter words stay bit-exact.
+rejected rather than truncated, so counter words stay bit-exact. Hot paths
+accept words by one chained `type(w) is int and 0 <= w < RING_SIZE` test; if
+it fails, `check_word` on each word in turn raises the first error it finds.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 RING_BITS = 32
@@ -34,9 +37,17 @@ class SharePair(NamedTuple):
     s1: int
 
 
+# _share_pair((s0, s1)) builds a SharePair without its generated Python-level __new__.
+_share_pair = functools.partial(tuple.__new__, SharePair)
+
+
 def recover(p: SharePair) -> int:
     """XOR the two shares back together."""
-    return check_word(p.s0, "s0") ^ check_word(p.s1, "s1")
+    s0, s1 = p.s0, p.s1
+    if not (type(s0) is int and 0 <= s0 < RING_SIZE and type(s1) is int and 0 <= s1 < RING_SIZE):
+        check_word(s0, "s0")
+        check_word(s1, "s1")
+    return s0 ^ s1
 
 
 def share_in_protocol(x: int, z0: int, z1: int, seen: set) -> SharePair:
@@ -46,12 +57,14 @@ def share_in_protocol(x: int, z0: int, z1: int, seen: set) -> SharePair:
     predicts the sharing randomness. Each (z0, z1) pair is one-shot: a pair
     already in the run-scoped `seen` set raises RandomnessReuse.
     """
-    check_word(x, "x")
-    check_word(z0, "z0")
-    check_word(z1, "z1")
+    if not (type(x) is int and 0 <= x < RING_SIZE and type(z0) is int and 0 <= z0 < RING_SIZE
+            and type(z1) is int and 0 <= z1 < RING_SIZE):
+        check_word(x, "x")
+        check_word(z0, "z0")
+        check_word(z1, "z1")
     pair = (z0, z1)
     if pair in seen:
         raise RandomnessReuse(f"contribution pair reused within run: {pair}")
     seen.add(pair)
     s0 = z0 ^ z1
-    return SharePair(s0, s0 ^ x)
+    return _share_pair((s0, s0 ^ x))

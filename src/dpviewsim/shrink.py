@@ -128,6 +128,10 @@ class SyncReport(NamedTuple):
     size: int
 
 
+# _sync_report((t, pre_clamp, size)) builds a SyncReport without its Python-level __new__.
+_sync_report = functools.partial(tuple.__new__, SyncReport)
+
+
 def _sync(t: int, pre: float, run, *shares: SharePair) -> SyncReport:
     """The sync both protocols run: sort the cache, move the first
     clamp_round(pre) slots into the view, and hand each server its half of
@@ -136,7 +140,7 @@ def _sync(t: int, pre: float, run, *shares: SharePair) -> SyncReport:
     fetched, run.cache = cache_read(obli_sort(run.cache), sz)
     run.view.append_batch(fetched, sz, t)
     run.transcript.add(t, TranscriptKind.SYNC_BATCH, sz, shares)
-    return SyncReport(t, pre, sz)
+    return _sync_report((t, pre, sz))
 
 
 def sdp_timer_step(t: int, run) -> SyncReport | None:

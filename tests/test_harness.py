@@ -62,8 +62,16 @@ def test_load_stream_sorts_stably(tmp_path):
 
 def test_load_stream_missing_header(tmp_path):
     p = tmp_path / "s.csv"
+    p.write_text("")
+    with pytest.raises(ParseError, match="missing header$") as err:
+        load_stream(str(p))
+    assert err.value.line == 1
+
+
+def test_load_stream_bad_header(tmp_path):
+    p = tmp_path / "s.csv"
     p.write_text("1,7,0\n")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ParseError, match="header must start with 't,key', got '1,7,0'$") as err:
         load_stream(str(p))
     assert err.value.line == 1
 

@@ -1,3 +1,6 @@
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,3 +103,33 @@ def test_bounded_draw_is_redrawn_exactly_below_the_threshold(high, offset):
     raw = RawStream(seq)
     raw._high = half
     assert raw.integers(high, 3) == np.random.Generator(bitgen).integers(high, size=3).tolist()
+
+
+def test_ptrs_setup_is_kept_per_lam():
+    # Back to lam = 10 after 12.5 and 50: a set-up kept under another lam
+    # would draw from the wrong distribution.
+    randomness._ptrs_setup.cache_clear()
+    seq = np.random.SeedSequence([5, 7])
+    rng, raw = np.random.default_rng(seq), RawStream(seq)
+    for lam in (10, 12.5, 50, 10):
+        assert [raw.poisson(lam) for _ in range(300)] == rng.poisson(lam, 300).tolist(), lam
+
+
+def test_loggam_memo_equals_the_series():
+    randomness._loggam.cache_clear()
+    series = randomness._loggam.__wrapped__  # the unmemoized series
+    ks = list(range(1, 301))
+    want = [series(k) for k in ks]
+    assert [randomness._loggam(k) for k in ks] == want
+    assert [randomness._loggam(k) for k in reversed(ks)] == want[::-1]  # read from the memo
+    assert all(math.isclose(w, math.lgamma(k), rel_tol=1e-14, abs_tol=1e-14)
+               for k, w in zip(ks, want))
+
+
+def test_noise_scale_equality_hash_and_pickle_ignore_the_kept_scale():
+    fresh, read = NoiseScale(10, 1.5), NoiseScale(10, 1.5)
+    assert read.scale == 10 / 1.5 and read.scale is read.scale
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    for ns in (fresh, read):
+        copy = pickle.loads(pickle.dumps(ns))
+        assert copy == fresh and hash(copy) == hash(fresh) and copy.scale == 10 / 1.5

@@ -1,7 +1,10 @@
+import enum
+
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+from dpviewsim.dpnoise import NoiseScale, joint_laplace
 from dpviewsim.sharing import (RING_MASK, RING_SIZE, RandomnessReuse, SharePair, check_word,
                                recover, share_in_protocol)
 
@@ -60,6 +63,48 @@ def test_check_word_paths():
                    (-1, ValueError), (RING_SIZE, ValueError), (Word(RING_SIZE), ValueError)):
         with pytest.raises(err, match="^w "):
             check_word(x, "w")
+
+
+# The functions that accept their words with one chained test, each called
+# with 7 for every word but those given by name.
+_CHECKED = {
+    "share_in_protocol": (lambda x=7, z0=7, z1=8: share_in_protocol(x, z0, z1, set()),
+                          ("x", "z0", "z1")),
+    "recover": (lambda s0=7, s1=7: recover(SharePair(s0, s1)), ("s0", "s1")),
+    "joint_laplace": (lambda z0=7, z1=7: joint_laplace(z0, z1, NoiseScale(1, 1)), ("z0", "z1")),
+}
+_BAD_WORDS = (-1, RING_SIZE, True, 7.0, "7", np.uint32(7))
+
+
+def _error(call) -> tuple[type, str]:
+    with pytest.raises((TypeError, ValueError)) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("bad", _BAD_WORDS, ids=repr)
+@pytest.mark.parametrize("fn", sorted(_CHECKED))
+def test_checked_words_raise_what_check_word_raises(fn, bad):
+    call, names = _CHECKED[fn]
+    for i, name in enumerate(names):
+        want = _error(lambda: check_word(bad, name))
+        assert _error(lambda: call(**{name: bad})) == want
+        # With two bad words, the first one's error wins.
+        for later in names[i + 1:]:
+            assert _error(lambda: call(**{name: bad, later: "later"})) == want
+
+
+class Level(enum.IntEnum):
+    SEVEN = 7
+
+
+def test_checked_words_accept_an_int_subclass_in_the_ring():
+    assert share_in_protocol(Level.SEVEN, 7, Level.SEVEN, set()) == share_in_protocol(7, 7, 7, set())
+    assert recover(SharePair(Level.SEVEN, 1)) == 6
+    scale = NoiseScale(1, 1)
+    assert joint_laplace(Level.SEVEN, 9, scale) == joint_laplace(7, 9, scale)
+    with pytest.raises(AttributeError):
+        recover((7, 1))  # the shares are read by name
 
 
 def test_share_in_protocol_forced_values():
