@@ -11,8 +11,8 @@ Modules:
                Timsort (one scan for keys already in order) and charges
                nothing, the network
                itself as the test oracle and its compare count a closed form;
-               a read returns only the reals of the slots it reads; a tuple
-               is a real view entry iff its seq is non-negative
+               a read returns only the reals of the slots it reads; no
+               cache, batch or sort builds a padding row
     transform  truncated view transformation with contribution budgets,
                whose step reads and updates the run's one state and returns
                its `step_sizes`, the one rule for a step's padded join
@@ -31,7 +31,8 @@ Modules:
                the flush; each step updates the run's one state in place and
                returns only a report, on the steps that sync or flush; one
                helper shares each zero counter; the view kept as its real
-               rows plus per-batch slot counts; the closed-form bounds
+               rows plus per-batch slot and real counts (only its padded
+               `rows` read builds padding); the closed-form bounds
     transcript what each server observes: sizes, timestamps and shares, one
                plain row per observation, expanded per server into slotted
                events when first read

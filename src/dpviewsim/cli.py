@@ -51,6 +51,12 @@ def main(argv: list[str] | None = None) -> int:
         values = parse_config_file(args.config) if args.config else {}
         values.update(overrides)
         config = coerce_config(values)
+        # Refuse to truncate an input: opening --out for writing would empty it.
+        for name, path in (("--config", args.config), ("stream_a", config.stream_a),
+                           ("stream_b", config.stream_b)):
+            with contextlib.suppress(OSError):  # a path that does not exist is no input
+                if args.out and path and os.path.samefile(args.out, path):
+                    raise ConfigError(f"--out {args.out} is the {name} input {path}")
         # Open the output now, so that an unwritable path fails before the run.
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except (ConfigError, OSError) as exc:

@@ -137,14 +137,15 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
 
 def _read_text(path: str) -> io.StringIO:
     """The file's lines as `open` reads them, but decoded as UTF-8 whatever
-    the locale; a byte that is not UTF-8 raises ParseError at its line."""
+    the locale, after a leading byte-order mark if there is one; a byte that
+    is not UTF-8 raises ParseError at its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return io.StringIO(data.decode("utf-8"), newline=None)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8",
-                         data.count(b"\n", 0, exc.start) + 1, path) from None
+        return io.StringIO(data.decode("utf-8-sig"), newline=None)
+    except UnicodeDecodeError as exc:  # exc.object is the data after the mark
+        raise ParseError(f"byte {exc.object[exc.start]:#04x} is not UTF-8",
+                         exc.object.count(b"\n", 0, exc.start) + 1, path) from None
 
 
 def parse_config_file(path: str) -> dict[str, str]:

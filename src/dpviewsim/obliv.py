@@ -1,7 +1,6 @@
 """Exhaustively padded secure cache and its oblivious operations.
 
-The protocol's cache is an append-only array of real view tuples and padding;
-a tuple is real iff its seq is non-negative (`is_view` is read, not stored).
+The protocol's cache is an append-only array of real view tuples and padding.
 The servers learn only how many slots it has and read it only after an
 oblivious sort, so the simulator keeps just its real entries, in seq (FIFO)
 order, and its slot count; padding is a count and is never built. Each step
@@ -33,12 +32,12 @@ from typing import Callable, Iterator, NamedTuple
 
 
 class SecureTuple(NamedTuple):
-    """One cache/view slot: its payload and per-run stamps.
+    """One real cache/view row: its payload and per-run stamps.
 
     seq is the per-run creation stamp of a real row, unique within the run
-    and never negative; only the padding slot below has seq -1. sources lists
-    the seq ids of the input records a real row was derived from; simulator
-    bookkeeping only.
+    and never negative; only the padding slot of the view's padded `rows`
+    read (in `shrink`) has seq -1. sources lists the seq ids of the input
+    records a real row was derived from; simulator bookkeeping only.
     """
 
     key: int
@@ -56,10 +55,6 @@ class SecureTuple(NamedTuple):
 # Builds a SecureTuple from all five fields without the Python-level call of
 # the generated constructor: secure_tuple((key, attrs, seq, timestamp, sources)).
 secure_tuple = functools.partial(tuple.__new__, SecureTuple)
-
-# The one padding slot, built only by the view's padded `rows` read. Its seq
-# of -1 belongs to no real row.
-DUMMY = SecureTuple(key=0, attrs=(), seq=-1)
 
 
 @dataclass

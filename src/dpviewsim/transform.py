@@ -176,19 +176,20 @@ def step_sizes(config, t: int) -> StepSizes:
     per join; the Filter pads to its c_r input slots and sorts nothing. The
     sizes stop changing once t reaches retention_steps, so they are computed
     once per retained depth."""
-    return _step_sizes(config.operator, config.c_r, config.omega,
+    return _step_sizes(config.operator._value_, config.c_r, config.omega,
                        min(t - 1, retention_steps(config) - 1))
 
 
 @functools.lru_cache(maxsize=64)
-def _step_sizes(operator: OperatorKind, c_r: int, omega: int, depth: int) -> StepSizes:
-    """`step_sizes` for owners that each retain `depth` past batches."""
-    if operator is OperatorKind.FILTER:
+def _step_sizes(operator: str, c_r: int, omega: int, depth: int) -> StepSizes:
+    """`step_sizes` for owners that each retain `depth` past batches, keyed on
+    the operator's `_value_`: an Enum's hash and `value` are Python calls."""
+    if operator == OperatorKind.FILTER.value:
         return StepSizes((), c_r, 0)
     old = c_r * depth
     n1, n2, m1, m2 = c_r, old + c_r, old, c_r
     joins = (n1, n2), (m1, m2)
-    if operator is OperatorKind.SMJ:
+    if operator == OperatorKind.SMJ.value:
         return StepSizes(joins, omega * (n1 + n2 + m1 + m2),
                          network_comparison_count(n1 + n2) + network_comparison_count(m1 + m2))
     return StepSizes(joins, omega * (n1 + m1),

@@ -232,6 +232,32 @@ def test_utf8_files_are_read_whatever_the_locale(tmp_path):
     assert len(out.read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("kind", ["config", "stream"])
+def test_a_utf8_byte_order_mark_is_read_past(kind, tmp_path):
+    # Spreadsheet tools often save UTF-8 with a leading byte-order mark; a
+    # file with one gives the same metrics as a copy without it.
+    outs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        stream = tmp_path / f"s{len(mark)}.csv"
+        stream.write_bytes((mark if kind == "stream" else b"") + b"t,key,a\n1,5,1\n2,6,0\n")
+        cfg = tmp_path / f"c{len(mark)}.cfg"
+        cfg.write_bytes((mark if kind == "config" else b"")
+                        + f"protocol=DPTimer\noperator=Filter\nhorizon=4\nT=2\n"
+                          f"stream_a={stream}\n".encode())
+        out = tmp_path / f"m{len(mark)}.jsonl"
+        assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 4
+
+
+def test_bad_byte_after_a_byte_order_mark_is_named_at_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xef\xbb\xbft,key,a\n1,1,1\n2,\xfe,0\n")
+    assert main(["--operator", "Filter", "--horizon", "5",
+                 "--stream_a", str(bad)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: line 3: {bad}: byte 0xfe is not UTF-8\n"
+
+
 def test_run_with_overrides_writes_metrics(tmp_path, capsys):
     out = tmp_path / "m.jsonl"
     rc = main(["--protocol", "DPTimer", "--operator", "Filter",
@@ -310,6 +336,33 @@ def test_unwritable_out_exits_2_before_the_run(target, tmp_path, capsys, monkeyp
     assert main(["--operator", "Filter", "--horizon", "5", "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_out_that_is_the_config_file_exits_2_and_leaves_it_unchanged(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("protocol=EP\noperator=Filter\nhorizon=3\n")
+    before = cfg.read_bytes()
+    assert main(["--config", str(cfg), "--out", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --out {cfg} is the --config input {cfg}\n"
+    assert cfg.read_bytes() == before
+
+
+@pytest.mark.parametrize("field", ["stream_a", "stream_b"])
+def test_out_that_is_a_stream_exits_2_and_leaves_it_unchanged(field, tmp_path, capsys):
+    # The same file under another name (a symlink) is refused too.
+    streams = {name: tmp_path / f"{name}.csv" for name in ("stream_a", "stream_b")}
+    for path in streams.values():
+        path.write_text("t,key,a\n1,7,1\n")
+    before = streams[field].read_bytes()
+    out = tmp_path / "link.csv"
+    out.symlink_to(streams[field])
+    args = ["--protocol", "EP", "--operator", "SMJ", "--horizon", "3", "--out", str(out)]
+    for name, path in streams.items():
+        args += [f"--{name}", str(path)]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: --out {out} is the {field} input {streams[field]}\n"
+    assert streams[field].read_bytes() == before
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -3,8 +3,9 @@
 Each case pins the sha256 of a run's metrics JSONL (as `emit_metrics` writes
 it) and of its transcript events (time, server, kind, size, share value).
 Each case, the hot-key ones included, also pins the sha256 of every field of
-the rows the run produced and of its final view's rows and batch boundaries,
-which neither of the first two hashes reads.
+the rows the run produced and of its final view: its real rows, each batch's
+(t, slots) and each batch's real count, which neither of the first two hashes
+reads.
 A refactor of the experiment loop, the protocols or the transformation
 must leave every hash unchanged; a change that alters a run's bytes on
 purpose re-records them here and says so.
@@ -194,46 +195,48 @@ def test_hot_key_run_bytes_match_recorded_hashes(name, tmp_path):
 
 
 def _row(r) -> list:
-    return [r.key, list(r.attrs), r.is_view, r.seq, r.timestamp, list(r.sources)]
+    return [r.key, list(r.attrs), r.seq, r.timestamp, list(r.sources)]
 
 
 def _rows_hash(results) -> str:
     data = [[[_row(r) for r in res.produced_rows],
-             [_row(r) for r in res.final_view.rows],
-             [list(b) for b in res.final_view.batches]] for res in results]
+             [_row(r) for r in res.final_view.reals],
+             [list(b) for b in res.final_view.batches],
+             res.final_view.counts] for res in results]
     return hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest()
 
 
-# sha256 of every produced row, view row and view batch, recorded before the
-# owner batches and view rows were built positionally.
+# sha256 of every produced row, and of the final view as its real rows, its
+# batches' (t, slots) and its batches' real counts: the view the protocol
+# pads, without building a padding row.
 ROWS_GOLDEN = {
-    "DPANT-Filter": "e392668391462900545e71a93c12192b2a40de6c18525a1f892fa1503ad333b3",
-    "DPANT-Filter-Burst": "5327bb265402eae46e6b054dd37d4f5a0c622496fb735d357ab756fac4115211",
-    "DPANT-NLJ": "c8837ead6d8757f0b51b95f990a58797508174333bb57dcdc25788cad44c469a",
-    "DPANT-NLJ-hot-keys-omega-2-b-5": "4d566b4c3f0b72ab1c45d1103591328af623510dde3a08eafc5cd3438b3be817",
-    "DPANT-SMJ-hot-keys-omega-2-b-5": "92254c852a0770b250ca764612bf55b44bfeffba43a2d0c5a37f4350d05c1913",
-    "DPANT-SMJ": "c8837ead6d8757f0b51b95f990a58797508174333bb57dcdc25788cad44c469a",
-    "DPANT-SMJ-3-trials": "c0abc58976dfc5471e5eb36a9a0f40c2d13ce3109c32173fa953381877bd2b9c",
-    "DPANT-SMJ-Sparse": "c55cb1a3744cbc814b114b5365caddd90047f3d5195e4048e53770553475f7a0",
-    "DPTimer-Filter": "f8bd93749bad19e98689b4f06b7fdcacb187f696f3fca5f65aeae9b6aa1c9675",
-    "DPTimer-NLJ": "58a1ae82b270abc5a4060f0698350fe17b93e83748abf314310723f889ab7dbc",
-    "DPTimer-NLJ-Burst": "13402ede328cdd0d10e6d511cb172c23197b4dc55641d48ba203c9519c5a9dcd",
-    "DPTimer-NLJ-hot-keys-omega-2-b-5": "73abc2616cbe7818edf9202c14751bc3e1773bb09d39720162a1a0cd49913352",
-    "DPTimer-SMJ": "58a1ae82b270abc5a4060f0698350fe17b93e83748abf314310723f889ab7dbc",
-    "DPTimer-SMJ-hot-keys-omega-2-b-5": "92f7ab7afb71024ad81cd6a9355991d39a0399680ac5fadbf27bde843ce5bfb8",
-    "DPTimer-SMJ-multiplicity-3": "3d96b1216c60eed83a09f247686194c008f4c346bda35ef8776afc1326cc02bc",
-    "DPTimer-SMJ-omega-3-b-10": "1176ab5b2a56a2e4e0b502f0e9916997bdb602e514bb41fc24b8bc23d519385d",
-    "DPTimer-SMJ-scan-cache": "fb498d020383a6c7f883641a12165d95aafedef883c5ebbe4bfdeaf26e44404b",
-    "EP-Filter": "5c994f86c0fac062b1c6a0a44525700cbe80302732238cc91fe99088f309003f",
-    "EP-NLJ": "5be4b0c85a61d38a6edb5cd4dd2561d1855709ad879f1acfedc2c915e3abed56",
-    "EP-NLJ-omega-2-b-5-Burst": "22eb8334e6b170928885583947f7d12a49d6b3ded9f99f1534c441191db48fc8",
-    "EP-SMJ": "dfab986ea2f09e4033b7f3725f48b7d93941dd24c32f98c3ed888e9e3b052767",
-    "NM-Filter": "e76b320f16a4ed1be05a0df70b1926e082b568d9879bd2bedd6b71cefed2ff74",
-    "NM-NLJ": "e76b320f16a4ed1be05a0df70b1926e082b568d9879bd2bedd6b71cefed2ff74",
-    "NM-SMJ": "e76b320f16a4ed1be05a0df70b1926e082b568d9879bd2bedd6b71cefed2ff74",
-    "OTM-Filter": "9f853a2a5803bddd26e9fef0381390e58bc24e57a56b451cafe55313859185f1",
-    "OTM-NLJ": "e738da6ac9db5d8c6fb11ccaca386d23ef1d63fddbec373e706c98096b630a31",
-    "OTM-SMJ": "d249a2c8c923164668309bd37950bb99678129db261758466b0b97c776d13b33",
+    "DPANT-Filter": "aaff77fd83635f2383dd6b77cf4d7b317d60a9746d7781a1964ef8839ec456fd",
+    "DPANT-Filter-Burst": "691ed10c5716f4b73cdee1e38d6795ad1d788dd35e67c8b2d4f61bb6729cabf9",
+    "DPANT-NLJ": "aca68639c1ccb5ed9e20f52bee6e787edd7a3df136ea0bce2ec9c03120816ce6",
+    "DPANT-NLJ-hot-keys-omega-2-b-5": "552668b805a889ac5109817b96d8011a81074d8401b777581a2b6b28c8d46b1d",
+    "DPANT-SMJ": "aca68639c1ccb5ed9e20f52bee6e787edd7a3df136ea0bce2ec9c03120816ce6",
+    "DPANT-SMJ-3-trials": "195039aaab2c75526cae779b2b42f754577c370664cbde4b447eba7f40f7e138",
+    "DPANT-SMJ-Sparse": "f864c13088741a177f9b8a6608df459fcd3fec5d12256edd4850050bd0020f98",
+    "DPANT-SMJ-hot-keys-omega-2-b-5": "fd707e28e03a249f9b62487debeb7e7326f6f1cd77f8aadfd5d0aa44f37b9f07",
+    "DPTimer-Filter": "e6b3d4b8939e758c25413d9b9ccce43bba203ac8b3a5cbab8d16eec2effb580a",
+    "DPTimer-NLJ": "b09bd6e1aea17dee164ea7a9f0764987faeaffeb46bf9f5ab89e56166a828301",
+    "DPTimer-NLJ-Burst": "ed0f3ac38cd76925d6365a0400f0165179bccb3dc204a843bb6691f84736405d",
+    "DPTimer-NLJ-hot-keys-omega-2-b-5": "628ba46fc1fec9bb8b11f5647cdb9c1a61d236154c106aedc9eaf9b7ea942079",
+    "DPTimer-SMJ": "b09bd6e1aea17dee164ea7a9f0764987faeaffeb46bf9f5ab89e56166a828301",
+    "DPTimer-SMJ-hot-keys-omega-2-b-5": "8e3179906369498c01f864ece8dafb74562196f992213fcff6afe4f75f8e7a7f",
+    "DPTimer-SMJ-multiplicity-3": "f31fe5fee2e5467735ef0986ae772a35284e2433e3fa85e950af453294870717",
+    "DPTimer-SMJ-omega-3-b-10": "2b42967bb2089ffedd148d6eddbba48b7b33ca0ed87b48490037e54d0996f262",
+    "DPTimer-SMJ-scan-cache": "97559c37b3a8970bbff0eb52740b32cb76b88ddd1e89a38fddd435ca8b7a7f05",
+    "EP-Filter": "3f5a9235c9d340dbb4c7ed353bb510c324dc61949cbc49bf61bbdcc61c18412e",
+    "EP-NLJ": "0a84ca7f8d6ef6a8a50e24c6859858c5e5290f2b7d8668e08c40e08514ef133b",
+    "EP-NLJ-omega-2-b-5-Burst": "82e183b4435d149c204ad57be434b6f481593aff56cc2b93afe09516964bccf7",
+    "EP-SMJ": "ca2b14ec4a2d98a4026a5fcdce19ce1dd5d20e97aecd0c347928adfc551d3821",
+    "NM-Filter": "6908c6598fa36d1d06e29d29d5b4b00631b6113283af5fdaae59fe3cd1d20179",
+    "NM-NLJ": "6908c6598fa36d1d06e29d29d5b4b00631b6113283af5fdaae59fe3cd1d20179",
+    "NM-SMJ": "6908c6598fa36d1d06e29d29d5b4b00631b6113283af5fdaae59fe3cd1d20179",
+    "OTM-Filter": "3e679a9867fc6347b105ae9c7b4de6aae9bf4c9158d3e4ef6d7d1ece3833844f",
+    "OTM-NLJ": "541287a3de1bb892e8d418d8bdfeae7e873f4e7287d6c51195471a8c114c1973",
+    "OTM-SMJ": "df221b40da8c1c333ac640857f484a3d9a39129752d43fa7d748041996ea5a47",
 }
 
 

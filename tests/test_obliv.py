@@ -5,28 +5,39 @@ import pytest
 
 from dpviewsim import obliv, shrink, transform
 from dpviewsim.harness import ExperimentConfig, Protocol, run_experiment
-from dpviewsim.obliv import (DUMMY, SecureCache, SecureTuple, cache_flush, cache_read,
+from dpviewsim.obliv import (SecureCache, SecureTuple, cache_flush, cache_read,
                              compare_exchange_pairs, network_comparison_count, network_sort,
                              network_sort_keys, obli_sort, padded_length, secure_tuple, seq_of)
 from dpviewsim.transform import OperatorKind
+
+
+# A padding slot of the padded arrays the oracles below build; the cache
+# itself never holds one.
+PAD = object()
 
 
 def real(seq, key=1):
     return SecureTuple(key=key, attrs=(key,), seq=seq)
 
 
-def test_secure_tuple_fields_and_view_flag():
-    # is_view is read from seq, not stored: a real row's seq is never
-    # negative, and DUMMY, seq -1, is the only slot that is not a view entry.
+def test_secure_tuple_fields():
     assert SecureTuple._fields == ("key", "attrs", "seq", "timestamp", "sources")
+
+
+@pytest.mark.parametrize("protocol", [Protocol.DP_TIMER, Protocol.DP_ANT])
+def test_is_view_marks_exactly_the_reals_of_the_padded_view(protocol):
+    # is_view is read from seq, not stored, and stays only for the benchmark's
+    # tracer. In the padded view it holds on the first counts[i] slots of each
+    # batch, which are the view's reals, and on no padding slot.
     for seq in (-2, -1, 0, 1, 1 << 40):
         assert SecureTuple(key=3, attrs=(1,), seq=seq).is_view == (seq >= 0)
-    assert DUMMY.seq == -1 and not DUMMY.is_view
-    result = run_experiment(ExperimentConfig(protocol=Protocol.DP_TIMER, horizon=40, seed=2))
-    rows = result.final_view.rows
-    assert any(r is DUMMY for r in rows) and result.produced_rows
-    assert all(r.is_view for r in result.produced_rows)
-    assert all(r.is_view == (r is not DUMMY) for r in rows)
+    view = run_experiment(ExperimentConfig(protocol=protocol, horizon=40, seed=2)).final_view
+    rows = view.rows
+    flags = [row.is_view for row in rows]
+    assert flags == [i < n for (_, slots), n in zip(view.batches, view.counts)
+                     for i in range(slots)]
+    assert any(flags) and not all(flags)
+    assert [row for row in rows if row.is_view] == view.reals
 
 
 def test_secure_tuple_builder_equals_the_constructor():
@@ -34,7 +45,7 @@ def test_secure_tuple_builder_equals_the_constructor():
     built, made = secure_tuple(fields), SecureTuple(*fields)
     assert built == made and type(built) is SecureTuple
     assert (built.key, built.attrs, built.seq, built.timestamp, built.sources) == fields
-    assert built._asdict() == made._asdict() and built.is_view
+    assert built._asdict() == made._asdict()
 
 
 def test_append_lengths():
@@ -298,11 +309,10 @@ def test_flush_real_count_oracle():
     rng = np.random.default_rng(29)
     for _ in range(100):
         n = int(rng.integers(0, 40))
-        entries = [real(i) if rng.random() < 0.4 else DUMMY for i in range(n)]
-        true_reals = sum(1 for e in entries if e.is_view)  # oracle
+        entries = [real(i) if rng.random() < 0.4 else PAD for i in range(n)]
+        true_reals = sum(1 for e in entries if e is not PAD)  # oracle
         s = int(rng.integers(0, 30))
-        fetched, _ = cache_flush(SecureCache([e for e in entries if e.is_view], n), s)
-        assert all(e.is_view for e in fetched)
+        fetched, _ = cache_flush(SecureCache([e for e in entries if e is not PAD], n), s)
         assert len(fetched) == min(s, true_reals)  # s - len(fetched) is padding
 
 
@@ -310,12 +320,11 @@ def test_conservation_under_read():
     rng = np.random.default_rng(31)
     for _ in range(100):
         n = int(rng.integers(1, 30))
-        entries = [real(i) if rng.random() < 0.5 else DUMMY for i in range(n)]
-        total_real = sum(e.is_view for e in entries)
+        entries = [real(i) if rng.random() < 0.5 else PAD for i in range(n)]
+        total_real = sum(e is not PAD for e in entries)
         sz = int(rng.integers(0, n + 5))
-        cache = SecureCache([e for e in entries if e.is_view], n)
+        cache = SecureCache([e for e in entries if e is not PAD], n)
         fetched, remaining = cache_read(obli_sort(cache), sz)
-        assert all(e.is_view for e in fetched + remaining.entries)
         got, left = len(fetched), remaining.real_count()
         assert got + left == total_real
         assert got == min(sz, total_real)  # real-first fetch; sz - got is padding
@@ -328,15 +337,14 @@ def test_padded_length():
 
 # ---------------------------------------------------------------------------
 # The cache is its reals plus a slot count. Every operation must agree with
-# the padded array it stands for: a plain list of reals and DUMMY slots, sorted
+# the padded array it stands for: a plain list of reals and PAD slots, sorted
 # real-first (stable) before every read, as the protocol does. A read returns
 # the reals of the slots it reads, and the rest of them are the padding.
 
 def assert_matches_padded(cache, padded):
     assert len(cache) == len(padded)
-    assert cache.entries == [e for e in padded if e.is_view]
-    assert cache.real_count() == sum(1 for e in padded if e.is_view)
-    assert all(e.is_view for e in cache.entries)
+    assert cache.entries == [e for e in padded if e is not PAD]
+    assert cache.real_count() == sum(1 for e in padded if e is not PAD)
     assert all(a.seq < b.seq for a, b in zip(cache.entries, cache.entries[1:]))
 
 
@@ -346,27 +354,27 @@ def test_real_count_stays_exact_through_cache_operations():
     cache, padded = SecureCache(), []
     assert_matches_padded(cache, padded)
     for _ in range(30):
-        batch = [real(next(seqs)) if rng.random() < 0.3 else DUMMY
+        batch = [real(next(seqs)) if rng.random() < 0.3 else PAD
                  for _ in range(int(rng.integers(0, 12)))]
-        cache.append([e for e in batch if e.is_view], len(batch))
+        cache.append([e for e in batch if e is not PAD], len(batch))
         padded = padded + batch
         assert_matches_padded(cache, padded)
         if rng.random() < 0.3:
             cache = obli_sort(cache)
-            padded = sorted(padded, key=lambda e: not e.is_view)
+            padded = sorted(padded, key=lambda e: e is PAD)
             assert_matches_padded(cache, padded)
         if rng.random() < 0.4:
             sz = int(rng.integers(0, len(cache) + 3))
             fetched, cache = cache_read(cache, sz)
-            padded = sorted(padded, key=lambda e: not e.is_view)
-            padded += [DUMMY] * (sz - len(padded))
-            assert fetched == [e for e in padded[:sz] if e.is_view]
-            assert sz - len(fetched) == sum(e is DUMMY for e in padded[:sz])
+            padded = sorted(padded, key=lambda e: e is PAD)
+            padded += [PAD] * (sz - len(padded))
+            assert fetched == [e for e in padded[:sz] if e is not PAD]
+            assert sz - len(fetched) == sum(e is PAD for e in padded[:sz])
             padded = padded[sz:]
             assert_matches_padded(cache, padded)
     fetched, cache = cache_flush(cache, 5)
-    read = (sorted(padded, key=lambda e: not e.is_view) + [DUMMY] * 5)[:5]
-    assert fetched == [e for e in read if e.is_view]
+    read = (sorted(padded, key=lambda e: e is PAD) + [PAD] * 5)[:5]
+    assert fetched == [e for e in read if e is not PAD]
     assert cache.entries == [] and len(cache) == 0
 
 

@@ -1,12 +1,15 @@
 """Properties of real `run_experiment` output on small random configs.
 
 Every protocol x operator x profile runs with hypothesis-drawn horizon, flush
-schedule and seed. Each run must conserve its real rows at every step, keep its
-running view real-row count equal to a plain recount, hold no more reals in a
-view batch than its slots and as many padded rows as its running slot total,
-end with a cache that holds only real rows, in strictly increasing seq order
-and no more of them than its slots, pass the transcript audit against its
-public configuration, and reproduce its metrics bytes from the same seed.
+schedule and seed. Each run must conserve its real rows at every step. At the
+end, every cache entry and every view real must be a row the run produced, no
+row in both, each list in strictly increasing seq order, and the two counts
+plus the reals lost to flushes must add up to the produced rows. Each view
+batch, sliced from the view's reals by its real count, must hold no more
+reals than its slots, and only rows produced at or before its step; the
+view's slot total must be its batches' slots, and the cache must hold no more
+reals than its slots. Each run must also pass the transcript audit against
+its public configuration and reproduce its metrics bytes from the same seed.
 """
 
 import io
@@ -50,13 +53,24 @@ def test_real_runs_conserve_rows_pass_audit_and_repeat(protocol, operator, profi
             assert produced == m.view_rows_real + m.deferred_real + lost, m.time
 
     view, cache = result.final_view, result.final_cache
-    assert view.real_rows() == sum(1 for row in view.rows if row.is_view)
-    assert all(e.is_view for e in cache.entries)
-    assert all(a.seq < b.seq for a, b in zip(cache.entries, cache.entries[1:]))
+    produced = {row.seq: row for row in result.produced_rows}
+    held = cache.entries + view.reals
+    assert all(produced.get(row.seq) == row for row in held)
+    assert len({row.seq for row in held}) == len(held)  # no row in both, or twice
+    for rows in (cache.entries, view.reals):
+        assert all(a.seq < b.seq for a, b in zip(rows, rows[1:]))
+    lost = sum(r.real_lost for r in result.flush_reports)
+    assert len(cache.entries) + len(view.reals) + lost == len(result.produced_rows)
     assert len(cache.entries) <= len(cache)
-    assert all(n <= slots for (_, slots), n in zip(view.batches, view.counts))
+
     assert len(view.counts) == len(view.batches)
-    assert len(view.rows) == view.total_rows() == sum(slots for _, slots in view.batches)
+    assert sum(view.counts) == view.real_rows() == len(view.reals)
+    start = 0
+    for (t, slots), n in zip(view.batches, view.counts):
+        assert n <= slots
+        assert all(row.timestamp <= t for row in view.reals[start:start + n]), t
+        start += n
+    assert view.total_rows() == sum(slots for _, slots in view.batches)
 
     dp = protocol in _DP
     report = transcript_audit(result.transcript, AuditExpectation(

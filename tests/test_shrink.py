@@ -7,7 +7,7 @@ from scipy.stats import binom
 from dpviewsim import harness, obliv, shrink
 from dpviewsim.harness import ExperimentConfig, Profile, Protocol, RunState, run_experiment
 from dpviewsim.leakage import LogicalStream, StreamRecord, m_ant
-from dpviewsim.obliv import DUMMY, SecureCache, SecureTuple, obli_sort
+from dpviewsim.obliv import SecureCache, SecureTuple, obli_sort
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover, share_in_protocol
 from dpviewsim.shrink import (BoundPreconditionError, MaterializedView,
@@ -144,7 +144,9 @@ def test_timer_tops_up_with_dummies():
     assert run.view.total_rows() == 6
     assert run.view.real_rows() == 2
     assert len(run.cache) == 0
-    assert all(row is DUMMY for row in run.view.rows[2:])  # four top-up dummies
+    # One batch of six slots: the two cached reals and four top-up dummies.
+    assert run.view.reals == [real_row(0), real_row(1)]
+    assert run.view.batches == [(1, 6)] and run.view.counts == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -437,18 +439,32 @@ def test_randomness_reuse_guard_active():
 
 
 def test_view_built_with_rows_counts_them():
-    # The view holds each batch's reals and slot count; its padded rows are
-    # each batch's reals, then DUMMY up to its slots.
+    # The view holds its reals and each batch's slot and real counts.
     view = MaterializedView()
     view.append_batch([real_row(0), real_row(2)], 3, t=1)
     view.append_batch([], 2, t=2)
     view.append_batch([real_row(4)], 1, t=3)
     assert view.real_rows() == 3 and view.total_rows() == 6
+    assert view.reals == [real_row(0), real_row(2), real_row(4)]
     assert view.batches == [(1, 3), (2, 2), (3, 1)] and view.counts == [2, 0, 1]
-    assert view.rows == [real_row(0), real_row(2), DUMMY, DUMMY, DUMMY, real_row(4)]
     with pytest.raises(ValueError, match="exceed"):
         view.append_batch([real_row(5), real_row(6)], 1, t=4)
     assert view.real_rows() == 3 and view.total_rows() == 6
+
+
+@pytest.mark.parametrize("protocol", [Protocol.DP_TIMER, Protocol.DP_ANT])
+def test_padded_rows_are_each_batch_s_reals_then_padding(protocol):
+    # The padded `rows` read, kept only for the benchmark's tracer: batch by
+    # batch, its counts[i] reals in view order, then slots - counts[i]
+    # padding slots of seq -1.
+    view = run_experiment(ExperimentConfig(protocol=protocol, horizon=40, seed=2)).final_view
+    rows, pos, start = view.rows, 0, 0
+    assert len(rows) == view.total_rows()
+    for (_, slots), n in zip(view.batches, view.counts):
+        assert rows[pos:pos + n] == view.reals[start:start + n]
+        assert rows[pos + n:pos + slots] == [SecureTuple(key=0, attrs=(), seq=-1)] * (slots - n)
+        pos, start = pos + slots, start + n
+    assert pos == len(rows) and start == len(view.reals) and 0 < start < pos
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,6 @@ def greedy_cap_pairs(t1, t2, omega):
 
 def real_pairs(rows):
     """Source pairs of a join's rows; every row is real."""
-    assert all(row.is_view for row in rows)
     return [row.sources for row in rows]
 
 
@@ -145,7 +144,6 @@ def test_filter_all_true():
     batch = [rec(i, key=i) for i in range(5)]  # flag 1: every record is selected
     rows = filt(batch)
     assert len(rows) == 5
-    assert all(r.is_view for r in rows)
     assert [r.sources for r in rows] == [(i,) for i in range(5)]
 
 
@@ -161,7 +159,7 @@ def test_filter_matches_plaintext_selectivity():
     pred = lambda t: t.attrs[0] == 1
     expected = sum(1 for t in batch if pred(t))  # oracle
     rows = filt(batch)
-    assert len(rows) == expected and all(r.is_view for r in rows)
+    assert len(rows) == expected
     # kept rows stay in input order
     assert [r.sources for r in rows] == [(t.seq,) for t in batch if pred(t)]
 
