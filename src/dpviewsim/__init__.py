@@ -2,7 +2,7 @@
 
 Modules:
     sharing    two-server XOR sharing over the 32-bit ring; one-expression word checks
-    dpnoise    joint Laplace noise from server words; one inverse-CDF oracle
+    dpnoise    joint Laplace noise from server words
     randomness every word and variate from PCG64's raw words: the owners'
                streams, and the servers' words drawn in pairs
     obliv      secure cache kept as its real rows plus a slot count, which
@@ -36,8 +36,8 @@ Modules:
     transcript what each server observes: sizes, timestamps and shares, one
                plain row per observation, expanded per server into slotted
                events when first read
-    leakage    reference DP mechanisms, one body each for one run or many
-               trials; empirical privacy loss; transcript audit
+    leakage    reference DP mechanisms, one scalar body each, which replay a
+               run's releases from its logical stream; transcript audit
     harness    the run's config and its single validation, the run's one state
                (`RunState`: the config, seq stamps, randomness and transcript
                the steps read; the cache, counter, threshold, view, retained

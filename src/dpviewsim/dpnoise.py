@@ -2,8 +2,9 @@
 
 Both servers feed one uniform 32-bit word into each draw; the XOR of the two
 words seeds a log-transform Laplace sample, so neither server alone can
-predict or steer the noise. One inverse-CDF sampler, scalar or batched, is the
-oracle for the distribution tests and for the reference mechanisms' trials.
+predict or steer the noise. The inverse-CDF Laplace oracle that the
+distribution tests and the reference mechanisms' trials draw from lives in
+tests/oracles.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .sharing import RING_SIZE, check_word
 
@@ -64,22 +63,3 @@ def joint_laplace(z0: int, z1: int, scale: NoiseScale) -> float:
     z = z0 ^ z1
     sign = 1.0 if z & _MSB else -1.0
     return scale.scale * math.log(fixed_point(z)) * sign
-
-
-def laplace_inverse_cdf(u: float | np.ndarray, scale: float) -> float | np.ndarray:
-    """Inverse CDF of Laplace(0, scale) at each u in (0, 1)."""
-    if not np.all((0.0 < u) & (u < 1.0)):
-        raise ValueError(f"u must be in (0,1), got {u}")
-    d = u - 0.5
-    return -scale * np.sign(d) * np.log1p(-2.0 * np.abs(d))
-
-
-def laplace_oracle(scale: NoiseScale, rng: np.random.Generator,
-                   n: int | tuple[int, ...] | None = None) -> float | np.ndarray:
-    """Reference inverse-CDF Laplace draws from a seeded generator: one float,
-    or an array of shape n (an int or a tuple)."""
-    u = np.array(rng.random(n))
-    while (zero := u == 0.0).any():  # keep every u strictly inside (0,1)
-        u[zero] = rng.random(int(zero.sum()))
-    x = laplace_inverse_cdf(u, scale.scale)
-    return x if n is not None else float(x)

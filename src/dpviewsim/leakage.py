@@ -1,16 +1,15 @@
-"""Reference DP mechanisms, empirical privacy loss, and the transcript audit.
+"""Reference DP mechanisms and the transcript audit.
 
 The reference mechanisms mirror the sync protocols' observable behavior from
 the logical stream alone, up to its own horizon, with the noise draw they
-are given: what an adversary may learn is at most what they release. Each
-has one body. `m_timer` and `m_ant` run it once with the caller's draw, which
-tests/test_replay ties to real runs; `run_many` runs it over many trials with
-oracle draws, and the empirical estimator measures privacy loss between
-neighboring streams from those trials. The audit asserts that every transcript
-size is either a function of public configuration or a coupled DP release.
-No run, CLI call or audit reaches the mechanisms or the estimator yet, so
-tests/test_reachability allow-lists them as test oracles until ROADMAP items 3,
-12 and 13 make them part of a run.
+are given: what an adversary may learn is at most what they release.
+tests/test_replay feeds `m_timer` and `m_ant` a real run's draws and checks
+that they release exactly its syncs; tests/oracles runs the same mechanisms
+over many trials for the empirical privacy-loss estimator. The audit asserts
+that every transcript size is either a function of public configuration or a
+coupled DP release. No run, CLI call or audit reaches the mechanisms yet, so
+tests/test_reachability allow-lists them until ROADMAP item 3 makes them part
+of a run.
 
 The mechanisms' noise is calibrated to b, on the premise that one logical
 update moves the produced-row stream by at most b rows. tests/test_sensitivity
@@ -21,21 +20,13 @@ hot-key streams in turn and bounds the change of the per-step produced rows.
 from __future__ import annotations
 
 import functools
-import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .dpnoise import NoiseScale, laplace_oracle
+from .dpnoise import NoiseScale
 from .shrink import ant_scales, timer_scale
 # Callers of the audit also reach the transcript types through this module.
 from .transcript import Transcript, TranscriptEvent, TranscriptKind
-
-
-class NeighborViolation(ValueError):
-    """The two streams do not differ by exactly one logical update."""
 
 
 class StreamRecord(NamedTuple):
@@ -56,25 +47,12 @@ class LogicalStream:
     arrivals: list[StreamRecord]
     horizon: int
 
-    def arrivals_per_step(self) -> np.ndarray:
-        counts = np.zeros(self.horizon + 1, dtype=np.int64)
+    def arrivals_per_step(self) -> list[int]:
+        counts = [0] * (self.horizon + 1)
         for rec in self.arrivals:
             if 1 <= rec.t <= self.horizon:
                 counts[rec.t] += 1
         return counts
-
-
-def assert_neighbors(a: LogicalStream, b: LogicalStream) -> None:
-    """Neighbors differ by the addition or removal of one logical update."""
-    ca = Counter(a.arrivals)
-    cb = Counter(b.arrivals)
-    diff = ca - cb
-    rdiff = cb - ca
-    n_extra = sum(diff.values())
-    n_missing = sum(rdiff.values())
-    if (n_extra, n_missing) not in ((1, 0), (0, 1)):
-        raise NeighborViolation(
-            f"streams differ by {n_extra} additions and {n_missing} removals")
 
 
 # ---------------------------------------------------------------------------
@@ -84,113 +62,37 @@ def m_timer(stream: LogicalStream, T: int, b: float, epsilon: float,
             draw: Callable[[NoiseScale], float]) -> list[tuple[int, float]]:
     """Noisy per-window arrival counts at every multiple of T up to the
     stream's horizon; each noise draw is `draw(scale)`, e.g.
-    `ServerRandomness(seed).joint_laplace`, or `dpnoise.laplace_oracle` bound
-    to a generator and, in `TimerMechanism.run_many`, to a trial count."""
+    `ServerRandomness(seed).joint_laplace`."""
     counts = stream.arrivals_per_step()
     scale = timer_scale(b, epsilon)
     out = []
     for t in range(T, stream.horizon + 1, T):
-        c = int(counts[max(0, t - T + 1): t + 1].sum())
+        c = sum(counts[max(0, t - T + 1): t + 1])
         out.append((t, c + draw(scale)))
     return out
 
 
-def _threshold(stream: LogicalStream, theta: float, b: float, epsilon: float,
-               variant: str, draw: Callable[[NoiseScale, int], np.ndarray],
-               trials: int) -> np.ndarray:
-    """Noisy counts-since-last-release of `trials` sparse-vector runs at once
-    (a row per run, a column per step, NaN where none is released). In the
-    protocol's order, `draw(scale, n)` gives the n runs that need one each a
-    threshold, a check per step, then a release and a refresh per trigger."""
-    cum = np.cumsum(stream.arrivals_per_step())
-    th_scale, check_scale, out_scale = ant_scales(b, epsilon)
-    if variant == "proof":
-        out_scale = NoiseScale(b, epsilon / 4)  # the proofs' output scale, 4b/eps
-    elif variant != "protocol":
-        raise ValueError(f"unknown variant {variant!r}")
-    noisy_th = theta + draw(th_scale, trials)
-    last_cum = np.zeros(trials)
-    out = np.full((trials, stream.horizon), np.nan)
-    for t in range(1, stream.horizon + 1):
-        since = cum[t] - last_cum
-        trig = since + draw(check_scale, trials) >= noisy_th
-        if trig.any():
-            hits = int(trig.sum())
-            out[trig, t - 1] = since[trig] + draw(out_scale, hits)
-            noisy_th[trig] = theta + draw(th_scale, hits)
-            last_cum[trig] = cum[t]
-    return out
-
-
 def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float,
-          draw: Callable[[NoiseScale], float],
-          variant: str = "protocol") -> list[tuple[int, float | None]]:
-    """The threshold mechanism's one-run case, None where a step releases
-    nothing; `draw` gives the draws as in `m_timer`. `variant` selects the
-    output scale: the running protocol's (`shrink.ant_scales`) by default, or
-    "proof" for the proofs' 4b/epsilon."""
-    out = _threshold(stream, theta, b, epsilon, variant,
-                     lambda scale, n: np.full(n, draw(scale)), 1)[0]
-    return [(t, None if math.isnan(v) else v) for t, v in enumerate(out.tolist(), 1)]
-
-
-# Trial runners for the empirical estimator: the bodies above, one oracle draw per trial.
-
-class TimerMechanism:
-    def __init__(self, T: int, b: float, epsilon: float):
-        self.T, self.b, self.epsilon = T, b, epsilon
-
-    def run_many(self, stream: LogicalStream, trials: int, rng) -> np.ndarray:
-        out = m_timer(stream, self.T, self.b, self.epsilon,
-                      lambda scale: laplace_oracle(scale, rng, trials))
-        return np.array([v for _, v in out]).reshape(len(out), trials).T
-
-
-class AntMechanism:
-    def __init__(self, theta: float, b: float, epsilon: float,
-                 variant: str = "protocol"):
-        self.theta, self.b, self.epsilon, self.variant = theta, b, epsilon, variant
-
-    def run_many(self, stream: LogicalStream, trials: int, rng) -> np.ndarray:
-        out = _threshold(stream, self.theta, self.b, self.epsilon, self.variant,
-                         lambda scale, n: laplace_oracle(scale, rng, n), trials)
-        return np.nan_to_num(out, nan=0.0)
-
-
-def empirical_privacy_loss(mechanism, stream_a: LogicalStream,
-                           stream_b: LogicalStream, trials: int,
-                           seed: int = 0, min_bin: int | None = None) -> float:
-    """Estimate max_o |ln(Pr_a[o] / Pr_b[o])| over binned output vectors.
-
-    `mechanism.run_many(stream, trials, rng)` gives one output vector per
-    trial as the rows of an array. Outputs are quantized to integers per
-    timestep; bins need at least min_bin samples on both sides to enter the
-    maximum. The default cutoff
-    grows with the trial count (never below 100) so the sampling noise on a
-    qualifying bin's log-ratio stays well under the scales being measured.
-    Identical streams are accepted as a degenerate case (the estimator's
-    noise floor).
-    """
-    if min_bin is None:
-        min_bin = max(100, trials // 20)
-    if sorted(stream_a.arrivals) != sorted(stream_b.arrivals):
-        assert_neighbors(stream_a, stream_b)
-    rng_a, rng_b = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-
-    def histogram(stream, rng):
-        quantized = np.floor(mechanism.run_many(stream, trials, rng) + 0.5).astype(np.int64)
-        if not quantized.shape[1]:  # no column to zip: every trial's vector is ()
-            return Counter({(): len(quantized)})
-        return Counter(zip(*quantized.T.tolist()))
-
-    bins_a = histogram(stream_a, rng_a)
-    bins_b = histogram(stream_b, rng_b)
-    worst = 0.0
-    for key, ca in bins_a.items():
-        cb = bins_b.get(key, 0)
-        if ca >= min_bin and cb >= min_bin:
-            worst = max(worst, abs(math.log(ca / cb)))
-    return worst
+          draw: Callable[[NoiseScale], float]) -> list[tuple[int, float | None]]:
+    """Noisy counts since the last release at each step whose noisy count
+    reaches a noisy threshold, None where a step releases nothing, at the
+    protocol's scales (`shrink.ant_scales`). In the protocol's order it draws
+    a threshold, a check per step, then per trigger the release and a
+    refreshed threshold; `draw` gives the draws as in `m_timer`."""
+    th_scale, check_scale, out_scale = ant_scales(b, epsilon)
+    counts = stream.arrivals_per_step()
+    noisy_th = theta + draw(th_scale)
+    since = 0
+    out: list[tuple[int, float | None]] = []
+    for t in range(1, stream.horizon + 1):
+        since += counts[t]
+        if since + draw(check_scale) >= noisy_th:
+            out.append((t, since + draw(out_scale)))
+            noisy_th = theta + draw(th_scale)
+            since = 0
+        else:
+            out.append((t, None))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,8 @@ def ant_scales(b: float, epsilon: float) -> tuple[NoiseScale, NoiseScale, NoiseS
 
     Sub-budgets are eps1/2, eps1/4 and eps2 with eps1 = eps2 = epsilon/2,
     giving scales 4b/eps, 8b/eps and 2b/eps. (The proofs' reference mechanism
-    outputs at 4b/eps instead; `leakage._threshold` selects it.) The scales
-    are immutable and built once per argument pair.
+    outputs at 4b/eps instead; tests/oracles' trial runner selects it.) The
+    scales are immutable and built once per argument pair.
     """
     eps1 = epsilon / 2
     eps2 = epsilon / 2

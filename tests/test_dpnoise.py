@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from dpviewsim.dpnoise import (NoiseScale, fixed_point, joint_laplace,
-                               laplace_inverse_cdf, laplace_oracle)
+from dpviewsim.dpnoise import NoiseScale, fixed_point, joint_laplace
+
+from oracles import laplace_inverse_cdf, laplace_oracle
 
 _HALF = 1 << 31
 

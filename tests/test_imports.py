@@ -61,6 +61,17 @@ def test_module_import_graph_is_acyclic():
         visit(module, [])
 
 
+def test_only_randomness_imports_numpy():
+    # numpy serves PCG64's raw words; every other module is plain Python.
+    def imported(node: ast.AST) -> list[str]:
+        if isinstance(node, ast.ImportFrom):
+            return [node.module] if node.level == 0 else []
+        return [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+
+    assert {module for module, tree in _modules().items() for node in ast.walk(tree)
+            if any(name.partition(".")[0] == "numpy" for name in imported(node))} == {"randomness"}
+
+
 def _unread_parameters(tree: ast.Module, module: str) -> list[str]:
     """`module.py:line function: parameter` for every parameter of a function
     or lambda that its body never reads, except self, cls and _-prefixed ones."""

@@ -1,16 +1,15 @@
 import functools
-import math
 
 import numpy as np
 import pytest
 
-from dpviewsim.dpnoise import NoiseScale, laplace_oracle
-from dpviewsim.leakage import (AntMechanism, AuditExpectation, LogicalStream,
-                               NeighborViolation, StreamRecord, TimerMechanism,
+from dpviewsim.dpnoise import NoiseScale
+from dpviewsim.leakage import (AuditExpectation, LogicalStream, StreamRecord,
                                Transcript, TranscriptEvent, TranscriptKind,
-                               assert_neighbors,
-                               empirical_privacy_loss, m_ant, m_timer,
-                               stream_record, transcript_audit)
+                               m_ant, m_timer, stream_record, transcript_audit)
+
+from oracles import (NeighborViolation, ant_mechanism, assert_neighbors,
+                     empirical_privacy_loss, laplace_oracle, timer_mechanism)
 
 
 def stream(times, horizon=None, key0=1):
@@ -38,8 +37,14 @@ ZERO = lambda: ScriptedNoise([], default=0.0)
 
 
 def seeded(seed: int):
-    """Inverse-CDF Laplace draws from a generator seeded with `seed`."""
-    return functools.partial(laplace_oracle, rng=np.random.default_rng(seed))
+    """Inverse-CDF Laplace draws from a generator seeded with `seed`: one per
+    `draw(scale)`, or n per `draw(scale, n)` for the trial runners."""
+    rng = np.random.default_rng(seed)
+    return lambda scale, n=None: laplace_oracle(scale, rng, n)
+
+
+# A stream with several syncs and releases.
+SEVERAL = stream([t for t in range(1, 41) for _ in range(t % 3)], horizon=40)
 
 
 def nant(stream: LogicalStream, epsilon: float, theta: float, delta_f: float,
@@ -124,9 +129,10 @@ def test_nant_segments_compose_to_m_ant():
     s = stream(times, horizon=8)
     b, eps, theta = 1, 2.0, 3
     tape = list(np.random.default_rng(5).standard_normal(64))
-    repeated = m_ant(s, theta, b, eps, draw=ScriptedNoise(list(tape)).laplace,
-                     variant="proof")
-    releases = [(t, v) for t, v in repeated if v is not None]
+    tape_draw = ScriptedNoise(list(tape)).laplace
+    repeated = ant_mechanism(s, 1, lambda scale, n: np.full(n, tape_draw(scale)), theta, b,
+                             eps, variant="proof")[0]
+    releases = [(t, v) for t, v in enumerate(repeated.tolist(), 1) if v != 0]
 
     shared = ScriptedNoise(list(tape))
     segment_start = 1
@@ -178,14 +184,14 @@ def neighbor_pair(horizon=4, extra_t=2):
 
 def test_identical_streams_estimate_near_zero():
     a, _ = neighbor_pair()
-    mech = TimerMechanism(T=4, b=1, epsilon=1.0)
+    mech = functools.partial(timer_mechanism, T=4, b=1, epsilon=1.0)
     est = empirical_privacy_loss(mech, a, a, trials=100_000, seed=0)
     assert est < 0.05
 
 
 def test_timer_estimate_within_budget():
     a, b = neighbor_pair()
-    mech = TimerMechanism(T=4, b=1, epsilon=1.0)
+    mech = functools.partial(timer_mechanism, T=4, b=1, epsilon=1.0)
     est = empirical_privacy_loss(mech, a, b, trials=100_000, seed=1)
     assert est <= 1.15
     assert est > 0.5  # the mechanism does spend real budget
@@ -196,7 +202,7 @@ def test_ant_protocol_variant_estimate_within_budget(theta):
     # The protocol variant's output scale 2b/epsilon is the one a run draws
     # (shrink.ant_scales); its loss must stay inside the same budget.
     a, b = neighbor_pair(horizon=2)
-    mech = AntMechanism(theta, b=1, epsilon=1.0, variant="protocol")
+    mech = functools.partial(ant_mechanism, theta=theta, b=1, epsilon=1.0, variant="protocol")
     est = empirical_privacy_loss(mech, a, b, trials=400_000, seed=theta, min_bin=2000)
     assert 0.4 < est <= 1.15
 
@@ -205,22 +211,19 @@ def test_timer_stability_scaling_doubles_loss():
     # A 2-stable transform ahead of the same mechanism doubles the measured
     # loss (the composed release moves by 2 between neighbors).
     a, b = neighbor_pair()
-    timer = TimerMechanism(T=4, b=1, epsilon=1.0)
+    def two_stable(s, trials, draw):
+        doubled = [rec for rec in s.arrivals for _ in range(2)]
+        return timer_mechanism(LogicalStream(doubled, s.horizon), trials, draw, 4, 1, 1.0)
 
-    class TwoStable:
-        def run_many(self, s, trials, rng):
-            doubled = [rec for rec in s.arrivals for _ in range(2)]
-            return timer.run_many(LogicalStream(doubled, s.horizon), trials, rng)
-
-    est = empirical_privacy_loss(TwoStable(), a, b, trials=100_000, seed=2)
+    est = empirical_privacy_loss(two_stable, a, b, trials=100_000, seed=2)
     assert 1.6 < est < 2.3
 
 
 def test_run_many_matches_scalar_mechanism_distribution():
     a, _ = neighbor_pair()
-    mech = TimerMechanism(T=4, b=1, epsilon=1.0)
-    rng = np.random.default_rng(7)
-    arr = mech.run_many(a, 20_000, rng)
+    mech = functools.partial(timer_mechanism, T=4, b=1, epsilon=1.0)
+    draw = seeded(7)
+    arr = mech(a, 20_000, draw)
     assert arr.shape == (20_000, 1)
     seq = np.array([m_timer(a, 4, 1, 1.0, seeded(100 + i))[0][1]
                     for i in range(2_000)])
@@ -228,56 +231,63 @@ def test_run_many_matches_scalar_mechanism_distribution():
     assert abs(arr.var() - seq.var()) < 0.4
     # One body: a one-trial run_many is m_timer under the same seed, exactly,
     # on a stream with several syncs.
-    several = stream([t for t in range(1, 41) for _ in range(t % 3)], horizon=40)
     for k in range(20):
-        one = mech.run_many(several, 1, np.random.default_rng(k))
+        one = mech(SEVERAL, 1, seeded(k))
         assert one.shape == (1, 10)
-        assert one[0].tolist() == [v for _, v in m_timer(several, 4, 1, 1.0, seeded(k))]
+        assert one[0].tolist() == [v for _, v in m_timer(SEVERAL, 4, 1, 1.0, seeded(k))]
     # A horizon shorter than T syncs nothing.
-    assert mech.run_many(stream([1, 2], horizon=3), 5, rng).shape == (5, 0)
+    assert mech(stream([1, 2], horizon=3), 5, draw).shape == (5, 0)
     assert m_timer(stream([1, 2], horizon=3), 4, 1, 1.0, seeded(0)) == []
 
 
 def test_ant_mechanism_run_many_consistent_with_scalar():
     a, _ = neighbor_pair()
-    mech = AntMechanism(theta=2, b=1, epsilon=2.0, variant="proof")
-    rng = np.random.default_rng(11)
-    arr = mech.run_many(a, 5_000, rng)
+    draw = seeded(11)
+    arr = ant_mechanism(a, 5_000, draw, theta=2, b=1, epsilon=2.0, variant="proof")
     assert arr.shape == (5_000, 4)
-    # same release-time distribution as the scalar path
+    # same release-time distribution as the scalar path, whose output scale
+    # is the protocol's: trigger times do not depend on the output scale
     scalar_hits = np.zeros(4)
     n = 2_000
     for i in range(n):
-        vec = [0.0 if v is None else v for _, v in
-               m_ant(a, 2, 1, 2.0, seeded(500 + i),
-                     variant="proof")]
+        vec = [0.0 if v is None else v for _, v in m_ant(a, 2, 1, 2.0, seeded(500 + i))]
         scalar_hits += np.array(vec) != 0
     vec_hits = (arr != 0).mean(axis=0)
     assert np.all(np.abs(vec_hits - scalar_hits / n) < 0.05)
-    # One body: a one-trial run_many is m_ant under the same seed, exactly,
+    # One body: a one-trial protocol run is m_ant under the same seed, exactly,
     # with None read as 0, on a stream with several releases.
-    several = stream([t for t in range(1, 41) for _ in range(t % 3)], horizon=40)
+    for k in range(20):
+        one = ant_mechanism(SEVERAL, 1, seeded(k), 4, 1, 1.0)
+        assert one.shape == (1, 40)
+        scalar = m_ant(SEVERAL, 4, 1, 1.0, seeded(k))
+        assert sum(v is not None for _, v in scalar) >= 2
+        assert one[0].tolist() == [0.0 if v is None else v for _, v in scalar]
+    # A horizon of 0 has no step to release at.
     for variant in ("protocol", "proof"):
-        mech = AntMechanism(theta=4, b=1, epsilon=1.0, variant=variant)
-        for k in range(20):
-            one = mech.run_many(several, 1, np.random.default_rng(k))
-            assert one.shape == (1, 40)
-            scalar = m_ant(several, 4, 1, 1.0, seeded(k), variant=variant)
-            assert sum(v is not None for _, v in scalar) >= 2
-            assert one[0].tolist() == [0.0 if v is None else v for _, v in scalar]
-        # A horizon of 0 has no step to release at.
-        assert mech.run_many(stream([], horizon=0), 5, rng).shape == (5, 0)
-        assert m_ant(stream([], horizon=0), 4, 1, 1.0, seeded(0), variant=variant) == []
+        assert ant_mechanism(stream([], horizon=0), 5, draw, 4, 1, 1.0, variant).shape == (5, 0)
+    assert m_ant(stream([], horizon=0), 4, 1, 1.0, seeded(0)) == []
+
+
+def test_ant_proof_variant_doubles_each_release_s_noise():
+    # The proofs' output scale 4b/eps is twice the protocol's 2b/eps. Under one
+    # seed both variants draw alike, so they trigger at the same steps, and each
+    # release's noise (the release minus the count since the last) doubles.
+    cum = np.cumsum(SEVERAL.arrivals_per_step())
+    protocol, proof = (ant_mechanism(SEVERAL, 50, seeded(3), 4, 1, 1.0, variant)
+                       for variant in ("protocol", "proof"))
+    np.testing.assert_array_equal(protocol != 0, proof != 0)
+    assert (protocol != 0).sum(axis=1).min() >= 2
+    for released, doubled in zip(protocol, proof):
+        steps = np.flatnonzero(released)
+        since = np.diff(cum[steps + 1], prepend=0)
+        assert doubled[steps] - since == pytest.approx(2 * (released[steps] - since), rel=1e-12)
 
 
 def test_unknown_ant_variant_raises():
     # Only the protocol's and the proofs' output scales exist.
     a, _ = neighbor_pair()
     with pytest.raises(ValueError, match="unknown variant 'paper'"):
-        m_ant(a, 2, 1, 2.0, seeded(0), variant="paper")
-    with pytest.raises(ValueError, match="unknown variant 'paper'"):
-        AntMechanism(theta=2, b=1, epsilon=2.0, variant="paper").run_many(
-            a, 10, np.random.default_rng(0))
+        ant_mechanism(a, 10, seeded(0), theta=2, b=1, epsilon=2.0, variant="paper")
 
 
 def test_two_phase_composition_bound():
@@ -288,15 +298,14 @@ def test_two_phase_composition_bound():
     a = LogicalStream([], 1)
     b = LogicalStream([StreamRecord(1, 7, (1,))], 1)
 
-    class TwoPhase:
-        def run_many(self, s, trials, rng):
-            count = len(s.arrivals)
-            r1 = q1 * count + laplace_oracle(NoiseScale(1, eps1), rng, trials)
-            r2 = q2 * count + laplace_oracle(NoiseScale(1, eps2), rng, trials)
-            return np.stack([r1, r2], axis=1)
+    def two_phase(s, trials, draw):
+        count = len(s.arrivals)
+        r1 = q1 * count + draw(NoiseScale(1, eps1), trials)
+        r2 = q2 * count + draw(NoiseScale(1, eps2), trials)
+        return np.stack([r1, r2], axis=1)
 
     # two release dimensions spread the mass; a fixed cutoff keeps bins
-    est = empirical_privacy_loss(TwoPhase(), a, b, trials=200_000, seed=3,
+    est = empirical_privacy_loss(two_phase, a, b, trials=200_000, seed=3,
                                  min_bin=1000)
     total = q1 * eps1 + q2 * eps2
     assert est <= total * 1.2

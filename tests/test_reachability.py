@@ -33,26 +33,16 @@ PACKAGE = ROOT / "src" / "dpviewsim"
 # Defined in the package, reached by no run, CLI call or audit; each entry
 # says why it stays.
 ALLOWED = {
-    # The paper's claims as code, which the tests check against real runs.
+    # The paper's claims and algorithms as code, which the tests check runs against.
     "shrink.bound_deferred_timer",  # Theorem: deferred entries after k timer syncs
     "shrink.bound_dummy_timer",  # Theorem: rows the view gains after k timer syncs
     "shrink.bound_deferred_ant",  # Theorem: deferred entries of the threshold protocol
-    # leakage's reference mechanisms and estimator: the DP argument, which items
-    # 3, 12 and 13 make part of a run.
-    "leakage.LogicalStream.arrivals_per_step",  # the mechanisms' input counts
-    "leakage.assert_neighbors",  # the estimator's neighbouring-streams precondition
-    "leakage.m_timer",  # DPTimer's releases from the logical stream
-    "leakage._threshold",  # DPANT's releases, one run or many trials at once
-    "leakage.m_ant",  # DPANT's one-run releases
-    "leakage.TimerMechanism.__init__",  # m_timer over the estimator's trials
-    "leakage.TimerMechanism.run_many",  # m_timer over the estimator's trials
-    "leakage.AntMechanism.__init__",  # _threshold over the estimator's trials
-    "leakage.AntMechanism.run_many",  # _threshold over the estimator's trials
-    "leakage.empirical_privacy_loss",  # the empirical privacy-loss estimator
-    "leakage.empirical_privacy_loss.<locals>.histogram",  # its output bins
-    "dpnoise.laplace_oracle",  # the reference Laplace draws of the trials
-    "dpnoise.laplace_inverse_cdf",  # the one inverse CDF the oracle draws through
     "obliv.compare_exchange_pairs",  # the bitonic network, the oracle for the sorts
+    # leakage's reference mechanisms, which item 3's --audit makes part of a run;
+    # tests/test_replay ties them to real runs.
+    "leakage.LogicalStream.arrivals_per_step",  # the mechanisms' input counts
+    "leakage.m_timer",  # DPTimer's releases from the logical stream
+    "leakage.m_ant",  # DPANT's releases from the logical stream
     # Output that item 3's --audit will print.
     "leakage.AuditReport.lines",
     # The padded-view remnants bench/tracing.py still reads (items 2 and 9).
@@ -184,8 +174,7 @@ def unreached(probe) -> set[str]:
 def test_listing_reads_nested_functions_methods_and_properties():
     names = set(defined_functions().values())
     assert {"harness.run_experiment", "harness.RunState.__post_init__",
-            "transcript.Transcript.events", "leakage.transcript_audit.<locals>.flag",
-            "leakage.empirical_privacy_loss.<locals>.histogram"} <= names
+            "transcript.Transcript.events", "leakage.transcript_audit.<locals>.flag"} <= names
     # Generated dunders and lambdas have no code object of their own in the source.
     assert "harness.ExperimentConfig.__init__" not in names
     assert not any("<lambda>" in name for name in names)
