@@ -9,34 +9,13 @@ tests/oracles.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 from .sharing import RING_SIZE, check_word
 
 _LOW31 = (1 << 31) - 1
 _DENOM = (1 << 31) + 1
 _MSB = 1 << 31
-
-
-@dataclass(frozen=True)
-class NoiseScale:
-    """Sensitivity / epsilon pair; scale of the Laplace distribution, computed
-    on its first read and kept (equality and hashing read the two fields)."""
-
-    sensitivity: float
-    epsilon: float
-
-    def __post_init__(self):
-        if self.sensitivity <= 0:
-            raise ValueError(f"sensitivity must be positive, got {self.sensitivity}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-    @functools.cached_property
-    def scale(self) -> float:
-        return self.sensitivity / self.epsilon
 
 
 def fixed_point(z: int) -> float:
@@ -50,7 +29,7 @@ def fixed_point(z: int) -> float:
     return ((z & _LOW31) + 1) / _DENOM
 
 
-def joint_laplace(z0: int, z1: int, scale: NoiseScale) -> float:
+def joint_laplace(z0: int, z1: int, scale: float) -> float:
     """One Laplace(0, scale) draw from two fresh server words.
 
     z = z0 XOR z1; the noise is scale * ln(fixed_point(z)), negated when the
@@ -62,4 +41,4 @@ def joint_laplace(z0: int, z1: int, scale: NoiseScale) -> float:
         check_word(z1, "z1")
     z = z0 ^ z1
     sign = 1.0 if z & _MSB else -1.0
-    return scale.scale * math.log(fixed_point(z)) * sign
+    return scale * math.log(fixed_point(z)) * sign

@@ -106,13 +106,13 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         # A joint draw lies within ln(2**31 + 1) scales of zero (dpnoise.fixed_point),
         # so a sync may read that many of the protocol's largest scale in cache slots;
         # len(cache) cannot exceed sys.maxsize. A sub-budget that rounds to zero
-        # (ValueError) is an unbounded scale.
+        # (ZeroDivisionError) or a b past the float range (OverflowError) is an
+        # unbounded scale, as is a quotient that overflows to inf.
         try:
-            scales = (ant_scales(config.b, config.epsilon)
-                      if config.protocol is Protocol.DP_ANT
-                      else (timer_scale(config.b, config.epsilon),))
-            scale = max(sc.scale for sc in scales)
-        except (OverflowError, ValueError):
+            scale = max(ant_scales(config.b, config.epsilon)
+                        if config.protocol is Protocol.DP_ANT
+                        else (timer_scale(config.b, config.epsilon),))
+        except (OverflowError, ZeroDivisionError):
             scale = math.inf
         largest = scale * math.log((1 << 31) + 1)
         if not largest < sys.maxsize:  # also rejects inf

@@ -23,7 +23,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .dpnoise import NoiseScale
 from .shrink import ant_scales, timer_scale
 # Callers of the audit also reach the transcript types through this module.
 from .transcript import Transcript, TranscriptEvent, TranscriptKind
@@ -59,7 +58,7 @@ class LogicalStream:
 # Reference mechanisms.
 
 def m_timer(stream: LogicalStream, T: int, b: float, epsilon: float,
-            draw: Callable[[NoiseScale], float]) -> list[tuple[int, float]]:
+            draw: Callable[[float], float]) -> list[tuple[int, float]]:
     """Noisy per-window arrival counts at every multiple of T up to the
     stream's horizon; each noise draw is `draw(scale)`, e.g.
     `ServerRandomness(seed).joint_laplace`."""
@@ -73,7 +72,7 @@ def m_timer(stream: LogicalStream, T: int, b: float, epsilon: float,
 
 
 def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float,
-          draw: Callable[[NoiseScale], float]) -> list[tuple[int, float | None]]:
+          draw: Callable[[float], float]) -> list[tuple[int, float | None]]:
     """Noisy counts since the last release at each step whose noisy count
     reaches a noisy threshold, None where a step releases nothing, at the
     protocol's scales (`shrink.ant_scales`). In the protocol's order it draws

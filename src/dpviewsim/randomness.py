@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 from . import dpnoise
-from .dpnoise import NoiseScale
 from .sharing import RING_MASK, RING_SIZE
 
 _BLOCK = 1024  # words drawn per refill of one substream
@@ -157,5 +156,5 @@ class ServerRandomness:
         self.share_pair = zip(_words(s0), _words(s1)).__next__
         self.seen_pairs: set = set()
 
-    def joint_laplace(self, scale: NoiseScale) -> float:
+    def joint_laplace(self, scale: float) -> float:
         return dpnoise.joint_laplace(*self.noise_pair(), scale)

@@ -24,7 +24,6 @@ import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .dpnoise import NoiseScale
 from .obliv import SecureTuple, cache_flush, cache_read, obli_sort
 from .sharing import SharePair, recover, share_in_protocol
 from .transcript import TranscriptKind
@@ -34,23 +33,21 @@ class BoundPreconditionError(ValueError):
     """A closed-form bound was evaluated outside its stated precondition."""
 
 
-@functools.cache
-def timer_scale(b: float, epsilon: float) -> NoiseScale:
-    return NoiseScale(b, epsilon)
+def timer_scale(b: float, epsilon: float) -> float:
+    """DPTimer's noise scale, b/eps."""
+    return b / epsilon
 
 
-@functools.cache
-def ant_scales(b: float, epsilon: float) -> tuple[NoiseScale, NoiseScale, NoiseScale]:
+def ant_scales(b: float, epsilon: float) -> tuple[float, float, float]:
     """(threshold, check, output) noise scales for the threshold protocol.
 
     Sub-budgets are eps1/2, eps1/4 and eps2 with eps1 = eps2 = epsilon/2,
     giving scales 4b/eps, 8b/eps and 2b/eps. (The proofs' reference mechanism
-    outputs at 4b/eps instead; tests/oracles' trial runner selects it.) The
-    scales are immutable and built once per argument pair.
+    outputs at 4b/eps instead; tests/oracles' trial runner selects it.)
     """
     eps1 = epsilon / 2
     eps2 = epsilon / 2
-    return NoiseScale(b, eps1 / 2), NoiseScale(b, eps1 / 4), NoiseScale(b, eps2)
+    return b / (eps1 / 2), b / (eps1 / 4), b / eps2
 
 
 class ThresholdShares(NamedTuple):
@@ -160,8 +157,8 @@ def sdp_timer_step(t: int, run) -> SyncReport | None:
 
 
 def sdp_ant_init(config, rand) -> ThresholdShares:
-    """Draw and share the initial noisy threshold from the config's `theta`,
-    `b` and `epsilon`."""
+    """Draw and share a noisy threshold from the config's `theta`, `b` and
+    `epsilon`: the run's first one, and each trigger's refresh."""
     th_scale, _, _ = ant_scales(config.b, config.epsilon)
     return share_real(config.theta + rand.joint_laplace(th_scale), rand)
 
@@ -171,14 +168,14 @@ def sdp_ant_step(t: int, run) -> SyncReport | None:
     with no report otherwise. Reads the config's `theta`, `b` and `epsilon`.
     """
     config, rand = run.config, run.rand
-    th_scale, check_scale, out_scale = ant_scales(config.b, config.epsilon)
+    _, check_scale, out_scale = ant_scales(config.b, config.epsilon)
     c = recover(run.counter)
     check = c + rand.joint_laplace(check_scale)
     run.transcript.add(t, TranscriptKind.COMPARE_CHECK, 0)
     if check < recover_real(run.threshold):
         return None
     pre = c + rand.joint_laplace(out_scale)
-    run.threshold = share_real(config.theta + rand.joint_laplace(th_scale), rand)
+    run.threshold = sdp_ant_init(config, rand)
     run.counter = zero_counter(rand)
     return _sync(t, pre, run, run.counter, *run.threshold)
 

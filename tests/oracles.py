@@ -8,7 +8,6 @@ from collections import Counter
 
 import numpy as np
 
-from dpviewsim.dpnoise import NoiseScale
 from dpviewsim.leakage import LogicalStream, m_timer
 from dpviewsim.shrink import ant_scales
 from dpviewsim.transform import OperatorKind
@@ -51,14 +50,14 @@ def laplace_inverse_cdf(u: float | np.ndarray, scale: float) -> float | np.ndarr
     return -scale * np.sign(d) * np.log1p(-2.0 * np.abs(d))
 
 
-def laplace_oracle(scale: NoiseScale, rng: np.random.Generator,
+def laplace_oracle(scale: float, rng: np.random.Generator,
                    n: int | tuple[int, ...] | None = None) -> float | np.ndarray:
     """Reference inverse-CDF Laplace draws from a seeded generator: one float,
     or an array of shape n (an int or a tuple)."""
     u = np.array(rng.random(n))
     while (zero := u == 0.0).any():  # keep every u strictly inside (0,1)
         u[zero] = rng.random(int(zero.sum()))
-    x = laplace_inverse_cdf(u, scale.scale)
+    x = laplace_inverse_cdf(u, scale)
     return x if n is not None else float(x)
 
 
@@ -79,7 +78,7 @@ def ant_mechanism(stream: LogicalStream, trials: int, draw, theta: float, b: flo
     cum = np.cumsum(stream.arrivals_per_step())
     th_scale, check_scale, out_scale = ant_scales(b, epsilon)
     if variant == "proof":
-        out_scale = NoiseScale(b, epsilon / 4)
+        out_scale = b / (epsilon / 4)
     elif variant != "protocol":
         raise ValueError(f"unknown variant {variant!r}")
     noisy_th = theta + draw(th_scale, trials)

@@ -50,10 +50,19 @@ def test_out_of_domain_value_exits_2(field, value, capsys):
 
 @pytest.mark.parametrize("protocol", ["DPTimer", "DPANT"])
 def test_overflowing_noise_scale_exits_2(protocol, capsys):
-    # b/epsilon is inf here; before, the first sync raised OverflowError.
+    # b/epsilon is inf here.
     assert main(["--protocol", protocol, "--operator", "Filter", "--horizon", "5",
                  "--epsilon", "1e-320"]) == EXIT_CONFIG
     assert "noise scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", ["DPTimer", "DPANT"])
+def test_b_past_float_range_exits_2(protocol, capsys):
+    # omega = b keeps the retention at one step, but b / epsilon cannot
+    # convert b to a float.
+    assert main(["--protocol", protocol, "--operator", "Filter", "--horizon", "5",
+                 "--b", str(10 ** 400), "--omega", str(10 ** 400)]) == EXIT_CONFIG
+    assert "noise scale inf" in capsys.readouterr().err
 
 
 def test_sub_budget_rounding_to_zero_exits_2(capsys):

@@ -4,28 +4,20 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from dpviewsim.dpnoise import NoiseScale, fixed_point, joint_laplace
+from dpviewsim.dpnoise import fixed_point, joint_laplace
 
 from oracles import laplace_inverse_cdf, laplace_oracle
 
 _HALF = 1 << 31
 
 
-def joint_laplace_many(z0: np.ndarray, z1: np.ndarray, scale: NoiseScale) -> np.ndarray:
+def joint_laplace_many(z0: np.ndarray, z1: np.ndarray, scale: float) -> np.ndarray:
     """Vectorized joint_laplace over arrays of uint32 words, for the
     distribution tests; checked word for word against joint_laplace."""
     z = (np.asarray(z0, dtype=np.uint64) ^ np.asarray(z1, dtype=np.uint64)).astype(np.int64)
     r = ((z & (_HALF - 1)) + 1) / (_HALF + 1)
     sign = np.where(z & _HALF, 1.0, -1.0)
-    return scale.scale * np.log(r) * sign
-
-
-def test_noise_scale_validation():
-    assert NoiseScale(10, 1.5).scale == pytest.approx(10 / 1.5)
-    with pytest.raises(ValueError):
-        NoiseScale(0, 1)
-    with pytest.raises(ValueError):
-        NoiseScale(1, 0)
+    return scale * np.log(r) * sign
 
 
 def test_fixed_point_endpoints():
@@ -48,7 +40,7 @@ def test_joint_laplace_negative_unit_draw():
     # with the msb set the draw lands at -sensitivity/epsilon.
     low = round(math.exp(-1) * (_HALF + 1)) - 1
     z = _HALF | low
-    scale = NoiseScale(10, 1.5)
+    scale = 10 / 1.5
     noise = joint_laplace(z, 0, scale)
     assert noise == pytest.approx(-10 / 1.5, abs=1e-5)
     assert noise == pytest.approx(-6.667, abs=1e-3)
@@ -56,7 +48,7 @@ def test_joint_laplace_negative_unit_draw():
 
 def test_joint_laplace_self_cancellation():
     # z0 == z1 collapses to z=0: msb clear, most negative log, positive sign.
-    scale = NoiseScale(1, 1)
+    scale = 1.0
     expected = -math.log(fixed_point(0)) * 1.0
     for z in (0, 123456789, 0xFFFFFFFF):
         assert joint_laplace(z, z, scale) == pytest.approx(expected)
@@ -68,7 +60,7 @@ def test_joint_laplace_moments():
     n = 100_000
     z0 = rng.integers(1 << 32, size=n, dtype=np.uint64)
     z1 = rng.integers(1 << 32, size=n, dtype=np.uint64)
-    draws = joint_laplace_many(z0, z1, NoiseScale(1, 1))
+    draws = joint_laplace_many(z0, z1, 1.0)
     assert -0.02 < draws.mean() < 0.02
     assert 1.9 < draws.var() < 2.1
 
@@ -83,7 +75,7 @@ def test_vectorized_sampler_matches_protocol_sampler():
     z1 = rng.integers(1 << 32, size=10_000, dtype=np.uint64).tolist()
     z0 += [a for a in edges for _ in edges]
     z1 += [b for _ in edges for b in edges]
-    scale = NoiseScale(3, 0.7)
+    scale = 3 / 0.7
     many = joint_laplace_many(np.array(z0, dtype=np.uint64),
                               np.array(z1, dtype=np.uint64), scale)
     one = np.array([joint_laplace(a, b, scale) for a, b in zip(z0, z1)])
@@ -95,14 +87,14 @@ def test_sign_frequency_balanced():
     n = 100_000
     z0 = rng.integers(1 << 32, size=n, dtype=np.uint64)
     z1 = rng.integers(1 << 32, size=n, dtype=np.uint64)
-    draws = joint_laplace_many(z0, z1, NoiseScale(1, 1))
+    draws = joint_laplace_many(z0, z1, 1.0)
     neg = (draws < 0).mean()
     assert abs(neg - 0.5) < 0.01
 
 
 def test_sign_symmetry_by_msb_flip():
     rng = np.random.default_rng(31)
-    scale = NoiseScale(3, 2)
+    scale = 3 / 2
     for _ in range(500):
         z = int(rng.integers(1 << 32))
         flipped = z ^ _HALF
@@ -112,16 +104,16 @@ def test_sign_symmetry_by_msb_flip():
 
 def test_scale_linearity_exact():
     rng = np.random.default_rng(43)
-    base = NoiseScale(1, 1)
+    base = 1.0
     for k in (2, 4, 8):
-        scaled = NoiseScale(k, 1)
+        scaled = float(k)
         for _ in range(200):
             z0, z1 = int(rng.integers(1 << 32)), int(rng.integers(1 << 32))
             assert joint_laplace(z0, z1, scaled) == k * joint_laplace(z0, z1, base)
 
 
 def test_determinism():
-    scale = NoiseScale(10, 1.5)
+    scale = 10 / 1.5
     a = joint_laplace(0x12345678, 0x9ABCDEF0, scale)
     b = joint_laplace(0x12345678, 0x9ABCDEF0, scale)
     assert a == b
@@ -135,7 +127,7 @@ def test_inverse_cdf_median_and_unit_quantile():
 
 
 def test_oracle_seeded_reproducible():
-    scale = NoiseScale(1, 1)
+    scale = 1.0
     assert (laplace_oracle(scale, np.random.default_rng(99))
             == laplace_oracle(scale, np.random.default_rng(99)))
 
@@ -157,7 +149,7 @@ def test_oracle_redraws_a_zero_uniform(n):
     # u = 0 lies outside the inverse CDF's open interval (it maps to -inf);
     # the oracle draws it again, scalar and batched alike.
     rng = FirstUniformZero()
-    draws = laplace_oracle(NoiseScale(2, 1), rng, n)
+    draws = laplace_oracle(2.0, rng, n)
     assert rng.calls == 2
     assert np.shape(draws) == (() if n is None else n)
     assert np.all(np.isfinite(draws))
@@ -169,7 +161,7 @@ def test_joint_vs_oracle_ks():
     rng = np.random.default_rng(77)
     z0 = rng.integers(1 << 32, size=n, dtype=np.uint64)
     z1 = rng.integers(1 << 32, size=n, dtype=np.uint64)
-    joint = joint_laplace_many(z0, z1, NoiseScale(1, 1))
-    oracle = laplace_oracle(NoiseScale(1, 1), np.random.default_rng(78), n)
+    joint = joint_laplace_many(z0, z1, 1.0)
+    oracle = laplace_oracle(1.0, np.random.default_rng(78), n)
     stat, _ = ks_2samp(joint, oracle)
     assert stat < 0.01

@@ -3,7 +3,6 @@ import functools
 import numpy as np
 import pytest
 
-from dpviewsim.dpnoise import NoiseScale
 from dpviewsim.leakage import (AuditExpectation, LogicalStream, StreamRecord,
                                Transcript, TranscriptEvent, TranscriptKind,
                                m_ant, m_timer, stream_record, transcript_audit)
@@ -25,7 +24,7 @@ class ScriptedNoise:
         self._values = list(values)
         self._default = default
 
-    def laplace(self, scale: NoiseScale) -> float:
+    def laplace(self, scale: float) -> float:
         if self._values:
             return self._values.pop(0)
         if self._default is None:
@@ -57,13 +56,13 @@ def nant(stream: LogicalStream, epsilon: float, theta: float, delta_f: float,
     counts = stream.arrivals_per_step()
     eps1 = epsilon / 2
     eps2 = epsilon / 2
-    noisy_th = theta + noise.laplace(NoiseScale(2 * delta_f, eps1))
+    noisy_th = theta + noise.laplace(2 * delta_f / eps1)
     c = 0
     for t in range(1, h + 1):
-        v_t = noise.laplace(NoiseScale(4 * delta_f, eps1))
+        v_t = noise.laplace(4 * delta_f / eps1)
         c += int(counts[t])
         if c + v_t >= noisy_th:
-            return (t, c + noise.laplace(NoiseScale(2 * delta_f, eps2)))
+            return (t, c + noise.laplace(2 * delta_f / eps2))
     return None
 
 
@@ -300,8 +299,8 @@ def test_two_phase_composition_bound():
 
     def two_phase(s, trials, draw):
         count = len(s.arrivals)
-        r1 = q1 * count + draw(NoiseScale(1, eps1), trials)
-        r2 = q2 * count + draw(NoiseScale(1, eps2), trials)
+        r1 = q1 * count + draw(1 / eps1, trials)
+        r2 = q2 * count + draw(1 / eps2, trials)
         return np.stack([r1, r2], axis=1)
 
     # two release dimensions spread the mass; a fixed cutoff keeps bins

@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpviewsim import randomness
-from dpviewsim.dpnoise import NoiseScale, joint_laplace
+from dpviewsim.dpnoise import joint_laplace
 from dpviewsim.randomness import RawStream, ServerRandomness
 from dpviewsim.sharing import RING_SIZE, RandomnessReuse, share_in_protocol
 
@@ -40,7 +39,7 @@ def test_block_words_equal_scalar_draws_past_two_blocks(seed):
 def test_joint_laplace_uses_the_noise_words():
     rand = ServerRandomness(4)
     n0, n1, _, _ = _scalar_words(4, 3)
-    scale = NoiseScale(10, 1.5)
+    scale = 10 / 1.5
     assert [rand.joint_laplace(scale) for _ in range(3)] == [
         joint_laplace(a, b, scale) for a, b in zip(n0, n1)]
 
@@ -124,12 +123,3 @@ def test_loggam_memo_equals_the_series():
     assert [randomness._loggam(k) for k in reversed(ks)] == want[::-1]  # read from the memo
     assert all(math.isclose(w, math.lgamma(k), rel_tol=1e-14, abs_tol=1e-14)
                for k, w in zip(ks, want))
-
-
-def test_noise_scale_equality_hash_and_pickle_ignore_the_kept_scale():
-    fresh, read = NoiseScale(10, 1.5), NoiseScale(10, 1.5)
-    assert read.scale == 10 / 1.5 and read.scale is read.scale
-    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
-    for ns in (fresh, read):
-        copy = pickle.loads(pickle.dumps(ns))
-        assert copy == fresh and hash(copy) == hash(fresh) and copy.scale == 10 / 1.5

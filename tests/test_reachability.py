@@ -12,9 +12,8 @@ it is on `ALLOWED`, and on any allow-listed name that is not defined or was
 entered, so the list cannot go stale.
 
 The probe runs in a fresh interpreter because a warm `functools` cache hides
-calls: in a pytest session `ant_scales`, `timer_scale`, `_step_sizes`,
-`network_comparison_count` and `recover_real` may answer from their caches
-and never be entered.
+calls: in a pytest session `_step_sizes`, `network_comparison_count` and
+`recover_real` may answer from their caches and never be entered.
 """
 
 import inspect

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from dpviewsim.dpnoise import NoiseScale, joint_laplace
+from dpviewsim.dpnoise import joint_laplace
 from dpviewsim.sharing import (RING_MASK, RING_SIZE, RandomnessReuse, SharePair, check_word,
                                recover, share_in_protocol)
 
@@ -71,7 +71,7 @@ _CHECKED = {
     "share_in_protocol": (lambda x=7, z0=7, z1=8: share_in_protocol(x, z0, z1, set()),
                           ("x", "z0", "z1")),
     "recover": (lambda s0=7, s1=7: recover(SharePair(s0, s1)), ("s0", "s1")),
-    "joint_laplace": (lambda z0=7, z1=7: joint_laplace(z0, z1, NoiseScale(1, 1)), ("z0", "z1")),
+    "joint_laplace": (lambda z0=7, z1=7: joint_laplace(z0, z1, 1.0), ("z0", "z1")),
 }
 _BAD_WORDS = (-1, RING_SIZE, True, 7.0, "7", np.uint32(7))
 
@@ -101,7 +101,7 @@ class Level(enum.IntEnum):
 def test_checked_words_accept_an_int_subclass_in_the_ring():
     assert share_in_protocol(Level.SEVEN, 7, Level.SEVEN, set()) == share_in_protocol(7, 7, 7, set())
     assert recover(SharePair(Level.SEVEN, 1)) == 6
-    scale = NoiseScale(1, 1)
+    scale = 1.0
     assert joint_laplace(Level.SEVEN, 9, scale) == joint_laplace(7, 9, scale)
     with pytest.raises(AttributeError):
         recover((7, 1))  # the shares are read by name

@@ -249,18 +249,19 @@ def test_ant_trigger_monotone_with_zero_noise():
 
 def test_ant_scales_protocol_and_proof():
     th, check, out = ant_scales(10, 1.5)
-    assert th.scale == pytest.approx(4 * 10 / 1.5)
-    assert check.scale == pytest.approx(8 * 10 / 1.5)
-    assert out.scale == pytest.approx(2 * 10 / 1.5)
-    assert timer_scale(10, 1.5).scale == pytest.approx(10 / 1.5)
+    # Exact, as a run's bytes rest on these values.
+    assert (th, check, out) == (4 * 10 / 1.5, 8 * 10 / 1.5, 2 * 10 / 1.5)
+    assert timer_scale(10, 1.5) == 10 / 1.5
+    assert all(type(sc) is float for sc in (th, check, out, timer_scale(10, 1.5)))
     # m_ant draws at these scales. At zero noise one record crosses theta 0.5
     # at t = 1: a threshold, a check, the release and a refreshed threshold.
     # (The proofs' 4b/eps output scale is the tests' oracle's; test_leakage
     # checks it against these.)
     one = LogicalStream([StreamRecord(1, 1, (1,))], 1)
     scales = []
-    m_ant(one, 0.5, 10, 1.5, lambda scale: scales.append(scale.scale) or 0.0)
-    assert scales == pytest.approx([b * 10 / 1.5 for b in (4, 8, 2, 4)])
+    m_ant(one, 0.5, 10, 1.5, lambda scale: scales.append(scale) or 0.0)
+    assert scales == [b * 10 / 1.5 for b in (4, 8, 2, 4)]
+    assert all(type(sc) is float for sc in scales)
 
 
 # ---------------------------------------------------------------------------
