@@ -16,8 +16,9 @@ Modules:
     transform  truncated view transformation with contribution budgets,
                whose step reads and updates the run's one state and returns
                its `step_sizes`, the one rule for a step's padded join
-               lengths, output slots and compares, computed once per retained
-               depth; the Filter keeps the rows
+               lengths, output slots and compares; the step computes them
+               once per retained depth and keeps them on the state for the
+               steps after; the Filter keeps the rows
                of one fixed predicate, `selected`; a record's join slots per
                invocation, a function of its age alone, are the joins' only
                contribution bound; a join takes reals plus padded lengths and
@@ -41,10 +42,10 @@ Modules:
     harness    the run's config and its single validation, the run's one state
                (`RunState`: the config, seq stamps, randomness and transcript
                the steps read; the cache, counter, threshold, view, retained
-               batches and produced rows they update in place), experiment
-               loop (which charges each step's cost from sizes the servers
-               see), baselines, synthetic workloads drawn and handed out to
-               the owners in one pass, metrics (a run pauses the
+               batches, produced rows and step sizes they update in place),
+               experiment loop (which charges each step's cost from sizes the
+               servers see), baselines, synthetic workloads drawn and handed
+               out to the owners in one pass, metrics (a run pauses the
                cyclic garbage collector and restores the caller's setting,
                which is safe because a run builds no reference cycles, as a
                test checks; the setting is process-wide, so runs in concurrent

@@ -29,7 +29,8 @@ from .shrink import (FlushReport, MaterializedView, SyncReport, ThresholdShares,
                      flush_step, sdp_ant_init, sdp_ant_step, sdp_timer_step, timer_scale,
                      zero_counter)
 from .transcript import Transcript, TranscriptKind
-from .transform import OperatorKind, retention_steps, selected, step_sizes, transform_step
+from .transform import (OperatorKind, StepSizes, retention_steps, selected, step_sizes,
+                        transform_step)
 
 
 class ConfigError(ValueError):
@@ -82,6 +83,9 @@ class ExperimentConfig:
     scan_cache: bool = False
     trials: int = 1
 
+
+# The keys a config file or an override may set.
+_FIELD_NAMES = frozenset(f.name for f in fields(ExperimentConfig))
 
 # In field order, so that of several invalid fields the first is named.
 _POSITIVE = ("b", "omega", "c_r", "horizon", "query_interval", "multiplicity", "trials")
@@ -151,7 +155,6 @@ def _read_text(path: str) -> io.StringIO:
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines of UTF-8 text; '#' starts a comment."""
     values: dict[str, str] = {}
-    known = {f.name for f in fields(ExperimentConfig)}
     try:
         lines = _read_text(path)
     except ParseError as exc:
@@ -163,7 +166,7 @@ def parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in _FIELD_NAMES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
     return values
@@ -177,10 +180,9 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 def coerce_config(values: dict[str, str]) -> ExperimentConfig:
     """Build a config from string key=value pairs (file or CLI overrides)."""
     kwargs = {}
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
     defaults = ExperimentConfig()
     for key, raw in values.items():
-        if key not in types:
+        if key not in _FIELD_NAMES:
             raise ConfigError(f"unknown config key {key!r}")
         if key in _ENUM_FIELDS:
             enum_cls = _ENUM_FIELDS[key]
@@ -463,8 +465,10 @@ class RunState:
     The steps read `config`, `seqs` (the run's seq stamps), `rand` and
     `transcript`. They update the rest in place: the secure `cache`, the
     shared `counter`, DPANT's shared noisy `threshold`, the `view`, the reals
-    of the past owner batches that joins still scan (`retained`) and every
-    row the transform produced (`produced_rows`).
+    of the past owner batches that joins still scan (`retained`), every
+    row the transform produced (`produced_rows`) and the last step's
+    `step_sizes` (`sizes`), which stop changing once the retained depth is
+    full.
     """
 
     config: ExperimentConfig
@@ -477,6 +481,7 @@ class RunState:
     view: MaterializedView = field(default_factory=MaterializedView)
     retained: tuple[deque, deque] = field(init=False)
     produced_rows: list[SecureTuple] = field(default_factory=list)
+    sizes: StepSizes | None = field(init=False, default=None)
 
     def __post_init__(self):
         keep = max(0, retention_steps(self.config) - 1)

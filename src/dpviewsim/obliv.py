@@ -117,9 +117,8 @@ def compare_exchange_pairs(n: int) -> Iterator[tuple[int, int, bool]]:
         k <<= 1
 
 
-@functools.lru_cache(maxsize=64)
 def network_comparison_count(n: int) -> int:
-    """Compare-exchange count of the padded n-item network; cached, as steps repeat n."""
+    """Compare-exchange count of the padded n-item network, in closed form."""
     stages = padded_length(n).bit_length() - 1
     return (1 << stages) // 2 * stages * (stages + 1) // 2
 

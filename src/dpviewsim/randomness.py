@@ -14,7 +14,6 @@ each server's stream, together.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -45,9 +44,8 @@ def _words(seed: np.random.SeedSequence):
                                          for raw in _raw_blocks(seed, _BLOCK // 2))
 
 
-@functools.lru_cache(maxsize=1024)
 def _loggam(x: int) -> float:
-    """numpy's random_loggam, memoized: log Gamma(x) from Stirling's series at x shifted to 7."""
+    """numpy's random_loggam: log Gamma(x) from Stirling's series at x shifted to 7."""
     if x == 1 or x == 2:
         return 0.0
     n = max(0, 7 - x)
@@ -114,7 +112,11 @@ class RawStream:
 
     def _ptrs(self, lam: float) -> int:
         """numpy's transformed rejection with squeeze, for lam >= 10."""
-        b, a, vr, log_invalpha, log_lam = _ptrs_setup(lam)
+        b = 0.931 + 2.53 * math.sqrt(lam)
+        a = -0.059 + 0.02483 * b
+        invalpha = 1.1239 + 1.1328 / (b - 3.4)
+        vr = 0.9277 - 3.6224 / (b - 2)
+        log_invalpha, log_lam = math.log(invalpha), math.log(lam)
         while True:
             u = self.random() - 0.5
             v = self.random()
@@ -128,16 +130,6 @@ class RawStream:
                     not v or math.log(v) + log_invalpha - math.log(a / (us * us) + b)
                     <= -lam + k * log_lam - _loggam(k + 1)):
                 return k
-
-
-@functools.lru_cache(maxsize=16)
-def _ptrs_setup(lam: float) -> tuple[float, float, float, float, float]:
-    """PTRS's set-up, once per lam: b, a, vr and the logs of invalpha and lam."""
-    b = 0.931 + 2.53 * math.sqrt(lam)
-    a = -0.059 + 0.02483 * b
-    invalpha = 1.1239 + 1.1328 / (b - 3.4)
-    vr = 0.9277 - 3.6224 / (b - 2)
-    return b, a, vr, math.log(invalpha), math.log(lam)
 
 
 class ServerRandomness:

@@ -19,13 +19,13 @@ predicate.
 `transform_step` takes the run's one state (the harness's `RunState`) and
 reads it by attribute: its validated config's `operator`, `omega`, `b` and
 `c_r`, its `seqs`, `rand` and `transcript`. It updates the state's `cache`,
-`counter`, `retained` and `produced_rows` in place and returns its sizes.
+`counter`, `retained`, `produced_rows` and `sizes` in place and returns its
+sizes.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from collections import defaultdict
 from itertools import chain
 from operator import itemgetter
@@ -174,22 +174,14 @@ def step_sizes(config, t: int) -> StepSizes:
     SMJ pads omega slots per scanned tuple and runs one (n1 + n2)-slot network
     per join; the NLJ pads omega per outer tuple and runs n1 n2-slot networks
     per join; the Filter pads to its c_r input slots and sorts nothing. The
-    sizes stop changing once t reaches retention_steps, so they are computed
-    once per retained depth."""
-    return _step_sizes(config.operator._value_, config.c_r, config.omega,
-                       min(t - 1, retention_steps(config) - 1))
-
-
-@functools.lru_cache(maxsize=64)
-def _step_sizes(operator: str, c_r: int, omega: int, depth: int) -> StepSizes:
-    """`step_sizes` for owners that each retain `depth` past batches, keyed on
-    the operator's `_value_`: an Enum's hash and `value` are Python calls."""
-    if operator == OperatorKind.FILTER.value:
+    sizes stop changing once t reaches retention_steps."""
+    c_r, omega, operator = config.c_r, config.omega, config.operator
+    if operator is OperatorKind.FILTER:
         return StepSizes((), c_r, 0)
-    old = c_r * depth
+    old = c_r * min(t - 1, retention_steps(config) - 1)
     n1, n2, m1, m2 = c_r, old + c_r, old, c_r
     joins = (n1, n2), (m1, m2)
-    if operator == OperatorKind.SMJ.value:
+    if operator is OperatorKind.SMJ:
         return StepSizes(joins, omega * (n1 + n2 + m1 + m2),
                          network_comparison_count(n1 + n2) + network_comparison_count(m1 + m2))
     return StepSizes(joins, omega * (n1 + m1),
@@ -205,10 +197,14 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]], run) -> StepSiz
     real record scanned in `age` earlier invocations therefore holds
     min(omega, b - age * omega) join slots: omega, except for the reals of the
     oldest retained batch when omega does not divide b. Reads the run
-    config's `operator`, `omega`, `b` and `c_r`; returns `step_sizes`.
+    config's `operator`, `omega`, `b` and `c_r`; returns `step_sizes`, which
+    it computes once per retained depth: only while t <= retention_steps,
+    keeping them on the run's `sizes` for the steps after.
     """
     cfg = run.config
-    sizes = step_sizes(cfg, t)
+    if t <= retention_steps(cfg):
+        run.sizes = step_sizes(cfg, t)
+    sizes = run.sizes
     if cfg.operator is OperatorKind.FILTER:
         rows = trans_truncate_filter(new_batches[0], run.seqs, t)
     else:

@@ -153,11 +153,15 @@ def test_synth_calibration_over_seeds():
     assert abs(np.mean(ratios_burst) - 2.0) < 0.2     # 2x +- 10%
 
 
-def _synth_stream_per_record(profile, seed, horizon, multiplicity=1,
-                             pairs_per_step=2.5, cap=5):
-    """Reference synth_stream: one scalar attribute draw per record."""
+def _synth_stream_oracle(profile, seed, horizon, multiplicity=1, cap=5, *, right=True,
+                         leftover=None):
+    """Reference synth_stream on numpy's Generator, in two passes: it draws
+    every step into per-step dicts, one scalar attribute draw per record, then
+    drains each owner's dict `cap` records a step. With `right=False` every B
+    draw is still made but no B record is kept. Adds to `leftover` the
+    records that were still waiting after the horizon."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-    group_rate = pairs_per_step / multiplicity
+    group_rate = harness._PAIRS_PER_STEP / multiplicity
     if profile is Profile.SPARSE:
         group_rate *= 0.1
     noise_rate = min(0.5, group_rate * 0.2)
@@ -179,80 +183,9 @@ def _synth_stream_per_record(profile, seed, horizon, multiplicity=1,
                 StreamRecord(t, key, (1, int(rng.integers(1000)))))
             for i in range(multiplicity):
                 bt = t + (i % 2)
-                pend_b.setdefault(bt, []).append(
-                    StreamRecord(bt, key, (1, int(rng.integers(1000)))))
-        if rng.random() < noise_rate:
-            pend_a.setdefault(t, []).append(
-                StreamRecord(t, (1 << 30) + next_key, (0, int(rng.integers(1000)))))
-            next_key += 1
-        if rng.random() < noise_rate:
-            pend_b.setdefault(t, []).append(
-                StreamRecord(t, (1 << 31) + next_key, (0, int(rng.integers(1000)))))
-            next_key += 1
-
-    def drain(pending):
-        out, carry = [], []
-        for t in range(1, horizon + 1):
-            queue = carry + pending.get(t, [])
-            take, carry = queue[:cap], queue[cap:]
-            out.extend(StreamRecord(t, r.key, r.attrs) for r in take)
-        return out
-
-    return drain(pend_a), drain(pend_b)
-
-
-@pytest.mark.parametrize("multiplicity", [1, 2, 3])
-@pytest.mark.parametrize("profile", list(Profile))
-def test_synth_block_draws_match_per_record_draws(profile, multiplicity):
-    for cap in (5, 12):
-        for seed in range(5):
-            want = _synth_stream_per_record(profile, seed, 150, multiplicity, cap=cap)
-            a, b = synth_stream(profile, seed, 150, multiplicity, cap=cap)
-            assert (a.arrivals, b.arrivals) == want
-            # Without B's records, B's draws are still made: A is unchanged.
-            a, b = synth_stream(profile, seed, 150, multiplicity, cap=cap, right=False)
-            assert a.arrivals == want[0] and b is None
-    a, b = synth_stream(profile, 0, 0, multiplicity)
-    assert (a.arrivals, b.arrivals) == _synth_stream_per_record(profile, 0, 0, multiplicity)
-
-
-def _synth_stream_two_pass(profile, seed, horizon, multiplicity=1, cap=5, *, right=True,
-                           leftover=None):
-    """The two-pass synth_stream that the one-pass generator replaced: it draws
-    every step into per-step dicts, then drains each owner's dict. Adds to
-    `leftover` the records that were still waiting after the horizon."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-    group_rate = harness._PAIRS_PER_STEP / multiplicity
-    if profile is Profile.SPARSE:
-        group_rate *= 0.1
-    noise_rate = min(0.5, group_rate * 0.2)
-
-    pend_a, pend_b = {}, {}
-    next_key = 1
-    matched_flag = 1
-
-    def scheduled_groups(t):
-        if profile is Profile.BURST:
-            if (t - 1) % _BURST_PERIOD >= _BURST_ON:
-                return 0
-            lam = 2 * group_rate * _BURST_PERIOD / _BURST_ON
-            return int(rng.poisson(lam))
-        return int(rng.poisson(group_rate))
-
-    for t in range(1, horizon + 1):
-        groups = scheduled_groups(t)
-        if groups:
-            block = rng.integers(1000, size=groups * (1 + multiplicity)).tolist()
-            for at in range(0, len(block), 1 + multiplicity):
-                key = next_key
-                next_key += 1
-                pend_a.setdefault(t, []).append(
-                    StreamRecord(t, key, (matched_flag, block[at])))
+                rec = StreamRecord(bt, key, (1, int(rng.integers(1000))))
                 if right:
-                    for i in range(multiplicity):
-                        bt = t + (i % 2)
-                        pend_b.setdefault(bt, []).append(
-                            StreamRecord(bt, key, (matched_flag, block[at + 1 + i])))
+                    pend_b.setdefault(bt, []).append(rec)
         if rng.random() < noise_rate:
             pend_a.setdefault(t, []).append(
                 StreamRecord(t, (1 << 30) + next_key, (0, int(rng.integers(1000)))))
@@ -278,6 +211,20 @@ def _synth_stream_two_pass(profile, seed, horizon, multiplicity=1, cap=5, *, rig
             LogicalStream(drain(pend_b), horizon) if right else None)
 
 
+@pytest.mark.parametrize("multiplicity", [1, 2, 3])
+@pytest.mark.parametrize("profile", list(Profile))
+def test_synth_block_draws_match_per_record_draws(profile, multiplicity):
+    for cap in (5, 12):
+        for seed in range(5):
+            want = _synth_stream_oracle(profile, seed, 150, multiplicity, cap=cap)
+            assert synth_stream(profile, seed, 150, multiplicity, cap=cap) == want
+            # Without B's records, B's draws are still made: A is unchanged.
+            a, b = synth_stream(profile, seed, 150, multiplicity, cap=cap, right=False)
+            assert a == want[0] and b is None
+    assert synth_stream(profile, 0, 0, multiplicity) == \
+        _synth_stream_oracle(profile, 0, 0, multiplicity)
+
+
 @pytest.mark.parametrize("right", [True, False])
 @pytest.mark.parametrize("multiplicity", [1, 2, 3])
 def test_one_pass_synth_stream_equals_the_two_pass_generator(multiplicity, right):
@@ -285,8 +232,8 @@ def test_one_pass_synth_stream_equals_the_two_pass_generator(multiplicity, right
     for profile, horizon, cap, seed in itertools.product(Profile, (41, 83), (1, 2, 5, 12),
                                                          range(3)):
         leftover = set()
-        want = _synth_stream_two_pass(profile, seed, horizon, multiplicity, cap,
-                                      right=right, leftover=leftover)
+        want = _synth_stream_oracle(profile, seed, horizon, multiplicity, cap,
+                                    right=right, leftover=leftover)
         assert synth_stream(profile, seed, horizon, multiplicity, cap, right=right) == want
         carried |= {r for r in leftover if r.t <= horizon}
         due_past |= {r for r in leftover if r.t > horizon}

@@ -9,7 +9,9 @@ batch, sliced from the view's reals by its real count, must hold no more
 reals than its slots, and only rows produced at or before its step; the
 view's slot total must be its batches' slots, and the cache must hold no more
 reals than its slots. Each run must also pass the transcript audit against
-its public configuration and reproduce its metrics bytes from the same seed.
+its public configuration, and a DPTimer or DPANT run against the sync times
+and sizes its reference mechanism replays (`tests/test_replay.py`), and
+reproduce its metrics bytes from the same seed.
 """
 
 import io
@@ -23,6 +25,7 @@ from dpviewsim.harness import (ExperimentConfig, Profile, Protocol, emit_metrics
                                expected_transform_size, run_experiment)
 from dpviewsim.leakage import AuditExpectation, transcript_audit
 from dpviewsim.transform import OperatorKind
+from test_replay import replayed_syncs
 
 _DP = (Protocol.DP_TIMER, Protocol.DP_ANT)
 _SHAPES = list(itertools.product(Protocol, OperatorKind, Profile))
@@ -78,6 +81,7 @@ def test_real_runs_conserve_rows_pass_audit_and_repeat(protocol, operator, profi
         transform_size=expected_transform_size(config),
         flush_interval=config.f if dp else None,
         flush_size=config.s if dp else None,
+        sync_sizes=dict(replayed_syncs(result)) if dp else None,
         sync_equals_transform=protocol is Protocol.EP))
     assert report.passed, report.violations[:5]
 

@@ -1,33 +1,37 @@
 """Every function in the package is reached by a run, the CLI or the audit.
 
 ROADMAP aim 2 allows no function that only unit tests reach. This test runs,
-in a fresh interpreter under `sys.setprofile`, what a user and the
-benchmark's gate do: the CLI on every protocol x operator config, a trials
-sweep, a cache-scan run, a Burst run, CSV streams through a config file, a
-malformed stream and a bad config, `bench/worker.py`'s `check_results` on
-every run's results, and that gate again on a transcript with one forged
-size. It lists every function, method and property defined in the package's
-source, nested ones included, and fails on any that no call entered unless
-it is on `ALLOWED`, and on any allow-listed name that is not defined or was
-entered, so the list cannot go stale.
+under `sys.setprofile`, what a user and the benchmark's gate do: the CLI on
+every protocol x operator config, a trials sweep, a cache-scan run, a Burst
+run, CSV streams through a config file, a malformed stream and a bad config,
+`bench/worker.py`'s `check_results` on every run's results, and that gate
+again on a transcript with one forged size. It lists every function, method
+and property defined in the package's source, nested ones included, and
+fails on any that no call entered unless it is on `ALLOWED`, and on any
+allow-listed name that is not defined or was entered, so the list cannot go
+stale.
 
-The probe runs in a fresh interpreter because a warm `functools` cache hides
-calls: in a pytest session `_step_sizes`, `network_comparison_count` and
-`recover_real` may answer from their caches and never be entered.
+The probe runs in the test session's interpreter: the package keeps no
+process-global cache, so a function that earlier tests entered is entered
+again by the probe's own calls.
 """
 
+import dataclasses
 import inspect
-import json
-import os
-import subprocess
 import sys
 import types
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "dpviewsim"
+from dpviewsim import cli, harness
+from dpviewsim.transcript import TranscriptKind
+from dpviewsim.transform import OperatorKind
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import worker  # noqa: E402  # the benchmark's correctness gate
+
+PACKAGE = Path(harness.__file__).resolve().parent
 
 # Defined in the package, reached by no run, CLI call or audit; each entry
 # says why it stays.
@@ -48,81 +52,6 @@ ALLOWED = {
     "obliv.SecureTuple.is_view",
     "shrink.MaterializedView.rows",
 }
-
-# Run in a fresh interpreter: argv is the repo root and a scratch directory.
-# Prints, as its last stdout line, the JSON of the package code entered and
-# the gate's findings on the honest and the forged results.
-_PROBE = r'''
-import dataclasses, json, sys
-from pathlib import Path
-
-root, tmp = Path(sys.argv[1]), Path(sys.argv[2])
-package = root / "src" / "dpviewsim"
-sys.path.insert(0, str(root / "bench"))
-import worker  # the benchmark's correctness gate
-from dpviewsim import cli, harness
-from dpviewsim.transcript import TranscriptKind
-from dpviewsim.transform import OperatorKind
-
-results = []
-run_trials = cli.run_trials
-
-
-def keep(config, trials):  # cli.main's runs, with their results kept for the gate
-    out = run_trials(config, trials)
-    results.extend(out)
-    return out
-
-
-cli.run_trials = keep
-entered = set()
-
-
-def profile(frame, event, arg):
-    if event == "call":
-        entered.add(frame.f_code)
-
-
-def main(*argv, want=0):
-    code = cli.main([*argv, "--out", str(tmp / "metrics.jsonl")])
-    if code != want:
-        raise SystemExit(f"{argv}: exit {code}, expected {want}")
-
-
-(tmp / "a.csv").write_text("t,key,a\n1,7,1\n2,8,0\n3,7,2\n5,9,1\n")
-(tmp / "b.csv").write_text("t,key,a\n1,7,3\n3,9,4\n4,7,5\n6,8,1\n")
-(tmp / "streams.cfg").write_text(
-    "protocol=DPTimer\noperator=SMJ\nT=2\nf=4\nhorizon=8\n"
-    f"stream_a={tmp / 'a.csv'}\nstream_b={tmp / 'b.csv'}\n")
-(tmp / "bad.csv").write_text("t,key,a\n1,x,0\n")
-(tmp / "bad.cfg").write_text("horizon 8\n")
-
-sys.setprofile(profile)
-# The 15 configs, each with its flush interval dividing the horizon.
-for protocol in harness.Protocol:
-    for operator in OperatorKind:
-        main("--protocol", protocol.value, "--operator", operator.value,
-             "--horizon", "40", "--f", "20")
-main("--protocol", "DPANT", "--operator", "Filter", "--horizon", "40", "--trials", "2")
-main("--protocol", "DPTimer", "--operator", "SMJ", "--horizon", "40", "--scan_cache", "1")
-# Burst at multiplicity 1 draws its group counts through PTRS (lam = 10).
-main("--profile", "Burst", "--c_r", "12", "--horizon", "40", "--f", "20")
-main("--config", str(tmp / "streams.cfg"))
-main("--operator", "Filter", "--horizon", "8", "--stream_a", str(tmp / "bad.csv"), want=3)
-main("--config", str(tmp / "bad.cfg"), want=2)
-problems = worker.check_results(results)
-forged = results[0]
-events = forged.transcript.events
-i = next(k for k, e in enumerate(events) if e.kind is TranscriptKind.TRANSFORM_OUTPUT)
-events[i] = dataclasses.replace(events[i], size=events[i].size + 1)
-forged_problems = worker.check_results([forged])
-sys.setprofile(None)
-
-print(json.dumps({
-    "entered": sorted([Path(c.co_filename).name, c.co_firstlineno, c.co_name]
-                      for c in entered if Path(c.co_filename).resolve().parent == package),
-    "results": len(results), "problems": problems, "forged": forged_problems}))
-'''
 
 
 def defined_functions() -> dict[tuple[str, int, str], str]:
@@ -155,19 +84,74 @@ def defined_functions() -> dict[tuple[str, int, str], str]:
 
 @pytest.fixture(scope="module")
 def probe(tmp_path_factory):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(ROOT), str(tmp_path_factory.mktemp("probe"))],
-        capture_output=True, text=True, env=env, cwd=ROOT)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    """The package code entered, as (file name, first line, name) keys, by
+    what a user and the benchmark's gate do; every run's results; and the
+    gate's findings on the honest and the forged results."""
+    tmp = tmp_path_factory.mktemp("probe")
+    results = []
+    run_trials = cli.run_trials
+
+    def keep(config, trials):  # cli.main's runs, with their results kept for the gate
+        out = run_trials(config, trials)
+        results.extend(out)
+        return out
+
+    def main(*argv, want=0):
+        code = cli.main([*argv, "--out", str(tmp / "metrics.jsonl")])
+        assert code == want, f"{argv}: exit {code}, expected {want}"
+
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    (tmp / "a.csv").write_text("t,key,a\n1,7,1\n2,8,0\n3,7,2\n5,9,1\n")
+    (tmp / "b.csv").write_text("t,key,a\n1,7,3\n3,9,4\n4,7,5\n6,8,1\n")
+    (tmp / "streams.cfg").write_text(
+        "protocol=DPTimer\noperator=SMJ\nT=2\nf=4\nhorizon=8\n"
+        f"stream_a={tmp / 'a.csv'}\nstream_b={tmp / 'b.csv'}\n")
+    (tmp / "bad.csv").write_text("t,key,a\n1,x,0\n")
+    (tmp / "bad.cfg").write_text("horizon 8\n")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_trials", keep)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            # The 15 configs, each with its flush interval dividing the horizon.
+            for protocol in harness.Protocol:
+                for operator in OperatorKind:
+                    main("--protocol", protocol.value, "--operator", operator.value,
+                         "--horizon", "40", "--f", "20")
+            main("--protocol", "DPANT", "--operator", "Filter", "--horizon", "40",
+                 "--trials", "2")
+            main("--protocol", "DPTimer", "--operator", "SMJ", "--horizon", "40",
+                 "--scan_cache", "1")
+            # Burst at multiplicity 1 draws its group counts through PTRS (lam = 10).
+            main("--profile", "Burst", "--c_r", "12", "--horizon", "40", "--f", "20")
+            main("--config", str(tmp / "streams.cfg"))
+            main("--operator", "Filter", "--horizon", "8", "--stream_a", str(tmp / "bad.csv"),
+                 want=3)
+            main("--config", str(tmp / "bad.cfg"), want=2)
+            problems = worker.check_results(results)
+            forged = results[0]
+            events = forged.transcript.events
+            i = next(k for k, e in enumerate(events)
+                     if e.kind is TranscriptKind.TRANSFORM_OUTPUT)
+            events[i] = dataclasses.replace(events[i], size=events[i].size + 1)
+            forged_problems = worker.check_results([forged])
+        finally:
+            sys.setprofile(previous)
+
+    return {"entered": {(Path(c.co_filename).name, c.co_firstlineno, c.co_name)
+                        for c in entered if Path(c.co_filename).resolve().parent == PACKAGE},
+            "results": len(results), "problems": problems, "forged": forged_problems}
 
 
 @pytest.fixture(scope="module")
 def unreached(probe) -> set[str]:
-    entered = {tuple(key) for key in probe["entered"]}
-    return {name for key, name in defined_functions().items() if key not in entered}
+    return {name for key, name in defined_functions().items() if key not in probe["entered"]}
 
 
 def test_listing_reads_nested_functions_methods_and_properties():

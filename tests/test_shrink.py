@@ -207,17 +207,6 @@ def test_ant_below_threshold_no_trigger(sorted_slots):
     assert run.view.total_rows() == 0
 
 
-def test_ant_decodes_each_threshold_once():
-    # The shared threshold changes only at a trigger, so a run decodes the
-    # initial one and each refresh that a later step reads, and no more.
-    recover_real.cache_clear()
-    horizon = 300
-    result = run_experiment(ExperimentConfig(Protocol.DP_ANT, horizon=horizon, seed=1))
-    info = recover_real.cache_info()
-    assert info.hits + info.misses == horizon
-    assert info.misses == 1 + sum(r.t < horizon for r in result.sync_reports) > 1
-
-
 def test_ant_quiet_period_never_triggers():
     rand = PinnedRand([0.0], default=0.0)
     cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)

@@ -755,14 +755,33 @@ def test_output_sizes_match_public_formula():
 @pytest.mark.parametrize("operator", list(OperatorKind))
 def test_step_sizes_depend_on_t_only_through_the_retained_depth(operator):
     # Retention 3 (b 5) and 5 (b 9) at omega 2: a step's sizes stop changing
-    # once t reaches the retention, and each is computed once.
+    # once t reaches the retention.
     short, long = (ExperimentConfig(operator=operator, c_r=3, omega=2, b=b) for b in (5, 9))
-    assert step_sizes(short, 3) is step_sizes(short, 9) is step_sizes(long, 3)
-    assert step_sizes(long, 5) is step_sizes(long, 9)
+    assert step_sizes(short, 3) == step_sizes(short, 9) == step_sizes(long, 3)
+    assert step_sizes(long, 5) == step_sizes(long, 9)
     assert (step_sizes(long, 5) == step_sizes(long, 3)) == (operator is OperatorKind.FILTER)
     wider = ExperimentConfig(operator=operator, c_r=3, omega=3, b=9)  # retention 3 too
     assert ((step_sizes(wider, 3).slots == step_sizes(short, 3).slots)
             == (operator is OperatorKind.FILTER))
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(operator=OperatorKind.NLJ, omega=2, b=9, horizon=40, f=20),  # retention 5
+    ExperimentConfig(operator=OperatorKind.FILTER, b=10, horizon=6)])  # retention 10
+def test_run_computes_step_sizes_once_per_retained_depth(config, monkeypatch):
+    calls = []
+
+    def counted(config, t):
+        calls.append(t)
+        return step_sizes(config, t)
+
+    monkeypatch.setattr(transform, "step_sizes", counted)
+    result = run_experiment(config)
+    depths = min(config.horizon, retention_steps(config))
+    assert calls == list(range(1, depths + 1))
+    # The sizes kept after the last call are the ones each later step charges.
+    assert [e.size for e in result.transcript.by_kind(TranscriptKind.TRANSFORM_OUTPUT, 0)] == \
+        [step_sizes(config, t).slots for t in range(1, config.horizon + 1)]
 
 
 def test_lifetime_budget_never_exceeded_small_run():
