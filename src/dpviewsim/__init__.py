@@ -6,7 +6,8 @@ Modules:
     randomness every word and variate from PCG64's raw words: the owners'
                streams, and the servers' words drawn in pairs
     obliv      secure cache kept as its real rows plus a slot count, which
-               each step appends to in place; sorts the reals of one or more
+               each step appends to and each sync or flush sorts, reads and
+               (a flush) empties in place; sorts the reals of one or more
                same-length bitonic networks in their output order with one
                Timsort (one scan for keys already in order) and charges
                nothing, the network
@@ -18,10 +19,10 @@ Modules:
                its `step_sizes`, the one rule for a step's padded join
                lengths, output slots and compares; the step computes them
                once per retained depth and keeps them on the state for the
-               steps after; the Filter keeps the rows
-               of one fixed predicate, `selected`; a record's join slots per
-               invocation, a function of its age alone, are the joins' only
-               contribution bound; a join takes reals plus padded lengths and
+               steps after; the Filter keeps the rows that one fixed
+               predicate, `selected`, keeps of a batch; a record's join slots
+               per invocation, a function of its age alone, are the joins'
+               only contribution bound; a join takes reals plus padded lengths and
                returns only its rows and sorts only when a real can join;
                the SMJ keys its smaller input, scans its larger input once,
                and sorts on (key, origin, seq) only the reals of keys found on
@@ -37,15 +38,18 @@ Modules:
     transcript what each server observes: sizes, timestamps and shares, one
                plain row per observation, expanded per server into slotted
                events when first read
-    leakage    reference DP mechanisms, one scalar body each, which replay a
-               run's releases from its logical stream; transcript audit
+    leakage    the logical stream, an owner's records held per step;
+               reference DP mechanisms, one scalar body each, which replay a
+               run's releases from it; transcript audit
     harness    the run's config and its single validation, the run's one state
                (`RunState`: the config, seq stamps, randomness and transcript
                the steps read; the cache, counter, threshold, view, retained
-               batches, produced rows and step sizes they update in place),
-               experiment loop (which charges each step's cost from sizes the
-               servers see), baselines, synthetic workloads drawn and handed
-               out to the owners in one pass, metrics (a run pauses the
+               batches, produced rows and step sizes they update in place,
+               and a DP run's noise scales, computed once), experiment loop
+               (which charges each step's cost from sizes the servers see),
+               baselines, synthetic workloads drawn and handed out to the
+               owners per step in one pass, CSV streams read per step, owner
+               batches stamped from each step's records, metrics (a run pauses the
                cyclic garbage collector and restores the caller's setting,
                which is safe because a run builds no reference cycles, as a
                test checks; the setting is process-wide, so runs in concurrent

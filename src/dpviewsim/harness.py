@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Iterable, Iterator, TextIO
 
-from .leakage import LogicalStream, StreamRecord, stream_record
-from .obliv import SecureCache, SecureTuple, network_comparison_count, secure_tuple
+from .leakage import LogicalStream
+from .obliv import SecureCache, SecureTuple, cache_read, network_comparison_count, secure_tuple
 from .randomness import RawStream, ServerRandomness
 from .sharing import RING_SIZE, SharePair
 from .shrink import (FlushReport, MaterializedView, SyncReport, ThresholdShares, ant_scales,
@@ -113,9 +113,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         # (ZeroDivisionError) or a b past the float range (OverflowError) is an
         # unbounded scale, as is a quotient that overflows to inf.
         try:
-            scale = max(ant_scales(config.b, config.epsilon)
-                        if config.protocol is Protocol.DP_ANT
-                        else (timer_scale(config.b, config.epsilon),))
+            scale = max(_noise_scales(config))
         except (OverflowError, ZeroDivisionError):
             scale = math.inf
         largest = scale * math.log((1 << 31) + 1)
@@ -137,6 +135,13 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     elif (config.stream_a is None) != (config.stream_b is None):
         raise ConfigError("join operators need both stream files or a profile")
     return config
+
+
+def _noise_scales(config: ExperimentConfig) -> tuple[float, ...]:
+    """DPANT's (threshold, check, output) noise scales, or DPTimer's one."""
+    if config.protocol is Protocol.DP_ANT:
+        return ant_scales(config.b, config.epsilon)
+    return (timer_scale(config.b, config.epsilon),)
 
 
 def _read_text(path: str) -> io.StringIO:
@@ -247,8 +252,9 @@ def emit_metrics(records: Iterable[MetricsRecord], out: str | TextIO) -> None:
 # Streams.
 
 def load_stream(path: str) -> LogicalStream:
-    """UTF-8 CSV with header t,key,attr...; integer fields; rows stable-sorted by t."""
-    arrivals: list[StreamRecord] = []
+    """UTF-8 CSV with header t,key,attr...; integer fields; each step's rows
+    in file order, the horizon the last t."""
+    steps: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     with _read_text(path) as fh:
         header = fh.readline()
         if not header:
@@ -271,26 +277,22 @@ def load_stream(path: str) -> LogicalStream:
                 raise ParseError(f"time must be >= 1, got {values[0]}", lineno, path)
             if not 0 <= values[1] < RING_SIZE:
                 raise ParseError(f"key out of 32-bit range: {values[1]}", lineno, path)
-            arrivals.append(stream_record((values[0], values[1], tuple(values[2:]))))
-    arrivals.sort(key=lambda r: r.t)  # stable
-    horizon = max((r.t for r in arrivals), default=0)
-    return LogicalStream(arrivals, horizon)
+            steps.setdefault(values[0], []).append((values[1], tuple(values[2:])))
+    return LogicalStream(dict(sorted(steps.items())), max(steps, default=0))
 
 
 def client_batches(stream: LogicalStream, c_r: int, horizon: int,
                    seqs: Iterator[int]) -> list[list[SecureTuple]]:
-    """Owner batches of c_r slots for steps 1..horizon, each kept as its real arrivals."""
-    by_step: list[list[StreamRecord]] = [[] for _ in range(horizon + 1)]
-    for rec in stream.arrivals:
-        if 0 < rec.t <= horizon:
-            by_step[rec.t].append(rec)
+    """Owner batches of c_r slots for steps 1..horizon, each kept as its real
+    arrivals, stamped with their seqs and step; later steps are not read."""
+    steps = stream.steps
     batches = []
     for t in range(1, horizon + 1):
-        recs = by_step[t]
+        recs = steps.get(t, ())
         if len(recs) > c_r:
             raise CapacityExceeded(
                 f"step {t}: {len(recs)} arrivals exceed owner batch size {c_r}")
-        batches.append([secure_tuple((r.key, r.attrs, next(seqs), t, ())) for r in recs])
+        batches.append([secure_tuple((key, attrs, next(seqs), t, ())) for key, attrs in recs])
     return batches
 
 
@@ -322,8 +324,8 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
     per-record draws.
 
     Records are handed out in the pass that draws them. At the end of each
-    step an owner sends its first `cap` waiting records, stamped with the
-    step: its carry, then the records due at the step in draw order. The
+    step an owner sends its first `cap` waiting records as the step's
+    records: its carry, then the records due at the step in draw order. The
     rest wait; those left after the horizon are dropped.
 
     With `right=False` B comes back as None and none of its records are
@@ -337,11 +339,9 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
     noise_rate = min(0.5, group_rate * 0.2)
     burst_rate = 2 * group_rate * _BURST_PERIOD / _BURST_ON  # 2x Standard, when on
 
-    out_a: list[StreamRecord] = []
-    out_b: list[StreamRecord] = []
-    wait_a: list[StreamRecord] = []
-    wait_b: list[StreamRecord] = []
-    due_b: list[StreamRecord] = []  # B records scheduled for the next step
+    # Each owner's (key, attrs) records: handed out per step, and waiting.
+    out_a, out_b, wait_a, wait_b = {}, {}, [], []
+    due_b = []  # B records scheduled for the next step
     next_key = 1
     matched_flag = 1
 
@@ -359,34 +359,26 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
             for at in range(0, len(block), 1 + multiplicity):
                 key = next_key
                 next_key += 1
-                wait_a.append(stream_record((t, key, (matched_flag, block[at]))))
+                wait_a.append((key, (matched_flag, block[at])))
                 if right:
                     for i in range(multiplicity):
-                        rec = stream_record((t + i % 2, key, (matched_flag, block[at + 1 + i])))
-                        (due_b if i % 2 else wait_b).append(rec)
+                        (due_b if i % 2 else wait_b).append(
+                            (key, (matched_flag, block[at + 1 + i])))
         if rng.random() < noise_rate:
-            wait_a.append(stream_record((t, (1 << 30) + next_key, (0, rng.integers(1000)))))
+            wait_a.append(((1 << 30) + next_key, (0, rng.integers(1000))))
             next_key += 1
         if rng.random() < noise_rate:
             attr = rng.integers(1000)
             if right:
-                wait_b.append(stream_record((t, (1 << 31) + next_key, (0, attr))))
+                wait_b.append(((1 << 31) + next_key, (0, attr)))
             next_key += 1
-        wait_a = _hand_out(wait_a, t, cap, out_a)
-        wait_b = _hand_out(wait_b, t, cap, out_b)
+        if wait_a:
+            out_a[t], wait_a = wait_a[:cap], wait_a[cap:]
+        if wait_b:
+            out_b[t], wait_b = wait_b[:cap], wait_b[cap:]
 
     return (LogicalStream(out_a, horizon),
             LogicalStream(out_b, horizon) if right else None)
-
-
-def _hand_out(waiting: list[StreamRecord], t: int, cap: int,
-              out: list[StreamRecord]) -> list[StreamRecord]:
-    """Append the first `cap` waiting records to `out`, stamped t; return the rest."""
-    if len(waiting) <= cap and (not waiting or waiting[0].t == t):
-        out += waiting  # no carry: every record is already stamped t
-        return []
-    out.extend(r if r.t == t else stream_record((t, r.key, r.attrs)) for r in waiting[:cap])
-    return waiting[cap:]
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +460,7 @@ class RunState:
     of the past owner batches that joins still scan (`retained`), every
     row the transform produced (`produced_rows`) and the last step's
     `step_sizes` (`sizes`), which stop changing once the retained depth is
-    full.
+    full. A DP run also keeps its protocol's noise `scales`, computed once.
     """
 
     config: ExperimentConfig
@@ -482,10 +474,13 @@ class RunState:
     retained: tuple[deque, deque] = field(init=False)
     produced_rows: list[SecureTuple] = field(default_factory=list)
     sizes: StepSizes | None = field(init=False, default=None)
+    scales: tuple[float, ...] = field(init=False, default=())
 
     def __post_init__(self):
         keep = max(0, retention_steps(self.config) - 1)
         self.retained = (deque(maxlen=keep), deque(maxlen=keep))
+        if self.config.protocol in (Protocol.DP_TIMER, Protocol.DP_ANT):
+            self.scales = _noise_scales(self.config)
 
 
 def _run(config: ExperimentConfig) -> ExperimentResult:
@@ -501,7 +496,7 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
     protocol, c_r, interval, scan_cache = (config.protocol, config.c_r, config.query_interval,
                                            config.scan_cache)
     if protocol is Protocol.DP_ANT:
-        run.threshold = sdp_ant_init(config, rand)
+        run.threshold = sdp_ant_init(run)
     sync_step = {Protocol.DP_TIMER: sdp_timer_step,
                  Protocol.DP_ANT: sdp_ant_step}.get(protocol)
     filtering = config.operator is OperatorKind.FILTER
@@ -530,7 +525,7 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
         if filtering:
             filter_seen += len(step[0])
             if not transforming:
-                filter_true += sum(map(selected, step[0]))
+                filter_true += len(selected(step[0]))
         else:
             for side, batch in enumerate(step):
                 join_tracker.add(side, batch)
@@ -549,8 +544,7 @@ def _run(config: ExperimentConfig) -> ExperimentResult:
             # EP and OTM: the whole padded delta goes straight in.
             slots = len(run.cache)
             cost += slots
-            run.view.append_batch(run.cache.entries, slots, t)
-            run.cache = SecureCache()
+            run.view.append_batch(cache_read(run.cache, slots), slots, t)
             run.transcript.add(t, TranscriptKind.SYNC_BATCH, slots)
             transforming = protocol is Protocol.EP
 

@@ -1,8 +1,12 @@
 """Reference DP mechanisms and the transcript audit.
 
-The reference mechanisms mirror the sync protocols' observable behavior from
-the logical stream alone, up to its own horizon, with the noise draw they
-are given: what an adversary may learn is at most what they release.
+The logical stream is an owner's database held per step: each step's
+`(key, attrs)` records, as `harness.synth_stream` hands them out or
+`harness.load_stream` reads them, which `harness.client_batches` stamps into
+that step's owner batch. The reference mechanisms mirror the sync protocols'
+observable behavior from the logical stream alone, up to its own horizon,
+with the noise draw they are given: what an adversary may learn is at most
+what they release.
 tests/test_replay feeds `m_timer` and `m_ant` a real run's draws and checks
 that they release exactly its syncs; tests/oracles runs the same mechanisms
 over many trials for the empirical privacy-loss estimator. The audit asserts
@@ -19,39 +23,24 @@ hot-key streams in turn and bounds the change of the per-step produced rows.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .shrink import ant_scales, timer_scale
 # Callers of the audit also reach the transcript types through this module.
 from .transcript import Transcript, TranscriptEvent, TranscriptKind
 
 
-class StreamRecord(NamedTuple):
-    t: int
-    key: int
-    attrs: tuple[int, ...]
-
-
-# Builds a StreamRecord from its three fields without the Python-level call of
-# the generated constructor: stream_record((t, key, attrs)).
-stream_record = functools.partial(tuple.__new__, StreamRecord)
-
-
 @dataclass
 class LogicalStream:
-    """Insertion-only growing database: time-stamped records."""
+    """Insertion-only growing database, held per step: `steps` maps each step
+    t that has records to its `(key, attrs)` records, in hand-out order."""
 
-    arrivals: list[StreamRecord]
+    steps: dict[int, list[tuple[int, tuple[int, ...]]]]
     horizon: int
 
     def arrivals_per_step(self) -> list[int]:
-        counts = [0] * (self.horizon + 1)
-        for rec in self.arrivals:
-            if 1 <= rec.t <= self.horizon:
-                counts[rec.t] += 1
-        return counts
+        return [len(self.steps.get(t, ())) for t in range(self.horizon + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The protocol's cache is an append-only array of real view tuples and padding.
 The servers learn only how many slots it has and read it only after an
 oblivious sort, so the simulator keeps just its real entries, in seq (FIFO)
-order, and its slot count; padding is a count and is never built. Each step
-appends its padded batch to the cache in place. A read of sz slots returns
+order, and its slot count; padding is a count and is never built. A run's
+one cache changes in place: each step appends its padded batch, and a sync
+or flush sorts it and pops the slots it reads. A read of sz slots returns
 the reals among them, and the caller, which knows sz, counts the rest as
 padding. The protocol sorts the cache with Batcher's bitonic compare-exchange
 network, so the sequence of touched index pairs is a function of the array
@@ -166,13 +167,15 @@ def network_sort(reals: list, key_of: Callable, n: int, networks: int) -> list:
 seq_of = attrgetter("seq")
 
 
-def obli_sort(cache: SecureCache) -> SecureCache:
-    """Sort real entries ahead of dummies, in the network's output order."""
-    return SecureCache(network_sort(cache.entries, seq_of, len(cache), 1), len(cache))
+def obli_sort(cache: SecureCache) -> None:
+    """Sort the cache in place: reals ahead of dummies, in the network's order."""
+    entries = cache.entries
+    order, _ = network_sort_keys(list(map(seq_of, entries)), len(cache), 1)
+    entries[:] = map(entries.__getitem__, order)
 
 
-def cache_read(cache: SecureCache, sz: int) -> tuple[list[SecureTuple], SecureCache]:
-    """Pop the first sz slots and return their reals: the first sz reals.
+def cache_read(cache: SecureCache, sz: int) -> list[SecureTuple]:
+    """Pop the first sz slots in place; return their reals, the first sz reals.
 
     The other sz - len(reals) slots read are padding. Reals come first in the
     padded array only once it is sorted, so callers sort first. Reading past
@@ -180,10 +183,16 @@ def cache_read(cache: SecureCache, sz: int) -> tuple[list[SecureTuple], SecureCa
     """
     if sz < 0:
         raise ValueError(f"read size must be non-negative, got {sz}")
-    return cache.entries[:sz], SecureCache(cache.entries[sz:], max(0, cache.slots - sz))
+    reals = cache.entries[:sz]
+    del cache.entries[:sz]
+    cache.slots = max(0, cache.slots - sz)
+    return reals
 
 
-def cache_flush(cache: SecureCache, s: int) -> tuple[list[SecureTuple], SecureCache]:
-    """Sort, fetch s slots' reals for the view, and recycle the remainder."""
-    fetched, _ = cache_read(obli_sort(cache), s)
-    return fetched, SecureCache()
+def cache_flush(cache: SecureCache, s: int) -> list[SecureTuple]:
+    """Sort, fetch s slots' reals for the view, and empty the cache in place."""
+    obli_sort(cache)
+    fetched = cache_read(cache, s)
+    cache.entries.clear()
+    cache.slots = 0
+    return fetched

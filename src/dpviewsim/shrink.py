@@ -11,9 +11,10 @@ read, which the benchmark's tracer calls, builds a padding row.
 
 Each step function takes the run's one state (the harness's `RunState`) and
 reads it by attribute: its validated config, whose fields each step's
-docstring names, and its `rand` and `transcript`. It updates the state's `cache`,
-`counter`, `threshold` and `view` in place and returns only its report, or
-None on a step that syncs or flushes nothing.
+docstring names, its `rand` and `transcript`, and the DP noise `scales` the
+run computed once. It updates the state's `counter`, `threshold` and `view`
+in place, sorts, reads and empties the one `cache` in place, and returns
+only its report, or None on a step that syncs or flushes nothing.
 """
 
 from __future__ import annotations
@@ -136,8 +137,8 @@ def _sync(t: int, pre: float, run, *shares: SharePair) -> SyncReport:
     clamp_round(pre) slots into the view, and hand each server its half of
     every re-shared pair in `shares`, in order. Draws no randomness."""
     sz = clamp_round(pre)
-    fetched, run.cache = cache_read(obli_sort(run.cache), sz)
-    run.view.append_batch(fetched, sz, t)
+    obli_sort(run.cache)
+    run.view.append_batch(cache_read(run.cache, sz), sz, t)
     run.transcript.add(t, TranscriptKind.SYNC_BATCH, sz, shares)
     return _sync_report((t, pre, sz))
 
@@ -145,36 +146,36 @@ def _sync(t: int, pre: float, run, *shares: SharePair) -> SyncReport:
 def sdp_timer_step(t: int, run) -> SyncReport | None:
     """Sync a DP-sized batch every T steps; no-op, and no report, otherwise.
 
-    Reads the config's `T`, `b` and `epsilon`.
+    Reads the config's `T` and the run's `scales`.
     """
-    config, rand = run.config, run.rand
-    if t % config.T != 0:
+    rand = run.rand
+    if t % run.config.T != 0:
         return None
-    pre = recover(run.counter) + rand.joint_laplace(timer_scale(config.b, config.epsilon))
+    pre = recover(run.counter) + rand.joint_laplace(run.scales[0])
     run.counter = zero_counter(rand)
     return _sync(t, pre, run, run.counter)
 
 
-def sdp_ant_init(config, rand) -> ThresholdShares:
-    """Draw and share a noisy threshold from the config's `theta`, `b` and
-    `epsilon`: the run's first one, and each trigger's refresh."""
-    th_scale, _, _ = ant_scales(config.b, config.epsilon)
-    return share_real(config.theta + rand.joint_laplace(th_scale), rand)
+def sdp_ant_init(run) -> ThresholdShares:
+    """Draw and share a noisy threshold from the config's `theta` at the
+    run's threshold scale: the run's first one, and each trigger's refresh."""
+    return share_real(run.config.theta + run.rand.joint_laplace(run.scales[0]), run.rand)
 
 
 def sdp_ant_step(t: int, run) -> SyncReport | None:
     """Noisy-count vs noisy-threshold check; sync and refresh on a trigger,
-    with no report otherwise. Reads the config's `theta`, `b` and `epsilon`.
+    with no report otherwise. Reads the config's `theta` and the run's
+    `scales`.
     """
-    config, rand = run.config, run.rand
-    _, check_scale, out_scale = ant_scales(config.b, config.epsilon)
+    rand = run.rand
+    _, check_scale, out_scale = run.scales
     c = recover(run.counter)
     check = c + rand.joint_laplace(check_scale)
     run.transcript.add(t, TranscriptKind.COMPARE_CHECK, 0)
     if check < recover_real(run.threshold):
         return None
     pre = c + rand.joint_laplace(out_scale)
-    run.threshold = sdp_ant_init(config, rand)
+    run.threshold = sdp_ant_init(run)
     run.counter = zero_counter(rand)
     return _sync(t, pre, run, run.counter, *run.threshold)
 
@@ -192,7 +193,7 @@ def flush_step(t: int, run) -> FlushReport | None:
     if t % config.f != 0:
         return None
     real = run.cache.real_count()
-    fetched, run.cache = cache_flush(run.cache, config.s)
+    fetched = cache_flush(run.cache, config.s)
     run.view.append_batch(fetched, config.s, t)
     run.transcript.add(t, TranscriptKind.FLUSH_BATCH, config.s)
     return FlushReport(t, config.s, real - len(fetched))

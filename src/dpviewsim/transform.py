@@ -13,8 +13,8 @@ lengths, output slots and sort compares from the config and t, so the
 simulator's joins may skip work that emits nothing: a join sorts only when a
 real can join. The SMJ builds the key set of its input with fewer reals and
 scans the larger input once; the NLJ indexes only the inner reals whose key
-an outer holds. The Filter keeps the rows that `selected` accepts, a fixed
-predicate.
+an outer holds. The Filter keeps the rows that `selected`, a fixed predicate,
+keeps of a whole batch.
 
 `transform_step` takes the run's one state (the harness's `RunState`) and
 reads it by attribute: its validated config's `operator`, `omega`, `b` and
@@ -46,19 +46,20 @@ def _join_tuple(a: SecureTuple, b: SecureTuple, seqs: Iterator[int], timestamp: 
     return secure_tuple((a.key, a.attrs + b.attrs, next(seqs), timestamp, (a.seq, b.seq)))
 
 
-def selected(tup: SecureTuple) -> bool:
-    """The Filter operator's predicate: the first attribute is nonzero."""
-    return bool(tup.attrs and tup.attrs[0])
+def selected(batch: list[SecureTuple]) -> list[SecureTuple]:
+    """The Filter operator's predicate over a batch: its reals whose first
+    attribute is nonzero, in batch order."""
+    return [tup for tup in batch if tup.attrs and tup.attrs[0]]
 
 
 def trans_truncate_filter(batch: list[SecureTuple], seqs: Iterator[int],
                           timestamp: int) -> list[SecureTuple]:
     """Oblivious selection over a batch's reals: the kept rows.
 
-    A real input is kept, with its payload, iff it is `selected`.
+    A real input is kept, with its payload, iff `selected` keeps it.
     """
     return [secure_tuple((tup.key, tup.attrs, next(seqs), timestamp, (tup.seq,)))
-            for tup in batch if selected(tup)]
+            for tup in selected(batch)]
 
 
 def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2: int,

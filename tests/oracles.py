@@ -1,16 +1,41 @@
-"""Oracles that the tests check runs against; no run uses them: the plaintext
-count, inverse-CDF Laplace draws, `leakage`'s reference mechanisms over many
-trials, and the empirical privacy-loss estimator (the black-box approach of
-Ding et al., CCS 2018)."""
+"""Oracles that the tests check runs against; no run uses them: a logical
+stream as a list of time-stamped records, the plaintext count, inverse-CDF
+Laplace draws, `leakage`'s reference mechanisms over many trials, and the
+empirical privacy-loss estimator (the black-box approach of Ding et al., CCS
+2018)."""
 
 import math
 from collections import Counter
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from dpviewsim.leakage import LogicalStream, m_timer
 from dpviewsim.shrink import ant_scales
 from dpviewsim.transform import OperatorKind
+
+
+class Arrival(NamedTuple):
+    """One record of a logical stream with its step."""
+
+    t: int
+    key: int
+    attrs: tuple[int, ...]
+
+
+def arrivals(stream: LogicalStream) -> list[Arrival]:
+    """The stream's records, step by step and in hand-out order within a
+    step: the one reader of `LogicalStream.steps` in the tests."""
+    return [Arrival(t, key, attrs) for t in sorted(stream.steps)
+            for key, attrs in stream.steps[t]]
+
+
+def logical_stream(records: Iterable[Arrival], horizon: int) -> LogicalStream:
+    """The stream of `records`, in their order within each step."""
+    steps: dict = {}
+    for t, key, attrs in records:
+        steps.setdefault(t, []).append((key, attrs))
+    return LogicalStream(steps, horizon)
 
 
 def true_count(stream_a: LogicalStream, stream_b: LogicalStream | None,
@@ -21,12 +46,12 @@ def true_count(stream_a: LogicalStream, stream_b: LogicalStream | None,
     key-matching pairs from a count of the right side's keys.
     """
     if operator is OperatorKind.FILTER:
-        return sum(1 for rec in stream_a.arrivals
+        return sum(1 for rec in arrivals(stream_a)
                    if rec.t <= t and rec.attrs and rec.attrs[0])
     if stream_b is None:
         raise ValueError(f"{operator.value} needs a right-hand stream")
-    right = Counter(r.key for r in stream_b.arrivals if r.t <= t)
-    return sum(right[a.key] for a in stream_a.arrivals if a.t <= t)
+    right = Counter(r.key for r in arrivals(stream_b) if r.t <= t)
+    return sum(right[a.key] for a in arrivals(stream_a) if a.t <= t)
 
 
 class NeighborViolation(ValueError):
@@ -35,7 +60,7 @@ class NeighborViolation(ValueError):
 
 def assert_neighbors(a: LogicalStream, b: LogicalStream) -> None:
     """Neighbors differ by the addition or removal of one logical update."""
-    ca, cb = Counter(a.arrivals), Counter(b.arrivals)
+    ca, cb = Counter(arrivals(a)), Counter(arrivals(b))
     n_extra, n_missing = sum((ca - cb).values()), sum((cb - ca).values())
     if (n_extra, n_missing) not in ((1, 0), (0, 1)):
         raise NeighborViolation(
@@ -110,7 +135,7 @@ def empirical_privacy_loss(run, stream_a: LogicalStream, stream_b: LogicalStream
     """
     if min_bin is None:
         min_bin = max(100, trials // 20)
-    if sorted(stream_a.arrivals) != sorted(stream_b.arrivals):
+    if sorted(arrivals(stream_a)) != sorted(arrivals(stream_b)):
         assert_neighbors(stream_a, stream_b)
     rng_a, rng_b = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
 

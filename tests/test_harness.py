@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from dpviewsim.harness import (_BURST_ON, _BURST_PERIOD, CapacityExceeded,
                                load_stream, parse_config_file, query_count,
                                run_experiment, run_trials, synth_stream,
                                validate_config)
-from dpviewsim.leakage import LogicalStream, StreamRecord
 from dpviewsim.obliv import SecureTuple, cache_flush, network_sort, obli_sort
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover
@@ -29,7 +29,7 @@ from dpviewsim.shrink import (MaterializedView, flush_step, sdp_ant_step, sdp_ti
 from dpviewsim.transcript import Transcript, TranscriptKind
 from dpviewsim.transform import (OperatorKind, step_sizes, trans_truncate_nlj,
                                  trans_truncate_smj, transform_step)
-from oracles import true_count
+from oracles import Arrival, arrivals, logical_stream, true_count
 from test_golden import hot_key_config
 from test_transform import charge_joins
 
@@ -41,7 +41,7 @@ def test_load_stream_basic(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("t,key,a\n1,7,0\n")
     s = load_stream(str(p))
-    assert s.arrivals == [StreamRecord(1, 7, (0,))]
+    assert s.steps == {1: [(7, (0,))]}
     assert s.horizon == 1
 
 
@@ -49,15 +49,18 @@ def test_load_stream_empty_with_header(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("t,key,a\n")
     s = load_stream(str(p))
-    assert s.arrivals == [] and s.horizon == 0
+    assert s.steps == {} and s.horizon == 0
 
 
 def test_load_stream_sorts_stably(tmp_path):
+    # Steps come in order and without rows are absent, each step keeps its
+    # rows in file order, and the horizon is the last t.
     p = tmp_path / "s.csv"
-    p.write_text("t,key,a\n3,1,0\n1,2,0\n3,3,0\n2,4,0\n")
+    p.write_text("t,key,a\n3,1,0\n1,2,5\n3,3,0\n9,4,0\n3,5,1\n")
     s = load_stream(str(p))
-    assert [r.t for r in s.arrivals] == [1, 2, 3, 3]
-    assert [r.key for r in s.arrivals] == [2, 4, 1, 3]  # ties keep file order
+    assert s.steps == {1: [(2, (5,))], 3: [(1, (0,)), (3, (0,)), (5, (1,))], 9: [(4, (0,))]}
+    assert list(s.steps) == [1, 3, 9]
+    assert s.horizon == 9
 
 
 def test_load_stream_missing_header(tmp_path):
@@ -95,8 +98,8 @@ def test_load_stream_wrong_arity(tmp_path):
 # Owner batches.
 
 def make_stream(times):
-    return LogicalStream([StreamRecord(t, i + 1, (1,)) for i, t in enumerate(times)],
-                         max(times) if times else 0)
+    return logical_stream([Arrival(t, i + 1, (1,)) for i, t in enumerate(times)],
+                          max(times) if times else 0)
 
 
 def test_client_batches_hold_each_step_s_arrivals():
@@ -115,10 +118,9 @@ def test_client_batches_capacity_exceeded():
 
 
 def test_client_batches_drop_arrivals_outside_the_horizon():
-    s = LogicalStream([StreamRecord(t, i + 1, (1,)) for i, t in enumerate([0, -3, 1, 4, 3, -1])],
-                      4)
+    s = make_stream([1, 4, 3])
     batches = client_batches(s, c_r=5, horizon=3, seqs=itertools.count(0))
-    assert [[(r.key, r.timestamp) for r in b] for b in batches] == [[(3, 1)], [], [(5, 3)]]
+    assert [[(r.key, r.timestamp) for r in b] for b in batches] == [[(1, 1)], [], [(3, 3)]]
 
 
 def test_client_batches_keep_unsorted_arrivals_in_order_within_a_step():
@@ -133,6 +135,26 @@ def test_client_batches_unique_seqs():
     batches = client_batches(s, c_r=4, horizon=3, seqs=itertools.count(100))
     rows = [t for b in batches for t in b]
     assert [(t.seq, t.timestamp) for t in rows] == [(100, 1), (101, 2), (102, 2), (103, 3)]
+
+
+@pytest.mark.parametrize("operator", list(OperatorKind))
+def test_a_row_far_past_the_horizon_changes_no_byte(operator, tmp_path):
+    # A row at t = 10**12 is read, kept under its own step and never batched,
+    # so a horizon-20 run finishes with the bytes of the file without it.
+    # Per-step storage sized by the file's last t could not even be built.
+    config = hot_key_config(ExperimentConfig(operator=operator, horizon=20, seed=4), tmp_path)
+    far = dataclasses.replace(config)
+    for name in ("stream_a", "stream_b"):
+        path = getattr(config, name)
+        if path is not None:
+            with_far = tmp_path / f"far_{name}.csv"
+            with_far.write_text(Path(path).read_text() + f"{10**12},7,1\n")
+            far = dataclasses.replace(far, **{name: str(with_far)})
+    assert load_stream(far.stream_a).horizon == 10**12
+    out = [io.StringIO(), io.StringIO()]
+    for cfg, buf in zip((config, far), out):
+        emit_metrics(run_experiment(cfg).metrics, buf)
+    assert out[0].getvalue() == out[1].getvalue() != ""
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +202,21 @@ def _synth_stream_oracle(profile, seed, horizon, multiplicity=1, cap=5, *, right
             key = next_key
             next_key += 1
             pend_a.setdefault(t, []).append(
-                StreamRecord(t, key, (1, int(rng.integers(1000)))))
+                Arrival(t, key, (1, int(rng.integers(1000)))))
             for i in range(multiplicity):
                 bt = t + (i % 2)
-                rec = StreamRecord(bt, key, (1, int(rng.integers(1000))))
+                rec = Arrival(bt, key, (1, int(rng.integers(1000))))
                 if right:
                     pend_b.setdefault(bt, []).append(rec)
         if rng.random() < noise_rate:
             pend_a.setdefault(t, []).append(
-                StreamRecord(t, (1 << 30) + next_key, (0, int(rng.integers(1000)))))
+                Arrival(t, (1 << 30) + next_key, (0, int(rng.integers(1000)))))
             next_key += 1
         if rng.random() < noise_rate:
             attr = int(rng.integers(1000))
             if right:
                 pend_b.setdefault(t, []).append(
-                    StreamRecord(t, (1 << 31) + next_key, (0, attr)))
+                    Arrival(t, (1 << 31) + next_key, (0, attr)))
             next_key += 1
 
     def drain(pending):
@@ -202,13 +224,13 @@ def _synth_stream_oracle(profile, seed, horizon, multiplicity=1, cap=5, *, right
         for t in range(1, horizon + 1):
             queue = carry + pending.get(t, [])
             take, carry = queue[:cap], queue[cap:]
-            out.extend(r if r.t == t else StreamRecord(t, r.key, r.attrs) for r in take)
+            out.extend(r if r.t == t else Arrival(t, r.key, r.attrs) for r in take)
         if leftover is not None:
             leftover.update(carry + pending.get(horizon + 1, []))
         return out
 
-    return (LogicalStream(drain(pend_a), horizon),
-            LogicalStream(drain(pend_b), horizon) if right else None)
+    return (logical_stream(drain(pend_a), horizon),
+            logical_stream(drain(pend_b), horizon) if right else None)
 
 
 @pytest.mark.parametrize("multiplicity", [1, 2, 3])
@@ -257,15 +279,15 @@ def test_run_builds_owner_b_only_for_joins(monkeypatch, operator):
 
 def test_synth_zero_horizon():
     a, b = synth_stream(Profile.STANDARD, 1, 0)
-    assert a.arrivals == [] and b.arrivals == []
+    assert a.steps == {} and b.steps == {}
 
 
 def test_synth_multiplicity_groups():
     a, b = synth_stream(Profile.STANDARD, 3, 200, multiplicity=4, cap=12)
     from collections import Counter
     # groups started near the horizon may lose partners past the edge
-    interior = {r.key for r in a.arrivals if r.attrs[0] == 1 and r.t <= 190}
-    per_key = Counter(r.key for r in b.arrivals
+    interior = {r.key for r in arrivals(a) if r.attrs[0] == 1 and r.t <= 190}
+    per_key = Counter(r.key for r in arrivals(b)
                       if r.attrs[0] == 1 and r.key in interior)
     assert per_key and set(per_key.values()) == {4}
 
@@ -274,7 +296,7 @@ def test_synth_respects_cap():
     for profile in Profile:
         a, b = synth_stream(profile, 5, 300, cap=5)
         for s in (a, b):
-            per_step = np.bincount([r.t for r in s.arrivals], minlength=301)
+            per_step = np.bincount([r.t for r in arrivals(s)], minlength=301)
             assert per_step.max() <= 5
 
 
@@ -537,10 +559,13 @@ def test_steps_update_the_run_state_in_place():
     assert sdp_timer_step(7, run) is None and flush_step(7, run) is None
     assert run.cache is cache and run.counter is counter and run.view is view
     assert cache.real_count() == 1 and view.batches == [] and len(run.transcript) == events
-    # On schedule the same run is updated in place: a new cache and counter.
+    # On schedule the same run is updated in place: the one cache is sorted
+    # and read in place, and the counter is re-shared.
     report = sdp_timer_step(10, run)
     assert report is not None and run.view is view and view.batches == [(10, report.size)]
-    assert run.cache is not cache and recover(run.counter) == 0
+    assert run.cache is cache and recover(run.counter) == 0
+    assert flush_step(20, run) is not None
+    assert run.cache is cache and len(cache) == cache.real_count() == 0
 
 
 def test_no_step_join_or_sort_takes_a_counter():
@@ -712,15 +737,14 @@ def test_query_count_empty_view():
 
 
 def test_true_count_brute_force_filter():
-    s = LogicalStream([StreamRecord(1, 1, (1,)), StreamRecord(2, 2, (0,)),
-                       StreamRecord(3, 3, (1,))], 3)
+    s = logical_stream([Arrival(1, 1, (1,)), Arrival(2, 2, (0,)), Arrival(3, 3, (1,))], 3)
     assert true_count(s, None, OperatorKind.FILTER, 1) == 1
     assert true_count(s, None, OperatorKind.FILTER, 3) == 2
 
 
 def test_true_count_brute_force_join():
-    a = LogicalStream([StreamRecord(1, 5, (1,)), StreamRecord(2, 6, (1,))], 3)
-    b = LogicalStream([StreamRecord(1, 5, (1,)), StreamRecord(3, 5, (1,))], 3)
+    a = logical_stream([Arrival(1, 5, (1,)), Arrival(2, 6, (1,))], 3)
+    b = logical_stream([Arrival(1, 5, (1,)), Arrival(3, 5, (1,))], 3)
     assert true_count(a, b, OperatorKind.SMJ, 1) == 1
     assert true_count(a, b, OperatorKind.SMJ, 3) == 2
 
@@ -728,7 +752,7 @@ def test_true_count_brute_force_join():
 @pytest.mark.parametrize("operator", [OperatorKind.SMJ, OperatorKind.NLJ])
 def test_true_count_join_without_right_stream_raises(operator):
     # An explicit raise, so the check also holds under python -O.
-    a = LogicalStream([StreamRecord(1, 5, (1,))], 3)
+    a = logical_stream([Arrival(1, 5, (1,))], 3)
     with pytest.raises(ValueError, match="right-hand stream"):
         true_count(a, None, operator, 1)
 
@@ -738,8 +762,8 @@ def test_true_count_matches_nested_loop_on_synthetic_streams():
     for profile in Profile:
         a, b = synth_stream(profile, 3, 120, multiplicity=3, cap=12)
         for t in (1, 37, 120):
-            pairs = sum(1 for x in a.arrivals if x.t <= t
-                        for y in b.arrivals if y.t <= t and x.key == y.key)
+            pairs = sum(1 for x in arrivals(a) if x.t <= t
+                        for y in arrivals(b) if y.t <= t and x.key == y.key)
             assert true_count(a, b, OperatorKind.NLJ, t) == pairs
 
 

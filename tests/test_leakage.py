@@ -3,18 +3,17 @@ import functools
 import numpy as np
 import pytest
 
-from dpviewsim.leakage import (AuditExpectation, LogicalStream, StreamRecord,
-                               Transcript, TranscriptEvent, TranscriptKind,
-                               m_ant, m_timer, stream_record, transcript_audit)
+from dpviewsim.leakage import (AuditExpectation, LogicalStream, Transcript, TranscriptEvent,
+                               TranscriptKind, m_ant, m_timer, transcript_audit)
 
-from oracles import (NeighborViolation, ant_mechanism, assert_neighbors,
-                     empirical_privacy_loss, laplace_oracle, timer_mechanism)
+from oracles import (Arrival, NeighborViolation, ant_mechanism, arrivals, assert_neighbors,
+                     empirical_privacy_loss, laplace_oracle, logical_stream, timer_mechanism)
 
 
 def stream(times, horizon=None, key0=1):
-    arrivals = [StreamRecord(t, key0 + i, (1,)) for i, t in enumerate(times)]
-    return LogicalStream(arrivals, horizon if horizon is not None else
-                         (max(times) if times else 0))
+    records = [Arrival(t, key0 + i, (1,)) for i, t in enumerate(times)]
+    return logical_stream(records, horizon if horizon is not None else
+                          (max(times) if times else 0))
 
 
 class ScriptedNoise:
@@ -98,8 +97,8 @@ def test_m_ant_huge_threshold_never_releases():
 def test_m_ant_zero_noise_release_trace():
     # Two arrivals per step, threshold 5: counts 2, 4, 6 -> release at t=3
     # with value 6, then the window resets.
-    arrivals = [StreamRecord(t, 10 * t + i, (1,)) for t in (1, 2, 3, 4) for i in (0, 1)]
-    s = LogicalStream(arrivals, 4)
+    records = [Arrival(t, 10 * t + i, (1,)) for t in (1, 2, 3, 4) for i in (0, 1)]
+    s = logical_stream(records, 4)
     out = m_ant(s, theta=5, b=1, epsilon=1.0, draw=ZERO().laplace)
     assert out[:3] == [(1, None), (2, None), (3, 6.0)]
     assert out[3] == (4, None)  # window restarted: count 2 < 5
@@ -137,9 +136,9 @@ def test_nant_segments_compose_to_m_ant():
     segment_start = 1
     segmented = []
     while segment_start <= 8:
-        seg = LogicalStream(
-            [StreamRecord(r.t - segment_start + 1, r.key, r.attrs)
-             for r in s.arrivals if r.t >= segment_start],
+        seg = logical_stream(
+            [Arrival(r.t - segment_start + 1, r.key, r.attrs)
+             for r in arrivals(s) if r.t >= segment_start],
             8 - segment_start + 1)
         hit = nant(seg, eps, theta, b, noise=shared)
         if hit is None:
@@ -156,28 +155,19 @@ def test_neighbor_check():
     with pytest.raises(NeighborViolation):
         assert_neighbors(stream([1, 2, 3, 4]), stream([1, 2]))
     # substitution is not addition/removal
-    x = LogicalStream([StreamRecord(1, 5, (1,))], 1)
-    y = LogicalStream([StreamRecord(1, 6, (1,))], 1)
+    x = logical_stream([Arrival(1, 5, (1,))], 1)
+    y = logical_stream([Arrival(1, 6, (1,))], 1)
     with pytest.raises(NeighborViolation):
         assert_neighbors(x, y)
-
-
-def test_stream_record_builder_equals_the_constructor():
-    fields = (3, 9, (1, 2))
-    built, made = stream_record(fields), StreamRecord(*fields)
-    assert built == made and type(built) is StreamRecord
-    assert (built.t, built.key, built.attrs) == fields
-    assert built._asdict() == made._asdict()
 
 
 # ---------------------------------------------------------------------------
 # Empirical privacy loss.
 
 def neighbor_pair(horizon=4, extra_t=2):
-    base = [StreamRecord(1, 100, (1,)), StreamRecord(2, 101, (1,)),
-            StreamRecord(extra_t, 102, (1,))]
-    a = LogicalStream(base, horizon)
-    b = LogicalStream(base + [StreamRecord(extra_t, 103, (1,))], horizon)
+    base = [Arrival(1, 100, (1,)), Arrival(2, 101, (1,)), Arrival(extra_t, 102, (1,))]
+    a = logical_stream(base, horizon)
+    b = logical_stream(base + [Arrival(extra_t, 103, (1,))], horizon)
     return a, b
 
 
@@ -211,8 +201,8 @@ def test_timer_stability_scaling_doubles_loss():
     # loss (the composed release moves by 2 between neighbors).
     a, b = neighbor_pair()
     def two_stable(s, trials, draw):
-        doubled = [rec for rec in s.arrivals for _ in range(2)]
-        return timer_mechanism(LogicalStream(doubled, s.horizon), trials, draw, 4, 1, 1.0)
+        doubled = [rec for rec in arrivals(s) for _ in range(2)]
+        return timer_mechanism(logical_stream(doubled, s.horizon), trials, draw, 4, 1, 1.0)
 
     est = empirical_privacy_loss(two_stable, a, b, trials=100_000, seed=2)
     assert 1.6 < est < 2.3
@@ -294,11 +284,11 @@ def test_two_phase_composition_bound():
     # per-phase budgets eps_i yields total loss sum(q_i * eps_i).
     q1, q2 = 1, 2
     eps1, eps2 = 0.5, 0.25
-    a = LogicalStream([], 1)
-    b = LogicalStream([StreamRecord(1, 7, (1,))], 1)
+    a = logical_stream([], 1)
+    b = logical_stream([Arrival(1, 7, (1,))], 1)
 
     def two_phase(s, trials, draw):
-        count = len(s.arrivals)
+        count = len(arrivals(s))
         r1 = q1 * count + draw(1 / eps1, trials)
         r2 = q2 * count + draw(1 / eps2, trials)
         return np.stack([r1, r2], axis=1)

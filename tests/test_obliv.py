@@ -77,12 +77,13 @@ def test_cache_rejects_more_reals_than_slots():
 
 def test_obli_sort_real_first_with_fifo_ties():
     c = SecureCache([real(3), real(1)], 4)
-    out = obli_sort(c)
-    assert [e.seq for e in out.entries] == [1, 3]
-    assert len(out) == 4 and out.real_count() == 2
-    fetched, rest = cache_read(out, 4)
-    assert fetched == out.entries  # the other 2 of the 4 slots read are padding
-    assert len(rest) == 0 and rest.entries == []
+    entries = c.entries
+    assert obli_sort(c) is None  # sorted in place
+    assert [e.seq for e in c.entries] == [1, 3] and c.entries is entries
+    assert len(c) == 4 and c.real_count() == 2
+    fetched = cache_read(c, 4)
+    assert fetched == [real(1), real(3)]  # the other 2 of the 4 slots read are padding
+    assert len(c) == 0 and c.entries == [] and c.entries is entries
 
 
 def test_real_first_exhaustive_small():
@@ -94,9 +95,10 @@ def test_real_first_exhaustive_small():
         for bits in range(1 << n):
             seqs = [i for i in range(n) if bits >> i & 1]
             for order in (seqs, seqs[::-1]):
-                out = obli_sort(SecureCache([real(i) for i in order], n))
                 for sz in range(n + 1):
-                    fetched, rest = cache_read(out, sz)
+                    rest = SecureCache([real(i) for i in order], n)
+                    obli_sort(rest)
+                    fetched = cache_read(rest, sz)
                     assert [e.seq for e in fetched] == seqs[:sz]
                     assert sz - len(fetched) == max(0, sz - len(seqs))
                     assert [e.seq for e in rest.entries] == seqs[sz:]
@@ -250,36 +252,39 @@ def test_network_sort_arbitrary_lengths():
 
 
 def test_cache_read_prefix_cut():
+    # Each read pops its slots from the one cache, in place.
     c = SecureCache([real(0), real(1), real(2)], 6)
-    fetched, remaining = cache_read(c, 2)
+    fetched = cache_read(c, 2)
     assert fetched == [real(0), real(1)]
-    assert remaining.entries == [real(2)] and len(remaining) == 4
-    fetched, remaining = cache_read(c, 5)
-    assert fetched == [real(0), real(1), real(2)]  # and 5 - 3 = 2 padding slots
-    assert remaining.entries == [] and len(remaining) == 1
-    assert remaining.real_count() == 0
+    assert c.entries == [real(2)] and len(c) == 4
+    fetched = cache_read(c, 3)
+    assert fetched == [real(2)]  # and 3 - 1 = 2 padding slots
+    assert c.entries == [] and len(c) == 1
+    assert c.real_count() == 0
 
 
 def test_cache_read_dummy_top_up():
     # A read past the cache returns its reals; the other 4 - 1 slots read
     # are padding, which is a count and is not built.
     c = SecureCache([real(0)], 1)
-    fetched, remaining = cache_read(c, 4)
+    fetched = cache_read(c, 4)
     assert fetched == [real(0)]
-    assert len(remaining) == 0 and remaining.entries == []
+    assert len(c) == 0 and c.entries == []
 
 
 def test_cache_read_zero():
     c = SecureCache([real(0)], 2)
-    fetched, remaining = cache_read(c, 0)
+    fetched = cache_read(c, 0)
     assert fetched == []
-    assert remaining.entries == c.entries and remaining.real_count() == 1
-    assert len(remaining) == 2
+    assert c.entries == [real(0)] and c.real_count() == 1
+    assert len(c) == 2
 
 
 def test_cache_read_negative_rejected():
+    c = SecureCache([real(0)], 2)
     with pytest.raises(ValueError):
-        cache_read(SecureCache(), -1)
+        cache_read(c, -1)
+    assert c == SecureCache([real(0)], 2)  # a rejected read changes nothing
 
 
 def test_flush_basic(monkeypatch):
@@ -291,16 +296,16 @@ def test_flush_basic(monkeypatch):
 
     monkeypatch.setattr(obliv, "obli_sort", spy_obli_sort)
     c = SecureCache([real(0)], 3)
-    fetched, remaining = cache_flush(c, 2)
+    fetched = cache_flush(c, 2)
     assert fetched == [real(0)]  # the other of the 2 slots read is padding
-    assert len(remaining) == 0 and remaining.entries == []
+    assert len(c) == 0 and c.entries == []  # emptied in place
     assert sorted_caches == [3]  # the flush sorts the whole cache first
 
 
 def test_flush_zero_recycles_everything():
     c = SecureCache([real(0)], 2)
-    fetched, remaining = cache_flush(c, 0)
-    assert fetched == [] and len(remaining) == 0
+    fetched = cache_flush(c, 0)
+    assert fetched == [] and len(c) == 0 and c.entries == []
 
 
 def test_flush_real_count_oracle():
@@ -312,7 +317,7 @@ def test_flush_real_count_oracle():
         entries = [real(i) if rng.random() < 0.4 else PAD for i in range(n)]
         true_reals = sum(1 for e in entries if e is not PAD)  # oracle
         s = int(rng.integers(0, 30))
-        fetched, _ = cache_flush(SecureCache([e for e in entries if e is not PAD], n), s)
+        fetched = cache_flush(SecureCache([e for e in entries if e is not PAD], n), s)
         assert len(fetched) == min(s, true_reals)  # s - len(fetched) is padding
 
 
@@ -324,11 +329,12 @@ def test_conservation_under_read():
         total_real = sum(e is not PAD for e in entries)
         sz = int(rng.integers(0, n + 5))
         cache = SecureCache([e for e in entries if e is not PAD], n)
-        fetched, remaining = cache_read(obli_sort(cache), sz)
-        got, left = len(fetched), remaining.real_count()
+        obli_sort(cache)
+        fetched = cache_read(cache, sz)
+        got, left = len(fetched), cache.real_count()
         assert got + left == total_real
         assert got == min(sz, total_real)  # real-first fetch; sz - got is padding
-        assert len(remaining) == max(0, n - sz)
+        assert len(cache) == max(0, n - sz)
 
 
 def test_padded_length():
@@ -360,19 +366,19 @@ def test_real_count_stays_exact_through_cache_operations():
         padded = padded + batch
         assert_matches_padded(cache, padded)
         if rng.random() < 0.3:
-            cache = obli_sort(cache)
+            obli_sort(cache)
             padded = sorted(padded, key=lambda e: e is PAD)
             assert_matches_padded(cache, padded)
         if rng.random() < 0.4:
             sz = int(rng.integers(0, len(cache) + 3))
-            fetched, cache = cache_read(cache, sz)
+            fetched = cache_read(cache, sz)
             padded = sorted(padded, key=lambda e: e is PAD)
             padded += [PAD] * (sz - len(padded))
             assert fetched == [e for e in padded[:sz] if e is not PAD]
             assert sz - len(fetched) == sum(e is PAD for e in padded[:sz])
             padded = padded[sz:]
             assert_matches_padded(cache, padded)
-    fetched, cache = cache_flush(cache, 5)
+    fetched = cache_flush(cache, 5)
     read = (sorted(padded, key=lambda e: e is PAD) + [PAD] * 5)[:5]
     assert fetched == [e for e in read if e is not PAD]
     assert cache.entries == [] and len(cache) == 0

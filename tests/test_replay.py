@@ -10,12 +10,12 @@ transcript audit must then accept every sync as that coupled release.
 import pytest
 
 from dpviewsim.harness import ExperimentConfig, Protocol, run_experiment
-from dpviewsim.leakage import (AuditExpectation, LogicalStream, StreamRecord, m_ant,
-                               m_timer, transcript_audit)
+from dpviewsim.leakage import AuditExpectation, m_ant, m_timer, transcript_audit
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.shrink import clamp_round
 from dpviewsim.transform import OperatorKind
 
+from oracles import Arrival, logical_stream
 from test_golden import hot_key_config
 
 _CASES = [(protocol, operator, seed)
@@ -26,8 +26,8 @@ _CASES = [(protocol, operator, seed)
 def replayed_syncs(result) -> list[tuple[int, int]]:
     """(t, size) of each release the run's reference mechanism makes."""
     config = result.config
-    stream = LogicalStream([StreamRecord(r.timestamp, r.key, ()) for r in result.produced_rows],
-                           config.horizon)
+    stream = logical_stream([Arrival(r.timestamp, r.key, ()) for r in result.produced_rows],
+                            config.horizon)
     draw = ServerRandomness(config.seed).joint_laplace
     if config.protocol is Protocol.DP_TIMER:
         releases = m_timer(stream, config.T, config.b, config.epsilon, draw)

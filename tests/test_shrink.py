@@ -6,7 +6,7 @@ from scipy.stats import binom
 
 from dpviewsim import harness, obliv, shrink
 from dpviewsim.harness import ExperimentConfig, Profile, Protocol, RunState, run_experiment
-from dpviewsim.leakage import LogicalStream, StreamRecord, m_ant
+from dpviewsim.leakage import LogicalStream, m_ant
 from dpviewsim.obliv import SecureCache, SecureTuple, obli_sort
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover, share_in_protocol
@@ -56,6 +56,11 @@ def filled_cache(n_real, n_dummy):
 def run_state(cfg, cache, rand=None, counter=None, threshold=None):
     """A run's state at some step: an empty view and transcript."""
     return RunState(cfg, itertools.count(), rand, Transcript(), counter, threshold, cache)
+
+
+def ant_threshold(cfg, rand):
+    """A noisy threshold drawn by `sdp_ant_init` at `cfg`'s scales."""
+    return sdp_ant_init(run_state(cfg, SecureCache(), rand))
 
 
 @pytest.fixture
@@ -155,7 +160,7 @@ def test_timer_tops_up_with_dummies():
 def test_ant_init_round_trip():
     rand = PinnedRand([2.1])
     cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
-    shares = sdp_ant_init(cfg, rand)
+    shares = ant_threshold(cfg, rand)
     assert recover_real(shares) == 30 + 2.1
 
 
@@ -170,7 +175,7 @@ def test_ant_trigger_trace(sorted_slots):
     # -0.2 gives sz = round(34.8) = 35; threshold refreshed with noise 0.9.
     rand = PinnedRand([2.1, 1.3, -0.2, 0.9])
     cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
-    threshold = sdp_ant_init(cfg, rand)
+    threshold = ant_threshold(cfg, rand)
     run = run_state(cfg, filled_cache(35, 5), rand, counter_of(35, rand), threshold)
     report = sdp_ant_step(1, run)
     counter, threshold = run.counter, run.threshold
@@ -195,7 +200,7 @@ def test_ant_trigger_trace(sorted_slots):
 def test_ant_below_threshold_no_trigger(sorted_slots):
     rand = PinnedRand([2.1, -1.0])
     cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
-    threshold = sdp_ant_init(cfg, rand)
+    threshold = ant_threshold(cfg, rand)
     run = run_state(cfg, filled_cache(20, 0), rand, counter_of(20, rand), threshold)
     report = sdp_ant_step(1, run)
     assert report is None
@@ -210,7 +215,7 @@ def test_ant_below_threshold_no_trigger(sorted_slots):
 def test_ant_quiet_period_never_triggers():
     rand = PinnedRand([0.0], default=0.0)
     cfg = ExperimentConfig(Protocol.DP_ANT, theta=30, epsilon=1.5, b=10)
-    threshold = sdp_ant_init(cfg, rand)
+    threshold = ant_threshold(cfg, rand)
     run = run_state(cfg, SecureCache(), rand, counter_of(0, rand), threshold)
     for t in range(1, 50):
         report = sdp_ant_step(t, run)
@@ -223,7 +228,7 @@ def test_ant_trigger_monotone_with_zero_noise():
     # is exactly the first step where c >= theta.
     cfg = ExperimentConfig(Protocol.DP_ANT, theta=5, epsilon=1.0, b=1)
     rand = PinnedRand([], default=0.0)
-    run = run_state(cfg, SecureCache(), rand, threshold=sdp_ant_init(cfg, rand))
+    run = run_state(cfg, SecureCache(), rand, threshold=ant_threshold(cfg, rand))
     c = 0
     trigger_at = None
     for t in range(1, 10):
@@ -246,7 +251,7 @@ def test_ant_scales_protocol_and_proof():
     # at t = 1: a threshold, a check, the release and a refreshed threshold.
     # (The proofs' 4b/eps output scale is the tests' oracle's; test_leakage
     # checks it against these.)
-    one = LogicalStream([StreamRecord(1, 1, (1,))], 1)
+    one = LogicalStream({1: [(1, (1,))]}, 1)
     scales = []
     m_ant(one, 0.5, 10, 1.5, lambda scale: scales.append(scale) or 0.0)
     assert scales == [b * 10 / 1.5 for b in (4, 8, 2, 4)]
@@ -489,3 +494,65 @@ def test_zero_noise_syncs_move_every_cached_row(protocol, operator, monkeypatch)
     assert view.batches == [(r.t, r.size) for r in result.sync_reports]
     assert view.counts == [r.size for r in result.sync_reports]
     assert sum(view.counts) == sum(1 for row in result.produced_rows if row.timestamp <= last)
+
+
+# ---------------------------------------------------------------------------
+# The one cache on real runs.
+
+@pytest.mark.parametrize("operator", list(OperatorKind))
+@pytest.mark.parametrize("protocol", [Protocol.DP_TIMER, Protocol.DP_ANT])
+def test_syncs_and_flushes_change_the_one_cache_in_place(protocol, operator, monkeypatch):
+    # After every sync the cache holds exactly the reals it did not read, in
+    # seq order, in max(0, slots - size) slots, and the view got the ones it
+    # read; every flush leaves it empty. No sync or flush replaces the cache.
+    syncs, flushes = [], []
+    real_sync, real_flush = shrink._sync, harness.flush_step
+
+    def checked_sync(t, pre, run, *shares):
+        cache = run.cache
+        before, slots = sorted(cache.entries, key=obliv.seq_of), len(cache)
+        report = real_sync(t, pre, run, *shares)
+        assert run.cache is cache
+        assert cache.entries == before[report.size:]
+        assert len(cache) == max(0, slots - report.size)
+        assert run.view.reals[len(run.view.reals) - run.view.counts[-1]:] == \
+            before[:report.size]
+        syncs.append((report.size, len(before)))
+        return report
+
+    def checked_flush(t, run):
+        cache = run.cache
+        report = real_flush(t, run)
+        if report is not None:
+            assert run.cache is cache and cache.entries == [] and len(cache) == 0
+            flushes.append(t)
+        return report
+
+    monkeypatch.setattr(shrink, "_sync", checked_sync)
+    monkeypatch.setattr(harness, "flush_step", checked_flush)
+    result = run_experiment(ExperimentConfig(protocol=protocol, operator=operator,
+                                             horizon=300, f=100, seed=3))
+    assert len(syncs) == len(result.sync_reports) >= 10 and flushes == [100, 200, 300]
+    # Both kinds of sync occur: one that leaves reals cached and one that
+    # reads padding past them.
+    assert any(size < reals for size, reals in syncs)
+    assert any(size > reals for size, reals in syncs)
+
+
+@pytest.mark.parametrize("protocol", [Protocol.DP_TIMER, Protocol.DP_ANT])
+def test_a_run_computes_its_noise_scales_once(protocol, monkeypatch):
+    # The run keeps its scales on its RunState; no step recomputes them.
+    calls = []
+    for name in ("ant_scales", "timer_scale"):
+        monkeypatch.setattr(harness, name, lambda *a, f=getattr(harness, name):
+                            calls.append(a) or f(*a))
+        monkeypatch.setattr(shrink, name, None)
+    cfg = ExperimentConfig(protocol=protocol, operator=OperatorKind.FILTER, horizon=100,
+                           seed=2)
+    result = run_experiment(cfg)
+    assert result.sync_reports
+    assert calls == [(cfg.b, cfg.epsilon)] * 2  # validate_config's, then the run's
+    run = run_state(cfg, SecureCache())
+    assert run.scales == (ant_scales(10, 1.5) if protocol is Protocol.DP_ANT
+                          else (timer_scale(10, 1.5),))
+    assert run_state(ExperimentConfig(Protocol.EP, epsilon=0.0), SecureCache()).scales == ()

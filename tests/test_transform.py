@@ -4,8 +4,8 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from dpviewsim import obliv, transform
-from dpviewsim.harness import ExperimentConfig, RunState, run_experiment
+from dpviewsim import harness, obliv, transform
+from dpviewsim.harness import ExperimentConfig, Protocol, RunState, run_experiment
 from dpviewsim.obliv import (SecureTuple, network_comparison_count, network_sort,
                              network_sort_keys)
 from dpviewsim.randomness import ServerRandomness
@@ -169,6 +169,26 @@ def test_filter_keeps_payload():
     [row] = filt(batch)
     assert row.key == 9 and row.attrs == (7,)
     assert row.sources == (3,)
+
+
+def test_selected_keeps_a_batch_s_flagged_reals_in_order():
+    batch = [rec(0, 1), rec(1, 2, flag=0), SecureTuple(3, (), 2), rec(3, 4, flag=-2)]
+    assert transform.selected(batch) == [batch[0], batch[3]]
+    assert transform.selected([]) == []
+
+
+@pytest.mark.parametrize("protocol", [Protocol.DP_ANT, Protocol.NM])
+def test_the_filter_predicate_runs_once_per_step(protocol, monkeypatch):
+    # The Filter's transform and NM's truth count each call `selected` once
+    # per step on the step's batch, never once per real.
+    batches = []
+    real = transform.selected
+    spy = lambda batch: batches.append(len(batch)) or real(batch)
+    monkeypatch.setattr(transform, "selected", spy)
+    monkeypatch.setattr(harness, "selected", spy)
+    run_experiment(ExperimentConfig(protocol=protocol, operator=OperatorKind.FILTER,
+                                    horizon=50, seed=1))
+    assert len(batches) == 50 and sum(batches) > 50
 
 
 # ---------------------------------------------------------------------------
