@@ -25,9 +25,9 @@ Modules:
                only contribution bound; a join takes reals plus padded lengths and
                returns only its rows and sorts only when a real can join;
                the SMJ keys its smaller input, scans its larger input once,
-               and sorts on (key, origin, seq) only the reals of keys found on
-               both sides; the NLJ indexes the inner reals whose key an outer
-               holds
+               reads partners by key and sorts on (key, seq) only the
+               accessing t2 reals of keys found on both sides; the NLJ
+               indexes the inner reals whose key an outer holds
     shrink     the timer and above-noisy-threshold sync protocols, which
                differ only in when they run their one shared sync body, and
                the flush; each step updates the run's one state in place and

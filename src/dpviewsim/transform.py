@@ -11,10 +11,11 @@ inputs' reals and padded lengths (c_r slots per owner batch) and returns
 only its real rows, never padding. `step_sizes` states a step's padded join
 lengths, output slots and sort compares from the config and t, so the
 simulator's joins may skip work that emits nothing: a join sorts only when a
-real can join. The SMJ builds the key set of its input with fewer reals and
-scans the larger input once; the NLJ indexes only the inner reals whose key
-an outer holds. The Filter keeps the rows that `selected`, a fixed predicate,
-keeps of a whole batch.
+real can join. The SMJ builds the key set of its input with fewer reals,
+scans the larger input once, reads partners by key and sorts only its
+accessing reals, on (key, seq); the NLJ indexes only the inner reals whose
+key an outer holds. The Filter keeps the rows that `selected`, a fixed
+predicate, keeps of a whole batch.
 
 `transform_step` takes the run's one state (the harness's `RunState`) and
 reads it by attribute: its validated config's `operator`, `omega`, `b` and
@@ -28,7 +29,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .obliv import SecureTuple, network_comparison_count, network_sort, secure_tuple, seq_of
@@ -78,14 +79,15 @@ def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
     whole cut.
 
     Every t1 record of a key sorts before every t2 record of it, so only t2
-    records join, each with the t1 records of its key. A real whose key is
-    not held by a real on the other side therefore emits nothing and touches
-    no cap. So the join keys the input with fewer reals and scans the larger
-    one once for reals of those keys; if it finds none, nothing joins, and it
-    sorts nothing. Otherwise only the reals of keys found on both sides are
-    sorted, on precomputed keys, and scanned in the network's order of the
-    whole padded input; the scan keeps only each key's t1 records, the only
-    partners a t2 record can have.
+    records access, each joining the t1 records of its key in seq order. A
+    real whose key is not held by a real on the other side therefore emits
+    nothing and touches no cap. So the join keys the input with fewer reals
+    and scans the larger one once for reals of those keys; if it finds none,
+    nothing joins, and it sorts nothing. Otherwise it reads partners by key:
+    t1's reals of the shared keys, grouped by key in seq order (one scan on a
+    run's inputs, which arrive in seq order). It network-sorts only the
+    accessing t2 reals, on (key, seq), over all n1 + n2 slots: that is the
+    order the network gives them within the whole merged input.
     """
     small, large = (t1, t2) if len(t1) <= len(t2) else (t2, t1)
     keys = {t.key for t in small}
@@ -94,19 +96,14 @@ def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
         return []
     keys = {t.key for t in found}
     joinable = [t for t in small if t.key in keys]
-    j1, j2 = (joinable, found) if small is t1 else (found, joinable)
-    tagged = [((t.key, 0, t.seq), t) for t in j1] + [((t.key, 1, t.seq), t) for t in j2]
+    candidates, accessing = (joinable, found) if small is t1 else (found, joinable)
+    partners = defaultdict(list)  # each key's t1 reals, in seq order
+    for p in sorted(candidates, key=seq_of):
+        partners[p.key].append(p)
 
     out: list[SecureTuple] = []
-    group_key = None
-    partners: list[SecureTuple] = []  # the t1 records of the current key
-    for (key, origin, _), tup in network_sort(tagged, itemgetter(0), n1 + n2, networks=1):
-        if origin == 0:
-            if key != group_key:
-                group_key, partners = key, []
-            partners.append(tup)
-            continue
-        for p in partners:
+    for tup in network_sort(accessing, attrgetter("key", "seq"), n1 + n2, networks=1):
+        for p in partners[tup.key]:
             if caps[tup.seq] <= 0:  # at most omega joins per access
                 break
             if caps[p.seq] <= 0:

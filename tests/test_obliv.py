@@ -9,6 +9,7 @@ from dpviewsim.obliv import (SecureCache, SecureTuple, cache_flush, cache_read,
                              compare_exchange_pairs, network_comparison_count, network_sort,
                              network_sort_keys, obli_sort, padded_length, secure_tuple, seq_of)
 from dpviewsim.transform import OperatorKind
+from test_golden import hot_key_config
 
 
 # A padding slot of the padded arrays the oracles below build; the cache
@@ -414,3 +415,33 @@ def test_real_runs_sort_inputs_in_seq_order(monkeypatch, protocol, operator):
     for inputs in [caches] + ([row_inputs] if operator is OperatorKind.NLJ else []):
         assert max(map(len, inputs)) > 1
         assert all(a < b for seqs in inputs for a, b in zip(seqs, seqs[1:]))
+
+
+@pytest.mark.parametrize("protocol", [Protocol.DP_TIMER, Protocol.DP_ANT])
+@pytest.mark.parametrize("stream", ["synthetic", "hot-key CSV"])
+def test_real_runs_pass_the_smj_seq_ordered_inputs(monkeypatch, tmp_path, protocol, stream):
+    # The SMJ reads each key's partners from its t1 reals in seq order and
+    # sorts only t2 reals. On real runs both inputs arrive in seq order, so
+    # the partner sort is one scan, and the sort's input is a sublist of t2.
+    calls = []  # per SMJ call: t1's seqs, t2's seqs, the sorted reals' seqs
+    smj = transform.trans_truncate_smj
+
+    def spy_smj(t1, n1, t2, n2, *rest):
+        calls.append([[t.seq for t in t1], [t.seq for t in t2], None])
+        return smj(t1, n1, t2, n2, *rest)
+
+    def spy_network_sort(reals, key_of, n, networks):
+        calls[-1][2] = [r.seq for r in reals]
+        return network_sort(reals, key_of, n, networks)
+
+    monkeypatch.setattr(transform, "trans_truncate_smj", spy_smj)
+    monkeypatch.setattr(transform, "network_sort", spy_network_sort)
+    config = ExperimentConfig(protocol=protocol, operator=OperatorKind.SMJ, horizon=60,
+                              f=20, s=5, seed=2)
+    run_experiment(config if stream == "synthetic" else hot_key_config(config, tmp_path))
+    for t1, t2, sorted_seqs in calls:
+        assert all(a < b for seqs in (t1, t2) for a, b in zip(seqs, seqs[1:]))
+        rest = iter(t2)
+        assert sorted_seqs is None or all(seq in rest for seq in sorted_seqs)
+    assert max(len(t1) for t1, _, _ in calls) > 1 and max(len(t2) for _, t2, _ in calls) > 1
+    assert max(len(seqs or ()) for _, _, seqs in calls) > 1

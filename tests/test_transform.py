@@ -422,7 +422,7 @@ def test_smj_sorts_once_per_invocation(monkeypatch, compares):
     calls = []
 
     def recording_sort(reals, key_of, n, networks):
-        calls.append(([t.seq for _, t in reals], n, networks))
+        calls.append(([t.seq for t in reals], n, networks))
         return network_sort(reals, key_of, n, networks)
 
     monkeypatch.setattr(transform, "network_sort", recording_sort)
@@ -430,12 +430,14 @@ def test_smj_sorts_once_per_invocation(monkeypatch, compares):
     cases = (([], 0, [], 0, []),
              ([], 0, t2, 5, []),
              ([rec(0, key=2)], 2, t2, 5, []),
-             ([rec(0, key=1), rec(1, key=2), rec(2, key=4)], 4, t2, 5, [0, 2, 10, 12, 13]))
+             ([rec(0, key=1), rec(1, key=2), rec(2, key=4)], 4, t2, 5, [10, 12, 13]))
     for t1, n1, right, n2, joinable in cases:
         calls.clear()
         compares.clear()
         smj(t1, right, omega=2, n1=n1, n2=n2)
-        assert calls == ([(joinable, n1 + n2, 1)] if joinable else [])  # no key, no sort
+        # Only the accessing t2 reals go to the sort, one network of the whole
+        # padded input's n1 + n2 slots; no shared key, no sort.
+        assert calls == ([(joinable, n1 + n2, 1)] if joinable else [])
         assert compares == [network_comparison_count(n1 + n2)]
 
 
