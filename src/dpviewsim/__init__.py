@@ -50,10 +50,13 @@ Modules:
                baselines, synthetic workloads drawn and handed out to the
                owners per step in one pass, CSV streams read per step, owner
                batches stamped from each step's records, metrics (a run pauses the
-               cyclic garbage collector and restores the caller's setting,
-               which is safe because a run builds no reference cycles, as a
-               test checks; the setting is process-wide, so runs in concurrent
-               threads only lose the speed-up)
+               cyclic garbage collector, then ages its objects into the oldest
+               generation and restores the caller's setting, safe because a
+               run builds no reference cycles, as
+               test_run_builds_no_reference_cycles checks; both are
+               process-wide: concurrent runs only lose the speed-up, a
+               caller's young cyclic garbage waits for a full collection, and
+               no ageing while the caller holds frozen objects)
     cli        command-line front end
 
 The package root exports nothing: callers import the module they need. Every

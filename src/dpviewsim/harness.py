@@ -434,18 +434,24 @@ def _streams_for(config: ExperimentConfig) -> tuple[LogicalStream, LogicalStream
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """One seeded run of `config`, with automatic cyclic collection paused.
 
-    The caller's collector setting is restored on return and on error. The
-    pause is safe because a run builds no reference cycles: reference
-    counting frees all of it, so a collector pass would free nothing
-    (`tests/test_harness.py` checks this for every protocol and operator).
-    The setting is process-wide, so runs in concurrent threads only lose the
-    speed-up: one that returns may re-enable the collector while others run.
+    The caller's collector setting is restored on return and on error, after
+    every tracked object is aged into the oldest generation (a freeze and
+    unfreeze, which scan nothing) so no young pass re-scans the run's
+    results. Both are safe because a run builds no reference cycles:
+    reference counting frees all of it (`test_run_builds_no_reference_cycles`
+    checks every protocol, operator and source). Both are process-wide: runs
+    in concurrent threads only lose the speed-up, a caller's young cyclic
+    garbage waits for the next full collection, and the ageing is skipped
+    while the caller holds frozen objects, which an unfreeze would thaw.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         return _run(config)
     finally:
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
         if enabled:
             gc.enable()
 

@@ -131,8 +131,9 @@ def test_overflowing_retention_exits_2(protocol, capsys):
 
 
 def test_smj_accepts_owner_seqs_past_28_bits():
-    # The SMJ sorts on (key, origin, seq), so no field width caps the owner
-    # seqs; 2 * c_r * horizon = 2**29 here. The config is only validated.
+    # The SMJ sorts its accessing reals on (key, seq), and the network it
+    # models on (key, origin, seq), so no field width caps the owner seqs;
+    # 2 * c_r * horizon = 2**29 here. The config is only validated.
     assert coerce_config({"operator": "SMJ", "c_r": "16384", "horizon": "16384"})
 
 

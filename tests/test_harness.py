@@ -711,6 +711,50 @@ def test_run_starts_no_collector_pass(gc_restored):
     assert starts == []
 
 
+def test_run_leaves_its_results_out_of_the_young_generation(gc_restored):
+    # A run ages what it keeps into the oldest generation, so neither the
+    # next trial nor the caller's first allocations start a young pass that
+    # re-scans the run's results.
+    config = ExperimentConfig(protocol=Protocol.DP_ANT, operator=OperatorKind.FILTER,
+                              profile=Profile.BURST, c_r=12, f=500, horizon=1000, seed=1)
+    threshold = gc.get_threshold()[0]
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    run_experiment(config)
+    assert gc.get_count()[0] < threshold
+    gc.callbacks.append(hook)
+    try:
+        results = run_trials(config, 2)
+        young = gc.get_count()[0]
+        records = [rec for res in results for rec in res.metrics]  # what emit_metrics takes
+    finally:
+        gc.callbacks.remove(hook)
+    assert young < threshold
+    assert starts == []
+    assert len(records) == 2 * config.horizon
+
+
+def test_run_keeps_the_callers_frozen_objects_frozen(gc_restored):
+    # Ageing would thaw the frozen objects, so a run skips it while a caller
+    # holds some (say, before a fork). The test follows one object the caller
+    # holds rather than the freeze count: seeding PCG64 sets numpy's
+    # error-state context variable, and when other context variables are set
+    # (as under pytest) its reset frees the frozen context map.
+    held = [object()]
+    gc.freeze()
+    try:
+        run_experiment(ExperimentConfig(horizon=20))
+        assert not any(obj is held for obj in gc.get_objects())  # still frozen
+    finally:
+        gc.unfreeze()
+    assert any(obj is held for obj in gc.get_objects())
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_restores_the_callers_collector_setting(enabled, tmp_path, gc_restored):
     threshold = gc.get_threshold()

@@ -263,9 +263,10 @@ def test_smj_output_size_data_independent(compares):
 
 @pytest.mark.parametrize("omega", [1, 2])
 def test_smj_seqs_past_28_bits_and_top_keys_join_as_small_seqs(omega):
-    # The SMJ sorts on (key, origin, seq), which no field width bounds: seqs
-    # from 2**28 up and keys up to 2**32 - 1 give the rows of the same inputs
-    # with small seqs, every seq shifted.
+    # The SMJ sorts its accessing reals on (key, seq), and the network it
+    # models on (key, origin, seq), which no field width bounds: seqs from
+    # 2**28 up and keys up to 2**32 - 1 give the rows of the same inputs with
+    # small seqs, every seq shifted.
     shift, top = 1 << 28, (1 << 32) - 1
     rng = np.random.default_rng(90 + omega)
 
