@@ -27,7 +27,8 @@ Modules:
                the SMJ keys its smaller input, scans its larger input once,
                reads partners by key and sorts on (key, seq) only the
                accessing t2 reals of keys found on both sides; the NLJ
-               indexes the inner reals whose key an outer holds
+               indexes the inner reals whose key an outer holds and returns
+               before probing when there are none
     shrink     the timer and above-noisy-threshold sync protocols, which
                differ only in when they run their one shared sync body, and
                the flush; each step updates the run's one state in place and
@@ -44,8 +45,9 @@ Modules:
     harness    the run's config and its single validation, the run's one state
                (`RunState`: the config, seq stamps, randomness and transcript
                the steps read; the cache, counter, threshold, view, retained
-               batches, produced rows and step sizes they update in place,
-               and a DP run's noise scales, computed once), experiment loop
+               batches and their reals as one flat list per owner, produced
+               rows and step sizes they update in place, and a DP run's noise
+               scales, computed once), experiment loop
                (which charges each step's cost from sizes the servers see),
                baselines, synthetic workloads drawn and handed out to the
                owners per step in one pass, CSV streams read per step, owner

@@ -402,9 +402,12 @@ class _JoinCounter:
     def add(self, side: int, batch: list[SecureTuple]) -> None:
         """Count new records of the left (side 0) or right (side 1) stream."""
         mine, other = self.keys[side], self.keys[1 - side]
+        total = self.total
         for tup in batch:
-            self.total += other.get(tup.key, 0)
-            mine[tup.key] = mine.get(tup.key, 0) + 1
+            key = tup.key
+            total += other.get(key, 0)
+            mine[key] = mine.get(key, 0) + 1
+        self.total = total
         self.sizes[side] += len(batch)
 
 
@@ -463,7 +466,8 @@ class RunState:
     The steps read `config`, `seqs` (the run's seq stamps), `rand` and
     `transcript`. They update the rest in place: the secure `cache`, the
     shared `counter`, DPANT's shared noisy `threshold`, the `view`, the reals
-    of the past owner batches that joins still scan (`retained`), every
+    of the past owner batches that joins still scan (`retained`), the same
+    reals as one flat list per owner in seq order (`old_reals`), every
     row the transform produced (`produced_rows`) and the last step's
     `step_sizes` (`sizes`), which stop changing once the retained depth is
     full. A DP run also keeps its protocol's noise `scales`, computed once.
@@ -478,6 +482,7 @@ class RunState:
     cache: SecureCache = field(default_factory=SecureCache)
     view: MaterializedView = field(default_factory=MaterializedView)
     retained: tuple[deque, deque] = field(init=False)
+    old_reals: tuple[list, list] = field(init=False)
     produced_rows: list[SecureTuple] = field(default_factory=list)
     sizes: StepSizes | None = field(init=False, default=None)
     scales: tuple[float, ...] = field(init=False, default=())
@@ -485,6 +490,7 @@ class RunState:
     def __post_init__(self):
         keep = max(0, retention_steps(self.config) - 1)
         self.retained = (deque(maxlen=keep), deque(maxlen=keep))
+        self.old_reals = ([], [])
         if self.config.protocol in (Protocol.DP_TIMER, Protocol.DP_ANT):
             self.scales = _noise_scales(self.config)
 

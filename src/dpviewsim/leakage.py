@@ -4,7 +4,7 @@ The logical stream is an owner's database held per step: each step's
 `(key, attrs)` records, as `harness.synth_stream` hands them out or
 `harness.load_stream` reads them, which `harness.client_batches` stamps into
 that step's owner batch. The reference mechanisms mirror the sync protocols'
-observable behavior from the logical stream alone, up to its own horizon,
+observable behavior from the logical stream alone, up to the run's horizon,
 with the noise draw they are given: what an adversary may learn is at most
 what they release.
 tests/test_replay feeds `m_timer` and `m_ant` a real run's draws and checks
@@ -39,40 +39,44 @@ class LogicalStream:
     steps: dict[int, list[tuple[int, tuple[int, ...]]]]
     horizon: int
 
-    def arrivals_per_step(self) -> list[int]:
-        return [len(self.steps.get(t, ())) for t in range(self.horizon + 1)]
+    def arrivals_per_step(self, horizon: int) -> list[int]:
+        """The record count of each step 0..horizon; steps past `horizon`,
+        which a stream read from a file may hold, are not read."""
+        steps = self.steps
+        return [len(steps.get(t, ())) for t in range(horizon + 1)]
 
 
 # ---------------------------------------------------------------------------
 # Reference mechanisms.
 
-def m_timer(stream: LogicalStream, T: int, b: float, epsilon: float,
+def m_timer(stream: LogicalStream, horizon: int, T: int, b: float, epsilon: float,
             draw: Callable[[float], float]) -> list[tuple[int, float]]:
-    """Noisy per-window arrival counts at every multiple of T up to the
-    stream's horizon; each noise draw is `draw(scale)`, e.g.
-    `ServerRandomness(seed).joint_laplace`."""
-    counts = stream.arrivals_per_step()
+    """Noisy per-window arrival counts at every multiple of T up to the run's
+    `horizon`, whatever the stream's own; each noise draw is `draw(scale)`,
+    e.g. `ServerRandomness(seed).joint_laplace`."""
+    counts = stream.arrivals_per_step(horizon)
     scale = timer_scale(b, epsilon)
     out = []
-    for t in range(T, stream.horizon + 1, T):
+    for t in range(T, horizon + 1, T):
         c = sum(counts[max(0, t - T + 1): t + 1])
         out.append((t, c + draw(scale)))
     return out
 
 
-def m_ant(stream: LogicalStream, theta: float, b: float, epsilon: float,
+def m_ant(stream: LogicalStream, horizon: int, theta: float, b: float, epsilon: float,
           draw: Callable[[float], float]) -> list[tuple[int, float | None]]:
-    """Noisy counts since the last release at each step whose noisy count
-    reaches a noisy threshold, None where a step releases nothing, at the
-    protocol's scales (`shrink.ant_scales`). In the protocol's order it draws
-    a threshold, a check per step, then per trigger the release and a
-    refreshed threshold; `draw` gives the draws as in `m_timer`."""
+    """Noisy counts since the last release at each step 1..`horizon` whose
+    noisy count reaches a noisy threshold, None where a step releases
+    nothing, at the protocol's scales (`shrink.ant_scales`). In the
+    protocol's order it draws a threshold, a check per step, then per
+    trigger the release and a refreshed threshold; `horizon` and `draw` are
+    as in `m_timer`."""
     th_scale, check_scale, out_scale = ant_scales(b, epsilon)
-    counts = stream.arrivals_per_step()
+    counts = stream.arrivals_per_step(horizon)
     noisy_th = theta + draw(th_scale)
     since = 0
     out: list[tuple[int, float | None]] = []
-    for t in range(1, stream.horizon + 1):
+    for t in range(1, horizon + 1):
         since += counts[t]
         if since + draw(check_scale) >= noisy_th:
             out.append((t, since + draw(out_scale)))

@@ -15,8 +15,9 @@ real). The sorts charge nothing: the run charges a network's closed-form
 compare count from its step's public sizes. Independent networks of one
 length, such as the nested-loop join's one per outer tuple, run as one sort of
 their concatenated reals. Keys already strictly ascending, which proves them
-distinct, come back in order after one scan: the cache and the NLJ's rows
-always arrive in seq order. The NLJ's per-outer cut is realized by its caps, so
+distinct, come back as the identity order after one scan, and the cache
+sort then moves nothing: the cache and the NLJ's rows always arrive in seq
+order. The NLJ's per-outer cut is realized by its caps, so
 its sort reorders nothing and stays only for the benchmark's tracer. A join
 sorts only when a real can join, since the network's compare count is charged
 from the public sizes anyway. `compare_exchange_pairs` is the network itself,
@@ -29,7 +30,7 @@ import functools
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter, lt
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 
 class SecureTuple(NamedTuple):
@@ -124,7 +125,7 @@ def network_comparison_count(n: int) -> int:
     return (1 << stages) // 2 * stages * (stages + 1) // 2
 
 
-def network_sort_keys(keys: list, n: int, networks: int) -> tuple[list[int], int]:
+def network_sort_keys(keys: list, n: int, networks: int) -> tuple[Sequence[int], int]:
     """The order `networks` independent n-slot networks sort their real keys
     into, and their total compare count.
 
@@ -135,13 +136,13 @@ def network_sort_keys(keys: list, n: int, networks: int) -> tuple[list[int], int
     real. A network pads to a power of two with max-int sentinels. The count,
     `networks` times the padded n-slot network's, is for `bench/tracing.py`.
     Keys already strictly ascending (fewer than two keys included) are
-    distinct and in order, so they come back as the identity after one scan.
-    Otherwise keys must be distinct (ValueError otherwise), which makes each
-    network's permutation the unique sorting one.
+    distinct and in order, so they come back as the identity, a `range`,
+    after one scan. Otherwise keys must be distinct (ValueError otherwise),
+    which makes each network's permutation the unique sorting one.
     """
     count = networks * network_comparison_count(n)
     if len(keys) < 2 or all(map(lt, keys, islice(keys, 1, None))):
-        return list(range(len(keys))), count  # in order, so distinct: one scan
+        return range(len(keys)), count  # in order, so distinct: one scan
     if len(set(keys)) != len(keys):
         raise ValueError("sort keys must be distinct")
     return sorted(range(len(keys)), key=keys.__getitem__), count
@@ -168,10 +169,12 @@ seq_of = attrgetter("seq")
 
 
 def obli_sort(cache: SecureCache) -> None:
-    """Sort the cache in place: reals ahead of dummies, in the network's order."""
+    """Sort the cache in place: reals ahead of dummies, in the network's order.
+    Reals already in that order, as a run's always are, are left in place."""
     entries = cache.entries
     order, _ = network_sort_keys(list(map(seq_of, entries)), len(cache), 1)
-    entries[:] = map(entries.__getitem__, order)
+    if type(order) is not range:
+        entries[:] = map(entries.__getitem__, order)
 
 
 def cache_read(cache: SecureCache, sz: int) -> list[SecureTuple]:

@@ -149,4 +149,5 @@ class ServerRandomness:
         self.seen_pairs: set = set()
 
     def joint_laplace(self, scale: float) -> float:
-        return dpnoise.joint_laplace(*self.noise_pair(), scale)
+        z0, z1 = self.noise_pair()
+        return dpnoise.joint_laplace(z0, z1, scale)

@@ -63,14 +63,17 @@ _WORD = (1 << 32) - 1
 
 def zero_counter(rand) -> SharePair:
     """A fresh shared zero: the run's first counter and each sync's reset."""
-    return share_in_protocol(0, *rand.share_pair(), seen=rand.seen_pairs)
+    z0, z1 = rand.share_pair()
+    return share_in_protocol(0, z0, z1, rand.seen_pairs)
 
 
 def share_real(value: float, rand) -> ThresholdShares:
     """Share a float's two words, each guarded by `rand.seen_pairs`."""
     bits = struct.unpack("<Q", struct.pack("<d", float(value)))[0]
-    hi = share_in_protocol(bits >> 32, *rand.share_pair(), seen=rand.seen_pairs)
-    lo = share_in_protocol(bits & _WORD, *rand.share_pair(), seen=rand.seen_pairs)
+    z0, z1 = rand.share_pair()
+    hi = share_in_protocol(bits >> 32, z0, z1, rand.seen_pairs)
+    z0, z1 = rand.share_pair()
+    lo = share_in_protocol(bits & _WORD, z0, z1, rand.seen_pairs)
     return ThresholdShares(hi, lo)
 
 

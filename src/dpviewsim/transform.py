@@ -20,21 +20,28 @@ predicate, keeps of a whole batch.
 `transform_step` takes the run's one state (the harness's `RunState`) and
 reads it by attribute: its validated config's `operator`, `omega`, `b` and
 `c_r`, its `seqs`, `rand` and `transcript`. It updates the state's `cache`,
-`counter`, `retained`, `produced_rows` and `sizes` in place and returns its
-sizes.
+`counter`, `retained`, `old_reals`, `produced_rows` and `sizes` in place and
+returns its sizes. Each owner's retained reals are kept twice: as batches
+(`retained`), whose boundaries give the oldest batch's caps, and as one flat
+list in seq order (`old_reals`), which each step trims by the batch that
+leaves the scan and extends by the new one, so no step re-flattens them.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from itertools import chain
+from itertools import repeat
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .obliv import SecureTuple, network_comparison_count, network_sort, secure_tuple, seq_of
 from .sharing import RING_MASK, recover, share_in_protocol
 from .transcript import TranscriptKind
+
+
+# The SMJ's network order among its accessing reals.
+_key_seq = attrgetter("key", "seq")
 
 
 def retention_steps(config) -> int:
@@ -102,7 +109,7 @@ def trans_truncate_smj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
         partners[p.key].append(p)
 
     out: list[SecureTuple] = []
-    for tup in network_sort(accessing, attrgetter("key", "seq"), n1 + n2, networks=1):
+    for tup in network_sort(accessing, _key_seq, n1 + n2, 1):
         for p in partners[tup.key]:
             if caps[tup.seq] <= 0:  # at most omega joins per access
                 break
@@ -125,19 +132,22 @@ def trans_truncate_nlj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
     n2-slot intermediate, which the protocol sorts real-first and cuts to
     omega slots. `caps` is that cut: a record is an outer in one call per
     step and spends its at most omega slots only on its own joins. Only
-    key-matching probes can emit, so the join indexes only the inner reals
-    whose key some outer holds, and each real outer probes just the inner
-    rows of its key, in t2 order. Rows are stamped in emission order, so the
-    batched sort of the n1 networks reorders nothing; it runs only when there
-    are rows, and stays only because `bench/tracing.py` times
-    `transform.network_sort` and `obliv.network_sort_keys` here (see ROADMAP
-    item 10).
+    key-matching probes can emit, so the join scans t2 once for the inner
+    reals whose key some outer holds; if there are none, nothing joins, and
+    it returns before probing any outer. Otherwise it indexes them by key,
+    and each real outer probes just the inner rows of its key, in t2 order.
+    Rows are stamped in emission order, so the batched sort of the n1
+    networks reorders nothing; it runs only when there are rows, and stays
+    only because `bench/tracing.py` times `transform.network_sort` and
+    `obliv.network_sort_keys` here (see ROADMAP item 10).
     """
     outer_keys = {u.key for u in t1}
+    matched = [v for v in t2 if v.key in outer_keys]
+    if not matched:
+        return []
     inner: dict[int, list[SecureTuple]] = {}
-    for v in t2:
-        if v.key in outer_keys:
-            inner.setdefault(v.key, []).append(v)
+    for v in matched:
+        inner.setdefault(v.key, []).append(v)
     rows: list[SecureTuple] = []
     for u in t1:
         for v in inner.get(u.key, ()):
@@ -147,7 +157,7 @@ def trans_truncate_nlj(t1: list[SecureTuple], n1: int, t2: list[SecureTuple], n2
                 caps[u.seq] -= 1
                 caps[v.seq] -= 1
                 rows.append(_join_tuple(u, v, seqs, timestamp))
-    return network_sort(rows, seq_of, n2, networks=n1) if rows else rows
+    return network_sort(rows, seq_of, n2, n1) if rows else rows
 
 
 class OperatorKind(enum.Enum):
@@ -203,27 +213,37 @@ def transform_step(t: int, new_batches: list[list[SecureTuple]], run) -> StepSiz
     if t <= retention_steps(cfg):
         run.sizes = step_sizes(cfg, t)
     sizes = run.sizes
+    seqs = run.seqs
     if cfg.operator is OperatorKind.FILTER:
-        rows = trans_truncate_filter(new_batches[0], run.seqs, t)
+        rows = trans_truncate_filter(new_batches[0], seqs, t)
     else:
         new1, new2 = new_batches[0], new_batches[1]
         kept1, kept2 = run.retained
-        caps = defaultdict(lambda: cfg.omega)
-        oldest = cfg.b - len(kept1) * cfg.omega  # the oldest batch's age is len(kept1)
-        if oldest < cfg.omega:
+        old1, old2 = run.old_reals
+        omega = cfg.omega
+        caps = defaultdict(repeat(omega).__next__)
+        oldest = cfg.b - len(kept1) * omega  # the oldest batch's age is len(kept1)
+        if oldest < omega:
             caps.update((tup.seq, oldest) for tup in kept1[0] + kept2[0])
-        old1, old2 = list(chain.from_iterable(kept1)), list(chain.from_iterable(kept2))
         (n1, n2), (m1, m2) = sizes.joins
         join = trans_truncate_smj if cfg.operator is OperatorKind.SMJ else trans_truncate_nlj
-        rest = (caps, run.seqs, t)
-        rows = join(new1, n1, old2 + new2, n2, *rest) + join(old1, m1, new2, m2, *rest)
-        kept1.append(new1)
-        kept2.append(new2)
+        rows = (join(new1, n1, old2 + new2, n2, caps, seqs, t)
+                + join(old1, m1, new2, m2, caps, seqs, t))
+        if kept1.maxlen:  # b > omega: later steps scan this step's batches
+            if len(kept1) == kept1.maxlen:  # the oldest batches leave the scan
+                del old1[:len(kept1[0])]
+                del old2[:len(kept2[0])]
+            old1 += new1
+            old2 += new2
+            kept1.append(new1)
+            kept2.append(new2)
 
     run.produced_rows.extend(rows)
 
     c = (recover(run.counter) + len(rows)) & RING_MASK
-    run.counter = share_in_protocol(c, *run.rand.share_pair(), seen=run.rand.seen_pairs)
+    rand = run.rand
+    z0, z1 = rand.share_pair()
+    run.counter = share_in_protocol(c, z0, z1, rand.seen_pairs)
     run.cache.append(rows, sizes.slots)
     run.transcript.add(t, TranscriptKind.TRANSFORM_OUTPUT, sizes.slots, (run.counter,))
     return sizes

@@ -89,7 +89,7 @@ def laplace_oracle(scale: float, rng: np.random.Generator,
 def timer_mechanism(stream: LogicalStream, trials: int, draw, T: int, b: float,
                     epsilon: float) -> np.ndarray:
     """`m_timer` over `trials` trials, one draw per trial and release."""
-    out = m_timer(stream, T, b, epsilon, lambda scale: draw(scale, trials))
+    out = m_timer(stream, stream.horizon, T, b, epsilon, lambda scale: draw(scale, trials))
     return np.array([v for _, v in out]).reshape(len(out), trials).T
 
 
@@ -100,7 +100,7 @@ def ant_mechanism(stream: LogicalStream, trials: int, draw, theta: float, b: flo
     gives the n runs that need one each a threshold, a check per step, then a
     release and a refresh per trigger. The output scale is the protocol's, or
     the proofs' 4b/epsilon for `variant` "proof"."""
-    cum = np.cumsum(stream.arrivals_per_step())
+    cum = np.cumsum(stream.arrivals_per_step(stream.horizon))
     th_scale, check_scale, out_scale = ant_scales(b, epsilon)
     if variant == "proof":
         out_scale = b / (epsilon / 4)

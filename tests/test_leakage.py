@@ -52,7 +52,7 @@ def nant(stream: LogicalStream, epsilon: float, theta: float, delta_f: float,
     The single-release mechanism that m_ant repeats after every release.
     """
     h = stream.horizon
-    counts = stream.arrivals_per_step()
+    counts = stream.arrivals_per_step(h)
     eps1 = epsilon / 2
     eps2 = epsilon / 2
     noisy_th = theta + noise.laplace(2 * delta_f / eps1)
@@ -69,28 +69,28 @@ def nant(stream: LogicalStream, epsilon: float, theta: float, delta_f: float,
 # Reference mechanisms.
 
 def test_m_timer_empty_stream_pure_noise():
-    out = m_timer(stream([], horizon=20), T=5, b=1, epsilon=1.0, draw=seeded(4))
+    out = m_timer(stream([], horizon=20), 20, T=5, b=1, epsilon=1.0, draw=seeded(4))
     assert [t for t, _ in out] == [5, 10, 15, 20]
     values = np.array([v for _, v in out])
     assert np.all(np.abs(values) < 50)  # Laplace(1) draws around zero
-    zeroed = m_timer(stream([], horizon=20), T=5, b=1, epsilon=1.0, draw=ZERO().laplace)
+    zeroed = m_timer(stream([], horizon=20), 20, T=5, b=1, epsilon=1.0, draw=ZERO().laplace)
     assert [v for _, v in zeroed] == [0, 0, 0, 0]
 
 
 def test_m_timer_window_counts_with_zero_noise():
     s = stream([1, 2, 2, 7], horizon=10)
-    out = m_timer(s, T=5, b=1, epsilon=1.0, draw=ZERO().laplace)
+    out = m_timer(s, 10, T=5, b=1, epsilon=1.0, draw=ZERO().laplace)
     assert out == [(5, 3.0), (10, 1.0)]
 
 
 def test_m_timer_deterministic_given_seed():
     s = stream([1, 3], horizon=6)
-    assert m_timer(s, 2, 1, 1.0, seeded(9)) == m_timer(s, 2, 1, 1.0, seeded(9))
+    assert m_timer(s, 6, 2, 1, 1.0, seeded(9)) == m_timer(s, 6, 2, 1, 1.0, seeded(9))
 
 
 def test_m_ant_huge_threshold_never_releases():
     s = stream([1, 2, 3], horizon=10)
-    out = m_ant(s, theta=1e9, b=1, epsilon=1.0, draw=seeded(3))
+    out = m_ant(s, 10, theta=1e9, b=1, epsilon=1.0, draw=seeded(3))
     assert all(v is None for _, v in out)
 
 
@@ -99,7 +99,7 @@ def test_m_ant_zero_noise_release_trace():
     # with value 6, then the window resets.
     records = [Arrival(t, 10 * t + i, (1,)) for t in (1, 2, 3, 4) for i in (0, 1)]
     s = logical_stream(records, 4)
-    out = m_ant(s, theta=5, b=1, epsilon=1.0, draw=ZERO().laplace)
+    out = m_ant(s, 4, theta=5, b=1, epsilon=1.0, draw=ZERO().laplace)
     assert out[:3] == [(1, None), (2, None), (3, 6.0)]
     assert out[3] == (4, None)  # window restarted: count 2 < 5
 
@@ -214,7 +214,7 @@ def test_run_many_matches_scalar_mechanism_distribution():
     draw = seeded(7)
     arr = mech(a, 20_000, draw)
     assert arr.shape == (20_000, 1)
-    seq = np.array([m_timer(a, 4, 1, 1.0, seeded(100 + i))[0][1]
+    seq = np.array([m_timer(a, a.horizon, 4, 1, 1.0, seeded(100 + i))[0][1]
                     for i in range(2_000)])
     assert abs(arr.mean() - seq.mean()) < 0.15
     assert abs(arr.var() - seq.var()) < 0.4
@@ -223,10 +223,10 @@ def test_run_many_matches_scalar_mechanism_distribution():
     for k in range(20):
         one = mech(SEVERAL, 1, seeded(k))
         assert one.shape == (1, 10)
-        assert one[0].tolist() == [v for _, v in m_timer(SEVERAL, 4, 1, 1.0, seeded(k))]
+        assert one[0].tolist() == [v for _, v in m_timer(SEVERAL, 40, 4, 1, 1.0, seeded(k))]
     # A horizon shorter than T syncs nothing.
     assert mech(stream([1, 2], horizon=3), 5, draw).shape == (5, 0)
-    assert m_timer(stream([1, 2], horizon=3), 4, 1, 1.0, seeded(0)) == []
+    assert m_timer(stream([1, 2], horizon=3), 3, 4, 1, 1.0, seeded(0)) == []
 
 
 def test_ant_mechanism_run_many_consistent_with_scalar():
@@ -239,7 +239,7 @@ def test_ant_mechanism_run_many_consistent_with_scalar():
     scalar_hits = np.zeros(4)
     n = 2_000
     for i in range(n):
-        vec = [0.0 if v is None else v for _, v in m_ant(a, 2, 1, 2.0, seeded(500 + i))]
+        vec = [0.0 if v is None else v for _, v in m_ant(a, a.horizon, 2, 1, 2.0, seeded(500 + i))]
         scalar_hits += np.array(vec) != 0
     vec_hits = (arr != 0).mean(axis=0)
     assert np.all(np.abs(vec_hits - scalar_hits / n) < 0.05)
@@ -248,20 +248,20 @@ def test_ant_mechanism_run_many_consistent_with_scalar():
     for k in range(20):
         one = ant_mechanism(SEVERAL, 1, seeded(k), 4, 1, 1.0)
         assert one.shape == (1, 40)
-        scalar = m_ant(SEVERAL, 4, 1, 1.0, seeded(k))
+        scalar = m_ant(SEVERAL, 40, 4, 1, 1.0, seeded(k))
         assert sum(v is not None for _, v in scalar) >= 2
         assert one[0].tolist() == [0.0 if v is None else v for _, v in scalar]
     # A horizon of 0 has no step to release at.
     for variant in ("protocol", "proof"):
         assert ant_mechanism(stream([], horizon=0), 5, draw, 4, 1, 1.0, variant).shape == (5, 0)
-    assert m_ant(stream([], horizon=0), 4, 1, 1.0, seeded(0)) == []
+    assert m_ant(stream([], horizon=0), 0, 4, 1, 1.0, seeded(0)) == []
 
 
 def test_ant_proof_variant_doubles_each_release_s_noise():
     # The proofs' output scale 4b/eps is twice the protocol's 2b/eps. Under one
     # seed both variants draw alike, so they trigger at the same steps, and each
     # release's noise (the release minus the count since the last) doubles.
-    cum = np.cumsum(SEVERAL.arrivals_per_step())
+    cum = np.cumsum(SEVERAL.arrivals_per_step(SEVERAL.horizon))
     protocol, proof = (ant_mechanism(SEVERAL, 50, seeded(3), 4, 1, 1.0, variant)
                        for variant in ("protocol", "proof"))
     np.testing.assert_array_equal(protocol != 0, proof != 0)

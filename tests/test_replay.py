@@ -9,7 +9,7 @@ transcript audit must then accept every sync as that coupled release.
 
 import pytest
 
-from dpviewsim.harness import ExperimentConfig, Protocol, run_experiment
+from dpviewsim.harness import ExperimentConfig, Protocol, load_stream, run_experiment
 from dpviewsim.leakage import AuditExpectation, m_ant, m_timer, transcript_audit
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.shrink import clamp_round
@@ -28,11 +28,17 @@ def replayed_syncs(result) -> list[tuple[int, int]]:
     config = result.config
     stream = logical_stream([Arrival(r.timestamp, r.key, ()) for r in result.produced_rows],
                             config.horizon)
+    return released_syncs(stream, config)
+
+
+def released_syncs(stream, config: ExperimentConfig) -> list[tuple[int, int]]:
+    """(t, size) of each release `config`'s reference mechanism makes from
+    `stream` over the run's horizon, with the run's draws."""
     draw = ServerRandomness(config.seed).joint_laplace
     if config.protocol is Protocol.DP_TIMER:
-        releases = m_timer(stream, config.T, config.b, config.epsilon, draw)
+        releases = m_timer(stream, config.horizon, config.T, config.b, config.epsilon, draw)
     else:
-        releases = m_ant(stream, config.theta, config.b, config.epsilon, draw)
+        releases = m_ant(stream, config.horizon, config.theta, config.b, config.epsilon, draw)
     return [(t, clamp_round(v)) for t, v in releases if v is not None]
 
 
@@ -58,3 +64,46 @@ def test_replay_matches_every_sync_on_hot_keys(protocol, operator, seed, tmp_pat
     config = ExperimentConfig(protocol=protocol, operator=operator, omega=2, b=5,
                               horizon=600, f=200, seed=seed)
     check_replay(hot_key_config(config, tmp_path))
+
+
+class StepsUpTo(dict):
+    """A stream's steps that fail on any read of a step past `horizon`, so a
+    mechanism that reads past the run's horizon fails at once rather than
+    building one count per step up to a far row."""
+
+    def __init__(self, steps, horizon):
+        super().__init__(steps)
+        self.horizon = horizon
+
+    def _check(self, t):
+        assert t <= self.horizon, f"read step {t} past the horizon {self.horizon}"
+
+    def get(self, t, default=None):
+        self._check(t)
+        return super().get(t, default)
+
+    def __getitem__(self, t):
+        self._check(t)
+        return super().__getitem__(t)
+
+    def __contains__(self, t):
+        self._check(t)
+        return super().__contains__(t)
+
+
+@pytest.mark.parametrize("protocol", [Protocol.DP_TIMER, Protocol.DP_ANT])
+def test_a_row_far_past_the_horizon_replays_the_run_s_releases(protocol, tmp_path):
+    # The stream of a CSV whose one row is at t = 10**12 has that horizon,
+    # but the mechanisms read only the run's 20 steps: they give the run's
+    # releases (pure noise, since no row arrives by step 20) and never build
+    # a count per step up to the far row, which would exhaust memory.
+    path = tmp_path / "far.csv"
+    path.write_text(f"t,key,attr\n{10**12},7,1\n")
+    config = ExperimentConfig(protocol=protocol, operator=OperatorKind.FILTER, horizon=20,
+                              T=5, theta=2, f=10, seed=3, stream_a=str(path))
+    stream = load_stream(config.stream_a)
+    assert stream.horizon == 10**12
+    stream.steps = StepsUpTo(stream.steps, config.horizon)
+    syncs = released_syncs(stream, config)
+    assert syncs == [(r.t, r.size) for r in run_experiment(config).sync_reports]
+    assert len(syncs) >= (4 if protocol is Protocol.DP_TIMER else 1)

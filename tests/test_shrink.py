@@ -253,7 +253,7 @@ def test_ant_scales_protocol_and_proof():
     # checks it against these.)
     one = LogicalStream({1: [(1, (1,))]}, 1)
     scales = []
-    m_ant(one, 0.5, 10, 1.5, lambda scale: scales.append(scale) or 0.0)
+    m_ant(one, 1, 0.5, 10, 1.5, lambda scale: scales.append(scale) or 0.0)
     assert scales == [b * 10 / 1.5 for b in (4, 8, 2, 4)]
     assert all(type(sc) is float for sc in scales)
 

@@ -399,7 +399,8 @@ def test_smj_keys_either_input_as_the_full_merge_does(more_reals):
     assert joined and hot > 100, (joined, hot)
 
 
-def test_smj_with_no_shared_key_sorts_and_spends_nothing(monkeypatch):
+@pytest.mark.parametrize("join", [trans_truncate_smj, trans_truncate_nlj], ids=["SMJ", "NLJ"])
+def test_join_with_no_shared_key_sorts_and_spends_nothing(join, monkeypatch):
     # Reals on both sides, but no key on both: no rows, no sort, no cap read
     # or spent and no seq drawn, whichever side has more reals.
     sorts = []
@@ -412,9 +413,9 @@ def test_smj_with_no_shared_key_sorts_and_spends_nothing(monkeypatch):
     ones = [rec(3, key=1), rec(0, key=2), rec(1, key=2)]
     twos = [rec(7, key=3), rec(5, key=4)]
     for t1, t2 in ((ones, twos), (twos, ones), (ones, []), ([], twos), ([], [])):
-        caps = defaultdict(lambda: 2)  # as transform_step builds them
+        caps = defaultdict(itertools.repeat(2).__next__)  # as transform_step builds them
         seqs = itertools.count(FRESH)
-        assert trans_truncate_smj(t1, len(t1) + 2, t2, len(t2) + 1, caps, seqs, 0) == []
+        assert join(t1, len(t1) + 2, t2, len(t2) + 1, caps, seqs, 0) == []
         assert caps == {} and next(seqs) == FRESH
     assert sorts == []
 
@@ -679,6 +680,38 @@ def test_retirement_after_budget_exhaustion():
     assert len(joined_with_lead) == 1  # only the step-2 partner
     # Step-3 partner found no surviving counterpart.
     assert not any(22 in row.sources for row in state.produced_rows)
+
+
+@pytest.mark.parametrize("operator", [OperatorKind.SMJ, OperatorKind.NLJ])
+@pytest.mark.parametrize("omega,b", [(2, 5), (1, 3), (2, 2)])
+@pytest.mark.parametrize("hot_keys", [False, True], ids=["synthetic", "hot-keys"])
+def test_flat_retained_reals_are_the_retained_batches_in_seq_order(operator, omega, b,
+                                                                   hot_keys, monkeypatch,
+                                                                   tmp_path):
+    # After every step of a real run, each owner's flat list of retained
+    # reals is its retained batches concatenated, in strictly increasing seq
+    # order. omega 2 does not divide b 5; b = omega retains nothing, so the
+    # batch deques have maxlen 0 and the lists stay empty.
+    config = ExperimentConfig(operator=operator, omega=omega, b=b, horizon=40, f=20, s=5,
+                              seed=12)
+    if hot_keys:
+        config = hot_key_config(config, tmp_path)
+    depth = retention_steps(config) - 1
+    held = []
+
+    def checking(t, batches, run):
+        sizes = transform_step(t, batches, run)
+        for kept, flat in zip(run.retained, run.old_reals):
+            assert kept.maxlen == depth and len(kept) == min(t, depth)
+            assert flat == list(itertools.chain.from_iterable(kept))
+            assert all(a.seq < b.seq for a, b in zip(flat, flat[1:]))
+        held.append(len(run.old_reals[0]) + len(run.old_reals[1]))
+        return sizes
+
+    monkeypatch.setattr(harness, "transform_step", checking)
+    run_experiment(config)
+    assert len(held) == config.horizon
+    assert (max(held) > 0) == (depth > 0)
 
 
 def test_invocation_count_matches_retention():
