@@ -39,23 +39,24 @@ Modules:
     transcript what each server observes: sizes, timestamps and shares, one
                plain row per observation, expanded per server into slotted
                events when first read
-    leakage    the logical stream, an owner's records held per step;
-               reference DP mechanisms, one scalar body each, which replay a
-               run's releases from it; transcript audit
+    leakage    reference DP mechanisms, one scalar body each, which replay a
+               run's releases from an owner's steps up to the run's horizon;
+               transcript audit; no module a run loads imports it
     harness    the run's config and its single validation, the run's one state
                (`RunState`: the config, seq stamps, randomness and transcript
                the steps read; the cache, counter, threshold, view, retained
                batches and their reals as one flat list per owner, produced
                rows and step sizes they update in place, and a DP run's noise
-               scales, computed once), experiment loop
-               (which charges each step's cost from sizes the servers see),
-               baselines, synthetic workloads drawn and handed out to the
-               owners per step in one pass, CSV streams read per step, owner
-               batches stamped from each step's records, metrics (a run pauses the
-               cyclic garbage collector, then ages its objects into the oldest
-               generation and restores the caller's setting, safe because a
-               run builds no reference cycles, as
-               test_run_builds_no_reference_cycles checks; both are
+               scales, computed once), experiment loop (which charges each
+               step's cost from sizes the servers see), baselines, an owner's
+               stream as its `Steps` (a plain dict from each step to its
+               records, with no horizon of its own), synthetic workloads drawn
+               and handed out to the owners per step in one pass, CSV streams
+               read per step, owner batches stamped from each step's records,
+               metrics (a run pauses the cyclic garbage collector, then ages
+               its objects into the oldest generation and restores the
+               caller's setting, safe because a run builds no reference
+               cycles, as test_run_builds_no_reference_cycles checks; both are
                process-wide: concurrent runs only lose the speed-up, a
                caller's young cyclic garbage waits for a full collection, and
                no ageing while the caller holds frozen objects)

@@ -2,10 +2,11 @@
 
 One experiment = one seeded timeline driving owner uploads, the truncated
 transformation, the chosen sync protocol (or a baseline), the periodic flush,
-and a count query. Everything is deterministic given (config, seed). The
-run's one `RunState` carries the secure cache, the shared counter, DPANT's
-shared noisy threshold and the view from step to step; each step updates it
-in place and returns only its report.
+and a count query. Everything is deterministic given (config, seed). An
+owner's stream is its `Steps`, read up to the run's horizon. The run's one
+`RunState` carries the secure cache, the shared counter, DPANT's shared noisy
+threshold and the view from step to step; each step updates it in place and
+returns only its report.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Iterable, Iterator, TextIO
 
-from .leakage import LogicalStream
 from .obliv import SecureCache, SecureTuple, cache_read, network_comparison_count, secure_tuple
 from .randomness import RawStream, ServerRandomness
 from .sharing import RING_SIZE, SharePair
@@ -251,10 +251,15 @@ def emit_metrics(records: Iterable[MetricsRecord], out: str | TextIO) -> None:
 # ---------------------------------------------------------------------------
 # Streams.
 
-def load_stream(path: str) -> LogicalStream:
-    """UTF-8 CSV with header t,key,attr...; integer fields; each step's rows
-    in file order, the horizon the last t."""
-    steps: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+# An owner's insertion-only database: each step t that has records -> its
+# (key, attrs) records, in hand-out order. No horizon: a run's is its config's.
+Steps = dict[int, list[tuple[int, tuple[int, ...]]]]
+
+
+def load_stream(path: str) -> Steps:
+    """UTF-8 CSV with header t,key,attr...; integer fields; the steps in t
+    order, each step's rows in file order."""
+    steps: Steps = {}
     with _read_text(path) as fh:
         header = fh.readline()
         if not header:
@@ -278,14 +283,13 @@ def load_stream(path: str) -> LogicalStream:
             if not 0 <= values[1] < RING_SIZE:
                 raise ParseError(f"key out of 32-bit range: {values[1]}", lineno, path)
             steps.setdefault(values[0], []).append((values[1], tuple(values[2:])))
-    return LogicalStream(dict(sorted(steps.items())), max(steps, default=0))
+    return dict(sorted(steps.items()))
 
 
-def client_batches(stream: LogicalStream, c_r: int, horizon: int,
+def client_batches(steps: Steps, c_r: int, horizon: int,
                    seqs: Iterator[int]) -> list[list[SecureTuple]]:
     """Owner batches of c_r slots for steps 1..horizon, each kept as its real
     arrivals, stamped with their seqs and step; later steps are not read."""
-    steps = stream.steps
     batches = []
     for t in range(1, horizon + 1):
         recs = steps.get(t, ())
@@ -303,7 +307,7 @@ _PAIRS_PER_STEP = 2.5  # Standard's expected join pairs per step
 
 def synth_stream(profile: Profile, seed: int, horizon: int,
                  multiplicity: int = 1, cap: int = 5, *, right: bool = True
-                 ) -> tuple[LogicalStream, LogicalStream | None]:
+                 ) -> tuple[Steps, Steps | None]:
     """Paired join streams with a controlled expected match count.
 
     Owner A receives records with fresh keys; for each "matched" A key,
@@ -377,8 +381,7 @@ def synth_stream(profile: Profile, seed: int, horizon: int,
         if wait_b:
             out_b[t], wait_b = wait_b[:cap], wait_b[cap:]
 
-    return (LogicalStream(out_a, horizon),
-            LogicalStream(out_b, horizon) if right else None)
+    return out_a, out_b if right else None
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +429,7 @@ class ExperimentResult:
     final_cache: SecureCache | None = None
 
 
-def _streams_for(config: ExperimentConfig) -> tuple[LogicalStream, LogicalStream | None]:
+def _streams_for(config: ExperimentConfig) -> tuple[Steps, Steps | None]:
     if config.stream_a is not None:
         return (load_stream(config.stream_a),
                 load_stream(config.stream_b) if config.stream_b else None)

@@ -1,19 +1,19 @@
 """Reference DP mechanisms and the transcript audit.
 
-The logical stream is an owner's database held per step: each step's
-`(key, attrs)` records, as `harness.synth_stream` hands them out or
-`harness.load_stream` reads them, which `harness.client_batches` stamps into
-that step's owner batch. The reference mechanisms mirror the sync protocols'
-observable behavior from the logical stream alone, up to the run's horizon,
-with the noise draw they are given: what an adversary may learn is at most
-what they release.
+An owner's logical stream is its database held per step, a `harness.Steps`
+dict: each step's `(key, attrs)` records, as `harness.synth_stream` hands them
+out or `harness.load_stream` reads them, which `harness.client_batches` stamps
+into that step's owner batch. The reference mechanisms mirror the sync
+protocols' observable behavior from those steps alone, over steps 1 to the
+run's horizon and none past it, with the noise draw they are given: what an
+adversary may learn is at most what they release.
 tests/test_replay feeds `m_timer` and `m_ant` a real run's draws and checks
 that they release exactly its syncs; tests/oracles runs the same mechanisms
 over many trials for the empirical privacy-loss estimator. The audit asserts
 that every transcript size is either a function of public configuration or a
 coupled DP release. No run, CLI call or audit reaches the mechanisms yet, so
 tests/test_reachability allow-lists them until ROADMAP item 3 makes them part
-of a run.
+of a run; no module that a run imports imports this one.
 
 The mechanisms' noise is calibrated to b, on the premise that one logical
 update moves the produced-row stream by at most b rows. tests/test_sensitivity
@@ -26,35 +26,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .harness import Steps
 from .shrink import ant_scales, timer_scale
 # Callers of the audit also reach the transcript types through this module.
 from .transcript import Transcript, TranscriptEvent, TranscriptKind
 
 
-@dataclass
-class LogicalStream:
-    """Insertion-only growing database, held per step: `steps` maps each step
-    t that has records to its `(key, attrs)` records, in hand-out order."""
-
-    steps: dict[int, list[tuple[int, tuple[int, ...]]]]
-    horizon: int
-
-    def arrivals_per_step(self, horizon: int) -> list[int]:
-        """The record count of each step 0..horizon; steps past `horizon`,
-        which a stream read from a file may hold, are not read."""
-        steps = self.steps
-        return [len(steps.get(t, ())) for t in range(horizon + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Reference mechanisms.
 
-def m_timer(stream: LogicalStream, horizon: int, T: int, b: float, epsilon: float,
+def arrivals_per_step(steps: Steps, horizon: int) -> list[int]:
+    """The record count of each step 0..horizon; steps past `horizon`,
+    which a stream read from a file may hold, are not read."""
+    return [len(steps.get(t, ())) for t in range(horizon + 1)]
+
+
+def m_timer(steps: Steps, horizon: int, T: int, b: float, epsilon: float,
             draw: Callable[[float], float]) -> list[tuple[int, float]]:
     """Noisy per-window arrival counts at every multiple of T up to the run's
-    `horizon`, whatever the stream's own; each noise draw is `draw(scale)`,
+    `horizon`, from the records of `steps`; each noise draw is `draw(scale)`,
     e.g. `ServerRandomness(seed).joint_laplace`."""
-    counts = stream.arrivals_per_step(horizon)
+    counts = arrivals_per_step(steps, horizon)
     scale = timer_scale(b, epsilon)
     out = []
     for t in range(T, horizon + 1, T):
@@ -63,7 +55,7 @@ def m_timer(stream: LogicalStream, horizon: int, T: int, b: float, epsilon: floa
     return out
 
 
-def m_ant(stream: LogicalStream, horizon: int, theta: float, b: float, epsilon: float,
+def m_ant(steps: Steps, horizon: int, theta: float, b: float, epsilon: float,
           draw: Callable[[float], float]) -> list[tuple[int, float | None]]:
     """Noisy counts since the last release at each step 1..`horizon` whose
     noisy count reaches a noisy threshold, None where a step releases
@@ -72,7 +64,7 @@ def m_ant(stream: LogicalStream, horizon: int, theta: float, b: float, epsilon: 
     trigger the release and a refreshed threshold; `horizon` and `draw` are
     as in `m_timer`."""
     th_scale, check_scale, out_scale = ant_scales(b, epsilon)
-    counts = stream.arrivals_per_step(horizon)
+    counts = arrivals_per_step(steps, horizon)
     noisy_th = theta + draw(th_scale)
     since = 0
     out: list[tuple[int, float | None]] = []

@@ -95,10 +95,6 @@ class SecureCache:
 # reproduce its output order with Timsort, and its size has a closed form.
 # With distinct keys every correct sort returns the network's permutation.
 
-def padded_length(n: int) -> int:
-    return 1 << max(0, n - 1).bit_length()
-
-
 def compare_exchange_pairs(n: int) -> Iterator[tuple[int, int, bool]]:
     """Yield the (i, j, ascending) compare-exchange sequence for length n.
 
@@ -120,8 +116,9 @@ def compare_exchange_pairs(n: int) -> Iterator[tuple[int, int, bool]]:
 
 
 def network_comparison_count(n: int) -> int:
-    """Compare-exchange count of the padded n-item network, in closed form."""
-    stages = padded_length(n).bit_length() - 1
+    """Compare-exchange count of the n-item network padded to 2**stages
+    slots, the least power of two that holds n, in closed form."""
+    stages = max(0, n - 1).bit_length()
     return (1 << stages) // 2 * stages * (stages + 1) // 2
 
 

@@ -1,8 +1,8 @@
-"""Oracles that the tests check runs against; no run uses them: a logical
-stream as a list of time-stamped records, the plaintext count, inverse-CDF
-Laplace draws, `leakage`'s reference mechanisms over many trials, and the
-empirical privacy-loss estimator (the black-box approach of Ding et al., CCS
-2018)."""
+"""Oracles that the tests check runs against; no run uses them: an owner's
+steps as a list of time-stamped records and back, the plaintext count,
+inverse-CDF Laplace draws, `leakage`'s reference mechanisms over many trials,
+and the empirical privacy-loss estimator (the black-box approach of Ding et
+al., CCS 2018)."""
 
 import math
 from collections import Counter
@@ -10,7 +10,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from dpviewsim.leakage import LogicalStream, m_timer
+from dpviewsim.harness import Steps
+from dpviewsim.leakage import arrivals_per_step, m_timer
 from dpviewsim.shrink import ant_scales
 from dpviewsim.transform import OperatorKind
 
@@ -23,22 +24,21 @@ class Arrival(NamedTuple):
     attrs: tuple[int, ...]
 
 
-def arrivals(stream: LogicalStream) -> list[Arrival]:
-    """The stream's records, step by step and in hand-out order within a
-    step: the one reader of `LogicalStream.steps` in the tests."""
-    return [Arrival(t, key, attrs) for t in sorted(stream.steps)
-            for key, attrs in stream.steps[t]]
+def arrivals(steps: Steps) -> list[Arrival]:
+    """The records of `steps`, step by step and in hand-out order within a
+    step."""
+    return [Arrival(t, key, attrs) for t in sorted(steps) for key, attrs in steps[t]]
 
 
-def logical_stream(records: Iterable[Arrival], horizon: int) -> LogicalStream:
-    """The stream of `records`, in their order within each step."""
-    steps: dict = {}
+def logical_stream(records: Iterable[Arrival]) -> Steps:
+    """The steps of `records`, in their order within each step."""
+    steps: Steps = {}
     for t, key, attrs in records:
         steps.setdefault(t, []).append((key, attrs))
-    return LogicalStream(steps, horizon)
+    return steps
 
 
-def true_count(stream_a: LogicalStream, stream_b: LogicalStream | None,
+def true_count(stream_a: Steps, stream_b: Steps | None,
                operator: OperatorKind, t: int) -> int:
     """Plaintext oracle over the logical databases, no truncation.
 
@@ -58,7 +58,7 @@ class NeighborViolation(ValueError):
     """The two streams do not differ by exactly one logical update."""
 
 
-def assert_neighbors(a: LogicalStream, b: LogicalStream) -> None:
+def assert_neighbors(a: Steps, b: Steps) -> None:
     """Neighbors differ by the addition or removal of one logical update."""
     ca, cb = Counter(arrivals(a)), Counter(arrivals(b))
     n_extra, n_missing = sum((ca - cb).values()), sum((cb - ca).values())
@@ -86,21 +86,22 @@ def laplace_oracle(scale: float, rng: np.random.Generator,
     return x if n is not None else float(x)
 
 
-def timer_mechanism(stream: LogicalStream, trials: int, draw, T: int, b: float,
+def timer_mechanism(stream: Steps, trials: int, draw, horizon: int, T: int, b: float,
                     epsilon: float) -> np.ndarray:
-    """`m_timer` over `trials` trials, one draw per trial and release."""
-    out = m_timer(stream, stream.horizon, T, b, epsilon, lambda scale: draw(scale, trials))
+    """`m_timer` up to `horizon` over `trials` trials, one draw per trial and
+    release."""
+    out = m_timer(stream, horizon, T, b, epsilon, lambda scale: draw(scale, trials))
     return np.array([v for _, v in out]).reshape(len(out), trials).T
 
 
-def ant_mechanism(stream: LogicalStream, trials: int, draw, theta: float, b: float,
+def ant_mechanism(stream: Steps, trials: int, draw, horizon: int, theta: float, b: float,
                   epsilon: float, variant: str = "protocol") -> np.ndarray:
-    """`m_ant` over `trials` runs at once, a row per run and a column per step,
-    0.0 where a step releases nothing. In `m_ant`'s order, `draw(scale, n)`
-    gives the n runs that need one each a threshold, a check per step, then a
-    release and a refresh per trigger. The output scale is the protocol's, or
-    the proofs' 4b/epsilon for `variant` "proof"."""
-    cum = np.cumsum(stream.arrivals_per_step(stream.horizon))
+    """`m_ant` up to `horizon` over `trials` runs at once, a row per run and a
+    column per step, 0.0 where a step releases nothing. In `m_ant`'s order,
+    `draw(scale, n)` gives the n runs that need one each a threshold, a check
+    per step, then a release and a refresh per trigger. The output scale is
+    the protocol's, or the proofs' 4b/epsilon for `variant` "proof"."""
+    cum = np.cumsum(arrivals_per_step(stream, horizon))
     th_scale, check_scale, out_scale = ant_scales(b, epsilon)
     if variant == "proof":
         out_scale = b / (epsilon / 4)
@@ -108,8 +109,8 @@ def ant_mechanism(stream: LogicalStream, trials: int, draw, theta: float, b: flo
         raise ValueError(f"unknown variant {variant!r}")
     noisy_th = theta + draw(th_scale, trials)
     last_cum = np.zeros(trials)
-    out = np.zeros((trials, stream.horizon))
-    for t in range(1, stream.horizon + 1):
+    out = np.zeros((trials, horizon))
+    for t in range(1, horizon + 1):
         since = cum[t] - last_cum
         trig = since + draw(check_scale, trials) >= noisy_th
         if trig.any():
@@ -120,7 +121,7 @@ def ant_mechanism(stream: LogicalStream, trials: int, draw, theta: float, b: flo
     return out
 
 
-def empirical_privacy_loss(run, stream_a: LogicalStream, stream_b: LogicalStream,
+def empirical_privacy_loss(run, stream_a: Steps, stream_b: Steps,
                            trials: int, seed: int = 0, min_bin: int | None = None) -> float:
     """Estimate max_o |ln(Pr_a[o] / Pr_b[o])| over binned output vectors.
 

@@ -40,27 +40,27 @@ from test_transform import charge_joins
 def test_load_stream_basic(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("t,key,a\n1,7,0\n")
-    s = load_stream(str(p))
-    assert s.steps == {1: [(7, (0,))]}
-    assert s.horizon == 1
+    steps = load_stream(str(p))
+    assert steps == {1: [(7, (0,))]}
+    assert max(steps) == 1
 
 
 def test_load_stream_empty_with_header(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("t,key,a\n")
-    s = load_stream(str(p))
-    assert s.steps == {} and s.horizon == 0
+    steps = load_stream(str(p))
+    assert steps == {}
 
 
 def test_load_stream_sorts_stably(tmp_path):
     # Steps come in order and without rows are absent, each step keeps its
-    # rows in file order, and the horizon is the last t.
+    # rows in file order, and the steps reach the file's last t.
     p = tmp_path / "s.csv"
     p.write_text("t,key,a\n3,1,0\n1,2,5\n3,3,0\n9,4,0\n3,5,1\n")
-    s = load_stream(str(p))
-    assert s.steps == {1: [(2, (5,))], 3: [(1, (0,)), (3, (0,)), (5, (1,))], 9: [(4, (0,))]}
-    assert list(s.steps) == [1, 3, 9]
-    assert s.horizon == 9
+    steps = load_stream(str(p))
+    assert steps == {1: [(2, (5,))], 3: [(1, (0,)), (3, (0,)), (5, (1,))], 9: [(4, (0,))]}
+    assert list(steps) == [1, 3, 9]
+    assert max(steps) == 9
 
 
 def test_load_stream_missing_header(tmp_path):
@@ -98,8 +98,7 @@ def test_load_stream_wrong_arity(tmp_path):
 # Owner batches.
 
 def make_stream(times):
-    return logical_stream([Arrival(t, i + 1, (1,)) for i, t in enumerate(times)],
-                          max(times) if times else 0)
+    return logical_stream(Arrival(t, i + 1, (1,)) for i, t in enumerate(times))
 
 
 def test_client_batches_hold_each_step_s_arrivals():
@@ -150,7 +149,7 @@ def test_a_row_far_past_the_horizon_changes_no_byte(operator, tmp_path):
             with_far = tmp_path / f"far_{name}.csv"
             with_far.write_text(Path(path).read_text() + f"{10**12},7,1\n")
             far = dataclasses.replace(far, **{name: str(with_far)})
-    assert load_stream(far.stream_a).horizon == 10**12
+    assert max(load_stream(far.stream_a)) == 10**12
     out = [io.StringIO(), io.StringIO()]
     for cfg, buf in zip((config, far), out):
         emit_metrics(run_experiment(cfg).metrics, buf)
@@ -229,8 +228,7 @@ def _synth_stream_oracle(profile, seed, horizon, multiplicity=1, cap=5, *, right
             leftover.update(carry + pending.get(horizon + 1, []))
         return out
 
-    return (logical_stream(drain(pend_a), horizon),
-            logical_stream(drain(pend_b), horizon) if right else None)
+    return logical_stream(drain(pend_a)), logical_stream(drain(pend_b)) if right else None
 
 
 @pytest.mark.parametrize("multiplicity", [1, 2, 3])
@@ -279,7 +277,7 @@ def test_run_builds_owner_b_only_for_joins(monkeypatch, operator):
 
 def test_synth_zero_horizon():
     a, b = synth_stream(Profile.STANDARD, 1, 0)
-    assert a.steps == {} and b.steps == {}
+    assert a == {} and b == {}
 
 
 def test_synth_multiplicity_groups():
@@ -781,14 +779,14 @@ def test_query_count_empty_view():
 
 
 def test_true_count_brute_force_filter():
-    s = logical_stream([Arrival(1, 1, (1,)), Arrival(2, 2, (0,)), Arrival(3, 3, (1,))], 3)
+    s = logical_stream([Arrival(1, 1, (1,)), Arrival(2, 2, (0,)), Arrival(3, 3, (1,))])
     assert true_count(s, None, OperatorKind.FILTER, 1) == 1
     assert true_count(s, None, OperatorKind.FILTER, 3) == 2
 
 
 def test_true_count_brute_force_join():
-    a = logical_stream([Arrival(1, 5, (1,)), Arrival(2, 6, (1,))], 3)
-    b = logical_stream([Arrival(1, 5, (1,)), Arrival(3, 5, (1,))], 3)
+    a = logical_stream([Arrival(1, 5, (1,)), Arrival(2, 6, (1,))])
+    b = logical_stream([Arrival(1, 5, (1,)), Arrival(3, 5, (1,))])
     assert true_count(a, b, OperatorKind.SMJ, 1) == 1
     assert true_count(a, b, OperatorKind.SMJ, 3) == 2
 
@@ -796,7 +794,7 @@ def test_true_count_brute_force_join():
 @pytest.mark.parametrize("operator", [OperatorKind.SMJ, OperatorKind.NLJ])
 def test_true_count_join_without_right_stream_raises(operator):
     # An explicit raise, so the check also holds under python -O.
-    a = logical_stream([Arrival(1, 5, (1,))], 3)
+    a = logical_stream([Arrival(1, 5, (1,))])
     with pytest.raises(ValueError, match="right-hand stream"):
         true_count(a, None, operator, 1)
 

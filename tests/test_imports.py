@@ -43,9 +43,14 @@ def test_intra_package_imports_are_at_module_level():
     assert nested == []
 
 
+def _import_graph() -> dict[str, set[str]]:
+    """Each module -> the dpviewsim modules it imports."""
+    return {module: {name for name, _ in _intra_imports(tree)}
+            for module, tree in _modules().items()}
+
+
 def test_module_import_graph_is_acyclic():
-    graph = {module: {name for name, _ in _intra_imports(tree)}
-             for module, tree in _modules().items()}
+    graph = _import_graph()
     assert all(name in graph for deps in graph.values() for name in deps)
     done: set[str] = set()
 
@@ -59,6 +64,20 @@ def test_module_import_graph_is_acyclic():
 
     for module in graph:
         visit(module, [])
+
+
+def test_a_cli_run_does_not_load_the_mechanisms_and_audit():
+    # leakage holds the reference mechanisms and the transcript audit, which
+    # the tests and the benchmark's gate call and no run does, so no module
+    # that the CLI loads may import it.
+    graph = _import_graph()
+    closure, todo = set(), ["cli"]
+    while todo:
+        module = todo.pop()
+        if module not in closure:
+            closure.add(module)
+            todo += graph[module]
+    assert "harness" in closure and "leakage" not in closure
 
 
 def test_only_randomness_imports_numpy():

@@ -3,17 +3,16 @@ import functools
 import numpy as np
 import pytest
 
-from dpviewsim.leakage import (AuditExpectation, LogicalStream, Transcript, TranscriptEvent,
-                               TranscriptKind, m_ant, m_timer, transcript_audit)
+from dpviewsim.harness import Steps
+from dpviewsim.leakage import (AuditExpectation, Transcript, TranscriptEvent, TranscriptKind,
+                               arrivals_per_step, m_ant, m_timer, transcript_audit)
 
 from oracles import (Arrival, NeighborViolation, ant_mechanism, arrivals, assert_neighbors,
                      empirical_privacy_loss, laplace_oracle, logical_stream, timer_mechanism)
 
 
-def stream(times, horizon=None, key0=1):
-    records = [Arrival(t, key0 + i, (1,)) for i, t in enumerate(times)]
-    return logical_stream(records, horizon if horizon is not None else
-                          (max(times) if times else 0))
+def stream(times, key0=1):
+    return logical_stream(Arrival(t, key0 + i, (1,)) for i, t in enumerate(times))
 
 
 class ScriptedNoise:
@@ -41,18 +40,18 @@ def seeded(seed: int):
     return lambda scale, n=None: laplace_oracle(scale, rng, n)
 
 
-# A stream with several syncs and releases.
-SEVERAL = stream([t for t in range(1, 41) for _ in range(t % 3)], horizon=40)
+# A stream with several syncs and releases over steps 1..40.
+SEVERAL = stream([t for t in range(1, 41) for _ in range(t % 3)])
 
 
-def nant(stream: LogicalStream, epsilon: float, theta: float, delta_f: float,
+def nant(stream: Steps, h: int, epsilon: float, theta: float, delta_f: float,
          noise) -> tuple[int, float] | None:
     """Numeric above-noisy-threshold: one release at the first crossing.
 
-    The single-release mechanism that m_ant repeats after every release.
+    The single-release mechanism that m_ant repeats after every release,
+    over steps 1..h.
     """
-    h = stream.horizon
-    counts = stream.arrivals_per_step(h)
+    counts = arrivals_per_step(stream, h)
     eps1 = epsilon / 2
     eps2 = epsilon / 2
     noisy_th = theta + noise.laplace(2 * delta_f / eps1)
@@ -69,27 +68,27 @@ def nant(stream: LogicalStream, epsilon: float, theta: float, delta_f: float,
 # Reference mechanisms.
 
 def test_m_timer_empty_stream_pure_noise():
-    out = m_timer(stream([], horizon=20), 20, T=5, b=1, epsilon=1.0, draw=seeded(4))
+    out = m_timer(stream([]), 20, T=5, b=1, epsilon=1.0, draw=seeded(4))
     assert [t for t, _ in out] == [5, 10, 15, 20]
     values = np.array([v for _, v in out])
     assert np.all(np.abs(values) < 50)  # Laplace(1) draws around zero
-    zeroed = m_timer(stream([], horizon=20), 20, T=5, b=1, epsilon=1.0, draw=ZERO().laplace)
+    zeroed = m_timer(stream([]), 20, T=5, b=1, epsilon=1.0, draw=ZERO().laplace)
     assert [v for _, v in zeroed] == [0, 0, 0, 0]
 
 
 def test_m_timer_window_counts_with_zero_noise():
-    s = stream([1, 2, 2, 7], horizon=10)
+    s = stream([1, 2, 2, 7])
     out = m_timer(s, 10, T=5, b=1, epsilon=1.0, draw=ZERO().laplace)
     assert out == [(5, 3.0), (10, 1.0)]
 
 
 def test_m_timer_deterministic_given_seed():
-    s = stream([1, 3], horizon=6)
+    s = stream([1, 3])
     assert m_timer(s, 6, 2, 1, 1.0, seeded(9)) == m_timer(s, 6, 2, 1, 1.0, seeded(9))
 
 
 def test_m_ant_huge_threshold_never_releases():
-    s = stream([1, 2, 3], horizon=10)
+    s = stream([1, 2, 3])
     out = m_ant(s, 10, theta=1e9, b=1, epsilon=1.0, draw=seeded(3))
     assert all(v is None for _, v in out)
 
@@ -98,25 +97,25 @@ def test_m_ant_zero_noise_release_trace():
     # Two arrivals per step, threshold 5: counts 2, 4, 6 -> release at t=3
     # with value 6, then the window resets.
     records = [Arrival(t, 10 * t + i, (1,)) for t in (1, 2, 3, 4) for i in (0, 1)]
-    s = logical_stream(records, 4)
+    s = logical_stream(records)
     out = m_ant(s, 4, theta=5, b=1, epsilon=1.0, draw=ZERO().laplace)
     assert out[:3] == [(1, None), (2, None), (3, 6.0)]
     assert out[3] == (4, None)  # window restarted: count 2 < 5
 
 
 def test_nant_zero_noise_trace():
-    s = stream([1, 2, 3, 4, 5], horizon=5)
-    assert nant(s, epsilon=1.0, theta=3, delta_f=1, noise=ZERO()) == (3, 3.0)
+    s = stream([1, 2, 3, 4, 5])
+    assert nant(s, 5, epsilon=1.0, theta=3, delta_f=1, noise=ZERO()) == (3, 3.0)
 
 
 def test_nant_zero_threshold_fires_immediately():
-    s = stream([1, 2], horizon=2)
-    assert nant(s, epsilon=1.0, theta=0.0001, delta_f=1, noise=ZERO())[0] == 1
+    s = stream([1, 2])
+    assert nant(s, 2, epsilon=1.0, theta=0.0001, delta_f=1, noise=ZERO())[0] == 1
 
 
 def test_nant_no_crossing_returns_none():
-    s = stream([1], horizon=3)
-    assert nant(s, epsilon=1.0, theta=10, delta_f=1, noise=ZERO()) is None
+    s = stream([1])
+    assert nant(s, 3, epsilon=1.0, theta=10, delta_f=1, noise=ZERO()) is None
 
 
 def test_nant_segments_compose_to_m_ant():
@@ -124,23 +123,21 @@ def test_nant_segments_compose_to_m_ant():
     # with a shared noise tape, reproduces the repeated mechanism exactly
     # (nant's scales equal the proof-variant scales at delta_f = b).
     times = [1, 1, 2, 3, 3, 3, 5, 6, 6, 8]
-    s = stream(times, horizon=8)
+    s = stream(times)
     b, eps, theta = 1, 2.0, 3
     tape = list(np.random.default_rng(5).standard_normal(64))
     tape_draw = ScriptedNoise(list(tape)).laplace
-    repeated = ant_mechanism(s, 1, lambda scale, n: np.full(n, tape_draw(scale)), theta, b,
-                             eps, variant="proof")[0]
+    repeated = ant_mechanism(s, 1, lambda scale, n: np.full(n, tape_draw(scale)), 8, theta,
+                             b, eps, variant="proof")[0]
     releases = [(t, v) for t, v in enumerate(repeated.tolist(), 1) if v != 0]
 
     shared = ScriptedNoise(list(tape))
     segment_start = 1
     segmented = []
     while segment_start <= 8:
-        seg = logical_stream(
-            [Arrival(r.t - segment_start + 1, r.key, r.attrs)
-             for r in arrivals(s) if r.t >= segment_start],
-            8 - segment_start + 1)
-        hit = nant(seg, eps, theta, b, noise=shared)
+        seg = logical_stream(Arrival(r.t - segment_start + 1, r.key, r.attrs)
+                             for r in arrivals(s) if r.t >= segment_start)
+        hit = nant(seg, 8 - segment_start + 1, eps, theta, b, noise=shared)
         if hit is None:
             break
         segmented.append((hit[0] + segment_start - 1, hit[1]))
@@ -155,8 +152,8 @@ def test_neighbor_check():
     with pytest.raises(NeighborViolation):
         assert_neighbors(stream([1, 2, 3, 4]), stream([1, 2]))
     # substitution is not addition/removal
-    x = logical_stream([Arrival(1, 5, (1,))], 1)
-    y = logical_stream([Arrival(1, 6, (1,))], 1)
+    x = logical_stream([Arrival(1, 5, (1,))])
+    y = logical_stream([Arrival(1, 6, (1,))])
     with pytest.raises(NeighborViolation):
         assert_neighbors(x, y)
 
@@ -164,23 +161,21 @@ def test_neighbor_check():
 # ---------------------------------------------------------------------------
 # Empirical privacy loss.
 
-def neighbor_pair(horizon=4, extra_t=2):
+def neighbor_pair(extra_t=2):
     base = [Arrival(1, 100, (1,)), Arrival(2, 101, (1,)), Arrival(extra_t, 102, (1,))]
-    a = logical_stream(base, horizon)
-    b = logical_stream(base + [Arrival(extra_t, 103, (1,))], horizon)
-    return a, b
+    return logical_stream(base), logical_stream(base + [Arrival(extra_t, 103, (1,))])
 
 
 def test_identical_streams_estimate_near_zero():
     a, _ = neighbor_pair()
-    mech = functools.partial(timer_mechanism, T=4, b=1, epsilon=1.0)
+    mech = functools.partial(timer_mechanism, horizon=4, T=4, b=1, epsilon=1.0)
     est = empirical_privacy_loss(mech, a, a, trials=100_000, seed=0)
     assert est < 0.05
 
 
 def test_timer_estimate_within_budget():
     a, b = neighbor_pair()
-    mech = functools.partial(timer_mechanism, T=4, b=1, epsilon=1.0)
+    mech = functools.partial(timer_mechanism, horizon=4, T=4, b=1, epsilon=1.0)
     est = empirical_privacy_loss(mech, a, b, trials=100_000, seed=1)
     assert est <= 1.15
     assert est > 0.5  # the mechanism does spend real budget
@@ -190,8 +185,9 @@ def test_timer_estimate_within_budget():
 def test_ant_protocol_variant_estimate_within_budget(theta):
     # The protocol variant's output scale 2b/epsilon is the one a run draws
     # (shrink.ant_scales); its loss must stay inside the same budget.
-    a, b = neighbor_pair(horizon=2)
-    mech = functools.partial(ant_mechanism, theta=theta, b=1, epsilon=1.0, variant="protocol")
+    a, b = neighbor_pair()
+    mech = functools.partial(ant_mechanism, horizon=2, theta=theta, b=1, epsilon=1.0,
+                             variant="protocol")
     est = empirical_privacy_loss(mech, a, b, trials=400_000, seed=theta, min_bin=2000)
     assert 0.4 < est <= 1.15
 
@@ -202,7 +198,7 @@ def test_timer_stability_scaling_doubles_loss():
     a, b = neighbor_pair()
     def two_stable(s, trials, draw):
         doubled = [rec for rec in arrivals(s) for _ in range(2)]
-        return timer_mechanism(logical_stream(doubled, s.horizon), trials, draw, 4, 1, 1.0)
+        return timer_mechanism(logical_stream(doubled), trials, draw, 4, 4, 1, 1.0)
 
     est = empirical_privacy_loss(two_stable, a, b, trials=100_000, seed=2)
     assert 1.6 < est < 2.3
@@ -210,59 +206,59 @@ def test_timer_stability_scaling_doubles_loss():
 
 def test_run_many_matches_scalar_mechanism_distribution():
     a, _ = neighbor_pair()
-    mech = functools.partial(timer_mechanism, T=4, b=1, epsilon=1.0)
+    mech = functools.partial(timer_mechanism, horizon=4, T=4, b=1, epsilon=1.0)
     draw = seeded(7)
     arr = mech(a, 20_000, draw)
     assert arr.shape == (20_000, 1)
-    seq = np.array([m_timer(a, a.horizon, 4, 1, 1.0, seeded(100 + i))[0][1]
+    seq = np.array([m_timer(a, 4, 4, 1, 1.0, seeded(100 + i))[0][1]
                     for i in range(2_000)])
     assert abs(arr.mean() - seq.mean()) < 0.15
     assert abs(arr.var() - seq.var()) < 0.4
     # One body: a one-trial run_many is m_timer under the same seed, exactly,
     # on a stream with several syncs.
     for k in range(20):
-        one = mech(SEVERAL, 1, seeded(k))
+        one = mech(SEVERAL, 1, seeded(k), horizon=40)
         assert one.shape == (1, 10)
         assert one[0].tolist() == [v for _, v in m_timer(SEVERAL, 40, 4, 1, 1.0, seeded(k))]
     # A horizon shorter than T syncs nothing.
-    assert mech(stream([1, 2], horizon=3), 5, draw).shape == (5, 0)
-    assert m_timer(stream([1, 2], horizon=3), 3, 4, 1, 1.0, seeded(0)) == []
+    assert mech(stream([1, 2]), 5, draw, horizon=3).shape == (5, 0)
+    assert m_timer(stream([1, 2]), 3, 4, 1, 1.0, seeded(0)) == []
 
 
 def test_ant_mechanism_run_many_consistent_with_scalar():
     a, _ = neighbor_pair()
     draw = seeded(11)
-    arr = ant_mechanism(a, 5_000, draw, theta=2, b=1, epsilon=2.0, variant="proof")
+    arr = ant_mechanism(a, 5_000, draw, horizon=4, theta=2, b=1, epsilon=2.0, variant="proof")
     assert arr.shape == (5_000, 4)
     # same release-time distribution as the scalar path, whose output scale
     # is the protocol's: trigger times do not depend on the output scale
     scalar_hits = np.zeros(4)
     n = 2_000
     for i in range(n):
-        vec = [0.0 if v is None else v for _, v in m_ant(a, a.horizon, 2, 1, 2.0, seeded(500 + i))]
+        vec = [0.0 if v is None else v for _, v in m_ant(a, 4, 2, 1, 2.0, seeded(500 + i))]
         scalar_hits += np.array(vec) != 0
     vec_hits = (arr != 0).mean(axis=0)
     assert np.all(np.abs(vec_hits - scalar_hits / n) < 0.05)
     # One body: a one-trial protocol run is m_ant under the same seed, exactly,
     # with None read as 0, on a stream with several releases.
     for k in range(20):
-        one = ant_mechanism(SEVERAL, 1, seeded(k), 4, 1, 1.0)
+        one = ant_mechanism(SEVERAL, 1, seeded(k), 40, 4, 1, 1.0)
         assert one.shape == (1, 40)
         scalar = m_ant(SEVERAL, 40, 4, 1, 1.0, seeded(k))
         assert sum(v is not None for _, v in scalar) >= 2
         assert one[0].tolist() == [0.0 if v is None else v for _, v in scalar]
     # A horizon of 0 has no step to release at.
     for variant in ("protocol", "proof"):
-        assert ant_mechanism(stream([], horizon=0), 5, draw, 4, 1, 1.0, variant).shape == (5, 0)
-    assert m_ant(stream([], horizon=0), 0, 4, 1, 1.0, seeded(0)) == []
+        assert ant_mechanism(stream([]), 5, draw, 0, 4, 1, 1.0, variant).shape == (5, 0)
+    assert m_ant(stream([]), 0, 4, 1, 1.0, seeded(0)) == []
 
 
 def test_ant_proof_variant_doubles_each_release_s_noise():
     # The proofs' output scale 4b/eps is twice the protocol's 2b/eps. Under one
     # seed both variants draw alike, so they trigger at the same steps, and each
     # release's noise (the release minus the count since the last) doubles.
-    cum = np.cumsum(SEVERAL.arrivals_per_step(SEVERAL.horizon))
-    protocol, proof = (ant_mechanism(SEVERAL, 50, seeded(3), 4, 1, 1.0, variant)
+    cum = np.cumsum(arrivals_per_step(SEVERAL, 40))
+    protocol, proof = (ant_mechanism(SEVERAL, 50, seeded(3), 40, 4, 1, 1.0, variant)
                        for variant in ("protocol", "proof"))
     np.testing.assert_array_equal(protocol != 0, proof != 0)
     assert (protocol != 0).sum(axis=1).min() >= 2
@@ -276,7 +272,7 @@ def test_unknown_ant_variant_raises():
     # Only the protocol's and the proofs' output scales exist.
     a, _ = neighbor_pair()
     with pytest.raises(ValueError, match="unknown variant 'paper'"):
-        ant_mechanism(a, 10, seeded(0), theta=2, b=1, epsilon=2.0, variant="paper")
+        ant_mechanism(a, 10, seeded(0), horizon=4, theta=2, b=1, epsilon=2.0, variant="paper")
 
 
 def test_two_phase_composition_bound():
@@ -284,8 +280,8 @@ def test_two_phase_composition_bound():
     # per-phase budgets eps_i yields total loss sum(q_i * eps_i).
     q1, q2 = 1, 2
     eps1, eps2 = 0.5, 0.25
-    a = logical_stream([], 1)
-    b = logical_stream([Arrival(1, 7, (1,))], 1)
+    a = logical_stream([])
+    b = logical_stream([Arrival(1, 7, (1,))])
 
     def two_phase(s, trials, draw):
         count = len(arrivals(s))

@@ -7,7 +7,7 @@ from dpviewsim import obliv, shrink, transform
 from dpviewsim.harness import ExperimentConfig, Protocol, run_experiment
 from dpviewsim.obliv import (SecureCache, SecureTuple, cache_flush, cache_read,
                              compare_exchange_pairs, network_comparison_count, network_sort,
-                             network_sort_keys, obli_sort, padded_length, secure_tuple, seq_of)
+                             network_sort_keys, obli_sort, secure_tuple, seq_of)
 from dpviewsim.transform import OperatorKind
 from test_golden import hot_key_config
 
@@ -137,7 +137,7 @@ def test_network_matches_pair_generator():
     for n in [0, 1, 2, 3, 5, 16, 33, 100, 1025, 4096]:
         keys = rng.integers(np.iinfo(np.int64).min, top, size=n, dtype=np.int64)
         assert len(set(keys.tolist())) == n
-        m = padded_length(n)
+        m = 1 << max(0, n - 1).bit_length()
         values = keys.tolist() + [top] * (m - n)
         order = list(range(m))
         pairs = 0
@@ -161,7 +161,7 @@ def test_network_matches_pair_generator():
             slots = [4 * n] * n
             for value, at in zip(reals, rng.permutation(n)):
                 slots[at] = value
-            m = padded_length(n)
+            m = 1 << max(0, n - 1).bit_length()
             values = slots + [top] * (m - n)
             pairs = 0
             for i, j, asc in compare_exchange_pairs(m):
@@ -183,7 +183,7 @@ def test_batched_sort_matches_independent_networks(k, n):
     # charge the k networks.
     rng = np.random.default_rng(10 * n + k)
     top = 1 << 62
-    m = padded_length(n)
+    m = 1 << max(0, n - 1).bit_length()
     for _ in range(5):
         reals, expected, pairs = [], [], 0
         for g in range(k):
@@ -340,8 +340,11 @@ def test_conservation_under_read():
         assert len(cache) == max(0, n - sz)
 
 
-def test_padded_length():
-    assert [padded_length(n) for n in (0, 1, 2, 3, 4, 5, 9)] == [1, 1, 2, 4, 4, 8, 16]
+def test_network_count_pads_to_the_least_power_of_two():
+    # An n-slot network is the pair generator's network on the least power of
+    # two that holds n (one slot for n = 0).
+    assert [network_comparison_count(n) for n in (0, 1, 2, 3, 4, 5, 9)] == \
+        [len(list(compare_exchange_pairs(m))) for m in (1, 1, 2, 4, 4, 8, 16)]
 
 
 # ---------------------------------------------------------------------------

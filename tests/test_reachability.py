@@ -43,7 +43,7 @@ ALLOWED = {
     "obliv.compare_exchange_pairs",  # the bitonic network, the oracle for the sorts
     # leakage's reference mechanisms, which item 3's --audit makes part of a run;
     # tests/test_replay ties them to real runs.
-    "leakage.LogicalStream.arrivals_per_step",  # the mechanisms' counts up to a run's horizon
+    "leakage.arrivals_per_step",  # the mechanisms' counts up to a run's horizon
     "leakage.m_timer",  # DPTimer's releases from the logical stream
     "leakage.m_ant",  # DPANT's releases from the logical stream
     # Output that item 3's --audit will print.

@@ -1,10 +1,11 @@
 """Replay every DP sync of a real run through its reference mechanism.
 
-The reference mechanisms see only the logical stream and the noise draws. Fed
-the run's produced rows as (timestamp, key) records and a fresh
-`ServerRandomness(seed).joint_laplace` as their draw, `m_timer` and `m_ant`
-must release, after `clamp_round`, exactly the run's sync times and sizes; the
-transcript audit must then accept every sync as that coupled release.
+The reference mechanisms see only a logical stream's steps, the run's horizon
+and the noise draws. Fed the run's produced rows as (timestamp, key) records
+and a fresh `ServerRandomness(seed).joint_laplace` as their draw, `m_timer`
+and `m_ant` must release, after `clamp_round`, exactly the run's sync times
+and sizes; the transcript audit must then accept every sync as that coupled
+release.
 """
 
 import pytest
@@ -26,8 +27,7 @@ _CASES = [(protocol, operator, seed)
 def replayed_syncs(result) -> list[tuple[int, int]]:
     """(t, size) of each release the run's reference mechanism makes."""
     config = result.config
-    stream = logical_stream([Arrival(r.timestamp, r.key, ()) for r in result.produced_rows],
-                            config.horizon)
+    stream = logical_stream(Arrival(r.timestamp, r.key, ()) for r in result.produced_rows)
     return released_syncs(stream, config)
 
 
@@ -93,17 +93,16 @@ class StepsUpTo(dict):
 
 @pytest.mark.parametrize("protocol", [Protocol.DP_TIMER, Protocol.DP_ANT])
 def test_a_row_far_past_the_horizon_replays_the_run_s_releases(protocol, tmp_path):
-    # The stream of a CSV whose one row is at t = 10**12 has that horizon,
-    # but the mechanisms read only the run's 20 steps: they give the run's
+    # The steps of a CSV whose one row is at t = 10**12 reach that far, but
+    # the mechanisms read only the run's 20 steps: they give the run's
     # releases (pure noise, since no row arrives by step 20) and never build
     # a count per step up to the far row, which would exhaust memory.
     path = tmp_path / "far.csv"
     path.write_text(f"t,key,attr\n{10**12},7,1\n")
     config = ExperimentConfig(protocol=protocol, operator=OperatorKind.FILTER, horizon=20,
                               T=5, theta=2, f=10, seed=3, stream_a=str(path))
-    stream = load_stream(config.stream_a)
-    assert stream.horizon == 10**12
-    stream.steps = StepsUpTo(stream.steps, config.horizon)
-    syncs = released_syncs(stream, config)
+    steps = load_stream(config.stream_a)
+    assert max(steps) == 10**12
+    syncs = released_syncs(StepsUpTo(steps, config.horizon), config)
     assert syncs == [(r.t, r.size) for r in run_experiment(config).sync_reports]
     assert len(syncs) >= (4 if protocol is Protocol.DP_TIMER else 1)

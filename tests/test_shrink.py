@@ -6,7 +6,7 @@ from scipy.stats import binom
 
 from dpviewsim import harness, obliv, shrink
 from dpviewsim.harness import ExperimentConfig, Profile, Protocol, RunState, run_experiment
-from dpviewsim.leakage import LogicalStream, m_ant
+from dpviewsim.leakage import m_ant
 from dpviewsim.obliv import SecureCache, SecureTuple, obli_sort
 from dpviewsim.randomness import ServerRandomness
 from dpviewsim.sharing import recover, share_in_protocol
@@ -251,7 +251,7 @@ def test_ant_scales_protocol_and_proof():
     # at t = 1: a threshold, a check, the release and a refreshed threshold.
     # (The proofs' 4b/eps output scale is the tests' oracle's; test_leakage
     # checks it against these.)
-    one = LogicalStream({1: [(1, (1,))]}, 1)
+    one = {1: [(1, (1,))]}
     scales = []
     m_ant(one, 1, 0.5, 10, 1.5, lambda scale: scales.append(scale) or 0.0)
     assert scales == [b * 10 / 1.5 for b in (4, 8, 2, 4)]
